@@ -13,8 +13,13 @@
 //!   coalesce copy-related temps into one home;
 //! * [`value_graph`] — def-use chains ([`DefUse`]) and a hash-consed,
 //!   constant-folding value graph ([`ValueGraph`]) with the coarse
-//!   store/call aliasing test ([`value_graph::may_alias`]) shared by
-//!   `cse`, `gvn` and `load_fwd`.
+//!   store/call aliasing test ([`value_graph::may_alias`]) behind the
+//!   load kills of `gvn` and `load_fwd`;
+//! * [`available`] — the forward must-availability solver
+//!   ([`forward_must`]) shared by `gvn` and `load_fwd`: each block's
+//!   ops fold once into a gen/kill [`Transfer`] summary, and the
+//!   fixpoint iterates those summaries in reverse postorder
+//!   (meet = ∩, entry = ∅).
 //!
 //! The consumers are deliberately split across three layers: the
 //! optimisation passes (`gvn`, `load_fwd`, the dominance-based `licm`),
@@ -29,10 +34,12 @@
 //! the application core drops the rest of the cache when the pass
 //! reports a change.
 
+pub mod available;
 pub mod dominance;
 pub mod liveness;
 pub mod value_graph;
 
+pub use available::{forward_must, GenKill, Transfer};
 pub use dominance::DomTree;
 pub use liveness::Liveness;
 pub use value_graph::{may_alias, op_clobbers, DefUse, ValueGraph};
@@ -61,13 +68,34 @@ impl BitSet {
     /// A full set over the universe `0..len`.
     pub fn full(len: usize) -> BitSet {
         let mut s = BitSet::new(len);
-        for w in &mut s.words {
+        s.fill();
+        s
+    }
+
+    /// Add every member of the universe.
+    pub fn fill(&mut self) {
+        for w in &mut self.words {
             *w = u64::MAX;
         }
-        if !len.is_multiple_of(64) {
-            if let Some(last) = s.words.last_mut() {
-                *last &= (1u64 << (len % 64)) - 1;
+        if !self.len.is_multiple_of(64) {
+            if let Some(last) = self.words.last_mut() {
+                *last &= (1u64 << (self.len % 64)) - 1;
             }
+        }
+    }
+
+    /// Remove every member.
+    pub fn clear(&mut self) {
+        for w in &mut self.words {
+            *w = 0;
+        }
+    }
+
+    /// The set of `members` over the universe `0..len`.
+    pub fn from_members(len: usize, members: impl IntoIterator<Item = usize>) -> BitSet {
+        let mut s = BitSet::new(len);
+        for i in members {
+            s.insert(i);
         }
         s
     }
@@ -126,6 +154,19 @@ impl BitSet {
     pub fn intersects(&self, other: &BitSet) -> bool {
         debug_assert_eq!(self.len, other.len);
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+    }
+
+    /// The smallest member of `self ∩ other`.
+    pub fn first_shared(&self, other: &BitSet) -> Option<usize> {
+        debug_assert_eq!(self.len, other.len);
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .find_map(|(wi, (a, b))| {
+                let w = a & b;
+                (w != 0).then(|| wi * 64 + w.trailing_zeros() as usize)
+            })
     }
 
     /// `self -= other`.

@@ -59,7 +59,12 @@
 //!   of the temp that still holds it (subsumes `cse` across blocks);
 //! * `load_fwd` — global store-to-load forwarding: a load whose cell
 //!   provably holds a known value on every incoming path becomes a
-//!   copy of that value;
+//!   copy of that value. `gvn` and `load_fwd` share one forward
+//!   must-availability solver ([`dataflow::forward_must`]) that iterates
+//!   per-block gen/kill summaries; each pass tracks only the facts a
+//!   replacement could consult (cells some load reads, expressions
+//!   computed twice), kills through indexes, and breaks ties toward the
+//!   lowest-numbered fact;
 //! * `unroll` — fully unrolls *provably* constant-trip loops up to a
 //!   trip ceiling (cycles ↓, code ↑: the classic size/speed trade);
 //! * `strength_reduce` — `x * 2ⁿ` → shift (strictly better);
@@ -1083,33 +1088,39 @@ impl ExprKey {
         })
     }
 
-    /// Temps the keyed expression reads (redefinition invalidates).
-    fn read_temps(&self) -> Vec<Temp> {
-        let mut out = Vec::new();
-        let mut push = |o: &Operand| {
+    /// Visit the temps the keyed expression reads (redefinition
+    /// invalidates).
+    fn for_each_temp(&self, mut visit: impl FnMut(Temp)) {
+        let mut operand = |o: &Operand| {
             if let Operand::Temp(t) = o {
-                out.push(*t);
+                visit(*t);
             }
         };
         match self {
             ExprKey::Bin(_, a, b) => {
-                push(a);
-                push(b);
+                operand(a);
+                operand(b);
             }
-            ExprKey::Un(_, a) => push(a),
+            ExprKey::Un(_, a) => operand(a),
             ExprKey::Select(c, t, f) => {
-                push(c);
-                push(t);
-                push(f);
+                operand(c);
+                operand(t);
+                operand(f);
             }
             ExprKey::Load(base, index) => {
-                push(index);
+                operand(index);
                 if let MemBase::Param(t) = base {
-                    out.push(*t);
+                    operand(&Operand::Temp(*t));
                 }
             }
         }
-        out
+    }
+
+    /// Does the keyed expression read `t`?
+    fn reads(&self, t: Temp) -> bool {
+        let mut hit = false;
+        self.for_each_temp(|r| hit |= r == t);
+        hit
     }
 }
 
@@ -1124,18 +1135,36 @@ impl ExprKey {
 /// Returns `true` if anything changed.
 pub fn local_cse(f: &mut IrFunction) -> bool {
     let mut changed = false;
+    // The block's entries: `available` maps a key to its latest entry,
+    // `holder[e]` is the temp holding entry `e`'s value and `alive[e]`
+    // whether it still does. Kills go through indexes instead of a
+    // scan: `by_temp[t]` lists the entries that read or are held by
+    // `t`, `loads` the load entries. A killed entry stays in `available`
+    // as a dead id until a new entry for its key replaces it.
+    let mut available: HashMap<ExprKey, usize> = HashMap::new();
+    let mut holder: Vec<Temp> = Vec::new();
+    let mut alive: Vec<bool> = Vec::new();
+    let mut by_temp: Vec<Vec<usize>> = vec![Vec::new(); f.temp_count as usize];
+    let mut touched: Vec<Temp> = Vec::new();
+    let mut loads: Vec<usize> = Vec::new();
     for b in &mut f.blocks {
-        let mut available: HashMap<ExprKey, Temp> = HashMap::new();
+        available.clear();
+        holder.clear();
+        alive.clear();
+        loads.clear();
+        for t in touched.drain(..) {
+            by_temp[t.0 as usize].clear();
+        }
         for op in &mut b.ops {
             let key = ExprKey::of(op);
             // Reuse an identical, still-valid prior computation.
             let mut replaced = false;
             if let (Some(key), Some(dst)) = (&key, op_dst(op)) {
-                if let Some(prev) = available.get(key) {
-                    if *prev != dst {
+                if let Some(&e) = available.get(key) {
+                    if alive[e] && holder[e] != dst {
                         *op = IrOp::Copy {
                             dst,
-                            src: Operand::Temp(*prev),
+                            src: Operand::Temp(holder[e]),
                         };
                         changed = true;
                         replaced = true;
@@ -1145,15 +1174,15 @@ pub fn local_cse(f: &mut IrFunction) -> bool {
             // Invalidate what this op clobbers — the rewritten copy
             // still writes `dst`, so the non-SSA IR's other entries
             // reading (or valued by) `dst` go stale either way.
-            let mut defs = Vec::new();
-            written_temps(op, &mut defs);
-            if !defs.is_empty() {
-                available.retain(|k, v| {
-                    !defs.contains(v) && !k.read_temps().iter().any(|t| defs.contains(t))
-                });
-            }
+            dataflow::for_each_write(op, |d| {
+                for e in by_temp[d.0 as usize].drain(..) {
+                    alive[e] = false;
+                }
+            });
             if matches!(op, IrOp::Store { .. } | IrOp::Call { .. }) {
-                available.retain(|k, _| !matches!(k, ExprKey::Load(..)));
+                for e in loads.drain(..) {
+                    alive[e] = false;
+                }
             }
             // Record the *original* computation, unless it was replaced
             // (the surviving `key → prev` entry already covers it) or it
@@ -1161,8 +1190,20 @@ pub fn local_cse(f: &mut IrFunction) -> bool {
             // moment the op runs).
             if !replaced {
                 if let (Some(key), Some(dst)) = (key, op_dst(op)) {
-                    if !key.read_temps().contains(&dst) {
-                        available.insert(key, dst);
+                    if !key.reads(dst) {
+                        let e = holder.len();
+                        holder.push(dst);
+                        alive.push(true);
+                        let mut index = |t: Temp| {
+                            by_temp[t.0 as usize].push(e);
+                            touched.push(t);
+                        };
+                        key.for_each_temp(&mut index);
+                        index(dst);
+                        if matches!(key, ExprKey::Load(..)) {
+                            loads.push(e);
+                        }
+                        available.insert(key, e);
                     }
                 }
             }
@@ -1197,6 +1238,14 @@ fn op_dst(op: &IrOp) -> Option<Temp> {
 /// value the op would compute, on **every** incoming path — including
 /// around loop back-edges — so the op becomes a copy of the holder.
 ///
+/// The universe is demand-driven: only expressions computed at two or
+/// more non-self-reading sites get facts, since a lone computation has
+/// nothing to share. Kills go through indexes (facts by the temps they
+/// read, load facts by interned base), each block's ops fold once into
+/// a gen/kill summary for the shared [`dataflow::forward_must`] solver,
+/// and when several facts are available the first computed (lowest
+/// site) wins.
+///
 /// Sites whose destination is multi-def generate no facts (the holder
 /// can go stale without its expression changing); [`local_cse`] still
 /// covers those within a block by tracking redefinitions positionally.
@@ -1210,303 +1259,466 @@ pub fn gvn(f: &mut IrFunction) -> bool {
 
 /// [`gvn`] against prebuilt analyses (the pass-framework entry point).
 fn gvn_with(f: &mut IrFunction, dom: &DomTree, du: &DefUse) -> bool {
-    // 1. The fact universe: every keyed pure op with a single-def
-    //    destination, in deterministic site order. Self-reading ops
-    //    (`t = t + 1`) are not keyed — their value goes stale the
-    //    moment they run.
-    struct Fact {
-        site: (usize, usize),
-        key: ExprKey,
-        holder: Temp,
+    match ExprFacts::build(f, du) {
+        Some(facts) => rewrite_available(f, dom.rpo(), &facts),
+        None => false,
     }
-    let mut facts: Vec<Fact> = Vec::new();
-    let mut fact_at: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut facts_of_key: HashMap<ExprKey, Vec<usize>> = HashMap::new();
-    for (bi, b) in f.blocks.iter().enumerate() {
-        for (oi, op) in b.ops.iter().enumerate() {
-            let (Some(key), Some(dst)) = (ExprKey::of(op), op_dst(op)) else {
-                continue;
-            };
-            if key.read_temps().contains(&dst) || du.single_def(dst) != Some((bi, oi)) {
-                continue;
+}
+
+/// A forward must-availability problem over one function, solved and
+/// applied by [`rewrite_available`]: a fact universe with per-op gen/kill
+/// rules, plus the rule that turns an op into a copy.
+trait Availability {
+    /// The size of the fact universe.
+    fn fact_count(&self) -> usize;
+    /// Apply op `oi` of block `b` to `s`: its kills, then its gen.
+    fn transfer(&self, b: usize, oi: usize, op: &IrOp, s: &mut impl dataflow::GenKill);
+    /// Whether op `oi` of block `b` is one [`Availability::replacement`]
+    /// may rewrite.
+    fn is_candidate(&self, b: usize, oi: usize, op: &IrOp) -> bool;
+    /// What the candidate op `dst = …` becomes a copy of, given the
+    /// facts available just before it; `None` leaves it alone.
+    fn replacement(&self, b: usize, oi: usize, op: &IrOp, avail: &BitSet) -> Option<Operand>;
+}
+
+/// Solve `facts` over `f`, then walk each reachable block from its
+/// in-set and turn every candidate with a replacement into `dst = src`.
+/// The rewrites land after the walk, so every transfer sees the original
+/// op: its own fact still holds after the copy, and chains keep folding.
+///
+/// Returns `true` if anything changed.
+fn rewrite_available(f: &mut IrFunction, rpo: &[usize], facts: &impl Availability) -> bool {
+    let preds = teamplay_minic::cfg::predecessors(f);
+    let avail_in = dataflow::forward_must(facts.fact_count(), rpo, &preds, |b, t| {
+        for (oi, op) in f.blocks[b].ops.iter().enumerate() {
+            facts.transfer(b, oi, op, t);
+        }
+    });
+    let mut copies = Vec::new();
+    for &b in rpo {
+        let ops = &f.blocks[b].ops;
+        // Nothing after a block's last candidate can matter.
+        let candidate = |(oi, op): (usize, &IrOp)| facts.is_candidate(b, oi, op);
+        let Some(last) = ops.iter().enumerate().rposition(candidate) else {
+            continue;
+        };
+        let mut cur = avail_in[b].clone();
+        for (oi, op) in ops[..=last].iter().enumerate() {
+            if facts.is_candidate(b, oi, op) {
+                if let Some(src) = facts.replacement(b, oi, op, &cur) {
+                    let dst = op_dst(op).expect("candidates have a destination");
+                    copies.push((b, oi, dst, src));
+                }
             }
-            let id = facts.len();
-            fact_at.insert((bi, oi), id);
-            facts_of_key.entry(key.clone()).or_default().push(id);
-            facts.push(Fact {
-                site: (bi, oi),
-                key,
-                holder: dst,
-            });
+            facts.transfer(b, oi, op, &mut cur);
         }
     }
-    let n = facts.len();
-    if n == 0 {
-        return false;
+    for &(b, oi, dst, src) in &copies {
+        f.blocks[b].ops[oi] = IrOp::Copy { dst, src };
     }
-    // Inverted indexes for the kill sets. (A fact's holder needs no
-    // kill entry: it is single-def, and its one def *is* the gen site.)
-    let mut killed_by_temp: HashMap<Temp, Vec<usize>> = HashMap::new();
-    let mut load_facts: Vec<(usize, MemBase)> = Vec::new();
-    for (id, fact) in facts.iter().enumerate() {
-        for t in fact.key.read_temps() {
-            killed_by_temp.entry(t).or_default().push(id);
+    !copies.is_empty()
+}
+
+/// A per-op side table over one function: row `(b, oi)` describes op
+/// `oi` of block `b`, so the summaries and the replacement walk never
+/// hash an op.
+struct OpTable<T> {
+    start: Vec<usize>,
+    rows: Vec<T>,
+}
+
+impl<T: Copy + Default> OpTable<T> {
+    fn new(f: &IrFunction) -> OpTable<T> {
+        let mut start = Vec::with_capacity(f.blocks.len());
+        let mut total = 0;
+        for b in &f.blocks {
+            start.push(total);
+            total += b.ops.len();
         }
-        if let ExprKey::Load(base, _) = &fact.key {
-            load_facts.push((id, base.clone()));
+        OpTable {
+            start,
+            rows: vec![T::default(); total],
         }
     }
-    // The transfer of one op at one site: kills first (writes clobber
-    // facts whose expression reads the temp; stores/calls clobber load
-    // facts), then the site's own fact becomes available.
-    let apply = |site: (usize, usize), op: &IrOp, avail: &mut BitSet| {
+
+    fn at(&self, b: usize, oi: usize) -> T {
+        self.rows[self.start[b] + oi]
+    }
+
+    fn at_mut(&mut self, b: usize, oi: usize) -> &mut T {
+        &mut self.rows[self.start[b] + oi]
+    }
+}
+
+/// What `gvn` knows about one op.
+#[derive(Clone, Copy, Default)]
+struct ExprSite {
+    /// The fact the op generates.
+    fact: Option<usize>,
+    /// The op's key group, when the key is computed at two or more sites.
+    group: Option<usize>,
+}
+
+/// `gvn`'s fact universe and kill indexes.
+struct ExprFacts {
+    sites: OpTable<ExprSite>,
+    /// Each shared key's facts, in site order.
+    groups: Vec<Vec<usize>>,
+    /// The temp holding each fact's value.
+    holder: Vec<Temp>,
+    /// `by_temp[t]`: the facts whose expression reads `t`.
+    by_temp: Vec<Vec<usize>>,
+    /// The load facts a store to each interned base kills ([`may_alias`]).
+    store_bases: Vec<(MemBase, BitSet)>,
+    /// Load facts on a `Param` base: a store to any other base kills them.
+    param_loads: BitSet,
+    /// Every load fact: a call kills them all, as does a `Param` store.
+    all_loads: BitSet,
+}
+
+impl ExprFacts {
+    /// The demand-driven universe: the single-def sites of keys computed
+    /// at two or more non-self-reading sites, numbered in site order;
+    /// `None` when it is empty.
+    fn build(f: &IrFunction, du: &DefUse) -> Option<ExprFacts> {
+        let mut sites = OpTable::<ExprSite>::new(f);
+        // 1. Group every non-self-reading keyed op by its key.
+        let mut group_of: HashMap<ExprKey, usize> = HashMap::new();
+        let mut sizes: Vec<usize> = Vec::new();
+        for (bi, b) in f.blocks.iter().enumerate() {
+            for (oi, op) in b.ops.iter().enumerate() {
+                let (Some(key), Some(dst)) = (ExprKey::of(op), op_dst(op)) else {
+                    continue;
+                };
+                if key.reads(dst) {
+                    continue;
+                }
+                let g = *group_of.entry(key).or_insert(sizes.len());
+                if g == sizes.len() {
+                    sizes.push(0);
+                }
+                sizes[g] += 1;
+                sites.at_mut(bi, oi).group = Some(g);
+            }
+        }
+        // 2. The facts: single-def sites of shared keys.
+        let mut groups = vec![Vec::new(); sizes.len()];
+        let mut holder = Vec::new();
+        let mut by_temp = vec![Vec::new(); f.temp_count as usize];
+        let mut loads: Vec<(usize, &MemBase)> = Vec::new();
+        for (bi, b) in f.blocks.iter().enumerate() {
+            for (oi, op) in b.ops.iter().enumerate() {
+                let site = sites.at_mut(bi, oi);
+                let Some(g) = site.group else { continue };
+                if sizes[g] < 2 {
+                    site.group = None;
+                    continue;
+                }
+                let dst = op_dst(op).expect("keyed ops have a destination");
+                if du.single_def(dst) != Some((bi, oi)) {
+                    continue;
+                }
+                let id = holder.len();
+                holder.push(dst);
+                site.fact = Some(id);
+                groups[g].push(id);
+                let key = ExprKey::of(op).expect("grouped ops are keyed");
+                key.for_each_temp(|t| by_temp[t.0 as usize].push(id));
+                if let IrOp::Load { base, .. } = op {
+                    loads.push((id, base));
+                }
+            }
+        }
+        let n = holder.len();
+        if n == 0 {
+            return None;
+        }
+        // 3. Load kills, by the interned bases of the load facts.
+        let mut store_bases: Vec<(MemBase, BitSet)> = Vec::new();
+        for &(_, base) in &loads {
+            if store_bases.iter().all(|(b, _)| b != base) {
+                let hit = loads.iter().filter(|(_, fb)| may_alias(base, fb));
+                let set = BitSet::from_members(n, hit.map(|&(id, _)| id));
+                store_bases.push((base.clone(), set));
+            }
+        }
+        let is_param = |base: &MemBase| matches!(base, MemBase::Param(_));
+        let param_loads = loads.iter().filter(|(_, b)| is_param(b)).map(|&(id, _)| id);
+        Some(ExprFacts {
+            sites,
+            groups,
+            holder,
+            by_temp,
+            store_bases,
+            param_loads: BitSet::from_members(n, param_loads),
+            all_loads: BitSet::from_members(n, loads.iter().map(|&(id, _)| id)),
+        })
+    }
+}
+
+impl Availability for ExprFacts {
+    fn fact_count(&self) -> usize {
+        self.holder.len()
+    }
+
+    /// Writes kill the facts reading the temp, stores kill aliasing load
+    /// facts, calls kill every load fact; then the site's own fact.
+    fn transfer(&self, b: usize, oi: usize, op: &IrOp, s: &mut impl dataflow::GenKill) {
         dataflow::for_each_write(op, |t| {
-            for &id in killed_by_temp.get(&t).map_or(&[][..], |v| v) {
-                avail.remove(id);
+            for &id in &self.by_temp[t.0 as usize] {
+                s.kill(id);
             }
         });
         match op {
             IrOp::Store { base, .. } => {
-                for (id, kb) in &load_facts {
-                    if may_alias(base, kb) {
-                        avail.remove(*id);
-                    }
-                }
+                let known = self.store_bases.iter().find(|(b, _)| b == base);
+                s.kill_set(match known {
+                    Some((_, set)) => set,
+                    None if matches!(base, MemBase::Param(_)) => &self.all_loads,
+                    None => &self.param_loads,
+                });
             }
-            IrOp::Call { .. } => {
-                for (id, _) in &load_facts {
-                    avail.remove(*id);
-                }
-            }
+            IrOp::Call { .. } => s.kill_set(&self.all_loads),
             _ => {}
         }
-        if let Some(&id) = fact_at.get(&site) {
-            avail.insert(id);
-        }
-    };
-    // 2. Forward fixpoint over the reachable blocks in reverse
-    //    postorder: in = ∩ preds' out, entry = ∅, unreached inits full.
-    let nb = f.blocks.len();
-    let preds = teamplay_minic::cfg::predecessors(f);
-    let mut avail_in: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
-    let mut avail_out: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
-    avail_in[0] = BitSet::new(n);
-    loop {
-        let mut changed = false;
-        for &b in dom.rpo() {
-            if b != 0 {
-                let mut inn = BitSet::full(n);
-                for &p in &preds[b] {
-                    inn.intersect_with(&avail_out[p]);
-                }
-                changed |= avail_in[b] != inn;
-                avail_in[b] = inn;
-            }
-            let mut out = avail_in[b].clone();
-            for (oi, op) in f.blocks[b].ops.iter().enumerate() {
-                apply((b, oi), op, &mut out);
-            }
-            changed |= avail_out[b] != out;
-            avail_out[b] = out;
-        }
-        if !changed {
-            break;
+        if let Some(id) = self.sites.at(b, oi).fact {
+            s.gen(id);
         }
     }
-    // 3. Replacement walk: a keyed op with an available fact for the
-    //    same expression (held by a *different* temp) becomes a copy of
-    //    the holder. The transfer uses the *original* op — its own fact
-    //    (if any) still holds after the copy, so chains keep folding.
-    let mut changed = false;
-    for &b in dom.rpo() {
-        let mut cur = avail_in[b].clone();
-        for oi in 0..f.blocks[b].ops.len() {
-            let op = f.blocks[b].ops[oi].clone();
-            let replacement = (|| {
-                let (key, dst) = (ExprKey::of(&op)?, op_dst(&op)?);
-                if key.read_temps().contains(&dst) {
-                    return None;
-                }
-                let holder = facts_of_key
-                    .get(&key)?
-                    .iter()
-                    .copied()
-                    .filter(|&id| cur.contains(id) && facts[id].site != (b, oi))
-                    .map(|id| facts[id].holder)
-                    .next()?;
-                (holder != dst).then_some(IrOp::Copy {
-                    dst,
-                    src: Operand::Temp(holder),
-                })
-            })();
-            if let Some(copy) = replacement {
-                f.blocks[b].ops[oi] = copy;
-                changed = true;
-            }
-            apply((b, oi), &op, &mut cur);
-        }
+
+    fn is_candidate(&self, b: usize, oi: usize, _op: &IrOp) -> bool {
+        self.sites.at(b, oi).group.is_some()
     }
-    changed
+
+    /// The holder of the first available fact for the op's key, other
+    /// than the op's own.
+    fn replacement(&self, b: usize, oi: usize, op: &IrOp, avail: &BitSet) -> Option<Operand> {
+        let site = self.sites.at(b, oi);
+        let id = self.groups[site.group?]
+            .iter()
+            .copied()
+            .find(|&id| avail.contains(id) && Some(id) != site.fact)?;
+        let holder = self.holder[id];
+        (Some(holder) != op_dst(op)).then_some(Operand::Temp(holder))
+    }
 }
 
 /// Store-to-load forwarding across block boundaries.
 ///
 /// Tracks memory facts `mem[base][index] == value` generated by stores
-/// (and by loads, whose destination then holds the cell's value) through
-/// a forward all-paths dataflow, and replaces a `Load` whose cell has a
-/// proven value on every incoming path with a copy of that value.
+/// through a forward all-paths dataflow, and replaces a `Load` whose
+/// cell has a proven value on every incoming path with a copy of that
+/// value.
 ///
 /// A fact dies when its index/value temp (or `Param` base temp) is
 /// redefined, when a call runs (callees may write any global or
 /// by-reference array), or when an aliasing store lands on it — unless
 /// both stores address the *same* base at provably distinct constant
-/// indexes. Self-referential facts (`t = A[t]`) are never recorded.
+/// indexes.
+///
+/// The universe is demand-driven: only facts on a cell `(base, index)`
+/// that some `Load` reads are tracked, so the zero-initialising stores
+/// of a large local array cost one scan and nothing after. Bases are
+/// interned and kills indexed: a constant-index store to a global or
+/// local kills its own cell, the variable-index facts on its base and
+/// every `Param` fact; a variable-index store kills its whole base and
+/// every `Param` fact; a `Param` store kills everything except the
+/// distinct-constant cells of its own base. Each block's ops fold once
+/// into a gen/kill summary for the shared [`dataflow::forward_must`]
+/// solver. Facts are numbered in first-encounter order, and a load with
+/// several available facts for its cell takes the lowest-numbered one.
 ///
 /// Returns `true` if anything changed.
 pub fn load_fwd(f: &mut IrFunction) -> bool {
-    // 1. The fact universe, in deterministic first-encounter order.
-    type Fact = (MemBase, Operand, Operand);
-    let fact_of = |op: &IrOp| -> Option<Fact> {
-        match op {
-            IrOp::Store { base, index, value } => Some((base.clone(), *index, *value)),
-            IrOp::Load { dst, base, index } => Some((base.clone(), *index, Operand::Temp(*dst))),
-            _ => None,
-        }
-    };
-    // Temps a fact reads: redefinition invalidates it.
-    let fact_temps = |(base, index, value): &Fact| -> Vec<Temp> {
-        let mut out = Vec::new();
-        if let MemBase::Param(t) = base {
-            out.push(*t);
-        }
-        for o in [index, value] {
-            if let Operand::Temp(t) = o {
-                out.push(*t);
+    match CellFacts::build(f) {
+        Some(facts) => rewrite_available(f, &teamplay_minic::cfg::reverse_postorder(f), &facts),
+        None => false,
+    }
+}
+
+/// What `load_fwd` knows about one op.
+#[derive(Clone, Copy, Default)]
+struct CellSite {
+    /// The interned base of a `Load`/`Store`.
+    base: usize,
+    /// The demanded cell a `Load`/`Store` addresses.
+    cell: Option<usize>,
+    /// The fact a `Store` generates.
+    fact: Option<usize>,
+}
+
+/// `load_fwd`'s fact universe and kill indexes.
+struct CellFacts {
+    sites: OpTable<CellSite>,
+    /// The value each fact says its cell holds.
+    value: Vec<Operand>,
+    /// `on_cell[c]`: the facts about demanded cell `c`.
+    on_cell: Vec<BitSet>,
+    /// `by_temp[t]`: the facts reading `t` (as base, index or value).
+    by_temp: Vec<Vec<usize>>,
+    /// Per interned base: the facts a variable-index store kills, and
+    /// those a constant-index store kills besides its own cell's.
+    var_store_kill: Vec<BitSet>,
+    const_store_kill: Vec<BitSet>,
+}
+
+impl CellFacts {
+    /// The demand-driven universe: the distinct `(cell, value)` pairs
+    /// stored to cells some `Load` reads, in first-encounter order;
+    /// `None` when it is empty.
+    fn build(f: &IrFunction) -> Option<CellFacts> {
+        let mut sites = OpTable::<CellSite>::new(f);
+        // 1. Intern every memory op's base (runs of ops mostly share
+        //    one); each load demands its cell `(base, index)`.
+        let mut bases: Vec<&MemBase> = Vec::new();
+        let mut cells: Vec<(usize, Operand)> = Vec::new();
+        let mut cells_of_base: Vec<Vec<usize>> = Vec::new();
+        let mut last = 0;
+        for (bi, b) in f.blocks.iter().enumerate() {
+            for (oi, op) in b.ops.iter().enumerate() {
+                let (IrOp::Load { base, index, .. } | IrOp::Store { base, index, .. }) = op else {
+                    continue;
+                };
+                if bases.get(last) != Some(&base) {
+                    last = bases.iter().position(|b| *b == base).unwrap_or_else(|| {
+                        bases.push(base);
+                        cells_of_base.push(Vec::new());
+                        bases.len() - 1
+                    });
+                }
+                sites.at_mut(bi, oi).base = last;
+                let is_load = matches!(op, IrOp::Load { .. });
+                if is_load && !cells_of_base[last].iter().any(|&c| cells[c].1 == *index) {
+                    cells_of_base[last].push(cells.len());
+                    cells.push((last, *index));
+                }
             }
         }
-        out
-    };
-    // A load's own fact is unusable when it reads the destination.
-    let valid = |op: &IrOp, fact: &Fact| -> bool {
-        match op {
-            IrOp::Load { dst, .. } => !fact_temps(fact).contains(dst),
-            _ => true,
-        }
-    };
-    let mut fact_id: HashMap<Fact, usize> = HashMap::new();
-    let mut facts: Vec<Fact> = Vec::new();
-    for b in &f.blocks {
-        for op in &b.ops {
-            let Some(fact) = fact_of(op) else { continue };
-            if !valid(op, &fact) {
-                continue;
+        // 2. Resolve every memory op's cell; stores to demanded cells
+        //    generate the facts.
+        let mut value: Vec<Operand> = Vec::new();
+        let mut fact_cell: Vec<usize> = Vec::new();
+        let mut on_cell: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
+        for (bi, b) in f.blocks.iter().enumerate() {
+            for (oi, op) in b.ops.iter().enumerate() {
+                let (IrOp::Load { index, .. } | IrOp::Store { index, .. }) = op else {
+                    continue;
+                };
+                let site = sites.at_mut(bi, oi);
+                site.cell = cells_of_base[site.base]
+                    .iter()
+                    .copied()
+                    .find(|&c| cells[c].1 == *index);
+                let (Some(cell), IrOp::Store { value: v, .. }) = (site.cell, op) else {
+                    continue;
+                };
+                let known = on_cell[cell].iter().copied().find(|&id| value[id] == *v);
+                site.fact = Some(known.unwrap_or_else(|| {
+                    value.push(*v);
+                    fact_cell.push(cell);
+                    on_cell[cell].push(value.len() - 1);
+                    value.len() - 1
+                }));
             }
-            fact_id.entry(fact.clone()).or_insert_with(|| {
-                facts.push(fact);
-                facts.len() - 1
-            });
         }
-    }
-    let n = facts.len();
-    if n == 0 {
-        return false;
-    }
-    let mut killed_by_temp: HashMap<Temp, Vec<usize>> = HashMap::new();
-    for (id, fact) in facts.iter().enumerate() {
-        for t in fact_temps(fact) {
-            killed_by_temp.entry(t).or_default().push(id);
+        let n = value.len();
+        if n == 0 {
+            return None;
         }
-    }
-    // Does a store to `(sb, si)` kill the fact about `(fb, fi)`? Not
-    // when both name the same base at distinct constant indexes.
-    let store_kills = |sb: &MemBase, si: &Operand, (fb, fi, _): &Fact| -> bool {
-        if !may_alias(sb, fb) {
-            return false;
+        // 3. Kill indexes.
+        let mut by_temp = vec![Vec::new(); f.temp_count as usize];
+        for (id, &cell) in fact_cell.iter().enumerate() {
+            let (base, index) = cells[cell];
+            let temp = |o: Operand| match o {
+                Operand::Temp(t) => Some(t),
+                Operand::Const(_) => None,
+            };
+            let base_temp = match bases[base] {
+                MemBase::Param(t) => Some(*t),
+                _ => None,
+            };
+            for t in [base_temp, temp(index), temp(value[id])]
+                .into_iter()
+                .flatten()
+            {
+                by_temp[t.0 as usize].push(id);
+            }
         }
-        !(sb == fb && matches!((si, fi), (Operand::Const(a), Operand::Const(b)) if a != b))
-    };
-    let apply = |op: &IrOp, avail: &mut BitSet| {
+        let mut var_store_kill = Vec::with_capacity(bases.len());
+        let mut const_store_kill = Vec::with_capacity(bases.len());
+        for (k, store_base) in bases.iter().enumerate() {
+            let aliased = |id: &usize| may_alias(store_base, bases[cells[fact_cell[*id]].0]);
+            // A constant-index store spares the constant cells of its
+            // own base; its own cell dies through `on_cell`.
+            let spared = |id: &usize| {
+                let (base, index) = cells[fact_cell[*id]];
+                base == k && matches!(index, Operand::Const(_))
+            };
+            var_store_kill.push(BitSet::from_members(n, (0..n).filter(aliased)));
+            let hit = (0..n).filter(|id| aliased(id) && !spared(id));
+            const_store_kill.push(BitSet::from_members(n, hit));
+        }
+        Some(CellFacts {
+            sites,
+            value,
+            on_cell: on_cell
+                .into_iter()
+                .map(|ids| BitSet::from_members(n, ids))
+                .collect(),
+            by_temp,
+            var_store_kill,
+            const_store_kill,
+        })
+    }
+}
+
+impl Availability for CellFacts {
+    fn fact_count(&self) -> usize {
+        self.value.len()
+    }
+
+    /// Writes kill the facts reading the temp, stores kill by the
+    /// aliasing rules, calls kill everything; then a store's own fact.
+    fn transfer(&self, b: usize, oi: usize, op: &IrOp, s: &mut impl dataflow::GenKill) {
         dataflow::for_each_write(op, |t| {
-            for &id in killed_by_temp.get(&t).map_or(&[][..], |v| v) {
-                avail.remove(id);
+            for &id in &self.by_temp[t.0 as usize] {
+                s.kill(id);
             }
         });
+        let site = self.sites.at(b, oi);
         match op {
-            IrOp::Store { base, index, .. } => {
-                for (id, fact) in facts.iter().enumerate() {
-                    if store_kills(base, index, fact) {
-                        avail.remove(id);
-                    }
+            IrOp::Store {
+                index: Operand::Const(_),
+                ..
+            } => {
+                s.kill_set(&self.const_store_kill[site.base]);
+                if let Some(cell) = site.cell {
+                    s.kill_set(&self.on_cell[cell]);
                 }
             }
-            IrOp::Call { .. } => {
-                *avail = BitSet::new(n);
-            }
+            IrOp::Store { .. } => s.kill_set(&self.var_store_kill[site.base]),
+            IrOp::Call { .. } => s.kill_all(),
             _ => {}
         }
-        if let Some(fact) = fact_of(op) {
-            if valid(op, &fact) {
-                avail.insert(fact_id[&fact]);
-            }
-        }
-    };
-    // 2. Forward all-paths fixpoint (entry = ∅, meet = intersection).
-    let nb = f.blocks.len();
-    let rpo = teamplay_minic::cfg::reverse_postorder(f);
-    let preds = teamplay_minic::cfg::predecessors(f);
-    let mut avail_in: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
-    let mut avail_out: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
-    avail_in[0] = BitSet::new(n);
-    loop {
-        let mut changed = false;
-        for &b in &rpo {
-            if b != 0 {
-                let mut inn = BitSet::full(n);
-                for &p in &preds[b] {
-                    inn.intersect_with(&avail_out[p]);
-                }
-                changed |= avail_in[b] != inn;
-                avail_in[b] = inn;
-            }
-            let mut out = avail_in[b].clone();
-            for op in &f.blocks[b].ops {
-                apply(op, &mut out);
-            }
-            changed |= avail_out[b] != out;
-            avail_out[b] = out;
-        }
-        if !changed {
-            break;
+        if let Some(id) = site.fact {
+            s.gen(id);
         }
     }
-    // 3. Replacement walk: a load whose cell has an available fact
-    //    becomes a copy of the proven value. The transfer keeps the
-    //    original load semantics (its own fact still holds — the copy
-    //    leaves `dst` equal to the cell).
-    let mut changed = false;
-    for &b in &rpo {
-        let mut cur = avail_in[b].clone();
-        for oi in 0..f.blocks[b].ops.len() {
-            let op = f.blocks[b].ops[oi].clone();
-            if let IrOp::Load { dst, base, index } = &op {
-                let known = cur.iter().find_map(|id| {
-                    let (fb, fi, value) = &facts[id];
-                    (fb == base && fi == index).then_some(*value)
-                });
-                if let Some(value) = known {
-                    if value != Operand::Temp(*dst) {
-                        f.blocks[b].ops[oi] = IrOp::Copy {
-                            dst: *dst,
-                            src: value,
-                        };
-                        changed = true;
-                    }
-                }
-            }
-            apply(&op, &mut cur);
-        }
+
+    fn is_candidate(&self, _b: usize, _oi: usize, op: &IrOp) -> bool {
+        matches!(op, IrOp::Load { .. })
     }
-    changed
+
+    /// The value of the lowest-numbered available fact on the load's
+    /// cell.
+    fn replacement(&self, b: usize, oi: usize, op: &IrOp, avail: &BitSet) -> Option<Operand> {
+        let IrOp::Load { dst, .. } = op else {
+            return None;
+        };
+        let cell = self.sites.at(b, oi).cell?;
+        let value = self.value[avail.first_shared(&self.on_cell[cell])?];
+        (value != Operand::Temp(*dst)).then_some(value)
+    }
 }
 
 /// Exact body-execution count of a canonical counted loop, or `None`
@@ -3313,6 +3525,448 @@ pub fn run_passes_per_function_on(
             module.functions[i] = body.clone();
             module.functions[i].name = name;
         }
+    }
+}
+
+/// The random Mini-C kernel generator of the integration tests.
+#[cfg(test)]
+#[path = "../../../tests/common/kernels.rs"]
+mod test_kernels;
+
+/// The `gvn` and `load_fwd` bodies as they stood before the shared
+/// availability solver, kept verbatim as test-only oracles: the rebuilt
+/// passes must reproduce their output byte for byte.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use proptest::Strategy;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use teamplay_minic::compile_to_ir;
+
+    impl ExprKey {
+        /// Temps the keyed expression reads, collected.
+        fn read_temps(&self) -> Vec<Temp> {
+            let mut out = Vec::new();
+            self.for_each_temp(|t| out.push(t));
+            out
+        }
+    }
+
+    pub(super) fn gvn_with(f: &mut IrFunction, dom: &DomTree, du: &DefUse) -> bool {
+        // 1. The fact universe: every keyed pure op with a single-def
+        //    destination, in deterministic site order. Self-reading ops
+        //    (`t = t + 1`) are not keyed — their value goes stale the
+        //    moment they run.
+        struct Fact {
+            site: (usize, usize),
+            key: ExprKey,
+            holder: Temp,
+        }
+        let mut facts: Vec<Fact> = Vec::new();
+        let mut fact_at: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut facts_of_key: HashMap<ExprKey, Vec<usize>> = HashMap::new();
+        for (bi, b) in f.blocks.iter().enumerate() {
+            for (oi, op) in b.ops.iter().enumerate() {
+                let (Some(key), Some(dst)) = (ExprKey::of(op), op_dst(op)) else {
+                    continue;
+                };
+                if key.read_temps().contains(&dst) || du.single_def(dst) != Some((bi, oi)) {
+                    continue;
+                }
+                let id = facts.len();
+                fact_at.insert((bi, oi), id);
+                facts_of_key.entry(key.clone()).or_default().push(id);
+                facts.push(Fact {
+                    site: (bi, oi),
+                    key,
+                    holder: dst,
+                });
+            }
+        }
+        let n = facts.len();
+        if n == 0 {
+            return false;
+        }
+        // Inverted indexes for the kill sets. (A fact's holder needs no
+        // kill entry: it is single-def, and its one def *is* the gen site.)
+        let mut killed_by_temp: HashMap<Temp, Vec<usize>> = HashMap::new();
+        let mut load_facts: Vec<(usize, MemBase)> = Vec::new();
+        for (id, fact) in facts.iter().enumerate() {
+            for t in fact.key.read_temps() {
+                killed_by_temp.entry(t).or_default().push(id);
+            }
+            if let ExprKey::Load(base, _) = &fact.key {
+                load_facts.push((id, base.clone()));
+            }
+        }
+        // The transfer of one op at one site: kills first (writes clobber
+        // facts whose expression reads the temp; stores/calls clobber load
+        // facts), then the site's own fact becomes available.
+        let apply = |site: (usize, usize), op: &IrOp, avail: &mut BitSet| {
+            dataflow::for_each_write(op, |t| {
+                for &id in killed_by_temp.get(&t).map_or(&[][..], |v| v) {
+                    avail.remove(id);
+                }
+            });
+            match op {
+                IrOp::Store { base, .. } => {
+                    for (id, kb) in &load_facts {
+                        if may_alias(base, kb) {
+                            avail.remove(*id);
+                        }
+                    }
+                }
+                IrOp::Call { .. } => {
+                    for (id, _) in &load_facts {
+                        avail.remove(*id);
+                    }
+                }
+                _ => {}
+            }
+            if let Some(&id) = fact_at.get(&site) {
+                avail.insert(id);
+            }
+        };
+        // 2. Forward fixpoint over the reachable blocks in reverse
+        //    postorder: in = ∩ preds' out, entry = ∅, unreached inits full.
+        let nb = f.blocks.len();
+        let preds = teamplay_minic::cfg::predecessors(f);
+        let mut avail_in: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
+        let mut avail_out: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
+        avail_in[0] = BitSet::new(n);
+        loop {
+            let mut changed = false;
+            for &b in dom.rpo() {
+                if b != 0 {
+                    let mut inn = BitSet::full(n);
+                    for &p in &preds[b] {
+                        inn.intersect_with(&avail_out[p]);
+                    }
+                    changed |= avail_in[b] != inn;
+                    avail_in[b] = inn;
+                }
+                let mut out = avail_in[b].clone();
+                for (oi, op) in f.blocks[b].ops.iter().enumerate() {
+                    apply((b, oi), op, &mut out);
+                }
+                changed |= avail_out[b] != out;
+                avail_out[b] = out;
+            }
+            if !changed {
+                break;
+            }
+        }
+        // 3. Replacement walk: a keyed op with an available fact for the
+        //    same expression (held by a *different* temp) becomes a copy of
+        //    the holder. The transfer uses the *original* op — its own fact
+        //    (if any) still holds after the copy, so chains keep folding.
+        let mut changed = false;
+        for &b in dom.rpo() {
+            let mut cur = avail_in[b].clone();
+            for oi in 0..f.blocks[b].ops.len() {
+                let op = f.blocks[b].ops[oi].clone();
+                let replacement = (|| {
+                    let (key, dst) = (ExprKey::of(&op)?, op_dst(&op)?);
+                    if key.read_temps().contains(&dst) {
+                        return None;
+                    }
+                    let holder = facts_of_key
+                        .get(&key)?
+                        .iter()
+                        .copied()
+                        .filter(|&id| cur.contains(id) && facts[id].site != (b, oi))
+                        .map(|id| facts[id].holder)
+                        .next()?;
+                    (holder != dst).then_some(IrOp::Copy {
+                        dst,
+                        src: Operand::Temp(holder),
+                    })
+                })();
+                if let Some(copy) = replacement {
+                    f.blocks[b].ops[oi] = copy;
+                    changed = true;
+                }
+                apply((b, oi), &op, &mut cur);
+            }
+        }
+        changed
+    }
+
+    pub(super) fn load_fwd(f: &mut IrFunction) -> bool {
+        // 1. The fact universe, in deterministic first-encounter order.
+        type Fact = (MemBase, Operand, Operand);
+        let fact_of = |op: &IrOp| -> Option<Fact> {
+            match op {
+                IrOp::Store { base, index, value } => Some((base.clone(), *index, *value)),
+                IrOp::Load { dst, base, index } => {
+                    Some((base.clone(), *index, Operand::Temp(*dst)))
+                }
+                _ => None,
+            }
+        };
+        // Temps a fact reads: redefinition invalidates it.
+        let fact_temps = |(base, index, value): &Fact| -> Vec<Temp> {
+            let mut out = Vec::new();
+            if let MemBase::Param(t) = base {
+                out.push(*t);
+            }
+            for o in [index, value] {
+                if let Operand::Temp(t) = o {
+                    out.push(*t);
+                }
+            }
+            out
+        };
+        // A load's own fact is unusable when it reads the destination.
+        let valid = |op: &IrOp, fact: &Fact| -> bool {
+            match op {
+                IrOp::Load { dst, .. } => !fact_temps(fact).contains(dst),
+                _ => true,
+            }
+        };
+        let mut fact_id: HashMap<Fact, usize> = HashMap::new();
+        let mut facts: Vec<Fact> = Vec::new();
+        for b in &f.blocks {
+            for op in &b.ops {
+                let Some(fact) = fact_of(op) else { continue };
+                if !valid(op, &fact) {
+                    continue;
+                }
+                fact_id.entry(fact.clone()).or_insert_with(|| {
+                    facts.push(fact);
+                    facts.len() - 1
+                });
+            }
+        }
+        let n = facts.len();
+        if n == 0 {
+            return false;
+        }
+        let mut killed_by_temp: HashMap<Temp, Vec<usize>> = HashMap::new();
+        for (id, fact) in facts.iter().enumerate() {
+            for t in fact_temps(fact) {
+                killed_by_temp.entry(t).or_default().push(id);
+            }
+        }
+        // Does a store to `(sb, si)` kill the fact about `(fb, fi)`? Not
+        // when both name the same base at distinct constant indexes.
+        let store_kills = |sb: &MemBase, si: &Operand, (fb, fi, _): &Fact| -> bool {
+            if !may_alias(sb, fb) {
+                return false;
+            }
+            !(sb == fb && matches!((si, fi), (Operand::Const(a), Operand::Const(b)) if a != b))
+        };
+        let apply = |op: &IrOp, avail: &mut BitSet| {
+            dataflow::for_each_write(op, |t| {
+                for &id in killed_by_temp.get(&t).map_or(&[][..], |v| v) {
+                    avail.remove(id);
+                }
+            });
+            match op {
+                IrOp::Store { base, index, .. } => {
+                    for (id, fact) in facts.iter().enumerate() {
+                        if store_kills(base, index, fact) {
+                            avail.remove(id);
+                        }
+                    }
+                }
+                IrOp::Call { .. } => {
+                    *avail = BitSet::new(n);
+                }
+                _ => {}
+            }
+            if let Some(fact) = fact_of(op) {
+                if valid(op, &fact) {
+                    avail.insert(fact_id[&fact]);
+                }
+            }
+        };
+        // 2. Forward all-paths fixpoint (entry = ∅, meet = intersection).
+        let nb = f.blocks.len();
+        let rpo = teamplay_minic::cfg::reverse_postorder(f);
+        let preds = teamplay_minic::cfg::predecessors(f);
+        let mut avail_in: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
+        let mut avail_out: Vec<BitSet> = (0..nb).map(|_| BitSet::full(n)).collect();
+        avail_in[0] = BitSet::new(n);
+        loop {
+            let mut changed = false;
+            for &b in &rpo {
+                if b != 0 {
+                    let mut inn = BitSet::full(n);
+                    for &p in &preds[b] {
+                        inn.intersect_with(&avail_out[p]);
+                    }
+                    changed |= avail_in[b] != inn;
+                    avail_in[b] = inn;
+                }
+                let mut out = avail_in[b].clone();
+                for op in &f.blocks[b].ops {
+                    apply(op, &mut out);
+                }
+                changed |= avail_out[b] != out;
+                avail_out[b] = out;
+            }
+            if !changed {
+                break;
+            }
+        }
+        // 3. Replacement walk: a load whose cell has an available fact
+        //    becomes a copy of the proven value. The transfer keeps the
+        //    original load semantics (its own fact still holds — the copy
+        //    leaves `dst` equal to the cell).
+        let mut changed = false;
+        for &b in &rpo {
+            let mut cur = avail_in[b].clone();
+            for oi in 0..f.blocks[b].ops.len() {
+                let op = f.blocks[b].ops[oi].clone();
+                if let IrOp::Load { dst, base, index } = &op {
+                    let known = cur.iter().find_map(|id| {
+                        let (fb, fi, value) = &facts[id];
+                        (fb == base && fi == index).then_some(*value)
+                    });
+                    if let Some(value) = known {
+                        if value != Operand::Temp(*dst) {
+                            f.blocks[b].ops[oi] = IrOp::Copy {
+                                dst: *dst,
+                                src: value,
+                            };
+                            changed = true;
+                        }
+                    }
+                }
+                apply(&op, &mut cur);
+            }
+        }
+        changed
+    }
+
+    // --- the rebuilt passes against the frozen bodies ----------------
+
+    const APP_KERNELS: [(&str, &str); 4] = [
+        ("camera_pill", teamplay_apps::camera_pill::SOURCE),
+        ("spacewire", teamplay_apps::spacewire::SOURCE),
+        ("uav", teamplay_apps::uav::DETECT_KERNEL_SOURCE),
+        ("parking", teamplay_apps::parking::CONV_KERNEL_SOURCE),
+    ];
+
+    /// Run `rebuilt` and `frozen` on copies of `f`: the `changed` flags
+    /// and the serialized results must match. Returns the flag.
+    fn agree(
+        label: &str,
+        f: &IrFunction,
+        rebuilt: impl FnOnce(&mut IrFunction) -> bool,
+        frozen: impl FnOnce(&mut IrFunction) -> bool,
+    ) -> bool {
+        let (mut new, mut old) = (f.clone(), f.clone());
+        let changed = rebuilt(&mut new);
+        assert_eq!(changed, frozen(&mut old), "{label}: changed flag");
+        assert_eq!(
+            serde_json::to_string(&new).expect("IR serializes"),
+            serde_json::to_string(&old).expect("IR serializes"),
+            "{label}: rewritten function"
+        );
+        changed
+    }
+
+    /// Check both passes on every function of `m`; `changes` counts the
+    /// functions each pass changed (`[gvn, load_fwd]`).
+    fn check_module(label: &str, m: &IrModule, changes: &mut [usize; 2]) {
+        for f in &m.functions {
+            let dom = DomTree::build(f);
+            let du = DefUse::build(f);
+            let name = &f.name;
+            let gvn_changed = agree(
+                &format!("{label}/{name}: gvn"),
+                f,
+                |g| super::gvn_with(g, &dom, &du),
+                |g| gvn_with(g, &dom, &du),
+            );
+            let load_fwd_changed = agree(
+                &format!("{label}/{name}: load_fwd"),
+                f,
+                super::load_fwd,
+                load_fwd,
+            );
+            changes[0] += usize::from(gvn_changed);
+            changes[1] += usize::from(load_fwd_changed);
+        }
+    }
+
+    fn optimised(module: &IrModule, pipeline: &str) -> IrModule {
+        let mut m = module.clone();
+        let mut pm = PassManager::from_str(pipeline).expect("pipeline parses");
+        pm.run(&mut m);
+        m
+    }
+
+    #[test]
+    fn rebuilt_passes_match_reference_on_app_kernels_and_prefix_pipelines() {
+        let mut changes = [0; 2];
+        for (app, src) in APP_KERNELS {
+            let raw = compile_to_ir(src).expect("kernel compiles");
+            check_module(app, &raw, &mut changes);
+            for k in [1, 2, 4, 8] {
+                let inline = format!("inline({})", 8 * k);
+                let unroll = format!("unroll({k})");
+                let steps = [&inline, &unroll, "const_fold", "copy_prop", "gvn", "dce"];
+                for len in 1..=steps.len() {
+                    let pipeline = steps[..len].join(",");
+                    check_module(
+                        &format!("{app}+{pipeline}"),
+                        &optimised(&raw, &pipeline),
+                        &mut changes,
+                    );
+                }
+            }
+        }
+        assert!(changes[0] > 0, "gvn never fired on the app kernels");
+    }
+
+    #[test]
+    fn rebuilt_passes_match_reference_after_random_genome_pipelines() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut changes = [0; 2];
+        for (app, src) in APP_KERNELS {
+            let raw = compile_to_ir(src).expect("kernel compiles");
+            for _ in 0..100 {
+                let genome: Vec<f64> = (0..CompilerConfig::GENOME_DIMS)
+                    .map(|_| rng.gen_range(0.0..1.0))
+                    .collect();
+                let pipeline = CompilerConfig::from_genome(&genome).pipeline.to_string();
+                check_module(
+                    &format!("{app}+{pipeline}"),
+                    &optimised(&raw, &pipeline),
+                    &mut changes,
+                );
+            }
+        }
+        assert!(changes[0] > 0, "gvn never fired after genome pipelines");
+    }
+
+    #[test]
+    fn rebuilt_passes_match_reference_on_generated_kernels() {
+        let mut changes = [0; 2];
+        for case in 0..48 {
+            let src = test_kernels::arb_kernel().sample(&mut proptest::case_rng(case));
+            let raw = compile_to_ir(&src).expect("generated kernels lower");
+            for pipeline in [
+                "",
+                "inline(40)",
+                "inline(40),unroll(4),const_fold,copy_prop",
+            ] {
+                let m = if pipeline.is_empty() {
+                    raw.clone()
+                } else {
+                    optimised(&raw, pipeline)
+                };
+                check_module(&format!("case {case}+{pipeline}"), &m, &mut changes);
+            }
+        }
+        assert!(
+            changes[1] > 0,
+            "load_fwd never forwarded on generated kernels"
+        );
     }
 }
 

@@ -1,8 +1,11 @@
-//! Oracle tests for the dataflow backbone: on randomly generated Mini-C
-//! kernels (further randomised by registry pipelines, so the CFGs carry
-//! diamonds, loops and unreachable-after-folding shapes), the packed
-//! fixpoint analyses must agree with naive, obviously-correct
-//! recomputation:
+//! Oracle tests for the dataflow backbone. On randomly generated Mini-C
+//! kernels the packed fixpoint analyses must agree with naive,
+//! obviously-correct recomputation. The kernels come from the shared
+//! generator in `common/kernels.rs`, whose memory shapes (constant-index
+//! global cells, a zero-initialised local array, an aliasing array
+//! parameter, a call between a store and its load) are what `load_fwd`
+//! and `gvn` act on. Registry pipelines reshape them further, so the
+//! CFGs carry diamonds, loops and unreachable-after-folding shapes:
 //!
 //! * **dominance** — `a dom b` iff deleting `a` disconnects `b` from
 //!   the entry (path-based definition, checked by DFS per pair);
@@ -11,6 +14,10 @@
 //! * **def-use** — def/use sites match a per-op rescan, and
 //!   `single_def` answers exactly the temps with one op definition.
 
+#[path = "common/kernels.rs"]
+mod kernels;
+
+use kernels::arb_kernel;
 use proptest::prelude::*;
 use teamplay_compiler::dataflow::{for_each_read, for_each_term_read, for_each_write};
 use teamplay_compiler::{DefUse, DomTree, Liveness, PassManager};
@@ -18,52 +25,14 @@ use teamplay_minic::cfg::CfgView;
 use teamplay_minic::compile_to_ir;
 use teamplay_minic::ir::{IrFunction, Temp};
 
-/// Small Mini-C kernels with branches, a bounded loop, array traffic
-/// and a helper call — enough to exercise every analysis shape.
-fn arb_kernel() -> impl Strategy<Value = String> {
-    let leaf = prop_oneof![
-        (-50i32..50).prop_map(|v| v.to_string()),
-        Just("x".to_string()),
-        Just("y".to_string()),
-        Just("acc".to_string()),
-    ];
-    let op = prop_oneof![Just("+"), Just("-"), Just("*"), Just("&"), Just("^")];
-    let expr = (leaf.clone(), op, leaf).prop_map(|(a, op, b)| format!("(({a}) {op} ({b}))"));
-    (
-        proptest::collection::vec(expr, 1..4),
-        2u32..7,
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(exprs, bound, with_if, with_call)| {
-            let mut body = String::from("int acc = x ^ 5;\n");
-            if with_if {
-                body.push_str("    if (y > 0) { acc = acc + y; } else { acc = acc - 1; }\n");
-            }
-            body.push_str(&format!(
-                "    for (int i = 0; i < {bound}; i = i + 1) {{ buf[i % 8] = acc; acc = acc + buf[(i + 3) % 8] + i; }}\n"
-            ));
-            for (k, e) in exprs.iter().enumerate() {
-                body.push_str(&format!("    acc = acc ^ ({e}) * {};\n", k as i32 + 1));
-            }
-            if with_call {
-                body.push_str("    acc = acc + twist(acc, y);\n");
-            }
-            format!(
-                "int buf[8];\n\
-                 int twist(int a, int b) {{ return (a << 1) ^ (b & 0xFF); }}\n\
-                 int f(int x, int y) {{\n    {body}\n    return acc;\n}}"
-            )
-        })
-}
-
 /// Pipelines that reshape the CFG in different ways before the oracle
 /// runs, so the analyses face more than front-end-shaped graphs.
-const RESHAPERS: [&str; 4] = [
+const RESHAPERS: [&str; 5] = [
     "",
     "const_fold,copy_prop,dce",
     "inline(40),licm,cse,const_fold,dce",
     "unroll(4),block_layout,const_fold,copy_prop,dce",
+    "inline(40),load_fwd,gvn,const_fold,copy_prop,dce",
 ];
 
 /// Blocks reachable from the entry, optionally pretending `skip` and

@@ -9,6 +9,15 @@
 //! 2. **loop-bound flow facts**: the static WCET analysis still bounds
 //!    every function it bounded before optimisation (lost bounds make
 //!    the analysis fail, so analysability is the flow-fact witness).
+//!
+//! Generated kernels (the shared generator in `common/kernels.rs`) add
+//! the memory shapes the app kernels lack — constant-index global cells,
+//! a zero-initialised local array, an aliasing array parameter, a call
+//! between a store and its load — so `load_fwd` and `gvn` meet facts
+//! they can actually forward.
+
+#[path = "common/kernels.rs"]
+mod kernels;
 
 use teamplay_compiler::{
     generate_program, CodegenOpts, CompilerConfig, PassManager, Pipeline, REGISTRY,
@@ -227,6 +236,42 @@ proptest::proptest! {
         let json = serde_json::to_string(&config).expect("serializes");
         let back: CompilerConfig = serde_json::from_str(&json).expect("deserializes");
         proptest::prop_assert_eq!(&back, &config, "JSON form: {}", json);
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig { cases: 24, ..proptest::ProptestConfig::default() })]
+
+    /// `load_fwd`, `gvn`, a forwarding pipeline after inlining, and every
+    /// app's tuned pipeline keep a generated kernel's interpreter
+    /// semantics: return value and port trace of `f`.
+    #[test]
+    fn forwarding_pipelines_preserve_semantics_on_memory_shaped_kernels(
+        src in kernels::arb_kernel(),
+    ) {
+        let reference = compile_to_ir(&src).expect("generated kernels lower");
+        let mut pipelines = vec![
+            "load_fwd",
+            "gvn",
+            "inline(40),load_fwd,gvn,const_fold,copy_prop,dce",
+        ];
+        pipelines.extend(teamplay_apps::recommended_pipelines().into_iter().map(|(_, p)| p));
+        for pipeline in pipelines {
+            let mut optimised = reference.clone();
+            let mut pm = PassManager::from_str(pipeline).expect("pipeline parses");
+            pm.run(&mut optimised);
+            optimised
+                .validate()
+                .unwrap_or_else(|e| panic!("{pipeline}: invalid IR: {e}\n{src}"));
+            for args in [[3, 4], [-7, 2], [0, 0], [100, -100]] {
+                let expect = run(&reference, "f", &args);
+                let got = run(&optimised, "f", &args);
+                proptest::prop_assert_eq!(
+                    got, expect,
+                    "{}: `f({:?})` diverged on\n{}", pipeline, args, src
+                );
+            }
+        }
     }
 }
 
