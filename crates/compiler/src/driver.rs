@@ -29,6 +29,11 @@
 //!    process (or a [`compile_many`](crate::service::compile_many)
 //!    batch) warm-starts from it and skips compilation entirely; stale
 //!    poisoning is impossible because any input change moves the key.
+//!    Each entry is a small manifest (metrics plus blob hashes) over
+//!    function and globals blobs shared by every configuration that
+//!    compiled them byte-identically, and each store handle memoizes the
+//!    blobs it has decoded: like tier 2 one level down, a warm run parses
+//!    each distinct function once, however many configurations use it.
 //!
 //! Tier-1/2 counters surface as `cache_hits`/`cache_misses` and tier-3
 //! counters as `disk_hits`/`disk_misses` in

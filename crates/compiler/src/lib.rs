@@ -91,4 +91,4 @@ pub use secure::{
     rung_of_genome, LeakageRig, LADDER_RUNGS, SECURE_GENOME_DIMS,
 };
 pub use service::{compile_many, BatchStats, CompileJob, JobResult};
-pub use store::{DiskStore, STORE_FORMAT_VERSION};
+pub use store::{DiskStore, StoreFootprint, StoreStats, STORE_FORMAT_VERSION};

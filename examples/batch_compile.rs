@@ -9,6 +9,10 @@
 //! 2. **warm** — a second batch (fresh caches, as a new process would
 //!    build) answers every evaluation from disk without compiling.
 //!
+//! After the cold batch it prints the store's on-disk footprint: the
+//! evaluation entries, the function and globals blobs they share, and
+//! the bytes both occupy.
+//!
 //! CI runs this example as the disk-cache exerciser: it asserts the
 //! warm batch performed zero compiles, produced byte-identical fronts,
 //! and was at least as fast as the cold batch.
@@ -63,6 +67,7 @@ fn main() {
     let cold_start = Instant::now();
     let (cold_results, cold) = compile_many(pool, &jobs, &cm, &em, Some(&store));
     let cold_time = cold_start.elapsed();
+    let footprint = store.footprint();
 
     // Fresh store handle + caches: what a brand-new process would build.
     let store = DiskStore::open(&dir).expect("store reopens");
@@ -82,6 +87,12 @@ fn main() {
         cold_time,
         cold.search.disk_misses,
         dir.display(),
+    );
+    println!(
+        "  store: {} entries over {} shared blobs, {:.1} KiB on disk",
+        footprint.entries,
+        footprint.blobs,
+        footprint.bytes as f64 / 1024.0,
     );
     println!(
         "  warm: {:>8.1?}  ({} disk hits, {} compiles, {:.1}x)",

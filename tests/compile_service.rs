@@ -18,6 +18,9 @@
 //! * **Failure persistence** — infeasible configurations are stored
 //!   too: a warm process is told "known bad" from disk without ever
 //!   invoking codegen.
+//! * **Concurrent writers** — two handles racing the same search on one
+//!   directory leave a store a fresh handle warm-starts from entirely,
+//!   with no temp file left and every blob hashing to its name.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -132,6 +135,98 @@ fn warm_start_serves_every_config_from_disk_and_is_byte_identical() {
             cold.stats.cache_misses
         ),
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir`, recursively.
+fn files_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir)
+        .expect("dir reads")
+        .map(|e| e.expect("entry"))
+    {
+        let path = entry.path();
+        if path.is_dir() {
+            files.extend(files_under(&path));
+        } else {
+            files.push(path);
+        }
+    }
+    files
+}
+
+/// FNV-1a-128 over `bytes`: the store's blob naming hash, restated here
+/// as an independent check.
+fn fnv1a128(bytes: &[u8]) -> u128 {
+    bytes
+        .iter()
+        .fold(0x6c62272e07bb014262b821756295c58d, |hash, &b| {
+            (hash ^ u128::from(b)).wrapping_mul(0x0000000001000000000000000000013B)
+        })
+}
+
+#[test]
+fn two_writers_racing_on_one_store_leave_it_consistent() {
+    let (cm, em) = pg32_models();
+    let dir = temp_dir("two-writers");
+    let ir = compile_to_ir(teamplay_apps::camera_pill::SOURCE).expect("front-end");
+    let search = |store: &DiskStore| {
+        pareto_search_with_store(
+            &minipool::Pool::new(1),
+            &ir,
+            "compress",
+            &cm,
+            &em,
+            FpaConfig::tiny(),
+            0xBEEF,
+            store,
+        )
+    };
+
+    // Two handles on one directory run the same search at once: every
+    // manifest and blob is raced for.
+    let start = std::sync::Barrier::new(2);
+    let fronts: Vec<String> = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let store = DiskStore::open(&dir).expect("store opens");
+                    start.wait();
+                    let front = search(&store);
+                    assert_eq!(store.stats().write_failures, 0);
+                    front_bytes(&front)
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .map(|w| w.join().expect("writer thread"))
+            .collect()
+    });
+    assert_eq!(fronts[0], fronts[1]);
+
+    let warm = search(&DiskStore::open(&dir).expect("store reopens"));
+    assert_eq!(warm.stats.disk_misses, 0, "warm start must not compile");
+    assert_eq!(warm.stats.disk_hits, warm.stats.cache_misses);
+    assert_eq!(front_bytes(&warm), fronts[0], "warm front diverged");
+
+    let mut blobs = 0;
+    for path in files_under(&dir) {
+        let name = path.file_name().expect("name").to_string_lossy();
+        assert!(!name.contains(".tmp."), "temp file left behind: {name}");
+        if path.parent() == Some(dir.as_path()) {
+            continue; // a manifest
+        }
+        let bytes = std::fs::read(&path).expect("blob reads");
+        assert_eq!(
+            format!("{:032x}.json", fnv1a128(&bytes)),
+            name,
+            "blob does not hash to its name"
+        );
+        blobs += 1;
+    }
+    assert!(blobs > 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
