@@ -468,7 +468,7 @@ mod tests {
 
     #[test]
     fn conv_kernel_offers_distinct_compiler_variants() {
-        use teamplay_compiler::{pareto_front_for, FpaConfig};
+        use teamplay_compiler::{pareto_search, EvalCache, FpaConfig, SearchRequest};
         use teamplay_energy::IsaEnergyModel;
         use teamplay_isa::CycleModel;
         use teamplay_minic::compile_to_ir;
@@ -477,14 +477,10 @@ mod tests {
         // The phase-ordering genome needs the standard budget here: under
         // the tiny one a single licm+layout variant dominates the whole
         // front (better on all three objectives at once).
-        let variants = pareto_front_for(
-            &ir,
-            "conv_layer",
-            &CycleModel::pg32(),
-            &IsaEnergyModel::pg32_datasheet(),
-            FpaConfig::standard(),
-            7,
-        );
+        let (cm, em) = (CycleModel::pg32(), IsaEnergyModel::pg32_datasheet());
+        let request = SearchRequest::new("conv_layer", FpaConfig::standard(), 7);
+        let variants =
+            pareto_search(minipool::global(), &EvalCache::new(&ir, &cm, &em), &request).variants;
         assert!(variants.len() >= 2, "expected multiple trade-off variants");
         let wcets: Vec<u64> = variants.iter().map(|v| v.metrics.wcet_cycles).collect();
         assert!(wcets.windows(2).all(|w| w[0] <= w[1]));

@@ -8,9 +8,9 @@
 //! * **sequential uncached** — a 1-thread pool, every genome compiled +
 //!   analysed from scratch, and the archive recompiled a second time per
 //!   Pareto point (the double evaluation the cached driver eliminates);
-//! * **memoized + parallel** — `pareto_search_on` with the process-wide
-//!   pool width: configuration-keyed caching plus batched parallel
-//!   evaluation.
+//! * **memoized + parallel** — `pareto_search` over a fresh
+//!   `EvalCache` with the process-wide pool width: configuration-keyed
+//!   caching plus batched parallel evaluation.
 //!
 //! The run also replays the trajectory once against a memoized cache to
 //! record the *phase-ordering space*: how many distinct decoded
@@ -33,8 +33,8 @@ use minipool::Pool;
 use serde::Serialize;
 use std::time::{Duration, Instant};
 use teamplay_compiler::{
-    compile_many, evaluate_module, pareto_search_on, CompileJob, CompilerConfig, DiskStore,
-    EvalCache, FpaConfig, MultiObjectiveFpa, ParetoPoint, TaskVariant,
+    compile_many, evaluate_module, pareto_search, CompileJob, CompilerConfig, DiskStore, EvalCache,
+    FpaConfig, MultiObjectiveFpa, ParetoPoint, SearchRequest, TaskVariant,
 };
 use teamplay_energy::IsaEnergyModel;
 use teamplay_isa::CycleModel;
@@ -45,14 +45,15 @@ const SEED: u64 = 0xBEEF;
 
 /// The baseline: the batched FPA without the memoized-parallel driver
 /// optimisations — sequential pool, uncached `evaluate_module`, archive
-/// points recompiled (mirroring the pre-PR-2 `pareto_front_for` loop).
+/// points recompiled (mirroring the search loop before memoization).
 fn baseline_front(
     ir: &IrModule,
     cm: &CycleModel,
     em: &IsaEnergyModel,
 ) -> (Vec<TaskVariant>, usize) {
     let fpa = MultiObjectiveFpa::new(FpaConfig::standard());
-    let outcome = fpa.run_on(&Pool::new(1), CompilerConfig::GENOME_DIMS, SEED, |genome| {
+    let dims = CompilerConfig::GENOME_DIMS;
+    let outcome = fpa.run_on_seeded(&Pool::new(1), dims, SEED, &[], |genome| {
         let config = CompilerConfig::from_genome(genome);
         let (_, metrics) = evaluate_module(ir, &config, cm, em).ok()?;
         let m = metrics.of(TASK)?;
@@ -122,7 +123,8 @@ fn phase_ordering_space(ir: &IrModule, cm: &CycleModel, em: &IsaEnergyModel) -> 
     let cache = EvalCache::new(ir, cm, em);
     let pipelines = Mutex::new(BTreeSet::new());
     let fpa = MultiObjectiveFpa::new(FpaConfig::standard());
-    let outcome = fpa.run_on(&Pool::new(1), CompilerConfig::GENOME_DIMS, SEED, |genome| {
+    let dims = CompilerConfig::GENOME_DIMS;
+    let outcome = fpa.run_on_seeded(&Pool::new(1), dims, SEED, &[], |genome| {
         let config = CompilerConfig::from_genome(genome);
         pipelines
             .lock()
@@ -257,7 +259,7 @@ fn security_search(
     em: &IsaEnergyModel,
     pool: &Pool,
 ) -> SecuritySearch {
-    use teamplay_compiler::{ladderised_ir, pareto_search_secure_on, LeakageRig};
+    use teamplay_compiler::{ladderised_ir, LeakageAxis, LeakageRig};
     use teamplay_security::SecretSpec;
     let (hard, reports) = ladderised_ir(ir);
     assert!(reports["encrypt"].fully_hardened(), "{reports:?}");
@@ -274,17 +276,14 @@ fn security_search(
         seed: 11,
     };
     let start = Instant::now();
-    let front = pareto_search_secure_on(
-        pool,
-        ir,
-        &hard,
-        "encrypt",
-        cm,
-        em,
-        FpaConfig::tiny(),
-        0xA11CE,
-        &rig,
-    );
+    let request = SearchRequest {
+        leakage: Some(LeakageAxis {
+            hardened: &hard,
+            rig: &rig,
+        }),
+        ..SearchRequest::new("encrypt", FpaConfig::tiny(), 0xA11CE)
+    };
+    let front = pareto_search(pool, &EvalCache::new(ir, cm, em), &request);
     let secs = start.elapsed().as_secs_f64();
     let of_rung = |rung: u32| {
         front
@@ -446,9 +445,11 @@ fn main() {
     let pool = minipool::global();
 
     let (base_time, (base_variants, evaluations)) = time_best(3, || baseline_front(&ir, &cm, &em));
-    let (opt_time, front) = time_best(3, || {
-        pareto_search_on(pool, &ir, TASK, &cm, &em, FpaConfig::standard(), SEED)
-    });
+    let search = || {
+        let request = SearchRequest::new(TASK, FpaConfig::standard(), SEED);
+        pareto_search(pool, &EvalCache::new(&ir, &cm, &em), &request)
+    };
+    let (opt_time, front) = time_best(3, search);
     assert_eq!(
         base_variants.len(),
         front.variants.len(),
@@ -542,17 +543,7 @@ fn main() {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(300));
     c.bench_function("search_throughput_standard", |b| {
-        b.iter(|| {
-            pareto_search_on(
-                pool,
-                std::hint::black_box(&ir),
-                TASK,
-                &cm,
-                &em,
-                FpaConfig::standard(),
-                SEED,
-            )
-        })
+        b.iter(|| std::hint::black_box(search()))
     });
     c.final_summary();
 }

@@ -36,7 +36,13 @@ pub fn a1_fpa_vs_random() -> ((usize, usize, f64, f64), String) {
 
     let fpa_cfg = FpaConfig::standard();
     let fpa = MultiObjectiveFpa::new(fpa_cfg);
-    let fpa_out = fpa.run(CompilerConfig::GENOME_DIMS, 42, eval);
+    let fpa_out = fpa.run_on_seeded(
+        minipool::global(),
+        CompilerConfig::GENOME_DIMS,
+        42,
+        &[],
+        eval,
+    );
 
     // Random search with the same number of evaluations.
     let mut rng = StdRng::seed_from_u64(42);

@@ -4,7 +4,9 @@ use crate::improvement_pct;
 use teamplay::complex::{ComplexTask, ComplexWorkflow};
 use teamplay::predictable::{PredictableWorkflow, WorkflowConfig};
 use teamplay_apps::{camera_pill, parking, spacewire, uav};
-use teamplay_compiler::{compile_module, pareto_front_for, CompilerConfig, FpaConfig};
+use teamplay_compiler::{
+    compile_module, pareto_search, CompilerConfig, EvalCache, FpaConfig, SearchRequest,
+};
 use teamplay_contracts::verify_certificate;
 use teamplay_coord::freq::gr712_levels;
 use teamplay_coord::{
@@ -177,16 +179,10 @@ pub fn e2_spacewire() -> (E2Result, String) {
     // configuration any task compiled is free for the rest.
     let pool = minipool::global();
     let inner = pool.split_across(model.tasks.len());
-    let eval_cache = teamplay_compiler::EvalCache::new(&ir, &cm, &em);
+    let eval_cache = EvalCache::new(&ir, &cm, &em);
     let fronts = pool.par_map(&model.tasks, |_, spec| {
-        teamplay_compiler::pareto_search_with_cache(
-            &inner,
-            &eval_cache,
-            &spec.function,
-            FpaConfig::standard(),
-            0x5AC3,
-        )
-        .variants
+        let request = SearchRequest::new(&spec.function, FpaConfig::standard(), 0x5AC3);
+        pareto_search(&inner, &eval_cache, &request).variants
     });
     let mut coord_tasks = Vec::new();
     for (spec, variants) in model.tasks.iter().zip(fronts) {
@@ -363,7 +359,9 @@ pub fn e4_parking() -> (E4Result, String) {
     let ir = compile_to_ir(parking::CONV_KERNEL_SOURCE).expect("kernel parses");
     let cm = CycleModel::pg32();
     let em = IsaEnergyModel::pg32_datasheet();
-    let variants = pareto_front_for(&ir, "conv_layer", &cm, &em, FpaConfig::standard(), 0xD1);
+    let request = SearchRequest::new("conv_layer", FpaConfig::standard(), 0xD1);
+    let cache = EvalCache::new(&ir, &cm, &em);
+    let variants = pareto_search(minipool::global(), &cache, &request).variants;
     let clock = camera_pill::CLOCK_MHZ;
     let rows: Vec<(f64, f64, usize)> = variants
         .iter()

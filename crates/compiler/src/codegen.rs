@@ -5,7 +5,7 @@
 //! stores the result. Two refinements sit on top:
 //!
 //! * **liveness-driven copy coalescing** — copy-related temps whose live
-//!   ranges never interfere share one home ([`coalesce_classes`] over
+//!   ranges never interfere share one home (`coalesce_classes` over
 //!   [`crate::dataflow::Liveness`]), so the copy itself emits nothing
 //!   and the frame shrinks by the merged slots;
 //! * the **register-pinning allocator** — the N most-used storage

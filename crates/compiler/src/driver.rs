@@ -3,8 +3,9 @@
 //! A [`CompilerConfig`] is one point in the optimisation space (Fig. 1's
 //! "multi-criteria optimising compiler" explores many). The driver
 //! compiles a configuration, invokes the WCET and energy analyser
-//! plug-ins, and [`pareto_front_for`] runs the FPA to produce the
-//! multi-version task variants the coordination layer schedules.
+//! plug-ins, and [`pareto_search`] runs the FPA over an [`EvalCache`] to
+//! produce the multi-version task variants the coordination layer
+//! schedules, as one [`SearchRequest`] per task.
 //!
 //! # The three-tier cache hierarchy
 //!
@@ -21,7 +22,7 @@
 //!    the config tier, distinct configurations mostly recompile
 //!    byte-identical functions; their WCET/WCEC analyses are replayed
 //!    from per-function content-hash memos instead of re-solving IPET.
-//! 3. **[`DiskStore`](crate::store::DiskStore)** (persistent,
+//! 3. **[`DiskStore`]** (persistent,
 //!    content-addressed): an optional bottom tier
 //!    ([`EvalCache::with_store`]) that spills every evaluation —
 //!    including *infeasible* ones — to a directory keyed by a versioned
@@ -36,14 +37,14 @@
 //!    each distinct function once, however many configurations use it.
 //!
 //! Tier-1/2 counters surface as `cache_hits`/`cache_misses` and tier-3
-//! counters as `disk_hits`/`disk_misses` in
-//! [`SearchStats`](crate::fpa::SearchStats): `disk_hits + disk_misses
-//! == cache_misses` when a store is attached, and `disk_misses` is the
-//! number of actual compiles.
+//! counters as `disk_hits`/`disk_misses` in [`SearchStats`]:
+//! `disk_hits + disk_misses == cache_misses` when a store is attached,
+//! and `disk_misses` is the number of actual compiles.
 
 use crate::codegen::{generate_program, generate_program_with, CodegenError, CodegenOpts};
 use crate::fpa::{FpaConfig, MultiObjectiveFpa, ParetoPoint, SearchStats};
 use crate::passes::{run_passes, run_passes_per_function_on, PassSpec, Pipeline};
+use crate::secure::{rung_of_genome, LeakMemo, LeakageAxis, SECURE_GENOME_DIMS};
 use crate::store::{self, DiskStore, STORE_FORMAT_VERSION};
 use minipool::Pool;
 use serde::{Deserialize, Serialize};
@@ -161,7 +162,7 @@ impl CompilerConfig {
     ///
     /// Decoding is pure and deterministic: equal genomes always decode
     /// to equal configurations, which the [`EvalCache`] keys on, and the
-    /// pool-width bit-identity of [`pareto_search_on`] carries over
+    /// pool-width bit-identity of [`pareto_search`] carries over
     /// unchanged.
     pub fn from_genome(genome: &[f64]) -> CompilerConfig {
         let g = |i: usize| genome.get(i).copied().unwrap_or(0.0);
@@ -540,9 +541,9 @@ pub fn evaluate_module_memo(
 /// every computed result — feasible or not — is written back. The
 /// module docs describe the full three-tier hierarchy.
 pub struct EvalCache<'a> {
-    ir: &'a IrModule,
-    cycle_model: &'a CycleModel,
-    energy_model: &'a IsaEnergyModel,
+    pub(crate) ir: &'a IrModule,
+    pub(crate) cycle_model: &'a CycleModel,
+    pub(crate) energy_model: &'a IsaEnergyModel,
     entries: Mutex<HashMap<CompilerConfig, Arc<OnceLock<Option<CachedEval>>>>>,
     /// Per-function WCET/WCEC memos shared by every configuration this
     /// cache evaluates (a second memoization layer *below* the
@@ -550,7 +551,7 @@ pub struct EvalCache<'a> {
     /// functions).
     memo: AnalysisMemo,
     /// Optional persistent bottom tier.
-    disk: Option<&'a DiskStore>,
+    pub(crate) disk: Option<&'a DiskStore>,
     /// FNV chain over (format version, IR, cost models); each probe
     /// extends it with the configuration to form the store key. Zero
     /// when no store is attached.
@@ -695,7 +696,7 @@ impl<'a> EvalCache<'a> {
     }
 }
 
-/// The security coordinates of one secure-search variant: which
+/// The security coordinates of a variant found with a leakage axis: which
 /// countermeasure rung it was compiled under and the leakage the rig
 /// measured for it (the third Pareto axis — always finite, capped by
 /// [`WELCH_T_CAP`](teamplay_security::WELCH_T_CAP)).
@@ -718,9 +719,9 @@ pub struct TaskVariant {
     /// shared with the evaluation cache — cloning a variant or a front
     /// bumps a refcount instead of deep-copying compiled modules.
     pub program: Arc<Program>,
-    /// Rung and measured leakage when the variant came from the secure
-    /// search ([`crate::secure::pareto_search_secure_on`]); `None` for
-    /// the time/energy/size-only searches.
+    /// Rung and measured leakage when the search ran with a leakage
+    /// axis ([`SearchRequest::leakage`]); `None` for the
+    /// time/energy/size-only search.
     pub security: Option<VariantSecurity>,
 }
 
@@ -728,183 +729,160 @@ pub struct TaskVariant {
 /// it.
 #[derive(Debug, Clone)]
 pub struct ParetoFront {
-    /// Non-dominated variants, sorted by WCET.
+    /// Non-dominated variants, sorted by (WCET, rung).
     pub variants: Vec<TaskVariant>,
     /// Evaluation counts and cache behaviour of the search.
     pub stats: SearchStats,
 }
 
+/// What one Pareto search looks for: the task, the FPA budget and seed,
+/// optional seed genomes, and an optional leakage axis. The IR, the cost
+/// models and the persistent store are not part of the request: they
+/// are fixed by the [`EvalCache`] the search runs over
+/// ([`EvalCache::new`] or [`EvalCache::with_store`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SearchRequest<'a> {
+    /// The task function whose metrics form the objective vector.
+    pub task: &'a str,
+    /// Search budget and parameters.
+    pub fpa: FpaConfig,
+    /// RNG seed of the FPA.
+    pub seed: u64,
+    /// Genomes mixed into the initial population, typically a tuned
+    /// pipeline encoded by [`CompilerConfig::to_genome`], so generation
+    /// 0 already weakly dominates it. Empty by default; an empty slice
+    /// leaves the RNG stream and the evaluation budget unchanged.
+    pub seeds: &'a [Vec<f64>],
+    /// The leakage axis: when set, the genome gains the ladder-rung gene
+    /// and the measured leakage joins the objectives (see
+    /// [`crate::secure`]). `None` by default.
+    pub leakage: Option<LeakageAxis<'a>>,
+}
+
+impl<'a> SearchRequest<'a> {
+    /// A plain time/energy/size search for `task`: no seed genomes, no
+    /// leakage axis.
+    pub fn new(task: &'a str, fpa: FpaConfig, seed: u64) -> SearchRequest<'a> {
+        SearchRequest {
+            task,
+            fpa,
+            seed,
+            seeds: &[],
+            leakage: None,
+        }
+    }
+}
+
 /// Run the FPA over compiler configurations and return the Pareto front
-/// of variants for `task` (objectives: WCET, WCEC, code size).
+/// of variants for `request.task`.
 ///
-/// Deterministic for a fixed seed. Returns variants sorted by WCET.
-/// Evaluates genomes in parallel on the process-wide [`minipool::global`]
-/// pool, memoizing by decoded configuration — see [`pareto_search_on`]
-/// for the full outcome (stats included) and pool control.
-pub fn pareto_front_for(
-    ir: &IrModule,
-    task: &str,
-    cycle_model: &CycleModel,
-    energy_model: &IsaEnergyModel,
-    fpa_config: FpaConfig,
-    seed: u64,
-) -> Vec<TaskVariant> {
-    pareto_search(ir, task, cycle_model, energy_model, fpa_config, seed).variants
-}
-
-/// [`pareto_front_for`] with search stats, on the global pool.
+/// The objectives are (WCET, WCEC, code size), plus the measured leakage
+/// when the request carries a leakage axis; every evaluation goes
+/// through `cache` (and, on rung 1, through a hardened-IR cache built
+/// from it), and the final archive is rebuilt from the caches rather
+/// than recompiled. Variants are deduplicated by (configuration, rung)
+/// and sorted by (WCET, rung); without a leakage axis every rung is 0.
+/// Bit-identical output for any pool width given the same seed: the
+/// FPA's batched-generation contract plus a deterministic, memoized
+/// evaluation. The returned stats follow the [`SearchStats`] counter
+/// contract.
 pub fn pareto_search(
-    ir: &IrModule,
-    task: &str,
-    cycle_model: &CycleModel,
-    energy_model: &IsaEnergyModel,
-    fpa_config: FpaConfig,
-    seed: u64,
-) -> ParetoFront {
-    pareto_search_on(
-        minipool::global(),
-        ir,
-        task,
-        cycle_model,
-        energy_model,
-        fpa_config,
-        seed,
-    )
-}
-
-/// The full variant search on an explicit pool: FPA-driven, memoized by
-/// decoded [`CompilerConfig`] (an [`EvalCache`]), with the final archive
-/// reconstructed from the cache rather than recompiled. Bit-identical
-/// output for any pool width given the same seed (the FPA's
-/// batched-generation contract plus a deterministic, memoized eval);
-/// `stats.cache_misses` equals the number of distinct configurations
-/// compiled.
-pub fn pareto_search_on(
-    pool: &Pool,
-    ir: &IrModule,
-    task: &str,
-    cycle_model: &CycleModel,
-    energy_model: &IsaEnergyModel,
-    fpa_config: FpaConfig,
-    seed: u64,
-) -> ParetoFront {
-    let cache = EvalCache::new(ir, cycle_model, energy_model);
-    let mut front = pareto_search_with_cache(pool, &cache, task, fpa_config, seed);
-    copy_cache_counters(&mut front.stats, &cache);
-    front
-}
-
-/// [`pareto_search_on`] with a persistent [`DiskStore`] as the bottom
-/// cache tier: evaluations warm-start from `store` and spill back to
-/// it, so a rerun of the same search (same IR, models, and seed — even
-/// in a fresh process) recompiles nothing and returns a byte-identical
-/// front. `stats.disk_hits`/`disk_misses` report the store traffic.
-#[allow(clippy::too_many_arguments)] // pareto_search_on's signature + the store
-pub fn pareto_search_with_store(
-    pool: &Pool,
-    ir: &IrModule,
-    task: &str,
-    cycle_model: &CycleModel,
-    energy_model: &IsaEnergyModel,
-    fpa_config: FpaConfig,
-    seed: u64,
-    disk: &DiskStore,
-) -> ParetoFront {
-    let cache = EvalCache::with_store(ir, cycle_model, energy_model, disk);
-    let mut front = pareto_search_with_cache(pool, &cache, task, fpa_config, seed);
-    copy_cache_counters(&mut front.stats, &cache);
-    front
-}
-
-/// Copy a cache's hit/miss counters (all three tiers) into the stats a
-/// search returns.
-pub(crate) fn copy_cache_counters(stats: &mut SearchStats, cache: &EvalCache<'_>) {
-    stats.cache_hits = cache.hits();
-    stats.cache_misses = cache.misses();
-    stats.disk_hits = cache.disk_hits();
-    stats.disk_misses = cache.disk_misses();
-}
-
-/// [`pareto_search_on`] against a caller-owned [`EvalCache`], so the
-/// per-task fronts of one module share compiles of identical
-/// configurations (different tasks probe largely the same configuration
-/// space over the same IR — the cache answers all but the first probe of
-/// each).
-///
-/// The returned `stats` carry the evaluation/generation counts of *this*
-/// search; the cache counters stay with the cache's owner (they span
-/// every search sharing it), so `stats.cache_hits`/`cache_misses` are
-/// left at zero here. Results remain bit-identical for any pool width
-/// and any set of concurrently sharing searches: cached evaluation is
-/// deterministic in the configuration alone.
-pub fn pareto_search_with_cache(
     pool: &Pool,
     cache: &EvalCache<'_>,
-    task: &str,
-    fpa_config: FpaConfig,
-    seed: u64,
+    request: &SearchRequest<'_>,
 ) -> ParetoFront {
-    pareto_search_with_cache_seeded(pool, cache, task, fpa_config, seed, &[])
-}
-
-/// [`pareto_search_with_cache`] with *seed genomes* mixed into the FPA's
-/// initial population — typically the application's tuned pipeline
-/// encoded by [`CompilerConfig::to_genome`], so the search's generation-0
-/// front already weakly dominates the tuned point instead of starting
-/// from the genome-space corners. With `seeds` empty this is exactly
-/// [`pareto_search_with_cache`] (same RNG stream, same evaluation
-/// budget); seeding preserves the pool-width bit-identity contract.
-pub fn pareto_search_with_cache_seeded(
-    pool: &Pool,
-    cache: &EvalCache<'_>,
-    task: &str,
-    fpa_config: FpaConfig,
-    seed: u64,
-    seeds: &[Vec<f64>],
-) -> ParetoFront {
-    let fpa = MultiObjectiveFpa::new(fpa_config);
-    let outcome = fpa.run_on_seeded(pool, CompilerConfig::GENOME_DIMS, seed, seeds, |genome| {
-        let config = CompilerConfig::from_genome(genome);
-        let (_, metrics) = cache.evaluate(&config)?;
-        let m = metrics.of(task)?;
-        Some(vec![
-            m.wcet_cycles as f64,
-            m.wcec_pj,
-            m.code_halfwords as f64,
-        ])
+    let task = request.task;
+    let leak = request.leakage.map(|axis| LeakMemo::new(cache, axis, task));
+    let leak = leak.as_ref();
+    let dims = match leak {
+        Some(_) => SECURE_GENOME_DIMS,
+        None => CompilerConfig::GENOME_DIMS,
+    };
+    // A plain genome has no rung gene, so it always decodes to rung 0.
+    let decode = |genome: &[f64]| (CompilerConfig::from_genome(genome), rung_of_genome(genome));
+    let evaluate = |config: CompilerConfig, rung: u32| -> Option<TaskVariant> {
+        let rung_cache = match rung {
+            0 => cache,
+            _ => &leak?.hardened,
+        };
+        let (program, metrics) = rung_cache.evaluate(&config)?;
+        let metrics = *metrics.of(task)?;
+        let security = match leak {
+            Some(leak) => Some(VariantSecurity {
+                rung,
+                leakage: leak.score(rung, &config, &program)?,
+            }),
+            None => None,
+        };
+        Some(TaskVariant {
+            config,
+            metrics,
+            program,
+            security,
+        })
+    };
+    let fpa = MultiObjectiveFpa::new(request.fpa);
+    let outcome = fpa.run_on_seeded(pool, dims, request.seed, request.seeds, |genome| {
+        let (config, rung) = decode(genome);
+        evaluate(config, rung).map(|v| objectives(&v))
     });
 
     let mut variants: Vec<TaskVariant> = Vec::new();
-    for ParetoPoint { genome, objectives } in outcome.archive {
-        let config = CompilerConfig::from_genome(&genome);
-        // Deduplicate by decoded configuration.
-        if variants.iter().any(|v| v.config == config) {
+    for ParetoPoint {
+        genome,
+        objectives: archived,
+    } in outcome.archive
+    {
+        let (config, rung) = decode(&genome);
+        if variants
+            .iter()
+            .any(|v| v.config == config && rung_of(v) == rung)
+        {
             continue;
         }
         // Every archived point was evaluated during the search, so this
-        // is a guaranteed cache hit — no recompilation.
-        let Some((program, metrics)) = cache.evaluate(&config) else {
+        // is a cache hit and a memo replay: no recompile, no re-simulation.
+        let Some(variant) = evaluate(config, rung) else {
             continue;
         };
-        let m = *metrics.of(task).expect("task analysed");
         // The objective vector carries the cycle bound *exactly* (u64 →
         // f64 is lossless far beyond any realistic bound), so a 1-cycle
         // IPET improvement can never hide behind an epsilon.
-        debug_assert_eq!(m.wcet_cycles, objectives[0] as u64);
-        debug_assert_eq!(m.wcet_cycles as f64, objectives[0]);
-        variants.push(TaskVariant {
-            config,
-            metrics: m,
-            program,
-            security: None,
-        });
+        debug_assert!(objectives(&variant)
+            .iter()
+            .zip(&archived)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        variants.push(variant);
     }
-    variants.sort_by_key(|v| v.metrics.wcet_cycles);
+    variants.sort_by_key(|v| (v.metrics.wcet_cycles, rung_of(v)));
 
-    ParetoFront {
-        variants,
-        stats: outcome.stats,
+    let mut stats = outcome.stats;
+    add_cache_counters(&mut stats, cache);
+    if let Some(leak) = leak {
+        add_cache_counters(&mut stats, &leak.hardened);
     }
+    ParetoFront { variants, stats }
+}
+
+/// A variant's objective vector, in the order the FPA minimises it.
+fn objectives(v: &TaskVariant) -> Vec<f64> {
+    let m = &v.metrics;
+    let mut o = vec![m.wcet_cycles as f64, m.wcec_pj, m.code_halfwords as f64];
+    o.extend(v.security.map(|s| s.leakage));
+    o
+}
+
+/// A variant's countermeasure rung (0 without a leakage axis).
+fn rung_of(v: &TaskVariant) -> u32 {
+    v.security.map_or(0, |s| s.rung)
+}
+
+/// Add a cache's hit/miss counters (all three tiers) to `stats`.
+pub(crate) fn add_cache_counters(stats: &mut SearchStats, cache: &EvalCache<'_>) {
+    stats.cache_hits += cache.hits();
+    stats.cache_misses += cache.misses();
+    stats.disk_hits += cache.disk_hits();
+    stats.disk_misses += cache.disk_misses();
 }
 
 #[cfg(test)]
@@ -923,6 +901,20 @@ mod tests {
             }
             return scale(acc);
         }";
+
+    /// A plain search for `task` over a fresh cache of `ir` on the pg32
+    /// models.
+    fn fresh_search(
+        pool: &Pool,
+        ir: &IrModule,
+        task: &str,
+        fpa: FpaConfig,
+        seed: u64,
+    ) -> ParetoFront {
+        let (cm, em) = (CycleModel::pg32(), IsaEnergyModel::pg32_datasheet());
+        let cache = EvalCache::new(ir, &cm, &em);
+        pareto_search(pool, &cache, &SearchRequest::new(task, fpa, seed))
+    }
 
     #[test]
     fn evaluate_module_reports_all_functions() {
@@ -1053,14 +1045,8 @@ mod tests {
     #[test]
     fn pareto_front_contains_distinct_tradeoffs() {
         let ir = compile_to_ir(TASK).expect("front-end");
-        let variants = pareto_front_for(
-            &ir,
-            "filter",
-            &CycleModel::pg32(),
-            &IsaEnergyModel::pg32_datasheet(),
-            FpaConfig::tiny(),
-            1234,
-        );
+        let variants =
+            fresh_search(minipool::global(), &ir, "filter", FpaConfig::tiny(), 1234).variants;
         assert!(!variants.is_empty());
         // Sorted by WCET and mutually non-dominated in (wcet, wcec, size).
         for pair in variants.windows(2) {
@@ -1104,25 +1090,13 @@ mod tests {
         // over the same seed yields byte-identical fronts (compared via
         // their serialized form, programs included).
         let ir = compile_to_ir(TASK).expect("front-end");
-        let cm = CycleModel::pg32();
-        let em = IsaEnergyModel::pg32_datasheet();
-        let sequential = pareto_search_on(
-            &Pool::new(1),
-            &ir,
-            "filter",
-            &cm,
-            &em,
-            FpaConfig::standard(),
-            77,
-        );
+        let sequential = fresh_search(&Pool::new(1), &ir, "filter", FpaConfig::standard(), 77);
         let seq_bytes = serde_json::to_string(&sequential.variants).expect("serializes");
         for threads in [2, 4] {
-            let parallel = pareto_search_on(
+            let parallel = fresh_search(
                 &Pool::new(threads),
                 &ir,
                 "filter",
-                &cm,
-                &em,
                 FpaConfig::standard(),
                 77,
             );
@@ -1138,11 +1112,10 @@ mod tests {
     #[test]
     fn search_memoizes_and_reuses_the_archive_compiles() {
         let ir = compile_to_ir(TASK).expect("front-end");
-        let front = pareto_search(
+        let front = fresh_search(
+            minipool::global(),
             &ir,
             "filter",
-            &CycleModel::pg32(),
-            &IsaEnergyModel::pg32_datasheet(),
             FpaConfig::standard(),
             1234,
         );
@@ -1166,6 +1139,39 @@ mod tests {
     }
 
     #[test]
+    fn search_stats_are_the_cache_totals_when_the_search_returns() {
+        // Two searches share one cache: each front reports the cache's
+        // counters as they stand when it returns, so the second one
+        // counts the first search's probes too.
+        let ir = compile_to_ir(TASK).expect("front-end");
+        let cm = CycleModel::pg32();
+        let em = IsaEnergyModel::pg32_datasheet();
+        let cache = EvalCache::new(&ir, &cm, &em);
+        let pool = Pool::new(1);
+        let first = pareto_search(
+            &pool,
+            &cache,
+            &SearchRequest::new("filter", FpaConfig::tiny(), 1),
+        );
+        let after_first = (cache.hits(), cache.misses());
+        let second = pareto_search(
+            &pool,
+            &cache,
+            &SearchRequest::new("scale", FpaConfig::tiny(), 2),
+        );
+        let counters = |f: &ParetoFront| (f.stats.cache_hits, f.stats.cache_misses);
+        assert_eq!(counters(&first), after_first);
+        assert_eq!(counters(&second), (cache.hits(), cache.misses()));
+        // Every probe of either search is in the totals: one per
+        // evaluation, one per rebuilt archive point.
+        let probes = |f: &ParetoFront| f.stats.evaluations + f.variants.len();
+        assert_eq!(
+            second.stats.cache_hits + second.stats.cache_misses,
+            probes(&first) + probes(&second)
+        );
+    }
+
+    #[test]
     fn permutation_front_dominates_a_fixed_order_point() {
         // The phase-ordering claim, measured: same module, same task,
         // same FPA budget and seed — the permutation genome's front must
@@ -1178,10 +1184,11 @@ mod tests {
 
         let cache = EvalCache::new(&ir, &cm, &em);
         let fpa = MultiObjectiveFpa::new(FpaConfig::standard());
-        let fixed = fpa.run_on(
+        let fixed = fpa.run_on_seeded(
             &Pool::new(1),
             CompilerConfig::FIXED_ORDER_GENOME_DIMS,
             seed,
+            &[],
             |genome| {
                 let config = CompilerConfig::from_genome_fixed_order(genome);
                 let (_, metrics) = cache.evaluate(&config)?;
@@ -1195,7 +1202,14 @@ mod tests {
         );
         assert!(!fixed.archive.is_empty());
 
-        let permuted = pareto_search(&ir, "filter", &cm, &em, FpaConfig::standard(), seed).variants;
+        let permuted = fresh_search(
+            minipool::global(),
+            &ir,
+            "filter",
+            FpaConfig::standard(),
+            seed,
+        )
+        .variants;
         let dominates = |new: &VariantMetrics, old: &[f64]| {
             let n = [
                 new.wcet_cycles as f64,
@@ -1294,14 +1308,12 @@ mod tests {
             iterations: 0,
             ..FpaConfig::tiny()
         };
-        let front = pareto_search_with_cache_seeded(
-            &Pool::new(1),
-            &cache,
-            "filter",
-            gen0,
-            2024,
-            std::slice::from_ref(&genome),
-        );
+        let seeds = std::slice::from_ref(&genome);
+        let request = SearchRequest {
+            seeds,
+            ..SearchRequest::new("filter", gen0, 2024)
+        };
+        let front = pareto_search(&Pool::new(1), &cache, &request);
         let weakly_dominates = |v: &VariantMetrics| {
             v.wcet_cycles <= tuned_metrics.wcet_cycles
                 && v.wcec_pj <= tuned_metrics.wcec_pj
@@ -1313,14 +1325,7 @@ mod tests {
             front.variants.iter().map(|v| v.metrics).collect::<Vec<_>>()
         );
         // The seeded search stays pool-width bit-identical.
-        let wide = pareto_search_with_cache_seeded(
-            &Pool::new(4),
-            &cache,
-            "filter",
-            gen0,
-            2024,
-            std::slice::from_ref(&genome),
-        );
+        let wide = pareto_search(&Pool::new(4), &cache, &request);
         let bytes = |f: &ParetoFront| serde_json::to_string(&f.variants).expect("serializes");
         assert_eq!(bytes(&front), bytes(&wide));
     }

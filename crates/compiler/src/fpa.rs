@@ -30,13 +30,13 @@
 //! 3. **Apply** — archive insertions and population acceptance updates
 //!    are applied sequentially in index order.
 //!
-//! Because no phase observes scheduling order, [`MultiObjectiveFpa::run_on`]
-//! returns **bit-identical** outcomes for any pool size given the same
-//! seed and a deterministic eval — and is provably identical to a
-//! sequential run (pool of 1) of the same batched algorithm. The archive
-//! a generation's proposals lean on is the one from the *previous*
-//! generation's end, which is what makes intra-generation evaluation
-//! order irrelevant.
+//! Because no phase observes scheduling order,
+//! [`MultiObjectiveFpa::run_on_seeded`] returns **bit-identical**
+//! outcomes for any pool size given the same seed and a deterministic
+//! eval — and is provably identical to a sequential run (pool of 1) of
+//! the same batched algorithm. The archive a generation's proposals
+//! lean on is the one from the *previous* generation's end, which is
+//! what makes intra-generation evaluation order irrelevant.
 
 use minipool::Pool;
 use rand::rngs::StdRng;
@@ -116,9 +116,12 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 /// Instrumentation of one search run.
 ///
 /// `evaluations` and `generations` are filled by the FPA itself; the
-/// cache counters are zero unless the eval pipeline is memoized (see
-/// `pareto_search` in the driver, which copies its [`EvalCache`]'s
-/// counters here — `EvalCache` in `crate::driver`).
+/// cache counters are zero in a bare [`MultiObjectiveFpa`] outcome.
+/// [`pareto_search`](crate::driver::pareto_search) fills them with the
+/// totals of the [`EvalCache`](crate::driver::EvalCache)s it ran over,
+/// read at the moment the search returns and summed over both rungs when
+/// the leakage axis is on. A cache shared by several searches therefore
+/// reports everything it served so far, not only this search's share.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchStats {
     /// Eval-closure invocations (population init + one per candidate).
@@ -161,41 +164,21 @@ impl MultiObjectiveFpa {
         MultiObjectiveFpa { config }
     }
 
-    /// Run the search on the process-wide [`minipool::global`] pool.
-    /// `eval` maps a genome to its objective vector, or `None` for
-    /// infeasible genomes (they are discarded). Deterministic for a
-    /// fixed seed and deterministic `eval`, whatever the pool width —
-    /// see the module docs for the batched-generation contract.
-    pub fn run(
-        &self,
-        dims: usize,
-        seed: u64,
-        eval: impl Fn(&[f64]) -> Option<Vec<f64>> + Sync,
-    ) -> FpaOutcome {
-        self.run_on(minipool::global(), dims, seed, eval)
-    }
-
-    /// [`MultiObjectiveFpa::run`] on an explicit pool (pass
-    /// `Pool::new(1)` to force a sequential run).
-    pub fn run_on(
-        &self,
-        pool: &Pool,
-        dims: usize,
-        seed: u64,
-        eval: impl Fn(&[f64]) -> Option<Vec<f64>> + Sync,
-    ) -> FpaOutcome {
-        self.run_on_seeded(pool, dims, seed, &[], eval)
-    }
-
-    /// [`MultiObjectiveFpa::run_on`] with caller-supplied *seed genomes*
-    /// mixed into the initial population (after the two corner points,
-    /// before the random fill, capped at the population size). Seeding a
-    /// known-good genome — e.g. an application's tuned pipeline encoded
-    /// via `CompilerConfig::to_genome` — starts the search from that
-    /// point instead of the corners, so its objectives are on the
-    /// archive from generation 0 onward. With `seeds` empty this is
-    /// exactly [`MultiObjectiveFpa::run_on`]: the RNG stream, evaluation
-    /// count and pool-width bit-identity contract are unchanged.
+    /// Run the search on `pool` (pass `Pool::new(1)` to force a
+    /// sequential run). `eval` maps a genome to its objective vector, or
+    /// `None` for infeasible genomes (they are discarded). Deterministic
+    /// for a fixed seed and deterministic `eval`, whatever the pool width
+    /// — see the module docs for the batched-generation contract.
+    ///
+    /// Caller-supplied *seed genomes* are mixed into the initial
+    /// population (after the two corner points, before the random fill,
+    /// capped at the population size). Seeding a known-good genome —
+    /// e.g. an application's tuned pipeline encoded via
+    /// `CompilerConfig::to_genome` — starts the search from that point
+    /// instead of the corners, so its objectives are on the archive from
+    /// generation 0 onward. Seeding keeps the evaluation count and the
+    /// pool-width bit-identity contract; with `seeds` empty the initial
+    /// population is the corners plus the random fill.
     pub fn run_on_seeded(
         &self,
         pool: &Pool,
@@ -486,7 +469,7 @@ mod tests {
     #[test]
     fn archive_is_mutually_non_dominated() {
         let fpa = MultiObjectiveFpa::new(FpaConfig::standard());
-        let out = fpa.run(3, 42, zdt1);
+        let out = fpa.run_on_seeded(minipool::global(), 3, 42, &[], zdt1);
         assert!(!out.archive.is_empty());
         for a in &out.archive {
             for b in &out.archive {
@@ -508,7 +491,7 @@ mod tests {
             iterations: 40,
             ..FpaConfig::standard()
         });
-        let out = fpa.run(3, 7, zdt1);
+        let out = fpa.run_on_seeded(minipool::global(), 3, 7, &[], zdt1);
         let best_g = out
             .archive
             .iter()
@@ -523,8 +506,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let fpa = MultiObjectiveFpa::new(FpaConfig::tiny());
-        let a = fpa.run(3, 9, zdt1);
-        let b = fpa.run(3, 9, zdt1);
+        let a = fpa.run_on_seeded(minipool::global(), 3, 9, &[], zdt1);
+        let b = fpa.run_on_seeded(minipool::global(), 3, 9, &[], zdt1);
         assert_eq!(a.archive, b.archive);
         assert_eq!(a.stats, b.stats);
     }
@@ -534,9 +517,9 @@ mod tests {
         // The batched-generation contract: a 1-thread run and wide runs
         // of the same seed are bit-identical (f64 bits and all).
         let fpa = MultiObjectiveFpa::new(FpaConfig::standard());
-        let sequential = fpa.run_on(&Pool::new(1), 3, 1337, zdt1);
+        let sequential = fpa.run_on_seeded(&Pool::new(1), 3, 1337, &[], zdt1);
         for threads in [2, 4, 8] {
-            let parallel = fpa.run_on(&Pool::new(threads), 3, 1337, zdt1);
+            let parallel = fpa.run_on_seeded(&Pool::new(threads), 3, 1337, &[], zdt1);
             assert_eq!(
                 sequential.archive, parallel.archive,
                 "{threads} threads diverged"
@@ -547,17 +530,6 @@ mod tests {
             sequential.stats.generations,
             FpaConfig::standard().iterations
         );
-    }
-
-    #[test]
-    fn empty_seed_list_is_bit_identical_to_unseeded() {
-        // The seeded entry point must not perturb the unseeded RNG
-        // stream: run_on is run_on_seeded(&[]).
-        let fpa = MultiObjectiveFpa::new(FpaConfig::standard());
-        let plain = fpa.run(3, 21, zdt1);
-        let seeded = fpa.run_on_seeded(minipool::global(), 3, 21, &[], zdt1);
-        assert_eq!(plain.archive, seeded.archive);
-        assert_eq!(plain.stats, seeded.stats);
     }
 
     #[test]
@@ -599,7 +571,7 @@ mod tests {
     #[test]
     fn infeasible_genomes_are_skipped() {
         let fpa = MultiObjectiveFpa::new(FpaConfig::tiny());
-        let out = fpa.run(2, 3, |x| {
+        let out = fpa.run_on_seeded(minipool::global(), 2, 3, &[], |x| {
             if x[0] > 0.5 {
                 None
             } else {
@@ -619,7 +591,7 @@ mod tests {
             ..FpaConfig::standard()
         };
         let fpa = MultiObjectiveFpa::new(cfg);
-        let out = fpa.run(3, 11, zdt1);
+        let out = fpa.run_on_seeded(minipool::global(), 3, 11, &[], zdt1);
         assert!(out.archive.len() <= 5);
     }
 
@@ -652,7 +624,7 @@ mod tests {
             iterations: 20,
             ..FpaConfig::standard()
         });
-        let out = fpa.run(2, 13, |x| {
+        let out = fpa.run_on_seeded(minipool::global(), 2, 13, &[], |x| {
             if x[0] > 0.6 {
                 Some(vec![f64::NAN, x[1]])
             } else if x[1] > 0.8 {

@@ -37,13 +37,14 @@
 //!   (memoized through a three-tier cache hierarchy: the config-keyed
 //!   [`driver::EvalCache`], the per-function [`driver::AnalysisMemo`],
 //!   and an optional persistent [`store::DiskStore`] — see the
-//!   [`driver`] module docs) and the Pareto front construction
-//!   ([`driver::pareto_search_on`]),
-//! * [`secure`] — the security-aware variant of the search: a
-//!   ladder-rung gene selects the countermeasure level each candidate
-//!   compiles under, and the leakage measured on the simulator rig
-//!   joins the objective vector, yielding time/energy/leakage Pareto
-//!   fronts ([`secure::pareto_search_secure_on`]),
+//!   [`driver`] module docs) and the one Pareto search entry point,
+//!   [`driver::pareto_search`], which runs a [`driver::SearchRequest`]
+//!   over a caller-built cache,
+//! * [`secure`] — the search's optional leakage axis: a ladder-rung gene
+//!   selects the countermeasure level each candidate compiles under, and
+//!   the leakage measured on the simulator rig joins the objective
+//!   vector, yielding time/energy/leakage Pareto fronts
+//!   ([`secure::LeakageAxis`]),
 //! * [`store`] — the content-addressed on-disk evaluation store that
 //!   lets searches warm-start across processes (keys commit to the IR,
 //!   the cost models and a format version, so stale entries are
@@ -75,10 +76,8 @@ pub use codegen::{generate_function, generate_program, CodegenError, CodegenOpts
 pub use dataflow::{DefUse, DomTree, Liveness, ValueGraph};
 pub use driver::{
     compile_module, compile_module_per_function, compile_module_per_function_on, evaluate_module,
-    evaluate_module_memo, pareto_front_for, pareto_search, pareto_search_on,
-    pareto_search_with_cache, pareto_search_with_cache_seeded, pareto_search_with_store,
-    AnalysisMemo, CachedEval, CompilerConfig, EvalCache, ModuleMetrics, ParetoFront, TaskVariant,
-    VariantMetrics, VariantSecurity,
+    evaluate_module_memo, pareto_search, AnalysisMemo, CachedEval, CompilerConfig, EvalCache,
+    ModuleMetrics, ParetoFront, SearchRequest, TaskVariant, VariantMetrics, VariantSecurity,
 };
 pub use fpa::{FpaConfig, FpaOutcome, MultiObjectiveFpa, ParetoPoint, SearchStats};
 pub use passes::{
@@ -87,8 +86,8 @@ pub use passes::{
     PassStats, Pipeline, PipelineCatalog, PipelineError, Preserves, REGISTRY,
 };
 pub use secure::{
-    genome_with_rung, ladderised_ir, pareto_search_secure_on, pareto_search_secure_with_store,
-    rung_of_genome, LeakageRig, LADDER_RUNGS, SECURE_GENOME_DIMS,
+    genome_with_rung, ladderised_ir, rung_of_genome, LeakageAxis, LeakageRig, LADDER_RUNGS,
+    SECURE_GENOME_DIMS,
 };
 pub use service::{compile_many, BatchStats, CompileJob, JobResult};
 pub use store::{DiskStore, StoreFootprint, StoreStats, STORE_FORMAT_VERSION};

@@ -624,7 +624,7 @@ fn op_count(f: &IrFunction) -> usize {
 /// Inline eligible call sites of one caller, reading callee bodies from
 /// `snapshot`. A call site is eligible when the callee (a) is not (even
 /// mutually) recursive, (b) has at most `threshold` IR operations, and
-/// (c) is not the caller itself. At most [`MAX_INLINES_PER_FUNCTION`]
+/// (c) is not the caller itself. At most `MAX_INLINES_PER_FUNCTION`
 /// sites are expanded per invocation to bound code growth ([`InlinePass`]
 /// enforces the same bound across fixpoint rounds via its per-function
 /// budget). Loop bounds of the callee transfer to the caller (block ids
@@ -2036,7 +2036,7 @@ pub fn value_graph_loop_bounds(f: &IrFunction) -> Vec<(IrBlockId, u32)> {
 /// Bound-aware full unrolling of constant-trip counted loops.
 ///
 /// Recognises the canonical lowered shape (see
-/// [`recognise_counted_loop`]), computes the *exact* trip count from the
+/// `recognise_counted_loop`), computes the *exact* trip count from the
 /// IR constants, and replaces the loop with that many straight-line
 /// copies of the body followed by one final compare (so the condition
 /// temp and the induction temp leave the loop with exactly the values
@@ -2652,7 +2652,7 @@ impl Pass for BlockLayoutPass {
 }
 
 /// `inline`: callee inlining below a size threshold (the parameter).
-/// The code-growth budget ([`MAX_INLINES_PER_FUNCTION`]) is shared
+/// The code-growth budget (`MAX_INLINES_PER_FUNCTION`) is shared
 /// across all fixpoint rounds on one function.
 #[derive(Debug, Clone, Copy)]
 pub struct InlinePass {

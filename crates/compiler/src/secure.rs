@@ -1,48 +1,46 @@
-//! Security-aware Pareto search: leakage as the third objective family.
+//! The leakage axis of the Pareto search: leakage as the third
+//! objective family.
 //!
-//! The plain [`pareto_search_on`](crate::driver::pareto_search_on)
-//! optimises (WCET, WCEC, code size). This module extends the genome
-//! with one *ladder-rung gene* selecting the countermeasure level the
-//! variant is compiled under — rung 0 is the task's plain IR, rung 1 the
-//! [`ladderise_module`]-hardened IR — and appends a fourth objective:
-//! the leakage the [`assess_leakage`] measurement rig observes on the
-//! compiled variant (the worse channel's |Welch t|, always finite since
+//! A plain [`pareto_search`](crate::driver::pareto_search) optimises
+//! (WCET, WCEC, code size). A [`SearchRequest`](crate::driver::SearchRequest)
+//! with a [`LeakageAxis`] extends the genome with one *ladder-rung gene*
+//! selecting the countermeasure level the variant is compiled under —
+//! rung 0 is the task's plain IR, rung 1 the [`ladderise_module`]-hardened
+//! IR — and appends a fourth objective: the leakage the
+//! [`assess_leakage`] measurement rig observes on the compiled variant
+//! (the worse channel's |Welch t|, always finite since
 //! [`WELCH_T_CAP`](teamplay_security::WELCH_T_CAP) bounds degenerate
 //! sample sets). The FPA then explores the full time/energy/leakage
 //! trade-off space the paper's Fig. 1 promises: a hardened variant costs
 //! cycles and picojoules but crushes the leakage axis, and the archive
 //! keeps both ends of that trade.
 //!
-//! Determinism carries over unchanged from the plain search: the rung
-//! gene decodes purely, both rungs evaluate through their own
-//! [`EvalCache`] (one per IR), and leakage scores are memoized behind
+//! This module holds only the leakage pieces: the rung gene, the
+//! measurement rig, the hardened module, and the leakage-score memo the
+//! search consults. Determinism carries over unchanged from the plain
+//! search: the rung gene decodes purely, each rung evaluates through its
+//! own [`EvalCache`] (one per IR), and leakage scores are memoized behind
 //! per-(rung, config) `OnceLock`s with a deterministic simulator seed —
-//! so secure fronts are bit-identical at any pool width.
+//! so fronts with the leakage axis are bit-identical at any pool width.
 //!
-//! With a [`DiskStore`] attached, leakage scores persist alongside
-//! evaluation entries under their own key chain (a `"leak"`
-//! discriminator keeps the two entry kinds collision-free);
+//! When the search's cache has a [`DiskStore`] attached, leakage scores
+//! persist alongside evaluation entries under their own key chain (a
+//! `"leak"` discriminator keeps the two entry kinds collision-free);
 //! [`STORE_FORMAT_VERSION`] was bumped to 2 when these entries were
 //! introduced.
 
-use crate::driver::{
-    copy_cache_counters, CompilerConfig, EvalCache, ParetoFront, TaskVariant, VariantSecurity,
-};
-use crate::fpa::{MultiObjectiveFpa, ParetoPoint};
+use crate::driver::{CompilerConfig, EvalCache};
 use crate::store::{self, DiskStore, STORE_FORMAT_VERSION};
-use crate::FpaConfig;
-use minipool::Pool;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use teamplay_energy::IsaEnergyModel;
-use teamplay_isa::{CycleModel, Program};
+use teamplay_isa::Program;
 use teamplay_minic::ir::IrModule;
 use teamplay_security::{
     assess_leakage, ladderise_module, secret_params_of, LadderReport, SecretSpec,
 };
 
-/// Genome dimensions of the secure search: the plain
+/// Genome dimensions of a search with the leakage axis: the plain
 /// [`CompilerConfig::GENOME_DIMS`] plus the trailing ladder-rung gene.
 /// [`CompilerConfig::from_genome`] ignores genes past its own dims, so
 /// the first 17 genes decode exactly as in the plain search.
@@ -62,7 +60,7 @@ pub fn rung_of_genome(genome: &[f64]) -> u32 {
     u32::from(g >= 0.5)
 }
 
-/// Extend a plain 15-gene genome with an explicit rung gene (encoded at
+/// Extend a plain 17-gene genome with an explicit rung gene (encoded at
 /// the centre of its decoding window, mirroring
 /// [`CompilerConfig::to_genome`]'s parameter style).
 pub fn genome_with_rung(genome: &[f64], rung: u32) -> Vec<f64> {
@@ -72,7 +70,7 @@ pub fn genome_with_rung(genome: &[f64], rung: u32) -> Vec<f64> {
     g
 }
 
-/// The measurement-rig configuration of one secure search: which
+/// The measurement-rig configuration of one leakage axis: which
 /// argument of the task is secret, which two classes to compare, and
 /// how to drive the simulator. Serializable so leakage-score store keys
 /// can commit to it.
@@ -93,8 +91,8 @@ pub struct LeakageRig {
 }
 
 /// Clone `ir` and run the countermeasure ladder over every function
-/// with `secret(...)` annotations — the rung-1 module of the secure
-/// search. Returns the hardened module and the per-function ladder
+/// with `secret(...)` annotations — the rung-1 module of a
+/// [`LeakageAxis`]. Returns the hardened module and the per-function ladder
 /// reports (callers deciding policy can check
 /// [`LadderReport::fully_hardened`]).
 pub fn ladderised_ir(ir: &IrModule) -> (IrModule, HashMap<String, LadderReport>) {
@@ -126,57 +124,79 @@ fn leak_score(program: &Program, task: &str, rig: &LeakageRig) -> Option<f64> {
     Some(report.time.welch_t.max(report.energy.welch_t))
 }
 
+/// The leakage axis of a [`SearchRequest`](crate::driver::SearchRequest):
+/// the task module hardened by [`ladderised_ir`] (the rung-1 IR) and the
+/// rig that measures each variant's leakage.
+#[derive(Debug, Clone, Copy)]
+pub struct LeakageAxis<'a> {
+    /// The ladderised counterpart of the search cache's IR.
+    pub hardened: &'a IrModule,
+    /// The measurement rig.
+    pub rig: &'a LeakageRig,
+}
+
 /// One memo slot: the `OnceLock` serialises concurrent probes of the
 /// same (rung, config) variant.
 type LeakSlot = Arc<OnceLock<Option<f64>>>;
 
-/// Per-(rung, config) leakage memo: concurrent probes of one variant
+/// The leakage side of one search: the rung-1 evaluation cache and a
+/// per-(rung, config) leakage memo. Concurrent probes of one variant
 /// block on a per-entry `OnceLock`, so each variant is simulated by
 /// exactly one thread (the same discipline [`EvalCache`] applies to
 /// compiles) and results are identical at any pool width. With a store
 /// attached, misses probe/spill score entries keyed by the rung's own
 /// prefix chain.
-struct LeakMemo<'a> {
+pub(crate) struct LeakMemo<'a> {
+    /// Evaluations of the hardened IR (rung 1).
+    pub(crate) hardened: EvalCache<'a>,
     rig: &'a LeakageRig,
     task: &'a str,
     entries: Mutex<HashMap<(u32, CompilerConfig), LeakSlot>>,
-    disk: Option<&'a DiskStore>,
-    /// FNV chain per rung over (format version, "leak" discriminator,
-    /// the rung's IR, cost models, task, rig). Empty without a store.
-    key_prefixes: Vec<u128>,
+    /// The store and, per rung, the FNV chain over (format version,
+    /// "leak" discriminator, task, rig), then the cost models, then the
+    /// rung's IR. `None` without a store.
+    disk: Option<(&'a DiskStore, [u128; 2])>,
 }
 
 impl<'a> LeakMemo<'a> {
-    fn new(rig: &'a LeakageRig, task: &'a str) -> LeakMemo<'a> {
+    /// The leakage side of a search over `plain`: the hardened cache and
+    /// the score keys take their cost models and store from `plain`, so
+    /// the two rungs can never disagree on either.
+    pub(crate) fn new(plain: &EvalCache<'a>, axis: LeakageAxis<'a>, task: &'a str) -> LeakMemo<'a> {
+        let (cycle_model, energy_model) = (plain.cycle_model, plain.energy_model);
+        let (hardened, disk) = match plain.disk {
+            Some(disk) => {
+                let base = store::hash_json(
+                    store::fnv_offset(),
+                    &(STORE_FORMAT_VERSION, "leak", task, axis.rig),
+                );
+                let base = store::hash_json(base, &(cycle_model, energy_model));
+                let keys = [plain.ir, axis.hardened].map(|ir| store::hash_json(base, ir));
+                let cache = EvalCache::with_store(axis.hardened, cycle_model, energy_model, disk);
+                (cache, Some((disk, keys)))
+            }
+            None => (
+                EvalCache::new(axis.hardened, cycle_model, energy_model),
+                None,
+            ),
+        };
         LeakMemo {
-            rig,
+            hardened,
+            rig: axis.rig,
             task,
             entries: Mutex::new(HashMap::new()),
-            disk: None,
-            key_prefixes: Vec::new(),
+            disk,
         }
     }
 
-    fn with_store(
-        rig: &'a LeakageRig,
-        task: &'a str,
-        disk: &'a DiskStore,
-        irs: [&IrModule; 2],
-        cycle_model: &CycleModel,
-        energy_model: &IsaEnergyModel,
-    ) -> LeakMemo<'a> {
-        let mut memo = LeakMemo::new(rig, task);
-        memo.disk = Some(disk);
-        let base = store::hash_json(
-            store::fnv_offset(),
-            &(STORE_FORMAT_VERSION, "leak", task, rig),
-        );
-        let base = store::hash_json(base, &(cycle_model, energy_model));
-        memo.key_prefixes = irs.iter().map(|ir| store::hash_json(base, ir)).collect();
-        memo
-    }
-
-    fn score(&self, rung: u32, config: &CompilerConfig, program: &Program) -> Option<f64> {
+    /// The leakage score of `program`, the rung-`rung` compile of
+    /// `config`; `None` when the measurement run traps.
+    pub(crate) fn score(
+        &self,
+        rung: u32,
+        config: &CompilerConfig,
+        program: &Program,
+    ) -> Option<f64> {
         let cell = {
             let mut entries = self.entries.lock().expect("leak memo lock");
             entries
@@ -185,8 +205,8 @@ impl<'a> LeakMemo<'a> {
                 .clone()
         };
         *cell.get_or_init(|| match self.disk {
-            Some(disk) => {
-                let key = store::hash_json(self.key_prefixes[rung as usize], config);
+            Some((disk, keys)) => {
+                let key = store::hash_json(keys[rung as usize], config);
                 if let Some(found) = disk.load_score(key) {
                     found
                 } else {
@@ -200,140 +220,14 @@ impl<'a> LeakMemo<'a> {
     }
 }
 
-/// The secure variant search on an explicit pool: FPA over the
-/// rung-extended genome, objectives (WCET, WCEC, code size, leakage).
-/// `plain_ir` is the task module as written; `hard_ir` its ladderised
-/// counterpart (see [`ladderised_ir`]). Bit-identical output at any
-/// pool width for a fixed seed; every returned variant carries
-/// [`TaskVariant::security`] with its rung and measured leakage, and
-/// the front is sorted by (WCET, rung).
-#[allow(clippy::too_many_arguments)] // pareto_search_on's signature + the rig
-pub fn pareto_search_secure_on(
-    pool: &Pool,
-    plain_ir: &IrModule,
-    hard_ir: &IrModule,
-    task: &str,
-    cycle_model: &CycleModel,
-    energy_model: &IsaEnergyModel,
-    fpa_config: FpaConfig,
-    seed: u64,
-    rig: &LeakageRig,
-) -> ParetoFront {
-    let caches = [
-        EvalCache::new(plain_ir, cycle_model, energy_model),
-        EvalCache::new(hard_ir, cycle_model, energy_model),
-    ];
-    let memo = LeakMemo::new(rig, task);
-    search(pool, &caches, &memo, task, fpa_config, seed)
-}
-
-/// [`pareto_search_secure_on`] with a persistent [`DiskStore`] bottom
-/// tier for both the per-rung evaluations and the leakage scores: a
-/// rerun of the same search in a fresh process replays everything from
-/// disk and returns a byte-identical front.
-#[allow(clippy::too_many_arguments)] // pareto_search_secure_on's signature + the store
-pub fn pareto_search_secure_with_store(
-    pool: &Pool,
-    plain_ir: &IrModule,
-    hard_ir: &IrModule,
-    task: &str,
-    cycle_model: &CycleModel,
-    energy_model: &IsaEnergyModel,
-    fpa_config: FpaConfig,
-    seed: u64,
-    rig: &LeakageRig,
-    disk: &DiskStore,
-) -> ParetoFront {
-    let caches = [
-        EvalCache::with_store(plain_ir, cycle_model, energy_model, disk),
-        EvalCache::with_store(hard_ir, cycle_model, energy_model, disk),
-    ];
-    let memo = LeakMemo::with_store(
-        rig,
-        task,
-        disk,
-        [plain_ir, hard_ir],
-        cycle_model,
-        energy_model,
-    );
-    search(pool, &caches, &memo, task, fpa_config, seed)
-}
-
-fn search(
-    pool: &Pool,
-    caches: &[EvalCache<'_>; 2],
-    memo: &LeakMemo<'_>,
-    task: &str,
-    fpa_config: FpaConfig,
-    seed: u64,
-) -> ParetoFront {
-    let fpa = MultiObjectiveFpa::new(fpa_config);
-    let outcome = fpa.run_on_seeded(pool, SECURE_GENOME_DIMS, seed, &[], |genome| {
-        let rung = rung_of_genome(genome);
-        let config = CompilerConfig::from_genome(genome);
-        let (program, metrics) = caches[rung as usize].evaluate(&config)?;
-        let m = metrics.of(task)?;
-        let leakage = memo.score(rung, &config, &program)?;
-        Some(vec![
-            m.wcet_cycles as f64,
-            m.wcec_pj,
-            m.code_halfwords as f64,
-            leakage,
-        ])
-    });
-
-    let mut variants: Vec<TaskVariant> = Vec::new();
-    for ParetoPoint { genome, objectives } in outcome.archive {
-        let rung = rung_of_genome(&genome);
-        let config = CompilerConfig::from_genome(&genome);
-        // Deduplicate by decoded phenotype: (configuration, rung).
-        if variants
-            .iter()
-            .any(|v| v.config == config && v.security.map(|s| s.rung) == Some(rung))
-        {
-            continue;
-        }
-        // Archived points were all evaluated during the search — cache
-        // hits and memo replays, no recompiles or re-simulations.
-        let Some((program, metrics)) = caches[rung as usize].evaluate(&config) else {
-            continue;
-        };
-        let m = *metrics.of(task).expect("task analysed");
-        let Some(leakage) = memo.score(rung, &config, &program) else {
-            continue;
-        };
-        debug_assert_eq!(m.wcet_cycles as f64, objectives[0]);
-        debug_assert_eq!(leakage.to_bits(), objectives[3].to_bits());
-        variants.push(TaskVariant {
-            config,
-            metrics: m,
-            program,
-            security: Some(VariantSecurity { rung, leakage }),
-        });
-    }
-    variants.sort_by_key(|v| {
-        (
-            v.metrics.wcet_cycles,
-            v.security.map(|s| s.rung).unwrap_or(0),
-        )
-    });
-
-    let mut stats = outcome.stats;
-    // Both rungs' caches feed one search: surface their combined
-    // traffic (each counter tier sums, preserving the plain search's
-    // `disk_hits + disk_misses == cache_misses` invariant).
-    copy_cache_counters(&mut stats, &caches[0]);
-    stats.cache_hits += caches[1].hits();
-    stats.cache_misses += caches[1].misses();
-    stats.disk_hits += caches[1].disk_hits();
-    stats.disk_misses += caches[1].disk_misses();
-
-    ParetoFront { variants, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{pareto_search, ParetoFront, SearchRequest};
+    use crate::FpaConfig;
+    use minipool::Pool;
+    use teamplay_energy::IsaEnergyModel;
+    use teamplay_isa::CycleModel;
     use teamplay_minic::compile_to_ir;
 
     /// A branchy secret comparator: rung 0 leaks, rung 1 must not.
@@ -359,6 +253,19 @@ mod tests {
         }
     }
 
+    /// A `gate` search with the leakage axis over `cache`.
+    fn search(pool: &Pool, cache: &EvalCache<'_>, hardened: &IrModule, seed: u64) -> ParetoFront {
+        let rig = rig();
+        let request = SearchRequest {
+            leakage: Some(LeakageAxis {
+                hardened,
+                rig: &rig,
+            }),
+            ..SearchRequest::new("gate", FpaConfig::tiny(), seed)
+        };
+        pareto_search(pool, cache, &request)
+    }
+
     #[test]
     fn rung_gene_round_trips_and_prefix_decodes_identically() {
         for rung in [0, 1] {
@@ -372,7 +279,7 @@ mod tests {
                 CompilerConfig::from_genome(&plain)
             );
         }
-        // A bare 15-gene genome is rung 0.
+        // A bare 17-gene genome is rung 0.
         assert_eq!(rung_of_genome(&[0.9; CompilerConfig::GENOME_DIMS]), 0);
     }
 
@@ -381,18 +288,17 @@ mod tests {
         let ir = compile_to_ir(SECRET_TASK).expect("front-end");
         let (hard, reports) = ladderised_ir(&ir);
         assert!(reports["gate"].fully_hardened(), "{reports:?}");
-        let front = pareto_search_secure_on(
-            &Pool::new(1),
-            &ir,
-            &hard,
-            "gate",
-            &CycleModel::pg32(),
-            &IsaEnergyModel::pg32_datasheet(),
-            FpaConfig::tiny(),
-            42,
-            &rig(),
-        );
+        let (cm, em) = (CycleModel::pg32(), IsaEnergyModel::pg32_datasheet());
+        let front = search(&Pool::new(1), &EvalCache::new(&ir, &cm, &em), &hard, 42);
         assert!(!front.variants.is_empty());
+        // Each probe lands in exactly one rung's cache, and the stats sum
+        // both: one probe per evaluation and per rebuilt archive point.
+        let stats = front.stats;
+        assert_eq!(
+            stats.cache_hits + stats.cache_misses,
+            stats.evaluations + front.variants.len(),
+            "{stats:?}"
+        );
         for v in &front.variants {
             let s = v.security.expect("secure variants carry security");
             assert!(s.leakage.is_finite());
@@ -426,16 +332,11 @@ mod tests {
         let cm = CycleModel::pg32();
         let em = IsaEnergyModel::pg32_datasheet();
         let run = |threads: usize| {
-            pareto_search_secure_on(
+            search(
                 &Pool::new(threads),
-                &ir,
+                &EvalCache::new(&ir, &cm, &em),
                 &hard,
-                "gate",
-                &cm,
-                &em,
-                FpaConfig::tiny(),
                 42,
-                &rig(),
             )
         };
         let seq = run(1);
@@ -448,36 +349,69 @@ mod tests {
         }
     }
 
+    /// FNV-1a-128 of `value`'s compact JSON, continuing from `hash`:
+    /// the store's key step, restated so the test derives keys on its
+    /// own.
+    fn chain<T: Serialize>(hash: u128, value: &T) -> u128 {
+        serde_json::to_string(value)
+            .expect("serializes")
+            .bytes()
+            .fold(hash, |hash, b| {
+                (hash ^ u128::from(b)).wrapping_mul(0x0000000001000000000000000000013B)
+            })
+    }
+
     #[test]
     fn secure_search_warm_starts_from_the_store() {
         let dir =
             std::env::temp_dir().join(format!("teamplay-secure-store-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let disk = DiskStore::open(&dir).expect("store dir");
         let ir = compile_to_ir(SECRET_TASK).expect("front-end");
         let (hard, _) = ladderised_ir(&ir);
         let cm = CycleModel::pg32();
         let em = IsaEnergyModel::pg32_datasheet();
-        let run = || {
-            pareto_search_secure_with_store(
+        let run = |disk: &DiskStore| {
+            search(
                 &Pool::new(2),
-                &ir,
+                &EvalCache::with_store(&ir, &cm, &em, disk),
                 &hard,
-                "gate",
-                &cm,
-                &em,
-                FpaConfig::tiny(),
                 9,
-                &rig(),
-                &disk,
             )
         };
-        let cold = run();
+        let cold = run(&DiskStore::open(&dir).expect("store dir"));
         assert!(cold.stats.disk_misses > 0);
         assert_eq!(cold.stats.disk_hits, 0);
-        let warm = run();
+
+        // Every archived variant's score sits at the key the documented
+        // chain names: (format version, "leak", task, rig), then the
+        // cost models, then the rung's IR, then the configuration.
+        let base = chain(
+            0x6c62272e07bb014262b821756295c58d,
+            &(STORE_FORMAT_VERSION, "leak", "gate", rig()),
+        );
+        let base = chain(base, &(&cm, &em));
+        let probe = DiskStore::open(&dir).expect("store reopens");
+        assert!(!cold.variants.is_empty());
+        for v in &cold.variants {
+            let security = v.security.expect("leakage axis on");
+            let rung_ir = if security.rung == 0 { &ir } else { &hard };
+            let key = chain(chain(base, rung_ir), &v.config);
+            assert_eq!(
+                probe.load_score(key),
+                Some(Some(security.leakage)),
+                "score key of {security:?}"
+            );
+        }
+
+        let warm_store = DiskStore::open(&dir).expect("store reopens");
+        let warm = run(&warm_store);
         assert_eq!(warm.stats.disk_misses, 0, "everything replays from disk");
         assert_eq!(warm.stats.disk_hits, cold.stats.disk_misses);
+        // Evaluations and leakage scores alike: every probe hits.
+        let disk = warm_store.stats();
+        assert!(disk.loads > 0);
+        assert_eq!(disk.hits, disk.loads, "{disk:?}");
+        assert_eq!(disk.corrupt_misses, 0, "{disk:?}");
         let bytes = |f: &ParetoFront| serde_json::to_string(&f.variants).expect("serializes");
         assert_eq!(bytes(&cold), bytes(&warm));
         let _ = std::fs::remove_dir_all(&dir);

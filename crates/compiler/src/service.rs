@@ -13,7 +13,7 @@
 //! are the one timing-dependent observable — concurrent jobs over the
 //! same module race benignly for who writes a store entry first.
 
-use crate::driver::{copy_cache_counters, pareto_search_with_cache, EvalCache, ParetoFront};
+use crate::driver::{add_cache_counters, pareto_search, EvalCache, ParetoFront, SearchRequest};
 use crate::fpa::{FpaConfig, SearchStats};
 use crate::passes::group_indices_by_key;
 use crate::store::{self, DiskStore};
@@ -106,19 +106,14 @@ pub fn compile_many(
             .iter()
             .enumerate()
             .map(|(t, task)| {
-                let front = pareto_search_with_cache(
-                    &inner,
-                    &cache,
-                    task,
-                    job.fpa,
-                    job.seed.wrapping_add(t as u64),
-                );
+                let request = SearchRequest::new(task, job.fpa, job.seed.wrapping_add(t as u64));
+                let front = pareto_search(&inner, &cache, &request);
                 stats.evaluations += front.stats.evaluations;
                 stats.generations += front.stats.generations;
                 (task.clone(), front)
             })
             .collect();
-        copy_cache_counters(&mut stats, &cache);
+        add_cache_counters(&mut stats, &cache);
         (fronts, stats)
     });
 

@@ -22,7 +22,7 @@
 //! Distinct configurations mostly compile byte-identical functions (a
 //! camera-pill + SpaceWire store references 315 distinct functions
 //! 10,030 times), so an evaluation manifest holds only the
-//! [`ModuleMetrics`](crate::ModuleMetrics), the globals blob's hash and
+//! [`ModuleMetrics`], the globals blob's hash and
 //! the `(function name, blob hash)` list; the program text lives in
 //! blobs named by the FNV-1a-128 of their own bytes and shared by every
 //! manifest that uses them.
@@ -481,7 +481,7 @@ fn committed(dir: &Path) -> impl Iterator<Item = fs::DirEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pareto_search_with_store, FpaConfig, ParetoFront};
+    use crate::{pareto_search, EvalCache, FpaConfig, ParetoFront, SearchRequest};
     use std::collections::HashSet;
     use teamplay_energy::IsaEnergyModel;
     use teamplay_isa::CycleModel;
@@ -511,15 +511,11 @@ mod tests {
     /// One single-thread search of `TASK` over `store`.
     fn search(store: &DiskStore) -> ParetoFront {
         let ir = compile_to_ir(TASK).expect("front-end");
-        pareto_search_with_store(
+        let (cm, em) = (CycleModel::pg32(), IsaEnergyModel::pg32_datasheet());
+        pareto_search(
             &minipool::Pool::new(1),
-            &ir,
-            "filter",
-            &CycleModel::pg32(),
-            &IsaEnergyModel::pg32_datasheet(),
-            FpaConfig::tiny(),
-            0x5EED,
-            store,
+            &EvalCache::with_store(&ir, &cm, &em, store),
+            &SearchRequest::new("filter", FpaConfig::tiny(), 0x5EED),
         )
     }
 

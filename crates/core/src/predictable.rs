@@ -4,8 +4,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use teamplay_compiler::{
-    compile_module_per_function_on, pareto_search_with_cache_seeded, CompilerConfig, DiskStore,
-    EvalCache, FpaConfig, PipelineCatalog, SearchStats, TaskVariant,
+    compile_module_per_function_on, pareto_search, CompilerConfig, DiskStore, EvalCache, FpaConfig,
+    PipelineCatalog, SearchRequest, SearchStats, TaskVariant,
 };
 use teamplay_contracts::{prove, Certificate, ProveError, TaskEvidence};
 use teamplay_coord::{
@@ -478,14 +478,11 @@ impl PredictableWorkflow {
             None => EvalCache::new(&ir, &cfg.cycle_model, &cfg.energy_model),
         };
         let fronts = pool.par_map(&model.tasks, |i, task| {
-            pareto_search_with_cache_seeded(
-                &inner,
-                &cache,
-                &task.function,
-                cfg.fpa,
-                cfg.seed.wrapping_add(i as u64),
-                &seeds,
-            )
+            let request = SearchRequest {
+                seeds: &seeds,
+                ..SearchRequest::new(&task.function, cfg.fpa, cfg.seed.wrapping_add(i as u64))
+            };
+            pareto_search(&inner, &cache, &request)
         });
         let mut search = SearchStats {
             cache_hits: cache.hits(),
@@ -895,7 +892,7 @@ mod tests {
 
     #[test]
     fn shared_cache_compiles_less_than_per_task_caches() {
-        use teamplay_compiler::{pareto_search_with_cache, EvalCache};
+        use teamplay_compiler::{pareto_search, EvalCache, SearchRequest};
         // The ROADMAP follow-up, measured: four tasks of one module
         // searched against one shared cache compile strictly fewer
         // distinct configurations than the same searches with a cache
@@ -911,10 +908,11 @@ mod tests {
             .enumerate()
         {
             let seed = cfg.seed.wrapping_add(i as u64);
+            let request = SearchRequest::new(func, FpaConfig::tiny(), seed);
             let own = EvalCache::new(&ir, &cfg.cycle_model, &cfg.energy_model);
-            pareto_search_with_cache(pool, &own, func, FpaConfig::tiny(), seed);
+            pareto_search(pool, &own, &request);
             individual_misses += own.misses();
-            pareto_search_with_cache(pool, &shared, func, FpaConfig::tiny(), seed);
+            pareto_search(pool, &shared, &request);
         }
         assert!(
             shared.misses() < individual_misses,
@@ -926,7 +924,7 @@ mod tests {
 
     #[test]
     fn seeded_search_covers_the_tuned_pipeline_at_generation_zero() {
-        use teamplay_compiler::{pareto_search_with_cache_seeded, EvalCache};
+        use teamplay_compiler::{pareto_search, EvalCache, SearchRequest};
         // The ROADMAP follow-up from PR 3: seeding the FPA with the
         // app's recommended pipeline genome makes the generation-0 front
         // weakly dominate the tuned point — the search starts *at* the
@@ -952,14 +950,12 @@ mod tests {
             iterations: 0,
             ..FpaConfig::tiny()
         };
-        let front = pareto_search_with_cache_seeded(
-            minipool::global(),
-            &cache,
-            "compress",
-            gen0,
-            cfg.seed,
-            &[genome],
-        );
+        let seeds = [genome];
+        let request = SearchRequest {
+            seeds: &seeds,
+            ..SearchRequest::new("compress", gen0, cfg.seed)
+        };
+        let front = pareto_search(minipool::global(), &cache, &request);
         assert!(
             front.variants.iter().any(|v| {
                 v.metrics.wcet_cycles <= tuned_metrics.wcet_cycles

@@ -52,7 +52,7 @@
 //!
 //! Dispatch — the indirect branch per slot — dominates once per-op work
 //! is this small, so decode tiles the dynamically dominant adjacent op
-//! pairs of the app kernels into fused [`HotOp`] variants (store→load,
+//! pairs of the app kernels into fused `HotOp` variants (store→load,
 //! load→ALU, compare→branch, …), then runs a fixpoint of pairwise
 //! re-fusion that grows 4-, 6-, 8-, 10- and 13-op *megaops* covering the
 //! kernels' hot inner loops. Fusion is pc-stable: a fused unit lives in

@@ -93,7 +93,7 @@ impl FaultPlan {
     /// reference run*: every fault has a chance to land on a live
     /// instruction. Register flips target all 16 architectural
     /// registers; memory flips are biased to live data — the program's
-    /// global segment (from `layout`) and the top [`STACK_FAULT_WORDS`]
+    /// global segment (from `layout`) and the top `STACK_FAULT_WORDS`
     /// words of the stack.
     pub fn sample(
         seed: u64,

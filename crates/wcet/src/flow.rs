@@ -10,7 +10,7 @@
 //! loop-nest dynamic program — no LP crate, consistent with the
 //! repository's vendored-offline rule.
 //!
-//! The solver is deliberately cost-agnostic: [`FlowProblem::node_cost`]
+//! The solver is deliberately cost-agnostic: `FlowProblem::node_cost`
 //! and per-edge costs are plain `u64`s, so the same engine serves the
 //! cycle model (WCET) and `teamplay-energy`'s millipicojoule model
 //! (WCEC). Callers build a problem with [`FlowProblem::from_function`],

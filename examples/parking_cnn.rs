@@ -10,7 +10,7 @@
 use teamplay_apps::parking::{
     classification_accuracy, synthetic_lot, ParkingNet, CONV_KERNEL_SOURCE, SPOTS,
 };
-use teamplay_compiler::{pareto_front_for, FpaConfig};
+use teamplay_compiler::{pareto_search, EvalCache, FpaConfig, SearchRequest};
 use teamplay_energy::IsaEnergyModel;
 use teamplay_isa::CycleModel;
 use teamplay_minic::compile_to_ir;
@@ -42,14 +42,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Cortex-M0 leg: per-layer Pareto variants.
     let ir = compile_to_ir(CONV_KERNEL_SOURCE)?;
-    let variants = pareto_front_for(
-        &ir,
-        "conv_layer",
-        &CycleModel::pg32(),
-        &IsaEnergyModel::pg32_datasheet(),
-        FpaConfig::standard(),
-        7,
-    );
+    let (cm, em) = (CycleModel::pg32(), IsaEnergyModel::pg32_datasheet());
+    let request = SearchRequest::new("conv_layer", FpaConfig::standard(), 7);
+    let variants =
+        pareto_search(minipool::global(), &EvalCache::new(&ir, &cm, &em), &request).variants;
     println!("\nconv-layer compiler variants (the designer's menu, Section IV-D):");
     println!(
         "  {:<4} {:>11} {:>12} {:>10}",

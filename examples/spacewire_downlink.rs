@@ -7,7 +7,9 @@
 //! ```
 
 use teamplay_apps::spacewire;
-use teamplay_compiler::{compile_module, pareto_front_for, CompilerConfig, FpaConfig};
+use teamplay_compiler::{
+    compile_module, pareto_search, CompilerConfig, EvalCache, FpaConfig, SearchRequest,
+};
 use teamplay_coord::{
     dvfs_options, gr712_levels, schedule_energy_aware, CoordTask, ExecOption, TaskSet,
 };
@@ -71,8 +73,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // TeamPlay: Pareto variants × DVFS levels under the frame deadline.
     let mut coord_tasks = Vec::new();
+    let cache = EvalCache::new(&ir, &cm, &em);
     for spec in &model.tasks {
-        let variants = pareto_front_for(&ir, &spec.function, &cm, &em, FpaConfig::standard(), 1);
+        let request = SearchRequest::new(&spec.function, FpaConfig::standard(), 1);
+        let variants = pareto_search(minipool::global(), &cache, &request).variants;
         let mut options: Vec<ExecOption> = Vec::new();
         for (vi, v) in variants.iter().enumerate() {
             options.extend(dvfs_options(

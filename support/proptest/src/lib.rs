@@ -440,7 +440,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         elem: S,

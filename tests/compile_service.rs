@@ -25,12 +25,13 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use teamplay_compiler::{
-    compile_many, compile_module_per_function, compile_module_per_function_on, pareto_search_on,
-    pareto_search_with_store, CompileJob, CompilerConfig, DiskStore, EvalCache, FpaConfig,
-    ParetoFront, PassManager, Pipeline,
+    compile_many, compile_module_per_function, compile_module_per_function_on, pareto_search,
+    CompileJob, CompilerConfig, DiskStore, EvalCache, FpaConfig, ParetoFront, PassManager,
+    Pipeline, SearchRequest,
 };
 use teamplay_isa::CycleModel;
 use teamplay_minic::compile_to_ir;
+use teamplay_minic::ir::IrModule;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -55,6 +56,23 @@ fn front_bytes(front: &ParetoFront) -> String {
     serde_json::to_string(&front.variants).expect("front serializes")
 }
 
+/// A tiny-budget search for `task` over `ir` whose cache spills to
+/// `store`.
+fn store_search(
+    pool: &minipool::Pool,
+    ir: &IrModule,
+    task: &str,
+    store: &DiskStore,
+) -> ParetoFront {
+    let (cm, em) = pg32_models();
+    let cache = EvalCache::with_store(ir, &cm, &em, store);
+    pareto_search(
+        pool,
+        &cache,
+        &SearchRequest::new(task, FpaConfig::tiny(), 0xBEEF),
+    )
+}
+
 /// The four application kernels (same list the tightness oracle uses).
 fn app_kernels() -> Vec<(&'static str, &'static str, &'static str)> {
     vec![
@@ -75,22 +93,12 @@ fn app_kernels() -> Vec<(&'static str, &'static str, &'static str)> {
 
 #[test]
 fn warm_start_serves_every_config_from_disk_and_is_byte_identical() {
-    let (cm, em) = pg32_models();
     let dir = temp_dir("warm-start");
     let ir = compile_to_ir(teamplay_apps::camera_pill::SOURCE).expect("front-end");
     let pool = minipool::Pool::new(2);
 
     let cold_store = DiskStore::open(&dir).expect("store opens");
-    let cold = pareto_search_with_store(
-        &pool,
-        &ir,
-        "compress",
-        &cm,
-        &em,
-        FpaConfig::tiny(),
-        0xBEEF,
-        &cold_store,
-    );
+    let cold = store_search(&pool, &ir, "compress", &cold_store);
     // A fresh store starts empty: every distinct configuration missed
     // disk and was written back.
     assert_eq!(cold.stats.disk_hits, 0, "fresh store cannot hit");
@@ -100,16 +108,7 @@ fn warm_start_serves_every_config_from_disk_and_is_byte_identical() {
     // A fresh DiskStore + EvalCache pair over the same directory is
     // what a new process would construct.
     let warm_store = DiskStore::open(&dir).expect("store reopens");
-    let warm = pareto_search_with_store(
-        &pool,
-        &ir,
-        "compress",
-        &cm,
-        &em,
-        FpaConfig::tiny(),
-        0xBEEF,
-        &warm_store,
-    );
+    let warm = store_search(&pool, &ir, "compress", &warm_store);
     assert_eq!(warm.stats.disk_misses, 0, "warm start must not compile");
     assert_eq!(
         warm.stats.disk_hits, warm.stats.cache_misses,
@@ -168,21 +167,9 @@ fn fnv1a128(bytes: &[u8]) -> u128 {
 
 #[test]
 fn two_writers_racing_on_one_store_leave_it_consistent() {
-    let (cm, em) = pg32_models();
     let dir = temp_dir("two-writers");
     let ir = compile_to_ir(teamplay_apps::camera_pill::SOURCE).expect("front-end");
-    let search = |store: &DiskStore| {
-        pareto_search_with_store(
-            &minipool::Pool::new(1),
-            &ir,
-            "compress",
-            &cm,
-            &em,
-            FpaConfig::tiny(),
-            0xBEEF,
-            store,
-        )
-    };
+    let search = |store: &DiskStore| store_search(&minipool::Pool::new(1), &ir, "compress", store);
 
     // Two handles on one directory run the same search at once: every
     // manifest and blob is raced for.
@@ -427,21 +414,24 @@ fn compile_many_dedups_jobs_and_is_byte_identical_at_widths_1_2_4() {
         }
     }
 
-    // The batched front must equal the one-job-at-a-time front.
-    let single = pareto_search_on(
-        &minipool::Pool::new(1),
-        &jobs[1].ir,
-        "crc_frame",
-        &cm,
-        &em,
-        FpaConfig::tiny(),
-        7,
-    );
-    assert_eq!(
-        baseline.expect("ran")[1],
-        front_bytes(&single),
-        "compile_many front diverges from pareto_search_on"
-    );
+    // The batched front must equal the one-job-at-a-time front over a
+    // fresh cache, on every kernel.
+    let kernel_jobs: Vec<CompileJob> = app_kernels()
+        .into_iter()
+        .map(|(app, src, task)| job(app, src, task, 7))
+        .collect();
+    let (batched, _) = compile_many(&minipool::Pool::new(2), &kernel_jobs, &cm, &em, None);
+    for (job, result) in kernel_jobs.iter().zip(&batched) {
+        let cache = EvalCache::new(&job.ir, &cm, &em);
+        let request = SearchRequest::new(&job.tasks[0], FpaConfig::tiny(), 7);
+        let single = pareto_search(&minipool::Pool::new(1), &cache, &request);
+        assert_eq!(
+            front_bytes(&result.fronts[0].1),
+            front_bytes(&single),
+            "{}: compile_many front diverges from a single search",
+            job.id
+        );
+    }
 }
 
 #[test]

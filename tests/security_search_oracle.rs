@@ -1,12 +1,13 @@
 //! End-to-end oracles for the security-aware Pareto search on the
 //! camera-pill crypto task.
 //!
-//! The secure search ([`pareto_search_secure_on`]) promises four things
-//! this suite pins at the application level:
+//! The search with a leakage axis ([`pareto_search`] with a
+//! [`LeakageAxis`]) promises four things this suite pins at the
+//! application level:
 //!
 //! 1. **determinism** — fronts are byte-identical at any pool width;
 //! 2. **conservatism** — a rung-0 variant is exactly the plain
-//!    evaluation of its 15-gene prefix (the rung gene is invisible to
+//!    evaluation of its 17-gene prefix (the rung gene is invisible to
 //!    the config decoder and to the analyses);
 //! 3. **effectiveness** — the ladderised rung strictly reduces the
 //!    measured leakage of `encrypt`'s key-whitening diamond;
@@ -19,8 +20,8 @@
 
 use minipool::Pool;
 use teamplay_compiler::{
-    evaluate_module, ladderised_ir, pareto_search_secure_on, CompilerConfig, FpaConfig, LeakageRig,
-    ParetoFront, SECURE_GENOME_DIMS,
+    evaluate_module, ladderised_ir, pareto_search, CompilerConfig, EvalCache, FpaConfig,
+    LeakageAxis, LeakageRig, ParetoFront, SearchRequest, SECURE_GENOME_DIMS,
 };
 use teamplay_coord::task::TaskSetError;
 use teamplay_coord::{schedule_energy_aware, CoordTask, ExecOption, TaskSet};
@@ -60,16 +61,19 @@ fn camera_irs() -> (IrModule, IrModule) {
 
 fn search(pool_width: usize, seed: u64) -> ParetoFront {
     let (ir, hard) = camera_irs();
-    pareto_search_secure_on(
+    let (cm, em) = (CycleModel::pg32(), IsaEnergyModel::pg32_datasheet());
+    let rig = rig();
+    let request = SearchRequest {
+        leakage: Some(LeakageAxis {
+            hardened: &hard,
+            rig: &rig,
+        }),
+        ..SearchRequest::new("encrypt", FpaConfig::tiny(), seed)
+    };
+    pareto_search(
         &Pool::new(pool_width),
-        &ir,
-        &hard,
-        "encrypt",
-        &CycleModel::pg32(),
-        &IsaEnergyModel::pg32_datasheet(),
-        FpaConfig::tiny(),
-        seed,
-        &rig(),
+        &EvalCache::new(&ir, &cm, &em),
+        &request,
     )
 }
 
