@@ -13,7 +13,7 @@
 //!   [`teamplay_sim::DecodedEngine`], the direct-threaded engine whose
 //!   results are bit-identical to the reference (asserted here on every
 //!   kernel before anything is timed);
-//! * **batched** — [`teamplay_sim::simulate_batch_budgeted`] fanning
+//! * **batched** — [`teamplay_sim::simulate_batch`] fanning
 //!   seeded input vectors across the global `minipool` under an explicit
 //!   watchdog budget (the kernel's IPET bound).
 //!
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use teamplay_compiler::{generate_program, CodegenOpts, PassManager};
 use teamplay_isa::{CycleModel, Program};
 use teamplay_minic::compile_to_ir;
-use teamplay_sim::{seeded_inputs, simulate_batch_budgeted, DecodedProgram, Machine, NullDevice};
+use teamplay_sim::{seeded_inputs, simulate_batch, DecodedProgram, Machine, NullDevice};
 use teamplay_wcet::analyze_program;
 
 /// One kernel's throughput under both engines.
@@ -195,7 +195,7 @@ fn main() {
             -64,
             64,
         );
-        let results = simulate_batch_budgeted(pool, &decoded, task, &inputs, ipet);
+        let results = simulate_batch(pool, &decoded, task, &inputs, ipet);
         let observed_max = results
             .iter()
             .map(|r| r.as_ref().expect("batch runs").cycles)
@@ -206,7 +206,7 @@ fn main() {
             .map(|r| r.as_ref().expect("batch runs").cycles)
             .sum();
         let batch_time = time_best(|| {
-            simulate_batch_budgeted(pool, &decoded, task, &inputs, ipet);
+            simulate_batch(pool, &decoded, task, &inputs, ipet);
         });
 
         let per_sec = |cycles: u64, t: Duration| cycles as f64 / t.as_secs_f64().max(1e-9);

@@ -17,6 +17,7 @@
 //! directly from the front-end to the binary-level analyses — the
 //! "cross-layer management of ETS properties" of the paper's methodology.
 
+use crate::passes::PipelineError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -36,6 +37,8 @@ pub enum CodegenError {
     FrameTooLarge(String),
     /// IR validation failed.
     InvalidIr(String),
+    /// The configured pipeline names a pass outside the registry.
+    InvalidPipeline(String),
 }
 
 impl fmt::Display for CodegenError {
@@ -51,11 +54,18 @@ impl fmt::Display for CodegenError {
                 )
             }
             CodegenError::InvalidIr(msg) => write!(f, "invalid IR: {msg}"),
+            CodegenError::InvalidPipeline(msg) => write!(f, "invalid pipeline: {msg}"),
         }
     }
 }
 
 impl std::error::Error for CodegenError {}
+
+impl From<PipelineError> for CodegenError {
+    fn from(e: PipelineError) -> Self {
+        CodegenError::InvalidPipeline(e.to_string())
+    }
+}
 
 /// Code-generation options. The default (no pinning, plain multiplies)
 /// matches the unoptimised reference point.
@@ -946,21 +956,16 @@ pub fn generate_program(
     module: &IrModule,
     opts: impl Into<CodegenOpts>,
 ) -> Result<Program, CodegenError> {
-    let opts: CodegenOpts = opts.into();
-    let mut program = Program::new();
-    for (name, words) in &module.globals {
-        program.globals.insert(name.clone(), words.clone());
-    }
-    let layout = DataLayout::of_program(&program);
-    for f in &module.functions {
-        program.add_function(generate_function(f, &layout, opts)?);
-    }
-    program.validate().map_err(CodegenError::InvalidIr)?;
-    Ok(program)
+    generate_program_with(module, &HashMap::new(), opts.into())
 }
 
-/// Per-function pinning levels (used by the variant search, which tunes
-/// one task while callees keep their own configurations).
+/// Generate a full PG32 program with per-function codegen options (the
+/// multi-version final build, where every task keeps its variant's
+/// knobs): functions named in `per_function` use theirs, the rest use
+/// `default_opts`.
+///
+/// # Errors
+/// See [`CodegenError`].
 pub fn generate_program_with(
     module: &IrModule,
     per_function: &HashMap<String, CodegenOpts>,

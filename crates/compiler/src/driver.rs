@@ -43,7 +43,7 @@
 
 use crate::codegen::{generate_program, generate_program_with, CodegenError, CodegenOpts};
 use crate::fpa::{FpaConfig, MultiObjectiveFpa, ParetoPoint, SearchStats};
-use crate::passes::{run_passes, run_passes_per_function_on, PassSpec, Pipeline};
+use crate::passes::{run_passes_per_function_on, PassManager, PassSpec, Pipeline};
 use crate::secure::{rung_of_genome, LeakMemo, LeakageAxis, SECURE_GENOME_DIMS};
 use crate::store::{self, DiskStore, STORE_FORMAT_VERSION};
 use minipool::Pool;
@@ -265,41 +265,6 @@ impl CompilerConfig {
         })
     }
 
-    /// The fixed-order decoder of the pre-phase-ordering search (PR 2):
-    /// 8 genes, each pass bit contributing its pipeline element in one
-    /// canonical order. Kept as the baseline the benches and tests
-    /// compare the permutation space against.
-    pub fn from_genome_fixed_order(genome: &[f64]) -> CompilerConfig {
-        let bit = |i: usize| genome.get(i).copied().unwrap_or(0.0) > 0.5;
-        let g7 = genome.get(7).copied().unwrap_or(0.0);
-        let mut pipeline = Pipeline::default();
-        if bit(0) {
-            let threshold = 20 + (genome.get(1).copied().unwrap_or(0.0) * 60.0) as usize;
-            pipeline.push(PassSpec::with_param("inline", threshold));
-        }
-        if bit(5) {
-            pipeline.push(PassSpec::new("strength_reduce"));
-        }
-        if bit(2) {
-            pipeline.push(PassSpec::new("const_fold"));
-        }
-        if bit(3) {
-            pipeline.push(PassSpec::new("copy_prop"));
-        }
-        if bit(4) {
-            pipeline.push(PassSpec::new("dce"));
-        }
-        CompilerConfig {
-            pipeline,
-            mul_shift_add: bit(6),
-            pinned_regs: Self::pinned_level(g7),
-        }
-    }
-
-    /// Number of genome dimensions used by
-    /// [`CompilerConfig::from_genome_fixed_order`].
-    pub const FIXED_ORDER_GENOME_DIMS: usize = 8;
-
     /// Map a `[0,1]` gene to the 0/2/4 register-pinning levels.
     fn pinned_level(g: f64) -> usize {
         if g < 1.0 / 3.0 {
@@ -318,46 +283,39 @@ impl Default for CompilerConfig {
     }
 }
 
-/// Compile an IR module under a configuration.
+/// The codegen knobs of a configuration.
+fn codegen_opts(config: &CompilerConfig) -> CodegenOpts {
+    CodegenOpts {
+        pinned_regs: config.pinned_regs,
+        mul_shift_add: config.mul_shift_add,
+    }
+}
+
+/// Compile an IR module under a configuration: the whole-module
+/// [`PassManager::run`] the search measures every variant with, then
+/// codegen.
 ///
 /// # Errors
-/// Propagates [`CodegenError`].
+/// [`CodegenError::InvalidPipeline`] if the pipeline names a pass outside
+/// the registry; otherwise propagates codegen failures.
 pub fn compile_module(ir: &IrModule, config: &CompilerConfig) -> Result<Program, CodegenError> {
     let mut module = ir.clone();
-    run_passes(&mut module, config);
-    generate_program(
-        &module,
-        CodegenOpts {
-            pinned_regs: config.pinned_regs,
-            mul_shift_add: config.mul_shift_add,
-        },
-    )
+    PassManager::new(config.pipeline.clone())?.run(&mut module);
+    generate_program(&module, codegen_opts(config))
 }
 
 /// Compile a module with per-function configurations: every function is
 /// optimised and code-generated under its own [`CompilerConfig`] (tasks
 /// keep their selected Pareto variants; everything else uses `default`).
 ///
-/// Sequential; [`compile_module_per_function_on`] fans the per-function
-/// pass pipelines across a pool with byte-identical output.
+/// Each function comes out byte-identical to the same function of
+/// [`compile_module`] under its configuration, so the final build is the
+/// variant the search measured. Unique function bodies (by content hash,
+/// per configuration) run their pipelines once each, fanned across
+/// `pool`; the output is byte-identical at any pool width.
 ///
 /// # Errors
-/// Propagates [`CodegenError`].
-pub fn compile_module_per_function(
-    ir: &IrModule,
-    configs: &HashMap<String, CompilerConfig>,
-    default: &CompilerConfig,
-) -> Result<Program, CodegenError> {
-    compile_module_per_function_on(&Pool::new(1), ir, configs, default)
-}
-
-/// [`compile_module_per_function`] on an explicit pool: unique function
-/// bodies (by content hash, per configuration) run their pass pipelines
-/// in parallel, each exactly once. Output is byte-identical at any pool
-/// width — see [`run_passes_per_function_on`].
-///
-/// # Errors
-/// Propagates [`CodegenError`].
+/// As [`compile_module`].
 pub fn compile_module_per_function_on(
     pool: &Pool,
     ir: &IrModule,
@@ -365,27 +323,12 @@ pub fn compile_module_per_function_on(
     default: &CompilerConfig,
 ) -> Result<Program, CodegenError> {
     let mut module = ir.clone();
-    run_passes_per_function_on(pool, &mut module, configs, default);
-    let codegen_opts: HashMap<String, CodegenOpts> = configs
+    run_passes_per_function_on(pool, &mut module, configs, default)?;
+    let per_function: HashMap<String, CodegenOpts> = configs
         .iter()
-        .map(|(name, c)| {
-            (
-                name.clone(),
-                CodegenOpts {
-                    pinned_regs: c.pinned_regs,
-                    mul_shift_add: c.mul_shift_add,
-                },
-            )
-        })
+        .map(|(name, c)| (name.clone(), codegen_opts(c)))
         .collect();
-    generate_program_with(
-        &module,
-        &codegen_opts,
-        CodegenOpts {
-            pinned_regs: default.pinned_regs,
-            mul_shift_add: default.mul_shift_add,
-        },
-    )
+    generate_program_with(&module, &per_function, codegen_opts(default))
 }
 
 /// Encoded size of a function in 16-bit halfwords (terminators count one
@@ -495,10 +438,7 @@ pub fn evaluate_module(
 /// is replayed from `memo`. Memoized results are exact, so this is
 /// observationally identical to [`evaluate_module`] — the [`EvalCache`]
 /// routes every evaluation through its own memo.
-///
-/// # Errors
-/// See [`evaluate_module`].
-pub fn evaluate_module_memo(
+fn evaluate_module_memo(
     ir: &IrModule,
     config: &CompilerConfig,
     cycle_model: &CycleModel,
@@ -1172,6 +1112,63 @@ mod tests {
     }
 
     #[test]
+    fn unregistered_pass_is_a_typed_error_in_both_builds() {
+        let ir = compile_to_ir(TASK).expect("front-end");
+        let mut bad = CompilerConfig::balanced();
+        bad.pipeline.push(PassSpec::new("no_such_pass"));
+        assert!(matches!(
+            compile_module(&ir, &bad),
+            Err(CodegenError::InvalidPipeline(_))
+        ));
+        let configs = HashMap::from([("filter".to_string(), bad)]);
+        for width in [1, 2] {
+            assert!(matches!(
+                compile_module_per_function_on(
+                    &Pool::new(width),
+                    &ir,
+                    &configs,
+                    &CompilerConfig::balanced()
+                ),
+                Err(CodegenError::InvalidPipeline(_))
+            ));
+        }
+    }
+
+    /// Genome dimensions of [`from_genome_fixed_order`].
+    const FIXED_ORDER_GENOME_DIMS: usize = 8;
+
+    /// The fixed-order decoder of the pre-phase-ordering search: 8
+    /// genes, each pass bit contributing its pipeline element in one
+    /// canonical order — the baseline the permutation space is compared
+    /// against.
+    fn from_genome_fixed_order(genome: &[f64]) -> CompilerConfig {
+        let bit = |i: usize| genome.get(i).copied().unwrap_or(0.0) > 0.5;
+        let g7 = genome.get(7).copied().unwrap_or(0.0);
+        let mut pipeline = Pipeline::default();
+        if bit(0) {
+            let threshold = 20 + (genome.get(1).copied().unwrap_or(0.0) * 60.0) as usize;
+            pipeline.push(PassSpec::with_param("inline", threshold));
+        }
+        if bit(5) {
+            pipeline.push(PassSpec::new("strength_reduce"));
+        }
+        if bit(2) {
+            pipeline.push(PassSpec::new("const_fold"));
+        }
+        if bit(3) {
+            pipeline.push(PassSpec::new("copy_prop"));
+        }
+        if bit(4) {
+            pipeline.push(PassSpec::new("dce"));
+        }
+        CompilerConfig {
+            pipeline,
+            mul_shift_add: bit(6),
+            pinned_regs: CompilerConfig::pinned_level(g7),
+        }
+    }
+
+    #[test]
     fn permutation_front_dominates_a_fixed_order_point() {
         // The phase-ordering claim, measured: same module, same task,
         // same FPA budget and seed — the permutation genome's front must
@@ -1186,11 +1183,11 @@ mod tests {
         let fpa = MultiObjectiveFpa::new(FpaConfig::standard());
         let fixed = fpa.run_on_seeded(
             &Pool::new(1),
-            CompilerConfig::FIXED_ORDER_GENOME_DIMS,
+            FIXED_ORDER_GENOME_DIMS,
             seed,
             &[],
             |genome| {
-                let config = CompilerConfig::from_genome_fixed_order(genome);
+                let config = from_genome_fixed_order(genome);
                 let (_, metrics) = cache.evaluate(&config)?;
                 let m = metrics.of("filter")?;
                 Some(vec![

@@ -22,7 +22,8 @@
 //!   static name registry (twelve passes, from `inline` and `licm`
 //!   through `gvn`, `load_fwd`, `unroll` and `block_layout`), and a
 //!   [`passes::PassManager`] with fixpoint iteration and per-pass
-//!   instrumentation. Pipelines are constructible by name
+//!   instrumentation, whose one application core both the search and
+//!   the final build run. Pipelines are constructible by name
 //!   (`PassManager::from_str("const_fold,dce")`), by optimisation
 //!   level (`o0()`–`o3()`), and by catalogue lookup
 //!   ([`passes::PipelineCatalog`]); every configuration the search
@@ -37,9 +38,11 @@
 //!   (memoized through a three-tier cache hierarchy: the config-keyed
 //!   [`driver::EvalCache`], the per-function [`driver::AnalysisMemo`],
 //!   and an optional persistent [`store::DiskStore`] — see the
-//!   [`driver`] module docs) and the one Pareto search entry point,
+//!   [`driver`] module docs), the one Pareto search entry point,
 //!   [`driver::pareto_search`], which runs a [`driver::SearchRequest`]
-//!   over a caller-built cache,
+//!   over a caller-built cache, and the multi-version final build,
+//!   [`driver::compile_module_per_function_on`], which compiles every
+//!   function byte-identically to the variant the search measured,
 //! * [`secure`] — the search's optional leakage axis: a ladder-rung gene
 //!   selects the countermeasure level each candidate compiles under, and
 //!   the leakage measured on the simulator rig joins the objective
@@ -75,15 +78,14 @@ pub mod store;
 pub use codegen::{generate_function, generate_program, CodegenError, CodegenOpts};
 pub use dataflow::{DefUse, DomTree, Liveness, ValueGraph};
 pub use driver::{
-    compile_module, compile_module_per_function, compile_module_per_function_on, evaluate_module,
-    evaluate_module_memo, pareto_search, AnalysisMemo, CachedEval, CompilerConfig, EvalCache,
-    ModuleMetrics, ParetoFront, SearchRequest, TaskVariant, VariantMetrics, VariantSecurity,
+    compile_module, compile_module_per_function_on, evaluate_module, pareto_search, AnalysisMemo,
+    CachedEval, CompilerConfig, EvalCache, ModuleMetrics, ParetoFront, SearchRequest, TaskVariant,
+    VariantMetrics, VariantSecurity,
 };
 pub use fpa::{FpaConfig, FpaOutcome, MultiObjectiveFpa, ParetoPoint, SearchStats};
 pub use passes::{
-    function_content_key, gvn, load_fwd, run_passes, run_passes_per_function,
-    run_passes_per_function_on, value_graph_loop_bounds, Pass, PassContext, PassManager, PassSpec,
-    PassStats, Pipeline, PipelineCatalog, PipelineError, Preserves, REGISTRY,
+    function_content_key, gvn, load_fwd, value_graph_loop_bounds, Pass, PassContext, PassManager,
+    PassSpec, PassStats, Pipeline, PipelineCatalog, PipelineError, Preserves, REGISTRY,
 };
 pub use secure::{
     genome_with_rung, ladderised_ir, rung_of_genome, LeakageAxis, LeakageRig, LADDER_RUNGS,

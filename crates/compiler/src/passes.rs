@@ -5,10 +5,13 @@
 //! Optimisations are *named, pluggable units* behind the [`Pass`] trait;
 //! the [`PassManager`] applies an ordered [`Pipeline`] of them to
 //! fixpoint with per-pass change instrumentation ([`PassManager::stats`]).
-//! Every entry point — whole-module [`PassManager::run`], the
-//! pool-sharded [`PassManager::run_on`], and the per-function
-//! [`run_passes_per_function_on`] phases — funnels through one shared
-//! application core, so a pipeline means the same thing everywhere.
+//! One application core applies passes, for both callers: the
+//! whole-module [`PassManager::run`] the search measures variants with,
+//! and the per-function final build
+//! ([`crate::driver::compile_module_per_function_on`]), which runs each
+//! function's full pipeline through the same core. A pipeline therefore
+//! means the same thing everywhere, and the final build compiles every
+//! function exactly as the search measured it.
 //!
 //! ## The analysis-aware `Pass` contract
 //!
@@ -624,24 +627,12 @@ fn op_count(f: &IrFunction) -> usize {
 /// Inline eligible call sites of one caller, reading callee bodies from
 /// `snapshot`. A call site is eligible when the callee (a) is not (even
 /// mutually) recursive, (b) has at most `threshold` IR operations, and
-/// (c) is not the caller itself. At most `MAX_INLINES_PER_FUNCTION`
-/// sites are expanded per invocation to bound code growth ([`InlinePass`]
-/// enforces the same bound across fixpoint rounds via its per-function
-/// budget). Loop bounds of the callee transfer to the caller (block ids
-/// remapped), keeping the result analysable.
+/// (c) is not the caller itself. Every expansion spends one unit of
+/// `budget`, which [`InlinePass`] shares across the fixpoint rounds on one
+/// function to bound code growth. Loop bounds of the callee transfer to
+/// the caller (block ids remapped), keeping the result analysable.
 ///
 /// Returns `true` if anything changed.
-pub fn inline_with_snapshot(
-    f: &mut IrFunction,
-    snapshot: &HashMap<String, IrFunction>,
-    threshold: usize,
-) -> bool {
-    let mut budget = MAX_INLINES_PER_FUNCTION;
-    inline_with_budget(f, snapshot, threshold, &mut budget)
-}
-
-/// [`inline_with_snapshot`] with an externally owned budget, so repeated
-/// invocations on the same function (fixpoint rounds) share one cap.
 fn inline_with_budget(
     f: &mut IrFunction,
     snapshot: &HashMap<String, IrFunction>,
@@ -674,30 +665,6 @@ fn inline_with_budget(
         changed = true;
     }
     changed
-}
-
-/// Inline small callees into their callers, module-wide (callee bodies
-/// are snapshotted up front; see [`inline_with_snapshot`] for
-/// eligibility).
-///
-/// Returns `true` if anything changed.
-pub fn inline_functions(module: &mut IrModule, threshold: usize) -> bool {
-    let snapshot = snapshot_functions(module);
-    let mut changed = false;
-    for f in &mut module.functions {
-        changed |= inline_with_snapshot(f, &snapshot, threshold);
-    }
-    changed
-}
-
-/// Inline eligible call sites of a single named caller. Returns `true`
-/// on change.
-pub fn inline_into(module: &mut IrModule, caller: &str, threshold: usize) -> bool {
-    let snapshot = snapshot_functions(module);
-    let Some(f) = module.functions.iter_mut().find(|f| f.name == caller) else {
-        return false;
-    };
-    inline_with_snapshot(f, &snapshot, threshold)
 }
 
 /// Expand one call site in place.
@@ -3142,9 +3109,9 @@ impl PipelineCatalog {
 /// body contains a call to its own enclosing function, that function is
 /// recursive, and any *other* function with a byte-equal body calls the
 /// same (recursive) callee — which inlining refuses for both callers.
-/// Every other pass is a pure function of the body alone. The pooled
-/// pass runners therefore optimise one representative per key and copy
-/// its result to the duplicates.
+/// Every other pass is a pure function of the body alone. The
+/// per-function build therefore optimises one representative per key
+/// (and configuration) and copies its result to the duplicates.
 pub fn function_content_key(f: &IrFunction) -> u128 {
     let mut body = f.clone();
     body.name = String::new();
@@ -3278,118 +3245,34 @@ impl PassManager {
     /// Run the pipeline over every function of a module. Callee bodies
     /// for inlining are snapshotted once, up front. Returns `true` if
     /// anything changed.
-    ///
-    /// Sequential and dedup-free (the per-genome search hot path, where
-    /// hashing every function would cost more than it saves);
-    /// [`PassManager::run_on`] is the fan-out variant with byte-identical
-    /// module output.
     pub fn run(&mut self, module: &mut IrModule) -> bool {
         let snapshot = snapshot_functions(module);
         let mut changed = false;
         for f in &mut module.functions {
-            changed |= Self::run_pipeline(
-                &mut self.passes,
-                &mut self.stats,
-                self.max_rounds,
-                f,
-                &snapshot,
-            );
+            changed |= self.run_pipeline(f, &snapshot);
         }
         changed
     }
 
-    /// Run the pipeline over every function of a module, fanning
-    /// individual functions across `pool` after deduplicating identical
-    /// bodies by [`function_content_key`]: each unique body runs the
-    /// pipeline exactly once, on fresh pass instances, and duplicates
-    /// copy the result (keeping their own names).
-    ///
-    /// Module output is byte-identical to [`PassManager::run`] at any
-    /// pool width — work items are formed deterministically before the
-    /// fan-out, `par_map` preserves index order, and every pass is a
-    /// pure function of the body and the up-front snapshot. Only the
-    /// [`PassManager::stats`] accounting differs from `run`: duplicates
-    /// contribute no invocations here, because they never run a pass.
-    pub fn run_on(&mut self, pool: &Pool, module: &mut IrModule) -> bool {
-        let snapshot = snapshot_functions(module);
-        let groups = group_indices_by_key(
-            module
-                .functions
-                .iter()
-                .map(function_content_key)
-                .collect::<Vec<_>>(),
-        );
-        let reps: Vec<&IrFunction> = groups.iter().map(|g| &module.functions[g[0]]).collect();
-        let pipeline = &self.pipeline;
-        let max_rounds = self.max_rounds;
-        let results = pool.par_map(&reps, |_, rep| {
-            let mut f = (*rep).clone();
-            // `Box<dyn Pass>` is not `Sync`, so every work item
-            // instantiates its own passes; `begin_function` resets all
-            // per-function pass state either way.
-            let mut passes = pipeline
-                .instantiate()
-                .expect("pipeline validated at construction");
-            let mut stats = pipeline_stats(pipeline);
-            let changed =
-                Self::run_pipeline(&mut passes, &mut stats, max_rounds, &mut f, &snapshot);
-            (f, stats, changed)
-        });
-        let mut changed = false;
-        for (group, (body, stats, group_changed)) in groups.iter().zip(results) {
-            for (stat, item) in self.stats.iter_mut().zip(&stats) {
-                stat.invocations += item.invocations;
-                stat.changes += item.changes;
-            }
-            changed |= group_changed;
-            for &i in group {
-                let name = std::mem::take(&mut module.functions[i].name);
-                module.functions[i] = body.clone();
-                module.functions[i].name = name;
-            }
-        }
-        changed
-    }
-
-    /// Run the pipeline over one named function of a module (per-task
-    /// variant builds). Returns `true` if anything changed; `false` for
-    /// unknown names.
-    pub fn run_function(&mut self, module: &mut IrModule, name: &str) -> bool {
-        let snapshot = snapshot_functions(module);
-        let Some(f) = module.functions.iter_mut().find(|f| f.name == name) else {
-            return false;
-        };
-        Self::run_pipeline(
-            &mut self.passes,
-            &mut self.stats,
-            self.max_rounds,
-            f,
-            &snapshot,
-        )
-    }
-
-    /// The single application core every entry point funnels through
-    /// ([`PassManager::run`], [`PassManager::run_on`],
-    /// [`PassManager::run_function`], and phase 2 of
-    /// [`run_passes_per_function_on`]): builds one [`PassContext`] for
-    /// the function, iterates the pipeline to (bounded) fixpoint, and
-    /// after every change invalidates exactly the analyses the pass did
-    /// not declare [`preserved`](Pass::preserves).
+    /// The one code path that applies passes — [`PassManager::run`] and
+    /// the per-function final build both call it: builds one
+    /// [`PassContext`] for the function, iterates the pipeline to
+    /// (bounded) fixpoint, and after every change invalidates exactly
+    /// the analyses the pass did not declare
+    /// [`preserved`](Pass::preserves).
     fn run_pipeline(
-        passes: &mut [Box<dyn Pass>],
-        stats: &mut [PassStats],
-        max_rounds: usize,
+        &mut self,
         f: &mut IrFunction,
         functions: &HashMap<String, IrFunction>,
     ) -> bool {
         let mut cx = PassContext::new(functions);
         let mut changed = false;
-        for pass in passes.iter_mut() {
+        for pass in self.passes.iter_mut() {
             pass.begin_function(f);
         }
-        for _ in 0..max_rounds {
+        for _ in 0..self.max_rounds {
             let mut round_changed = false;
-            for (pass, stat) in passes.iter_mut().zip(stats.iter_mut()) {
+            for (pass, stat) in self.passes.iter_mut().zip(self.stats.iter_mut()) {
                 let pass_changed = pass.run(f, &mut cx);
                 stat.invocations += 1;
                 if pass_changed {
@@ -3407,63 +3290,29 @@ impl PassManager {
     }
 }
 
-// =====================================================================
-// Config-level drivers
-// =====================================================================
-
-/// Run a configuration's pipeline over a module.
+/// Optimise every function under its own configuration's full pipeline:
+/// the multi-version final build, where every task keeps the Pareto
+/// variant the coordination layer selected for it. Functions without an
+/// entry in `configs` use `default`.
 ///
-/// # Panics
-/// Panics if the pipeline names a pass outside the registry —
-/// configurations built through [`Pipeline`] parsing, the presets or the
-/// genome decoder are always valid.
-pub fn run_passes(module: &mut IrModule, config: &CompilerConfig) {
-    let mut pm = PassManager::new(config.pipeline.clone())
-        .unwrap_or_else(|e| panic!("invalid configured pipeline: {e}"));
-    pm.run(module);
-}
-
-/// Run per-function pass pipelines: each function is optimised under its
-/// own configuration (the multi-version final build, where every task
-/// keeps the Pareto variant the coordination layer selected for it).
-/// Functions without an entry in `configs` use `default`.
+/// Each function runs the same core as [`PassManager::run`], against one
+/// up-front body snapshot and with `inline` in its pipeline position, so
+/// it comes out exactly as the whole-module run of its configuration —
+/// the run the search measured — leaves it. Functions are deduplicated
+/// by ([`function_content_key`], configuration); each unique pair runs
+/// once, and the unique work items fan out across `pool`. Every item is
+/// pure in (its body, the snapshot, its configuration), so the module is
+/// byte-identical at any pool width.
 ///
-/// Inlining runs as a first phase across all callers, against a single
-/// up-front body snapshot — before any cleanup touches a callee:
-/// callers then inline the same pristine bodies the whole-module
-/// pipeline saw when the variant was measured, keeping the final build
-/// faithful to the selected Pareto metrics.
-///
-/// # Panics
-/// As [`run_passes`], for invalid pipelines.
-pub fn run_passes_per_function(
-    module: &mut IrModule,
-    configs: &HashMap<String, CompilerConfig>,
-    default: &CompilerConfig,
-) {
-    run_passes_per_function_on(&Pool::new(1), module, configs, default);
-}
-
-/// [`run_passes_per_function`] on an explicit pool: functions are
-/// deduplicated by ([`function_content_key`], configuration) — each
-/// unique pair runs its two-phase pipeline exactly once — and the
-/// unique work items fan out across `pool`.
-///
-/// Byte-identical to the sequential runner at any pool width: both
-/// phases of one function are pure in (its own body, the shared
-/// up-front snapshot, its configuration). Phase 1 reads only the
-/// snapshot, and no phase-2 pass reads other functions (inlining is the
-/// sole snapshot consumer and runs entirely in phase 1), so fusing the
-/// phases per work item cannot observe another item's output.
-///
-/// # Panics
-/// As [`run_passes`], for invalid pipelines.
-pub fn run_passes_per_function_on(
+/// # Errors
+/// [`PipelineError`] if a configuration names a pass outside the
+/// registry.
+pub(crate) fn run_passes_per_function_on(
     pool: &Pool,
     module: &mut IrModule,
     configs: &HashMap<String, CompilerConfig>,
     default: &CompilerConfig,
-) {
+) -> Result<(), PipelineError> {
     let snapshot = snapshot_functions(module);
     let config_of = |f: &IrFunction| -> &CompilerConfig { configs.get(&f.name).unwrap_or(default) };
     let groups = group_indices_by_key(
@@ -3480,52 +3329,23 @@ pub fn run_passes_per_function_on(
             (f, config_of(f))
         })
         .collect();
+    // `Box<dyn Pass>` is not `Sync`, so every work item builds its own
+    // manager; `begin_function` resets all per-function pass state
+    // either way.
     let results = pool.par_map(&reps, |_, &(rep, config)| {
         let mut f = rep.clone();
-        // Phase 1: inlining, in pipeline order, against the shared
-        // pre-pass snapshot — callers inline the same pristine bodies
-        // the whole-module pipeline saw when the variant was measured.
-        for spec in &config.pipeline.passes {
-            if spec.name == "inline" {
-                let threshold = spec
-                    .param
-                    .or_else(|| lookup_pass("inline").and_then(|d| d.default_param))
-                    .unwrap_or(40);
-                inline_with_snapshot(&mut f, &snapshot, threshold);
-            }
-        }
-        // Phase 2: the remaining pipeline, to fixpoint. The snapshot
-        // context is inert here — inline is filtered out and no other
-        // pass reads `PassContext::functions`.
-        let rest = Pipeline {
-            passes: config
-                .pipeline
-                .passes
-                .iter()
-                .filter(|spec| spec.name != "inline")
-                .cloned()
-                .collect(),
-        };
-        let mut passes = rest
-            .instantiate()
-            .unwrap_or_else(|e| panic!("invalid configured pipeline: {e}"));
-        let mut stats = pipeline_stats(&rest);
-        PassManager::run_pipeline(
-            &mut passes,
-            &mut stats,
-            PassManager::DEFAULT_MAX_ROUNDS,
-            &mut f,
-            &snapshot,
-        );
-        f
+        PassManager::new(config.pipeline.clone())?.run_pipeline(&mut f, &snapshot);
+        Ok(f)
     });
     for (group, body) in groups.iter().zip(results) {
+        let body = body?;
         for &i in group {
             let name = std::mem::take(&mut module.functions[i].name);
             module.functions[i] = body.clone();
             module.functions[i].name = name;
         }
     }
+    Ok(())
 }
 
 /// The random Mini-C kernel generator of the integration tests.
@@ -4110,7 +3930,9 @@ mod tests {
         let src = "int sq(int v) { return v * v; }
                    int f(int x) { return sq(x) + sq(x + 1); }";
         let mut m = ir_of(src);
-        assert!(inline_functions(&mut m, 100));
+        assert!(PassManager::from_str("inline(100)")
+            .expect("pipeline")
+            .run(&mut m));
         m.validate().expect("valid after inline");
         let f = m.function("f").expect("f");
         let calls = f
@@ -4137,7 +3959,9 @@ mod tests {
         let mut m = ir_of(src);
         let bounds_before: usize = m.functions.iter().map(|f| f.loop_bounds.len()).sum();
         assert!(bounds_before >= 1);
-        assert!(inline_functions(&mut m, 100));
+        assert!(PassManager::from_str("inline(100)")
+            .expect("pipeline")
+            .run(&mut m));
         m.validate().expect("valid after inline");
         let f = m.function("f").expect("f");
         assert_eq!(
@@ -4153,7 +3977,9 @@ mod tests {
         let src = "int fact(int n) { if (n <= 1) { return 1; } return n * fact(n - 1); }
                    int f(int n) { return fact(n); }";
         let mut m = ir_of(src);
-        inline_functions(&mut m, 1000);
+        PassManager::from_str("inline(1000)")
+            .expect("pipeline")
+            .run(&mut m);
         let f = m.function("f").expect("f");
         let calls = f
             .blocks
@@ -4176,14 +4002,9 @@ mod tests {
         let reference = ir_of(src);
         let expected = run_ir(&reference, "f", &[7]);
         let mut m = ir_of(src);
-        let config = CompilerConfig {
-            pipeline: "inline(50),mul_shift_add,const_fold,copy_prop,dce"
-                .parse()
-                .expect("pipeline"),
-            mul_shift_add: true,
-            pinned_regs: 4,
-        };
-        run_passes(&mut m, &config);
+        PassManager::from_str("inline(50),mul_shift_add,const_fold,copy_prop,dce")
+            .expect("pipeline")
+            .run(&mut m);
         m.validate().expect("valid after pipeline");
         assert_eq!(run_ir(&m, "f", &[7]), expected);
     }
@@ -4955,27 +4776,6 @@ mod tests {
     }
 
     #[test]
-    fn run_function_optimises_only_the_named_function() {
-        let src = "int a(int x) { return x * 8; }
-                   int b(int x) { return x * 8; }";
-        let mut m = ir_of(src);
-        let mut pm = PassManager::from_str("strength_reduce").expect("pipeline");
-        assert!(pm.run_function(&mut m, "a"));
-        let has_mul = |f: &IrFunction| {
-            f.blocks
-                .iter()
-                .flat_map(|b| &b.ops)
-                .any(|o| matches!(o, IrOp::Bin { op: BinOp::Mul, .. }))
-        };
-        assert!(!has_mul(m.function("a").expect("a")), "a is optimised");
-        assert!(has_mul(m.function("b").expect("b")), "b is untouched");
-        assert!(
-            !pm.run_function(&mut m, "missing"),
-            "unknown names are no-ops"
-        );
-    }
-
-    #[test]
     fn per_function_configs_apply_their_own_pipelines() {
         let src = "int sq(int v) { return v * v; }
                    int hot(int x) { return sq(x) + 1; }
@@ -4995,7 +4795,8 @@ mod tests {
             mul_shift_add: false,
             pinned_regs: 0,
         };
-        run_passes_per_function(&mut m, &configs, &default);
+        run_passes_per_function_on(&Pool::new(1), &mut m, &configs, &default)
+            .expect("pipelines resolve");
         m.validate().expect("valid after per-function pipelines");
         let calls = |f: &IrFunction| {
             f.blocks

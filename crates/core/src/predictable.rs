@@ -17,7 +17,7 @@ use teamplay_energy::{analyze_program_energy_cached, IsaEnergyModel};
 use teamplay_isa::{CycleModel, Program};
 use teamplay_minic::{lower::lower_program, parse_and_check, FrontendError};
 use teamplay_security::{assess_leakage, ladderise, LadderReport, LeakageReport, SecretSpec};
-use teamplay_sim::{seeded_inputs, simulate_batch_budgeted, DecodedProgram, GroundTruthEnergy};
+use teamplay_sim::{seeded_inputs, simulate_batch, DecodedProgram, GroundTruthEnergy};
 use teamplay_wcet::analyze_program_cached;
 
 /// Configuration of the predictable workflow: platform models, clock and
@@ -381,27 +381,6 @@ impl PredictableWorkflow {
         self.run_on(minipool::global(), source)
     }
 
-    /// Run the full workflow over many independent sources, fanning the
-    /// programs across the process-wide pool (each gets a slice of the
-    /// remaining width for its own searches). With
-    /// [`WorkflowConfig::store_dir`] set, all programs — and later
-    /// reruns — share one persistent evaluation store. One program's
-    /// failure does not abort its batch mates: results come back
-    /// per-source, in input order.
-    pub fn run_many(&self, sources: &[&str]) -> Vec<Result<PredictableOutcome, WorkflowError>> {
-        self.run_many_on(minipool::global(), sources)
-    }
-
-    /// [`PredictableWorkflow::run_many`] on an explicit pool.
-    pub fn run_many_on(
-        &self,
-        pool: &minipool::Pool,
-        sources: &[&str],
-    ) -> Vec<Result<PredictableOutcome, WorkflowError>> {
-        let inner = pool.split_across(sources.len());
-        pool.par_map(sources, |_, source| self.run_on(&inner, source))
-    }
-
     /// [`PredictableWorkflow::run`] on an explicit pool.
     ///
     /// # Errors
@@ -540,7 +519,7 @@ impl PredictableWorkflow {
                     // By IPET soundness no run may exceed it, so a
                     // `CycleLimit` trap here is a genuine analysis or
                     // simulator defect surfacing — not a tuning knob.
-                    for (run, r) in simulate_batch_budgeted(
+                    for (run, r) in simulate_batch(
                         pool,
                         &decoded,
                         &task.function,
@@ -631,9 +610,9 @@ impl PredictableWorkflow {
         // pipeline (a name like "o2"/"camera_pill", or a literal pass
         // list) with the balanced codegen knobs — the same `default`
         // configuration whose genome seeded the searches in step 3.
-        // The per-function pipelines of the final build fan out over
-        // the pool (unique bodies deduplicated; byte-identical at any
-        // width).
+        // Every function compiles exactly as the search measured its
+        // variant; the per-function pipelines fan out over the pool
+        // (unique bodies deduplicated; byte-identical at any width).
         let program = compile_module_per_function_on(pool, &ir, &chosen, &default)
             .map_err(|e| WorkflowError::Compile(e.to_string()))?;
 

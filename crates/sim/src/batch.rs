@@ -16,7 +16,7 @@
 
 use crate::decoded::{DecodedEngine, DecodedProgram};
 use crate::machine::{MachineError, RunResult};
-use crate::ports::{NullDevice, PortDevice};
+use crate::ports::NullDevice;
 use minipool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,85 +38,33 @@ pub fn seeded_inputs(seed: u64, runs: usize, arg_count: usize, lo: i32, hi: i32)
 }
 
 /// Simulate `func` over every input vector on the pool, with a
-/// [`NullDevice`] per run. Results are in input order and bit-identical
-/// for any pool width.
+/// [`NullDevice`] per run, under a per-run cycle-budget watchdog: any run
+/// that exceeds `watchdog_cycles` traps [`MachineError::CycleLimit`]
+/// deterministically. Measurement flows pass the static bound they hold
+/// (the workflow's measure step and the throughput bench pass each
+/// variant's IPET WCET). Results are in input order and bit-identical for
+/// any pool width.
 pub fn simulate_batch(
-    pool: &Pool,
-    program: &DecodedProgram,
-    func: &str,
-    inputs: &[Vec<i32>],
-) -> Vec<Result<RunResult, MachineError>> {
-    simulate_batch_with(pool, program, func, inputs, NullDevice::new)
-}
-
-/// [`simulate_batch`] under an explicit per-run cycle-budget watchdog:
-/// any run that exceeds `watchdog_cycles` traps
-/// [`MachineError::CycleLimit`] deterministically instead of burning
-/// the engine's (much larger) default budget. Measurement flows with a
-/// static bound in hand (e.g. the workflow's measure step, which knows
-/// each variant's IPET WCET) should always prefer this entry point.
-pub fn simulate_batch_budgeted(
     pool: &Pool,
     program: &DecodedProgram,
     func: &str,
     inputs: &[Vec<i32>],
     watchdog_cycles: u64,
 ) -> Vec<Result<RunResult, MachineError>> {
-    simulate_batch_inner(
-        pool,
-        program,
-        func,
-        inputs,
-        NullDevice::new,
-        Some(watchdog_cycles),
-    )
-}
-
-/// [`simulate_batch`] with a caller-supplied device factory — one fresh
-/// device per run, so device state can never couple runs (or pool
-/// widths) together.
-pub fn simulate_batch_with<D, F>(
-    pool: &Pool,
-    program: &DecodedProgram,
-    func: &str,
-    inputs: &[Vec<i32>],
-    make_device: F,
-) -> Vec<Result<RunResult, MachineError>>
-where
-    D: PortDevice,
-    F: Fn() -> D + Sync,
-{
-    simulate_batch_inner(pool, program, func, inputs, make_device, None)
-}
-
-fn simulate_batch_inner<D, F>(
-    pool: &Pool,
-    program: &DecodedProgram,
-    func: &str,
-    inputs: &[Vec<i32>],
-    make_device: F,
-    watchdog_cycles: Option<u64>,
-) -> Vec<Result<RunResult, MachineError>>
-where
-    D: PortDevice,
-    F: Fn() -> D + Sync,
-{
     // Fixed-size chunks (never pool-width-derived): the chunk boundaries,
     // and therefore each run's engine state, are independent of how many
     // workers execute them.
     let chunks: Vec<&[Vec<i32>]> = inputs.chunks(CHUNK).collect();
     let per_chunk: Vec<Vec<Result<RunResult, MachineError>>> = pool.par_map(&chunks, |_, chunk| {
         let mut engine: DecodedEngine<'_> = program.engine();
-        if let Some(budget) = watchdog_cycles {
-            engine.set_max_cycles(budget);
-        }
+        engine.set_max_cycles(watchdog_cycles);
         chunk
             .iter()
             .map(|args| {
                 // Globals mutate during a run; reset so every run sees
                 // the pristine image regardless of chunk position.
                 engine.reset_data();
-                engine.call(func, args, &mut make_device())
+                engine.call(func, args, &mut NullDevice::new())
             })
             .collect()
     });
@@ -126,6 +74,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::DEFAULT_MAX_CYCLES;
     use std::collections::BTreeMap;
     use teamplay_isa::{
         AluOp, Block, BlockId, Cond, Function, Insn, Operand, Program, Reg, Terminator,
@@ -209,7 +158,7 @@ mod tests {
         let p = triangle_program();
         let decoded = DecodedProgram::new(&p).expect("decodes");
         let inputs = seeded_inputs(7, 37, 1, 0, 40);
-        let batch = simulate_batch(&Pool::new(4), &decoded, "tri", &inputs);
+        let batch = simulate_batch(&Pool::new(4), &decoded, "tri", &inputs, DEFAULT_MAX_CYCLES);
         assert_eq!(batch.len(), inputs.len());
         let mut engine = decoded.engine();
         for (args, got) in inputs.iter().zip(&batch) {
@@ -226,9 +175,15 @@ mod tests {
         let p = triangle_program();
         let decoded = DecodedProgram::new(&p).expect("decodes");
         let inputs = seeded_inputs(11, 50, 1, 0, 60);
-        let narrow = simulate_batch(&Pool::new(1), &decoded, "tri", &inputs);
+        let narrow = simulate_batch(&Pool::new(1), &decoded, "tri", &inputs, DEFAULT_MAX_CYCLES);
         for width in [2, 4, 7] {
-            let wide = simulate_batch(&Pool::new(width), &decoded, "tri", &inputs);
+            let wide = simulate_batch(
+                &Pool::new(width),
+                &decoded,
+                "tri",
+                &inputs,
+                DEFAULT_MAX_CYCLES,
+            );
             assert_eq!(narrow, wide, "pool width {width}");
             for (a, b) in narrow.iter().zip(&wide) {
                 if let (Ok(x), Ok(y)) = (a, b) {
@@ -243,13 +198,19 @@ mod tests {
         let p = triangle_program();
         let decoded = DecodedProgram::new(&p).expect("decodes");
         let inputs = vec![vec![2], vec![50], vec![3]];
-        let batch = simulate_batch_budgeted(minipool::global(), &decoded, "tri", &inputs, 60);
+        let batch = simulate_batch(minipool::global(), &decoded, "tri", &inputs, 60);
         // tri(2)/tri(3) fit 60 cycles; tri(50) cannot.
         assert!(batch[0].is_ok());
         assert_eq!(batch[1], Err(MachineError::CycleLimit));
         assert!(batch[2].is_ok());
-        // Inside the budget the results are the unbudgeted results.
-        let free = simulate_batch(minipool::global(), &decoded, "tri", &inputs);
+        // Inside the budget the results are the default-budget results.
+        let free = simulate_batch(
+            minipool::global(),
+            &decoded,
+            "tri",
+            &inputs,
+            DEFAULT_MAX_CYCLES,
+        );
         assert_eq!(batch[0], free[0]);
         assert_eq!(batch[2], free[2]);
     }
@@ -259,7 +220,13 @@ mod tests {
         let p = triangle_program();
         let decoded = DecodedProgram::new(&p).expect("decodes");
         let inputs = vec![vec![3], vec![0; 7], vec![5]];
-        let batch = simulate_batch(minipool::global(), &decoded, "tri", &inputs);
+        let batch = simulate_batch(
+            minipool::global(),
+            &decoded,
+            "tri",
+            &inputs,
+            DEFAULT_MAX_CYCLES,
+        );
         assert!(batch[0].is_ok());
         assert_eq!(batch[1], Err(MachineError::TooManyArgs));
         assert!(batch[2].is_ok());

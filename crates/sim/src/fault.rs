@@ -18,7 +18,7 @@
 //! * [`run_campaign`] — fans thousands of injections across a
 //!   [`minipool::Pool`] under the same fixed-chunk, input-ordered,
 //!   pool-width-bit-identical contract as
-//!   [`simulate_batch`](crate::simulate_batch), and aggregates
+//!   [`simulate_batch`](crate::batch::simulate_batch), and aggregates
 //!   masked/SDC/trap/timing/hang rates.
 //!
 //! Every run executes under a **mandatory watchdog budget** (no

@@ -41,10 +41,12 @@
 //! first); the decoded engine is a performance artefact whose only
 //! license to exist is bit-identity; the fault wrapper perturbs single
 //! runs but never redefines semantics. [`batch`] builds on the decoded
-//! engine: [`simulate_batch`] fans deterministic seeded input vectors
-//! ([`seeded_inputs`]) across a `minipool` pool with results in input
-//! order, bit-identical at any pool width — and fault campaigns reuse
-//! exactly that fixed-chunk determinism discipline.
+//! engine: [`simulate_batch`], its one entry point, fans deterministic
+//! seeded input vectors ([`seeded_inputs`]) across a `minipool` pool
+//! under an explicit per-run cycle watchdog (callers pass the static
+//! bound they hold), with results in input order, bit-identical at any
+//! pool width — and fault campaigns reuse exactly that fixed-chunk
+//! determinism discipline.
 //!
 //! Both engines charge a *hidden ground-truth energy model* ([`truth`]).
 //! Static analyses never see this model directly; they see either the
@@ -73,7 +75,7 @@ pub mod machine;
 pub mod ports;
 pub mod truth;
 
-pub use batch::{seeded_inputs, simulate_batch, simulate_batch_budgeted, simulate_batch_with};
+pub use batch::{seeded_inputs, simulate_batch};
 pub use battery::Battery;
 pub use complex::{ComplexPlatform, CoreDesc, CoreKind, OperatingPoint, TaskExecution, WorkItem};
 pub use decoded::{DecodedEngine, DecodedProgram, OpCost};

@@ -1,8 +1,8 @@
-//! Compile-service oracle suite (PR 8 acceptance): the persistent
-//! content-addressed store, the parallel per-function pass runners, and
-//! the batched `compile_many` front-end.
+//! Compile-service oracle suite: the persistent content-addressed store,
+//! the per-function final build, and the batched `compile_many`
+//! front-end.
 //!
-//! Three contracts are pinned here:
+//! The contracts pinned here:
 //!
 //! * **Cross-process warm-start determinism** — a search rerun against a
 //!   fresh cache instance over the same on-disk store answers every
@@ -10,11 +10,15 @@
 //!   byte-identical serialized front. Fresh [`DiskStore`] +
 //!   [`EvalCache`] instances are exactly what a new process would build,
 //!   so this is the cross-process contract minus the fork.
-//! * **Pool-width determinism** — the deduplicating parallel pass
-//!   runners ([`PassManager::run_on`], `compile_module_per_function_on`)
+//! * **Final-build faithfulness** — every function of
+//!   `compile_module_per_function_on` is byte-identical to the same
+//!   function of `compile_module` under that function's configuration,
+//!   the compile the search measured, on the four app kernels, a call
+//!   chain and generated kernels, at pool widths 1/2/4.
+//! * **Pool-width determinism** — the deduplicating per-function build
 //!   and [`compile_many`] produce byte-identical results at widths
 //!   1/2/4, across all four app kernels and the proptest kernel
-//!   generator, and byte-identical to their sequential counterparts.
+//!   generator.
 //! * **Failure persistence** — infeasible configurations are stored
 //!   too: a warm process is told "known bad" from disk without ever
 //!   invoking codegen.
@@ -22,12 +26,14 @@
 //!   directory leave a store a fresh handle warm-starts from entirely,
 //!   with no temp file left and every blob hashing to its name.
 
+#[path = "common/kernels.rs"]
+mod kernels;
+
 use proptest::prelude::*;
 use std::collections::HashMap;
 use teamplay_compiler::{
-    compile_many, compile_module_per_function, compile_module_per_function_on, pareto_search,
-    CompileJob, CompilerConfig, DiskStore, EvalCache, FpaConfig, ParetoFront, PassManager,
-    Pipeline, SearchRequest,
+    compile_many, compile_module, compile_module_per_function_on, pareto_search, CompileJob,
+    CompilerConfig, DiskStore, EvalCache, FpaConfig, ParetoFront, Pipeline, SearchRequest,
 };
 use teamplay_isa::CycleModel;
 use teamplay_minic::compile_to_ir;
@@ -254,9 +260,15 @@ fn cached_failures_are_served_from_disk_without_codegen() {
 }
 
 /// Per-function configuration map exercising several distinct pipelines
-/// in one module: functions alternate between an aggressive and a
-/// minimal configuration.
-fn alternating_configs(ir: &teamplay_minic::ir::IrModule) -> HashMap<String, CompilerConfig> {
+/// in one module: functions cycle through an aggressive configuration, a
+/// minimal one, and one that inlines only after value numbering — the
+/// order in which a final build that inlined ahead of the rest of the
+/// pipeline would compile a different function than the search measured.
+/// Function `i` gets configuration `(i + rotation) % 3`.
+fn alternating_configs(
+    ir: &teamplay_minic::ir::IrModule,
+    rotation: usize,
+) -> HashMap<String, CompilerConfig> {
     let aggressive = CompilerConfig {
         pipeline: Pipeline::o3(),
         mul_shift_add: true,
@@ -267,59 +279,104 @@ fn alternating_configs(ir: &teamplay_minic::ir::IrModule) -> HashMap<String, Com
         mul_shift_add: false,
         pinned_regs: 0,
     };
+    let late_inline = CompilerConfig {
+        pipeline: "gvn,cse,inline(60),block_layout,const_fold,copy_prop,dce"
+            .parse()
+            .expect("pipeline resolves"),
+        mul_shift_add: false,
+        pinned_regs: 2,
+    };
+    let cycle = [aggressive, minimal, late_inline];
     ir.functions
         .iter()
         .enumerate()
-        .map(|(i, f)| {
-            let c = if i % 2 == 0 { &aggressive } else { &minimal };
-            (f.name.clone(), c.clone())
-        })
+        .map(|(i, f)| (f.name.clone(), cycle[(i + rotation) % cycle.len()].clone()))
         .collect()
+}
+
+/// The per-function build of `ir` at `width`, serialized.
+fn per_function_bytes(
+    ir: &IrModule,
+    configs: &HashMap<String, CompilerConfig>,
+    default: &CompilerConfig,
+    width: usize,
+) -> String {
+    let program = compile_module_per_function_on(&minipool::Pool::new(width), ir, configs, default)
+        .expect("per-function build");
+    serde_json::to_string(&program).expect("program serializes")
 }
 
 #[test]
 fn per_function_passes_are_byte_identical_at_widths_1_2_4() {
     for (app, src, _task) in app_kernels() {
         let ir = compile_to_ir(src).expect("front-end");
-        let configs = alternating_configs(&ir);
+        let configs = alternating_configs(&ir, 0);
         let default = CompilerConfig::balanced();
-        let sequential = {
-            let program =
-                compile_module_per_function(&ir, &configs, &default).expect("sequential build");
-            serde_json::to_string(&program).expect("program serializes")
-        };
-        for width in [1usize, 2, 4] {
-            let pool = minipool::Pool::new(width);
-            let program = compile_module_per_function_on(&pool, &ir, &configs, &default)
-                .expect("pooled build");
-            let bytes = serde_json::to_string(&program).expect("program serializes");
+        let narrow = per_function_bytes(&ir, &configs, &default, 1);
+        for width in [2usize, 4] {
             assert_eq!(
-                bytes, sequential,
-                "{app}: width-{width} per-function build diverges from sequential"
+                per_function_bytes(&ir, &configs, &default, width),
+                narrow,
+                "{app}: width-{width} per-function build diverges from width 1"
             );
         }
     }
 }
 
-#[test]
-fn pass_manager_run_on_matches_run_at_any_width_across_app_kernels() {
-    for (app, src, _task) in app_kernels() {
-        for pipeline in [Pipeline::o1(), Pipeline::o2(), Pipeline::o3()] {
-            let reference = {
-                let mut module = compile_to_ir(src).expect("front-end");
-                let mut pm = PassManager::new(pipeline.clone()).expect("pipeline resolves");
-                pm.run(&mut module);
-                serde_json::to_string(&module).expect("module serializes")
+/// The final-build faithfulness oracle: at pool widths 1/2/4, every
+/// function of the per-function build is byte-identical to the same
+/// function of the whole-module [`compile_module`] under that function's
+/// configuration — the compile the search measured the variant with.
+/// Returns the first divergence, if any.
+fn final_build_divergence(
+    ir: &IrModule,
+    configs: &HashMap<String, CompilerConfig>,
+) -> Option<String> {
+    let default = CompilerConfig::balanced();
+    let mut measured: HashMap<&CompilerConfig, teamplay_isa::Program> = HashMap::new();
+    for width in [1usize, 2, 4] {
+        let pool = minipool::Pool::new(width);
+        let built = compile_module_per_function_on(&pool, ir, configs, &default)
+            .expect("per-function build");
+        for f in &ir.functions {
+            let config = configs.get(&f.name).unwrap_or(&default);
+            let whole = measured
+                .entry(config)
+                .or_insert_with(|| compile_module(ir, config).expect("whole-module build"));
+            let bytes = |p: &teamplay_isa::Program| {
+                serde_json::to_string(&p.function(&f.name)).expect("function serializes")
             };
-            for width in [1usize, 2, 4] {
-                let mut module = compile_to_ir(src).expect("front-end");
-                let mut pm = PassManager::new(pipeline.clone()).expect("pipeline resolves");
-                pm.run_on(&minipool::Pool::new(width), &mut module);
-                let bytes = serde_json::to_string(&module).expect("module serializes");
-                assert_eq!(
-                    bytes, reference,
-                    "{app}: width-{width} run_on diverges from sequential run"
-                );
+            if bytes(&built) != bytes(whole) {
+                return Some(format!(
+                    "width {width}: `{}` under `{}` differs from its whole-module compile",
+                    f.name, config.pipeline
+                ));
+            }
+        }
+    }
+    None
+}
+
+#[test]
+fn final_build_compiles_every_function_as_the_search_measured_it() {
+    let chain = "int d(int x) { return x * 3 + 1; }
+         int c(int x) { return d(x) + d(x + 1) * 2; }
+         int b(int x) { int s = c(x); if (x > 4) { s = s + c(x - 1); } return s; }
+         int a(int x) {
+             int s = 0;
+             for (int i = 0; i < 6; i = i + 1) { s = s + b(x + i) - i * 4; }
+             return s;
+         }";
+    let kernels = app_kernels()
+        .into_iter()
+        .map(|(app, src, _)| (app, src))
+        .chain([("call_chain", chain)]);
+    for (app, src) in kernels {
+        let ir = compile_to_ir(src).expect("front-end");
+        for rotation in 0..3 {
+            let configs = alternating_configs(&ir, rotation);
+            if let Some(divergence) = final_build_divergence(&ir, &configs) {
+                panic!("{app}: {divergence}");
             }
         }
     }
@@ -328,9 +385,10 @@ fn pass_manager_run_on_matches_run_at_any_width_across_app_kernels() {
 #[test]
 fn duplicate_function_bodies_are_deduplicated_with_identical_results() {
     // Three byte-identical bodies under different names (plus one
-    // distinct function): the pooled runner must optimise one
-    // representative and copy it, with output equal to the sequential
-    // runner that optimises each copy separately.
+    // distinct function), all under one configuration: the per-function
+    // build optimises one representative and copies it, so the twins
+    // compile byte-identically to each other and to the whole-module
+    // compile at every width.
     let body = "int s = 0;
         for (int i = 0; i < 12; i = i + 1) { s = s + x * 3 - i; }
         return s;";
@@ -341,36 +399,31 @@ fn duplicate_function_bodies_are_deduplicated_with_identical_results() {
          int other(int x) {{ return x * x + 7; }}"
     );
     let ir = compile_to_ir(&src).expect("front-end");
-    let reference = {
-        let mut module = ir.clone();
-        let mut pm = PassManager::o2();
-        pm.run(&mut module);
-        serde_json::to_string(&module).expect("module serializes")
+    let config = CompilerConfig {
+        pipeline: Pipeline::o2(),
+        ..CompilerConfig::balanced()
     };
-    for width in [1usize, 2, 4] {
-        let mut module = ir.clone();
-        let mut pm = PassManager::o2();
-        pm.run_on(&minipool::Pool::new(width), &mut module);
-        assert_eq!(
-            serde_json::to_string(&module).expect("module serializes"),
-            reference,
-            "width-{width} dedup run diverges"
-        );
-        // Dedup accounting: 2 unique bodies ran the pipeline, not 4.
-        // Each pass records one invocation per fixpoint round per unique
-        // body, so totals must be well below the sequential count.
-        let sequential_invocations: usize = {
-            let mut m = ir.clone();
-            let mut spm = PassManager::o2();
-            spm.run(&mut m);
-            spm.stats().iter().map(|s| s.invocations).sum()
-        };
-        let deduped_invocations: usize = pm.stats().iter().map(|s| s.invocations).sum();
-        assert!(
-            deduped_invocations < sequential_invocations,
-            "dedup must shrink pass invocations ({deduped_invocations} vs {sequential_invocations})"
-        );
-    }
+    let configs: HashMap<String, CompilerConfig> = ir
+        .functions
+        .iter()
+        .map(|f| (f.name.clone(), config.clone()))
+        .collect();
+    assert_eq!(final_build_divergence(&ir, &configs), None);
+    let program = compile_module_per_function_on(
+        &minipool::Pool::new(2),
+        &ir,
+        &configs,
+        &CompilerConfig::balanced(),
+    )
+    .expect("per-function build");
+    let body_of = |name: &str| {
+        let mut f = program.function(name).expect("compiled").clone();
+        f.name = String::new();
+        serde_json::to_string(&f).expect("function serializes")
+    };
+    assert_eq!(body_of("fa"), body_of("fb"));
+    assert_eq!(body_of("fa"), body_of("fc"));
+    assert_ne!(body_of("fa"), body_of("other"));
 }
 
 #[test]
@@ -480,8 +533,7 @@ proptest! {
 
     /// Random loop-nest kernels (the tightness oracle's generator, plus
     /// a byte-identical twin function to exercise dedup): the pooled
-    /// pass runners stay byte-identical to the sequential ones at
-    /// widths 1/2/4.
+    /// per-function build stays byte-identical at widths 1/2/4.
     #[test]
     fn random_kernels_are_width_invariant(
         n1 in 1u32..12,
@@ -517,47 +569,27 @@ proptest! {
              int twin(int a, int b) {{ {body} }}"
         );
         let ir = compile_to_ir(&src).expect("front-end");
-
-        // Whole-module runner under o2 and o3.
-        for pipeline in [Pipeline::o2(), Pipeline::o3()] {
-            let reference = {
-                let mut m = ir.clone();
-                let mut pm = PassManager::new(pipeline.clone()).expect("resolves");
-                pm.run(&mut m);
-                serde_json::to_string(&m).expect("serializes")
-            };
-            for width in [1usize, 2, 4] {
-                let mut m = ir.clone();
-                let mut pm = PassManager::new(pipeline.clone()).expect("resolves");
-                pm.run_on(&minipool::Pool::new(width), &mut m);
-                prop_assert_eq!(
-                    &serde_json::to_string(&m).expect("serializes"),
-                    &reference,
-                    "width {} diverges", width
-                );
-            }
-        }
-
-        // Per-function runner with distinct per-function configs.
-        let configs = alternating_configs(&ir);
+        let configs = alternating_configs(&ir, 0);
         let default = CompilerConfig::balanced();
-        let sequential = serde_json::to_string(
-            &compile_module_per_function(&ir, &configs, &default).expect("builds"),
-        )
-        .expect("serializes");
+        let narrow = per_function_bytes(&ir, &configs, &default, 1);
         for width in [2usize, 4] {
-            let program = compile_module_per_function_on(
-                &minipool::Pool::new(width),
-                &ir,
-                &configs,
-                &default,
-            )
-            .expect("builds");
             prop_assert_eq!(
-                &serde_json::to_string(&program).expect("serializes"),
-                &sequential,
+                &per_function_bytes(&ir, &configs, &default, width),
+                &narrow,
                 "per-function width {} diverges", width
             );
+        }
+    }
+
+    /// The faithfulness oracle on generated kernels: `f` and its helpers
+    /// (calls, aliasing array parameters, stores around calls) under the
+    /// alternating configurations.
+    #[test]
+    fn generated_final_builds_compile_every_function_as_measured(src in kernels::arb_kernel()) {
+        let ir = compile_to_ir(&src).expect("front-end");
+        for rotation in 0..3 {
+            let divergence = final_build_divergence(&ir, &alternating_configs(&ir, rotation));
+            prop_assert!(divergence.is_none(), "{:?}\n{}", divergence, src);
         }
     }
 }

@@ -15,6 +15,7 @@
 use minipool::Pool;
 use teamplay_compiler::{generate_program, CodegenOpts, PassManager};
 use teamplay_minic::compile_to_ir;
+use teamplay_sim::machine::DEFAULT_MAX_CYCLES;
 use teamplay_sim::{seeded_inputs, simulate_batch, DecodedProgram, NullDevice};
 
 /// The four app kernels under their tuned pipelines, as
@@ -70,7 +71,13 @@ fn batch_results_are_byte_identical_across_pool_widths() {
         // own right), so the serialized form is the full `RunResult`
         // vector — exact `f64` energy bits included.
         let run = |width: usize| {
-            let results = simulate_batch(&Pool::new(width), &decoded, &task, &inputs);
+            let results = simulate_batch(
+                &Pool::new(width),
+                &decoded,
+                &task,
+                &inputs,
+                DEFAULT_MAX_CYCLES,
+            );
             let results: Vec<_> = results
                 .into_iter()
                 .map(|r| r.unwrap_or_else(|e| panic!("{app}/{task}: batch run trapped: {e:?}")))
@@ -93,7 +100,7 @@ fn single_worker_batch_matches_a_sequential_engine_loop() {
     for (app, task, arg_count, program) in kernels() {
         let decoded = DecodedProgram::new(&program).expect("decodes");
         let inputs = seeded_inputs(0x5EED, 33, arg_count, -64, 64);
-        let batch = simulate_batch(&Pool::new(1), &decoded, &task, &inputs);
+        let batch = simulate_batch(&Pool::new(1), &decoded, &task, &inputs, DEFAULT_MAX_CYCLES);
         assert_eq!(batch.len(), inputs.len(), "{app}/{task}: result arity");
         for (args, got) in inputs.iter().zip(&batch) {
             // A fresh engine per run mirrors the fleet's fresh-image
