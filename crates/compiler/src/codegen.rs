@@ -74,7 +74,7 @@ impl From<PipelineError> for CodegenError {
 /// `mul_shift_add` pass in [`crate::passes::REGISTRY`]: the presets use
 /// this codegen variant because it decomposes multiplications without
 /// inflating IR temp traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CodegenOpts {
     /// Register-pinning level (0, 2 or 4).
     pub pinned_regs: usize,

@@ -7,9 +7,9 @@
 //! produce the multi-version task variants the coordination layer
 //! schedules, as one [`SearchRequest`] per task.
 //!
-//! # The three-tier cache hierarchy
+//! # The cache hierarchy
 //!
-//! Every evaluation the search performs flows through up to three
+//! Every evaluation the search performs flows through up to four
 //! memoization tiers, each answering a different repetition pattern:
 //!
 //! 1. **[`EvalCache`]** (in-memory, config-keyed): the many genomes
@@ -18,11 +18,25 @@
 //!    per process. Concurrent probes of one configuration block on a
 //!    per-entry `OnceLock`, so `misses()` counts distinct
 //!    configurations at any pool width.
-//! 2. **[`AnalysisMemo`]** (in-memory, function-content-keyed): below
-//!    the config tier, distinct configurations mostly recompile
-//!    byte-identical functions; their WCET/WCEC analyses are replayed
-//!    from per-function content-hash memos instead of re-solving IPET.
-//! 3. **[`DiskStore`]** (persistent,
+//! 2. **The compile memo** (in-memory, per-function state-keyed): below
+//!    the config tier, distinct configurations mostly repeat each
+//!    other's pass invocations and codegen calls. Each cache interns
+//!    every IR function state its compiles pass through and records
+//!    every pass invocation as a `(state, pass spec) → (next state,
+//!    changed)` transition and every codegen call as `(final state,
+//!    codegen knobs) → code`, so a repeated invocation is one lookup
+//!    ([`EvalCache::compile`]; the contract replay rests on is in the
+//!    [`crate::passes`] module docs). Its counters —
+//!    `pass_runs`/`pass_replays`, `states`,
+//!    `codegen_hits`/`codegen_misses` — come from
+//!    [`EvalCache::compile_memo_stats`]; they can vary with pool width,
+//!    so they stay out of [`SearchStats`] and every byte-compared
+//!    artifact.
+//! 3. **[`AnalysisMemo`]** (in-memory, function-content-keyed): distinct
+//!    configurations mostly produce byte-identical compiled functions;
+//!    their WCET/WCEC analyses are replayed from per-function
+//!    content-hash memos instead of re-solving IPET.
+//! 4. **[`DiskStore`]** (persistent,
 //!    content-addressed): an optional bottom tier
 //!    ([`EvalCache::with_store`]) that spills every evaluation —
 //!    including *infeasible* ones — to a directory keyed by a versioned
@@ -33,17 +47,19 @@
 //!    Each entry is a small manifest (metrics plus blob hashes) over
 //!    function and globals blobs shared by every configuration that
 //!    compiled them byte-identically, and each store handle memoizes the
-//!    blobs it has decoded: like tier 2 one level down, a warm run parses
+//!    blobs it has decoded: like tier 3 one level down, a warm run parses
 //!    each distinct function once, however many configurations use it.
 //!
-//! Tier-1/2 counters surface as `cache_hits`/`cache_misses` and tier-3
+//! Tier-1 counters surface as `cache_hits`/`cache_misses` and tier-4
 //! counters as `disk_hits`/`disk_misses` in [`SearchStats`]:
 //! `disk_hits + disk_misses == cache_misses` when a store is attached,
-//! and `disk_misses` is the number of actual compiles.
+//! and `disk_misses` is the number of actual compiles. A disk hit
+//! bypasses tiers 2 and 3.
 
 use crate::codegen::{generate_program, generate_program_with, CodegenError, CodegenOpts};
+use crate::compile_memo::{CompileMemo, CompileMemoStats};
 use crate::fpa::{FpaConfig, MultiObjectiveFpa, ParetoPoint, SearchStats};
-use crate::passes::{run_passes_per_function_on, PassManager, PassSpec, Pipeline};
+use crate::passes::{run_passes_per_function_on, PassManager, PassSpec, PassStats, Pipeline};
 use crate::secure::{rung_of_genome, LeakMemo, LeakageAxis, SECURE_GENOME_DIMS};
 use crate::store::{self, DiskStore, STORE_FORMAT_VERSION};
 use minipool::Pool;
@@ -284,7 +300,7 @@ impl Default for CompilerConfig {
 }
 
 /// The codegen knobs of a configuration.
-fn codegen_opts(config: &CompilerConfig) -> CodegenOpts {
+pub(crate) fn codegen_opts(config: &CompilerConfig) -> CodegenOpts {
     CodegenOpts {
         pinned_regs: config.pinned_regs,
         mul_shift_add: config.mul_shift_add,
@@ -310,9 +326,10 @@ pub fn compile_module(ir: &IrModule, config: &CompilerConfig) -> Result<Program,
 ///
 /// Each function comes out byte-identical to the same function of
 /// [`compile_module`] under its configuration, so the final build is the
-/// variant the search measured. Unique function bodies (by content hash,
-/// per configuration) run their pipelines once each, fanned across
-/// `pool`; the output is byte-identical at any pool width.
+/// variant the search measured. Unique function bodies (grouped by
+/// structural hash and body equality, per configuration) run their
+/// pipelines once each, fanned across `pool`; the output is
+/// byte-identical at any pool width.
 ///
 /// # Errors
 /// As [`compile_module`].
@@ -429,23 +446,22 @@ pub fn evaluate_module(
     cycle_model: &CycleModel,
     energy_model: &IsaEnergyModel,
 ) -> Result<(Program, ModuleMetrics), String> {
-    evaluate_module_memo(ir, config, cycle_model, energy_model, &AnalysisMemo::new())
+    let program = compile_module(ir, config).map_err(|e| e.to_string())?;
+    analyse_program(program, cycle_model, energy_model, &AnalysisMemo::new())
 }
 
-/// [`evaluate_module`] with per-function analysis memoization: the
-/// WCET/WCEC of every function whose compiled form (content hash +
-/// callee bounds) was already analysed under any earlier configuration
-/// is replayed from `memo`. Memoized results are exact, so this is
-/// observationally identical to [`evaluate_module`] — the [`EvalCache`]
-/// routes every evaluation through its own memo.
-fn evaluate_module_memo(
-    ir: &IrModule,
-    config: &CompilerConfig,
+/// The analysis half of [`evaluate_module`], with per-function analysis
+/// memoization: the WCET/WCEC of every function whose compiled form
+/// (content hash + callee bounds) was already analysed under any
+/// earlier configuration is replayed from `memo`. Memoized results are
+/// exact, so this is observationally identical to a fresh analysis —
+/// the [`EvalCache`] routes every evaluation through its own memo.
+fn analyse_program(
+    program: Program,
     cycle_model: &CycleModel,
     energy_model: &IsaEnergyModel,
     memo: &AnalysisMemo,
 ) -> Result<(Program, ModuleMetrics), String> {
-    let program = compile_module(ir, config).map_err(|e| e.to_string())?;
     let wcet =
         analyze_program_cached(&program, cycle_model, &memo.wcet).map_err(|e| e.to_string())?;
     let energy = analyze_program_energy_cached(&program, energy_model, cycle_model, &memo.energy)
@@ -473,18 +489,23 @@ fn evaluate_module_memo(
 /// [`OnceLock`], so each distinct configuration is evaluated by exactly
 /// one thread: `misses()` equals the number of distinct configurations
 /// probed, whatever the pool width. Failed evaluations are cached as
-/// `None` (infeasible), so repeated failures are free too.
+/// `None` (infeasible), so repeated failures are free too. Every
+/// evaluation the cache computes compiles through its own compile memo
+/// ([`EvalCache::compile`]) and analyses through its [`AnalysisMemo`].
 ///
 /// With [`EvalCache::with_store`] the cache additionally spills to (and
 /// warm-starts from) a persistent [`DiskStore`]: an in-memory miss first
 /// probes the store under a content-addressed key before compiling, and
 /// every computed result — feasible or not — is written back. The
-/// module docs describe the full three-tier hierarchy.
+/// module docs describe the full cache hierarchy.
 pub struct EvalCache<'a> {
     pub(crate) ir: &'a IrModule,
     pub(crate) cycle_model: &'a CycleModel,
     pub(crate) energy_model: &'a IsaEnergyModel,
     entries: Mutex<HashMap<CompilerConfig, Arc<OnceLock<Option<CachedEval>>>>>,
+    /// Per-function pass transitions and codegen results shared by every
+    /// configuration this cache compiles, built on first compile.
+    compile_memo: OnceLock<CompileMemo>,
     /// Per-function WCET/WCEC memos shared by every configuration this
     /// cache evaluates (a second memoization layer *below* the
     /// config-keyed one: distinct configs mostly recompile identical
@@ -518,6 +539,7 @@ impl<'a> EvalCache<'a> {
             cycle_model,
             energy_model,
             entries: Mutex::new(HashMap::new()),
+            compile_memo: OnceLock::new(),
             memo: AnalysisMemo::new(),
             disk: None,
             key_prefix: 0,
@@ -564,15 +586,10 @@ impl<'a> EvalCache<'a> {
         let value = cell.get_or_init(|| {
             computed = true;
             let compute = || {
-                evaluate_module_memo(
-                    self.ir,
-                    config,
-                    self.cycle_model,
-                    self.energy_model,
-                    &self.memo,
-                )
-                .ok()
-                .map(|(program, metrics)| (Arc::new(program), metrics))
+                let (program, _) = self.compile(config).ok()?;
+                analyse_program(program, self.cycle_model, self.energy_model, &self.memo)
+                    .ok()
+                    .map(|(program, metrics)| (Arc::new(program), metrics))
             };
             match self.disk {
                 Some(disk) => {
@@ -633,6 +650,33 @@ impl<'a> EvalCache<'a> {
     /// (hit/miss counters tell how many function analyses were replays).
     pub fn analysis_memo(&self) -> &AnalysisMemo {
         &self.memo
+    }
+
+    /// Compile `config` through this cache's compile memo, bypassing the
+    /// configuration tier and the store: the compile every computed
+    /// evaluation runs. The program is byte-identical to
+    /// [`compile_module`]'s and the stats to an unmemoised
+    /// [`PassManager::run`]'s; only the work done differs.
+    ///
+    /// # Errors
+    /// As [`compile_module`].
+    pub fn compile(
+        &self,
+        config: &CompilerConfig,
+    ) -> Result<(Program, Vec<PassStats>), CodegenError> {
+        self.compile_memo
+            .get_or_init(|| CompileMemo::new(self.ir))
+            .compile(config)
+    }
+
+    /// The compile memo's work counters: pass invocations run and
+    /// replayed, interned states, codegen hits and misses (all zero
+    /// before the first compile). They can vary with pool width, so
+    /// keep them out of byte-compared output.
+    pub fn compile_memo_stats(&self) -> CompileMemoStats {
+        self.compile_memo
+            .get()
+            .map_or_else(CompileMemoStats::default, CompileMemo::stats)
     }
 }
 
@@ -817,7 +861,7 @@ fn rung_of(v: &TaskVariant) -> u32 {
     v.security.map_or(0, |s| s.rung)
 }
 
-/// Add a cache's hit/miss counters (all three tiers) to `stats`.
+/// Add a cache's hit/miss counters (config and disk tiers) to `stats`.
 pub(crate) fn add_cache_counters(stats: &mut SearchStats, cache: &EvalCache<'_>) {
     stats.cache_hits += cache.hits();
     stats.cache_misses += cache.misses();

@@ -35,10 +35,12 @@
 //!   out over the vendored `minipool` work-stealing pool (see the
 //!   module docs for the batched-generation determinism contract),
 //! * [`driver`] — configuration plumbing, per-task variant evaluation
-//!   (memoized through a three-tier cache hierarchy: the config-keyed
-//!   [`driver::EvalCache`], the per-function [`driver::AnalysisMemo`],
-//!   and an optional persistent [`store::DiskStore`] — see the
-//!   [`driver`] module docs), the one Pareto search entry point,
+//!   (memoized through a four-tier cache hierarchy: the config-keyed
+//!   [`driver::EvalCache`], its per-function compile memo of pass
+//!   transitions and codegen results, the per-function
+//!   [`driver::AnalysisMemo`], and an optional persistent
+//!   [`store::DiskStore`] — see the [`driver`] module docs), the one
+//!   Pareto search entry point,
 //!   [`driver::pareto_search`], which runs a [`driver::SearchRequest`]
 //!   over a caller-built cache, and the multi-version final build,
 //!   [`driver::compile_module_per_function_on`], which compiles every
@@ -67,6 +69,7 @@
 //! ```
 
 pub mod codegen;
+mod compile_memo;
 pub mod dataflow;
 pub mod driver;
 pub mod fpa;
@@ -76,6 +79,7 @@ pub mod service;
 pub mod store;
 
 pub use codegen::{generate_function, generate_program, CodegenError, CodegenOpts};
+pub use compile_memo::CompileMemoStats;
 pub use dataflow::{DefUse, DomTree, Liveness, ValueGraph};
 pub use driver::{
     compile_module, compile_module_per_function_on, evaluate_module, pareto_search, AnalysisMemo,
@@ -84,8 +88,8 @@ pub use driver::{
 };
 pub use fpa::{FpaConfig, FpaOutcome, MultiObjectiveFpa, ParetoPoint, SearchStats};
 pub use passes::{
-    function_content_key, gvn, load_fwd, value_graph_loop_bounds, Pass, PassContext, PassManager,
-    PassSpec, PassStats, Pipeline, PipelineCatalog, PipelineError, Preserves, REGISTRY,
+    gvn, load_fwd, value_graph_loop_bounds, Pass, PassContext, PassManager, PassSpec, PassStats,
+    Pipeline, PipelineCatalog, PipelineError, Preserves, REGISTRY,
 };
 pub use secure::{
     genome_with_rung, ladderised_ir, rung_of_genome, LeakageAxis, LeakageRig, LADDER_RUNGS,

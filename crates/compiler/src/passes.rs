@@ -30,6 +30,24 @@
 //!   memoisation layer: correctness never depends on a `preserves()`
 //!   claim being *tight*, only on it being *true*.
 //!
+//! ## The compile-memo contract
+//!
+//! Every [`crate::driver::EvalCache`] compiles through a memo that
+//! replays pass invocations instead of running them: one
+//! `(function state, pass spec)` pair, seen before, yields the recorded
+//! next state and change flag. Replay is exact only because every pass
+//! keeps two promises:
+//!
+//! * **purity** — `run` is a function of (body, spec, snapshot) alone:
+//!   no hidden state carried between invocations, no dependence on
+//!   which analyses happen to be cached. A pass that does carry state
+//!   (like `inline`'s per-function budget, shared across fixpoint
+//!   rounds) returns `false` from [`Pass::memoisable`] and always runs;
+//! * **honest change flags** — a pass that returns `false` leaves the
+//!   body exactly as it found it, operand order included. Debug builds
+//!   assert this against the interned input state on every pass the
+//!   memo runs, so every oracle that searches checks it.
+//!
 //! Pipelines are data, not code: they are built
 //!
 //! * **by name** — `PassManager::from_str("const_fold,copy_prop,dce")`
@@ -117,6 +135,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use crate::compile_memo::MemoCursor;
 use crate::dataflow::{self, may_alias, BitSet, DefUse, DomTree, Liveness, ValueGraph};
 use crate::driver::CompilerConfig;
 use minipool::Pool;
@@ -126,6 +145,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use std::str::FromStr;
+use std::sync::Arc;
 use teamplay_minic::ast::{BinOp, UnOp};
 use teamplay_minic::interp::eval_binop;
 use teamplay_minic::ir::{
@@ -144,45 +164,41 @@ pub fn const_fold(f: &mut IrFunction) -> bool {
     for b in &mut f.blocks {
         // Block-local constant environment.
         let mut env: HashMap<Temp, i32> = HashMap::new();
-        let resolve = |env: &HashMap<Temp, i32>, o: Operand| -> Operand {
-            match o {
-                Operand::Temp(t) => match env.get(&t) {
-                    Some(v) => Operand::Const(*v),
-                    None => o,
-                },
-                c => c,
+        // Replace a temp with its known constant; report whether it did.
+        let resolve = |env: &HashMap<Temp, i32>, o: &mut Operand| -> bool {
+            match *o {
+                Operand::Temp(t) => env.get(&t).map(|&v| *o = Operand::Const(v)).is_some(),
+                Operand::Const(_) => false,
             }
         };
         for op in &mut b.ops {
             // First, rewrite operands using known constants.
             match op {
                 IrOp::Bin { a, b: bb, .. } => {
-                    *a = resolve(&env, *a);
-                    *bb = resolve(&env, *bb);
+                    changed |= resolve(&env, a);
+                    changed |= resolve(&env, bb);
                 }
-                IrOp::Un { a, .. } => *a = resolve(&env, *a),
-                IrOp::Copy { src, .. } => *src = resolve(&env, *src),
-                IrOp::Load { index, .. } => *index = resolve(&env, *index),
+                IrOp::Un { a, .. } => changed |= resolve(&env, a),
+                IrOp::Copy { src, .. } => changed |= resolve(&env, src),
+                IrOp::Load { index, .. } => changed |= resolve(&env, index),
                 IrOp::Store { index, value, .. } => {
-                    *index = resolve(&env, *index);
-                    *value = resolve(&env, *value);
+                    changed |= resolve(&env, index);
+                    changed |= resolve(&env, value);
                 }
                 IrOp::Call { args, .. } => {
                     for a in args {
                         if let CallArg::Value(v) = a {
-                            *v = resolve(&env, *v);
+                            changed |= resolve(&env, v);
                         }
                     }
                 }
                 IrOp::Select { cond, t, f: fv, .. } => {
-                    *cond = resolve(&env, *cond);
-                    *t = resolve(&env, *t);
-                    *fv = resolve(&env, *fv);
+                    changed |= resolve(&env, cond);
+                    changed |= resolve(&env, t);
+                    changed |= resolve(&env, fv);
                 }
-                IrOp::In { .. } | IrOp::Out { value: _, .. } => {}
-            }
-            if let IrOp::Out { value, .. } = op {
-                *value = resolve(&env, *value);
+                IrOp::Out { value, .. } => changed |= resolve(&env, value),
+                IrOp::In { .. } => {}
             }
             // Then fold.
             let folded: Option<(Temp, i32)> = match op {
@@ -484,34 +500,25 @@ pub fn strength_reduce_mul(f: &mut IrFunction, shift_add: bool) -> bool {
         let mut new_ops: Vec<IrOp> = Vec::with_capacity(f.blocks[bi].ops.len());
         let ops = std::mem::take(&mut f.blocks[bi].ops);
         for op in ops {
-            // Normalise const-on-left multiplications.
+            // A multiplication by a constant on either side; a multiply
+            // that is not rewritten below is kept exactly as it was.
             let (dst, x, c) = match op {
                 IrOp::Bin {
                     op: BinOp::Mul,
                     dst,
-                    a,
-                    b,
-                } => match (a, b) {
-                    (x, Operand::Const(c)) => (dst, x, Some(c)),
-                    (Operand::Const(c), x) => (dst, x, Some(c)),
-                    _ => {
-                        new_ops.push(op);
-                        continue;
-                    }
-                },
+                    a: x,
+                    b: Operand::Const(c),
+                }
+                | IrOp::Bin {
+                    op: BinOp::Mul,
+                    dst,
+                    a: Operand::Const(c),
+                    b: x,
+                } => (dst, x, c),
                 other => {
                     new_ops.push(other);
                     continue;
                 }
-            };
-            let Some(c) = c else {
-                new_ops.push(IrOp::Bin {
-                    op: BinOp::Mul,
-                    dst,
-                    a: x,
-                    b: x,
-                });
-                continue;
             };
             match c {
                 0 => {
@@ -567,12 +574,7 @@ pub fn strength_reduce_mul(f: &mut IrFunction, shift_add: bool) -> bool {
                         });
                         changed = true;
                     } else {
-                        new_ops.push(IrOp::Bin {
-                            op: BinOp::Mul,
-                            dst,
-                            a: x,
-                            b: Operand::Const(c),
-                        });
+                        new_ops.push(op);
                     }
                 }
             }
@@ -2415,6 +2417,15 @@ pub trait Pass {
         Preserves::NONE
     }
 
+    /// Whether the compile memo may replay this pass instead of running
+    /// it: `run` must be pure in (body, spec, snapshot), so one input
+    /// state always yields one output state and change flag. The
+    /// default is `true`; a pass that carries state across invocations
+    /// on one function (like `inline`'s budget) returns `false`.
+    fn memoisable(&self) -> bool {
+        true
+    }
+
     /// Transform one function; return `true` if the IR changed. The
     /// context serves the module snapshot and the lazy analyses.
     fn run(&mut self, f: &mut IrFunction, cx: &mut PassContext<'_>) -> bool;
@@ -2644,6 +2655,10 @@ impl Pass for InlinePass {
     }
     fn begin_function(&mut self, _f: &IrFunction) {
         self.budget = MAX_INLINES_PER_FUNCTION;
+    }
+    /// The budget left depends on earlier rounds, not on the body alone.
+    fn memoisable(&self) -> bool {
+        false
     }
     fn run(&mut self, f: &mut IrFunction, cx: &mut PassContext<'_>) -> bool {
         inline_with_budget(f, cx.functions, self.threshold, &mut self.budget)
@@ -3096,27 +3111,40 @@ impl PipelineCatalog {
 }
 
 // =====================================================================
-// Function-content keys (parallel-pass dedup)
+// Function-body keys (parallel-pass dedup)
 // =====================================================================
 
-/// A name-independent 128-bit content key of a function body: FNV-1a
-/// over the serialized IR with the function's own `name` cleared.
+/// A function body as a dedup key: it hashes with the structural
+/// [`IrFunction`] hash and compares with [`IrFunction::same_body`], so
+/// two functions group together exactly when their bodies are equal,
+/// whatever their names.
 ///
-/// Two functions with equal keys are indistinguishable to every pass:
-/// call *operands* stay in the serialization, so bodies that call
-/// different callees key differently, and the only name-sensitive pass
-/// behaviour — inline's self-call guard — cannot diverge either. If a
-/// body contains a call to its own enclosing function, that function is
-/// recursive, and any *other* function with a byte-equal body calls the
-/// same (recursive) callee — which inlining refuses for both callers.
-/// Every other pass is a pure function of the body alone. The
-/// per-function build therefore optimises one representative per key
-/// (and configuration) and copies its result to the duplicates.
-pub fn function_content_key(f: &IrFunction) -> u128 {
-    let mut body = f.clone();
-    body.name = String::new();
-    crate::store::hash_json(crate::store::fnv_offset(), &body)
+/// Functions with equal bodies are indistinguishable to every pass:
+/// call *operands* are part of the body, so bodies that call different
+/// callees differ, and the only name-sensitive pass behaviour —
+/// inline's self-call guard — cannot diverge either. If a body contains
+/// a call to its own enclosing function, that function is recursive,
+/// and any *other* function with an equal body calls the same
+/// (recursive) callee — which inlining refuses for both callers. Every
+/// other pass is a pure function of the body alone. The per-function
+/// build therefore optimises one representative per body (and
+/// configuration) and copies its result to the duplicates.
+#[derive(Clone, Copy)]
+struct BodyKey<'a>(&'a IrFunction);
+
+impl std::hash::Hash for BodyKey<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
 }
+
+impl PartialEq for BodyKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.same_body(other.0)
+    }
+}
+
+impl Eq for BodyKey<'_> {}
 
 /// Group item indices by a per-item key, preserving first-seen order:
 /// `groups[k][0]` is the representative of group `k` (also used by the
@@ -3249,21 +3277,34 @@ impl PassManager {
         let snapshot = snapshot_functions(module);
         let mut changed = false;
         for f in &mut module.functions {
-            changed |= self.run_pipeline(f, &snapshot);
+            // Unshared, so the core edits it in place and nothing is
+            // copied on the way in or out.
+            let mut body = Arc::new(std::mem::take(f));
+            changed |= self.run_pipeline(&mut body, &snapshot, None);
+            *f = Arc::unwrap_or_clone(body);
         }
         changed
     }
 
-    /// The one code path that applies passes — [`PassManager::run`] and
-    /// the per-function final build both call it: builds one
-    /// [`PassContext`] for the function, iterates the pipeline to
-    /// (bounded) fixpoint, and after every change invalidates exactly
-    /// the analyses the pass did not declare
+    /// The one code path that applies passes — [`PassManager::run`],
+    /// the per-function final build and the compile memo's compiles all
+    /// call it: builds one [`PassContext`] for the function, iterates
+    /// the pipeline to (bounded) fixpoint, and after every change
+    /// invalidates exactly the analyses the pass did not declare
     /// [`preserved`](Pass::preserves).
-    fn run_pipeline(
+    ///
+    /// With a `memo` cursor, a [`memoisable`](Pass::memoisable) pass
+    /// whose transition from the current state is recorded is replayed
+    /// instead of run: a replayed change swaps in the recorded output
+    /// state (shared, not copied) and drops every cached analysis. The
+    /// body is copied out of the memo only when a pass must actually run
+    /// ([`Arc::make_mut`]). Replays count in [`PassStats`] exactly as
+    /// runs do.
+    pub(crate) fn run_pipeline(
         &mut self,
-        f: &mut IrFunction,
+        f: &mut Arc<IrFunction>,
         functions: &HashMap<String, IrFunction>,
+        mut memo: Option<&mut MemoCursor<'_>>,
     ) -> bool {
         let mut cx = PassContext::new(functions);
         let mut changed = false;
@@ -3272,8 +3313,27 @@ impl PassManager {
         }
         for _ in 0..self.max_rounds {
             let mut round_changed = false;
-            for (pass, stat) in self.passes.iter_mut().zip(self.stats.iter_mut()) {
-                let pass_changed = pass.run(f, &mut cx);
+            let slots = self.passes.iter_mut().zip(self.stats.iter_mut());
+            for (slot, (pass, stat)) in slots.enumerate() {
+                let replayed = match memo.as_deref_mut() {
+                    Some(cursor) if pass.memoisable() => cursor.replay(slot, f),
+                    _ => None,
+                };
+                let pass_changed = match replayed {
+                    Some(pass_changed) => {
+                        if pass_changed {
+                            cx.invalidate_all();
+                        }
+                        pass_changed
+                    }
+                    None => {
+                        let pass_changed = pass.run(Arc::make_mut(f), &mut cx);
+                        if let Some(cursor) = memo.as_deref_mut() {
+                            cursor.record(slot, f, pass_changed, pass.memoisable());
+                        }
+                        pass_changed
+                    }
+                };
                 stat.invocations += 1;
                 if pass_changed {
                     stat.changes += 1;
@@ -3299,8 +3359,9 @@ impl PassManager {
 /// up-front body snapshot and with `inline` in its pipeline position, so
 /// it comes out exactly as the whole-module run of its configuration —
 /// the run the search measured — leaves it. Functions are deduplicated
-/// by ([`function_content_key`], configuration); each unique pair runs
-/// once, and the unique work items fan out across `pool`. Every item is
+/// by (body, configuration), grouped by structural hash and body
+/// equality; each unique pair runs once, and the unique work items fan
+/// out across `pool`. Every item is
 /// pure in (its body, the snapshot, its configuration), so the module is
 /// byte-identical at any pool width.
 ///
@@ -3319,7 +3380,7 @@ pub(crate) fn run_passes_per_function_on(
         module
             .functions
             .iter()
-            .map(|f| (function_content_key(f), config_of(f)))
+            .map(|f| (BodyKey(f), config_of(f)))
             .collect::<Vec<_>>(),
     );
     let reps: Vec<(&IrFunction, &CompilerConfig)> = groups
@@ -3333,9 +3394,9 @@ pub(crate) fn run_passes_per_function_on(
     // manager; `begin_function` resets all per-function pass state
     // either way.
     let results = pool.par_map(&reps, |_, &(rep, config)| {
-        let mut f = rep.clone();
-        PassManager::new(config.pipeline.clone())?.run_pipeline(&mut f, &snapshot);
-        Ok(f)
+        let mut f = Arc::new(rep.clone());
+        PassManager::new(config.pipeline.clone())?.run_pipeline(&mut f, &snapshot, None);
+        Ok(Arc::unwrap_or_clone(f))
     });
     for (group, body) in groups.iter().zip(results) {
         let body = body?;
@@ -3923,6 +3984,67 @@ mod tests {
             .flat_map(|b| &b.ops)
             .any(|o| matches!(o, IrOp::Bin { op: BinOp::Mul, .. }));
         assert!(has_mul, "dense multiplier should stay a mul");
+    }
+
+    #[test]
+    fn strength_reduction_leaves_unrewritten_multiplies_untouched() {
+        // A dense multiplier on the left stays a multiply, operands in
+        // place: the pass reports no change, so it must make none.
+        let mut m = ir_of("int f(int x) { return 239 * x; }");
+        let f = m.function_mut("f").expect("f");
+        let before = f.clone();
+        assert!(!strength_reduce_mul(f, true));
+        assert_eq!(*f, before);
+    }
+
+    #[test]
+    fn const_fold_reports_operand_substitutions() {
+        // `x + k` does not fold, but `k` becomes the constant 3: a change.
+        let mut m = ir_of("int f(int x) { int k = 3; return x + k; }");
+        let f = m.function_mut("f").expect("f");
+        let before = f.clone();
+        assert!(const_fold(f));
+        assert_ne!(*f, before);
+        let folded = f.clone();
+        assert!(!const_fold(f));
+        assert_eq!(*f, folded);
+        assert_eq!(run_ir(&m, "f", &[4]), Some(7));
+    }
+
+    /// The contract compile-memo replay rests on: a pass that reports no
+    /// change leaves the body equal to its input. Every registered pass
+    /// is checked from every state a registry-order walk (two rounds)
+    /// reaches, on the app kernels and on generated kernels.
+    #[test]
+    fn passes_that_report_no_change_leave_the_body_untouched() {
+        let apps = [
+            teamplay_apps::camera_pill::SOURCE,
+            teamplay_apps::spacewire::SOURCE,
+            teamplay_apps::uav::DETECT_KERNEL_SOURCE,
+            teamplay_apps::parking::CONV_KERNEL_SOURCE,
+        ];
+        let generated = (0..32).map(|case| {
+            proptest::Strategy::sample(&test_kernels::arb_kernel(), &mut proptest::case_rng(case))
+        });
+        for src in apps.iter().map(|s| s.to_string()).chain(generated) {
+            let mut m = ir_of(&src);
+            let snapshot = snapshot_functions(&m);
+            for f in &mut m.functions {
+                for step in REGISTRY.iter().chain(REGISTRY) {
+                    for d in REGISTRY {
+                        let mut g = f.clone();
+                        let mut pass = d.instantiate(None);
+                        pass.begin_function(&g);
+                        if !pass.run(&mut g, &mut PassContext::new(&snapshot)) {
+                            assert_eq!(g, *f, "{} edited {} silently", d.name, f.name);
+                        }
+                    }
+                    let mut pass = step.instantiate(None);
+                    pass.begin_function(f);
+                    pass.run(f, &mut PassContext::new(&snapshot));
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::interp::{eval_binop, Ports};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A virtual register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -91,7 +92,7 @@ impl fmt::Display for CallArg {
 }
 
 /// IR instructions (straight-line; control flow lives in [`IrTerm`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum IrOp {
     /// `dst = a <op> b`. Logical `&&`/`||` never appear here (they are
     /// lowered to control flow); comparisons produce 0/1.
@@ -228,7 +229,7 @@ impl fmt::Display for IrBlockId {
 }
 
 /// Block terminator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum IrTerm {
     /// Unconditional jump.
     Jump(IrBlockId),
@@ -259,7 +260,7 @@ impl IrTerm {
 }
 
 /// An IR basic block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct IrBlock {
     /// Straight-line operations.
     pub ops: Vec<IrOp>,
@@ -268,7 +269,7 @@ pub struct IrBlock {
 }
 
 /// A function parameter in IR form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct IrParam {
     /// Source-level name (for diagnostics and `secret(...)` annotations).
     pub name: String,
@@ -279,7 +280,13 @@ pub struct IrParam {
 }
 
 /// An IR function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Its [`Hash`] is structural over the *body*: every field except the
+/// name, with `loop_bounds` walked in block order so the hash does not
+/// depend on map iteration order. It agrees with `==` (equal functions
+/// have equal bodies) and with [`IrFunction::same_body`], so it keys
+/// both exact and name-independent lookups.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IrFunction {
     /// Function name.
     pub name: String,
@@ -406,6 +413,53 @@ impl IrFunction {
             }
         }
         Ok(())
+    }
+}
+
+impl IrFunction {
+    /// Whether two functions are equal in everything but their names.
+    pub fn same_body(&self, other: &IrFunction) -> bool {
+        let IrFunction {
+            name: _,
+            params,
+            returns_value,
+            blocks,
+            temp_count,
+            local_arrays,
+            loop_bounds,
+            annotations,
+        } = self;
+        *params == other.params
+            && *returns_value == other.returns_value
+            && *temp_count == other.temp_count
+            && *local_arrays == other.local_arrays
+            && *annotations == other.annotations
+            && *loop_bounds == other.loop_bounds
+            && *blocks == other.blocks
+    }
+}
+
+impl Hash for IrFunction {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let IrFunction {
+            name: _,
+            params,
+            returns_value,
+            blocks,
+            temp_count,
+            local_arrays,
+            loop_bounds,
+            annotations,
+        } = self;
+        params.hash(state);
+        returns_value.hash(state);
+        blocks.hash(state);
+        temp_count.hash(state);
+        local_arrays.hash(state);
+        let mut bounds: Vec<(IrBlockId, u32)> = loop_bounds.iter().map(|(&b, &n)| (b, n)).collect();
+        bounds.sort_unstable();
+        bounds.hash(state);
+        annotations.hash(state);
     }
 }
 

@@ -11,7 +11,11 @@
 //!
 //! After the cold batch it prints the store's on-disk footprint: the
 //! evaluation entries, the function and globals blobs they share, and
-//! the bytes both occupy.
+//! the bytes both occupy. Last, it runs one camera-pill search on a
+//! fresh in-memory cache and prints that cache's compile-memo counters:
+//! how many pass invocations ran and how many were replayed, how many
+//! IR states were interned, and how many codegen calls hit the memo.
+//! These counts can vary with the pool width.
 //!
 //! CI runs this example as the disk-cache exerciser: it asserts the
 //! warm batch performed zero compiles, produced byte-identical fronts,
@@ -22,7 +26,9 @@
 //! ```
 
 use std::time::Instant;
-use teamplay_compiler::{compile_many, CompileJob, DiskStore, FpaConfig};
+use teamplay_compiler::{
+    compile_many, pareto_search, CompileJob, DiskStore, EvalCache, FpaConfig, SearchRequest,
+};
 use teamplay_isa::CycleModel;
 use teamplay_minic::compile_to_ir;
 
@@ -132,4 +138,22 @@ fn main() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+
+    // Below the configuration tier: what the compile memo saved in one
+    // cold search (no store, so every distinct configuration compiles).
+    let ir = compile_to_ir(teamplay_apps::camera_pill::SOURCE).expect("front-end");
+    let cache = EvalCache::new(&ir, &cm, &em);
+    let request = SearchRequest::new("compress", FpaConfig::tiny(), 0xBA7C4);
+    pareto_search(pool, &cache, &request);
+    let memo = cache.compile_memo_stats();
+    println!(
+        "  compile memo (camera_pill, {} compiles): {} of {} pass invocations replayed, \
+         {} IR states, {} of {} codegen calls hit",
+        cache.misses(),
+        memo.pass_replays,
+        memo.pass_runs + memo.pass_replays,
+        memo.states,
+        memo.codegen_hits,
+        memo.codegen_hits + memo.codegen_misses,
+    );
 }
