@@ -6,6 +6,13 @@
 //! and the **power channel** (per-run energy) with the indiscernibility
 //! metrics. This is exactly the experimental setup of the paper's
 //! synthetic Cortex-M0 security validation (Section IV).
+//!
+//! The rig lowers the task once into a `DecodedProgram` and measures on
+//! the pre-decoded engine. Its cycles and energy are bit-identical to
+//! the reference `Machine`'s, so every report, and every leak score the
+//! compiler stores, is the same as a `Machine` measurement; the unit
+//! tests below hold the serialised reports byte-equal on the app
+//! kernels' hardened secure tasks and on a leaking example.
 
 use crate::metrics::LeakageAssessment;
 use rand::rngs::StdRng;
@@ -13,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use teamplay_isa::Program;
-use teamplay_sim::{LoadError, Machine, MachineError, NullDevice};
+use teamplay_sim::{DecodedProgram, LoadError, MachineError, NullDevice, RunResult};
 
 /// Which argument is secret and which two values to compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,7 +86,8 @@ impl From<MachineError> for AssessError {
 /// `arg_count` is the function's total scalar argument count; non-secret
 /// arguments are drawn uniformly from `public_range` with a seeded RNG,
 /// identically for both classes (paired sampling isolates the secret's
-/// contribution).
+/// contribution). The runs execute on the pre-decoded engine, whose
+/// cycles and energy are bit-identical to the reference `Machine`'s.
 ///
 /// # Errors
 /// See [`AssessError`].
@@ -101,7 +109,32 @@ pub fn assess_leakage(
     if arg_count > 6 {
         return Err(AssessError::BadSpec("more than 6 arguments".into()));
     }
-    let mut machine = Machine::new(program.clone()).map_err(AssessError::Load)?;
+    let decoded = DecodedProgram::new(program)
+        .map_err(|e| AssessError::Load(LoadError::InvalidProgram(e)))?;
+    let mut engine = decoded.engine();
+    measure(
+        arg_count,
+        spec,
+        traces_per_class,
+        public_range,
+        seed,
+        |args| {
+            engine.reset_data();
+            engine.call(func, args, &mut NullDevice::new())
+        },
+    )
+}
+
+/// Draw the public inputs, run both secret classes on each draw through
+/// `run` (one fresh-data run per call), and score both channels.
+fn measure(
+    arg_count: usize,
+    spec: SecretSpec,
+    traces_per_class: usize,
+    public_range: std::ops::Range<i32>,
+    seed: u64,
+    mut run: impl FnMut(&[i32]) -> Result<RunResult, MachineError>,
+) -> Result<LeakageReport, AssessError> {
     let mut rng = StdRng::seed_from_u64(seed);
 
     let mut time = [
@@ -121,8 +154,7 @@ pub fn assess_leakage(
         for (class, secret) in [(0usize, spec.class0), (1usize, spec.class1)] {
             let mut args = publics.clone();
             args[spec.arg_index] = secret;
-            machine.reset_data();
-            let r = machine.call(func, &args, &mut NullDevice::new())?;
+            let r = run(&args)?;
             time[class].push(r.cycles as f64);
             energy[class].push(r.energy_pj);
         }
@@ -141,8 +173,10 @@ mod tests {
     use crate::ladder::{ladderise, secret_params_of};
     use crate::metrics::Verdict;
     use std::collections::HashMap;
-    use teamplay_compiler::{compile_module, CompilerConfig};
+    use std::collections::HashSet;
+    use teamplay_compiler::{compile_module, generate_program, CodegenOpts, CompilerConfig};
     use teamplay_minic::compile_to_ir;
+    use teamplay_sim::Machine;
 
     /// A branchy comparator: classic timing leak (arms differ in cost).
     const BRANCHY: &str = "/*@ secret(k) @*/
@@ -252,5 +286,99 @@ mod tests {
         let a = assess_leakage(&program, "check", 2, spec(), 32, 0..100, 3).expect("a");
         let b = assess_leakage(&program, "check", 2, spec(), 32, 0..100, 3).expect("b");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn invalid_program_is_a_typed_load_error() {
+        let mut program = compile(BRANCHY, false);
+        program
+            .functions
+            .get_mut("check")
+            .expect("check")
+            .blocks
+            .clear();
+        let err = assess_leakage(&program, "check", 2, spec(), 4, 0..10, 1).unwrap_err();
+        let Err(load) = Machine::new(program) else {
+            panic!("the reference accepts the program");
+        };
+        assert_eq!(err, AssessError::Load(load));
+    }
+
+    /// The measurement of [`assess_leakage`], run on the reference
+    /// `Machine` instead of the decoded engine.
+    fn machine_report(
+        program: &Program,
+        func: &str,
+        arg_count: usize,
+        spec: SecretSpec,
+        traces: usize,
+        public_range: std::ops::Range<i32>,
+        seed: u64,
+    ) -> LeakageReport {
+        let mut machine = Machine::new(program.clone()).expect("load");
+        measure(arg_count, spec, traces, public_range, seed, |args| {
+            machine.reset_data();
+            machine.call(func, args, &mut NullDevice::new())
+        })
+        .expect("reference measurement")
+    }
+
+    /// A secure task of an app, ladderised on its secret and compiled
+    /// under the app's tuned pipeline.
+    fn hardened_task(app: &str, source: &str, task: &str, secret: &str) -> Program {
+        let mut ir = compile_to_ir(source).expect("front-end");
+        let f = ir.function_mut(task).expect("secure task");
+        let report = ladderise(f, &HashSet::from([secret.to_string()]));
+        assert!(report.fully_hardened(), "{report:?}");
+        let pipeline = teamplay_apps::catalog().get(app).expect("tuned").clone();
+        let mut pm = teamplay_compiler::PassManager::new(pipeline).expect("pipeline resolves");
+        pm.run(&mut ir);
+        generate_program(&ir, CodegenOpts::default()).expect("codegen")
+    }
+
+    #[test]
+    fn reports_are_byte_equal_to_a_machine_measurement() {
+        let fleet_spec = SecretSpec {
+            arg_index: 0,
+            class0: 0x0F0F_0F0F,
+            class1: -0x6543_2110,
+        };
+        let cases = [
+            (compile(BRANCHY, false), "check", 2, spec(), 0..1000),
+            (
+                hardened_task(
+                    "camera_pill",
+                    teamplay_apps::camera_pill::SOURCE,
+                    "encrypt",
+                    "key",
+                ),
+                "encrypt",
+                1,
+                fleet_spec,
+                0..4096,
+            ),
+            (
+                hardened_task(
+                    "spacewire",
+                    teamplay_apps::spacewire::SOURCE,
+                    "auth",
+                    "token",
+                ),
+                "auth",
+                1,
+                fleet_spec,
+                0..4096,
+            ),
+        ];
+        for (program, func, arity, spec, range) in cases {
+            let got =
+                assess_leakage(&program, func, arity, spec, 48, range.clone(), 11).expect("assess");
+            let want = machine_report(&program, func, arity, spec, 48, range, 11);
+            assert_eq!(
+                serde_json::to_string(&got).expect("serialises"),
+                serde_json::to_string(&want).expect("serialises"),
+                "{func}"
+            );
+        }
     }
 }

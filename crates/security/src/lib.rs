@@ -13,8 +13,9 @@
 //!   instead of producing NaN/∞, so scores can feed straight into
 //!   numeric optimisers.
 //! * [`analyser`] — drives the PG32 simulator as the "measurement rig":
-//!   runs a compiled task under two fixed secrets over many random public
-//!   inputs and scores the timing and power channels.
+//!   runs a compiled task on the pre-decoded engine under two fixed
+//!   secrets over many random public inputs and scores the timing and
+//!   power channels.
 //! * [`ladder`] — the SecurityOptimiser: taint-driven **ladderisation**
 //!   (refs \[11\], \[12\]) that if-converts secret-guarded branches into
 //!   straight-line code over constant-time selects, making the

@@ -48,6 +48,33 @@
 //! pre-charge) hand off to a careful per-instruction loop that matches
 //! the reference step for step, so even trap cycles are exact.
 //!
+//! # Fault injection
+//!
+//! [`DecodedEngine::call_faulted`] injects one [`FaultSpec`] exactly as
+//! [`crate::machine::Machine::call_faulted`] does, through the same run
+//! core as [`DecodedEngine::call`]. The fast path needs no injection
+//! hook of its own: its per-run doom check, `cycles + pre[entry]`
+//! against the budget, already names the last instruction boundary
+//! inside the next run. A pending fault lowers that limit to the cycle
+//! before its target, so the fast path stops at the entry of the run
+//! that reaches the target and hands over to the careful loop. With no
+//! fault the limit is the budget alone, and unfaulted runs execute
+//! exactly the code they always did. A fault at cycle 0 starts in the
+//! careful loop.
+//!
+//! The careful loop applies the upset at the first boundary at or past
+//! the target, after the budget check, as the reference does: a
+//! register flip hits `regs[reg % 16]`, a memory flip
+//! `mem[word % MEM_WORDS]`, and a skip charges the next op that is not
+//! a `Branch`, `CondBranch`, `Ret` or `Halt` (a `Call`, `In` or `Push`
+//! included) but suppresses its effect. Once the fault has fired and no
+//! skip is pending, the careful loop returns to the fast path at the
+//! next run entry, right after a control op. It reseeds the integer
+//! energy accumulator from its f64 sum, which is an exact integer under
+//! the exact tables, and the limit goes back to the budget. The rest of
+//! the run is full speed again; without that re-entry a campaign would
+//! spend most of each faulted run in the careful loop.
+//!
 //! # Superinstruction fusion
 //!
 //! Dispatch — the indirect branch per slot — dominates once per-op work
@@ -74,12 +101,13 @@
 //! guest ops per dispatch, recorded in `BENCH_sim.json` and floored at
 //! `speedup ≥ 1` by `support/ci/validate_bench.py`.
 
+use crate::fault::FaultSpec;
 use crate::machine::{zeroed_mem, MachineError, RunResult, MAX_CALL_DEPTH, MEM_WORDS};
 use crate::ports::PortDevice;
 use crate::truth::GroundTruthEnergy;
 use teamplay_isa::{
     decode_program, AluOp, Cond, CycleModel, DataLayout, DecodedImage, DecodedOp, EnergyClass,
-    Program, Reg, RegListRef, ENERGY_CLASS_COUNT, MEMORY_BYTES, STACK_TOP,
+    Program, Reg, RegListRef, DATA_BASE, ENERGY_CLASS_COUNT, MEMORY_BYTES, STACK_TOP,
 };
 
 /// Per-op constants baked at decode time: cycles, energy-class index and
@@ -1634,6 +1662,14 @@ impl<'p> DecodedEngine<'p> {
         self.mem.get(base as usize + index).copied()
     }
 
+    /// Snapshot of the whole global data segment, in address order —
+    /// the same observable as [`crate::machine::Machine::data_image`].
+    pub fn data_image(&self) -> Vec<i32> {
+        let lo = (DATA_BASE / 4) as usize;
+        let hi = (self.program.layout.data_end() / 4) as usize;
+        self.mem[lo..hi].to_vec()
+    }
+
     /// Call `func` with up to 6 scalar arguments in `r0..r5`.
     ///
     /// # Errors
@@ -1644,6 +1680,35 @@ impl<'p> DecodedEngine<'p> {
         func: &str,
         args: &[i32],
         device: &mut dyn PortDevice,
+    ) -> Result<RunResult, MachineError> {
+        self.run(func, args, device, None)
+    }
+
+    /// [`DecodedEngine::call`] with one transient fault injected mid-run,
+    /// exactly as [`crate::machine::Machine::call_faulted`] injects it:
+    /// at the first instruction boundary whose cycle count is at or past
+    /// the target. A fault that never fires leaves the run bit-identical
+    /// to [`DecodedEngine::call`].
+    ///
+    /// # Errors
+    /// Any [`MachineError`] trap — under a fault a trap is an outcome,
+    /// not a bug.
+    pub fn call_faulted(
+        &mut self,
+        func: &str,
+        args: &[i32],
+        device: &mut dyn PortDevice,
+        fault: &FaultSpec,
+    ) -> Result<RunResult, MachineError> {
+        self.run(func, args, device, Some(fault))
+    }
+
+    fn run(
+        &mut self,
+        func: &str,
+        args: &[i32],
+        device: &mut dyn PortDevice,
+        fault: Option<&FaultSpec>,
     ) -> Result<RunResult, MachineError> {
         if args.len() > 6 {
             return Err(MachineError::TooManyArgs);
@@ -1685,873 +1750,935 @@ impl<'p> DecodedEngine<'p> {
         // unconditional pointer move keeps the swap branch-free.
         let mut tab = &self.program.steps_first[..];
 
-        // ---- Exact-integer fast path ----
-        //
-        // Accounting is charged one whole run at a time, in integer
-        // arithmetic, when the run's final control op executes; ops in
-        // between run semantics only. The budget is checked once per run
-        // entry: `pre` is the reference's binding checkpoint inside the
-        // run, so if it clears, every per-insn check the reference would
-        // perform inside the run clears too. When it doesn't clear, the
-        // reference traps somewhere in the run — the engine hands the
-        // (exactly reference-equal) partial state to the per-insn
-        // careful loop below to reproduce the trap point, its error kind
-        // and any device traffic leading up to it.
-        if let Some(ex) = &self.program.exact {
-            if max_cycles <= ex.max_budget && ex.pre[pc] <= max_cycles {
-                let hot: &[HotOp] = &self.program.hot;
-                // `hot` is padded to a power of two, so this mask makes
-                // every fetch provably in bounds (and is an identity
-                // for all reachable pcs).
-                let hmask = hot.len() - 1;
-                let aggs = &ex.aggs[..];
-                let pre = &ex.pre[..];
-                let hits_t = &mut self.hits_t[..];
-                let hits_nt = &mut self.hits_nt[..];
-                // A trapped previous call can abandon counters mid-run;
-                // its accounting must not leak into this call.
-                for &s in &ex.sites {
-                    hits_t[s as usize] = 0;
-                    hits_nt[s as usize] = 0;
-                }
-                // The run's first charged insn has no predecessor:
-                // pre-subtract the `overhead(Branch, entry class)` its
-                // static baking assumes (wrapping; nonnegative again
-                // after the first run's charge lands).
-                let mut energy_u =
-                    0u64.wrapping_sub(ex.ovh_branch_u[(steps[pc].cost.class as usize) & 15]);
+        // SEU injection state, as in the reference: the fault fires once,
+        // at the first instruction boundary at or past its target cycle,
+        // and `skip_armed` carries a pending skip across control ops
+        // that end a run without an effect to suppress.
+        let mut fault_pending = fault;
+        let mut skip_armed = false;
+        // The fast path stops before any run whose last in-run boundary
+        // reaches `stop`: past the budget (the run traps) or at the
+        // fault's target (the run injects). Unfaulted, that is the
+        // budget alone.
+        let mut stop = max_cycles
+            .saturating_add(1)
+            .min(fault.map_or(u64::MAX, |f| f.at_cycle));
+        // Whether a faulted run may return to the fast path after its
+        // fault fired.
+        let resume = fault.is_some()
+            && self
+                .program
+                .exact
+                .as_ref()
+                .is_some_and(|ex| max_cycles <= ex.max_budget);
 
-                // Charging a run = one cycle add (the doom check needs
-                // cycles current) plus one counter bump; everything else
-                // is folded from the counters at exit.
-                macro_rules! agg_charge {
-                    ($idx:expr, cyc, en) => {{
-                        let i = $idx;
-                        cycles += aggs[i].cyc;
-                        hits_t[i] += 1;
-                    }};
-                    ($idx:expr, cyc_nt, en_nt) => {{
-                        let i = $idx;
-                        cycles += aggs[i].cyc_nt;
-                        hits_nt[i] += 1;
-                    }};
-                }
-                macro_rules! fold_hits {
-                    () => {{
-                        for &s in &ex.sites {
-                            let i = s as usize;
-                            let (ht, hnt) = (hits_t[i], hits_nt[i]);
-                            let h = ht + hnt;
-                            if h != 0 {
-                                let a = &aggs[i];
-                                insns += h * u64::from(a.insns);
-                                energy_u = energy_u
-                                    .wrapping_add(a.en.wrapping_mul(ht))
-                                    .wrapping_add(a.en_nt.wrapping_mul(hnt));
-                                for (dst, src) in counts.iter_mut().zip(a.counts.iter()) {
-                                    *dst += h * u64::from(*src);
-                                }
-                                hits_t[i] = 0;
-                                hits_nt[i] = 0;
-                            }
-                        }
-                    }};
-                }
-                macro_rules! finish_fast {
-                    () => {{
-                        fold_hits!();
-                        let mut class_counts = [0u64; ENERGY_CLASS_COUNT];
-                        class_counts.copy_from_slice(&counts[..ENERGY_CLASS_COUNT]);
-                        return Ok(RunResult {
-                            return_value: regs[0],
-                            cycles,
-                            insns,
-                            energy_pj: energy_u as f64,
-                            class_counts,
-                        });
-                    }};
-                }
-
-                loop {
-                    match hot[pc & hmask] {
-                        HotOp::AluRR { op, rd, rn, rm } => {
-                            regs[rd as usize & 15] =
-                                op.eval(regs[rn as usize & 15], regs[rm as usize & 15]);
-                        }
-                        HotOp::AluRI { op, rd, rn, imm } => {
-                            regs[rd as usize & 15] = op.eval(regs[rn as usize & 15], imm);
-                        }
-                        HotOp::MovR { rd, rm } => {
-                            regs[rd as usize & 15] = regs[rm as usize & 15];
-                        }
-                        HotOp::MovI { rd, imm } => {
-                            regs[rd as usize & 15] = imm;
-                        }
-                        HotOp::CmpR { rn, rm } => {
-                            *flags = (regs[rn as usize & 15], regs[rm as usize & 15]);
-                        }
-                        HotOp::CmpI { rn, imm } => {
-                            *flags = (regs[rn as usize & 15], imm);
-                        }
-                        HotOp::Csel { cond, rd, rt, rf } => {
-                            let (a, b) = *flags;
-                            regs[rd as usize & 15] = if cond.holds(a, b) {
-                                regs[rt as usize & 15]
-                            } else {
-                                regs[rf as usize & 15]
-                            };
-                        }
-                        HotOp::LdrR { rd, base, roff } => {
-                            let addr = (regs[base as usize & 15] as u32)
-                                .wrapping_add(regs[roff as usize & 15] as u32);
-                            regs[rd as usize & 15] = ld(mem, addr)?;
-                        }
-                        HotOp::LdrI { rd, base, imm } => {
-                            let addr = (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
-                            regs[rd as usize & 15] = ld(mem, addr)?;
-                        }
-                        HotOp::StrR { rs, base, roff } => {
-                            let addr = (regs[base as usize & 15] as u32)
-                                .wrapping_add(regs[roff as usize & 15] as u32);
-                            st(mem, addr, regs[rs as usize & 15])?;
-                        }
-                        HotOp::StrI { rs, base, imm } => {
-                            let addr = (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
-                            st(mem, addr, regs[rs as usize & 15])?;
-                        }
-                        HotOp::Push { list } => {
-                            for r in &reg_pool
-                                [list.start as usize..list.start as usize + list.len as usize]
-                            {
-                                let top = (regs[sp] as u32).wrapping_sub(4);
-                                regs[sp] = top as i32;
-                                st(mem, top, regs[r.index() & 15])?;
-                            }
-                        }
-                        HotOp::Pop { list } => {
-                            for r in reg_pool
-                                [list.start as usize..list.start as usize + list.len as usize]
-                                .iter()
-                                .rev()
-                            {
-                                let top = regs[sp] as u32;
-                                let v = ld(mem, top)?;
-                                regs[r.index() & 15] = v;
-                                regs[sp] = top.wrapping_add(4) as i32;
-                            }
-                        }
-                        HotOp::In { rd, port } => {
-                            regs[rd as usize & 15] = device.input(port);
-                        }
-                        HotOp::Out { rs, port } => {
-                            device.output(port, regs[rs as usize & 15]);
-                        }
-                        HotOp::Nop => {}
-                        HotOp::Branch { target } => {
-                            agg_charge!(pc, cyc, en);
-                            pc = target as usize;
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::CondBranch {
-                            cond,
-                            taken,
-                            fallthrough,
-                        } => {
-                            let (a, b) = *flags;
-                            if cond.holds(a, b) {
-                                agg_charge!(pc, cyc, en);
-                                pc = taken as usize;
-                            } else {
-                                agg_charge!(pc, cyc_nt, en_nt);
-                                pc = fallthrough as usize;
-                            }
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::Call { target } => {
-                            agg_charge!(pc, cyc, en);
-                            if stack.len() >= MAX_CALL_DEPTH {
-                                return Err(MachineError::CallDepth);
-                            }
-                            stack.push(pc as u32 + 1);
-                            pc = target as usize;
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::Ret => {
-                            agg_charge!(pc, cyc, en);
-                            match stack.pop() {
-                                Some(ret) => {
-                                    pc = ret as usize;
-                                    if cycles + pre[pc] > max_cycles {
-                                        break;
-                                    }
-                                    continue;
-                                }
-                                None => finish_fast!(),
-                            }
-                        }
-                        HotOp::Halt => {
-                            agg_charge!(pc, cyc, en);
-                            finish_fast!();
-                        }
-                        // ---- fused pairs: both ops' semantics in one
-                        // dispatch; `pc += 1` here plus the shared bottom
-                        // increment skips both slots. ----
-                        HotOp::StrILdrI(p) => {
-                            x_str_ldr(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::LdrIStrI(p) => {
-                            x_ldr_str(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::LdrILdrI(p) => {
-                            x_ldr_ldr(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::LdrIAluRI(p) => {
-                            x_ldr_alu_ri(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::LdrIAluRR(p) => {
-                            x_ldr_alu_rr(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::LdrIMovI(p) => {
-                            x_ldr_mov(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::LdrICmpI(p) => {
-                            x_ldr_cmp_i(&p, regs, mem, flags)?;
-                            pc += 1;
-                        }
-                        HotOp::AluRILdrI(p) => {
-                            x_alu_ri_ldr(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::AluRIStrI(p) => {
-                            x_alu_ri_str(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::AluRIAluRR(p) => {
-                            x_alu_ri_alu_rr(&p, regs);
-                            pc += 1;
-                        }
-                        HotOp::AluRRLdrI(p) => {
-                            x_alu_rr_ldr(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::AluRRStrI(p) => {
-                            x_alu_rr_str(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::MovILdrI(p) => {
-                            x_mov_ldr(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::MovIMovI(p) => {
-                            x_mov_mov(&p, regs);
-                            pc += 1;
-                        }
-                        HotOp::MovICmpR(p) => {
-                            x_mov_cmp_r(&p, regs, flags);
-                            pc += 1;
-                        }
-                        HotOp::MovICsel(p) => {
-                            x_mov_csel(&p, regs, flags);
-                            pc += 1;
-                        }
-                        HotOp::CselStrI(p) => {
-                            x_csel_str(&p, regs, mem, flags)?;
-                            pc += 1;
-                        }
-                        HotOp::CmpRMovI(p) => {
-                            x_cmp_r_mov(&p, regs, flags);
-                            pc += 1;
-                        }
-                        HotOp::StrIMovI(p) => {
-                            x_str_mov(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::StrIMovR(p) => {
-                            x_str_mov_r(&p, regs, mem)?;
-                            pc += 1;
-                        }
-                        HotOp::MovRAluRI(p) => {
-                            x_mov_r_alu_ri(&p, regs);
-                            pc += 1;
-                        }
-                        // ---- fused quads: two pairs per dispatch. ----
-                        HotOp::QLdrMovCmpRMov(a, b) => {
-                            x_ldr_mov(&a, regs, mem)?;
-                            x_cmp_r_mov(&b, regs, flags);
-                            pc += 3;
-                        }
-                        HotOp::QCmpRMovMovCsel(a, b) => {
-                            x_cmp_r_mov(&a, regs, flags);
-                            x_mov_csel(&b, regs, flags);
-                            pc += 3;
-                        }
-                        HotOp::QMovCselStrLdr(a, b) => {
-                            x_mov_csel(&a, regs, flags);
-                            x_str_ldr(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::QLdrAluRIStrLdr(a, b) => {
-                            x_ldr_alu_ri(&a, regs, mem)?;
-                            x_str_ldr(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::QAluRIAluRRLdrStr(a, b) => {
-                            x_alu_ri_alu_rr(&a, regs);
-                            x_ldr_str(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::QMovLdrAluRIAluRR(a, b) => {
-                            x_mov_ldr(&a, regs, mem)?;
-                            x_alu_ri_alu_rr(&b, regs);
-                            pc += 3;
-                        }
-                        HotOp::QStrLdrAluRIStr(a, b) => {
-                            x_str_ldr(&a, regs, mem)?;
-                            x_alu_ri_str(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::QLdrMovAluRRStr(a, b) => {
-                            x_ldr_mov(&a, regs, mem)?;
-                            x_alu_rr_str(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::QAluRRStrLdrStr(a, b) => {
-                            x_alu_rr_str(&a, regs, mem)?;
-                            x_ldr_str(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::QAluRRStrLdrMov(a, b) => {
-                            x_alu_rr_str(&a, regs, mem)?;
-                            x_ldr_mov(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::QAluRRStrLdrAluRI(a, b) => {
-                            x_alu_rr_str(&a, regs, mem)?;
-                            x_ldr_alu_ri(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::QLdrStrLdrAluRI(a, b) => {
-                            x_ldr_str(&a, regs, mem)?;
-                            x_ldr_alu_ri(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::QAluRILdrAluRIAluRR(a, b) => {
-                            x_alu_ri_ldr(&a, regs, mem)?;
-                            x_alu_ri_alu_rr(&b, regs);
-                            pc += 3;
-                        }
-                        HotOp::QAluRRLdrStrLdr(a, b) => {
-                            x_alu_rr_ldr(&a, regs, mem)?;
-                            x_str_ldr(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::QLdrLdrAluRRStr(a, b) => {
-                            x_ldr_ldr(&a, regs, mem)?;
-                            x_alu_rr_str(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::QLdrStrLdrLdr(a, b) => {
-                            x_ldr_str(&a, regs, mem)?;
-                            x_ldr_ldr(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        // ---- straight-line megas ----
-                        HotOp::OLdrMovCmpRMovCselStrLdr(a, b, c, d) => {
-                            x_ldr_mov(&a, regs, mem)?;
-                            x_cmp_r_mov(&b, regs, flags);
-                            x_mov_csel(&c, regs, flags);
-                            x_str_ldr(&d, regs, mem)?;
-                            pc += 7;
-                        }
-                        HotOp::OLdrMovAluRRStrLdrMovCmpRMov(a, b, c, d) => {
-                            x_ldr_mov(&a, regs, mem)?;
-                            x_alu_rr_str(&b, regs, mem)?;
-                            x_ldr_mov(&c, regs, mem)?;
-                            x_cmp_r_mov(&d, regs, flags);
-                            pc += 7;
-                        }
-                        HotOp::OMovLdrAluRIAluRRLdrStrLdrLdr(a, b, c, d) => {
-                            x_mov_ldr(&a, regs, mem)?;
-                            x_alu_ri_alu_rr(&b, regs);
-                            x_ldr_str(&c, regs, mem)?;
-                            x_ldr_ldr(&d, regs, mem)?;
-                            pc += 7;
-                        }
-                        HotOp::OLdrStrLdrLdrAluRRStrLdrAluRI(a, b, c, d) => {
-                            x_ldr_str(&a, regs, mem)?;
-                            x_ldr_ldr(&b, regs, mem)?;
-                            x_alu_rr_str(&c, regs, mem)?;
-                            x_ldr_alu_ri(&d, regs, mem)?;
-                            pc += 7;
-                        }
-                        HotOp::SAluRRStrLdrAluRIStrMovR(a, b, c) => {
-                            x_alu_rr_str(&a, regs, mem)?;
-                            x_ldr_alu_ri(&b, regs, mem)?;
-                            x_str_mov_r(&c, regs, mem)?;
-                            pc += 5;
-                        }
-                        HotOp::QStrLdrLdrAluRR(a, b) => {
-                            x_str_ldr(&a, regs, mem)?;
-                            x_ldr_alu_rr(&b, regs, mem)?;
-                            pc += 3;
-                        }
-                        HotOp::WLdrAluRIStrLdrMov(a, b, c) => {
-                            x_ldr_alu_ri(&a, regs, mem)?;
-                            x_str_ldr(&b, regs, mem)?;
-                            regs[c.rd as usize & 15] = c.imm;
-                            pc += 4;
-                        }
-                        HotOp::SLdrAluRIStrLdrAluRIStr(a, b, c) => {
-                            x_ldr_alu_ri(&a, regs, mem)?;
-                            x_str_ldr(&b, regs, mem)?;
-                            x_alu_ri_str(&c, regs, mem)?;
-                            pc += 5;
-                        }
-                        HotOp::SLdrAluRRStrLdrAluRIStr(a, b, c) => {
-                            x_ldr_alu_rr(&a, regs, mem)?;
-                            x_str_ldr(&b, regs, mem)?;
-                            x_alu_ri_str(&c, regs, mem)?;
-                            pc += 5;
-                        }
-                        HotOp::SLdrAluRIAluRRLdrStrLdr(a, b, c) => {
-                            x_ldr_alu_ri(&a, regs, mem)?;
-                            x_alu_rr_ldr(&b, regs, mem)?;
-                            x_str_ldr(&c, regs, mem)?;
-                            pc += 5;
-                        }
-                        HotOp::SMovLdrAluRIAluRRLdrStr(a, b, c) => {
-                            x_mov_ldr(&a, regs, mem)?;
-                            x_alu_ri_alu_rr(&b, regs);
-                            x_ldr_str(&c, regs, mem)?;
-                            pc += 5;
-                        }
-                        HotOp::SAluRILdrAluRIAluRRLdrStr(a, b, c) => {
-                            x_alu_ri_ldr(&a, regs, mem)?;
-                            x_alu_ri_alu_rr(&b, regs);
-                            x_ldr_str(&c, regs, mem)?;
-                            pc += 5;
-                        }
-                        HotOp::OMovLdrAluRIAluRRLdrStrLdrAluRI(a, b, c, d) => {
-                            x_mov_ldr(&a, regs, mem)?;
-                            x_alu_ri_alu_rr(&b, regs);
-                            x_ldr_str(&c, regs, mem)?;
-                            x_ldr_alu_ri(&d, regs, mem)?;
-                            pc += 7;
-                        }
-                        HotOp::OLdrLdrAluRRStrMovLdrAluRIAluRR(a, b, c, d) => {
-                            x_ldr_ldr(&a, regs, mem)?;
-                            x_alu_rr_str(&b, regs, mem)?;
-                            x_mov_ldr(&c, regs, mem)?;
-                            x_alu_ri_alu_rr(&d, regs);
-                            pc += 7;
-                        }
-                        // ---- fused run tails: the run aggregate lives at
-                        // the control op's own slot (`pc + width - 1`). ----
-                        HotOp::CmpICondBranch(p) => {
-                            let a = regs[p.rn as usize & 15];
-                            *flags = (a, p.imm);
-                            if p.cond.holds(a, p.imm) {
-                                agg_charge!(pc + 1, cyc, en);
-                                pc = p.taken as usize;
-                            } else {
-                                agg_charge!(pc + 1, cyc_nt, en_nt);
-                                pc = p.fallthrough as usize;
-                            }
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::CmpRCondBranch(p) => {
-                            let a = regs[p.rn as usize & 15];
-                            let b = regs[p.rm as usize & 15];
-                            *flags = (a, b);
-                            if p.cond.holds(a, b) {
-                                agg_charge!(pc + 1, cyc, en);
-                                pc = p.taken as usize;
-                            } else {
-                                agg_charge!(pc + 1, cyc_nt, en_nt);
-                                pc = p.fallthrough as usize;
-                            }
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::StrIBranch(p) => {
-                            let addr =
-                                (regs[p.base as usize & 15] as u32).wrapping_add(p.imm as u32);
-                            st(mem, addr, regs[p.rs as usize & 15])?;
-                            agg_charge!(pc + 1, cyc, en);
-                            pc = p.target as usize;
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::QStrLdrCmpICb(a, b) => {
-                            x_str_ldr(&a, regs, mem)?;
-                            let v = regs[b.rn as usize & 15];
-                            *flags = (v, b.imm);
-                            if b.cond.holds(v, b.imm) {
-                                agg_charge!(pc + 3, cyc, en);
-                                pc = b.taken as usize;
-                            } else {
-                                agg_charge!(pc + 3, cyc_nt, en_nt);
-                                pc = b.fallthrough as usize;
-                            }
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::QStrLdrStrBr(a, b) => {
-                            x_str_ldr(&a, regs, mem)?;
-                            let addr =
-                                (regs[b.base as usize & 15] as u32).wrapping_add(b.imm as u32);
-                            st(mem, addr, regs[b.rs as usize & 15])?;
-                            agg_charge!(pc + 3, cyc, en);
-                            pc = b.target as usize;
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::TLdrStrBr(a, target) => {
-                            x_ldr_str(&a, regs, mem)?;
-                            agg_charge!(pc + 2, cyc, en);
-                            pc = target as usize;
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        // ---- control-tailed megas ----
-                        HotOp::DLdrMovCmpRMovCselStrLdrCmpICb(a, b, c, d, e) => {
-                            x_ldr_mov(&a, regs, mem)?;
-                            x_cmp_r_mov(&b, regs, flags);
-                            x_mov_csel(&c, regs, flags);
-                            x_str_ldr(&d, regs, mem)?;
-                            let v = regs[e.rn as usize & 15];
-                            *flags = (v, e.imm);
-                            if e.cond.holds(v, e.imm) {
-                                agg_charge!(pc + 9, cyc, en);
-                                pc = e.taken as usize;
-                            } else {
-                                agg_charge!(pc + 9, cyc_nt, en_nt);
-                                pc = e.fallthrough as usize;
-                            }
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::SMovCselStrLdrCmpICb(a, b, e) => {
-                            x_mov_csel(&a, regs, flags);
-                            x_str_ldr(&b, regs, mem)?;
-                            let v = regs[e.rn as usize & 15];
-                            *flags = (v, e.imm);
-                            if e.cond.holds(v, e.imm) {
-                                agg_charge!(pc + 5, cyc, en);
-                                pc = e.taken as usize;
-                            } else {
-                                agg_charge!(pc + 5, cyc_nt, en_nt);
-                                pc = e.fallthrough as usize;
-                            }
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::SLdrAluRIStrLdrStrBr(a, b, e) => {
-                            x_ldr_alu_ri(&a, regs, mem)?;
-                            x_str_ldr(&b, regs, mem)?;
-                            let addr =
-                                (regs[e.base as usize & 15] as u32).wrapping_add(e.imm as u32);
-                            st(mem, addr, regs[e.rs as usize & 15])?;
-                            agg_charge!(pc + 5, cyc, en);
-                            pc = e.target as usize;
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::SLdrMovAluRRStrLdrStrBr(a, b, c, target) => {
-                            x_ldr_mov(&a, regs, mem)?;
-                            x_alu_rr_str(&b, regs, mem)?;
-                            x_ldr_str(&c, regs, mem)?;
-                            agg_charge!(pc + 6, cyc, en);
-                            pc = target as usize;
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::OLdrStrLdrAluRIStrLdrStrBr(a, b, c, e) => {
-                            x_ldr_str(&a, regs, mem)?;
-                            x_ldr_alu_ri(&b, regs, mem)?;
-                            x_str_ldr(&c, regs, mem)?;
-                            let addr =
-                                (regs[e.base as usize & 15] as u32).wrapping_add(e.imm as u32);
-                            st(mem, addr, regs[e.rs as usize & 15])?;
-                            agg_charge!(pc + 7, cyc, en);
-                            pc = e.target as usize;
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::WAluRRStrLdrStrBr(a, b, t) => {
-                            x_alu_rr_str(&a, regs, mem)?;
-                            x_ldr_str(&b, regs, mem)?;
-                            agg_charge!(pc + 4, cyc, en);
-                            pc = t as usize;
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::OCmpRMovMovCselStrLdrCmpICb(a, b, c, e) => {
-                            x_cmp_r_mov(&a, regs, flags);
-                            x_mov_csel(&b, regs, flags);
-                            x_str_ldr(&c, regs, mem)?;
-                            let v = regs[e.rn as usize & 15];
-                            *flags = (v, e.imm);
-                            if e.cond.holds(v, e.imm) {
-                                agg_charge!(pc + 7, cyc, en);
-                                pc = e.taken as usize;
-                            } else {
-                                agg_charge!(pc + 7, cyc_nt, en_nt);
-                                pc = e.fallthrough as usize;
-                            }
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::XLdrAluRIStrLdrMovAluRRStrLdrStrBr(a, b, c, d, e, t) => {
-                            x_ldr_alu_ri(&a, regs, mem)?;
-                            x_str_ldr(&b, regs, mem)?;
-                            regs[c.rd as usize & 15] = c.imm;
-                            x_alu_rr_str(&d, regs, mem)?;
-                            x_ldr_str(&e, regs, mem)?;
-                            agg_charge!(pc + 9, cyc, en);
-                            pc = t as usize;
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
-                        HotOp::XLdrAluRIStrLdrAluRIStrLdrMovAluRRStrLdrStrBr(
-                            a,
-                            b,
-                            c,
-                            d,
-                            e,
-                            f,
-                            t,
-                        ) => {
-                            x_ldr_alu_ri(&a, regs, mem)?;
-                            x_str_ldr(&b, regs, mem)?;
-                            x_alu_ri_str(&c, regs, mem)?;
-                            x_ldr_mov(&d, regs, mem)?;
-                            x_alu_rr_str(&e, regs, mem)?;
-                            x_ldr_str(&f, regs, mem)?;
-                            agg_charge!(pc + 12, cyc, en);
-                            pc = t as usize;
-                            if cycles + pre[pc] > max_cycles {
-                                break;
-                            }
-                            continue;
-                        }
+        'engine: loop {
+            // ---- Exact-integer fast path ----
+            //
+            // Accounting is charged one whole run at a time, in integer
+            // arithmetic, when the run's final control op executes; ops in
+            // between run semantics only. The budget is checked once per run
+            // entry: `pre` is the reference's binding checkpoint inside the
+            // run, so if it clears, every per-insn check the reference would
+            // perform inside the run clears too. When it doesn't clear, the
+            // reference traps somewhere in the run — the engine hands the
+            // (exactly reference-equal) partial state to the per-insn
+            // careful loop below to reproduce the trap point, its error kind
+            // and any device traffic leading up to it.
+            if let Some(ex) = &self.program.exact {
+                if max_cycles <= ex.max_budget && cycles + ex.pre[pc] < stop {
+                    let hot: &[HotOp] = &self.program.hot;
+                    // `hot` is padded to a power of two, so this mask makes
+                    // every fetch provably in bounds (and is an identity
+                    // for all reachable pcs).
+                    let hmask = hot.len() - 1;
+                    let aggs = &ex.aggs[..];
+                    let pre = &ex.pre[..];
+                    let hits_t = &mut self.hits_t[..];
+                    let hits_nt = &mut self.hits_nt[..];
+                    // A trapped previous call can abandon counters mid-run;
+                    // its accounting must not leak into this call.
+                    for &s in &ex.sites {
+                        hits_t[s as usize] = 0;
+                        hits_nt[s as usize] = 0;
                     }
-                    pc += 1;
-                }
-
-                // Doomed: the budget trips inside the run starting at
-                // `pc`. After the fold every accumulator equals the
-                // reference's value at this run boundary, so continue
-                // per-insn.
-                fold_hits!();
-                energy = energy_u as f64;
-                tab = steps;
-            }
-        }
-
-        // ---- Per-insn careful loop ----
-        //
-        // The reference charge sequence with the whole f64 sum baked
-        // into one per-op constant — see [`OpCost`] for why that is
-        // bitwise-faithful. Used from the start for non-integer energy
-        // models or over-budget `max_cycles`, and as the continuation
-        // that pins the exact trap point once the fast path detects the
-        // budget will trip.
-        macro_rules! charge {
-            ($c:expr) => {{
-                cycles += $c.cyc;
-                insns += 1;
-                counts[($c.class as usize) & 15] += 1;
-                energy += $c.inc_pj;
-            }};
-        }
-        loop {
-            if cycles > max_cycles {
-                return Err(MachineError::CycleLimit);
-            }
-            let step = &tab[pc];
-            tab = steps;
-            let c = &step.cost;
-            match step.op {
-                DecodedOp::AluRR { op, rd, rn, rm } => {
-                    charge!(c);
-                    regs[rd as usize & 15] =
-                        op.eval(regs[rn as usize & 15], regs[rm as usize & 15]);
-                }
-                DecodedOp::AluRI { op, rd, rn, imm } => {
-                    charge!(c);
-                    regs[rd as usize & 15] = op.eval(regs[rn as usize & 15], imm);
-                }
-                DecodedOp::MovR { rd, rm } => {
-                    charge!(c);
-                    regs[rd as usize & 15] = regs[rm as usize & 15];
-                }
-                DecodedOp::MovI { rd, imm } | DecodedOp::MovI32 { rd, imm } => {
-                    charge!(c);
-                    regs[rd as usize & 15] = imm;
-                }
-                DecodedOp::CmpR { rn, rm } => {
-                    charge!(c);
-                    *flags = (regs[rn as usize & 15], regs[rm as usize & 15]);
-                }
-                DecodedOp::CmpI { rn, imm } => {
-                    charge!(c);
-                    *flags = (regs[rn as usize & 15], imm);
-                }
-                DecodedOp::Csel { cond, rd, rt, rf } => {
-                    charge!(c);
-                    let (a, b) = *flags;
-                    regs[rd as usize & 15] = if cond.holds(a, b) {
-                        regs[rt as usize & 15]
+                    // The call's first charged insn has no predecessor:
+                    // pre-subtract the `overhead(Branch, entry class)` its
+                    // static baking assumes (wrapping; nonnegative again
+                    // after the first run's charge lands). Re-entered after
+                    // a fault, the careful loop's f64 sum is an exact
+                    // integer and seeds the accumulator as is.
+                    let mut energy_u = if insns == 0 {
+                        0u64.wrapping_sub(ex.ovh_branch_u[(steps[pc].cost.class as usize) & 15])
                     } else {
-                        regs[rf as usize & 15]
+                        energy as u64
                     };
-                }
-                DecodedOp::LdrR { rd, base, roff } => {
-                    charge!(c);
-                    let addr = (regs[base as usize & 15] as u32)
-                        .wrapping_add(regs[roff as usize & 15] as u32);
-                    regs[rd as usize & 15] = ld(mem, addr)?;
-                }
-                DecodedOp::LdrI { rd, base, imm } => {
-                    charge!(c);
-                    let addr = (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
-                    regs[rd as usize & 15] = ld(mem, addr)?;
-                }
-                DecodedOp::StrR { rs, base, roff } => {
-                    charge!(c);
-                    let addr = (regs[base as usize & 15] as u32)
-                        .wrapping_add(regs[roff as usize & 15] as u32);
-                    st(mem, addr, regs[rs as usize & 15])?;
-                }
-                DecodedOp::StrI { rs, base, imm } => {
-                    charge!(c);
-                    let addr = (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
-                    st(mem, addr, regs[rs as usize & 15])?;
-                }
-                DecodedOp::Push { list } => {
-                    charge!(c);
-                    for r in &reg_pool[list.start as usize..list.start as usize + list.len as usize]
-                    {
-                        let top = (regs[sp] as u32).wrapping_sub(4);
-                        regs[sp] = top as i32;
-                        st(mem, top, regs[r.index() & 15])?;
+
+                    // Charging a run = one cycle add (the doom check needs
+                    // cycles current) plus one counter bump; everything else
+                    // is folded from the counters at exit.
+                    macro_rules! agg_charge {
+                        ($idx:expr, cyc, en) => {{
+                            let i = $idx;
+                            cycles += aggs[i].cyc;
+                            hits_t[i] += 1;
+                        }};
+                        ($idx:expr, cyc_nt, en_nt) => {{
+                            let i = $idx;
+                            cycles += aggs[i].cyc_nt;
+                            hits_nt[i] += 1;
+                        }};
                     }
-                }
-                DecodedOp::Pop { list } => {
-                    charge!(c);
-                    for r in reg_pool[list.start as usize..list.start as usize + list.len as usize]
-                        .iter()
-                        .rev()
-                    {
-                        let top = regs[sp] as u32;
-                        let v = ld(mem, top)?;
-                        regs[r.index() & 15] = v;
-                        regs[sp] = top.wrapping_add(4) as i32;
+                    macro_rules! fold_hits {
+                        () => {{
+                            for &s in &ex.sites {
+                                let i = s as usize;
+                                let (ht, hnt) = (hits_t[i], hits_nt[i]);
+                                let h = ht + hnt;
+                                if h != 0 {
+                                    let a = &aggs[i];
+                                    insns += h * u64::from(a.insns);
+                                    energy_u = energy_u
+                                        .wrapping_add(a.en.wrapping_mul(ht))
+                                        .wrapping_add(a.en_nt.wrapping_mul(hnt));
+                                    for (dst, src) in counts.iter_mut().zip(a.counts.iter()) {
+                                        *dst += h * u64::from(*src);
+                                    }
+                                    hits_t[i] = 0;
+                                    hits_nt[i] = 0;
+                                }
+                            }
+                        }};
                     }
-                }
-                DecodedOp::Call { target } => {
-                    charge!(c);
-                    if stack.len() >= MAX_CALL_DEPTH {
-                        return Err(MachineError::CallDepth);
+                    macro_rules! finish_fast {
+                        () => {{
+                            fold_hits!();
+                            let mut class_counts = [0u64; ENERGY_CLASS_COUNT];
+                            class_counts.copy_from_slice(&counts[..ENERGY_CLASS_COUNT]);
+                            return Ok(RunResult {
+                                return_value: regs[0],
+                                cycles,
+                                insns,
+                                energy_pj: energy_u as f64,
+                                class_counts,
+                            });
+                        }};
                     }
-                    stack.push(pc as u32 + 1);
-                    pc = target as usize;
-                    continue;
-                }
-                DecodedOp::In { rd, port } => {
-                    charge!(c);
-                    regs[rd as usize & 15] = device.input(port);
-                }
-                DecodedOp::Out { rs, port } => {
-                    charge!(c);
-                    device.output(port, regs[rs as usize & 15]);
-                }
-                DecodedOp::Nop => charge!(c),
-                DecodedOp::Branch { target } => {
-                    charge!(c);
-                    pc = target as usize;
-                    continue;
-                }
-                DecodedOp::CondBranch {
-                    cond,
-                    taken,
-                    fallthrough,
-                } => {
-                    insns += 1;
-                    counts[(c.class as usize) & 15] += 1;
-                    let (a, b) = *flags;
-                    if cond.holds(a, b) {
-                        cycles += c.cyc;
-                        energy += c.inc_pj;
-                        pc = taken as usize;
-                    } else {
-                        cycles += c.cyc_nt;
-                        energy += c.inc_nt_pj;
-                        pc = fallthrough as usize;
-                    }
-                    continue;
-                }
-                DecodedOp::Ret => {
-                    charge!(c);
-                    match stack.pop() {
-                        Some(ret) => {
-                            pc = ret as usize;
-                            continue;
+
+                    loop {
+                        match hot[pc & hmask] {
+                            HotOp::AluRR { op, rd, rn, rm } => {
+                                regs[rd as usize & 15] =
+                                    op.eval(regs[rn as usize & 15], regs[rm as usize & 15]);
+                            }
+                            HotOp::AluRI { op, rd, rn, imm } => {
+                                regs[rd as usize & 15] = op.eval(regs[rn as usize & 15], imm);
+                            }
+                            HotOp::MovR { rd, rm } => {
+                                regs[rd as usize & 15] = regs[rm as usize & 15];
+                            }
+                            HotOp::MovI { rd, imm } => {
+                                regs[rd as usize & 15] = imm;
+                            }
+                            HotOp::CmpR { rn, rm } => {
+                                *flags = (regs[rn as usize & 15], regs[rm as usize & 15]);
+                            }
+                            HotOp::CmpI { rn, imm } => {
+                                *flags = (regs[rn as usize & 15], imm);
+                            }
+                            HotOp::Csel { cond, rd, rt, rf } => {
+                                let (a, b) = *flags;
+                                regs[rd as usize & 15] = if cond.holds(a, b) {
+                                    regs[rt as usize & 15]
+                                } else {
+                                    regs[rf as usize & 15]
+                                };
+                            }
+                            HotOp::LdrR { rd, base, roff } => {
+                                let addr = (regs[base as usize & 15] as u32)
+                                    .wrapping_add(regs[roff as usize & 15] as u32);
+                                regs[rd as usize & 15] = ld(mem, addr)?;
+                            }
+                            HotOp::LdrI { rd, base, imm } => {
+                                let addr =
+                                    (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
+                                regs[rd as usize & 15] = ld(mem, addr)?;
+                            }
+                            HotOp::StrR { rs, base, roff } => {
+                                let addr = (regs[base as usize & 15] as u32)
+                                    .wrapping_add(regs[roff as usize & 15] as u32);
+                                st(mem, addr, regs[rs as usize & 15])?;
+                            }
+                            HotOp::StrI { rs, base, imm } => {
+                                let addr =
+                                    (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
+                                st(mem, addr, regs[rs as usize & 15])?;
+                            }
+                            HotOp::Push { list } => {
+                                for r in &reg_pool
+                                    [list.start as usize..list.start as usize + list.len as usize]
+                                {
+                                    let top = (regs[sp] as u32).wrapping_sub(4);
+                                    regs[sp] = top as i32;
+                                    st(mem, top, regs[r.index() & 15])?;
+                                }
+                            }
+                            HotOp::Pop { list } => {
+                                for r in reg_pool
+                                    [list.start as usize..list.start as usize + list.len as usize]
+                                    .iter()
+                                    .rev()
+                                {
+                                    let top = regs[sp] as u32;
+                                    let v = ld(mem, top)?;
+                                    regs[r.index() & 15] = v;
+                                    regs[sp] = top.wrapping_add(4) as i32;
+                                }
+                            }
+                            HotOp::In { rd, port } => {
+                                regs[rd as usize & 15] = device.input(port);
+                            }
+                            HotOp::Out { rs, port } => {
+                                device.output(port, regs[rs as usize & 15]);
+                            }
+                            HotOp::Nop => {}
+                            HotOp::Branch { target } => {
+                                agg_charge!(pc, cyc, en);
+                                pc = target as usize;
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::CondBranch {
+                                cond,
+                                taken,
+                                fallthrough,
+                            } => {
+                                let (a, b) = *flags;
+                                if cond.holds(a, b) {
+                                    agg_charge!(pc, cyc, en);
+                                    pc = taken as usize;
+                                } else {
+                                    agg_charge!(pc, cyc_nt, en_nt);
+                                    pc = fallthrough as usize;
+                                }
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::Call { target } => {
+                                agg_charge!(pc, cyc, en);
+                                if stack.len() >= MAX_CALL_DEPTH {
+                                    return Err(MachineError::CallDepth);
+                                }
+                                stack.push(pc as u32 + 1);
+                                pc = target as usize;
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::Ret => {
+                                agg_charge!(pc, cyc, en);
+                                match stack.pop() {
+                                    Some(ret) => {
+                                        pc = ret as usize;
+                                        if cycles + pre[pc] >= stop {
+                                            break;
+                                        }
+                                        continue;
+                                    }
+                                    None => finish_fast!(),
+                                }
+                            }
+                            HotOp::Halt => {
+                                agg_charge!(pc, cyc, en);
+                                finish_fast!();
+                            }
+                            // ---- fused pairs: both ops' semantics in one
+                            // dispatch; `pc += 1` here plus the shared bottom
+                            // increment skips both slots. ----
+                            HotOp::StrILdrI(p) => {
+                                x_str_ldr(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::LdrIStrI(p) => {
+                                x_ldr_str(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::LdrILdrI(p) => {
+                                x_ldr_ldr(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::LdrIAluRI(p) => {
+                                x_ldr_alu_ri(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::LdrIAluRR(p) => {
+                                x_ldr_alu_rr(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::LdrIMovI(p) => {
+                                x_ldr_mov(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::LdrICmpI(p) => {
+                                x_ldr_cmp_i(&p, regs, mem, flags)?;
+                                pc += 1;
+                            }
+                            HotOp::AluRILdrI(p) => {
+                                x_alu_ri_ldr(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::AluRIStrI(p) => {
+                                x_alu_ri_str(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::AluRIAluRR(p) => {
+                                x_alu_ri_alu_rr(&p, regs);
+                                pc += 1;
+                            }
+                            HotOp::AluRRLdrI(p) => {
+                                x_alu_rr_ldr(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::AluRRStrI(p) => {
+                                x_alu_rr_str(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::MovILdrI(p) => {
+                                x_mov_ldr(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::MovIMovI(p) => {
+                                x_mov_mov(&p, regs);
+                                pc += 1;
+                            }
+                            HotOp::MovICmpR(p) => {
+                                x_mov_cmp_r(&p, regs, flags);
+                                pc += 1;
+                            }
+                            HotOp::MovICsel(p) => {
+                                x_mov_csel(&p, regs, flags);
+                                pc += 1;
+                            }
+                            HotOp::CselStrI(p) => {
+                                x_csel_str(&p, regs, mem, flags)?;
+                                pc += 1;
+                            }
+                            HotOp::CmpRMovI(p) => {
+                                x_cmp_r_mov(&p, regs, flags);
+                                pc += 1;
+                            }
+                            HotOp::StrIMovI(p) => {
+                                x_str_mov(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::StrIMovR(p) => {
+                                x_str_mov_r(&p, regs, mem)?;
+                                pc += 1;
+                            }
+                            HotOp::MovRAluRI(p) => {
+                                x_mov_r_alu_ri(&p, regs);
+                                pc += 1;
+                            }
+                            // ---- fused quads: two pairs per dispatch. ----
+                            HotOp::QLdrMovCmpRMov(a, b) => {
+                                x_ldr_mov(&a, regs, mem)?;
+                                x_cmp_r_mov(&b, regs, flags);
+                                pc += 3;
+                            }
+                            HotOp::QCmpRMovMovCsel(a, b) => {
+                                x_cmp_r_mov(&a, regs, flags);
+                                x_mov_csel(&b, regs, flags);
+                                pc += 3;
+                            }
+                            HotOp::QMovCselStrLdr(a, b) => {
+                                x_mov_csel(&a, regs, flags);
+                                x_str_ldr(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::QLdrAluRIStrLdr(a, b) => {
+                                x_ldr_alu_ri(&a, regs, mem)?;
+                                x_str_ldr(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::QAluRIAluRRLdrStr(a, b) => {
+                                x_alu_ri_alu_rr(&a, regs);
+                                x_ldr_str(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::QMovLdrAluRIAluRR(a, b) => {
+                                x_mov_ldr(&a, regs, mem)?;
+                                x_alu_ri_alu_rr(&b, regs);
+                                pc += 3;
+                            }
+                            HotOp::QStrLdrAluRIStr(a, b) => {
+                                x_str_ldr(&a, regs, mem)?;
+                                x_alu_ri_str(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::QLdrMovAluRRStr(a, b) => {
+                                x_ldr_mov(&a, regs, mem)?;
+                                x_alu_rr_str(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::QAluRRStrLdrStr(a, b) => {
+                                x_alu_rr_str(&a, regs, mem)?;
+                                x_ldr_str(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::QAluRRStrLdrMov(a, b) => {
+                                x_alu_rr_str(&a, regs, mem)?;
+                                x_ldr_mov(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::QAluRRStrLdrAluRI(a, b) => {
+                                x_alu_rr_str(&a, regs, mem)?;
+                                x_ldr_alu_ri(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::QLdrStrLdrAluRI(a, b) => {
+                                x_ldr_str(&a, regs, mem)?;
+                                x_ldr_alu_ri(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::QAluRILdrAluRIAluRR(a, b) => {
+                                x_alu_ri_ldr(&a, regs, mem)?;
+                                x_alu_ri_alu_rr(&b, regs);
+                                pc += 3;
+                            }
+                            HotOp::QAluRRLdrStrLdr(a, b) => {
+                                x_alu_rr_ldr(&a, regs, mem)?;
+                                x_str_ldr(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::QLdrLdrAluRRStr(a, b) => {
+                                x_ldr_ldr(&a, regs, mem)?;
+                                x_alu_rr_str(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::QLdrStrLdrLdr(a, b) => {
+                                x_ldr_str(&a, regs, mem)?;
+                                x_ldr_ldr(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            // ---- straight-line megas ----
+                            HotOp::OLdrMovCmpRMovCselStrLdr(a, b, c, d) => {
+                                x_ldr_mov(&a, regs, mem)?;
+                                x_cmp_r_mov(&b, regs, flags);
+                                x_mov_csel(&c, regs, flags);
+                                x_str_ldr(&d, regs, mem)?;
+                                pc += 7;
+                            }
+                            HotOp::OLdrMovAluRRStrLdrMovCmpRMov(a, b, c, d) => {
+                                x_ldr_mov(&a, regs, mem)?;
+                                x_alu_rr_str(&b, regs, mem)?;
+                                x_ldr_mov(&c, regs, mem)?;
+                                x_cmp_r_mov(&d, regs, flags);
+                                pc += 7;
+                            }
+                            HotOp::OMovLdrAluRIAluRRLdrStrLdrLdr(a, b, c, d) => {
+                                x_mov_ldr(&a, regs, mem)?;
+                                x_alu_ri_alu_rr(&b, regs);
+                                x_ldr_str(&c, regs, mem)?;
+                                x_ldr_ldr(&d, regs, mem)?;
+                                pc += 7;
+                            }
+                            HotOp::OLdrStrLdrLdrAluRRStrLdrAluRI(a, b, c, d) => {
+                                x_ldr_str(&a, regs, mem)?;
+                                x_ldr_ldr(&b, regs, mem)?;
+                                x_alu_rr_str(&c, regs, mem)?;
+                                x_ldr_alu_ri(&d, regs, mem)?;
+                                pc += 7;
+                            }
+                            HotOp::SAluRRStrLdrAluRIStrMovR(a, b, c) => {
+                                x_alu_rr_str(&a, regs, mem)?;
+                                x_ldr_alu_ri(&b, regs, mem)?;
+                                x_str_mov_r(&c, regs, mem)?;
+                                pc += 5;
+                            }
+                            HotOp::QStrLdrLdrAluRR(a, b) => {
+                                x_str_ldr(&a, regs, mem)?;
+                                x_ldr_alu_rr(&b, regs, mem)?;
+                                pc += 3;
+                            }
+                            HotOp::WLdrAluRIStrLdrMov(a, b, c) => {
+                                x_ldr_alu_ri(&a, regs, mem)?;
+                                x_str_ldr(&b, regs, mem)?;
+                                regs[c.rd as usize & 15] = c.imm;
+                                pc += 4;
+                            }
+                            HotOp::SLdrAluRIStrLdrAluRIStr(a, b, c) => {
+                                x_ldr_alu_ri(&a, regs, mem)?;
+                                x_str_ldr(&b, regs, mem)?;
+                                x_alu_ri_str(&c, regs, mem)?;
+                                pc += 5;
+                            }
+                            HotOp::SLdrAluRRStrLdrAluRIStr(a, b, c) => {
+                                x_ldr_alu_rr(&a, regs, mem)?;
+                                x_str_ldr(&b, regs, mem)?;
+                                x_alu_ri_str(&c, regs, mem)?;
+                                pc += 5;
+                            }
+                            HotOp::SLdrAluRIAluRRLdrStrLdr(a, b, c) => {
+                                x_ldr_alu_ri(&a, regs, mem)?;
+                                x_alu_rr_ldr(&b, regs, mem)?;
+                                x_str_ldr(&c, regs, mem)?;
+                                pc += 5;
+                            }
+                            HotOp::SMovLdrAluRIAluRRLdrStr(a, b, c) => {
+                                x_mov_ldr(&a, regs, mem)?;
+                                x_alu_ri_alu_rr(&b, regs);
+                                x_ldr_str(&c, regs, mem)?;
+                                pc += 5;
+                            }
+                            HotOp::SAluRILdrAluRIAluRRLdrStr(a, b, c) => {
+                                x_alu_ri_ldr(&a, regs, mem)?;
+                                x_alu_ri_alu_rr(&b, regs);
+                                x_ldr_str(&c, regs, mem)?;
+                                pc += 5;
+                            }
+                            HotOp::OMovLdrAluRIAluRRLdrStrLdrAluRI(a, b, c, d) => {
+                                x_mov_ldr(&a, regs, mem)?;
+                                x_alu_ri_alu_rr(&b, regs);
+                                x_ldr_str(&c, regs, mem)?;
+                                x_ldr_alu_ri(&d, regs, mem)?;
+                                pc += 7;
+                            }
+                            HotOp::OLdrLdrAluRRStrMovLdrAluRIAluRR(a, b, c, d) => {
+                                x_ldr_ldr(&a, regs, mem)?;
+                                x_alu_rr_str(&b, regs, mem)?;
+                                x_mov_ldr(&c, regs, mem)?;
+                                x_alu_ri_alu_rr(&d, regs);
+                                pc += 7;
+                            }
+                            // ---- fused run tails: the run aggregate lives at
+                            // the control op's own slot (`pc + width - 1`). ----
+                            HotOp::CmpICondBranch(p) => {
+                                let a = regs[p.rn as usize & 15];
+                                *flags = (a, p.imm);
+                                if p.cond.holds(a, p.imm) {
+                                    agg_charge!(pc + 1, cyc, en);
+                                    pc = p.taken as usize;
+                                } else {
+                                    agg_charge!(pc + 1, cyc_nt, en_nt);
+                                    pc = p.fallthrough as usize;
+                                }
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::CmpRCondBranch(p) => {
+                                let a = regs[p.rn as usize & 15];
+                                let b = regs[p.rm as usize & 15];
+                                *flags = (a, b);
+                                if p.cond.holds(a, b) {
+                                    agg_charge!(pc + 1, cyc, en);
+                                    pc = p.taken as usize;
+                                } else {
+                                    agg_charge!(pc + 1, cyc_nt, en_nt);
+                                    pc = p.fallthrough as usize;
+                                }
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::StrIBranch(p) => {
+                                let addr =
+                                    (regs[p.base as usize & 15] as u32).wrapping_add(p.imm as u32);
+                                st(mem, addr, regs[p.rs as usize & 15])?;
+                                agg_charge!(pc + 1, cyc, en);
+                                pc = p.target as usize;
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::QStrLdrCmpICb(a, b) => {
+                                x_str_ldr(&a, regs, mem)?;
+                                let v = regs[b.rn as usize & 15];
+                                *flags = (v, b.imm);
+                                if b.cond.holds(v, b.imm) {
+                                    agg_charge!(pc + 3, cyc, en);
+                                    pc = b.taken as usize;
+                                } else {
+                                    agg_charge!(pc + 3, cyc_nt, en_nt);
+                                    pc = b.fallthrough as usize;
+                                }
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::QStrLdrStrBr(a, b) => {
+                                x_str_ldr(&a, regs, mem)?;
+                                let addr =
+                                    (regs[b.base as usize & 15] as u32).wrapping_add(b.imm as u32);
+                                st(mem, addr, regs[b.rs as usize & 15])?;
+                                agg_charge!(pc + 3, cyc, en);
+                                pc = b.target as usize;
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::TLdrStrBr(a, target) => {
+                                x_ldr_str(&a, regs, mem)?;
+                                agg_charge!(pc + 2, cyc, en);
+                                pc = target as usize;
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            // ---- control-tailed megas ----
+                            HotOp::DLdrMovCmpRMovCselStrLdrCmpICb(a, b, c, d, e) => {
+                                x_ldr_mov(&a, regs, mem)?;
+                                x_cmp_r_mov(&b, regs, flags);
+                                x_mov_csel(&c, regs, flags);
+                                x_str_ldr(&d, regs, mem)?;
+                                let v = regs[e.rn as usize & 15];
+                                *flags = (v, e.imm);
+                                if e.cond.holds(v, e.imm) {
+                                    agg_charge!(pc + 9, cyc, en);
+                                    pc = e.taken as usize;
+                                } else {
+                                    agg_charge!(pc + 9, cyc_nt, en_nt);
+                                    pc = e.fallthrough as usize;
+                                }
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::SMovCselStrLdrCmpICb(a, b, e) => {
+                                x_mov_csel(&a, regs, flags);
+                                x_str_ldr(&b, regs, mem)?;
+                                let v = regs[e.rn as usize & 15];
+                                *flags = (v, e.imm);
+                                if e.cond.holds(v, e.imm) {
+                                    agg_charge!(pc + 5, cyc, en);
+                                    pc = e.taken as usize;
+                                } else {
+                                    agg_charge!(pc + 5, cyc_nt, en_nt);
+                                    pc = e.fallthrough as usize;
+                                }
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::SLdrAluRIStrLdrStrBr(a, b, e) => {
+                                x_ldr_alu_ri(&a, regs, mem)?;
+                                x_str_ldr(&b, regs, mem)?;
+                                let addr =
+                                    (regs[e.base as usize & 15] as u32).wrapping_add(e.imm as u32);
+                                st(mem, addr, regs[e.rs as usize & 15])?;
+                                agg_charge!(pc + 5, cyc, en);
+                                pc = e.target as usize;
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::SLdrMovAluRRStrLdrStrBr(a, b, c, target) => {
+                                x_ldr_mov(&a, regs, mem)?;
+                                x_alu_rr_str(&b, regs, mem)?;
+                                x_ldr_str(&c, regs, mem)?;
+                                agg_charge!(pc + 6, cyc, en);
+                                pc = target as usize;
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::OLdrStrLdrAluRIStrLdrStrBr(a, b, c, e) => {
+                                x_ldr_str(&a, regs, mem)?;
+                                x_ldr_alu_ri(&b, regs, mem)?;
+                                x_str_ldr(&c, regs, mem)?;
+                                let addr =
+                                    (regs[e.base as usize & 15] as u32).wrapping_add(e.imm as u32);
+                                st(mem, addr, regs[e.rs as usize & 15])?;
+                                agg_charge!(pc + 7, cyc, en);
+                                pc = e.target as usize;
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::WAluRRStrLdrStrBr(a, b, t) => {
+                                x_alu_rr_str(&a, regs, mem)?;
+                                x_ldr_str(&b, regs, mem)?;
+                                agg_charge!(pc + 4, cyc, en);
+                                pc = t as usize;
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::OCmpRMovMovCselStrLdrCmpICb(a, b, c, e) => {
+                                x_cmp_r_mov(&a, regs, flags);
+                                x_mov_csel(&b, regs, flags);
+                                x_str_ldr(&c, regs, mem)?;
+                                let v = regs[e.rn as usize & 15];
+                                *flags = (v, e.imm);
+                                if e.cond.holds(v, e.imm) {
+                                    agg_charge!(pc + 7, cyc, en);
+                                    pc = e.taken as usize;
+                                } else {
+                                    agg_charge!(pc + 7, cyc_nt, en_nt);
+                                    pc = e.fallthrough as usize;
+                                }
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::XLdrAluRIStrLdrMovAluRRStrLdrStrBr(a, b, c, d, e, t) => {
+                                x_ldr_alu_ri(&a, regs, mem)?;
+                                x_str_ldr(&b, regs, mem)?;
+                                regs[c.rd as usize & 15] = c.imm;
+                                x_alu_rr_str(&d, regs, mem)?;
+                                x_ldr_str(&e, regs, mem)?;
+                                agg_charge!(pc + 9, cyc, en);
+                                pc = t as usize;
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
+                            HotOp::XLdrAluRIStrLdrAluRIStrLdrMovAluRRStrLdrStrBr(
+                                a,
+                                b,
+                                c,
+                                d,
+                                e,
+                                f,
+                                t,
+                            ) => {
+                                x_ldr_alu_ri(&a, regs, mem)?;
+                                x_str_ldr(&b, regs, mem)?;
+                                x_alu_ri_str(&c, regs, mem)?;
+                                x_ldr_mov(&d, regs, mem)?;
+                                x_alu_rr_str(&e, regs, mem)?;
+                                x_ldr_str(&f, regs, mem)?;
+                                agg_charge!(pc + 12, cyc, en);
+                                pc = t as usize;
+                                if cycles + pre[pc] >= stop {
+                                    break;
+                                }
+                                continue;
+                            }
                         }
-                        None => break,
+                        pc += 1;
                     }
-                }
-                DecodedOp::Halt => {
-                    charge!(c);
-                    break;
+
+                    // Doomed: the budget trips, or the fault fires, inside
+                    // the run starting at `pc`. After the fold every
+                    // accumulator equals the reference's value at this run
+                    // boundary, so continue per-insn.
+                    fold_hits!();
+                    energy = energy_u as f64;
+                    tab = steps;
                 }
             }
-            pc += 1;
+
+            // ---- Per-insn careful loop ----
+            //
+            // The reference charge sequence with the whole f64 sum baked
+            // into one per-op constant — see [`OpCost`] for why that is
+            // bitwise-faithful. Used from the start for non-integer energy
+            // models or over-budget `max_cycles`, and as the continuation
+            // that pins the exact trap point once the fast path detects the
+            // budget will trip, or the exact boundary a fault fires at.
+            macro_rules! charge {
+                ($c:expr) => {{
+                    cycles += $c.cyc;
+                    insns += 1;
+                    counts[($c.class as usize) & 15] += 1;
+                    energy += $c.inc_pj;
+                }};
+            }
+            // Run entries (right after a control op) hand back to the fast
+            // path once the fault has fired and no skip is pending.
+            macro_rules! run_entry {
+                () => {{
+                    if resume && fault_pending.is_none() && !skip_armed {
+                        continue 'engine;
+                    }
+                    continue;
+                }};
+            }
+            loop {
+                if cycles > max_cycles {
+                    return Err(MachineError::CycleLimit);
+                }
+                if let Some(f) = fault_pending {
+                    if cycles >= f.at_cycle {
+                        skip_armed = f.kind.strike(regs, mem);
+                        fault_pending = None;
+                        stop = max_cycles.saturating_add(1);
+                    }
+                }
+                let step = &tab[pc];
+                tab = steps;
+                let c = &step.cost;
+                if skip_armed && !carries_skip(&step.op) {
+                    // The skipped op is charged (a skip upsets the datapath,
+                    // not the pipeline) but has no effect; a skipped `Call`
+                    // falls through to its resume site, a run entry.
+                    skip_armed = false;
+                    charge!(c);
+                    pc += 1;
+                    if matches!(step.op, DecodedOp::Call { .. }) {
+                        run_entry!();
+                    }
+                    continue;
+                }
+                match step.op {
+                    DecodedOp::AluRR { op, rd, rn, rm } => {
+                        charge!(c);
+                        regs[rd as usize & 15] =
+                            op.eval(regs[rn as usize & 15], regs[rm as usize & 15]);
+                    }
+                    DecodedOp::AluRI { op, rd, rn, imm } => {
+                        charge!(c);
+                        regs[rd as usize & 15] = op.eval(regs[rn as usize & 15], imm);
+                    }
+                    DecodedOp::MovR { rd, rm } => {
+                        charge!(c);
+                        regs[rd as usize & 15] = regs[rm as usize & 15];
+                    }
+                    DecodedOp::MovI { rd, imm } | DecodedOp::MovI32 { rd, imm } => {
+                        charge!(c);
+                        regs[rd as usize & 15] = imm;
+                    }
+                    DecodedOp::CmpR { rn, rm } => {
+                        charge!(c);
+                        *flags = (regs[rn as usize & 15], regs[rm as usize & 15]);
+                    }
+                    DecodedOp::CmpI { rn, imm } => {
+                        charge!(c);
+                        *flags = (regs[rn as usize & 15], imm);
+                    }
+                    DecodedOp::Csel { cond, rd, rt, rf } => {
+                        charge!(c);
+                        let (a, b) = *flags;
+                        regs[rd as usize & 15] = if cond.holds(a, b) {
+                            regs[rt as usize & 15]
+                        } else {
+                            regs[rf as usize & 15]
+                        };
+                    }
+                    DecodedOp::LdrR { rd, base, roff } => {
+                        charge!(c);
+                        let addr = (regs[base as usize & 15] as u32)
+                            .wrapping_add(regs[roff as usize & 15] as u32);
+                        regs[rd as usize & 15] = ld(mem, addr)?;
+                    }
+                    DecodedOp::LdrI { rd, base, imm } => {
+                        charge!(c);
+                        let addr = (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
+                        regs[rd as usize & 15] = ld(mem, addr)?;
+                    }
+                    DecodedOp::StrR { rs, base, roff } => {
+                        charge!(c);
+                        let addr = (regs[base as usize & 15] as u32)
+                            .wrapping_add(regs[roff as usize & 15] as u32);
+                        st(mem, addr, regs[rs as usize & 15])?;
+                    }
+                    DecodedOp::StrI { rs, base, imm } => {
+                        charge!(c);
+                        let addr = (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
+                        st(mem, addr, regs[rs as usize & 15])?;
+                    }
+                    DecodedOp::Push { list } => {
+                        charge!(c);
+                        for r in
+                            &reg_pool[list.start as usize..list.start as usize + list.len as usize]
+                        {
+                            let top = (regs[sp] as u32).wrapping_sub(4);
+                            regs[sp] = top as i32;
+                            st(mem, top, regs[r.index() & 15])?;
+                        }
+                    }
+                    DecodedOp::Pop { list } => {
+                        charge!(c);
+                        for r in reg_pool
+                            [list.start as usize..list.start as usize + list.len as usize]
+                            .iter()
+                            .rev()
+                        {
+                            let top = regs[sp] as u32;
+                            let v = ld(mem, top)?;
+                            regs[r.index() & 15] = v;
+                            regs[sp] = top.wrapping_add(4) as i32;
+                        }
+                    }
+                    DecodedOp::Call { target } => {
+                        charge!(c);
+                        if stack.len() >= MAX_CALL_DEPTH {
+                            return Err(MachineError::CallDepth);
+                        }
+                        stack.push(pc as u32 + 1);
+                        pc = target as usize;
+                        run_entry!();
+                    }
+                    DecodedOp::In { rd, port } => {
+                        charge!(c);
+                        regs[rd as usize & 15] = device.input(port);
+                    }
+                    DecodedOp::Out { rs, port } => {
+                        charge!(c);
+                        device.output(port, regs[rs as usize & 15]);
+                    }
+                    DecodedOp::Nop => charge!(c),
+                    DecodedOp::Branch { target } => {
+                        charge!(c);
+                        pc = target as usize;
+                        run_entry!();
+                    }
+                    DecodedOp::CondBranch {
+                        cond,
+                        taken,
+                        fallthrough,
+                    } => {
+                        insns += 1;
+                        counts[(c.class as usize) & 15] += 1;
+                        let (a, b) = *flags;
+                        if cond.holds(a, b) {
+                            cycles += c.cyc;
+                            energy += c.inc_pj;
+                            pc = taken as usize;
+                        } else {
+                            cycles += c.cyc_nt;
+                            energy += c.inc_nt_pj;
+                            pc = fallthrough as usize;
+                        }
+                        run_entry!();
+                    }
+                    DecodedOp::Ret => {
+                        charge!(c);
+                        match stack.pop() {
+                            Some(ret) => {
+                                pc = ret as usize;
+                                run_entry!();
+                            }
+                            None => break 'engine,
+                        }
+                    }
+                    DecodedOp::Halt => {
+                        charge!(c);
+                        break 'engine;
+                    }
+                }
+                pc += 1;
+            }
         }
 
         let mut class_counts = [0u64; ENERGY_CLASS_COUNT];
@@ -2574,6 +2701,15 @@ const MAX_EXACT_INC: f64 = (1u64 << 40) as f64;
 /// `v` as an exact nonnegative integer, or `None` if it isn't one.
 fn exact_int(v: f64) -> Option<u64> {
     ((0.0..=MAX_EXACT_INC).contains(&v) && v.fract() == 0.0).then_some(v as u64)
+}
+
+/// Control ops that an armed skip passes over: they end a run and have
+/// no writeback to suppress (`Call` does — its return-address push).
+fn carries_skip(op: &DecodedOp) -> bool {
+    matches!(
+        op,
+        DecodedOp::Branch { .. } | DecodedOp::CondBranch { .. } | DecodedOp::Ret | DecodedOp::Halt
+    )
 }
 
 fn is_control(op: &DecodedOp) -> bool {

@@ -1,5 +1,4 @@
-//! Deterministic SEU fault-injection campaigns over the reference
-//! interpreter.
+//! Deterministic SEU fault-injection campaigns.
 //!
 //! Safety-critical CPS deployments face transient hardware faults —
 //! single-event upsets flipping a register or memory bit, or suppressing
@@ -11,8 +10,10 @@
 //! * [`FaultPlan`] — a seeded sample of specs, sized from the fault-free
 //!   reference run (cycles drawn from its duration, memory words biased
 //!   to live data: the global segment and the top of the stack).
-//! * [`Machine::call_faulted`] — the injection wrapper: runs to the
+//! * [`Machine::call_faulted`] — the reference injection: runs to the
 //!   target cycle, applies the upset, keeps executing.
+//!   [`DecodedEngine::call_faulted`] injects identically on the
+//!   pre-decoded engine.
 //! * [`FaultOutcome`] — the classification of one injected run against
 //!   the fault-free reference observables.
 //! * [`run_campaign`] — fans thousands of injections across a
@@ -21,16 +22,24 @@
 //!   [`simulate_batch`](crate::batch::simulate_batch), and aggregates
 //!   masked/SDC/trap/timing/hang rates.
 //!
+//! The fault-free reference run executes on the [`Machine`], which
+//! defines the observables every injection is classified against; the
+//! same run on the pre-decoded engine must match it bit for bit. The
+//! injections themselves, and the zero-fault control row, run on the
+//! pre-decoded engine, so a [`FaultOutcome::Masked`] verdict still
+//! certifies agreement with *both* engines: the faulted decoded run
+//! reproduced the reference machine's observables exactly.
+//! `tests/fault_campaign_oracle.rs` holds the two engines equal under
+//! faults and every campaign equal to a per-fault `Machine`
+//! classification.
+//!
 //! Every run executes under a **mandatory watchdog budget** (no
 //! unbounded execution: a fault that creates an endless loop must trap
 //! [`MachineError::CycleLimit`] deterministically, which the classifier
-//! reports as [`FaultOutcome::Hang`]). The fault-free reference is
-//! cross-checked against the pre-decoded engine before any injection, so
-//! a [`FaultOutcome::Masked`] verdict transitively certifies agreement
-//! with *both* engines.
+//! reports as [`FaultOutcome::Hang`]).
 
-use crate::decoded::DecodedProgram;
-use crate::machine::{Machine, MachineError, RunResult};
+use crate::decoded::{DecodedEngine, DecodedProgram};
+use crate::machine::{Machine, MachineError, RunResult, MEM_WORDS};
 use crate::ports::RecordingDevice;
 use minipool::Pool;
 use rand::rngs::StdRng;
@@ -57,6 +66,24 @@ pub enum FaultKind {
     /// Suppress the writeback of the next instruction (its timing cost
     /// is still charged — a skip upsets the datapath, not the pipeline).
     SkipInstruction,
+}
+
+impl FaultKind {
+    /// Apply the upset to the architectural state, identically in both
+    /// engines. A skip has no state to flip: it returns `true`, and the
+    /// engine suppresses the next instruction's effect.
+    pub(crate) fn strike(self, regs: &mut [i32; 16], mem: &mut [i32; MEM_WORDS]) -> bool {
+        match self {
+            FaultKind::RegisterBitFlip { reg, bit } => {
+                regs[reg as usize % 16] ^= 1i32 << (bit % 32);
+            }
+            FaultKind::MemoryBitFlip { word, bit } => {
+                mem[word as usize % MEM_WORDS] ^= 1i32 << (bit % 32);
+            }
+            FaultKind::SkipInstruction => return true,
+        }
+        false
+    }
 }
 
 /// One injection: an upset and the cycle at which it fires.
@@ -177,11 +204,11 @@ struct Observables {
 }
 
 impl Observables {
-    fn capture(result: RunResult, machine: &Machine, device: &RecordingDevice) -> Observables {
+    fn capture(result: RunResult, data_image: Vec<i32>, device: &RecordingDevice) -> Observables {
         Observables {
             energy_bits: result.energy_pj.to_bits(),
             result,
-            data_image: machine.data_image(),
+            data_image,
             outputs: device.outputs.clone(),
         }
     }
@@ -287,24 +314,23 @@ pub fn run_campaign(
     config: &CampaignConfig,
     make_device: impl Fn() -> RecordingDevice + Sync,
 ) -> CampaignResult {
-    let reference = reference_observables(program, func, args, config, &make_device);
-    let machine = Machine::new(program.clone()).expect("kernel loads");
+    let golden = golden_run(program, func, args, config, &make_device);
     let plan = FaultPlan::sample(
         config.seed,
         config.injections,
-        reference.result.cycles,
-        machine.layout(),
+        golden.observables.result.cycles,
+        golden.decoded.layout(),
     );
-    run_campaign_with_plan(pool, program, func, args, &plan, config, make_device)
+    inject(pool, &golden, func, args, &plan, config, make_device)
 }
 
 /// Run an explicit [`FaultPlan`] and classify every injection.
 ///
 /// Execution follows the batch-fleet determinism discipline: the plan is
-/// split into fixed-size chunks, each chunk gets a fresh [`Machine`]
-/// whose data image is reset before every run, and outcomes are
-/// returned in plan order — so the serialized [`CampaignResult`] is
-/// byte-identical at any pool width.
+/// split into fixed-size chunks, each chunk gets a fresh
+/// [`DecodedEngine`] whose data image is reset before every run, and
+/// outcomes are returned in plan order — so the serialized
+/// [`CampaignResult`] is byte-identical at any pool width.
 ///
 /// # Panics
 /// Same conditions as [`run_campaign`].
@@ -317,41 +343,61 @@ pub fn run_campaign_with_plan(
     config: &CampaignConfig,
     make_device: impl Fn() -> RecordingDevice + Sync,
 ) -> CampaignResult {
-    let reference = reference_observables(program, func, args, config, &make_device);
+    let golden = golden_run(program, func, args, config, &make_device);
+    inject(pool, &golden, func, args, plan, config, make_device)
+}
+
+/// The fault-free reference observables and the decoded program every
+/// injection of the campaign runs on.
+struct Golden {
+    observables: Observables,
+    decoded: DecodedProgram,
+}
+
+/// The campaign core: the zero-fault control row and every injection of
+/// `plan`, classified against the golden observables.
+fn inject(
+    pool: &Pool,
+    golden: &Golden,
+    func: &str,
+    args: &[i32],
+    plan: &FaultPlan,
+    config: &CampaignConfig,
+    make_device: impl Fn() -> RecordingDevice + Sync,
+) -> CampaignResult {
+    let reference = &golden.observables;
     let timing_bound = config
         .ipet_bound_cycles
         .unwrap_or(reference.result.cycles)
         .max(reference.result.cycles);
-
-    // Zero-fault control row: the injection wrapper with a fault that
-    // can never fire must reproduce the reference bit for bit.
-    let control = {
-        let mut machine = Machine::new(program.clone()).expect("kernel loads");
-        machine.set_max_cycles(config.watchdog_cycles);
-        machine.reset_data();
-        let mut device = make_device();
-        let never = FaultSpec {
-            at_cycle: u64::MAX,
-            kind: FaultKind::SkipInstruction,
-        };
-        let run = machine.call_faulted(func, args, &mut device, &never);
-        classify(&reference, timing_bound, run, &machine, &device)
+    let engine = || {
+        let mut engine = golden.decoded.engine();
+        engine.set_max_cycles(config.watchdog_cycles);
+        engine
     };
+    let classify_run = |engine: &mut DecodedEngine<'_>, fault: &FaultSpec| {
+        // A trapped run leaves engine state unspecified; the reset
+        // restores the pristine image either way.
+        engine.reset_data();
+        let mut device = make_device();
+        let run = engine.call_faulted(func, args, &mut device, fault);
+        classify(reference, timing_bound, run, engine.data_image(), &device)
+    };
+
+    // Zero-fault control row: the injection path with a fault that can
+    // never fire must reproduce the reference bit for bit.
+    let never = FaultSpec {
+        at_cycle: u64::MAX,
+        kind: FaultKind::SkipInstruction,
+    };
+    let control = classify_run(&mut engine(), &never);
 
     let chunks: Vec<&[FaultSpec]> = plan.faults.chunks(CHUNK).collect();
     let per_chunk: Vec<Vec<FaultOutcome>> = pool.par_map(&chunks, |_, chunk| {
-        let mut machine = Machine::new(program.clone()).expect("kernel loads");
-        machine.set_max_cycles(config.watchdog_cycles);
+        let mut engine = engine();
         chunk
             .iter()
-            .map(|fault| {
-                // A trapped run leaves machine state unspecified; the
-                // reset restores the pristine image either way.
-                machine.reset_data();
-                let mut device = make_device();
-                let run = machine.call_faulted(func, args, &mut device, fault);
-                classify(&reference, timing_bound, run, &machine, &device)
-            })
+            .map(|fault| classify_run(&mut engine, fault))
             .collect()
     });
     let outcomes: Vec<FaultOutcome> = per_chunk.into_iter().flatten().collect();
@@ -370,16 +416,16 @@ pub fn run_campaign_with_plan(
     }
 }
 
-/// Run the fault-free reference under the campaign watchdog, capture
-/// its observables, and cross-check them against the pre-decoded
-/// engine so `Masked` verdicts certify agreement with both engines.
-fn reference_observables(
+/// Run the fault-free reference on the [`Machine`] under the campaign
+/// watchdog, capture its observables, and cross-check the run against
+/// the pre-decoded engine the injections will use.
+fn golden_run(
     program: &Program,
     func: &str,
     args: &[i32],
     config: &CampaignConfig,
     make_device: &(impl Fn() -> RecordingDevice + Sync),
-) -> Observables {
+) -> Golden {
     assert!(
         config.watchdog_cycles > 0,
         "campaigns require an explicit watchdog budget"
@@ -398,9 +444,6 @@ fn reference_observables(
         result.cycles
     );
 
-    // Decoded-engine cross-check: Masked means "bit-identical to the
-    // reference", and the reference itself must be bit-identical to the
-    // pre-decoded engine — so a masked fault agrees with both.
     let decoded = DecodedProgram::new(program).expect("validated kernel lowers");
     let mut engine = decoded.engine();
     engine.set_max_cycles(config.watchdog_cycles);
@@ -411,21 +454,24 @@ fn reference_observables(
     assert_eq!(result, decoded_run, "engines diverge on {func}");
     assert_eq!(result.energy_pj.to_bits(), decoded_run.energy_pj.to_bits());
 
-    Observables::capture(result, &machine, &device)
+    Golden {
+        observables: Observables::capture(result, machine.data_image(), &device),
+        decoded,
+    }
 }
 
 fn classify(
     reference: &Observables,
     timing_bound: u64,
     run: Result<RunResult, MachineError>,
-    machine: &Machine,
+    data_image: Vec<i32>,
     device: &RecordingDevice,
 ) -> FaultOutcome {
     match run {
         Err(MachineError::CycleLimit) => FaultOutcome::Hang,
         Err(e) => FaultOutcome::Trapped(e),
         Ok(result) => {
-            let observed = Observables::capture(result, machine, device);
+            let observed = Observables::capture(result, data_image, device);
             if observed == *reference {
                 FaultOutcome::Masked
             } else if observed.result.cycles > timing_bound {
@@ -542,13 +588,16 @@ mod tests {
         }
     }
 
-    fn classify_single(
+    /// Classify one fault through a campaign, which injects on the
+    /// decoded engine, and assert the reference `Machine` classifies the
+    /// same fault the same way.
+    fn classify_on_both(
         program: &Program,
         func: &str,
         args: &[i32],
         fault: FaultSpec,
+        cfg: &CampaignConfig,
     ) -> FaultOutcome {
-        let cfg = config(100_000, 0);
         let plan = FaultPlan {
             faults: vec![fault],
         };
@@ -558,10 +607,72 @@ mod tests {
             func,
             args,
             &plan,
-            &cfg,
+            cfg,
             RecordingDevice::new,
         );
-        result.outcomes.into_iter().next().expect("one outcome")
+        let decoded = result.outcomes.into_iter().next().expect("one outcome");
+
+        let golden = golden_run(program, func, args, cfg, &RecordingDevice::new);
+        let mut machine = Machine::new(program.clone()).expect("load");
+        machine.set_max_cycles(cfg.watchdog_cycles);
+        let mut device = RecordingDevice::new();
+        let run = machine.call_faulted(func, args, &mut device, &fault);
+        let bound = golden.observables.result.cycles;
+        let reference = classify(
+            &golden.observables,
+            bound,
+            run,
+            machine.data_image(),
+            &device,
+        );
+        assert_eq!(decoded, reference, "engines classify {fault:?} differently");
+        decoded
+    }
+
+    fn classify_single(
+        program: &Program,
+        func: &str,
+        args: &[i32],
+        fault: FaultSpec,
+    ) -> FaultOutcome {
+        classify_on_both(program, func, args, fault, &config(100_000, 0))
+    }
+
+    /// main() { r0 = 7; call double; } with double(x) = x * 2.
+    fn call_program() -> Program {
+        let mut p = Program::new();
+        p.add_function(Function {
+            name: "double".into(),
+            blocks: vec![Block {
+                insns: vec![Insn::Alu {
+                    op: AluOp::Mul,
+                    rd: Reg::R0,
+                    rn: Reg::R0,
+                    src: Operand::Imm(2),
+                }],
+                terminator: Terminator::Return,
+            }],
+            loop_bounds: BTreeMap::new(),
+            frame_size: 0,
+        });
+        p.add_function(Function {
+            name: "main".into(),
+            blocks: vec![Block {
+                insns: vec![
+                    Insn::Mov {
+                        rd: Reg::R0,
+                        src: Operand::Imm(7),
+                    },
+                    Insn::Call {
+                        func: "double".into(),
+                    },
+                ],
+                terminator: Terminator::Return,
+            }],
+            loop_bounds: BTreeMap::new(),
+            frame_size: 0,
+        });
+        p
     }
 
     #[test]
@@ -579,6 +690,45 @@ mod tests {
             .expect("run");
         assert_eq!(want, got);
         assert_eq!(want.energy_pj.to_bits(), got.energy_pj.to_bits());
+        let decoded = DecodedProgram::new(&answer_program()).expect("lowers");
+        let fast = decoded
+            .engine()
+            .call_faulted("answer", &[], &mut NullDevice::new(), &fault)
+            .expect("run");
+        assert_eq!(want, fast);
+        assert_eq!(want.energy_pj.to_bits(), fast.energy_pj.to_bits());
+    }
+
+    #[test]
+    fn skipped_call_never_enters_the_callee() {
+        // The call is the boundary after `mov` (one cycle): skipped, it
+        // is charged but `double` never runs and 7 comes back.
+        let p = call_program();
+        let fault = FaultSpec {
+            at_cycle: 1,
+            kind: FaultKind::SkipInstruction,
+        };
+        let mut machine = Machine::new(p.clone()).expect("load");
+        let reference = machine
+            .call("main", &[], &mut NullDevice::new())
+            .expect("run");
+        assert_eq!(reference.return_value, 14);
+        let want = machine
+            .call_faulted("main", &[], &mut NullDevice::new(), &fault)
+            .expect("run");
+        assert_eq!(want.return_value, 7);
+        assert!(want.cycles < reference.cycles);
+        let decoded = DecodedProgram::new(&p).expect("lowers");
+        let got = decoded
+            .engine()
+            .call_faulted("main", &[], &mut NullDevice::new(), &fault)
+            .expect("run");
+        assert_eq!(want, got);
+        assert_eq!(want.energy_pj.to_bits(), got.energy_pj.to_bits());
+        assert_eq!(
+            classify_single(&p, "main", &[], fault),
+            FaultOutcome::SilentDataCorruption
+        );
     }
 
     #[test]
@@ -663,22 +813,12 @@ mod tests {
             watchdog_cycles: 10_000,
             ipet_bound_cycles: None,
         };
-        let plan = FaultPlan {
-            faults: vec![FaultSpec {
-                at_cycle: 20,
-                kind: FaultKind::RegisterBitFlip { reg: 2, bit: 31 },
-            }],
+        let fault = FaultSpec {
+            at_cycle: 20,
+            kind: FaultKind::RegisterBitFlip { reg: 2, bit: 31 },
         };
-        let result = run_campaign_with_plan(
-            minipool::global(),
-            &sum_program(),
-            "sum",
-            &[8],
-            &plan,
-            &cfg,
-            RecordingDevice::new,
-        );
-        assert_eq!(result.outcomes, vec![FaultOutcome::Hang]);
+        let outcome = classify_on_both(&sum_program(), "sum", &[8], fault, &cfg);
+        assert_eq!(outcome, FaultOutcome::Hang);
     }
 
     #[test]

@@ -25,28 +25,30 @@
 //!   **bit-identical** to the reference (energy included, to the last
 //!   f64 bit) — enforced by the differential oracle suite — so it is the
 //!   engine of choice wherever throughput matters: batched measurement,
-//!   bound validation, energy-model fitting.
-//! * [`fault`] — the **fault-injection wrapper** around the reference.
-//!   [`Machine::call_faulted`] runs to a target cycle, applies one
-//!   single-event upset (register/memory bit flip or instruction skip),
-//!   and keeps executing; [`fault::run_campaign`] fans seeded
-//!   [`fault::FaultPlan`]s across the pool and classifies each run as
+//!   bound validation, energy-model fitting, fault campaigns and the
+//!   leakage rig.
+//! * [`fault`] — **fault injection**. [`Machine::call_faulted`] runs to
+//!   a target cycle, applies one single-event upset (register/memory
+//!   bit flip or instruction skip), and keeps executing;
+//!   [`DecodedEngine::call_faulted`] injects identically on the decoded
+//!   engine. [`fault::run_campaign`] fans seeded [`fault::FaultPlan`]s
+//!   across the pool on the decoded engine and classifies each run as
 //!   masked / silent data corruption / trapped / timing violation /
-//!   hang against the fault-free reference observables. The wrapper
-//!   injects *through* the reference semantics — with no fault attached
-//!   the path is bit-identical to [`Machine::call`] — and its masked
-//!   verdicts are cross-checked against the decoded engine.
+//!   hang against the observables of a fault-free reference run on the
+//!   [`Machine`]. With no fault attached either engine's path is
+//!   bit-identical to its plain `call`, and a masked verdict certifies
+//!   agreement with both engines.
 //!
 //! The reference stays authoritative (new ISA semantics land there
 //! first); the decoded engine is a performance artefact whose only
-//! license to exist is bit-identity; the fault wrapper perturbs single
-//! runs but never redefines semantics. [`batch`] builds on the decoded
-//! engine: [`simulate_batch`], its one entry point, fans deterministic
-//! seeded input vectors ([`seeded_inputs`]) across a `minipool` pool
-//! under an explicit per-run cycle watchdog (callers pass the static
-//! bound they hold), with results in input order, bit-identical at any
-//! pool width — and fault campaigns reuse exactly that fixed-chunk
-//! determinism discipline.
+//! license to exist is bit-identity, faulted runs included; a fault
+//! perturbs a single run but never redefines semantics. [`batch`]
+//! builds on the decoded engine: [`simulate_batch`], its one entry
+//! point, fans deterministic seeded input vectors ([`seeded_inputs`])
+//! across a `minipool` pool under an explicit per-run cycle watchdog
+//! (callers pass the static bound they hold), with results in input
+//! order, bit-identical at any pool width — and fault campaigns reuse
+//! exactly that fixed-chunk determinism discipline.
 //!
 //! Both engines charge a *hidden ground-truth energy model* ([`truth`]).
 //! Static analyses never see this model directly; they see either the

@@ -9,7 +9,7 @@
 //! the energy-model *fitting* flow regresses against — the reproduction of
 //! paper ref \[8\]'s "fine-grain power models with no on-chip PMU".
 
-use crate::fault::{FaultKind, FaultSpec};
+use crate::fault::FaultSpec;
 use crate::ports::PortDevice;
 use crate::truth::GroundTruthEnergy;
 use serde::{Deserialize, Serialize};
@@ -349,15 +349,7 @@ impl Machine {
             }
             if let Some(f) = fault_pending {
                 if cycles >= f.at_cycle {
-                    match f.kind {
-                        FaultKind::RegisterBitFlip { reg, bit } => {
-                            regs[reg as usize % regs.len()] ^= 1i32 << (bit % 32);
-                        }
-                        FaultKind::MemoryBitFlip { word, bit } => {
-                            mem[word as usize % MEM_WORDS] ^= 1i32 << (bit % 32);
-                        }
-                        FaultKind::SkipInstruction => skip_armed = true,
-                    }
+                    skip_armed = f.kind.strike(regs, mem);
                     fault_pending = None;
                 }
             }

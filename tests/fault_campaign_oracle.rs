@@ -1,14 +1,28 @@
-//! Determinism oracle for the fault-injection campaign runner.
+//! Oracle suite for fault injection and the campaign runner.
 //!
 //! `run_campaign` promises the same contract as the batched trace
 //! fleet: outcomes in plan order, **byte-identical at any pool width**,
 //! with the zero-fault control run reproducing the fault-free reference
-//! bit for bit. This suite pins that contract on real app kernels under
-//! their tuned pipelines — the serialized [`CampaignResult`] (plan,
-//! per-injection outcomes, aggregated stats) must be byte-for-byte
-//! equal on pools of 1, 2 and 4 workers.
+//! bit for bit. This suite pins that contract on the four app kernels
+//! under their tuned pipelines — the serialized [`CampaignResult`]
+//! (plan, per-injection outcomes, aggregated stats) must be
+//! byte-for-byte equal on pools of 1, 2 and 4 workers.
 //!
-//! A second case checks the empty-plan identity: a campaign over
+//! Campaigns inject on the pre-decoded engine, so two more contracts
+//! tie them to the reference [`Machine`]:
+//!
+//! * **Engine equivalence under faults** — every fault, run through
+//!   [`Machine::call_faulted`] and [`DecodedEngine::call_faulted`],
+//!   gives the same `RunResult` (energy to the last bit) or the same
+//!   trap, the same data image and the same port outputs. The faults
+//!   cover sampled plans, a skip and a register flip at every cycle of
+//!   a kernel's first few hundred, skips across the end of the run, and
+//!   faults at cycle 0, on the app kernels and on generated kernels.
+//! * **Campaign ≡ per-fault reference classification** — each
+//!   campaign outcome equals the classification of the same fault on a
+//!   `Machine`, at every pool width.
+//!
+//! A last case checks the empty-plan identity: a campaign over
 //! [`FaultPlan::empty`] performs no injections and still certifies the
 //! masked control, so wiring the campaign harness into a flow cannot
 //! perturb it.
@@ -16,18 +30,25 @@
 //! [`CampaignResult`]: teamplay_sim::CampaignResult
 //! [`FaultPlan::empty`]: teamplay_sim::FaultPlan::empty
 
+#[path = "common/kernels.rs"]
+mod kernels;
+
 use minipool::Pool;
-use teamplay_compiler::{generate_program, CodegenOpts, PassManager};
-use teamplay_isa::CycleModel;
+use proptest::prelude::*;
+use teamplay_compiler::{generate_program, CodegenOpts, PassManager, Pipeline};
+use teamplay_isa::{CycleModel, Program};
 use teamplay_minic::compile_to_ir;
 use teamplay_sim::{
-    run_campaign, run_campaign_with_plan, CampaignConfig, FaultPlan, RecordingDevice,
+    run_campaign, run_campaign_with_plan, CampaignConfig, CampaignResult, DecodedEngine,
+    DecodedProgram, FaultKind, FaultOutcome, FaultPlan, FaultSpec, Machine, MachineError,
+    RecordingDevice, RunResult,
 };
 use teamplay_wcet::analyze_program;
 
-/// App kernels under their tuned pipelines, with the IPET bound the
-/// campaign uses as its timing-violation threshold.
-fn kernels() -> Vec<(String, String, Vec<i32>, teamplay_isa::Program, u64)> {
+/// The four app kernels under their tuned pipelines — built as the
+/// end-to-end benchmark's fault fleet builds them — with the IPET
+/// bound the campaign uses as its timing-violation threshold.
+fn kernels() -> Vec<(String, String, Vec<i32>, Program, u64)> {
     let cat = teamplay_apps::catalog();
     let cm = CycleModel::pg32();
     [
@@ -38,10 +59,22 @@ fn kernels() -> Vec<(String, String, Vec<i32>, teamplay_isa::Program, u64)> {
             vec![],
         ),
         (
+            "spacewire",
+            teamplay_apps::spacewire::SOURCE,
+            "crc_frame",
+            vec![],
+        ),
+        (
             "uav",
             teamplay_apps::uav::DETECT_KERNEL_SOURCE,
             "predetect",
             vec![40],
+        ),
+        (
+            "parking",
+            teamplay_apps::parking::CONV_KERNEL_SOURCE,
+            "conv_layer",
+            vec![],
         ),
     ]
     .into_iter()
@@ -87,6 +120,11 @@ fn campaigns_are_byte_identical_across_pool_widths() {
             assert!(
                 result.control_masked,
                 "{app}/{task}: zero-fault control diverged at width {width}"
+            );
+            assert_eq!(
+                result.outcomes,
+                machine_outcomes(&program, &task, &args, &cfg, &result),
+                "{app}/{task}: campaign differs from the reference at width {width}"
             );
             serde_json::to_string(&result).expect("serializes")
         };
@@ -154,7 +192,7 @@ fn empty_plan_campaign_is_a_no_op_on_a_real_kernel() {
 
 #[test]
 fn campaigns_are_reproducible_from_the_seed_alone() {
-    let (app, task, args, program, ipet) = kernels().remove(1);
+    let (app, task, args, program, ipet) = kernels().remove(2);
     let cfg = config(ipet);
     let a = run_campaign(
         minipool::global(),
@@ -188,4 +226,219 @@ fn campaigns_are_reproducible_from_the_seed_alone() {
         a.plan, other.plan,
         "{app}/{task}: the seed must actually steer the plan"
     );
+}
+
+/// Everything one faulted run shows: the result (energy as bits) or the
+/// trap, the data image and the port outputs.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    run: Result<RunResult, MachineError>,
+    energy_bits: Option<u64>,
+    data_image: Vec<i32>,
+    outputs: Vec<(u8, i32)>,
+}
+
+impl Observed {
+    fn of(
+        run: Result<RunResult, MachineError>,
+        data_image: Vec<i32>,
+        device: RecordingDevice,
+    ) -> Observed {
+        Observed {
+            energy_bits: run.as_ref().map(|r| r.energy_pj.to_bits()).ok(),
+            run,
+            data_image,
+            outputs: device.outputs,
+        }
+    }
+}
+
+/// One faulted run on the reference machine, from freshly reset data.
+fn on_machine(m: &mut Machine, func: &str, args: &[i32], fault: &FaultSpec) -> Observed {
+    m.reset_data();
+    let mut device = RecordingDevice::new();
+    let run = m.call_faulted(func, args, &mut device, fault);
+    Observed::of(run, m.data_image(), device)
+}
+
+/// One faulted run on the decoded engine, from freshly reset data.
+fn on_engine(e: &mut DecodedEngine<'_>, func: &str, args: &[i32], fault: &FaultSpec) -> Observed {
+    e.reset_data();
+    let mut device = RecordingDevice::new();
+    let run = e.call_faulted(func, args, &mut device, fault);
+    Observed::of(run, e.data_image(), device)
+}
+
+/// Campaign chunk size: each chunk of the plan runs on one fresh engine,
+/// and the condition flags carry from run to run within it.
+const CHUNK: usize = 16;
+
+/// The campaign's classification, recomputed on the reference
+/// [`Machine`]: the fault-free reference observables, then every fault
+/// of `result.plan` on a fresh machine per chunk.
+fn machine_outcomes(
+    program: &Program,
+    func: &str,
+    args: &[i32],
+    cfg: &CampaignConfig,
+    result: &CampaignResult,
+) -> Vec<FaultOutcome> {
+    let machine = || {
+        let mut m = Machine::new(program.clone()).expect("kernel loads");
+        m.set_max_cycles(cfg.watchdog_cycles);
+        m
+    };
+    let never = FaultSpec {
+        at_cycle: u64::MAX,
+        kind: FaultKind::SkipInstruction,
+    };
+    let reference = on_machine(&mut machine(), func, args, &never);
+    let ref_cycles = reference.run.as_ref().expect("reference runs").cycles;
+    assert_eq!(ref_cycles, result.reference_cycles);
+    let bound = cfg.ipet_bound_cycles.unwrap_or(ref_cycles).max(ref_cycles);
+    result
+        .plan
+        .faults
+        .chunks(CHUNK)
+        .flat_map(|chunk| {
+            let mut m = machine();
+            chunk
+                .iter()
+                .map(|fault| {
+                    let observed = on_machine(&mut m, func, args, fault);
+                    match &observed.run {
+                        Err(MachineError::CycleLimit) => FaultOutcome::Hang,
+                        Err(e) => FaultOutcome::Trapped(e.clone()),
+                        _ if observed == reference => FaultOutcome::Masked,
+                        Ok(r) if r.cycles > bound => FaultOutcome::TimingViolation,
+                        Ok(_) => FaultOutcome::SilentDataCorruption,
+                    }
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// Run every fault on both engines and assert they observe the same.
+/// Each engine is reused across the faults, as a campaign chunk reuses
+/// it; returns how many faults ran.
+fn assert_engines_agree(
+    program: &Program,
+    func: &str,
+    args: &[i32],
+    watchdog: u64,
+    faults: impl IntoIterator<Item = FaultSpec>,
+    label: &str,
+) -> usize {
+    let mut machine = Machine::new(program.clone()).expect("kernel loads");
+    machine.set_max_cycles(watchdog);
+    let decoded = DecodedProgram::new(program).expect("kernel lowers");
+    let mut engine = decoded.engine();
+    engine.set_max_cycles(watchdog);
+    let mut n = 0;
+    for fault in faults {
+        let want = on_machine(&mut machine, func, args, &fault);
+        let got = on_engine(&mut engine, func, args, &fault);
+        assert_eq!(want, got, "{label}: engines diverge under {fault:?}");
+        n += 1;
+    }
+    n
+}
+
+/// The fault sweep every kernel gets: a skip and a register flip at
+/// every cycle of the first `head` cycles, a skip and a flip of the
+/// return register from `tail` cycles before the end to a few past it,
+/// and every kind of upset at cycle 0.
+fn sweep(reference_cycles: u64, head: u64, tail: u64) -> Vec<FaultSpec> {
+    let mut faults = Vec::new();
+    for at in 0..head.min(reference_cycles) {
+        faults.push(FaultSpec {
+            at_cycle: at,
+            kind: FaultKind::SkipInstruction,
+        });
+        faults.push(FaultSpec {
+            at_cycle: at,
+            kind: FaultKind::RegisterBitFlip {
+                reg: (at % 16) as u8,
+                bit: (at * 7 % 32) as u8,
+            },
+        });
+    }
+    for at in reference_cycles.saturating_sub(tail)..reference_cycles + 4 {
+        faults.push(FaultSpec {
+            at_cycle: at,
+            kind: FaultKind::SkipInstruction,
+        });
+        faults.push(FaultSpec {
+            at_cycle: at,
+            kind: FaultKind::RegisterBitFlip { reg: 0, bit: 1 },
+        });
+    }
+    for kind in [
+        FaultKind::SkipInstruction,
+        FaultKind::RegisterBitFlip { reg: 0, bit: 0 },
+        FaultKind::RegisterBitFlip { reg: 13, bit: 4 },
+        FaultKind::MemoryBitFlip {
+            word: teamplay_isa::STACK_TOP / 4 - 1,
+            bit: 9,
+        },
+    ] {
+        faults.push(FaultSpec { at_cycle: 0, kind });
+    }
+    faults
+}
+
+fn reference_cycles(program: &Program, func: &str, args: &[i32]) -> u64 {
+    let mut machine = Machine::new(program.clone()).expect("kernel loads");
+    machine
+        .call(func, args, &mut RecordingDevice::new())
+        .expect("fault-free run")
+        .cycles
+}
+
+#[test]
+fn engines_agree_under_faults_on_the_app_kernels() {
+    for (app, task, args, program, ipet) in kernels() {
+        let cycles = reference_cycles(&program, &task, &args);
+        let layout = DecodedProgram::new(&program)
+            .expect("lowers")
+            .layout()
+            .clone();
+        let sampled = FaultPlan::sample(0x5EED ^ cycles, 96, cycles, &layout);
+        let faults = sweep(cycles, 300, 50).into_iter().chain(sampled.faults);
+        let n = assert_engines_agree(&program, &task, &args, 2 * ipet, faults, &app);
+        assert!(n > 700, "{app}/{task}: only {n} faults ran");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+
+    #[test]
+    fn engines_agree_under_faults_on_generated_kernels(
+        src in kernels::arb_kernel(),
+        inline in any::<bool>(),
+        x in -40i32..40,
+        y in -40i32..40,
+        seed in 0u64..1_000_000,
+    ) {
+        // Without inlining the helpers' calls survive.
+        let pipeline = if inline { Pipeline::o3() } else { Pipeline::o1() };
+        let mut module = compile_to_ir(&src).expect("generated kernels lower");
+        PassManager::new(pipeline).expect("preset resolves").run(&mut module);
+        let program = generate_program(&module, CodegenOpts::default()).expect("codegen");
+        let cycles = reference_cycles(&program, "f", &[x, y]);
+        let layout = DecodedProgram::new(&program).expect("lowers").layout().clone();
+        let sampled = FaultPlan::sample(seed, 64, cycles, &layout);
+        // A skip at every boundary also lands on each surviving `Call`.
+        let skips = (0..cycles).map(|at| FaultSpec {
+            at_cycle: at,
+            kind: FaultKind::SkipInstruction,
+        });
+        let faults = sweep(cycles, 100, 50)
+            .into_iter()
+            .chain(skips)
+            .chain(sampled.faults);
+        assert_engines_agree(&program, "f", &[x, y], 4 * cycles + 1_000, faults, &src);
+    }
 }
