@@ -5,11 +5,12 @@
 //! block-vector indirection, an energy-table call through `Option`
 //! branching. This module lowers a validated program **once** into
 //! [`DecodedProgram`] — the flat [`teamplay_isa::DecodedImage`] op array
-//! zipped with a parallel [`OpCost`] array that bakes in every per-op
+//! zipped with a parallel `OpCost` array that bakes in every per-op
 //! cycle and energy constant — and executes it with [`DecodedEngine`], a
 //! direct-threaded dispatch loop whose per-step work is one `match` on a
-//! `Copy` op plus a handful of array indexes. No `HashMap`, no name
-//! lookup, no per-step cost-model call survives into the hot loop.
+//! unit of one or more ops plus a handful of array indexes. No `HashMap`,
+//! no name lookup, no per-step cost-model call survives into the hot
+//! loop.
 //!
 //! # Bit-identical accounting
 //!
@@ -78,28 +79,38 @@
 //! # Superinstruction fusion
 //!
 //! Dispatch — the indirect branch per slot — dominates once per-op work
-//! is this small, so decode tiles the dynamically dominant adjacent op
-//! pairs of the app kernels into fused `HotOp` variants (store→load,
-//! load→ALU, compare→branch, …), then runs a fixpoint of pairwise
-//! re-fusion that grows 4-, 6-, 8-, 10- and 13-op *megaops* covering the
-//! kernels' hot inner loops. Fusion is pc-stable: a fused unit lives in
-//! its first op's slot, absorbed slots are never branch targets (fusion
-//! refuses to cross block starts), and every fused arm charges exactly
-//! the ops the reference would. The dispatch table is padded to a power
-//! of two so the fetch is a masked (provably in-bounds) index.
+//! is this small, so decode tiles the op array into fused *units* that
+//! retire several guest ops per dispatch. Every fused unit is one row
+//! `Name = Left + Right` of the fusion table, naming two smaller units
+//! or base ops; the unit's type, width, merge rule and dispatch arm are
+//! all generated from that row, so adding a unit means adding a row.
+//! Each base op's semantics is written once, as a step that the fast
+//! loop's base arms, the careful loop and every fused unit share.
 //!
-//! Within a fused arm the decoder's static knowledge pays once more:
-//! operands known to be the previous micro-op's destination forward the
-//! just-computed value instead of re-reading the register file, and a
-//! store followed by a load from the same address forwards the stored
-//! word — both exact by construction, both transformations LLVM cannot
-//! make through a dynamically-indexed register array.
+//! Tiling runs in two phases. Round 1 pairs adjacent base ops left to
+//! right, except that a compare feeding the conditional branch right
+//! behind it is left for the compare+branch row. Then a fixpoint of
+//! merges lets a fused unit absorb the unit after it whenever the table
+//! has a row for the two; chains grow by one row per round, into
+//! megaops of up to 13 ops that cover the app kernels' hot loop bodies.
+//! Fusion is pc-stable: a unit lives in its first op's slot, no unit
+//! crosses a block start, and a unit that ends in a control op charges
+//! the run aggregate recorded at that op's own slot, `pc + width - 1`.
+//! The dispatch table is padded to a power of two so the fetch is a
+//! masked (provably in-bounds) index.
+//!
+//! Within a unit the decoder's static knowledge pays once more: each
+//! micro-op hands its result to the next, so an operand that is the
+//! previous micro-op's destination takes the just-computed value instead
+//! of re-reading the register file, and a load from the address the
+//! previous micro-op stored to takes the stored word. Both are exact by
+//! construction, and both are transformations LLVM cannot make through
+//! a dynamically-indexed register array.
 //!
 //! Net effect on the four app kernels (single thread, `sim_throughput`
-//! bench, CI-class host): ~0.9–1.0 G simulated cycles/sec vs the
-//! reference's ~0.25–0.28 G — a 3.5–3.9× speedup at 4.5–7.7 retired
-//! guest ops per dispatch, recorded in `BENCH_sim.json` and floored at
-//! `speedup ≥ 1` by `support/ci/validate_bench.py`.
+//! bench, recorded in `BENCH_sim.json`): ~0.88–0.95 G simulated
+//! cycles/sec vs the reference's ~0.18–0.20 G, a 4.5–4.9× speedup,
+//! floored at `speedup ≥ 1` by `support/ci/validate_bench.py`.
 
 use crate::fault::FaultSpec;
 use crate::machine::{zeroed_mem, MachineError, RunResult, MAX_CALL_DEPTH, MEM_WORDS};
@@ -124,433 +135,27 @@ use teamplay_isa::{
 /// neighbour (a post-call resume site sees `Return`'s class, which
 /// equals the textual `Call`'s class — `Branch` again).
 #[derive(Debug, Clone, Copy)]
-pub struct OpCost {
+struct OpCost {
     /// Cycles charged (taken outcome for conditional branches).
-    pub cyc: u64,
+    cyc: u64,
     /// Cycles charged on the not-taken outcome.
-    pub cyc_nt: u64,
+    cyc_nt: u64,
     /// `EnergyClass::index()` of the op.
-    pub class: u8,
+    class: u8,
     /// Full energy increment (pJ): `((base [+ overhead]) [+ stack]) +
     /// leakage·cyc`, combined at decode time in the reference f64 order.
-    pub inc_pj: f64,
+    inc_pj: f64,
     /// The not-taken-outcome increment (uses `cyc_nt` leakage).
-    pub inc_nt_pj: f64,
+    inc_nt_pj: f64,
 }
 
-/// One hot-loop slot: the op and its baked costs side by side, so the
-/// dispatch loop touches a single array (one bounds check, one cache
-/// stream) per step.
+/// One careful-loop slot: the op and its baked costs side by side, so
+/// the loop touches a single array (one bounds check, one cache stream)
+/// per step.
 #[derive(Clone, Copy)]
 struct Step {
     op: DecodedOp,
     cost: OpCost,
-}
-
-/// Fast-loop opcode: the base [`DecodedOp`] repertoire plus fused
-/// *superinstructions* for the dynamically dominant adjacent pairs of
-/// the app kernels (store→load, load→ALU, compare→branch, …). One fused
-/// slot retires two guest ops per dispatch, halving the indirect-branch
-/// pressure that dominates interpreter cost.
-///
-/// Fusion is **pc-stable**: a fused pair lives in the *first* op's slot
-/// and its arm advances `pc` by two; the second op's slot keeps its
-/// un-fused form. Pairs are only formed when the second op is not a
-/// block start, so control flow can never land on a skipped slot —
-/// every entry point (function entries, branch/call targets, post-call
-/// resume sites) dispatches exactly the ops the reference would.
-/// `MovI32` folds into `MovI` here: the width distinction is a cost
-/// artifact and the fast loop charges costs per run, not per op.
-#[derive(Clone, Copy)]
-enum HotOp {
-    AluRR {
-        op: AluOp,
-        rd: u8,
-        rn: u8,
-        rm: u8,
-    },
-    AluRI {
-        op: AluOp,
-        rd: u8,
-        rn: u8,
-        imm: i32,
-    },
-    MovR {
-        rd: u8,
-        rm: u8,
-    },
-    MovI {
-        rd: u8,
-        imm: i32,
-    },
-    CmpR {
-        rn: u8,
-        rm: u8,
-    },
-    CmpI {
-        rn: u8,
-        imm: i32,
-    },
-    Csel {
-        cond: Cond,
-        rd: u8,
-        rt: u8,
-        rf: u8,
-    },
-    LdrR {
-        rd: u8,
-        base: u8,
-        roff: u8,
-    },
-    LdrI {
-        rd: u8,
-        base: u8,
-        imm: i32,
-    },
-    StrR {
-        rs: u8,
-        base: u8,
-        roff: u8,
-    },
-    StrI {
-        rs: u8,
-        base: u8,
-        imm: i32,
-    },
-    Push {
-        list: RegListRef,
-    },
-    Pop {
-        list: RegListRef,
-    },
-    Call {
-        target: u32,
-    },
-    In {
-        rd: u8,
-        port: u8,
-    },
-    Out {
-        rs: u8,
-        port: u8,
-    },
-    Nop,
-    Branch {
-        target: u32,
-    },
-    CondBranch {
-        cond: Cond,
-        taken: u32,
-        fallthrough: u32,
-    },
-    Ret,
-    Halt,
-    // ---- fused straight-line pairs (arm advances pc by 2) ----
-    StrILdrI(PStrLdr),
-    LdrIStrI(PLdrStr),
-    LdrILdrI(PLdrLdr),
-    LdrIAluRI(PLdrAluRI),
-    LdrIAluRR(PLdrAluRR),
-    LdrIMovI(PLdrMov),
-    LdrICmpI(PLdrCmpI),
-    AluRILdrI(PAluRILdr),
-    AluRIStrI(PAluRIStr),
-    AluRIAluRR(PAluRIAluRR),
-    AluRRLdrI(PAluRRLdr),
-    AluRRStrI(PAluRRStr),
-    MovILdrI(PMovLdr),
-    MovIMovI(PMovMov),
-    MovICmpR(PMovCmpR),
-    MovICsel(PMovCsel),
-    CselStrI(PCselStr),
-    CmpRMovI(PCmpRMov),
-    StrIMovI(PStrMov),
-    StrIMovR(PStrMovR),
-    MovRAluRI(PMovRAluRI),
-    // ---- fused run tails (first op + the run-ending control op; the
-    // arm charges the run aggregate recorded at `pc + 1`) ----
-    CmpICondBranch(PCmpICb),
-    CmpRCondBranch(PCmpRCb),
-    StrIBranch(PStrBr),
-    // ---- second-round fusions: two adjacent pairs become a quad (arm
-    // advances pc by 4; a control tail charges the aggregate at
-    // `pc + 3`), and pair+branch becomes a triple (charge at `pc + 2`).
-    QLdrMovCmpRMov(PLdrMov, PCmpRMov),
-    QCmpRMovMovCsel(PCmpRMov, PMovCsel),
-    QMovCselStrLdr(PMovCsel, PStrLdr),
-    QStrLdrCmpICb(PStrLdr, PCmpICb),
-    QLdrAluRIStrLdr(PLdrAluRI, PStrLdr),
-    QAluRIAluRRLdrStr(PAluRIAluRR, PLdrStr),
-    QMovLdrAluRIAluRR(PMovLdr, PAluRIAluRR),
-    QStrLdrStrBr(PStrLdr, PStrBr),
-    QStrLdrAluRIStr(PStrLdr, PAluRIStr),
-    QLdrMovAluRRStr(PLdrMov, PAluRRStr),
-    QAluRRStrLdrStr(PAluRRStr, PLdrStr),
-    QAluRRStrLdrMov(PAluRRStr, PLdrMov),
-    QAluRRStrLdrAluRI(PAluRRStr, PLdrAluRI),
-    QLdrStrLdrAluRI(PLdrStr, PLdrAluRI),
-    QAluRILdrAluRIAluRR(PAluRILdr, PAluRIAluRR),
-    QAluRRLdrStrLdr(PAluRRLdr, PStrLdr),
-    QLdrLdrAluRRStr(PLdrLdr, PAluRRStr),
-    QLdrStrLdrLdr(PLdrStr, PLdrLdr),
-    TLdrStrBr(PLdrStr, u32),
-    // ---- later-round fusions: adjacent quads (or a quad plus a fused
-    // tail) merge into one mega unit covering a whole measured hot
-    // chain, so the dominant loop bodies retire in one or two
-    // dispatches. Straight megas advance pc by their width; control
-    // megas charge the aggregate at `pc + width - 1`. Widths noted per
-    // variant.
-    OLdrMovCmpRMovCselStrLdr(PLdrMov, PCmpRMov, PMovCsel, PStrLdr), // 8
-    DLdrMovCmpRMovCselStrLdrCmpICb(PLdrMov, PCmpRMov, PMovCsel, PStrLdr, PCmpICb), // 10, control
-    SLdrAluRIStrLdrStrBr(PLdrAluRI, PStrLdr, PStrBr),               // 6, control
-    SLdrMovAluRRStrLdrStrBr(PLdrMov, PAluRRStr, PLdrStr, u32),      // 7, control
-    OLdrMovAluRRStrLdrMovCmpRMov(PLdrMov, PAluRRStr, PLdrMov, PCmpRMov), // 8
-    SMovCselStrLdrCmpICb(PMovCsel, PStrLdr, PCmpICb),               // 6, control
-    OLdrStrLdrAluRIStrLdrStrBr(PLdrStr, PLdrAluRI, PStrLdr, PStrBr), // 8, control
-    OMovLdrAluRIAluRRLdrStrLdrLdr(PMovLdr, PAluRIAluRR, PLdrStr, PLdrLdr), // 8
-    OLdrStrLdrLdrAluRRStrLdrAluRI(PLdrStr, PLdrLdr, PAluRRStr, PLdrAluRI), // 8
-    SAluRRStrLdrAluRIStrMovR(PAluRRStr, PLdrAluRI, PStrMovR),       // 6
-    QStrLdrLdrAluRR(PStrLdr, PLdrAluRR),                            // 4
-    WLdrAluRIStrLdrMov(PLdrAluRI, PStrLdr, PMov),                   // 5
-    WAluRRStrLdrStrBr(PAluRRStr, PLdrStr, u32),                     // 5, control
-    SLdrAluRIStrLdrAluRIStr(PLdrAluRI, PStrLdr, PAluRIStr),         // 6
-    SLdrAluRRStrLdrAluRIStr(PLdrAluRR, PStrLdr, PAluRIStr),         // 6
-    SLdrAluRIAluRRLdrStrLdr(PLdrAluRI, PAluRRLdr, PStrLdr),         // 6
-    SMovLdrAluRIAluRRLdrStr(PMovLdr, PAluRIAluRR, PLdrStr),         // 6
-    SAluRILdrAluRIAluRRLdrStr(PAluRILdr, PAluRIAluRR, PLdrStr),     // 6
-    OMovLdrAluRIAluRRLdrStrLdrAluRI(PMovLdr, PAluRIAluRR, PLdrStr, PLdrAluRI), // 8
-    OLdrLdrAluRRStrMovLdrAluRIAluRR(PLdrLdr, PAluRRStr, PMovLdr, PAluRIAluRR), // 8
-    OCmpRMovMovCselStrLdrCmpICb(PCmpRMov, PMovCsel, PStrLdr, PCmpICb), // 8, control
-    XLdrAluRIStrLdrMovAluRRStrLdrStrBr(PLdrAluRI, PStrLdr, PMov, PAluRRStr, PLdrStr, u32), // 10, control
-    #[allow(clippy::type_complexity)]
-    XLdrAluRIStrLdrAluRIStrLdrMovAluRRStrLdrStrBr(
-        PLdrAluRI,
-        PStrLdr,
-        PAluRIStr,
-        PLdrMov,
-        PAluRRStr,
-        PLdrStr,
-        u32,
-    ), // 13, control
-}
-
-/// Payloads of the fused superinstructions. Field prefixes keep the two
-/// constituent ops' operands apart; every register index is masked with
-/// `& 15` at use, so `u8` fields stay bounds-check-free.
-#[derive(Clone, Copy)]
-struct PStrLdr {
-    rs: u8,
-    sbase: u8,
-    simm: i32,
-    rd: u8,
-    lbase: u8,
-    limm: i32,
-}
-#[derive(Clone, Copy)]
-struct PLdrStr {
-    rd: u8,
-    lbase: u8,
-    limm: i32,
-    rs: u8,
-    sbase: u8,
-    simm: i32,
-}
-#[derive(Clone, Copy)]
-struct PLdrLdr {
-    rd0: u8,
-    base0: u8,
-    imm0: i32,
-    rd1: u8,
-    base1: u8,
-    imm1: i32,
-}
-#[derive(Clone, Copy)]
-struct PLdrAluRI {
-    rd: u8,
-    base: u8,
-    imm: i32,
-    aop: AluOp,
-    ard: u8,
-    arn: u8,
-    aimm: i32,
-}
-#[derive(Clone, Copy)]
-struct PLdrAluRR {
-    rd: u8,
-    base: u8,
-    imm: i32,
-    aop: AluOp,
-    ard: u8,
-    arn: u8,
-    arm: u8,
-}
-#[derive(Clone, Copy)]
-struct PLdrMov {
-    rd: u8,
-    base: u8,
-    imm: i32,
-    mrd: u8,
-    mimm: i32,
-}
-#[derive(Clone, Copy)]
-struct PLdrCmpI {
-    rd: u8,
-    base: u8,
-    imm: i32,
-    crn: u8,
-    cimm: i32,
-}
-#[derive(Clone, Copy)]
-struct PAluRILdr {
-    aop: AluOp,
-    ard: u8,
-    arn: u8,
-    aimm: i32,
-    rd: u8,
-    base: u8,
-    imm: i32,
-}
-#[derive(Clone, Copy)]
-struct PAluRIStr {
-    aop: AluOp,
-    ard: u8,
-    arn: u8,
-    aimm: i32,
-    rs: u8,
-    base: u8,
-    imm: i32,
-}
-#[derive(Clone, Copy)]
-struct PAluRIAluRR {
-    op0: AluOp,
-    rd0: u8,
-    rn0: u8,
-    imm0: i32,
-    op1: AluOp,
-    rd1: u8,
-    rn1: u8,
-    rm1: u8,
-}
-#[derive(Clone, Copy)]
-struct PAluRRLdr {
-    aop: AluOp,
-    ard: u8,
-    arn: u8,
-    arm: u8,
-    rd: u8,
-    base: u8,
-    imm: i32,
-}
-#[derive(Clone, Copy)]
-struct PAluRRStr {
-    aop: AluOp,
-    ard: u8,
-    arn: u8,
-    arm: u8,
-    rs: u8,
-    base: u8,
-    imm: i32,
-}
-#[derive(Clone, Copy)]
-struct PMovLdr {
-    mrd: u8,
-    mimm: i32,
-    rd: u8,
-    base: u8,
-    imm: i32,
-}
-#[derive(Clone, Copy)]
-struct PMovMov {
-    rd0: u8,
-    imm0: i32,
-    rd1: u8,
-    imm1: i32,
-}
-#[derive(Clone, Copy)]
-struct PMovCmpR {
-    mrd: u8,
-    mimm: i32,
-    rn: u8,
-    rm: u8,
-}
-#[derive(Clone, Copy)]
-struct PMovCsel {
-    mrd: u8,
-    mimm: i32,
-    cond: Cond,
-    rd: u8,
-    rt: u8,
-    rf: u8,
-}
-#[derive(Clone, Copy)]
-struct PCselStr {
-    cond: Cond,
-    rd: u8,
-    rt: u8,
-    rf: u8,
-    rs: u8,
-    base: u8,
-    imm: i32,
-}
-#[derive(Clone, Copy)]
-struct PCmpRMov {
-    rn: u8,
-    rm: u8,
-    mrd: u8,
-    mimm: i32,
-}
-#[derive(Clone, Copy)]
-struct PStrMov {
-    rs: u8,
-    base: u8,
-    imm: i32,
-    mrd: u8,
-    mimm: i32,
-}
-#[derive(Clone, Copy)]
-struct PStrMovR {
-    rs: u8,
-    sbase: u8,
-    simm: i32,
-    rd: u8,
-    rm: u8,
-}
-#[derive(Clone, Copy)]
-struct PMovRAluRI {
-    rd: u8,
-    rm: u8,
-    aop: AluOp,
-    ard: u8,
-    arn: u8,
-    aimm: i32,
-}
-#[derive(Clone, Copy)]
-struct PMov {
-    rd: u8,
-    imm: i32,
-}
-#[derive(Clone, Copy)]
-struct PCmpICb {
-    rn: u8,
-    imm: i32,
-    cond: Cond,
-    taken: u32,
-    fallthrough: u32,
-}
-#[derive(Clone, Copy)]
-struct PCmpRCb {
-    rn: u8,
-    rm: u8,
-    cond: Cond,
-    taken: u32,
-    fallthrough: u32,
-}
-#[derive(Clone, Copy)]
-struct PStrBr {
-    rs: u8,
-    base: u8,
-    imm: i32,
-    target: u32,
 }
 
 type Mem = [i32; MEM_WORDS];
@@ -589,819 +194,698 @@ fn st(mem: &mut Mem, addr: u32, value: i32) -> Result<(), MachineError> {
     Ok(())
 }
 
-// Straight-line superinstruction bodies, shared between the pair arms
-// and the quad arms of the dispatch loop. All `#[inline(always)]`: each
-// call site is a distinct jump-table arm and must stay call-free.
-#[inline(always)]
-fn x_str_ldr(p: &PStrLdr, regs: &mut [i32; 16], mem: &mut Mem) -> Result<(), MachineError> {
-    let sa = (regs[p.sbase as usize & 15] as u32).wrapping_add(p.simm as u32);
-    let v = regs[p.rs as usize & 15];
-    st(mem, sa, v)?;
-    let la = (regs[p.lbase as usize & 15] as u32).wrapping_add(p.limm as u32);
-    // Spill-reload forwarding: the dominant store→load pairs re-read
-    // the address just written, so the stored word short-circuits the
-    // reload (a valid store to `sa` proves a load from `sa` yields it).
-    regs[p.rd as usize & 15] = if la == sa { v } else { ld(mem, la)? };
-    Ok(())
-}
-// Several bodies below forward a just-computed value straight into the
-// next op when the payload's register indices coincide, instead of
-// reading it back out of `regs`. The select is exact — it yields
-// precisely what the array read would — but it takes the host's
-// store-to-load forwarding latency off the dependency chain (the
-// compiler cannot do this itself: the dynamic indices might alias).
-#[inline(always)]
-fn x_ldr_str(p: &PLdrStr, regs: &mut [i32; 16], mem: &mut Mem) -> Result<(), MachineError> {
-    let addr = (regs[p.lbase as usize & 15] as u32).wrapping_add(p.limm as u32);
-    let lv = ld(mem, addr)?;
-    regs[p.rd as usize & 15] = lv;
-    let base = if p.sbase & 15 == p.rd & 15 {
-        lv
-    } else {
-        regs[p.sbase as usize & 15]
-    };
-    let sv = if p.rs & 15 == p.rd & 15 {
-        lv
-    } else {
-        regs[p.rs as usize & 15]
-    };
-    let addr = (base as u32).wrapping_add(p.simm as u32);
-    st(mem, addr, sv)
-}
-#[inline(always)]
-fn x_ldr_ldr(p: &PLdrLdr, regs: &mut [i32; 16], mem: &Mem) -> Result<(), MachineError> {
-    let addr = (regs[p.base0 as usize & 15] as u32).wrapping_add(p.imm0 as u32);
-    let lv = ld(mem, addr)?;
-    regs[p.rd0 as usize & 15] = lv;
-    let base = if p.base1 & 15 == p.rd0 & 15 {
-        lv
-    } else {
-        regs[p.base1 as usize & 15]
-    };
-    let addr = (base as u32).wrapping_add(p.imm1 as u32);
-    regs[p.rd1 as usize & 15] = ld(mem, addr)?;
-    Ok(())
-}
-#[inline(always)]
-fn x_ldr_alu_ri(p: &PLdrAluRI, regs: &mut [i32; 16], mem: &Mem) -> Result<(), MachineError> {
-    let addr = (regs[p.base as usize & 15] as u32).wrapping_add(p.imm as u32);
-    let lv = ld(mem, addr)?;
-    regs[p.rd as usize & 15] = lv;
-    let a = if p.arn & 15 == p.rd & 15 {
-        lv
-    } else {
-        regs[p.arn as usize & 15]
-    };
-    regs[p.ard as usize & 15] = p.aop.eval(a, p.aimm);
-    Ok(())
-}
-#[inline(always)]
-fn x_ldr_alu_rr(p: &PLdrAluRR, regs: &mut [i32; 16], mem: &Mem) -> Result<(), MachineError> {
-    let addr = (regs[p.base as usize & 15] as u32).wrapping_add(p.imm as u32);
-    let lv = ld(mem, addr)?;
-    regs[p.rd as usize & 15] = lv;
-    let a = if p.arn & 15 == p.rd & 15 {
-        lv
-    } else {
-        regs[p.arn as usize & 15]
-    };
-    let b = if p.arm & 15 == p.rd & 15 {
-        lv
-    } else {
-        regs[p.arm as usize & 15]
-    };
-    regs[p.ard as usize & 15] = p.aop.eval(a, b);
-    Ok(())
-}
-#[inline(always)]
-fn x_ldr_mov(p: &PLdrMov, regs: &mut [i32; 16], mem: &Mem) -> Result<(), MachineError> {
-    let addr = (regs[p.base as usize & 15] as u32).wrapping_add(p.imm as u32);
-    regs[p.rd as usize & 15] = ld(mem, addr)?;
-    regs[p.mrd as usize & 15] = p.mimm;
-    Ok(())
-}
-#[inline(always)]
-fn x_ldr_cmp_i(
-    p: &PLdrCmpI,
-    regs: &mut [i32; 16],
-    mem: &Mem,
-    flags: &mut (i32, i32),
-) -> Result<(), MachineError> {
-    let addr = (regs[p.base as usize & 15] as u32).wrapping_add(p.imm as u32);
-    regs[p.rd as usize & 15] = ld(mem, addr)?;
-    *flags = (regs[p.crn as usize & 15], p.cimm);
-    Ok(())
-}
-#[inline(always)]
-fn x_alu_ri_ldr(p: &PAluRILdr, regs: &mut [i32; 16], mem: &Mem) -> Result<(), MachineError> {
-    let av = p.aop.eval(regs[p.arn as usize & 15], p.aimm);
-    regs[p.ard as usize & 15] = av;
-    let base = if p.base & 15 == p.ard & 15 {
-        av
-    } else {
-        regs[p.base as usize & 15]
-    };
-    let addr = (base as u32).wrapping_add(p.imm as u32);
-    regs[p.rd as usize & 15] = ld(mem, addr)?;
-    Ok(())
-}
-#[inline(always)]
-fn x_alu_ri_str(p: &PAluRIStr, regs: &mut [i32; 16], mem: &mut Mem) -> Result<(), MachineError> {
-    let av = p.aop.eval(regs[p.arn as usize & 15], p.aimm);
-    regs[p.ard as usize & 15] = av;
-    let base = if p.base & 15 == p.ard & 15 {
-        av
-    } else {
-        regs[p.base as usize & 15]
-    };
-    let sv = if p.rs & 15 == p.ard & 15 {
-        av
-    } else {
-        regs[p.rs as usize & 15]
-    };
-    let addr = (base as u32).wrapping_add(p.imm as u32);
-    st(mem, addr, sv)
-}
-#[inline(always)]
-fn x_alu_ri_alu_rr(p: &PAluRIAluRR, regs: &mut [i32; 16]) {
-    let v0 = p.op0.eval(regs[p.rn0 as usize & 15], p.imm0);
-    regs[p.rd0 as usize & 15] = v0;
-    let a = if p.rn1 & 15 == p.rd0 & 15 {
-        v0
-    } else {
-        regs[p.rn1 as usize & 15]
-    };
-    let b = if p.rm1 & 15 == p.rd0 & 15 {
-        v0
-    } else {
-        regs[p.rm1 as usize & 15]
-    };
-    regs[p.rd1 as usize & 15] = p.op1.eval(a, b);
-}
-#[inline(always)]
-fn x_alu_rr_ldr(p: &PAluRRLdr, regs: &mut [i32; 16], mem: &Mem) -> Result<(), MachineError> {
-    let av = p
-        .aop
-        .eval(regs[p.arn as usize & 15], regs[p.arm as usize & 15]);
-    regs[p.ard as usize & 15] = av;
-    let base = if p.base & 15 == p.ard & 15 {
-        av
-    } else {
-        regs[p.base as usize & 15]
-    };
-    let addr = (base as u32).wrapping_add(p.imm as u32);
-    regs[p.rd as usize & 15] = ld(mem, addr)?;
-    Ok(())
-}
-#[inline(always)]
-fn x_alu_rr_str(p: &PAluRRStr, regs: &mut [i32; 16], mem: &mut Mem) -> Result<(), MachineError> {
-    let av = p
-        .aop
-        .eval(regs[p.arn as usize & 15], regs[p.arm as usize & 15]);
-    regs[p.ard as usize & 15] = av;
-    let base = if p.base & 15 == p.ard & 15 {
-        av
-    } else {
-        regs[p.base as usize & 15]
-    };
-    let sv = if p.rs & 15 == p.ard & 15 {
-        av
-    } else {
-        regs[p.rs as usize & 15]
-    };
-    let addr = (base as u32).wrapping_add(p.imm as u32);
-    st(mem, addr, sv)
-}
-#[inline(always)]
-fn x_mov_ldr(p: &PMovLdr, regs: &mut [i32; 16], mem: &Mem) -> Result<(), MachineError> {
-    regs[p.mrd as usize & 15] = p.mimm;
-    let base = if p.base & 15 == p.mrd & 15 {
-        p.mimm
-    } else {
-        regs[p.base as usize & 15]
-    };
-    let addr = (base as u32).wrapping_add(p.imm as u32);
-    regs[p.rd as usize & 15] = ld(mem, addr)?;
-    Ok(())
-}
-#[inline(always)]
-fn x_mov_mov(p: &PMovMov, regs: &mut [i32; 16]) {
-    regs[p.rd0 as usize & 15] = p.imm0;
-    regs[p.rd1 as usize & 15] = p.imm1;
-}
-#[inline(always)]
-fn x_mov_cmp_r(p: &PMovCmpR, regs: &mut [i32; 16], flags: &mut (i32, i32)) {
-    regs[p.mrd as usize & 15] = p.mimm;
-    *flags = (regs[p.rn as usize & 15], regs[p.rm as usize & 15]);
-}
-#[inline(always)]
-fn x_mov_csel(p: &PMovCsel, regs: &mut [i32; 16], flags: &(i32, i32)) {
-    regs[p.mrd as usize & 15] = p.mimm;
-    let (a, b) = *flags;
-    regs[p.rd as usize & 15] = if p.cond.holds(a, b) {
-        regs[p.rt as usize & 15]
-    } else {
-        regs[p.rf as usize & 15]
-    };
-}
-#[inline(always)]
-fn x_csel_str(
-    p: &PCselStr,
-    regs: &mut [i32; 16],
-    mem: &mut Mem,
-    flags: &(i32, i32),
-) -> Result<(), MachineError> {
-    let (a, b) = *flags;
-    regs[p.rd as usize & 15] = if p.cond.holds(a, b) {
-        regs[p.rt as usize & 15]
-    } else {
-        regs[p.rf as usize & 15]
-    };
-    let addr = (regs[p.base as usize & 15] as u32).wrapping_add(p.imm as u32);
-    st(mem, addr, regs[p.rs as usize & 15])
-}
-#[inline(always)]
-fn x_cmp_r_mov(p: &PCmpRMov, regs: &mut [i32; 16], flags: &mut (i32, i32)) {
-    *flags = (regs[p.rn as usize & 15], regs[p.rm as usize & 15]);
-    regs[p.mrd as usize & 15] = p.mimm;
-}
-#[inline(always)]
-fn x_str_mov(p: &PStrMov, regs: &mut [i32; 16], mem: &mut Mem) -> Result<(), MachineError> {
-    let addr = (regs[p.base as usize & 15] as u32).wrapping_add(p.imm as u32);
-    st(mem, addr, regs[p.rs as usize & 15])?;
-    regs[p.mrd as usize & 15] = p.mimm;
-    Ok(())
-}
-#[inline(always)]
-fn x_str_mov_r(p: &PStrMovR, regs: &mut [i32; 16], mem: &mut Mem) -> Result<(), MachineError> {
-    let addr = (regs[p.sbase as usize & 15] as u32).wrapping_add(p.simm as u32);
-    st(mem, addr, regs[p.rs as usize & 15])?;
-    regs[p.rd as usize & 15] = regs[p.rm as usize & 15];
-    Ok(())
-}
-#[inline(always)]
-fn x_mov_r_alu_ri(p: &PMovRAluRI, regs: &mut [i32; 16]) {
-    regs[p.rd as usize & 15] = regs[p.rm as usize & 15];
-    regs[p.ard as usize & 15] = p.aop.eval(regs[p.arn as usize & 15], p.aimm);
+/// What one micro-op of a unit hands to the next: the register it wrote
+/// and the value, or the address it stored to and the word. Taking an
+/// operand from here is exact — it is precisely what re-reading the
+/// register file or memory would yield — but it takes the host's
+/// store-to-load latency off the dependency chain (the compiler cannot
+/// do this itself: the dynamic register indices might alias).
+#[derive(Clone, Copy)]
+struct Fwd {
+    /// The register written, masked; [`NO_REG`] if none.
+    reg: u8,
+    val: i32,
+    /// The address stored to; [`NO_ADDR`] if none.
+    addr: u64,
 }
 
-/// Slots covered by one fused unit (1 for base ops).
-fn hot_width(op: &HotOp) -> usize {
-    match op {
-        HotOp::AluRR { .. }
-        | HotOp::AluRI { .. }
-        | HotOp::MovR { .. }
-        | HotOp::MovI { .. }
-        | HotOp::CmpR { .. }
-        | HotOp::CmpI { .. }
-        | HotOp::Csel { .. }
-        | HotOp::LdrR { .. }
-        | HotOp::LdrI { .. }
-        | HotOp::StrR { .. }
-        | HotOp::StrI { .. }
-        | HotOp::Push { .. }
-        | HotOp::Pop { .. }
-        | HotOp::Call { .. }
-        | HotOp::In { .. }
-        | HotOp::Out { .. }
-        | HotOp::Nop
-        | HotOp::Branch { .. }
-        | HotOp::CondBranch { .. }
-        | HotOp::Ret
-        | HotOp::Halt => 1,
-        HotOp::StrILdrI(_)
-        | HotOp::LdrIStrI(_)
-        | HotOp::LdrILdrI(_)
-        | HotOp::LdrIAluRI(_)
-        | HotOp::LdrIAluRR(_)
-        | HotOp::LdrIMovI(_)
-        | HotOp::LdrICmpI(_)
-        | HotOp::AluRILdrI(_)
-        | HotOp::AluRIStrI(_)
-        | HotOp::AluRIAluRR(_)
-        | HotOp::AluRRLdrI(_)
-        | HotOp::AluRRStrI(_)
-        | HotOp::MovILdrI(_)
-        | HotOp::MovIMovI(_)
-        | HotOp::MovICmpR(_)
-        | HotOp::MovICsel(_)
-        | HotOp::CselStrI(_)
-        | HotOp::CmpRMovI(_)
-        | HotOp::StrIMovI(_)
-        | HotOp::StrIMovR(_)
-        | HotOp::MovRAluRI(_)
-        | HotOp::CmpICondBranch(_)
-        | HotOp::CmpRCondBranch(_)
-        | HotOp::StrIBranch(_) => 2,
-        HotOp::TLdrStrBr(..) => 3,
-        HotOp::QLdrMovCmpRMov(..)
-        | HotOp::QCmpRMovMovCsel(..)
-        | HotOp::QMovCselStrLdr(..)
-        | HotOp::QStrLdrCmpICb(..)
-        | HotOp::QLdrAluRIStrLdr(..)
-        | HotOp::QAluRIAluRRLdrStr(..)
-        | HotOp::QMovLdrAluRIAluRR(..)
-        | HotOp::QStrLdrStrBr(..)
-        | HotOp::QStrLdrAluRIStr(..)
-        | HotOp::QLdrMovAluRRStr(..)
-        | HotOp::QAluRRStrLdrStr(..)
-        | HotOp::QAluRRStrLdrMov(..)
-        | HotOp::QAluRRStrLdrAluRI(..)
-        | HotOp::QLdrStrLdrAluRI(..)
-        | HotOp::QAluRILdrAluRIAluRR(..)
-        | HotOp::QAluRRLdrStrLdr(..)
-        | HotOp::QLdrLdrAluRRStr(..)
-        | HotOp::QLdrStrLdrLdr(..)
-        | HotOp::QStrLdrLdrAluRR(..) => 4,
-        HotOp::WLdrAluRIStrLdrMov(..) | HotOp::WAluRRStrLdrStrBr(..) => 5,
-        HotOp::SLdrAluRIStrLdrStrBr(..)
-        | HotOp::SMovCselStrLdrCmpICb(..)
-        | HotOp::SAluRRStrLdrAluRIStrMovR(..)
-        | HotOp::SLdrAluRIStrLdrAluRIStr(..)
-        | HotOp::SLdrAluRRStrLdrAluRIStr(..)
-        | HotOp::SLdrAluRIAluRRLdrStrLdr(..)
-        | HotOp::SMovLdrAluRIAluRRLdrStr(..)
-        | HotOp::SAluRILdrAluRIAluRRLdrStr(..) => 6,
-        HotOp::SLdrMovAluRRStrLdrStrBr(..) => 7,
-        HotOp::OLdrMovCmpRMovCselStrLdr(..)
-        | HotOp::OLdrMovAluRRStrLdrMovCmpRMov(..)
-        | HotOp::OLdrStrLdrAluRIStrLdrStrBr(..)
-        | HotOp::OMovLdrAluRIAluRRLdrStrLdrLdr(..)
-        | HotOp::OLdrStrLdrLdrAluRRStrLdrAluRI(..)
-        | HotOp::OMovLdrAluRIAluRRLdrStrLdrAluRI(..)
-        | HotOp::OLdrLdrAluRRStrMovLdrAluRIAluRR(..)
-        | HotOp::OCmpRMovMovCselStrLdrCmpICb(..) => 8,
-        HotOp::DLdrMovCmpRMovCselStrLdrCmpICb(..)
-        | HotOp::XLdrAluRIStrLdrMovAluRRStrLdrStrBr(..) => 10,
-        HotOp::XLdrAluRIStrLdrAluRIStrLdrMovAluRRStrLdrStrBr(..) => 13,
+/// Never equal to a masked register index.
+const NO_REG: u8 = 16;
+/// Never equal to a widened `u32` address.
+const NO_ADDR: u64 = u64::MAX;
+
+impl Fwd {
+    /// Nothing to forward: a unit's first micro-op, or the one after an
+    /// op that wrote neither a register nor memory. Every test against it
+    /// folds away at compile time.
+    const NONE: Fwd = Fwd {
+        reg: NO_REG,
+        val: 0,
+        addr: NO_ADDR,
+    };
+}
+
+/// The machine state micro-ops act on. Every register index is masked
+/// with `& 15` at use, so `u8` operand fields stay bounds-check-free.
+struct Core<'a> {
+    regs: &'a mut [i32; 16],
+    mem: &'a mut Mem,
+    flags: &'a mut (i32, i32),
+    reg_pool: &'a [Reg],
+    device: &'a mut dyn PortDevice,
+}
+
+impl Core<'_> {
+    /// Register `r`, taken from `fwd` if the previous micro-op wrote it.
+    #[inline(always)]
+    fn get(&self, r: u8, fwd: Fwd) -> i32 {
+        if r & 15 == fwd.reg {
+            fwd.val
+        } else {
+            self.regs[r as usize & 15]
+        }
+    }
+
+    #[inline(always)]
+    fn set(&mut self, r: u8, val: i32) -> Fwd {
+        self.regs[r as usize & 15] = val;
+        Fwd {
+            reg: r & 15,
+            val,
+            addr: NO_ADDR,
+        }
+    }
+
+    /// The word at `addr`, taken from `fwd` if the previous micro-op
+    /// stored there: a valid store to `addr` proves the load valid and
+    /// that it yields the stored word.
+    #[inline(always)]
+    fn load(&self, addr: u32, fwd: Fwd) -> Result<i32, MachineError> {
+        if u64::from(addr) == fwd.addr {
+            Ok(fwd.val)
+        } else {
+            ld(self.mem, addr)
+        }
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: u32, val: i32) -> Result<Fwd, MachineError> {
+        st(self.mem, addr, val)?;
+        Ok(Fwd {
+            reg: NO_REG,
+            val,
+            addr: u64::from(addr),
+        })
     }
 }
 
-/// Second fusion round: merge two adjacent fused pairs into a quad (or
-/// a pair plus a trailing `Branch` into a triple) when the combination
-/// is on the measured hot-chain menu.
-fn try_fuse2(a: &HotOp, b: &HotOp) -> Option<HotOp> {
-    use HotOp as H;
-    Some(match (*a, *b) {
-        (H::LdrIMovI(x), H::CmpRMovI(y)) => H::QLdrMovCmpRMov(x, y),
-        (H::CmpRMovI(x), H::MovICsel(y)) => H::QCmpRMovMovCsel(x, y),
-        (H::MovICsel(x), H::StrILdrI(y)) => H::QMovCselStrLdr(x, y),
-        (H::StrILdrI(x), H::CmpICondBranch(y)) => H::QStrLdrCmpICb(x, y),
-        (H::LdrIAluRI(x), H::StrILdrI(y)) => H::QLdrAluRIStrLdr(x, y),
-        (H::AluRIAluRR(x), H::LdrIStrI(y)) => H::QAluRIAluRRLdrStr(x, y),
-        (H::MovILdrI(x), H::AluRIAluRR(y)) => H::QMovLdrAluRIAluRR(x, y),
-        (H::StrILdrI(x), H::StrIBranch(y)) => H::QStrLdrStrBr(x, y),
-        (H::StrILdrI(x), H::AluRIStrI(y)) => H::QStrLdrAluRIStr(x, y),
-        (H::LdrIMovI(x), H::AluRRStrI(y)) => H::QLdrMovAluRRStr(x, y),
-        (H::AluRRStrI(x), H::LdrIStrI(y)) => H::QAluRRStrLdrStr(x, y),
-        (H::AluRRStrI(x), H::LdrIMovI(y)) => H::QAluRRStrLdrMov(x, y),
-        (H::AluRRStrI(x), H::LdrIAluRI(y)) => H::QAluRRStrLdrAluRI(x, y),
-        (H::LdrIStrI(x), H::LdrIAluRI(y)) => H::QLdrStrLdrAluRI(x, y),
-        (H::AluRILdrI(x), H::AluRIAluRR(y)) => H::QAluRILdrAluRIAluRR(x, y),
-        (H::AluRRLdrI(x), H::StrILdrI(y)) => H::QAluRRLdrStrLdr(x, y),
-        (H::LdrILdrI(x), H::AluRRStrI(y)) => H::QLdrLdrAluRRStr(x, y),
-        (H::LdrIStrI(x), H::LdrILdrI(y)) => H::QLdrStrLdrLdr(x, y),
-        (H::LdrIStrI(x), H::Branch { target }) => H::TLdrStrBr(x, target),
-        // ---- mega chains (quad + quad / quad + fused tail) ----
-        (H::QLdrMovCmpRMov(x, y), H::QMovCselStrLdr(z, w)) => {
-            H::OLdrMovCmpRMovCselStrLdr(x, y, z, w)
-        }
-        (H::OLdrMovCmpRMovCselStrLdr(x, y, z, w), H::CmpICondBranch(e)) => {
-            H::DLdrMovCmpRMovCselStrLdrCmpICb(x, y, z, w, e)
-        }
-        (H::QLdrAluRIStrLdr(x, y), H::StrIBranch(e)) => H::SLdrAluRIStrLdrStrBr(x, y, e),
-        (H::QLdrMovAluRRStr(x, y), H::TLdrStrBr(z, t)) => H::SLdrMovAluRRStrLdrStrBr(x, y, z, t),
-        (H::QLdrMovAluRRStr(x, y), H::QLdrMovCmpRMov(z, w)) => {
-            H::OLdrMovAluRRStrLdrMovCmpRMov(x, y, z, w)
-        }
-        (H::QMovCselStrLdr(x, y), H::CmpICondBranch(e)) => H::SMovCselStrLdrCmpICb(x, y, e),
-        (H::QLdrStrLdrAluRI(x, y), H::QStrLdrStrBr(z, e)) => {
-            H::OLdrStrLdrAluRIStrLdrStrBr(x, y, z, e)
-        }
-        (H::QMovLdrAluRIAluRR(x, y), H::QLdrStrLdrLdr(z, w)) => {
-            H::OMovLdrAluRIAluRRLdrStrLdrLdr(x, y, z, w)
-        }
-        (H::QLdrStrLdrLdr(x, y), H::QAluRRStrLdrAluRI(z, w)) => {
-            H::OLdrStrLdrLdrAluRRStrLdrAluRI(x, y, z, w)
-        }
-        (H::QAluRRStrLdrAluRI(x, y), H::StrIMovR(z)) => H::SAluRRStrLdrAluRIStrMovR(x, y, z),
-        (H::StrILdrI(x), H::LdrIAluRR(y)) => H::QStrLdrLdrAluRR(x, y),
-        (H::QLdrAluRIStrLdr(x, y), H::MovI { rd, imm }) => {
-            H::WLdrAluRIStrLdrMov(x, y, PMov { rd, imm })
-        }
-        (H::QAluRRStrLdrStr(x, y), H::Branch { target }) => H::WAluRRStrLdrStrBr(x, y, target),
-        (H::QLdrAluRIStrLdr(x, y), H::AluRIStrI(z)) => H::SLdrAluRIStrLdrAluRIStr(x, y, z),
-        (H::LdrIAluRR(x), H::QStrLdrAluRIStr(y, z)) => H::SLdrAluRRStrLdrAluRIStr(x, y, z),
-        (H::LdrIAluRI(x), H::QAluRRLdrStrLdr(y, z)) => H::SLdrAluRIAluRRLdrStrLdr(x, y, z),
-        (H::QMovLdrAluRIAluRR(x, y), H::LdrIStrI(z)) => H::SMovLdrAluRIAluRRLdrStr(x, y, z),
-        (H::QAluRILdrAluRIAluRR(x, y), H::LdrIStrI(z)) => H::SAluRILdrAluRIAluRRLdrStr(x, y, z),
-        (H::QMovLdrAluRIAluRR(x, y), H::QLdrStrLdrAluRI(z, w)) => {
-            H::OMovLdrAluRIAluRRLdrStrLdrAluRI(x, y, z, w)
-        }
-        (H::QLdrLdrAluRRStr(x, y), H::QMovLdrAluRIAluRR(z, w)) => {
-            H::OLdrLdrAluRRStrMovLdrAluRIAluRR(x, y, z, w)
-        }
-        (H::QCmpRMovMovCsel(x, y), H::QStrLdrCmpICb(z, e)) => {
-            H::OCmpRMovMovCselStrLdrCmpICb(x, y, z, e)
-        }
-        (H::WLdrAluRIStrLdrMov(x, y, z), H::WAluRRStrLdrStrBr(u, v, t)) => {
-            H::XLdrAluRIStrLdrMovAluRRStrLdrStrBr(x, y, z, u, v, t)
-        }
-        (H::SLdrAluRIStrLdrAluRIStr(x, y, z), H::SLdrMovAluRRStrLdrStrBr(u, v, w, t)) => {
-            H::XLdrAluRIStrLdrAluRIStrLdrMovAluRRStrLdrStrBr(x, y, z, u, v, w, t)
-        }
-        _ => return None,
-    })
+/// Where control goes after a unit.
+#[derive(Clone, Copy)]
+enum Exit {
+    /// On to the next slot, with the last micro-op's result.
+    Next(Fwd),
+    /// The unit's control op ended the run. `taken` picks which outcome
+    /// of the run aggregate to charge (always `true` for a `Branch`).
+    Jump { to: u32, taken: bool },
 }
 
-/// Lower one base op to its un-fused [`HotOp`] form.
-fn hot_base(op: &DecodedOp) -> HotOp {
-    match *op {
-        DecodedOp::AluRR { op, rd, rn, rm } => HotOp::AluRR { op, rd, rn, rm },
-        DecodedOp::AluRI { op, rd, rn, imm } => HotOp::AluRI { op, rd, rn, imm },
-        DecodedOp::MovR { rd, rm } => HotOp::MovR { rd, rm },
-        DecodedOp::MovI { rd, imm } | DecodedOp::MovI32 { rd, imm } => HotOp::MovI { rd, imm },
-        DecodedOp::CmpR { rn, rm } => HotOp::CmpR { rn, rm },
-        DecodedOp::CmpI { rn, imm } => HotOp::CmpI { rn, imm },
-        DecodedOp::Csel { cond, rd, rt, rf } => HotOp::Csel { cond, rd, rt, rf },
-        DecodedOp::LdrR { rd, base, roff } => HotOp::LdrR { rd, base, roff },
-        DecodedOp::LdrI { rd, base, imm } => HotOp::LdrI { rd, base, imm },
-        DecodedOp::StrR { rs, base, roff } => HotOp::StrR { rs, base, roff },
-        DecodedOp::StrI { rs, base, imm } => HotOp::StrI { rs, base, imm },
-        DecodedOp::Push { list } => HotOp::Push { list },
-        DecodedOp::Pop { list } => HotOp::Pop { list },
-        DecodedOp::Call { target } => HotOp::Call { target },
-        DecodedOp::In { rd, port } => HotOp::In { rd, port },
-        DecodedOp::Out { rs, port } => HotOp::Out { rs, port },
-        DecodedOp::Nop => HotOp::Nop,
-        DecodedOp::Branch { target } => HotOp::Branch { target },
-        DecodedOp::CondBranch {
-            cond,
-            taken,
-            fallthrough,
-        } => HotOp::CondBranch {
-            cond,
-            taken,
-            fallthrough,
-        },
-        DecodedOp::Ret => HotOp::Ret,
-        DecodedOp::Halt => HotOp::Halt,
+/// One dispatch of the fast loop: a base op, or a fused sequence of them.
+trait Unit: Copy {
+    /// Guest ops (slots) covered.
+    const WIDTH: usize;
+    /// Whether the last op is a control op, which ends the run.
+    const ENDS_RUN: bool;
+    /// Run every micro-op in order; the first one receives `fwd`.
+    fn run(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Exit, MachineError>;
+}
+
+/// A straight-line base op's semantics, written once for every path
+/// that executes it. `fwd` is the previous micro-op's result.
+trait Op: Copy {
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError>;
+}
+
+impl<T: Op> Unit for T {
+    const WIDTH: usize = 1;
+    const ENDS_RUN: bool = false;
+    #[inline(always)]
+    fn run(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Exit, MachineError> {
+        self.step(core, fwd).map(Exit::Next)
     }
 }
 
-/// Fuse `a; b` into one superinstruction if the pair is on the menu.
-/// `cmp_reserved` blocks straight pairs that would absorb a compare
-/// feeding the conditional branch right behind it — the
-/// compare+branch fusion is worth strictly more.
-fn try_fuse(a: &DecodedOp, b: &DecodedOp, cmp_reserved: bool) -> Option<HotOp> {
+/// Two units run back to back as one. The fusion table's row
+/// `Name = Left + Right` is the unit `Fuse<Left, Right>`.
+#[derive(Clone, Copy)]
+struct Fuse<A, B>(A, B);
+
+impl<A: Unit, B: Unit> Unit for Fuse<A, B> {
+    const WIDTH: usize = {
+        assert!(!A::ENDS_RUN, "only a unit's last op may end its run");
+        A::WIDTH + B::WIDTH
+    };
+    const ENDS_RUN: bool = B::ENDS_RUN;
+    #[inline(always)]
+    fn run(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Exit, MachineError> {
+        match self.0.run(core, fwd)? {
+            Exit::Next(fwd) => self.1.run(core, fwd),
+            jump => Ok(jump),
+        }
+    }
+}
+
+// The base ops' operands, as in `DecodedOp`. Operands wider than a byte
+// are packed, so fused units nest without padding and the largest keeps
+// the dispatch slot within 76 bytes. Units run by reference: each packed
+// field is read where it is used, straight from the dispatch table.
+
+/// `rd = rn <op> rm`.
+#[derive(Clone, Copy)]
+struct AluRR {
+    op: AluOp,
+    rd: u8,
+    rn: u8,
+    rm: u8,
+}
+
+/// `rd = rn <op> imm`.
+#[derive(Clone, Copy)]
+#[repr(C, packed)]
+struct AluRI {
+    op: AluOp,
+    rd: u8,
+    rn: u8,
+    imm: i32,
+}
+
+/// Register move.
+#[derive(Clone, Copy)]
+struct MovR {
+    rd: u8,
+    rm: u8,
+}
+
+/// Immediate move (`MovI` and `MovI32`: their difference is a cost,
+/// which the decoder bakes separately).
+#[derive(Clone, Copy)]
+#[repr(C, packed)]
+struct MovI {
+    rd: u8,
+    imm: i32,
+}
+
+/// Compare two registers and latch the flags.
+#[derive(Clone, Copy)]
+struct CmpR {
+    rn: u8,
+    rm: u8,
+}
+
+/// Compare a register with an immediate and latch the flags.
+#[derive(Clone, Copy)]
+#[repr(C, packed)]
+struct CmpI {
+    rn: u8,
+    imm: i32,
+}
+
+/// Conditional select on the latched flags.
+#[derive(Clone, Copy)]
+struct Csel {
+    cond: Cond,
+    rd: u8,
+    rt: u8,
+    rf: u8,
+}
+
+/// `rd = mem[base + roff]`.
+#[derive(Clone, Copy)]
+struct LdrR {
+    rd: u8,
+    base: u8,
+    roff: u8,
+}
+
+/// `rd = mem[base + imm]`.
+#[derive(Clone, Copy)]
+#[repr(C, packed)]
+struct LdrI {
+    rd: u8,
+    base: u8,
+    imm: i32,
+}
+
+/// `mem[base + roff] = rs`.
+#[derive(Clone, Copy)]
+struct StrR {
+    rs: u8,
+    base: u8,
+    roff: u8,
+}
+
+/// `mem[base + imm] = rs`.
+#[derive(Clone, Copy)]
+#[repr(C, packed)]
+struct StrI {
+    rs: u8,
+    base: u8,
+    imm: i32,
+}
+
+/// Push the pooled register list (ascending order).
+#[derive(Clone, Copy)]
+struct Push {
+    list: RegListRef,
+}
+
+/// Pop the pooled register list (reverse of push).
+#[derive(Clone, Copy)]
+struct Pop {
+    list: RegListRef,
+}
+
+/// Port input into `rd`.
+#[derive(Clone, Copy)]
+struct In {
+    rd: u8,
+    port: u8,
+}
+
+/// Port output from `rs`.
+#[derive(Clone, Copy)]
+struct Out {
+    rs: u8,
+    port: u8,
+}
+
+/// One idle cycle.
+#[derive(Clone, Copy)]
+struct Nop;
+
+/// Unconditional jump.
+#[derive(Clone, Copy)]
+#[repr(C, packed)]
+struct Branch {
+    target: u32,
+}
+
+/// Two-way jump on the latched flags.
+#[derive(Clone, Copy)]
+#[repr(C, packed)]
+struct CondBranch {
+    cond: Cond,
+    taken: u32,
+    fallthrough: u32,
+}
+
+impl Op for AluRR {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
+        let v = self.op.eval(core.get(self.rn, fwd), core.get(self.rm, fwd));
+        Ok(core.set(self.rd, v))
+    }
+}
+
+impl Op for AluRI {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
+        let v = self.op.eval(core.get(self.rn, fwd), self.imm);
+        Ok(core.set(self.rd, v))
+    }
+}
+
+impl Op for MovR {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
+        let v = core.get(self.rm, fwd);
+        Ok(core.set(self.rd, v))
+    }
+}
+
+impl Op for MovI {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, _: Fwd) -> Result<Fwd, MachineError> {
+        Ok(core.set(self.rd, self.imm))
+    }
+}
+
+impl Op for CmpR {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
+        *core.flags = (core.get(self.rn, fwd), core.get(self.rm, fwd));
+        Ok(Fwd::NONE)
+    }
+}
+
+impl Op for CmpI {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
+        *core.flags = (core.get(self.rn, fwd), self.imm);
+        Ok(Fwd::NONE)
+    }
+}
+
+impl Op for Csel {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
+        let (a, b) = *core.flags;
+        let v = if self.cond.holds(a, b) {
+            core.get(self.rt, fwd)
+        } else {
+            core.get(self.rf, fwd)
+        };
+        Ok(core.set(self.rd, v))
+    }
+}
+
+impl Op for LdrR {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
+        let addr = (core.get(self.base, fwd) as u32).wrapping_add(core.get(self.roff, fwd) as u32);
+        let v = core.load(addr, fwd)?;
+        Ok(core.set(self.rd, v))
+    }
+}
+
+impl Op for LdrI {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
+        let addr = (core.get(self.base, fwd) as u32).wrapping_add(self.imm as u32);
+        let v = core.load(addr, fwd)?;
+        Ok(core.set(self.rd, v))
+    }
+}
+
+impl Op for StrR {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
+        let addr = (core.get(self.base, fwd) as u32).wrapping_add(core.get(self.roff, fwd) as u32);
+        let v = core.get(self.rs, fwd);
+        core.store(addr, v)
+    }
+}
+
+impl Op for StrI {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
+        let addr = (core.get(self.base, fwd) as u32).wrapping_add(self.imm as u32);
+        let v = core.get(self.rs, fwd);
+        core.store(addr, v)
+    }
+}
+
+impl Op for Push {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, _: Fwd) -> Result<Fwd, MachineError> {
+        let sp = Reg::SP.index() & 15;
+        let (start, len) = (self.list.start as usize, self.list.len as usize);
+        for r in &core.reg_pool[start..start + len] {
+            let top = (core.regs[sp] as u32).wrapping_sub(4);
+            core.regs[sp] = top as i32;
+            st(core.mem, top, core.regs[r.index() & 15])?;
+        }
+        Ok(Fwd::NONE)
+    }
+}
+
+impl Op for Pop {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, _: Fwd) -> Result<Fwd, MachineError> {
+        let sp = Reg::SP.index() & 15;
+        let (start, len) = (self.list.start as usize, self.list.len as usize);
+        for r in core.reg_pool[start..start + len].iter().rev() {
+            let top = core.regs[sp] as u32;
+            core.regs[r.index() & 15] = ld(core.mem, top)?;
+            core.regs[sp] = top.wrapping_add(4) as i32;
+        }
+        Ok(Fwd::NONE)
+    }
+}
+
+impl Op for In {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, _: Fwd) -> Result<Fwd, MachineError> {
+        let v = core.device.input(self.port);
+        Ok(core.set(self.rd, v))
+    }
+}
+
+impl Op for Out {
+    #[inline(always)]
+    fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
+        let v = core.get(self.rs, fwd);
+        core.device.output(self.port, v);
+        Ok(Fwd::NONE)
+    }
+}
+
+impl Op for Nop {
+    #[inline(always)]
+    fn step(&self, _: &mut Core<'_>, _: Fwd) -> Result<Fwd, MachineError> {
+        Ok(Fwd::NONE)
+    }
+}
+
+impl Unit for Branch {
+    const WIDTH: usize = 1;
+    const ENDS_RUN: bool = true;
+    #[inline(always)]
+    fn run(&self, _: &mut Core<'_>, _: Fwd) -> Result<Exit, MachineError> {
+        Ok(Exit::Jump {
+            to: self.target,
+            taken: true,
+        })
+    }
+}
+
+impl Unit for CondBranch {
+    const WIDTH: usize = 1;
+    const ENDS_RUN: bool = true;
+    #[inline(always)]
+    fn run(&self, core: &mut Core<'_>, _: Fwd) -> Result<Exit, MachineError> {
+        let (a, b) = *core.flags;
+        Ok(if self.cond.holds(a, b) {
+            Exit::Jump {
+                to: self.taken,
+                taken: true,
+            }
+        } else {
+            Exit::Jump {
+                to: self.fallthrough,
+                taken: false,
+            }
+        })
+    }
+}
+
+/// The fusion table: `base` lists the units every row builds from, and
+/// each row `Name = Left + Right` declares the fused unit
+/// `Fuse<Left, Right>`. Rows of two base ops form in round 1 of the
+/// tiling, rows with a fused left side in the merge fixpoint. Passes the
+/// table to the macro `$then`, which generates code from it.
+macro_rules! fusion_table {
+    ($then:ident) => {
+        $then! {
+            base: AluRR AluRI MovR MovI CmpR CmpI Csel LdrR LdrI StrR StrI
+                Push Pop In Out Nop Branch CondBranch;
+            // Round 1: the dynamically dominant adjacent pairs of the app
+            // kernels.
+            StrILdrI = StrI + LdrI;
+            LdrIStrI = LdrI + StrI;
+            LdrILdrI = LdrI + LdrI;
+            LdrIAluRI = LdrI + AluRI;
+            LdrIAluRR = LdrI + AluRR;
+            LdrIMovI = LdrI + MovI;
+            LdrICmpI = LdrI + CmpI;
+            AluRILdrI = AluRI + LdrI;
+            AluRIStrI = AluRI + StrI;
+            AluRIAluRR = AluRI + AluRR;
+            AluRRLdrI = AluRR + LdrI;
+            AluRRStrI = AluRR + StrI;
+            MovILdrI = MovI + LdrI;
+            MovIMovI = MovI + MovI;
+            MovICmpR = MovI + CmpR;
+            MovICsel = MovI + Csel;
+            CselStrI = Csel + StrI;
+            CmpRMovI = CmpR + MovI;
+            StrIMovI = StrI + MovI;
+            StrIMovR = StrI + MovR;
+            MovRAluRI = MovR + AluRI;
+            CmpICondBranch = CmpI + CondBranch;
+            CmpRCondBranch = CmpR + CondBranch;
+            StrIBranch = StrI + Branch;
+            // Merges of two pairs into a quad, or of a pair and a
+            // trailing branch into a triple.
+            QLdrMovCmpRMov = LdrIMovI + CmpRMovI;
+            QCmpRMovMovCsel = CmpRMovI + MovICsel;
+            QMovCselStrLdr = MovICsel + StrILdrI;
+            QStrLdrCmpICb = StrILdrI + CmpICondBranch;
+            QLdrAluRIStrLdr = LdrIAluRI + StrILdrI;
+            QAluRIAluRRLdrStr = AluRIAluRR + LdrIStrI;
+            QMovLdrAluRIAluRR = MovILdrI + AluRIAluRR;
+            QStrLdrStrBr = StrILdrI + StrIBranch;
+            QStrLdrAluRIStr = StrILdrI + AluRIStrI;
+            QLdrMovAluRRStr = LdrIMovI + AluRRStrI;
+            QAluRRStrLdrStr = AluRRStrI + LdrIStrI;
+            QAluRRStrLdrMov = AluRRStrI + LdrIMovI;
+            QAluRRStrLdrAluRI = AluRRStrI + LdrIAluRI;
+            QLdrStrLdrAluRI = LdrIStrI + LdrIAluRI;
+            QAluRILdrAluRIAluRR = AluRILdrI + AluRIAluRR;
+            QAluRRLdrStrLdr = AluRRLdrI + StrILdrI;
+            QLdrLdrAluRRStr = LdrILdrI + AluRRStrI;
+            QLdrStrLdrLdr = LdrIStrI + LdrILdrI;
+            QStrLdrLdrAluRR = StrILdrI + LdrIAluRR;
+            TLdrStrBr = LdrIStrI + Branch;
+            // Megaops: each covers a whole measured hot chain, so the
+            // dominant loop bodies retire in one or two dispatches.
+            OLdrMovCmpRMovCselStrLdr = QLdrMovCmpRMov + QMovCselStrLdr;
+            DLdrMovCmpRMovCselStrLdrCmpICb = OLdrMovCmpRMovCselStrLdr + CmpICondBranch;
+            SLdrAluRIStrLdrStrBr = QLdrAluRIStrLdr + StrIBranch;
+            SLdrMovAluRRStrLdrStrBr = QLdrMovAluRRStr + TLdrStrBr;
+            OLdrMovAluRRStrLdrMovCmpRMov = QLdrMovAluRRStr + QLdrMovCmpRMov;
+            SMovCselStrLdrCmpICb = QMovCselStrLdr + CmpICondBranch;
+            OLdrStrLdrAluRIStrLdrStrBr = QLdrStrLdrAluRI + QStrLdrStrBr;
+            OMovLdrAluRIAluRRLdrStrLdrLdr = QMovLdrAluRIAluRR + QLdrStrLdrLdr;
+            OLdrStrLdrLdrAluRRStrLdrAluRI = QLdrStrLdrLdr + QAluRRStrLdrAluRI;
+            SAluRRStrLdrAluRIStrMovR = QAluRRStrLdrAluRI + StrIMovR;
+            WLdrAluRIStrLdrMov = QLdrAluRIStrLdr + MovI;
+            WAluRRStrLdrStrBr = QAluRRStrLdrStr + Branch;
+            SLdrAluRIStrLdrAluRIStr = QLdrAluRIStrLdr + AluRIStrI;
+            SLdrAluRRStrLdrAluRIStr = LdrIAluRR + QStrLdrAluRIStr;
+            SLdrAluRIAluRRLdrStrLdr = LdrIAluRI + QAluRRLdrStrLdr;
+            SMovLdrAluRIAluRRLdrStr = QMovLdrAluRIAluRR + LdrIStrI;
+            SAluRILdrAluRIAluRRLdrStr = QAluRILdrAluRIAluRR + LdrIStrI;
+            OMovLdrAluRIAluRRLdrStrLdrAluRI = QMovLdrAluRIAluRR + QLdrStrLdrAluRI;
+            OLdrLdrAluRRStrMovLdrAluRIAluRR = QLdrLdrAluRRStr + QMovLdrAluRIAluRR;
+            OCmpRMovMovCselStrLdrCmpICb = QCmpRMovMovCsel + QStrLdrCmpICb;
+            XLdrAluRIStrLdrMovAluRRStrLdrStrBr = WLdrAluRIStrLdrMov + WAluRRStrLdrStrBr;
+            XLdrAluRIStrLdrAluRIStrLdrMovAluRRStrLdrStrBr =
+                SLdrAluRIStrLdrAluRIStr + SLdrMovAluRRStrLdrStrBr;
+        }
+    };
+}
+
+/// Generates the fused unit types, [`HotOp`], its widths and the merge
+/// rule from the fusion table.
+macro_rules! hot_ops {
+    (base: $($base:ident)*; $($name:ident = $left:ident + $right:ident;)*) => {
+        $(type $name = Fuse<$left, $right>;)*
+
+        /// Fast-loop opcode: every base op as a unit of its own, plus one
+        /// variant per row of the fusion table. A fused unit retires its
+        /// whole op sequence in one dispatch — two ops for a round-1
+        /// pair, up to 13 for the largest megaop.
+        ///
+        /// Fusion is **pc-stable**: a unit lives in its *first* op's slot
+        /// and its arm advances `pc` by its width; the absorbed slots keep
+        /// their un-fused forms. A unit never continues past a block
+        /// start, so control flow can never land mid-unit — every entry
+        /// point (function entries, branch/call targets, post-call resume
+        /// sites) dispatches exactly the ops the reference would.
+        #[derive(Clone, Copy)]
+        enum HotOp {
+            $($base($base),)*
+            Call(u32),
+            Ret,
+            Halt,
+            $($name($name),)*
+        }
+
+        /// Slots covered by one unit.
+        fn hot_width(op: &HotOp) -> usize {
+            match op {
+                $(HotOp::$name(_) => <$name as Unit>::WIDTH,)*
+                _ => 1,
+            }
+        }
+
+        /// The unit that `a` followed by `b` merges into, if the table
+        /// has a row for the two.
+        fn merge(a: &HotOp, b: &HotOp) -> Option<HotOp> {
+            Some(match (a, b) {
+                $((HotOp::$left(l), HotOp::$right(r)) => HotOp::$name(Fuse(*l, *r)),)*
+                _ => return None,
+            })
+        }
+
+        /// Run one base unit from a standing start (the careful loop's
+        /// path; it runs `Call`, `Ret` and `Halt` itself).
+        #[inline(always)]
+        fn run_base(op: &HotOp, core: &mut Core<'_>) -> Result<Exit, MachineError> {
+            match op {
+                $(HotOp::$base(u) => u.run(core, Fwd::NONE),)*
+                _ => unreachable!("not a base unit"),
+            }
+        }
+
+        #[cfg(test)]
+        impl HotOp {
+            fn name(&self) -> &'static str {
+                match self {
+                    $(HotOp::$base(_) => stringify!($base),)*
+                    HotOp::Call(_) => "Call",
+                    HotOp::Ret => "Ret",
+                    HotOp::Halt => "Halt",
+                    $(HotOp::$name(_) => stringify!($name),)*
+                }
+            }
+        }
+
+        /// `[name, left, right]` per row.
+        #[cfg(test)]
+        const FUSION_ROWS: &[[&str; 3]] =
+            &[$([stringify!($name), stringify!($left), stringify!($right)],)*];
+    };
+}
+
+fusion_table!(hot_ops);
+
+/// Lower one base op to its unit.
+fn hot_base(op: DecodedOp) -> HotOp {
     use DecodedOp as D;
-    Some(match (*a, *b) {
-        (
-            D::CmpI { rn, imm },
-            D::CondBranch {
-                cond,
-                taken,
-                fallthrough,
-            },
-        ) => HotOp::CmpICondBranch(PCmpICb {
-            rn,
-            imm,
+    use HotOp as H;
+    match op {
+        D::AluRR { op, rd, rn, rm } => H::AluRR(AluRR { op, rd, rn, rm }),
+        D::AluRI { op, rd, rn, imm } => H::AluRI(AluRI { op, rd, rn, imm }),
+        D::MovR { rd, rm } => H::MovR(MovR { rd, rm }),
+        D::MovI { rd, imm } | D::MovI32 { rd, imm } => H::MovI(MovI { rd, imm }),
+        D::CmpR { rn, rm } => H::CmpR(CmpR { rn, rm }),
+        D::CmpI { rn, imm } => H::CmpI(CmpI { rn, imm }),
+        D::Csel { cond, rd, rt, rf } => H::Csel(Csel { cond, rd, rt, rf }),
+        D::LdrR { rd, base, roff } => H::LdrR(LdrR { rd, base, roff }),
+        D::LdrI { rd, base, imm } => H::LdrI(LdrI { rd, base, imm }),
+        D::StrR { rs, base, roff } => H::StrR(StrR { rs, base, roff }),
+        D::StrI { rs, base, imm } => H::StrI(StrI { rs, base, imm }),
+        D::Push { list } => H::Push(Push { list }),
+        D::Pop { list } => H::Pop(Pop { list }),
+        D::Call { target } => H::Call(target),
+        D::In { rd, port } => H::In(In { rd, port }),
+        D::Out { rs, port } => H::Out(Out { rs, port }),
+        D::Nop => H::Nop(Nop),
+        D::Branch { target } => H::Branch(Branch { target }),
+        D::CondBranch {
+            cond,
+            taken,
+            fallthrough,
+        } => H::CondBranch(CondBranch {
             cond,
             taken,
             fallthrough,
         }),
-        (
-            D::CmpR { rn, rm },
-            D::CondBranch {
-                cond,
-                taken,
-                fallthrough,
-            },
-        ) => HotOp::CmpRCondBranch(PCmpRCb {
-            rn,
-            rm,
-            cond,
-            taken,
-            fallthrough,
-        }),
-        (D::StrI { rs, base, imm }, D::Branch { target }) => HotOp::StrIBranch(PStrBr {
-            rs,
-            base,
-            imm,
-            target,
-        }),
-        _ if cmp_reserved => return None,
-        (
-            D::StrI {
-                rs,
-                base: sbase,
-                imm: simm,
-            },
-            D::LdrI { rd, base, imm },
-        ) => HotOp::StrILdrI(PStrLdr {
-            rs,
-            sbase,
-            simm,
-            rd,
-            lbase: base,
-            limm: imm,
-        }),
-        (
-            D::LdrI {
-                rd,
-                base: lbase,
-                imm: limm,
-            },
-            D::StrI { rs, base, imm },
-        ) => HotOp::LdrIStrI(PLdrStr {
-            rd,
-            lbase,
-            limm,
-            rs,
-            sbase: base,
-            simm: imm,
-        }),
-        (
-            D::LdrI {
-                rd: rd0,
-                base: base0,
-                imm: imm0,
-            },
-            D::LdrI {
-                rd: rd1,
-                base: base1,
-                imm: imm1,
-            },
-        ) => HotOp::LdrILdrI(PLdrLdr {
-            rd0,
-            base0,
-            imm0,
-            rd1,
-            base1,
-            imm1,
-        }),
-        (
-            D::LdrI { rd, base, imm },
-            D::AluRI {
-                op: aop,
-                rd: ard,
-                rn: arn,
-                imm: aimm,
-            },
-        ) => HotOp::LdrIAluRI(PLdrAluRI {
-            rd,
-            base,
-            imm,
-            aop,
-            ard,
-            arn,
-            aimm,
-        }),
-        (
-            D::LdrI { rd, base, imm },
-            D::AluRR {
-                op: aop,
-                rd: ard,
-                rn: arn,
-                rm: arm,
-            },
-        ) => HotOp::LdrIAluRR(PLdrAluRR {
-            rd,
-            base,
-            imm,
-            aop,
-            ard,
-            arn,
-            arm,
-        }),
-        (
-            D::LdrI { rd, base, imm },
-            D::MovI { rd: mrd, imm: mimm } | D::MovI32 { rd: mrd, imm: mimm },
-        ) => HotOp::LdrIMovI(PLdrMov {
-            rd,
-            base,
-            imm,
-            mrd,
-            mimm,
-        }),
-        (D::LdrI { rd, base, imm }, D::CmpI { rn: crn, imm: cimm }) => HotOp::LdrICmpI(PLdrCmpI {
-            rd,
-            base,
-            imm,
-            crn,
-            cimm,
-        }),
-        (
-            D::AluRI {
-                op: aop,
-                rd: ard,
-                rn: arn,
-                imm: aimm,
-            },
-            D::LdrI { rd, base, imm },
-        ) => HotOp::AluRILdrI(PAluRILdr {
-            aop,
-            ard,
-            arn,
-            aimm,
-            rd,
-            base,
-            imm,
-        }),
-        (
-            D::AluRI {
-                op: aop,
-                rd: ard,
-                rn: arn,
-                imm: aimm,
-            },
-            D::StrI { rs, base, imm },
-        ) => HotOp::AluRIStrI(PAluRIStr {
-            aop,
-            ard,
-            arn,
-            aimm,
-            rs,
-            base,
-            imm,
-        }),
-        (
-            D::AluRI {
-                op: op0,
-                rd: rd0,
-                rn: rn0,
-                imm: imm0,
-            },
-            D::AluRR {
-                op: op1,
-                rd: rd1,
-                rn: rn1,
-                rm: rm1,
-            },
-        ) => HotOp::AluRIAluRR(PAluRIAluRR {
-            op0,
-            rd0,
-            rn0,
-            imm0,
-            op1,
-            rd1,
-            rn1,
-            rm1,
-        }),
-        (
-            D::AluRR {
-                op: aop,
-                rd: ard,
-                rn: arn,
-                rm: arm,
-            },
-            D::LdrI { rd, base, imm },
-        ) => HotOp::AluRRLdrI(PAluRRLdr {
-            aop,
-            ard,
-            arn,
-            arm,
-            rd,
-            base,
-            imm,
-        }),
-        (
-            D::AluRR {
-                op: aop,
-                rd: ard,
-                rn: arn,
-                rm: arm,
-            },
-            D::StrI { rs, base, imm },
-        ) => HotOp::AluRRStrI(PAluRRStr {
-            aop,
-            ard,
-            arn,
-            arm,
-            rs,
-            base,
-            imm,
-        }),
-        (
-            D::MovI { rd: mrd, imm: mimm } | D::MovI32 { rd: mrd, imm: mimm },
-            D::LdrI { rd, base, imm },
-        ) => HotOp::MovILdrI(PMovLdr {
-            mrd,
-            mimm,
-            rd,
-            base,
-            imm,
-        }),
-        (
-            D::MovI { rd: rd0, imm: imm0 } | D::MovI32 { rd: rd0, imm: imm0 },
-            D::MovI { rd: rd1, imm: imm1 } | D::MovI32 { rd: rd1, imm: imm1 },
-        ) => HotOp::MovIMovI(PMovMov {
-            rd0,
-            imm0,
-            rd1,
-            imm1,
-        }),
-        (D::MovI { rd: mrd, imm: mimm } | D::MovI32 { rd: mrd, imm: mimm }, D::CmpR { rn, rm }) => {
-            HotOp::MovICmpR(PMovCmpR { mrd, mimm, rn, rm })
-        }
-        (
-            D::MovI { rd: mrd, imm: mimm } | D::MovI32 { rd: mrd, imm: mimm },
-            D::Csel { cond, rd, rt, rf },
-        ) => HotOp::MovICsel(PMovCsel {
-            mrd,
-            mimm,
-            cond,
-            rd,
-            rt,
-            rf,
-        }),
-        (D::Csel { cond, rd, rt, rf }, D::StrI { rs, base, imm }) => HotOp::CselStrI(PCselStr {
-            cond,
-            rd,
-            rt,
-            rf,
-            rs,
-            base,
-            imm,
-        }),
-        (D::CmpR { rn, rm }, D::MovI { rd: mrd, imm: mimm } | D::MovI32 { rd: mrd, imm: mimm }) => {
-            HotOp::CmpRMovI(PCmpRMov { rn, rm, mrd, mimm })
-        }
-        (
-            D::StrI { rs, base, imm },
-            D::MovI { rd: mrd, imm: mimm } | D::MovI32 { rd: mrd, imm: mimm },
-        ) => HotOp::StrIMovI(PStrMov {
-            rs,
-            base,
-            imm,
-            mrd,
-            mimm,
-        }),
-        (
-            D::StrI {
-                rs,
-                base: sbase,
-                imm: simm,
-            },
-            D::MovR { rd, rm },
-        ) => HotOp::StrIMovR(PStrMovR {
-            rs,
-            sbase,
-            simm,
-            rd,
-            rm,
-        }),
-        (
-            D::MovR { rd, rm },
-            D::AluRI {
-                op: aop,
-                rd: ard,
-                rn: arn,
-                imm: aimm,
-            },
-        ) => HotOp::MovRAluRI(PMovRAluRI {
-            rd,
-            rm,
-            aop,
-            ard,
-            arn,
-            aimm,
-        }),
-        _ => return None,
-    })
+        D::Ret => H::Ret,
+        D::Halt => H::Halt,
+    }
 }
 
-/// Greedy left-to-right pair tiling over the flat op array, followed by
-/// a second round that merges adjacent fused pairs into quads. A unit is
+/// Tile the flat op array into units: round 1 pairs adjacent base ops
+/// left to right, then a fixpoint of merges grows the chains. A unit is
 /// only formed when its continuation slot is not a block start (no
 /// control transfer can land mid-unit; see [`HotOp`]).
 fn fuse_ops(ops: &[DecodedOp], is_block_start: &[bool]) -> Vec<HotOp> {
-    let mut hot: Vec<HotOp> = ops.iter().map(hot_base).collect();
+    let mut hot: Vec<HotOp> = ops.iter().map(|op| hot_base(*op)).collect();
     // Round 1: adjacent base-op pairs.
     let mut i = 0;
     while i + 1 < ops.len() {
-        if is_block_start[i + 1] {
-            i += 1;
-            continue;
-        }
         // Is ops[i + 1] a compare that feeds the conditional branch at
-        // ops[i + 2]? Then leave it for the compare+branch fusion.
+        // ops[i + 2]? Then leave it for the compare+branch row, which is
+        // worth strictly more.
         let cmp_reserved = matches!(ops[i + 1], DecodedOp::CmpI { .. } | DecodedOp::CmpR { .. })
             && i + 2 < ops.len()
             && !is_block_start[i + 2]
             && matches!(ops[i + 2], DecodedOp::CondBranch { .. });
-        match try_fuse(&ops[i], &ops[i + 1], cmp_reserved) {
-            Some(f) => {
-                hot[i] = f;
+        if !is_block_start[i + 1] && !cmp_reserved {
+            if let Some(unit) = merge(&hot[i], &hot[i + 1]) {
+                hot[i] = unit;
                 i += 2;
+                continue;
             }
-            None => i += 1,
         }
+        i += 1;
     }
     // Rounds 2+: walking by unit widths reproduces the previous round's
-    // tiling; a fused unit absorbs the next one when the combination is
-    // on the menu and no entry point lands on the seam. Chains grow by
-    // one menu step per round, so iterate to a fixpoint.
+    // tiling; a fused unit absorbs the next one when the table has a row
+    // for the two and no entry point lands on the seam. Chains grow by
+    // one row per round, so iterate to a fixpoint.
     loop {
         let mut changed = false;
         let mut i = 0;
@@ -1409,10 +893,9 @@ fn fuse_ops(ops: &[DecodedOp], is_block_start: &[bool]) -> Vec<HotOp> {
             let w = hot_width(&hot[i]);
             let j = i + w;
             if w >= 2 && j < hot.len() && !is_block_start[j] {
-                if let Some(q) = try_fuse2(&hot[i], &hot[j]) {
-                    let qw = hot_width(&q);
-                    hot[i] = q;
-                    i += qw;
+                if let Some(unit) = merge(&hot[i], &hot[j]) {
+                    hot[i] = unit;
+                    i += hot_width(&unit);
                     changed = true;
                     continue;
                 }
@@ -1719,21 +1202,19 @@ impl<'p> DecodedEngine<'p> {
             .entry_of(func)
             .ok_or_else(|| MachineError::UnknownFunction(func.into()))?;
 
-        let steps: &[Step] = &self.program.steps;
-        let reg_pool = &self.program.image.reg_pool;
-        let regs = &mut self.regs;
-        let mem = &mut *self.mem;
-        let flags = &mut self.flags;
+        let program = self.program;
+        let steps: &[Step] = &program.steps;
         let max_cycles = self.max_cycles;
-        // Masked once so every `regs[sp]` below indexes with a
-        // provably-in-range value (no bounds check in the hot loop).
-        let sp = Reg::SP.index() & 15;
-
-        *regs = [0; 16];
-        for (i, a) in args.iter().enumerate() {
-            regs[i] = *a;
-        }
-        regs[sp] = STACK_TOP as i32;
+        self.regs = [0; 16];
+        self.regs[..args.len()].copy_from_slice(args);
+        self.regs[Reg::SP.index() & 15] = STACK_TOP as i32;
+        let mut core = Core {
+            regs: &mut self.regs,
+            mem: &mut self.mem,
+            flags: &mut self.flags,
+            reg_pool: &program.image.reg_pool,
+            device,
+        };
 
         let mut cycles: u64 = 0;
         let mut insns: u64 = 0;
@@ -1748,7 +1229,7 @@ impl<'p> DecodedEngine<'p> {
         // The careful loop's first fetch reads the no-predecessor cost
         // table; every later fetch reads the static-predecessor one. An
         // unconditional pointer move keeps the swap branch-free.
-        let mut tab = &self.program.steps_first[..];
+        let mut tab = &program.steps_first[..];
 
         // SEU injection state, as in the reference: the fault fires once,
         // at the first instruction boundary at or past its target cycle,
@@ -1766,8 +1247,7 @@ impl<'p> DecodedEngine<'p> {
         // Whether a faulted run may return to the fast path after its
         // fault fired.
         let resume = fault.is_some()
-            && self
-                .program
+            && program
                 .exact
                 .as_ref()
                 .is_some_and(|ex| max_cycles <= ex.max_budget);
@@ -1785,9 +1265,9 @@ impl<'p> DecodedEngine<'p> {
             // (exactly reference-equal) partial state to the per-insn
             // careful loop below to reproduce the trap point, its error kind
             // and any device traffic leading up to it.
-            if let Some(ex) = &self.program.exact {
+            if let Some(ex) = &program.exact {
                 if max_cycles <= ex.max_budget && cycles + ex.pre[pc] < stop {
-                    let hot: &[HotOp] = &self.program.hot;
+                    let hot: &[HotOp] = &program.hot;
                     // `hot` is padded to a power of two, so this mask makes
                     // every fetch provably in bounds (and is an identity
                     // for all reachable pcs).
@@ -1815,18 +1295,19 @@ impl<'p> DecodedEngine<'p> {
                     };
 
                     // Charging a run = one cycle add (the doom check needs
-                    // cycles current) plus one counter bump; everything else
-                    // is folded from the counters at exit.
-                    macro_rules! agg_charge {
-                        ($idx:expr, cyc, en) => {{
-                            let i = $idx;
-                            cycles += aggs[i].cyc;
-                            hits_t[i] += 1;
-                        }};
-                        ($idx:expr, cyc_nt, en_nt) => {{
-                            let i = $idx;
-                            cycles += aggs[i].cyc_nt;
-                            hits_nt[i] += 1;
+                    // cycles current) plus one counter bump on the run's
+                    // control-op slot; everything else is folded from the
+                    // counters at exit.
+                    macro_rules! charge_run {
+                        ($slot:expr, $taken:expr) => {{
+                            let i = $slot;
+                            if $taken {
+                                cycles += aggs[i].cyc;
+                                hits_t[i] += 1;
+                            } else {
+                                cycles += aggs[i].cyc_nt;
+                                hits_nt[i] += 1;
+                            }
                         }};
                     }
                     macro_rules! fold_hits {
@@ -1856,7 +1337,7 @@ impl<'p> DecodedEngine<'p> {
                             let mut class_counts = [0u64; ENERGY_CLASS_COUNT];
                             class_counts.copy_from_slice(&counts[..ENERGY_CLASS_COUNT]);
                             return Ok(RunResult {
-                                return_value: regs[0],
+                                return_value: core.regs[0],
                                 cycles,
                                 insns,
                                 energy_pj: energy_u as f64,
@@ -1864,617 +1345,63 @@ impl<'p> DecodedEngine<'p> {
                             });
                         }};
                     }
+                    // After a control transfer: stay on the fast path unless
+                    // the next run is doomed.
+                    macro_rules! jump {
+                        ($to:expr) => {{
+                            pc = $to as usize;
+                            if cycles + pre[pc] >= stop {
+                                break;
+                            }
+                            continue;
+                        }};
+                    }
+                    // One unit's arm: its micro-ops, then either the next
+                    // slot (the shared `pc += 1` below finishes the
+                    // advance) or, for a unit ending in a control op, the
+                    // charge of the run aggregate at that op's slot.
+                    macro_rules! unit {
+                        ($u:ident) => {{
+                            let last = pc + width_of($u) - 1;
+                            match $u.run(&mut core, Fwd::NONE)? {
+                                Exit::Next(_) => pc = last,
+                                Exit::Jump { to, taken } => {
+                                    charge_run!(last, taken);
+                                    jump!(to);
+                                }
+                            }
+                        }};
+                    }
+                    macro_rules! dispatch {
+                        (base: $($base:ident)*; $($name:ident = $left:ident + $right:ident;)*) => {
+                            match &hot[pc & hmask] {
+                                $(HotOp::$base(u) => unit!(u),)*
+                                $(HotOp::$name(u) => unit!(u),)*
+                                HotOp::Call(target) => {
+                                    charge_run!(pc, true);
+                                    if stack.len() >= MAX_CALL_DEPTH {
+                                        return Err(MachineError::CallDepth);
+                                    }
+                                    stack.push(pc as u32 + 1);
+                                    jump!(*target);
+                                }
+                                HotOp::Ret => {
+                                    charge_run!(pc, true);
+                                    match stack.pop() {
+                                        Some(ret) => jump!(ret),
+                                        None => finish_fast!(),
+                                    }
+                                }
+                                HotOp::Halt => {
+                                    charge_run!(pc, true);
+                                    finish_fast!();
+                                }
+                            }
+                        };
+                    }
 
                     loop {
-                        match hot[pc & hmask] {
-                            HotOp::AluRR { op, rd, rn, rm } => {
-                                regs[rd as usize & 15] =
-                                    op.eval(regs[rn as usize & 15], regs[rm as usize & 15]);
-                            }
-                            HotOp::AluRI { op, rd, rn, imm } => {
-                                regs[rd as usize & 15] = op.eval(regs[rn as usize & 15], imm);
-                            }
-                            HotOp::MovR { rd, rm } => {
-                                regs[rd as usize & 15] = regs[rm as usize & 15];
-                            }
-                            HotOp::MovI { rd, imm } => {
-                                regs[rd as usize & 15] = imm;
-                            }
-                            HotOp::CmpR { rn, rm } => {
-                                *flags = (regs[rn as usize & 15], regs[rm as usize & 15]);
-                            }
-                            HotOp::CmpI { rn, imm } => {
-                                *flags = (regs[rn as usize & 15], imm);
-                            }
-                            HotOp::Csel { cond, rd, rt, rf } => {
-                                let (a, b) = *flags;
-                                regs[rd as usize & 15] = if cond.holds(a, b) {
-                                    regs[rt as usize & 15]
-                                } else {
-                                    regs[rf as usize & 15]
-                                };
-                            }
-                            HotOp::LdrR { rd, base, roff } => {
-                                let addr = (regs[base as usize & 15] as u32)
-                                    .wrapping_add(regs[roff as usize & 15] as u32);
-                                regs[rd as usize & 15] = ld(mem, addr)?;
-                            }
-                            HotOp::LdrI { rd, base, imm } => {
-                                let addr =
-                                    (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
-                                regs[rd as usize & 15] = ld(mem, addr)?;
-                            }
-                            HotOp::StrR { rs, base, roff } => {
-                                let addr = (regs[base as usize & 15] as u32)
-                                    .wrapping_add(regs[roff as usize & 15] as u32);
-                                st(mem, addr, regs[rs as usize & 15])?;
-                            }
-                            HotOp::StrI { rs, base, imm } => {
-                                let addr =
-                                    (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
-                                st(mem, addr, regs[rs as usize & 15])?;
-                            }
-                            HotOp::Push { list } => {
-                                for r in &reg_pool
-                                    [list.start as usize..list.start as usize + list.len as usize]
-                                {
-                                    let top = (regs[sp] as u32).wrapping_sub(4);
-                                    regs[sp] = top as i32;
-                                    st(mem, top, regs[r.index() & 15])?;
-                                }
-                            }
-                            HotOp::Pop { list } => {
-                                for r in reg_pool
-                                    [list.start as usize..list.start as usize + list.len as usize]
-                                    .iter()
-                                    .rev()
-                                {
-                                    let top = regs[sp] as u32;
-                                    let v = ld(mem, top)?;
-                                    regs[r.index() & 15] = v;
-                                    regs[sp] = top.wrapping_add(4) as i32;
-                                }
-                            }
-                            HotOp::In { rd, port } => {
-                                regs[rd as usize & 15] = device.input(port);
-                            }
-                            HotOp::Out { rs, port } => {
-                                device.output(port, regs[rs as usize & 15]);
-                            }
-                            HotOp::Nop => {}
-                            HotOp::Branch { target } => {
-                                agg_charge!(pc, cyc, en);
-                                pc = target as usize;
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::CondBranch {
-                                cond,
-                                taken,
-                                fallthrough,
-                            } => {
-                                let (a, b) = *flags;
-                                if cond.holds(a, b) {
-                                    agg_charge!(pc, cyc, en);
-                                    pc = taken as usize;
-                                } else {
-                                    agg_charge!(pc, cyc_nt, en_nt);
-                                    pc = fallthrough as usize;
-                                }
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::Call { target } => {
-                                agg_charge!(pc, cyc, en);
-                                if stack.len() >= MAX_CALL_DEPTH {
-                                    return Err(MachineError::CallDepth);
-                                }
-                                stack.push(pc as u32 + 1);
-                                pc = target as usize;
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::Ret => {
-                                agg_charge!(pc, cyc, en);
-                                match stack.pop() {
-                                    Some(ret) => {
-                                        pc = ret as usize;
-                                        if cycles + pre[pc] >= stop {
-                                            break;
-                                        }
-                                        continue;
-                                    }
-                                    None => finish_fast!(),
-                                }
-                            }
-                            HotOp::Halt => {
-                                agg_charge!(pc, cyc, en);
-                                finish_fast!();
-                            }
-                            // ---- fused pairs: both ops' semantics in one
-                            // dispatch; `pc += 1` here plus the shared bottom
-                            // increment skips both slots. ----
-                            HotOp::StrILdrI(p) => {
-                                x_str_ldr(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::LdrIStrI(p) => {
-                                x_ldr_str(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::LdrILdrI(p) => {
-                                x_ldr_ldr(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::LdrIAluRI(p) => {
-                                x_ldr_alu_ri(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::LdrIAluRR(p) => {
-                                x_ldr_alu_rr(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::LdrIMovI(p) => {
-                                x_ldr_mov(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::LdrICmpI(p) => {
-                                x_ldr_cmp_i(&p, regs, mem, flags)?;
-                                pc += 1;
-                            }
-                            HotOp::AluRILdrI(p) => {
-                                x_alu_ri_ldr(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::AluRIStrI(p) => {
-                                x_alu_ri_str(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::AluRIAluRR(p) => {
-                                x_alu_ri_alu_rr(&p, regs);
-                                pc += 1;
-                            }
-                            HotOp::AluRRLdrI(p) => {
-                                x_alu_rr_ldr(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::AluRRStrI(p) => {
-                                x_alu_rr_str(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::MovILdrI(p) => {
-                                x_mov_ldr(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::MovIMovI(p) => {
-                                x_mov_mov(&p, regs);
-                                pc += 1;
-                            }
-                            HotOp::MovICmpR(p) => {
-                                x_mov_cmp_r(&p, regs, flags);
-                                pc += 1;
-                            }
-                            HotOp::MovICsel(p) => {
-                                x_mov_csel(&p, regs, flags);
-                                pc += 1;
-                            }
-                            HotOp::CselStrI(p) => {
-                                x_csel_str(&p, regs, mem, flags)?;
-                                pc += 1;
-                            }
-                            HotOp::CmpRMovI(p) => {
-                                x_cmp_r_mov(&p, regs, flags);
-                                pc += 1;
-                            }
-                            HotOp::StrIMovI(p) => {
-                                x_str_mov(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::StrIMovR(p) => {
-                                x_str_mov_r(&p, regs, mem)?;
-                                pc += 1;
-                            }
-                            HotOp::MovRAluRI(p) => {
-                                x_mov_r_alu_ri(&p, regs);
-                                pc += 1;
-                            }
-                            // ---- fused quads: two pairs per dispatch. ----
-                            HotOp::QLdrMovCmpRMov(a, b) => {
-                                x_ldr_mov(&a, regs, mem)?;
-                                x_cmp_r_mov(&b, regs, flags);
-                                pc += 3;
-                            }
-                            HotOp::QCmpRMovMovCsel(a, b) => {
-                                x_cmp_r_mov(&a, regs, flags);
-                                x_mov_csel(&b, regs, flags);
-                                pc += 3;
-                            }
-                            HotOp::QMovCselStrLdr(a, b) => {
-                                x_mov_csel(&a, regs, flags);
-                                x_str_ldr(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::QLdrAluRIStrLdr(a, b) => {
-                                x_ldr_alu_ri(&a, regs, mem)?;
-                                x_str_ldr(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::QAluRIAluRRLdrStr(a, b) => {
-                                x_alu_ri_alu_rr(&a, regs);
-                                x_ldr_str(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::QMovLdrAluRIAluRR(a, b) => {
-                                x_mov_ldr(&a, regs, mem)?;
-                                x_alu_ri_alu_rr(&b, regs);
-                                pc += 3;
-                            }
-                            HotOp::QStrLdrAluRIStr(a, b) => {
-                                x_str_ldr(&a, regs, mem)?;
-                                x_alu_ri_str(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::QLdrMovAluRRStr(a, b) => {
-                                x_ldr_mov(&a, regs, mem)?;
-                                x_alu_rr_str(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::QAluRRStrLdrStr(a, b) => {
-                                x_alu_rr_str(&a, regs, mem)?;
-                                x_ldr_str(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::QAluRRStrLdrMov(a, b) => {
-                                x_alu_rr_str(&a, regs, mem)?;
-                                x_ldr_mov(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::QAluRRStrLdrAluRI(a, b) => {
-                                x_alu_rr_str(&a, regs, mem)?;
-                                x_ldr_alu_ri(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::QLdrStrLdrAluRI(a, b) => {
-                                x_ldr_str(&a, regs, mem)?;
-                                x_ldr_alu_ri(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::QAluRILdrAluRIAluRR(a, b) => {
-                                x_alu_ri_ldr(&a, regs, mem)?;
-                                x_alu_ri_alu_rr(&b, regs);
-                                pc += 3;
-                            }
-                            HotOp::QAluRRLdrStrLdr(a, b) => {
-                                x_alu_rr_ldr(&a, regs, mem)?;
-                                x_str_ldr(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::QLdrLdrAluRRStr(a, b) => {
-                                x_ldr_ldr(&a, regs, mem)?;
-                                x_alu_rr_str(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::QLdrStrLdrLdr(a, b) => {
-                                x_ldr_str(&a, regs, mem)?;
-                                x_ldr_ldr(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            // ---- straight-line megas ----
-                            HotOp::OLdrMovCmpRMovCselStrLdr(a, b, c, d) => {
-                                x_ldr_mov(&a, regs, mem)?;
-                                x_cmp_r_mov(&b, regs, flags);
-                                x_mov_csel(&c, regs, flags);
-                                x_str_ldr(&d, regs, mem)?;
-                                pc += 7;
-                            }
-                            HotOp::OLdrMovAluRRStrLdrMovCmpRMov(a, b, c, d) => {
-                                x_ldr_mov(&a, regs, mem)?;
-                                x_alu_rr_str(&b, regs, mem)?;
-                                x_ldr_mov(&c, regs, mem)?;
-                                x_cmp_r_mov(&d, regs, flags);
-                                pc += 7;
-                            }
-                            HotOp::OMovLdrAluRIAluRRLdrStrLdrLdr(a, b, c, d) => {
-                                x_mov_ldr(&a, regs, mem)?;
-                                x_alu_ri_alu_rr(&b, regs);
-                                x_ldr_str(&c, regs, mem)?;
-                                x_ldr_ldr(&d, regs, mem)?;
-                                pc += 7;
-                            }
-                            HotOp::OLdrStrLdrLdrAluRRStrLdrAluRI(a, b, c, d) => {
-                                x_ldr_str(&a, regs, mem)?;
-                                x_ldr_ldr(&b, regs, mem)?;
-                                x_alu_rr_str(&c, regs, mem)?;
-                                x_ldr_alu_ri(&d, regs, mem)?;
-                                pc += 7;
-                            }
-                            HotOp::SAluRRStrLdrAluRIStrMovR(a, b, c) => {
-                                x_alu_rr_str(&a, regs, mem)?;
-                                x_ldr_alu_ri(&b, regs, mem)?;
-                                x_str_mov_r(&c, regs, mem)?;
-                                pc += 5;
-                            }
-                            HotOp::QStrLdrLdrAluRR(a, b) => {
-                                x_str_ldr(&a, regs, mem)?;
-                                x_ldr_alu_rr(&b, regs, mem)?;
-                                pc += 3;
-                            }
-                            HotOp::WLdrAluRIStrLdrMov(a, b, c) => {
-                                x_ldr_alu_ri(&a, regs, mem)?;
-                                x_str_ldr(&b, regs, mem)?;
-                                regs[c.rd as usize & 15] = c.imm;
-                                pc += 4;
-                            }
-                            HotOp::SLdrAluRIStrLdrAluRIStr(a, b, c) => {
-                                x_ldr_alu_ri(&a, regs, mem)?;
-                                x_str_ldr(&b, regs, mem)?;
-                                x_alu_ri_str(&c, regs, mem)?;
-                                pc += 5;
-                            }
-                            HotOp::SLdrAluRRStrLdrAluRIStr(a, b, c) => {
-                                x_ldr_alu_rr(&a, regs, mem)?;
-                                x_str_ldr(&b, regs, mem)?;
-                                x_alu_ri_str(&c, regs, mem)?;
-                                pc += 5;
-                            }
-                            HotOp::SLdrAluRIAluRRLdrStrLdr(a, b, c) => {
-                                x_ldr_alu_ri(&a, regs, mem)?;
-                                x_alu_rr_ldr(&b, regs, mem)?;
-                                x_str_ldr(&c, regs, mem)?;
-                                pc += 5;
-                            }
-                            HotOp::SMovLdrAluRIAluRRLdrStr(a, b, c) => {
-                                x_mov_ldr(&a, regs, mem)?;
-                                x_alu_ri_alu_rr(&b, regs);
-                                x_ldr_str(&c, regs, mem)?;
-                                pc += 5;
-                            }
-                            HotOp::SAluRILdrAluRIAluRRLdrStr(a, b, c) => {
-                                x_alu_ri_ldr(&a, regs, mem)?;
-                                x_alu_ri_alu_rr(&b, regs);
-                                x_ldr_str(&c, regs, mem)?;
-                                pc += 5;
-                            }
-                            HotOp::OMovLdrAluRIAluRRLdrStrLdrAluRI(a, b, c, d) => {
-                                x_mov_ldr(&a, regs, mem)?;
-                                x_alu_ri_alu_rr(&b, regs);
-                                x_ldr_str(&c, regs, mem)?;
-                                x_ldr_alu_ri(&d, regs, mem)?;
-                                pc += 7;
-                            }
-                            HotOp::OLdrLdrAluRRStrMovLdrAluRIAluRR(a, b, c, d) => {
-                                x_ldr_ldr(&a, regs, mem)?;
-                                x_alu_rr_str(&b, regs, mem)?;
-                                x_mov_ldr(&c, regs, mem)?;
-                                x_alu_ri_alu_rr(&d, regs);
-                                pc += 7;
-                            }
-                            // ---- fused run tails: the run aggregate lives at
-                            // the control op's own slot (`pc + width - 1`). ----
-                            HotOp::CmpICondBranch(p) => {
-                                let a = regs[p.rn as usize & 15];
-                                *flags = (a, p.imm);
-                                if p.cond.holds(a, p.imm) {
-                                    agg_charge!(pc + 1, cyc, en);
-                                    pc = p.taken as usize;
-                                } else {
-                                    agg_charge!(pc + 1, cyc_nt, en_nt);
-                                    pc = p.fallthrough as usize;
-                                }
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::CmpRCondBranch(p) => {
-                                let a = regs[p.rn as usize & 15];
-                                let b = regs[p.rm as usize & 15];
-                                *flags = (a, b);
-                                if p.cond.holds(a, b) {
-                                    agg_charge!(pc + 1, cyc, en);
-                                    pc = p.taken as usize;
-                                } else {
-                                    agg_charge!(pc + 1, cyc_nt, en_nt);
-                                    pc = p.fallthrough as usize;
-                                }
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::StrIBranch(p) => {
-                                let addr =
-                                    (regs[p.base as usize & 15] as u32).wrapping_add(p.imm as u32);
-                                st(mem, addr, regs[p.rs as usize & 15])?;
-                                agg_charge!(pc + 1, cyc, en);
-                                pc = p.target as usize;
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::QStrLdrCmpICb(a, b) => {
-                                x_str_ldr(&a, regs, mem)?;
-                                let v = regs[b.rn as usize & 15];
-                                *flags = (v, b.imm);
-                                if b.cond.holds(v, b.imm) {
-                                    agg_charge!(pc + 3, cyc, en);
-                                    pc = b.taken as usize;
-                                } else {
-                                    agg_charge!(pc + 3, cyc_nt, en_nt);
-                                    pc = b.fallthrough as usize;
-                                }
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::QStrLdrStrBr(a, b) => {
-                                x_str_ldr(&a, regs, mem)?;
-                                let addr =
-                                    (regs[b.base as usize & 15] as u32).wrapping_add(b.imm as u32);
-                                st(mem, addr, regs[b.rs as usize & 15])?;
-                                agg_charge!(pc + 3, cyc, en);
-                                pc = b.target as usize;
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::TLdrStrBr(a, target) => {
-                                x_ldr_str(&a, regs, mem)?;
-                                agg_charge!(pc + 2, cyc, en);
-                                pc = target as usize;
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            // ---- control-tailed megas ----
-                            HotOp::DLdrMovCmpRMovCselStrLdrCmpICb(a, b, c, d, e) => {
-                                x_ldr_mov(&a, regs, mem)?;
-                                x_cmp_r_mov(&b, regs, flags);
-                                x_mov_csel(&c, regs, flags);
-                                x_str_ldr(&d, regs, mem)?;
-                                let v = regs[e.rn as usize & 15];
-                                *flags = (v, e.imm);
-                                if e.cond.holds(v, e.imm) {
-                                    agg_charge!(pc + 9, cyc, en);
-                                    pc = e.taken as usize;
-                                } else {
-                                    agg_charge!(pc + 9, cyc_nt, en_nt);
-                                    pc = e.fallthrough as usize;
-                                }
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::SMovCselStrLdrCmpICb(a, b, e) => {
-                                x_mov_csel(&a, regs, flags);
-                                x_str_ldr(&b, regs, mem)?;
-                                let v = regs[e.rn as usize & 15];
-                                *flags = (v, e.imm);
-                                if e.cond.holds(v, e.imm) {
-                                    agg_charge!(pc + 5, cyc, en);
-                                    pc = e.taken as usize;
-                                } else {
-                                    agg_charge!(pc + 5, cyc_nt, en_nt);
-                                    pc = e.fallthrough as usize;
-                                }
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::SLdrAluRIStrLdrStrBr(a, b, e) => {
-                                x_ldr_alu_ri(&a, regs, mem)?;
-                                x_str_ldr(&b, regs, mem)?;
-                                let addr =
-                                    (regs[e.base as usize & 15] as u32).wrapping_add(e.imm as u32);
-                                st(mem, addr, regs[e.rs as usize & 15])?;
-                                agg_charge!(pc + 5, cyc, en);
-                                pc = e.target as usize;
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::SLdrMovAluRRStrLdrStrBr(a, b, c, target) => {
-                                x_ldr_mov(&a, regs, mem)?;
-                                x_alu_rr_str(&b, regs, mem)?;
-                                x_ldr_str(&c, regs, mem)?;
-                                agg_charge!(pc + 6, cyc, en);
-                                pc = target as usize;
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::OLdrStrLdrAluRIStrLdrStrBr(a, b, c, e) => {
-                                x_ldr_str(&a, regs, mem)?;
-                                x_ldr_alu_ri(&b, regs, mem)?;
-                                x_str_ldr(&c, regs, mem)?;
-                                let addr =
-                                    (regs[e.base as usize & 15] as u32).wrapping_add(e.imm as u32);
-                                st(mem, addr, regs[e.rs as usize & 15])?;
-                                agg_charge!(pc + 7, cyc, en);
-                                pc = e.target as usize;
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::WAluRRStrLdrStrBr(a, b, t) => {
-                                x_alu_rr_str(&a, regs, mem)?;
-                                x_ldr_str(&b, regs, mem)?;
-                                agg_charge!(pc + 4, cyc, en);
-                                pc = t as usize;
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::OCmpRMovMovCselStrLdrCmpICb(a, b, c, e) => {
-                                x_cmp_r_mov(&a, regs, flags);
-                                x_mov_csel(&b, regs, flags);
-                                x_str_ldr(&c, regs, mem)?;
-                                let v = regs[e.rn as usize & 15];
-                                *flags = (v, e.imm);
-                                if e.cond.holds(v, e.imm) {
-                                    agg_charge!(pc + 7, cyc, en);
-                                    pc = e.taken as usize;
-                                } else {
-                                    agg_charge!(pc + 7, cyc_nt, en_nt);
-                                    pc = e.fallthrough as usize;
-                                }
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::XLdrAluRIStrLdrMovAluRRStrLdrStrBr(a, b, c, d, e, t) => {
-                                x_ldr_alu_ri(&a, regs, mem)?;
-                                x_str_ldr(&b, regs, mem)?;
-                                regs[c.rd as usize & 15] = c.imm;
-                                x_alu_rr_str(&d, regs, mem)?;
-                                x_ldr_str(&e, regs, mem)?;
-                                agg_charge!(pc + 9, cyc, en);
-                                pc = t as usize;
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                            HotOp::XLdrAluRIStrLdrAluRIStrLdrMovAluRRStrLdrStrBr(
-                                a,
-                                b,
-                                c,
-                                d,
-                                e,
-                                f,
-                                t,
-                            ) => {
-                                x_ldr_alu_ri(&a, regs, mem)?;
-                                x_str_ldr(&b, regs, mem)?;
-                                x_alu_ri_str(&c, regs, mem)?;
-                                x_ldr_mov(&d, regs, mem)?;
-                                x_alu_rr_str(&e, regs, mem)?;
-                                x_ldr_str(&f, regs, mem)?;
-                                agg_charge!(pc + 12, cyc, en);
-                                pc = t as usize;
-                                if cycles + pre[pc] >= stop {
-                                    break;
-                                }
-                                continue;
-                            }
-                        }
+                        fusion_table!(dispatch);
                         pc += 1;
                     }
 
@@ -2497,11 +1424,12 @@ impl<'p> DecodedEngine<'p> {
             // that pins the exact trap point once the fast path detects the
             // budget will trip, or the exact boundary a fault fires at.
             macro_rules! charge {
-                ($c:expr) => {{
-                    cycles += $c.cyc;
+                ($c:expr, $taken:expr) => {{
+                    let taken: bool = $taken;
+                    cycles += if taken { $c.cyc } else { $c.cyc_nt };
                     insns += 1;
                     counts[($c.class as usize) & 15] += 1;
-                    energy += $c.inc_pj;
+                    energy += if taken { $c.inc_pj } else { $c.inc_nt_pj };
                 }};
             }
             // Run entries (right after a control op) hand back to the fast
@@ -2520,7 +1448,7 @@ impl<'p> DecodedEngine<'p> {
                 }
                 if let Some(f) = fault_pending {
                     if cycles >= f.at_cycle {
-                        skip_armed = f.kind.strike(regs, mem);
+                        skip_armed = f.kind.strike(core.regs, core.mem);
                         fault_pending = None;
                         stop = max_cycles.saturating_add(1);
                     }
@@ -2533,7 +1461,7 @@ impl<'p> DecodedEngine<'p> {
                     // not the pipeline) but has no effect; a skipped `Call`
                     // falls through to its resume site, a run entry.
                     skip_armed = false;
-                    charge!(c);
+                    charge!(c, true);
                     pc += 1;
                     if matches!(step.op, DecodedOp::Call { .. }) {
                         run_entry!();
@@ -2541,87 +1469,8 @@ impl<'p> DecodedEngine<'p> {
                     continue;
                 }
                 match step.op {
-                    DecodedOp::AluRR { op, rd, rn, rm } => {
-                        charge!(c);
-                        regs[rd as usize & 15] =
-                            op.eval(regs[rn as usize & 15], regs[rm as usize & 15]);
-                    }
-                    DecodedOp::AluRI { op, rd, rn, imm } => {
-                        charge!(c);
-                        regs[rd as usize & 15] = op.eval(regs[rn as usize & 15], imm);
-                    }
-                    DecodedOp::MovR { rd, rm } => {
-                        charge!(c);
-                        regs[rd as usize & 15] = regs[rm as usize & 15];
-                    }
-                    DecodedOp::MovI { rd, imm } | DecodedOp::MovI32 { rd, imm } => {
-                        charge!(c);
-                        regs[rd as usize & 15] = imm;
-                    }
-                    DecodedOp::CmpR { rn, rm } => {
-                        charge!(c);
-                        *flags = (regs[rn as usize & 15], regs[rm as usize & 15]);
-                    }
-                    DecodedOp::CmpI { rn, imm } => {
-                        charge!(c);
-                        *flags = (regs[rn as usize & 15], imm);
-                    }
-                    DecodedOp::Csel { cond, rd, rt, rf } => {
-                        charge!(c);
-                        let (a, b) = *flags;
-                        regs[rd as usize & 15] = if cond.holds(a, b) {
-                            regs[rt as usize & 15]
-                        } else {
-                            regs[rf as usize & 15]
-                        };
-                    }
-                    DecodedOp::LdrR { rd, base, roff } => {
-                        charge!(c);
-                        let addr = (regs[base as usize & 15] as u32)
-                            .wrapping_add(regs[roff as usize & 15] as u32);
-                        regs[rd as usize & 15] = ld(mem, addr)?;
-                    }
-                    DecodedOp::LdrI { rd, base, imm } => {
-                        charge!(c);
-                        let addr = (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
-                        regs[rd as usize & 15] = ld(mem, addr)?;
-                    }
-                    DecodedOp::StrR { rs, base, roff } => {
-                        charge!(c);
-                        let addr = (regs[base as usize & 15] as u32)
-                            .wrapping_add(regs[roff as usize & 15] as u32);
-                        st(mem, addr, regs[rs as usize & 15])?;
-                    }
-                    DecodedOp::StrI { rs, base, imm } => {
-                        charge!(c);
-                        let addr = (regs[base as usize & 15] as u32).wrapping_add(imm as u32);
-                        st(mem, addr, regs[rs as usize & 15])?;
-                    }
-                    DecodedOp::Push { list } => {
-                        charge!(c);
-                        for r in
-                            &reg_pool[list.start as usize..list.start as usize + list.len as usize]
-                        {
-                            let top = (regs[sp] as u32).wrapping_sub(4);
-                            regs[sp] = top as i32;
-                            st(mem, top, regs[r.index() & 15])?;
-                        }
-                    }
-                    DecodedOp::Pop { list } => {
-                        charge!(c);
-                        for r in reg_pool
-                            [list.start as usize..list.start as usize + list.len as usize]
-                            .iter()
-                            .rev()
-                        {
-                            let top = regs[sp] as u32;
-                            let v = ld(mem, top)?;
-                            regs[r.index() & 15] = v;
-                            regs[sp] = top.wrapping_add(4) as i32;
-                        }
-                    }
                     DecodedOp::Call { target } => {
-                        charge!(c);
+                        charge!(c, true);
                         if stack.len() >= MAX_CALL_DEPTH {
                             return Err(MachineError::CallDepth);
                         }
@@ -2629,41 +1478,8 @@ impl<'p> DecodedEngine<'p> {
                         pc = target as usize;
                         run_entry!();
                     }
-                    DecodedOp::In { rd, port } => {
-                        charge!(c);
-                        regs[rd as usize & 15] = device.input(port);
-                    }
-                    DecodedOp::Out { rs, port } => {
-                        charge!(c);
-                        device.output(port, regs[rs as usize & 15]);
-                    }
-                    DecodedOp::Nop => charge!(c),
-                    DecodedOp::Branch { target } => {
-                        charge!(c);
-                        pc = target as usize;
-                        run_entry!();
-                    }
-                    DecodedOp::CondBranch {
-                        cond,
-                        taken,
-                        fallthrough,
-                    } => {
-                        insns += 1;
-                        counts[(c.class as usize) & 15] += 1;
-                        let (a, b) = *flags;
-                        if cond.holds(a, b) {
-                            cycles += c.cyc;
-                            energy += c.inc_pj;
-                            pc = taken as usize;
-                        } else {
-                            cycles += c.cyc_nt;
-                            energy += c.inc_nt_pj;
-                            pc = fallthrough as usize;
-                        }
-                        run_entry!();
-                    }
                     DecodedOp::Ret => {
-                        charge!(c);
+                        charge!(c, true);
                         match stack.pop() {
                             Some(ret) => {
                                 pc = ret as usize;
@@ -2673,9 +1489,17 @@ impl<'p> DecodedEngine<'p> {
                         }
                     }
                     DecodedOp::Halt => {
-                        charge!(c);
+                        charge!(c, true);
                         break 'engine;
                     }
+                    op => match run_base(&hot_base(op), &mut core)? {
+                        Exit::Next(_) => charge!(c, true),
+                        Exit::Jump { to, taken } => {
+                            charge!(c, taken);
+                            pc = to as usize;
+                            run_entry!();
+                        }
+                    },
                 }
                 pc += 1;
             }
@@ -2684,13 +1508,19 @@ impl<'p> DecodedEngine<'p> {
         let mut class_counts = [0u64; ENERGY_CLASS_COUNT];
         class_counts.copy_from_slice(&counts[..ENERGY_CLASS_COUNT]);
         Ok(RunResult {
-            return_value: regs[0],
+            return_value: core.regs[0],
             cycles,
             insns,
             energy_pj: energy,
             class_counts,
         })
     }
+}
+
+/// The width of a unit, for the fast loop's arms.
+#[inline(always)]
+fn width_of<U: Unit>(_: &U) -> usize {
+    U::WIDTH
 }
 
 /// Largest per-op increment admitted to the exact-integer path. Keeps
@@ -3162,5 +1992,234 @@ mod tests {
             .expect("run");
         assert_eq!(want, got);
         assert_eq!(want.energy_pj.to_bits(), got.energy_pj.to_bits());
+    }
+
+    // ---- Table-driven fusion tests: every row of the fusion table, as
+    // straight-line code, on both engines. ----
+
+    /// The base ops a unit covers, expanded through the fusion table.
+    fn base_ops(unit: &'static str) -> Vec<&'static str> {
+        match FUSION_ROWS.iter().find(|row| row[0] == unit) {
+            Some(&[_, left, right]) => [base_ops(left), base_ops(right)].concat(),
+            None => vec![unit],
+        }
+    }
+
+    /// How a row's operands are chosen.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Operands {
+        /// Every source is the previous micro-op's destination, and a load
+        /// right after a store reads the stored address.
+        Alias,
+        /// No source is the previous micro-op's destination (the second
+        /// source is the op's own), and a load right after a store reads
+        /// another address.
+        Distinct,
+        /// `Distinct`, with the last memory micro-op's address out of range.
+        Trap,
+    }
+
+    /// Base of the `mem` global. The listings below only combine values
+    /// with `and`, `orr` and `eor`, and every argument, immediate and
+    /// initial word is `MEM_AT | x` with `x` a multiple of 4 below 256 (or
+    /// the out-of-range address of `Trap`), so every value is a valid
+    /// address whatever register it lands in.
+    const MEM_AT: i32 = DATA_BASE as i32;
+
+    /// One listing line per op; a trailing control op is the block's
+    /// terminator, jumping to `.L{exit}` (taken) or `.L{exit + 1}`.
+    fn listing(ops: &[&str], operands: Operands, exit: usize) -> Vec<String> {
+        let last_mem = ops.iter().rposition(|op| matches!(*op, "LdrI" | "StrI"));
+        let mut prev_dest: Option<String> = None;
+        let mut prev_store: Option<(String, i32)> = None;
+        let mut lines = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            let dest = format!("r{}", 6 + i % 4);
+            let (src, src2) = match (&prev_dest, operands) {
+                (Some(d), Operands::Alias) => (d.clone(), d.clone()),
+                _ => (format!("r{}", 1 + i % 4), dest.clone()),
+            };
+            let imm = 4 * (i as i32 % 8);
+            let cond = ["lt", "ge", "eq", "ne"][i % 4];
+            let (base, off) = match (&prev_store, *op) {
+                _ if operands == Operands::Trap && last_mem == Some(i) => ("r5".to_string(), 0),
+                (Some((b, o)), "LdrI") if operands == Operands::Alias => (b.clone(), *o),
+                (Some((b, o)), "LdrI") => (b.clone(), o + 4),
+                _ => (src.clone(), imm),
+            };
+            lines.push(match *op {
+                "AluRR" => format!("{} {dest}, {src}, {src2}", ["and", "orr"][i % 2]),
+                "AluRI" => match i % 3 {
+                    0 => format!("orr {dest}, {src}, #{imm}"),
+                    1 => format!("eor {dest}, {src}, #{imm}"),
+                    _ => format!("and {dest}, {src}, #{}", MEM_AT | 0xFC),
+                },
+                "MovR" => format!("mov {dest}, {src}"),
+                "MovI" => format!("mov {dest}, #{}", MEM_AT | imm),
+                "CmpR" => format!("cmp {src}, {src2}"),
+                "CmpI" => format!("cmp {src}, #{}", MEM_AT | 16),
+                "Csel" => format!("csel{cond} {dest}, {src}, {src2}"),
+                "LdrI" => format!("ldr {dest}, [{base}, #{off}]"),
+                "StrI" => format!("str {src2}, [{base}, #{off}]"),
+                "Branch" => format!("b .L{exit}"),
+                "CondBranch" => format!("b{cond} .L{exit}  ; else .L{}", exit + 1),
+                other => panic!("no listing for base op {other}"),
+            });
+            let writes = matches!(*op, "AluRR" | "AluRI" | "MovR" | "MovI" | "Csel" | "LdrI");
+            prev_dest = writes.then_some(dest);
+            prev_store = (*op == "StrI").then_some((base, off));
+        }
+        lines
+    }
+
+    /// `t(sel, ..)` runs `ops` from its entry as straight-line code, then
+    /// calls `dump`, which stores the registers the ops read and write
+    /// into `mem`. With `split = Some(k)`, the ops before `k` end in a
+    /// branch to a block holding the rest, and `sel == 0` enters that
+    /// block directly.
+    fn row_program(ops: &[&str], operands: Operands, split: Option<usize>) -> Program {
+        let k = split.unwrap_or(0);
+        let first = usize::from(split.is_some());
+        let second = first + usize::from(k > 0);
+        let exit = second + 1;
+        let mut lines = listing(ops, operands, exit);
+        let ends_run = matches!(ops.last(), Some(&("Branch" | "CondBranch")));
+        if !ends_run {
+            lines.extend(["bl dump".to_string(), "ret".to_string()]);
+        }
+        let mut text = String::from("t:\n");
+        if split.is_some() {
+            text.push_str(".L0:\n    cmp r0, #0\n    beq .L2  ; else .L1\n");
+        }
+        if k > 0 {
+            text.push_str(&format!(".L{first}:\n"));
+            for line in &lines[..k] {
+                text.push_str(&format!("    {line}\n"));
+            }
+            text.push_str(&format!("    b .L{second}\n"));
+        }
+        text.push_str(&format!(".L{second}:\n"));
+        for line in &lines[k..] {
+            text.push_str(&format!("    {line}\n"));
+        }
+        if ends_run {
+            for (label, ret) in [(exit, 1), (exit + 1, 2)] {
+                text.push_str(&format!(
+                    ".L{label}:\n    bl dump\n    mov r0, #{ret}\n    ret\n"
+                ));
+            }
+        }
+        text.push_str(&format!("dump:\n.L0:\n    mov32 r10, #{}\n", MEM_AT + 384));
+        for (i, r) in [1, 2, 3, 4, 6, 7, 8, 9].iter().enumerate() {
+            text.push_str(&format!("    str r{r}, [r10, #{}]\n", 4 * i));
+        }
+        text.push_str("    ret\n");
+        let mut p = teamplay_isa::asm::parse_program(&text)
+            .unwrap_or_else(|e| panic!("{e} in listing:\n{text}"));
+        let words = (0..128).map(|w| MEM_AT | (4 * (w % 64))).collect();
+        p.globals.insert("mem".into(), words);
+        assert_eq!(DataLayout::of_program(&p).address("mem"), Some(DATA_BASE));
+        p
+    }
+
+    /// `t(sel, ..)` on both engines: equal results (energy to the last
+    /// bit) or equal traps, and equal data images.
+    fn agree(p: &Program, sel: i32) -> Result<RunResult, MachineError> {
+        let args = [
+            sel,
+            MEM_AT | 16,
+            MEM_AT | 32,
+            MEM_AT | 48,
+            MEM_AT | 64,
+            MEMORY_BYTES as i32,
+        ];
+        let mut reference = Machine::new(p.clone()).expect("reference loads");
+        let decoded = DecodedProgram::new(p).expect("decodes");
+        let mut engine = decoded.engine();
+        let want = reference.call("t", &args, &mut NullDevice::new());
+        let got = engine.call("t", &args, &mut NullDevice::new());
+        assert_eq!(want, got);
+        if let (Ok(a), Ok(b)) = (&want, &got) {
+            assert_eq!(a.energy_pj.to_bits(), b.energy_pj.to_bits());
+        }
+        assert_eq!(reference.data_image(), engine.data_image());
+        got
+    }
+
+    /// The units the fuse step tiles the slots from `start` into, up to
+    /// `end`, as `(slot, width)`.
+    fn units(hot: &[HotOp], start: usize, end: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut i = start;
+        while i < end {
+            out.push((i, hot_width(&hot[i])));
+            i += hot_width(&hot[i]);
+        }
+        out
+    }
+
+    #[test]
+    fn every_fusion_row_forms_and_matches_the_reference() {
+        // The dispatch table's slot size; the hand-written superinstructions
+        // this table replaced had 84-byte slots.
+        assert!(std::mem::size_of::<HotOp>() <= 84);
+        for &[name, ..] in FUSION_ROWS {
+            let ops = base_ops(name);
+            for operands in [Operands::Alias, Operands::Distinct, Operands::Trap] {
+                let has_mem = ops.iter().any(|op| matches!(*op, "LdrI" | "StrI"));
+                if operands == Operands::Trap && !has_mem {
+                    continue;
+                }
+                let p = row_program(&ops, operands, None);
+                let decoded = DecodedProgram::new(&p).expect("decodes");
+                let entry = decoded.image.entry_of("t").expect("t") as usize;
+                assert_eq!(decoded.hot[entry].name(), name, "{operands:?}");
+                assert_eq!(hot_width(&decoded.hot[entry]), ops.len(), "{name}");
+                let got = agree(&p, 1);
+                let context = format!("{name}, {operands:?}");
+                match operands {
+                    Operands::Trap => {
+                        assert_eq!(
+                            got,
+                            Err(MachineError::OutOfRange(MEMORY_BYTES)),
+                            "{context}"
+                        );
+                    }
+                    _ => assert!(got.is_ok(), "{context}: {got:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_start_inside_a_row_splits_it() {
+        for &[name, ..] in FUSION_ROWS {
+            let ops = base_ops(name);
+            let plain = row_program(&ops, Operands::Distinct, None);
+            let image = DecodedProgram::new(&plain).expect("decodes").image;
+            let entry = image.entry_of("t").expect("t") as usize;
+            let flat = &image.ops[entry..entry + ops.len()];
+            for k in 1..ops.len() {
+                // The fuse step alone: a block start at slot `k` of the
+                // row's own ops.
+                let mut is_block_start = vec![false; flat.len()];
+                is_block_start[0] = true;
+                is_block_start[k] = true;
+                let hot = fuse_ops(flat, &is_block_start);
+                let tiles = units(&hot, 0, flat.len());
+                assert!(tiles.iter().any(|&(at, _)| at == k), "{name} split at {k}");
+                // A real block start: the ops before `k` end in a branch to
+                // it, and `t` can also enter it directly.
+                let p = row_program(&ops, Operands::Distinct, Some(k));
+                let decoded = DecodedProgram::new(&p).expect("decodes");
+                let entry = decoded.image.entry_of("t").expect("t") as usize;
+                let target = entry + 3 + k;
+                let tiles = units(&decoded.hot, entry, target + 1);
+                assert!(tiles.iter().any(|&(at, _)| at == target), "{name} at {k}");
+                for sel in [0, 1] {
+                    assert!(agree(&p, sel).is_ok(), "{name} split at {k}, sel {sel}");
+                }
+            }
+        }
     }
 }

@@ -19,9 +19,14 @@
 //!   overridden) so runaway kernels trap `CycleLimit` deterministically.
 //! * [`decoded`] — the **pre-decoded engine**. A one-time lowering bakes
 //!   a validated program into flat, index-addressed op and cost arrays
-//!   ([`DecodedProgram`]); a direct-threaded dispatch loop
-//!   ([`DecodedEngine`]) then executes with no per-step map lookups,
-//!   operand matches or cost-model calls. Its [`RunResult`]s are
+//!   ([`DecodedProgram`]) and tiles the ops into superinstructions that
+//!   retire up to 13 guest ops per dispatch. Each fused unit is one row
+//!   `Name = Left + Right` of the module's fusion table, which generates
+//!   the unit's type, width, merge rule and dispatch arm; each base op's
+//!   semantics is written once, as a step every unit shares. A
+//!   direct-threaded dispatch loop ([`DecodedEngine`]) then executes
+//!   with no per-step map lookups, operand matches or cost-model calls.
+//!   Its [`RunResult`]s are
 //!   **bit-identical** to the reference (energy included, to the last
 //!   f64 bit) — enforced by the differential oracle suite — so it is the
 //!   engine of choice wherever throughput matters: batched measurement,
@@ -80,7 +85,7 @@ pub mod truth;
 pub use batch::{seeded_inputs, simulate_batch};
 pub use battery::Battery;
 pub use complex::{ComplexPlatform, CoreDesc, CoreKind, OperatingPoint, TaskExecution, WorkItem};
-pub use decoded::{DecodedEngine, DecodedProgram, OpCost};
+pub use decoded::{DecodedEngine, DecodedProgram};
 pub use fault::{
     run_campaign, run_campaign_with_plan, CampaignConfig, CampaignResult, CampaignStats, FaultKind,
     FaultOutcome, FaultPlan, FaultSpec,
