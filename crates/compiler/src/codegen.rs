@@ -19,7 +19,6 @@
 
 use crate::passes::PipelineError;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use teamplay_isa::{
     AluOp, Block, BlockId, Cond, DataLayout, Function, Insn, Operand as IsaOperand, Program, Reg,
@@ -651,21 +650,18 @@ pub fn generate_function(
     }
 
     // Annotation/inference bounds, intersected with the trip counts the
-    // unroll recogniser can *prove* from IR constants — and with the
-    // value-graph prover, which additionally resolves limits/inits/steps
-    // that flow through dominating def chains of temps: a provable count
-    // tightens an over-wide annotation (`bound(64)` on an 8-trip loop)
-    // and bounds counted loops that carry no annotation at all, so the
-    // IPET analysis downstream sees the sharpest available flow facts.
+    // value-graph prover derives from IR constants, including limits,
+    // inits and steps that flow through dominating def chains of temps:
+    // a provable count tightens an over-wide annotation (`bound(64)` on
+    // an 8-trip loop) and bounds counted loops that carry no annotation
+    // at all, so the IPET analysis downstream sees the sharpest
+    // available flow facts.
     let mut loop_bounds: std::collections::BTreeMap<BlockId, u32> = f
         .loop_bounds
         .iter()
         .map(|(b, n)| (BlockId(b.0), *n))
         .collect();
-    for (header, trips) in crate::passes::proven_loop_bounds(f)
-        .into_iter()
-        .chain(crate::passes::value_graph_loop_bounds(f))
-    {
+    for (header, trips) in crate::passes::value_graph_loop_bounds(f) {
         loop_bounds
             .entry(BlockId(header.0))
             .and_modify(|b| *b = (*b).min(trips))
@@ -956,28 +952,13 @@ pub fn generate_program(
     module: &IrModule,
     opts: impl Into<CodegenOpts>,
 ) -> Result<Program, CodegenError> {
-    generate_program_with(module, &HashMap::new(), opts.into())
-}
-
-/// Generate a full PG32 program with per-function codegen options (the
-/// multi-version final build, where every task keeps its variant's
-/// knobs): functions named in `per_function` use theirs, the rest use
-/// `default_opts`.
-///
-/// # Errors
-/// See [`CodegenError`].
-pub fn generate_program_with(
-    module: &IrModule,
-    per_function: &HashMap<String, CodegenOpts>,
-    default_opts: CodegenOpts,
-) -> Result<Program, CodegenError> {
+    let opts = opts.into();
     let mut program = Program::new();
     for (name, words) in &module.globals {
         program.globals.insert(name.clone(), words.clone());
     }
     let layout = DataLayout::of_program(&program);
     for f in &module.functions {
-        let opts = per_function.get(&f.name).copied().unwrap_or(default_opts);
         program.add_function(generate_function(f, &layout, opts)?);
     }
     program.validate().map_err(CodegenError::InvalidIr)?;

@@ -1,6 +1,7 @@
 //! The compile memo: per-function pass transitions and codegen results
 //! shared by every configuration one
-//! [`EvalCache`](crate::driver::EvalCache) compiles.
+//! [`EvalCache`](crate::driver::EvalCache) compiles, including the final
+//! build, which compiles each function under its own configuration.
 //!
 //! Distinct configurations mostly repeat each other's work: they run the
 //! same passes on the same function states and generate code for the
@@ -187,40 +188,56 @@ impl CompileMemo {
         self.tables.lock().expect("compile memo lock")
     }
 
-    /// Compile `config` as [`crate::driver::compile_module`] does, with
+    /// Compile the module with every function under its own
+    /// configuration (`overrides` by name, `default` for the rest),
     /// every pass invocation and codegen call going through the memo.
-    /// Also returns the pipeline's [`PassStats`], which count replays
-    /// as invocations.
-    pub(crate) fn compile(
+    /// Each function comes out exactly as
+    /// [`crate::driver::compile_module`] under its configuration leaves
+    /// it: a function's pipeline reads only its own body and the
+    /// unoptimised snapshot. Also returns the [`PassStats`] of the
+    /// functions compiled under `default`, which count replays as
+    /// invocations; with no overrides they are the whole compile's.
+    pub(crate) fn compile<'c>(
         &self,
-        config: &CompilerConfig,
+        default: &'c CompilerConfig,
+        overrides: &'c HashMap<String, CompilerConfig>,
     ) -> Result<(Program, Vec<PassStats>), CodegenError> {
-        let mut pm = PassManager::new(config.pipeline.clone())?;
-        let specs = self.spec_ids(&config.pipeline.passes);
+        // One manager per distinct configuration, `default` first: a
+        // manager's stats align with its own pipeline.
+        let manager = |config: &'c CompilerConfig| -> Result<_, CodegenError> {
+            let pm = PassManager::new(config.pipeline.clone())?;
+            Ok((config, pm, self.spec_ids(&config.pipeline.passes)))
+        };
+        let mut managers = vec![manager(default)?];
         // Every pipeline first, then codegen, as `compile_module` orders
         // them: a codegen failure leaves the same pass work behind.
-        let optimised: Vec<(StateId, Arc<IrFunction>)> = self
-            .roots
-            .iter()
-            .map(|&root| {
-                let mut body = self.state(root);
-                let mut cursor = MemoCursor {
-                    memo: self,
-                    specs: &specs,
-                    state: root,
-                };
-                pm.run_pipeline(&mut body, &self.snapshot, Some(&mut cursor));
-                (cursor.state, body)
-            })
-            .collect();
-        let opts = codegen_opts(config);
+        let mut optimised: Vec<(StateId, Arc<IrFunction>, CodegenOpts)> = Vec::new();
+        for &root in &self.roots {
+            let mut body = self.state(root);
+            let config = overrides.get(&body.name).unwrap_or(default);
+            let k = match managers.iter().position(|(c, ..)| *c == config) {
+                Some(k) => k,
+                None => {
+                    managers.push(manager(config)?);
+                    managers.len() - 1
+                }
+            };
+            let (config, pm, specs) = &mut managers[k];
+            let mut cursor = MemoCursor {
+                memo: self,
+                specs,
+                state: root,
+            };
+            pm.run_pipeline(&mut body, &self.snapshot, Some(&mut cursor));
+            optimised.push((cursor.state, body, codegen_opts(config)));
+        }
         let mut program = self.blank.clone();
-        for (state, body) in &optimised {
-            let code = self.codegen(*state, body, opts)?;
+        for (state, body, opts) in &optimised {
+            let code = self.codegen(*state, body, *opts)?;
             program.add_function(Function::clone(&code));
         }
         program.validate().map_err(CodegenError::InvalidIr)?;
-        Ok((program, pm.stats().to_vec()))
+        Ok((program, managers[0].1.stats().to_vec()))
     }
 
     /// The memo's counters.

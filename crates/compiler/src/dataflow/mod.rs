@@ -26,7 +26,7 @@
 //! the IR→ISA transfer (liveness-driven copy coalescing in
 //! [`crate::codegen`]), and the WCET flow-fact plumbing (the value
 //! graph resolves loop limits/inits/steps that flow through temps into
-//! `proven_loop_bounds`-style facts for the IPET engine).
+//! the loop-bound facts of the IPET engine).
 //!
 //! All analyses are pure functions of one `IrFunction` body. Nothing
 //! here mutates IR — invalidation is the pass framework's job: a pass

@@ -26,7 +26,10 @@
 //!    changed)` transition and every codegen call as `(final state,
 //!    codegen knobs) → code`, so a repeated invocation is one lookup
 //!    ([`EvalCache::compile`]; the contract replay rests on is in the
-//!    [`crate::passes`] module docs). Its counters —
+//!    [`crate::passes`] module docs). The multi-version final build
+//!    ([`EvalCache::final_build`]) is one more compile through it, with
+//!    a configuration per function, so after a search it is mostly
+//!    replays. Its counters —
 //!    `pass_runs`/`pass_replays`, `states`,
 //!    `codegen_hits`/`codegen_misses` — come from
 //!    [`EvalCache::compile_memo_stats`]; they can vary with pool width,
@@ -56,10 +59,10 @@
 //! and `disk_misses` is the number of actual compiles. A disk hit
 //! bypasses tiers 2 and 3.
 
-use crate::codegen::{generate_program, generate_program_with, CodegenError, CodegenOpts};
+use crate::codegen::{generate_program, CodegenError, CodegenOpts};
 use crate::compile_memo::{CompileMemo, CompileMemoStats};
 use crate::fpa::{FpaConfig, MultiObjectiveFpa, ParetoPoint, SearchStats};
-use crate::passes::{run_passes_per_function_on, PassManager, PassSpec, PassStats, Pipeline};
+use crate::passes::{PassManager, PassSpec, PassStats, Pipeline};
 use crate::secure::{rung_of_genome, LeakMemo, LeakageAxis, SECURE_GENOME_DIMS};
 use crate::store::{self, DiskStore, STORE_FORMAT_VERSION};
 use minipool::Pool;
@@ -326,26 +329,22 @@ pub fn compile_module(ir: &IrModule, config: &CompilerConfig) -> Result<Program,
 ///
 /// Each function comes out byte-identical to the same function of
 /// [`compile_module`] under its configuration, so the final build is the
-/// variant the search measured. Unique function bodies (grouped by
-/// structural hash and body equality, per configuration) run their
-/// pipelines once each, fanned across `pool`; the output is
-/// byte-identical at any pool width.
+/// variant the search measured. This is [`EvalCache::final_build`]'s
+/// compile on a fresh compile memo, without the analysis. `pool` is
+/// unused: the compile runs on the calling thread, and the parameter
+/// stays until no caller passes one.
 ///
 /// # Errors
 /// As [`compile_module`].
 pub fn compile_module_per_function_on(
-    pool: &Pool,
+    _pool: &Pool,
     ir: &IrModule,
     configs: &HashMap<String, CompilerConfig>,
     default: &CompilerConfig,
 ) -> Result<Program, CodegenError> {
-    let mut module = ir.clone();
-    run_passes_per_function_on(pool, &mut module, configs, default)?;
-    let per_function: HashMap<String, CodegenOpts> = configs
-        .iter()
-        .map(|(name, c)| (name.clone(), codegen_opts(c)))
-        .collect();
-    generate_program_with(&module, &per_function, codegen_opts(default))
+    CompileMemo::new(ir)
+        .compile(default, configs)
+        .map(|(program, _)| program)
 }
 
 /// Encoded size of a function in 16-bit halfwords (terminators count one
@@ -664,9 +663,35 @@ impl<'a> EvalCache<'a> {
         &self,
         config: &CompilerConfig,
     ) -> Result<(Program, Vec<PassStats>), CodegenError> {
-        self.compile_memo
-            .get_or_init(|| CompileMemo::new(self.ir))
-            .compile(config)
+        self.compile_memo().compile(config, &HashMap::new())
+    }
+
+    /// The multi-version final build: compile every function under its
+    /// chosen configuration (`chosen` by function name, `default` for
+    /// the rest) through this cache's compile memo, and analyse the
+    /// program through its [`AnalysisMemo`], as every evaluation does.
+    /// Each function is byte-identical to the same function of
+    /// [`compile_module`] under its configuration, the compile the
+    /// search measured; after a search most of the build is replays.
+    /// Like [`EvalCache::compile`], it bypasses the configuration tier
+    /// and the store, so no hit, miss or store counter moves.
+    ///
+    /// # Errors
+    /// As [`evaluate_module`].
+    pub fn final_build(
+        &self,
+        chosen: &HashMap<String, CompilerConfig>,
+        default: &CompilerConfig,
+    ) -> Result<(Program, ModuleMetrics), String> {
+        let (program, _) = self
+            .compile_memo()
+            .compile(default, chosen)
+            .map_err(|e| e.to_string())?;
+        analyse_program(program, self.cycle_model, self.energy_model, &self.memo)
+    }
+
+    fn compile_memo(&self) -> &CompileMemo {
+        self.compile_memo.get_or_init(|| CompileMemo::new(self.ir))
     }
 
     /// The compile memo's work counters: pass invocations run and

@@ -22,8 +22,8 @@
 //!   static name registry (twelve passes, from `inline` and `licm`
 //!   through `gvn`, `load_fwd`, `unroll` and `block_layout`), and a
 //!   [`passes::PassManager`] with fixpoint iteration and per-pass
-//!   instrumentation, whose one application core both the search and
-//!   the final build run. Pipelines are constructible by name
+//!   instrumentation, whose one application core both the reference
+//!   `PassManager::run` and the compile memo run. Pipelines are constructible by name
 //!   (`PassManager::from_str("const_fold,dce")`), by optimisation
 //!   level (`o0()`–`o3()`), and by catalogue lookup
 //!   ([`passes::PipelineCatalog`]); every configuration the search
@@ -43,8 +43,9 @@
 //!   Pareto search entry point,
 //!   [`driver::pareto_search`], which runs a [`driver::SearchRequest`]
 //!   over a caller-built cache, and the multi-version final build,
-//!   [`driver::compile_module_per_function_on`], which compiles every
-//!   function byte-identically to the variant the search measured,
+//!   [`driver::EvalCache::final_build`], one more compile through the
+//!   search's compile memo, which builds every function byte-identically
+//!   to the variant the search measured,
 //! * [`secure`] — the search's optional leakage axis: a ladder-rung gene
 //!   selects the countermeasure level each candidate compiles under, and
 //!   the leakage measured on the simulator rig joins the objective

@@ -6,10 +6,11 @@
 //! the [`PassManager`] applies an ordered [`Pipeline`] of them to
 //! fixpoint with per-pass change instrumentation ([`PassManager::stats`]).
 //! One application core applies passes, for both callers: the
-//! whole-module [`PassManager::run`] the search measures variants with,
-//! and the per-function final build
-//! ([`crate::driver::compile_module_per_function_on`]), which runs each
-//! function's full pipeline through the same core. A pipeline therefore
+//! whole-module reference [`PassManager::run`], and the compile memo
+//! behind every [`crate::driver::EvalCache`], which runs each function's
+//! full pipeline through the same core for the search's compiles and
+//! for the multi-version final build
+//! ([`crate::driver::EvalCache::final_build`]). A pipeline therefore
 //! means the same thing everywhere, and the final build compiles every
 //! function exactly as the search measured it.
 //!
@@ -137,10 +138,7 @@
 
 use crate::compile_memo::MemoCursor;
 use crate::dataflow::{self, may_alias, BitSet, DefUse, DomTree, Liveness, ValueGraph};
-use crate::driver::CompilerConfig;
-use minipool::Pool;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -1713,8 +1711,8 @@ fn exact_trips(init: i64, limit: i64, step: i64, cmp: BinOp) -> Option<i64> {
 
 /// A recognised canonical counted loop with a provable exact trip
 /// count: shared between [`unroll_loops`] (which replays the body
-/// `trips` times) and [`proven_loop_bounds`] (which surfaces `trips` as
-/// a WCET flow fact even when the loop is *not* unrolled).
+/// `trips` times) and [`value_graph_loop_bounds`] (which surfaces `trips`
+/// as a WCET flow fact even when the loop is *not* unrolled).
 struct CountedLoop {
     /// Header block index.
     header: usize,
@@ -1914,25 +1912,14 @@ fn recognise_counted_loop(
     })
 }
 
-/// Loop bounds provable from the IR itself: the exact trip counts the
-/// `unroll` recogniser computes, surfaced as flow facts for the WCET/
-/// WCEC analyses even when the loop is *not* unrolled (trip count above
-/// the unroll ceiling, or `unroll` absent from the pipeline). Codegen
-/// intersects these with the annotation/inference bounds — a proven
-/// count can only tighten, never replace, an annotated upper bound.
-pub fn proven_loop_bounds(f: &IrFunction) -> Vec<(IrBlockId, u32)> {
-    teamplay_minic::cfg::natural_loops(f)
-        .iter()
-        .filter_map(|l| {
-            let c = recognise_counted_loop(f, l)?;
-            let trips = u32::try_from(c.trips).ok()?;
-            Some((IrBlockId(c.header as u32), trips))
-        })
-        .collect()
-}
-
-/// Loop bounds proven through the value graph: like
-/// [`proven_loop_bounds`], but the limit, step and init of a counted
+/// Loop bounds provable from the IR itself: the exact trip counts of the
+/// counted loops `unroll` recognises, surfaced as flow facts for the
+/// WCET/WCEC analyses even when the loop is *not* unrolled (trip count
+/// above the unroll ceiling, or `unroll` absent from the pipeline).
+/// Codegen intersects them with the annotation/inference bounds: a
+/// proven count can only tighten, never replace, an annotated bound.
+///
+/// Unlike `unroll`'s recogniser, the limit, step and init of a counted
 /// loop may be *temps* whose def chains fold to constants, provided the
 /// chain is **well-anchored** — every temp on it has a single
 /// definition whose operands' definitions dominate it, and the root def
@@ -3111,60 +3098,6 @@ impl PipelineCatalog {
 }
 
 // =====================================================================
-// Function-body keys (parallel-pass dedup)
-// =====================================================================
-
-/// A function body as a dedup key: it hashes with the structural
-/// [`IrFunction`] hash and compares with [`IrFunction::same_body`], so
-/// two functions group together exactly when their bodies are equal,
-/// whatever their names.
-///
-/// Functions with equal bodies are indistinguishable to every pass:
-/// call *operands* are part of the body, so bodies that call different
-/// callees differ, and the only name-sensitive pass behaviour —
-/// inline's self-call guard — cannot diverge either. If a body contains
-/// a call to its own enclosing function, that function is recursive,
-/// and any *other* function with an equal body calls the same
-/// (recursive) callee — which inlining refuses for both callers. Every
-/// other pass is a pure function of the body alone. The per-function
-/// build therefore optimises one representative per body (and
-/// configuration) and copies its result to the duplicates.
-#[derive(Clone, Copy)]
-struct BodyKey<'a>(&'a IrFunction);
-
-impl std::hash::Hash for BodyKey<'_> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
-    }
-}
-
-impl PartialEq for BodyKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.same_body(other.0)
-    }
-}
-
-impl Eq for BodyKey<'_> {}
-
-/// Group item indices by a per-item key, preserving first-seen order:
-/// `groups[k][0]` is the representative of group `k` (also used by the
-/// batch front-end to dedup whole jobs).
-pub(crate) fn group_indices_by_key<K: std::hash::Hash + Eq>(keys: Vec<K>) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut index_of: HashMap<K, usize> = HashMap::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        match index_of.entry(key) {
-            Entry::Occupied(slot) => groups[*slot.get()].push(i),
-            Entry::Vacant(slot) => {
-                slot.insert(groups.len());
-                groups.push(vec![i]);
-            }
-        }
-    }
-    groups
-}
-
-// =====================================================================
 // PassManager
 // =====================================================================
 
@@ -3198,22 +3131,21 @@ pub struct PassManager {
     pipeline: Pipeline,
     passes: Vec<Box<dyn Pass>>,
     stats: Vec<PassStats>,
-    /// Fixpoint bound: maximum rounds of the full pipeline per function.
-    pub max_rounds: usize,
 }
 
 impl fmt::Debug for PassManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PassManager")
             .field("pipeline", &self.pipeline.to_string())
-            .field("max_rounds", &self.max_rounds)
             .finish()
     }
 }
 
 impl PassManager {
-    /// Default fixpoint bound (matches the historical cleanup-trio loop).
-    pub const DEFAULT_MAX_ROUNDS: usize = 4;
+    /// Fixpoint bound: the most rounds of the full pipeline one
+    /// function runs. Every compile uses it, which the compile memo's
+    /// replays rely on.
+    pub const MAX_ROUNDS: usize = 4;
 
     /// Build a manager for a pipeline.
     ///
@@ -3226,7 +3158,6 @@ impl PassManager {
             pipeline,
             passes,
             stats,
-            max_rounds: Self::DEFAULT_MAX_ROUNDS,
         })
     }
 
@@ -3286,9 +3217,9 @@ impl PassManager {
         changed
     }
 
-    /// The one code path that applies passes — [`PassManager::run`],
-    /// the per-function final build and the compile memo's compiles all
-    /// call it: builds one [`PassContext`] for the function, iterates
+    /// The one code path that applies passes — [`PassManager::run`] and
+    /// the compile memo's compiles (the search's and the final build's)
+    /// both call it: builds one [`PassContext`] for the function, iterates
     /// the pipeline to (bounded) fixpoint, and after every change
     /// invalidates exactly the analyses the pass did not declare
     /// [`preserved`](Pass::preserves).
@@ -3311,7 +3242,7 @@ impl PassManager {
         for pass in self.passes.iter_mut() {
             pass.begin_function(f);
         }
-        for _ in 0..self.max_rounds {
+        for _ in 0..Self::MAX_ROUNDS {
             let mut round_changed = false;
             let slots = self.passes.iter_mut().zip(self.stats.iter_mut());
             for (slot, (pass, stat)) in slots.enumerate() {
@@ -3350,65 +3281,6 @@ impl PassManager {
     }
 }
 
-/// Optimise every function under its own configuration's full pipeline:
-/// the multi-version final build, where every task keeps the Pareto
-/// variant the coordination layer selected for it. Functions without an
-/// entry in `configs` use `default`.
-///
-/// Each function runs the same core as [`PassManager::run`], against one
-/// up-front body snapshot and with `inline` in its pipeline position, so
-/// it comes out exactly as the whole-module run of its configuration —
-/// the run the search measured — leaves it. Functions are deduplicated
-/// by (body, configuration), grouped by structural hash and body
-/// equality; each unique pair runs once, and the unique work items fan
-/// out across `pool`. Every item is
-/// pure in (its body, the snapshot, its configuration), so the module is
-/// byte-identical at any pool width.
-///
-/// # Errors
-/// [`PipelineError`] if a configuration names a pass outside the
-/// registry.
-pub(crate) fn run_passes_per_function_on(
-    pool: &Pool,
-    module: &mut IrModule,
-    configs: &HashMap<String, CompilerConfig>,
-    default: &CompilerConfig,
-) -> Result<(), PipelineError> {
-    let snapshot = snapshot_functions(module);
-    let config_of = |f: &IrFunction| -> &CompilerConfig { configs.get(&f.name).unwrap_or(default) };
-    let groups = group_indices_by_key(
-        module
-            .functions
-            .iter()
-            .map(|f| (BodyKey(f), config_of(f)))
-            .collect::<Vec<_>>(),
-    );
-    let reps: Vec<(&IrFunction, &CompilerConfig)> = groups
-        .iter()
-        .map(|g| {
-            let f = &module.functions[g[0]];
-            (f, config_of(f))
-        })
-        .collect();
-    // `Box<dyn Pass>` is not `Sync`, so every work item builds its own
-    // manager; `begin_function` resets all per-function pass state
-    // either way.
-    let results = pool.par_map(&reps, |_, &(rep, config)| {
-        let mut f = Arc::new(rep.clone());
-        PassManager::new(config.pipeline.clone())?.run_pipeline(&mut f, &snapshot, None);
-        Ok(Arc::unwrap_or_clone(f))
-    });
-    for (group, body) in groups.iter().zip(results) {
-        let body = body?;
-        for &i in group {
-            let name = std::mem::take(&mut module.functions[i].name);
-            module.functions[i] = body.clone();
-            module.functions[i].name = name;
-        }
-    }
-    Ok(())
-}
-
 /// The random Mini-C kernel generator of the integration tests.
 #[cfg(test)]
 #[path = "../../../tests/common/kernels.rs"]
@@ -3420,6 +3292,7 @@ mod test_kernels;
 #[cfg(test)]
 mod reference {
     use super::*;
+    use crate::driver::CompilerConfig;
     use proptest::Strategy;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -3854,6 +3727,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::CompilerConfig;
     use teamplay_minic::compile_to_ir;
     use teamplay_minic::interp::RecordingPorts;
     use teamplay_minic::ir::exec_module;
@@ -4535,7 +4409,8 @@ mod tests {
         ]);
         m.validate().expect("valid");
         let f = &m.functions[0];
-        assert_eq!(proven_loop_bounds(f), vec![]);
+        let loops = teamplay_minic::cfg::natural_loops(f);
+        assert!(loops.iter().all(|l| recognise_counted_loop(f, l).is_none()));
         assert_eq!(value_graph_loop_bounds(f), vec![(IrBlockId(1), 10)]);
     }
 
@@ -4902,7 +4777,7 @@ mod tests {
         let src = "int sq(int v) { return v * v; }
                    int hot(int x) { return sq(x) + 1; }
                    int cold(int x) { return sq(x) + 2; }";
-        let mut m = ir_of(src);
+        let m = ir_of(src);
         let mut configs = HashMap::new();
         configs.insert(
             "hot".to_string(),
@@ -4917,23 +4792,34 @@ mod tests {
             mul_shift_add: false,
             pinned_regs: 0,
         };
-        run_passes_per_function_on(&Pool::new(1), &mut m, &configs, &default)
-            .expect("pipelines resolve");
-        m.validate().expect("valid after per-function pipelines");
-        let calls = |f: &IrFunction| {
-            f.blocks
+        let program = crate::driver::compile_module_per_function_on(
+            &minipool::Pool::new(1),
+            &m,
+            &configs,
+            &default,
+        )
+        .expect("pipelines resolve");
+        let calls = |name: &str| {
+            program
+                .function(name)
+                .expect("compiled")
+                .blocks
                 .iter()
-                .flat_map(|b| &b.ops)
-                .filter(|o| matches!(o, IrOp::Call { .. }))
+                .flat_map(|b| &b.insns)
+                .filter(|i| matches!(i, teamplay_isa::Insn::Call { .. }))
                 .count()
         };
-        assert_eq!(calls(m.function("hot").expect("hot")), 0, "hot inlines sq");
-        assert_eq!(
-            calls(m.function("cold").expect("cold")),
-            1,
-            "cold keeps the call"
-        );
-        assert_eq!(run_ir(&m, "hot", &[3]), Some(10));
-        assert_eq!(run_ir(&m, "cold", &[3]), Some(11));
+        assert_eq!(calls("hot"), 0, "hot inlines sq");
+        assert_eq!(calls("cold"), 1, "cold keeps the call");
+        let mut machine = teamplay_sim::Machine::new(program).expect("loads");
+        let mut run = |name: &str| {
+            let mut dev = teamplay_sim::RecordingDevice::new();
+            machine
+                .call(name, &[3], &mut dev)
+                .expect("runs")
+                .return_value
+        };
+        assert_eq!(run("hot"), 10);
+        assert_eq!(run("cold"), 11);
     }
 }

@@ -15,10 +15,10 @@
 
 use crate::driver::{add_cache_counters, pareto_search, EvalCache, ParetoFront, SearchRequest};
 use crate::fpa::{FpaConfig, SearchStats};
-use crate::passes::group_indices_by_key;
 use crate::store::{self, DiskStore};
 use minipool::Pool;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, HashMap};
 use teamplay_energy::IsaEnergyModel;
 use teamplay_isa::CycleModel;
 use teamplay_minic::ir::IrModule;
@@ -149,4 +149,21 @@ pub fn compile_many(
         search: merged,
     };
     (results, stats)
+}
+
+/// Group item indices by a per-item key, preserving first-seen order:
+/// `groups[k][0]` is the representative of group `k`.
+fn group_indices_by_key<K: std::hash::Hash + Eq>(keys: Vec<K>) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut index_of: HashMap<K, usize> = HashMap::new();
+    for (i, key) in keys.into_iter().enumerate() {
+        match index_of.entry(key) {
+            Entry::Occupied(slot) => groups[*slot.get()].push(i),
+            Entry::Vacant(slot) => {
+                slot.insert(groups.len());
+                groups.push(vec![i]);
+            }
+        }
+    }
+    groups
 }

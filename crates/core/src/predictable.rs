@@ -4,21 +4,20 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use teamplay_compiler::{
-    compile_module_per_function_on, pareto_search, CompilerConfig, DiskStore, EvalCache, FpaConfig,
-    PipelineCatalog, SearchRequest, SearchStats, TaskVariant,
+    pareto_search, CompilerConfig, DiskStore, EvalCache, FpaConfig, PipelineCatalog, SearchRequest,
+    SearchStats, TaskVariant,
 };
 use teamplay_contracts::{prove, Certificate, ProveError, TaskEvidence};
 use teamplay_coord::{
     generate_parallel_glue_with_pipelines, schedule_energy_aware, CoordTask, ExecOption, GlueError,
     Schedule, ScheduleError, TaskSet,
 };
-use teamplay_csl::{extract_model, CslError, CslModel, SecurityReq};
-use teamplay_energy::{analyze_program_energy_cached, IsaEnergyModel};
+use teamplay_csl::{extract_model, CslError, CslModel, SecurityReq, TaskSpec};
+use teamplay_energy::IsaEnergyModel;
 use teamplay_isa::{CycleModel, Program};
 use teamplay_minic::{lower::lower_program, parse_and_check, FrontendError};
 use teamplay_security::{assess_leakage, ladderise, LadderReport, LeakageReport, SecretSpec};
 use teamplay_sim::{seeded_inputs, simulate_batch, DecodedProgram, GroundTruthEnergy};
-use teamplay_wcet::analyze_program_cached;
 
 /// Configuration of the predictable workflow: platform models, clock and
 /// search budget.
@@ -359,6 +358,35 @@ fn schedule_with_degradation(
     Err(WorkflowError::Unschedulable(last))
 }
 
+/// A coordination task for CSL task `t`, one execution option per
+/// `(label, WCET cycles, WCEC pJ)`, carrying the task's ordering,
+/// deadline, re-executions and security floor. Step 2 ladderised every
+/// `security(ct)` task's function before the searches (erroring on
+/// residual leaks), so each of its builds is hardened: rung 1.
+fn coord_task(
+    t: &TaskSpec,
+    options: impl IntoIterator<Item = (String, u64, f64)>,
+    clock_mhz: f64,
+) -> CoordTask {
+    let level = u32::from(t.security == Some(SecurityReq::ConstantTime));
+    let options = options
+        .into_iter()
+        .map(|(label, cycles, pj)| ExecOption {
+            label,
+            core: "cpu0".into(),
+            time_us: cycles as f64 / clock_mhz,
+            energy_uj: pj / 1e6,
+            security_level: level,
+        })
+        .collect();
+    let mut ct = CoordTask::new(t.name.clone(), options);
+    ct.after = t.after.clone();
+    ct.deadline_us = t.deadline.map(|d| d.as_us());
+    ct.reexecutions = t.reexecutions;
+    ct.security_floor = t.security_floor;
+    ct
+}
+
 /// The Fig. 1 toolchain driver.
 #[derive(Debug, Clone)]
 pub struct PredictableWorkflow {
@@ -563,31 +591,11 @@ impl PredictableWorkflow {
             .tasks
             .iter()
             .map(|t| {
-                // Step 2 ladderised every `security(ct)` task's function
-                // before the searches (erroring on residual leaks), so
-                // each of its variants is a hardened build: rung 1.
-                let level = if t.security == Some(SecurityReq::ConstantTime) {
-                    1
-                } else {
-                    0
-                };
                 let options = variants[&t.name]
                     .iter()
                     .enumerate()
-                    .map(|(vi, v)| ExecOption {
-                        label: format!("v{vi}"),
-                        core: "cpu0".into(),
-                        time_us: v.metrics.wcet_cycles as f64 / cfg.clock_mhz,
-                        energy_uj: v.metrics.wcec_pj / 1e6,
-                        security_level: level,
-                    })
-                    .collect();
-                let mut ct = CoordTask::new(t.name.clone(), options);
-                ct.after = t.after.clone();
-                ct.deadline_us = t.deadline.map(|d| d.as_us());
-                ct.reexecutions = t.reexecutions;
-                ct.security_floor = t.security_floor;
-                ct
+                    .map(|(vi, v)| (format!("v{vi}"), v.metrics.wcet_cycles, v.metrics.wcec_pj));
+                coord_task(t, options, cfg.clock_mhz)
             })
             .collect();
         let (_, provisional, _) = schedule_with_degradation(&model, &coord_tasks)?;
@@ -611,53 +619,26 @@ impl PredictableWorkflow {
         // list) with the balanced codegen knobs — the same `default`
         // configuration whose genome seeded the searches in step 3.
         // Every function compiles exactly as the search measured its
-        // variant; the per-function pipelines fan out over the pool
-        // (unique bodies deduplicated; byte-identical at any width).
-        let program = compile_module_per_function_on(pool, &ir, &chosen, &default)
-            .map_err(|e| WorkflowError::Compile(e.to_string()))?;
-
+        // variant, through the search cache's compile memo, so most of
+        // the build replays recorded pass and codegen work.
+        //
         // 6. Re-analyse the final binary (callees may now differ from the
         //    per-variant estimates) and re-validate the schedule with the
-        //    final numbers. The IPET bounds come through the search
-        //    cache's per-function memo: every function of the final
-        //    build whose compiled form already appeared in some searched
+        //    final numbers. The analysis goes through the search cache's
+        //    per-function memo too: every function of the final build
+        //    whose compiled form already appeared in some searched
         //    variant is a replay, not a re-analysis.
-        let memo = cache.analysis_memo();
-        let wcet = analyze_program_cached(&program, &cfg.cycle_model, &memo.wcet)
-            .map_err(|e| WorkflowError::Compile(e.to_string()))?;
-        let energy = analyze_program_energy_cached(
-            &program,
-            &cfg.energy_model,
-            &cfg.cycle_model,
-            &memo.energy,
-        )
-        .map_err(|e| WorkflowError::Compile(e.to_string()))?;
+        let (program, metrics) = cache
+            .final_build(&chosen, &default)
+            .map_err(WorkflowError::Compile)?;
+        let final_of = |t: &TaskSpec| metrics.of(&t.function).expect("analysed");
         let final_tasks: Vec<CoordTask> = model
             .tasks
             .iter()
             .map(|t| {
-                let cycles = wcet.wcet_cycles(&t.function).expect("analysed");
-                let pj = energy.wcec_pj(&t.function).expect("analysed");
-                let level = if t.security == Some(SecurityReq::ConstantTime) {
-                    1
-                } else {
-                    0
-                };
-                let mut ct = CoordTask::new(
-                    t.name.clone(),
-                    vec![ExecOption {
-                        label: "final".into(),
-                        core: "cpu0".into(),
-                        time_us: cycles as f64 / cfg.clock_mhz,
-                        energy_uj: pj / 1e6,
-                        security_level: level,
-                    }],
-                );
-                ct.after = t.after.clone();
-                ct.deadline_us = t.deadline.map(|d| d.as_us());
-                ct.reexecutions = t.reexecutions;
-                ct.security_floor = t.security_floor;
-                ct
+                let m = final_of(t);
+                let options = [("final".to_string(), m.wcet_cycles, m.wcec_pj)];
+                coord_task(t, options, cfg.clock_mhz)
             })
             .collect();
         let (final_set, schedule, rung) = schedule_with_degradation(&model, &final_tasks)?;
@@ -713,16 +694,15 @@ impl PredictableWorkflow {
         //    the certificate certifies the contract actually deployed.
         let mut evidence: HashMap<String, TaskEvidence> = HashMap::new();
         for task in &model.tasks {
-            let cycles = wcet.wcet_cycles(&task.function).expect("analysed");
-            let pj = energy.wcec_pj(&task.function).expect("analysed");
+            let m = final_of(task);
             let finish = schedule
                 .entry(&task.name)
                 .map(|e| e.finish_us + e.recovery_us);
             evidence.insert(
                 task.name.clone(),
                 TaskEvidence {
-                    wcet_us: cycles as f64 / cfg.clock_mhz,
-                    wcec_pj: pj,
+                    wcet_us: m.wcet_cycles as f64 / cfg.clock_mhz,
+                    wcec_pj: m.wcec_pj,
                     residual_branches: ladder_reports.get(&task.name).map(|r| r.residual),
                     leaks: leakage_reports.get(&task.name).map(|r| r.leaks()),
                     finish_us: finish,

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use teamplay_isa::{CycleModel, EnergyClass, Function, Insn, Program, Terminator};
 use teamplay_wcet::{
-    flow_bound_with, resolve_bottom_up, structural_bound, AnalysisCache, WcetError,
+    flow_bound_with, resolve_bottom_up, structural_bound_with, AnalysisCache, WcetError,
 };
 
 /// Scale factor: picojoules are analysed in integer millipicojoules so
@@ -130,18 +130,10 @@ fn function_wcec_mpj_structural(
     cycle_model: &CycleModel,
     callee_mpj: &BTreeMap<String, u64>,
 ) -> Result<u64, WcetError> {
-    let body = body_costs_mpj(f, energy_model, cycle_model, callee_mpj)?;
-    let cost: Vec<u64> = body
-        .iter()
-        .zip(&f.blocks)
-        .map(|(c, b)| {
-            let worst = term_cost_mpj(&b.terminator, true, energy_model, cycle_model).max(
-                term_cost_mpj(&b.terminator, false, energy_model, cycle_model),
-            );
-            c.saturating_add(worst)
-        })
-        .collect();
-    structural_bound(f, &cost)
+    let cost = body_costs_mpj(f, energy_model, cycle_model, callee_mpj)?;
+    structural_bound_with(f, &cost, &|t, taken| {
+        term_cost_mpj(t, taken, energy_model, cycle_model)
+    })
 }
 
 /// Wrap the shared `teamplay-wcet` bottom-up driver (validation,

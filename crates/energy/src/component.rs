@@ -95,7 +95,7 @@ impl ComponentModel {
         for (i, row) in xtx.iter_mut().enumerate() {
             row[i] += 1e-9;
         }
-        let beta = gaussian_solve(xtx, xty).ok_or(ComponentFitError::Singular)?;
+        let beta = crate::fitting::solve(xtx, xty).ok_or(ComponentFitError::Singular)?;
         Ok(ComponentModel {
             components,
             base_mw: beta[0].max(0.0),
@@ -126,40 +126,6 @@ impl ComponentModel {
     pub fn predict_energy_mj(&self, utilisation: &[f64], duration_ms: f64) -> f64 {
         self.predict_mw(utilisation) * duration_ms / 1000.0
     }
-}
-
-fn gaussian_solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
-    let n = b.len();
-    for col in 0..n {
-        let pivot = (col..n).max_by(|&i, &j| {
-            a[i][col]
-                .abs()
-                .partial_cmp(&a[j][col].abs())
-                .expect("finite matrix")
-        })?;
-        if a[pivot][col].abs() < 1e-12 {
-            return None;
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        let pivot_row = a[col].clone();
-        for row in (col + 1)..n {
-            let factor = a[row][col] / pivot_row[col];
-            for (entry, pivot) in a[row][col..n].iter_mut().zip(&pivot_row[col..n]) {
-                *entry -= factor * pivot;
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
-        let mut acc = b[row];
-        for k2 in (row + 1)..n {
-            acc -= a[row][k2] * x[k2];
-        }
-        x[row] = acc / a[row][row];
-    }
-    Some(x)
 }
 
 #[cfg(test)]

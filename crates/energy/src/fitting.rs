@@ -90,8 +90,9 @@ pub struct FitQuality {
 const N_COEF: usize = ENERGY_CLASS_COUNT + 1; // classes + leakage·cycles
 
 /// Solve `A x = b` for a small dense system by Gaussian elimination with
-/// partial pivoting. Returns `None` when singular.
-fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+/// partial pivoting. Returns `None` when singular. The component model
+/// fits with it too.
+pub(crate) fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = b.len();
     for col in 0..n {
         // Pivot.

@@ -224,8 +224,9 @@ impl Cond {
         }
     }
 
-    /// Evaluate the condition for a comparison `a ? b`.
-    pub fn holds(self, a: i32, b: i32) -> bool {
+    /// Evaluate the condition for a comparison `a ? b` (the machine's
+    /// `i32` flags, or wider values that must not wrap).
+    pub fn holds<T: Ord>(self, a: T, b: T) -> bool {
         match self {
             Cond::Eq => a == b,
             Cond::Ne => a != b,

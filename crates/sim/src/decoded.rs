@@ -118,7 +118,7 @@ use crate::ports::PortDevice;
 use crate::truth::GroundTruthEnergy;
 use teamplay_isa::{
     decode_program, AluOp, Cond, CycleModel, DataLayout, DecodedImage, DecodedOp, EnergyClass,
-    Program, Reg, RegListRef, DATA_BASE, ENERGY_CLASS_COUNT, MEMORY_BYTES, STACK_TOP,
+    Insn, Program, Reg, RegListRef, DATA_BASE, ENERGY_CLASS_COUNT, MEMORY_BYTES, STACK_TOP,
 };
 
 /// Per-op constants baked at decode time: cycles, energy-class index and
@@ -1026,21 +1026,24 @@ impl DecodedProgram {
                 _ => {}
             }
         }
+        let shapes = op_shapes(program, cycle_model);
+        debug_assert_eq!(shapes.len(), image.ops.len());
         let static_prev = |i: usize| {
             if i == 0 || is_block_start[i] {
                 EnergyClass::Branch
             } else {
-                op_class(&image.ops[i - 1])
+                shapes[i - 1].class
             }
         };
         let bake = |prev_of: &dyn Fn(usize) -> Option<EnergyClass>| {
             image
                 .ops
                 .iter()
+                .zip(&shapes)
                 .enumerate()
-                .map(|(i, op)| Step {
+                .map(|(i, (op, shape))| Step {
                     op: *op,
-                    cost: op_cost(op, &image, cycle_model, energy_model, prev_of(i)),
+                    cost: shape.cost(energy_model, prev_of(i)),
                 })
                 .collect::<Vec<Step>>()
         };
@@ -1647,93 +1650,62 @@ fn build_exact_tables(
     })
 }
 
-/// The energy class an op charges under, mirroring
-/// [`EnergyClass::of_insn`] and [`EnergyClass::of_terminator`].
-fn op_class(op: &DecodedOp) -> EnergyClass {
-    match op {
-        DecodedOp::AluRR { op, .. } | DecodedOp::AluRI { op, .. } => match op {
-            AluOp::Mul => EnergyClass::Mul,
-            AluOp::Div | AluOp::Rem => EnergyClass::Div,
-            _ => EnergyClass::Alu,
-        },
-        DecodedOp::MovR { .. }
-        | DecodedOp::MovI { .. }
-        | DecodedOp::MovI32 { .. }
-        | DecodedOp::CmpR { .. }
-        | DecodedOp::CmpI { .. }
-        | DecodedOp::Csel { .. } => EnergyClass::Alu,
-        DecodedOp::LdrR { .. } | DecodedOp::LdrI { .. } => EnergyClass::Load,
-        DecodedOp::StrR { .. } | DecodedOp::StrI { .. } => EnergyClass::Store,
-        DecodedOp::Push { .. } | DecodedOp::Pop { .. } => EnergyClass::Stack,
-        DecodedOp::Call { .. }
-        | DecodedOp::Branch { .. }
-        | DecodedOp::CondBranch { .. }
-        | DecodedOp::Ret => EnergyClass::Branch,
-        DecodedOp::In { .. } | DecodedOp::Out { .. } => EnergyClass::Io,
-        DecodedOp::Nop | DecodedOp::Halt => EnergyClass::Idle,
+/// What one op charges, before its predecessor is known: cycles on the
+/// taken and not-taken outcomes, energy class and registers moved.
+struct OpShape {
+    cyc: u64,
+    cyc_nt: u64,
+    class: EnergyClass,
+    regs_moved: usize,
+}
+
+impl OpShape {
+    /// Bake the cycle and energy constants against the op's
+    /// statically-known predecessor class (`None` = the run's first
+    /// instruction), combined as the reference [`Machine`](crate::Machine)
+    /// charges: `dynamic_energy + leakage·cycles`, in the same f64 order.
+    fn cost(&self, em: &GroundTruthEnergy, prev: Option<EnergyClass>) -> OpCost {
+        let e = em.dynamic_energy(prev, self.class, self.regs_moved);
+        OpCost {
+            cyc: self.cyc,
+            cyc_nt: self.cyc_nt,
+            class: self.class.index() as u8,
+            inc_pj: e + em.leakage_per_cycle * self.cyc as f64,
+            inc_nt_pj: e + em.leakage_per_cycle * self.cyc_nt as f64,
+        }
     }
 }
 
-/// Bake one op's cycle and energy constants against its statically-known
-/// predecessor class (`None` = the run's first instruction). The
-/// class/cycle mapping mirrors [`CycleModel::cycles`],
-/// [`CycleModel::terminator_cycles`], [`EnergyClass::of_insn`] and
-/// [`EnergyClass::of_terminator`]; the f64 combination below repeats the
-/// reference's `dynamic_energy` + leakage additions in their exact
-/// order. The differential oracle pins the two code paths together.
-fn op_cost(
-    op: &DecodedOp,
-    image: &DecodedImage,
-    cm: &CycleModel,
-    em: &GroundTruthEnergy,
-    prev: Option<EnergyClass>,
-) -> OpCost {
-    let (cyc, cyc_nt, class, regs_moved) = match op {
-        DecodedOp::AluRR { op, .. } | DecodedOp::AluRI { op, .. } => {
-            let (cyc, class) = match op {
-                AluOp::Mul => (cm.mul, EnergyClass::Mul),
-                AluOp::Div | AluOp::Rem => (cm.div, EnergyClass::Div),
-                _ => (cm.alu, EnergyClass::Alu),
+/// Every op's [`OpShape`], in image order. [`decode_program`] lays the
+/// image out 1:1 with the program's instructions and block terminators,
+/// function by function and block by block, so the shapes come straight
+/// from the [`CycleModel`] and [`EnergyClass`] definitions the reference
+/// machine charges with.
+fn op_shapes(program: &Program, cm: &CycleModel) -> Vec<OpShape> {
+    let mut shapes = Vec::new();
+    for b in program.functions.values().flat_map(|f| &f.blocks) {
+        for insn in &b.insns {
+            let cyc = cm.cycles(insn, false);
+            let regs_moved = match insn {
+                Insn::Push { regs } | Insn::Pop { regs } => regs.len(),
+                _ => 0,
             };
-            (cyc, cyc, class, 0)
+            shapes.push(OpShape {
+                cyc,
+                cyc_nt: cyc,
+                class: EnergyClass::of_insn(insn),
+                regs_moved,
+            });
         }
-        DecodedOp::MovR { .. } | DecodedOp::MovI { .. } => (cm.mov, cm.mov, EnergyClass::Alu, 0),
-        DecodedOp::MovI32 { .. } => (cm.mov32, cm.mov32, EnergyClass::Alu, 0),
-        DecodedOp::CmpR { .. } | DecodedOp::CmpI { .. } => (cm.cmp, cm.cmp, EnergyClass::Alu, 0),
-        DecodedOp::Csel { .. } => (cm.csel, cm.csel, EnergyClass::Alu, 0),
-        DecodedOp::LdrR { .. } | DecodedOp::LdrI { .. } => (cm.load, cm.load, EnergyClass::Load, 0),
-        DecodedOp::StrR { .. } | DecodedOp::StrI { .. } => {
-            (cm.store, cm.store, EnergyClass::Store, 0)
-        }
-        DecodedOp::Push { list } | DecodedOp::Pop { list } => {
-            let n = image.reg_list(*list).len();
-            let cyc = 1 + cm.push_pop_per_reg * n as u64;
-            (cyc, cyc, EnergyClass::Stack, n)
-        }
-        DecodedOp::Call { .. } => (cm.call, cm.call, EnergyClass::Branch, 0),
-        DecodedOp::In { .. } => (cm.port_in, cm.port_in, EnergyClass::Io, 0),
-        DecodedOp::Out { .. } => (cm.port_out, cm.port_out, EnergyClass::Io, 0),
-        DecodedOp::Nop => (cm.nop, cm.nop, EnergyClass::Idle, 0),
-        DecodedOp::Branch { .. } => (cm.branch, cm.branch, EnergyClass::Branch, 0),
-        DecodedOp::CondBranch { .. } => (cm.cond_taken, cm.cond_not_taken, EnergyClass::Branch, 0),
-        DecodedOp::Ret => (cm.ret, cm.ret, EnergyClass::Branch, 0),
-        DecodedOp::Halt => (cm.nop, cm.nop, EnergyClass::Idle, 0),
-    };
-    debug_assert_eq!(class, op_class(op));
-    let mut e = em.base(class);
-    if let Some(prev) = prev {
-        e += em.overhead(prev, class);
+        let t = &b.terminator;
+        shapes.push(OpShape {
+            cyc: cm.terminator_cycles(t, true),
+            cyc_nt: cm.terminator_cycles(t, false),
+            class: EnergyClass::of_terminator(t),
+            regs_moved: 0,
+        });
     }
-    if class == EnergyClass::Stack {
-        e += em.stack_per_reg * regs_moved as f64;
-    }
-    OpCost {
-        cyc,
-        cyc_nt,
-        class: class.index() as u8,
-        inc_pj: e + em.leakage_per_cycle * cyc as f64,
-        inc_nt_pj: e + em.leakage_per_cycle * cyc_nt as f64,
-    }
+    shapes
 }
 
 #[cfg(test)]
@@ -1742,7 +1714,7 @@ mod tests {
     use crate::machine::Machine;
     use crate::ports::{NullDevice, RecordingDevice};
     use std::collections::BTreeMap;
-    use teamplay_isa::{Block, BlockId, Cond, Function, Insn, Operand, Terminator};
+    use teamplay_isa::{Block, BlockId, Cond, Function, Operand, Terminator};
 
     fn differential(p: &Program, func: &str, args: &[i32]) {
         let mut reference = Machine::new(p.clone()).expect("reference loads");

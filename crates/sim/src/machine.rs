@@ -16,8 +16,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use teamplay_isa::{
-    AluOp, BlockId, Cond, CycleModel, DataLayout, EnergyClass, Function, Insn, Operand, Program,
-    Reg, Terminator, DATA_BASE, ENERGY_CLASS_COUNT, MEMORY_BYTES, STACK_TOP,
+    BlockId, CycleModel, DataLayout, EnergyClass, Function, Insn, Operand, Program, Reg,
+    Terminator, DATA_BASE, ENERGY_CLASS_COUNT, MEMORY_BYTES, STACK_TOP,
 };
 
 /// Execution errors (traps).
@@ -557,23 +557,12 @@ pub(crate) fn store_word(
     Ok(())
 }
 
-/// Evaluate an ALU condition mirror so tests can reuse it (kept out of the
-/// hot loop for clarity).
-pub fn cond_holds(cond: Cond, a: i32, b: i32) -> bool {
-    cond.holds(a, b)
-}
-
-/// Convenience: would this ALU op trap on PG32? (Never — division by zero
-/// yields zero.) Kept as documentation-by-test of the hardware convention.
-pub fn op_traps(_op: AluOp) -> bool {
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ports::{NullDevice, RecordingDevice};
     use std::collections::BTreeMap;
+    use teamplay_isa::{AluOp, Cond};
     use teamplay_isa::{Block, BlockId};
 
     /// Build: int answer() { r0 = 40 + 2 }

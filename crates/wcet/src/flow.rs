@@ -132,19 +132,6 @@ fn write_mask(insn: &Insn) -> Option<u16> {
     })
 }
 
-/// Evaluate `value cond imm` over i64 (so candidate values adjacent to
-/// `i32::MIN`/`MAX` immediates never wrap).
-fn cond_holds_i64(cond: Cond, value: i64, imm: i64) -> bool {
-    match cond {
-        Cond::Eq => value == imm,
-        Cond::Ne => value != imm,
-        Cond::Lt => value < imm,
-        Cond::Le => value <= imm,
-        Cond::Gt => value > imm,
-        Cond::Ge => value >= imm,
-    }
-}
-
 impl FlowProblem {
     /// Build the flow problem for `f`.
     ///
@@ -429,7 +416,7 @@ impl Region<'_> {
             Some((r, imm, cond)) => ctx
                 .iter()
                 .find(|(cr, _)| *cr == r)
-                .is_none_or(|(_, v)| cond_holds_i64(cond, *v, i64::from(imm))),
+                .is_none_or(|(_, v)| cond.holds(*v, i64::from(imm))),
         }
     }
 

@@ -214,22 +214,31 @@ pub fn flow_bound_with(
             function: f.name.clone(),
             header: header as u32,
         }),
-        Err(FlowError::Irreducible) => {
-            // Structural fallback: fold the worst-case terminator cost
-            // back into the block costs, as the structural engine
-            // expects.
-            let cost: Vec<u64> = node_cost
-                .iter()
-                .zip(&f.blocks)
-                .map(|(c, b)| {
-                    c.saturating_add(
-                        term_cost(&b.terminator, true).max(term_cost(&b.terminator, false)),
-                    )
-                })
-                .collect();
-            structural_bound(f, &cost)
-        }
+        Err(FlowError::Irreducible) => structural_bound_with(f, node_cost, term_cost),
     }
+}
+
+/// [`structural_bound`] over per-block body costs (terminators excluded)
+/// and a per-edge terminator-cost closure: each block pays the larger of
+/// its terminator's taken and not-taken costs, as the structural engine
+/// expects. This is the pre-IPET baseline of both the time and the
+/// energy analysis, and [`flow_bound_with`]'s irreducible fallback.
+///
+/// # Errors
+/// See [`WcetError`].
+pub fn structural_bound_with(
+    f: &Function,
+    node_cost: &[u64],
+    term_cost: &dyn Fn(&Terminator, bool) -> u64,
+) -> Result<u64, WcetError> {
+    let cost: Vec<u64> = node_cost
+        .iter()
+        .zip(&f.blocks)
+        .map(|(c, b)| {
+            c.saturating_add(term_cost(&b.terminator, true).max(term_cost(&b.terminator, false)))
+        })
+        .collect();
+    structural_bound(f, &cost)
 }
 
 /// Analyse one function given already-known callee WCETs (IPET engine).
@@ -261,13 +270,8 @@ pub fn analyze_function_structural(
     model: &CycleModel,
     callee_wcets: &BTreeMap<String, u64>,
 ) -> Result<u64, WcetError> {
-    let body = body_costs(f, model, callee_wcets)?;
-    let cost: Vec<u64> = body
-        .iter()
-        .zip(&f.blocks)
-        .map(|(c, b)| c.saturating_add(model.terminator_worst_case(&b.terminator)))
-        .collect();
-    structural_bound(f, &cost)
+    let cost = body_costs(f, model, callee_wcets)?;
+    structural_bound_with(f, &cost, &|t, taken| model.terminator_cycles(t, taken))
 }
 
 /// Compute the structural worst-case bound of `f` for arbitrary per-block

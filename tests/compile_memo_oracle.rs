@@ -17,20 +17,30 @@
 //! * **Stateful passes are not replayed** — `inline`'s per-function
 //!   budget runs out in one fixpoint round and stays spent in the next;
 //!   memoised compiles still match the unmemoised ones.
+//! * **The final build is the compile the search measured** —
+//!   [`EvalCache::final_build`] under per-function configurations, on a
+//!   warm cache (after a search at pool widths 1/2/4) and on a cold one,
+//!   builds every function byte-identically to [`compile_module`] under
+//!   its configuration, and its metrics equal a fresh
+//!   [`analyze_program`] / [`analyze_program_energy`] of that program.
+//!   It moves none of the cache's hit and miss counters.
 
 #[path = "common/kernels.rs"]
 mod kernels;
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Mutex;
+use teamplay_compiler::driver::code_size_halfwords;
 use teamplay_compiler::{
-    compile_module, evaluate_module, CompilerConfig, EvalCache, FpaConfig, MultiObjectiveFpa,
-    PassManager, PassStats, Pipeline,
+    compile_module, evaluate_module, CompilerConfig, EvalCache, FpaConfig, ModuleMetrics,
+    MultiObjectiveFpa, PassManager, PassStats, Pipeline, VariantMetrics,
 };
-use teamplay_energy::IsaEnergyModel;
+use teamplay_energy::{analyze_program_energy, IsaEnergyModel};
 use teamplay_isa::CycleModel;
 use teamplay_minic::compile_to_ir;
 use teamplay_minic::ir::{IrModule, IrOp};
+use teamplay_wcet::analyze_program;
 
 fn app_kernels() -> Vec<(&'static str, &'static str, &'static str)> {
     vec![
@@ -250,6 +260,148 @@ fn inline_budget_exhausted_across_rounds_is_not_replayed() {
     }
     let stats = cache.compile_memo_stats();
     assert!(stats.pass_replays > 0, "{stats:?}");
+}
+
+/// A call chain four deep: inlining decisions differ by caller, so
+/// per-function configurations really build different callees.
+const CALL_CHAIN: &str = "int d(int x) { return x * 3 + 1; }
+     int c(int x) { return d(x) + d(x + 1) * 2; }
+     int b(int x) { int s = c(x); if (x > 4) { s = s + c(x - 1); } return s; }
+     int a(int x) {
+         int s = 0;
+         for (int i = 0; i < 6; i = i + 1) { s = s + b(x + i) - i * 4; }
+         return s;
+     }";
+
+/// Per-function configurations cycling through an aggressive
+/// configuration, a minimal one, one that inlines only after value
+/// numbering, and three of `searched` (configurations a search
+/// evaluated, whose compiles a warm memo replays). Function `i` gets entry
+/// `(i + rotation) % len`.
+fn rotating_configs(
+    ir: &IrModule,
+    searched: &[CompilerConfig],
+    rotation: usize,
+) -> HashMap<String, CompilerConfig> {
+    let fixed = [
+        CompilerConfig {
+            pipeline: Pipeline::o3(),
+            mul_shift_add: true,
+            pinned_regs: 4,
+        },
+        CompilerConfig {
+            pipeline: Pipeline::o1(),
+            mul_shift_add: false,
+            pinned_regs: 0,
+        },
+        CompilerConfig {
+            pipeline: "gvn,cse,inline(60),block_layout,const_fold,copy_prop,dce"
+                .parse()
+                .expect("pipeline resolves"),
+            mul_shift_add: false,
+            pinned_regs: 2,
+        },
+    ];
+    // The search logs configurations in evaluation order, which varies
+    // with pool width; sort them so the choice does not.
+    let mut searched: Vec<&CompilerConfig> = searched.iter().collect();
+    searched.sort_by_key(|c| (c.pipeline.to_string(), c.mul_shift_add, c.pinned_regs));
+    let cycle: Vec<&CompilerConfig> = fixed.iter().chain(searched.into_iter().take(3)).collect();
+    ir.functions
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let config = cycle[(i + rotation) % cycle.len()];
+            (f.name.clone(), config.clone())
+        })
+        .collect()
+}
+
+/// The first way `cache.final_build(chosen, default)` differs from the
+/// unmemoised compiles and analyses, if any: a function not
+/// byte-identical to the same function of [`compile_module`] under its
+/// configuration, metrics other than a fresh analysis of the built
+/// program, or a moved cache counter.
+fn final_build_divergence(
+    ir: &IrModule,
+    cache: &EvalCache<'_>,
+    chosen: &HashMap<String, CompilerConfig>,
+    default: &CompilerConfig,
+) -> Option<String> {
+    let counters = |c: &EvalCache<'_>| (c.hits(), c.misses(), c.disk_hits(), c.disk_misses());
+    let before = counters(cache);
+    let (program, metrics) = cache.final_build(chosen, default).expect("final build");
+    if counters(cache) != before {
+        return Some("the final build moved the cache counters".into());
+    }
+    let bytes = |p: &teamplay_isa::Program, name: &str| {
+        serde_json::to_string(&p.function(name)).expect("function serializes")
+    };
+    for f in &ir.functions {
+        let config = chosen.get(&f.name).unwrap_or(default);
+        let whole = compile_module(ir, config).expect("whole-module build");
+        if bytes(&program, &f.name) != bytes(&whole, &f.name) {
+            return Some(format!(
+                "`{}` under `{}` differs from its whole-module compile",
+                f.name, config.pipeline
+            ));
+        }
+    }
+    let (cm, em) = cache_models();
+    let wcet = analyze_program(&program, &cm).expect("analysable");
+    let energy = analyze_program_energy(&program, &em, &cm).expect("analysable");
+    let fresh = ModuleMetrics::new(
+        program
+            .functions
+            .iter()
+            .map(|(name, f)| {
+                let m = VariantMetrics {
+                    wcet_cycles: wcet.wcet_cycles(name).expect("analysed"),
+                    wcec_pj: energy.wcec_pj(name).expect("analysed"),
+                    code_halfwords: code_size_halfwords(f),
+                };
+                (name.clone(), m)
+            })
+            .collect(),
+    );
+    (metrics != fresh).then(|| format!("metrics {metrics:?} differ from {fresh:?}"))
+}
+
+/// The cost models every cache in this suite uses.
+fn cache_models() -> (CycleModel, IsaEnergyModel) {
+    (CycleModel::pg32(), IsaEnergyModel::pg32_datasheet())
+}
+
+#[test]
+fn final_build_through_the_memo_matches_plain_compiles_and_analyses() {
+    let (cm, em) = cache_models();
+    let kernels = app_kernels()
+        .into_iter()
+        .chain([("call_chain", CALL_CHAIN, "a")]);
+    for (app, src, task) in kernels {
+        let ir = compile_to_ir(src).expect("front-end");
+        let default = CompilerConfig::balanced();
+        for width in [1usize, 2, 4] {
+            let cache = EvalCache::new(&ir, &cm, &em);
+            let searched = warm(&cache, task, width);
+            for rotation in 0..3 {
+                let chosen = rotating_configs(&ir, &searched, rotation);
+                if let Some(divergence) = final_build_divergence(&ir, &cache, &chosen, &default) {
+                    panic!("{app}, warm at width {width}, rotation {rotation}: {divergence}");
+                }
+            }
+        }
+        let cold = EvalCache::new(&ir, &cm, &em);
+        let chosen = rotating_configs(&ir, &[], 1);
+        if let Some(divergence) = final_build_divergence(&ir, &cold, &chosen, &default) {
+            panic!("{app}, cold: {divergence}");
+        }
+        assert_eq!(
+            cold.misses(),
+            0,
+            "{app}: a cold final build evaluates nothing"
+        );
+    }
 }
 
 proptest! {

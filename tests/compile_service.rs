@@ -11,14 +11,14 @@
 //!   [`EvalCache`] instances are exactly what a new process would build,
 //!   so this is the cross-process contract minus the fork.
 //! * **Final-build faithfulness** — every function of
-//!   `compile_module_per_function_on` is byte-identical to the same
-//!   function of `compile_module` under that function's configuration,
-//!   the compile the search measured, on the four app kernels, a call
-//!   chain and generated kernels, at pool widths 1/2/4.
-//! * **Pool-width determinism** — the deduplicating per-function build
-//!   and [`compile_many`] produce byte-identical results at widths
-//!   1/2/4, across all four app kernels and the proptest kernel
-//!   generator.
+//!   `compile_module_per_function_on` (the final build's compile on a
+//!   fresh compile memo) is byte-identical to the same function of
+//!   `compile_module` under that function's configuration, the compile
+//!   the search measured, on the four app kernels, a call chain and
+//!   generated kernels, whatever pool is passed (widths 1/2/4).
+//! * **Pool-width determinism** — the per-function build and
+//!   [`compile_many`] produce byte-identical results at widths 1/2/4,
+//!   across all four app kernels and the proptest kernel generator.
 //! * **Failure persistence** — infeasible configurations are stored
 //!   too: a warm process is told "known bad" from disk without ever
 //!   invoking codegen.
@@ -385,10 +385,10 @@ fn final_build_compiles_every_function_as_the_search_measured_it() {
 #[test]
 fn duplicate_function_bodies_are_deduplicated_with_identical_results() {
     // Three byte-identical bodies under different names (plus one
-    // distinct function), all under one configuration: the per-function
-    // build optimises one representative and copies it, so the twins
-    // compile byte-identically to each other and to the whole-module
-    // compile at every width.
+    // distinct function), all under one configuration: each twin runs
+    // its own pipeline, and all three compile byte-identically to each
+    // other (names aside) and to the whole-module compile at every
+    // width.
     let body = "int s = 0;
         for (int i = 0; i < 12; i = i + 1) { s = s + x * 3 - i; }
         return s;";
@@ -532,8 +532,8 @@ proptest! {
     })]
 
     /// Random loop-nest kernels (the tightness oracle's generator, plus
-    /// a byte-identical twin function to exercise dedup): the pooled
-    /// per-function build stays byte-identical at widths 1/2/4.
+    /// a byte-identical twin function): the per-function build stays
+    /// byte-identical whatever pool width it is passed (1/2/4).
     #[test]
     fn random_kernels_are_width_invariant(
         n1 in 1u32..12,
