@@ -17,6 +17,7 @@
 //! directly from the front-end to the binary-level analyses — the
 //! "cross-layer management of ETS properties" of the paper's methodology.
 
+use crate::dataflow::{for_each_read, for_each_term_read, for_each_write};
 use crate::passes::PipelineError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -290,91 +291,16 @@ fn binop_to_cond(op: BinOp) -> Option<Cond> {
     })
 }
 
-/// Every temp mentioned by an IR operation (reads and writes).
-fn temps_of_op(op: &IrOp, out: &mut Vec<Temp>) {
-    let operand = |o: &Operand, out: &mut Vec<Temp>| {
-        if let Operand::Temp(t) = o {
-            out.push(*t);
-        }
-    };
-    let base = |m: &MemBase, out: &mut Vec<Temp>| {
-        if let MemBase::Param(t) = m {
-            out.push(*t);
-        }
-    };
-    match op {
-        IrOp::Bin { dst, a, b, .. } => {
-            operand(a, out);
-            operand(b, out);
-            out.push(*dst);
-        }
-        IrOp::Un { dst, a, .. } => {
-            operand(a, out);
-            out.push(*dst);
-        }
-        IrOp::Copy { dst, src } => {
-            operand(src, out);
-            out.push(*dst);
-        }
-        IrOp::Load {
-            dst,
-            base: m,
-            index,
-        } => {
-            operand(index, out);
-            base(m, out);
-            out.push(*dst);
-        }
-        IrOp::Store {
-            base: m,
-            index,
-            value,
-        } => {
-            operand(index, out);
-            operand(value, out);
-            base(m, out);
-        }
-        IrOp::Call { dst, args, .. } => {
-            if let Some(d) = dst {
-                out.push(*d);
-            }
-            for a in args {
-                match a {
-                    CallArg::Value(v) => operand(v, out),
-                    CallArg::ArrayRef(m) => base(m, out),
-                }
-            }
-        }
-        IrOp::Select { dst, cond, t, f } => {
-            operand(cond, out);
-            operand(t, out);
-            operand(f, out);
-            out.push(*dst);
-        }
-        IrOp::In { dst, .. } => out.push(*dst),
-        IrOp::Out { value, .. } => operand(value, out),
-    }
-}
-
 /// Count temp uses for register pinning.
 fn usage_counts(f: &IrFunction) -> Vec<u64> {
     let mut counts = vec![0u64; f.temp_count as usize];
-    let mut mentioned = Vec::new();
+    let mut count = |t: Temp| counts[t.0 as usize] += 1;
     for b in &f.blocks {
         for op in &b.ops {
-            temps_of_op(op, &mut mentioned);
+            for_each_read(op, &mut count);
+            for_each_write(op, &mut count);
         }
-        match &b.term {
-            IrTerm::Branch {
-                cond: Operand::Temp(t),
-                ..
-            } => mentioned.push(*t),
-            IrTerm::Ret(Some(Operand::Temp(t))) => mentioned.push(*t),
-            _ => {}
-        }
-    }
-    for t in mentioned {
-        counts[t.0 as usize] += 1;
+        for_each_term_read(&b.term, &mut count);
     }
     counts
 }

@@ -19,7 +19,7 @@
 //! ids.
 //!
 //! Replay rests on the pass contract in the [`crate::passes`] module
-//! docs: a memoisable pass is pure in (body, spec, snapshot), and a pass
+//! docs: every pass but `inline` is pure in (body, spec), and a pass
 //! that reports no change leaves the body untouched. The inline snapshot
 //! (the unoptimised module) and the codegen data layout are fixed for
 //! the lifetime of one memo, which is why each cache owns its own.
@@ -116,8 +116,8 @@ type SpecId = u32;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileMemoStats {
     /// Pass invocations that ran: transition misses, plus every
-    /// invocation of a pass that opts out of the memo
-    /// ([`Pass::memoisable`](crate::passes::Pass::memoisable)).
+    /// invocation of `inline`, which the memo never replays (its budget
+    /// depends on earlier rounds, not on the body alone).
     pub pass_runs: usize,
     /// Pass invocations replayed from a recorded transition.
     pub pass_replays: usize,
@@ -337,7 +337,7 @@ impl MemoCursor<'_> {
 
     /// Report that the pass in `slot` ran from the current state, left
     /// `f` and reported `changed`; move the cursor to `f`'s state, and
-    /// record the transition if the pass is `memoisable`.
+    /// record the transition if the pass is `memoisable` (pure).
     pub(crate) fn record(
         &mut self,
         slot: usize,

@@ -1,8 +1,7 @@
 //! # Dataflow backbone for the Mini-C IR
 //!
-//! The analyses every strong pass leans on, computed once per function
-//! and shared through the lazy [`Analyses`](crate::passes::PassContext)
-//! cache of the pass framework:
+//! The analyses every strong pass leans on, each built from one function
+//! body by the pass (or codegen step) that needs it:
 //!
 //! * [`dominance`] — the immediate-dominator tree ([`DomTree`]), built
 //!   with the Cooper/Harvey/Kennedy iterative algorithm over the
@@ -28,11 +27,15 @@
 //! graph resolves loop limits/inits/steps that flow through temps into
 //! the loop-bound facts of the IPET engine).
 //!
-//! All analyses are pure functions of one `IrFunction` body. Nothing
-//! here mutates IR — invalidation is the pass framework's job: a pass
-//! declares what it [`preserves`](crate::passes::Pass::preserves) and
-//! the application core drops the rest of the cache when the pass
-//! reports a change.
+//! All analyses are pure functions of one `IrFunction` body, and nothing
+//! here mutates IR. No analysis outlives the body it was built from: a
+//! pass that rewrites the body rebuilds what it needs next (as `licm`
+//! does after every hoist).
+//!
+//! The operand visitors ([`for_each_read`], [`for_each_write`],
+//! [`for_each_term_read`] and the rewriting [`for_each_operand_mut`])
+//! say which temps and operands each IR op touches; the passes, the
+//! analyses and codegen share them.
 
 pub mod available;
 pub mod dominance;
@@ -242,6 +245,39 @@ pub fn for_each_read(op: &IrOp, mut visit: impl FnMut(Temp)) {
         }
         IrOp::In { .. } => {}
         IrOp::Out { value, .. } => operand(value, &mut visit),
+    }
+}
+
+/// Visit every value operand of an op mutably (operands, memory indices,
+/// call value arguments), so a pass can rewrite them in place. Array
+/// bases are temps, not operands, and are not visited.
+pub fn for_each_operand_mut(op: &mut IrOp, mut visit: impl FnMut(&mut Operand)) {
+    match op {
+        IrOp::Bin { a, b, .. } => {
+            visit(a);
+            visit(b);
+        }
+        IrOp::Un { a, .. } => visit(a),
+        IrOp::Copy { src, .. } => visit(src),
+        IrOp::Load { index, .. } => visit(index),
+        IrOp::Store { index, value, .. } => {
+            visit(index);
+            visit(value);
+        }
+        IrOp::Call { args, .. } => {
+            for arg in args {
+                if let CallArg::Value(v) = arg {
+                    visit(v);
+                }
+            }
+        }
+        IrOp::Select { cond, t, f, .. } => {
+            visit(cond);
+            visit(t);
+            visit(f);
+        }
+        IrOp::In { .. } => {}
+        IrOp::Out { value, .. } => visit(value),
     }
 }
 

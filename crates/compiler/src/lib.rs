@@ -15,17 +15,17 @@
 //! * [`dataflow`] — the analysis backbone the passes and codegen share:
 //!   dominator tree, global liveness, def-use chains and a hash-consed
 //!   constant-folding value graph,
-//! * [`passes`] — the trait-based pass framework: an analysis-aware
-//!   [`passes::Pass`] trait (each pass pulls dominance, liveness,
-//!   def-use chains and the value graph lazily from a
-//!   [`passes::PassContext`] cache and declares what it preserves), a
-//!   static name registry (twelve passes, from `inline` and `licm`
-//!   through `gvn`, `load_fwd`, `unroll` and `block_layout`), and a
+//! * [`passes`] — the pass pipeline: one static table
+//!   ([`passes::REGISTRY`]) whose rows name twelve passes, from
+//!   `inline` and `licm` through `gvn`, `load_fwd`, `unroll` and
+//!   `block_layout`, each with a summary, a default parameter and the
+//!   plain function that runs it (passes that need dominance or def-use
+//!   chains build them from [`dataflow`] themselves), and a
 //!   [`passes::PassManager`] with fixpoint iteration and per-pass
 //!   instrumentation, whose one application core both the reference
-//!   `PassManager::run` and the compile memo run. Pipelines are constructible by name
-//!   (`PassManager::from_str("const_fold,dce")`), by optimisation
-//!   level (`o0()`–`o3()`), and by catalogue lookup
+//!   `PassManager::run` and the compile memo run. Pipelines are
+//!   constructible by name (`PassManager::from_str("const_fold,dce")`),
+//!   by optimisation level (`o0()`–`o3()`), and by catalogue lookup
 //!   ([`passes::PipelineCatalog`]); every configuration the search
 //!   explores is such a pipeline — and since the genome encodes pass
 //!   *order* (random-key permutation decoding), the search space is
@@ -89,8 +89,8 @@ pub use driver::{
 };
 pub use fpa::{FpaConfig, FpaOutcome, MultiObjectiveFpa, ParetoPoint, SearchStats};
 pub use passes::{
-    gvn, load_fwd, value_graph_loop_bounds, Pass, PassContext, PassManager, PassSpec, PassStats,
-    Pipeline, PipelineCatalog, PipelineError, Preserves, REGISTRY,
+    gvn, load_fwd, value_graph_loop_bounds, PassManager, PassSpec, PassStats, Pipeline,
+    PipelineCatalog, PipelineError, REGISTRY,
 };
 pub use secure::{
     genome_with_rung, ladderised_ir, rung_of_genome, LeakageAxis, LeakageRig, LADDER_RUNGS,

@@ -1,10 +1,12 @@
-//! The trait-based optimisation-pass framework and the passes themselves.
+//! The optimisation passes and the table that names them.
 //!
 //! # Architecture
 //!
-//! Optimisations are *named, pluggable units* behind the [`Pass`] trait;
-//! the [`PassManager`] applies an ordered [`Pipeline`] of them to
-//! fixpoint with per-pass change instrumentation ([`PassManager::stats`]).
+//! Every pass is a plain function over one [`IrFunction`], named by one
+//! row of the static [`REGISTRY`] table: a name, a one-line summary, a
+//! default parameter and the function that runs the pass. The
+//! [`PassManager`] applies an ordered [`Pipeline`] of rows to fixpoint
+//! with per-pass change instrumentation ([`PassManager::stats`]).
 //! One application core applies passes, for both callers: the
 //! whole-module reference [`PassManager::run`], and the compile memo
 //! behind every [`crate::driver::EvalCache`], which runs each function's
@@ -14,22 +16,10 @@
 //! means the same thing everywhere, and the final build compiles every
 //! function exactly as the search measured it.
 //!
-//! ## The analysis-aware `Pass` contract
-//!
-//! A pass runs as `run(&mut self, f, cx: &mut PassContext)`. The
-//! [`PassContext`] owns a lazy, per-function cache of the
-//! [`crate::dataflow`] analyses — dominator tree, liveness, def-use
-//! chains, value graph — handed out as cheap `Rc` clones:
-//!
-//! * the first pass to ask for `cx.dominance(f)` pays for the build;
-//!   later passes in the same round reuse it;
-//! * after a pass reports a change, the core invalidates exactly what
-//!   the pass does **not** declare in [`Pass::preserves`] — a pure
-//!   rewrite that never edits terminators keeps the dominator tree, a
-//!   CFG surgery like `unroll` drops everything;
-//! * analyses are pure functions of the IR, so the cache is only a
-//!   memoisation layer: correctness never depends on a `preserves()`
-//!   claim being *tight*, only on it being *true*.
+//! A pass that needs an analysis from [`crate::dataflow`] (`gvn` and
+//! `licm` want the dominator tree and def-use chains) builds it from the
+//! body it is handed; nothing is cached between passes, so no pass can
+//! see an analysis of a body that another pass has since rewritten.
 //!
 //! ## The compile-memo contract
 //!
@@ -39,11 +29,11 @@
 //! next state and change flag. Replay is exact only because every pass
 //! keeps two promises:
 //!
-//! * **purity** — `run` is a function of (body, spec, snapshot) alone:
-//!   no hidden state carried between invocations, no dependence on
-//!   which analyses happen to be cached. A pass that does carry state
-//!   (like `inline`'s per-function budget, shared across fixpoint
-//!   rounds) returns `false` from [`Pass::memoisable`] and always runs;
+//! * **purity** — a pass is a function of (body, parameter) alone: no
+//!   hidden state carried between invocations. The one pass that does
+//!   carry state is `inline`, whose budget the manager keeps per
+//!   (function, pipeline slot) across fixpoint rounds and which reads
+//!   the module snapshot; its row says so, and it always runs;
 //! * **honest change flags** — a pass that returns `false` leaves the
 //!   body exactly as it found it, operand order included. Debug builds
 //!   assert this against the interned input state on every pass the
@@ -117,13 +107,13 @@
 //!
 //! # Writing a new pass
 //!
-//! Implement [`Pass`] (declare what the pass [`Pass::preserves`] when
-//! it changes the IR, and pull any analyses it needs from the
-//! [`PassContext`]), then add a [`PassDescriptor`] line to
-//! [`REGISTRY`]; the pass immediately becomes available to
-//! [`PassManager::from_str`], the optimisation levels and (if added to
-//! the genome's pass menu, [`crate::driver::CompilerConfig::SEARCH_PASSES`])
-//! the Pareto search — no driver changes needed.
+//! Write the pass as a function `fn(&mut IrFunction, …) -> bool` that
+//! reports whether it changed the body (and leaves the body untouched
+//! when it did not), then add a row to [`REGISTRY`]; the pass
+//! immediately becomes available to [`PassManager::from_str`], the
+//! optimisation levels and (if added to the genome's pass menu,
+//! [`crate::driver::CompilerConfig::SEARCH_PASSES`]) the Pareto search —
+//! no driver changes needed.
 //!
 //! ```
 //! use teamplay_compiler::passes::PassManager;
@@ -137,11 +127,10 @@
 //! ```
 
 use crate::compile_memo::MemoCursor;
-use crate::dataflow::{self, may_alias, BitSet, DefUse, DomTree, Liveness, ValueGraph};
+use crate::dataflow::{self, may_alias, BitSet, DefUse, DomTree, ValueGraph};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 use std::str::FromStr;
 use std::sync::Arc;
 use teamplay_minic::ast::{BinOp, UnOp};
@@ -171,33 +160,7 @@ pub fn const_fold(f: &mut IrFunction) -> bool {
         };
         for op in &mut b.ops {
             // First, rewrite operands using known constants.
-            match op {
-                IrOp::Bin { a, b: bb, .. } => {
-                    changed |= resolve(&env, a);
-                    changed |= resolve(&env, bb);
-                }
-                IrOp::Un { a, .. } => changed |= resolve(&env, a),
-                IrOp::Copy { src, .. } => changed |= resolve(&env, src),
-                IrOp::Load { index, .. } => changed |= resolve(&env, index),
-                IrOp::Store { index, value, .. } => {
-                    changed |= resolve(&env, index);
-                    changed |= resolve(&env, value);
-                }
-                IrOp::Call { args, .. } => {
-                    for a in args {
-                        if let CallArg::Value(v) = a {
-                            changed |= resolve(&env, v);
-                        }
-                    }
-                }
-                IrOp::Select { cond, t, f: fv, .. } => {
-                    changed |= resolve(&env, cond);
-                    changed |= resolve(&env, t);
-                    changed |= resolve(&env, fv);
-                }
-                IrOp::Out { value, .. } => changed |= resolve(&env, value),
-                IrOp::In { .. } => {}
-            }
+            dataflow::for_each_operand_mut(op, |o| changed |= resolve(&env, o));
             // Then fold.
             let folded: Option<(Temp, i32)> = match op {
                 IrOp::Bin {
@@ -244,11 +207,9 @@ pub fn const_fold(f: &mut IrFunction) -> bool {
                 _ => None,
             };
             // Track definitions: any write invalidates the old binding.
-            let mut defs = Vec::new();
-            written_temps(op, &mut defs);
-            for d in &defs {
-                env.remove(d);
-            }
+            dataflow::for_each_write(op, |d| {
+                env.remove(&d);
+            });
             if let Some((dst, v)) = folded {
                 if !matches!(
                     op,
@@ -288,61 +249,6 @@ pub fn const_fold(f: &mut IrFunction) -> bool {
     changed
 }
 
-fn written_temps(op: &IrOp, out: &mut Vec<Temp>) {
-    match op {
-        IrOp::Bin { dst, .. }
-        | IrOp::Un { dst, .. }
-        | IrOp::Copy { dst, .. }
-        | IrOp::Load { dst, .. }
-        | IrOp::Select { dst, .. }
-        | IrOp::In { dst, .. } => out.push(*dst),
-        IrOp::Call { dst: Some(d), .. } => out.push(*d),
-        _ => {}
-    }
-}
-
-fn read_operands(op: &IrOp) -> Vec<Operand> {
-    let mut reads = Vec::new();
-    match op {
-        IrOp::Bin { a, b, .. } => {
-            reads.push(*a);
-            reads.push(*b);
-        }
-        IrOp::Un { a, .. } => reads.push(*a),
-        IrOp::Copy { src, .. } => reads.push(*src),
-        IrOp::Load { base, index, .. } => {
-            reads.push(*index);
-            if let MemBase::Param(t) = base {
-                reads.push(Operand::Temp(*t));
-            }
-        }
-        IrOp::Store { base, index, value } => {
-            reads.push(*index);
-            reads.push(*value);
-            if let MemBase::Param(t) = base {
-                reads.push(Operand::Temp(*t));
-            }
-        }
-        IrOp::Call { args, .. } => {
-            for a in args {
-                match a {
-                    CallArg::Value(v) => reads.push(*v),
-                    CallArg::ArrayRef(MemBase::Param(t)) => reads.push(Operand::Temp(*t)),
-                    CallArg::ArrayRef(_) => {}
-                }
-            }
-        }
-        IrOp::Select { cond, t, f, .. } => {
-            reads.push(*cond);
-            reads.push(*t);
-            reads.push(*f);
-        }
-        IrOp::In { .. } => {}
-        IrOp::Out { value, .. } => reads.push(*value),
-    }
-    reads
-}
-
 /// Propagate copies within blocks (`t2 = t1; use t2` → `use t1`).
 ///
 /// Returns `true` if anything changed.
@@ -358,47 +264,18 @@ pub fn copy_propagate(f: &mut IrFunction) -> bool {
             }
         };
         for op in &mut b.ops {
-            let rewrite = |o: &mut Operand, env: &HashMap<Temp, Operand>, changed: &mut bool| {
-                let new = resolve(env, *o);
+            dataflow::for_each_operand_mut(op, |o| {
+                let new = resolve(&env, *o);
                 if new != *o {
                     *o = new;
-                    *changed = true;
+                    changed = true;
                 }
-            };
-            match op {
-                IrOp::Bin { a, b: bb, .. } => {
-                    rewrite(a, &env, &mut changed);
-                    rewrite(bb, &env, &mut changed);
-                }
-                IrOp::Un { a, .. } => rewrite(a, &env, &mut changed),
-                IrOp::Copy { src, .. } => rewrite(src, &env, &mut changed),
-                IrOp::Load { index, .. } => rewrite(index, &env, &mut changed),
-                IrOp::Store { index, value, .. } => {
-                    rewrite(index, &env, &mut changed);
-                    rewrite(value, &env, &mut changed);
-                }
-                IrOp::Call { args, .. } => {
-                    for a in args {
-                        if let CallArg::Value(v) = a {
-                            rewrite(v, &env, &mut changed);
-                        }
-                    }
-                }
-                IrOp::Select { cond, t, f: fv, .. } => {
-                    rewrite(cond, &env, &mut changed);
-                    rewrite(t, &env, &mut changed);
-                    rewrite(fv, &env, &mut changed);
-                }
-                IrOp::In { .. } => {}
-                IrOp::Out { value, .. } => rewrite(value, &env, &mut changed),
-            }
+            });
             // Kill bindings invalidated by this op's writes.
-            let mut defs = Vec::new();
-            written_temps(op, &mut defs);
-            for d in &defs {
-                env.remove(d);
-                env.retain(|_, src| *src != Operand::Temp(*d));
-            }
+            dataflow::for_each_write(op, |d| {
+                env.remove(&d);
+                env.retain(|_, src| *src != Operand::Temp(d));
+            });
             // Record new copies.
             if let IrOp::Copy { dst, src } = op {
                 if *src != Operand::Temp(*dst) {
@@ -431,22 +308,12 @@ pub fn dead_code_elim(f: &mut IrFunction) -> bool {
     let mut changed = false;
     loop {
         let mut used = vec![false; f.temp_count as usize];
-        let mut mark = |o: Operand| {
-            if let Operand::Temp(t) = o {
-                used[t.0 as usize] = true;
-            }
-        };
+        let mut mark = |t: Temp| used[t.0 as usize] = true;
         for b in &f.blocks {
             for op in &b.ops {
-                for r in read_operands(op) {
-                    mark(r);
-                }
+                dataflow::for_each_read(op, &mut mark);
             }
-            match &b.term {
-                IrTerm::Branch { cond, .. } => mark(*cond),
-                IrTerm::Ret(Some(v)) => mark(*v),
-                _ => {}
-            }
+            dataflow::for_each_term_read(&b.term, &mut mark);
         }
         let mut removed = false;
         for b in &mut f.blocks {
@@ -582,11 +449,12 @@ pub fn strength_reduce_mul(f: &mut IrFunction, shift_add: bool) -> bool {
     changed
 }
 
-/// Per-caller inlining budget: bounds code growth per function.
+/// Inlining budget per (function, `inline` pipeline slot): bounds code
+/// growth per function.
 const MAX_INLINES_PER_FUNCTION: usize = 24;
 
 /// Clone every function body by name — the callee snapshot inlining
-/// reads from ([`PassContext::functions`]).
+/// reads from.
 pub fn snapshot_functions(module: &IrModule) -> HashMap<String, IrFunction> {
     module
         .functions
@@ -628,9 +496,10 @@ fn op_count(f: &IrFunction) -> usize {
 /// `snapshot`. A call site is eligible when the callee (a) is not (even
 /// mutually) recursive, (b) has at most `threshold` IR operations, and
 /// (c) is not the caller itself. Every expansion spends one unit of
-/// `budget`, which [`InlinePass`] shares across the fixpoint rounds on one
-/// function to bound code growth. Loop bounds of the callee transfer to
-/// the caller (block ids remapped), keeping the result analysable.
+/// `budget`, which the pass manager shares across the fixpoint rounds of
+/// one pipeline slot on one function to bound code growth. Loop bounds of
+/// the callee transfer to the caller (block ids remapped), keeping the
+/// result analysable.
 ///
 /// Returns `true` if anything changed.
 fn inline_with_budget(
@@ -1221,12 +1090,7 @@ fn op_dst(op: &IrOp) -> Option<Temp> {
 pub fn gvn(f: &mut IrFunction) -> bool {
     let dom = DomTree::build(f);
     let du = DefUse::build(f);
-    gvn_with(f, &dom, &du)
-}
-
-/// [`gvn`] against prebuilt analyses (the pass-framework entry point).
-fn gvn_with(f: &mut IrFunction, dom: &DomTree, du: &DefUse) -> bool {
-    match ExprFacts::build(f, du) {
+    match ExprFacts::build(f, &du) {
         Some(facts) => rewrite_available(f, dom.rpo(), &facts),
         None => false,
     }
@@ -1739,6 +1603,20 @@ struct CountedLoop {
 /// that site (see [`value_graph_loop_bounds`]).
 type ConstResolver<'r> = &'r dyn Fn(&Operand, (usize, usize)) -> Option<i32>;
 
+/// Does `op` read temp `t`?
+fn reads_temp(op: &IrOp, t: Temp) -> bool {
+    let mut hit = false;
+    dataflow::for_each_read(op, |r| hit |= r == t);
+    hit
+}
+
+/// Does `op` write temp `t`?
+fn writes_temp(op: &IrOp, t: Temp) -> bool {
+    let mut hit = false;
+    dataflow::for_each_write(op, |w| hit |= w == t);
+    hit
+}
+
 /// Recognise the canonical lowered counted-loop shape over natural loop
 /// `l` — a two-block loop whose header's only op compares the induction
 /// temp against a resolvable limit, whose body jumps straight back,
@@ -1788,21 +1666,14 @@ fn recognise_counted_loop_with(
     // step — either directly or through the lowered `t = i + s; i = t`
     // pair.
     let body_ops = &f.blocks[bb].ops;
-    if body_ops
-        .iter()
-        .any(|op| read_operands(op).contains(&Operand::Temp(ct)))
-    {
+    if body_ops.iter().any(|op| reads_temp(op, ct)) {
         return None;
     }
     let writes_of = |needle: Temp| -> Vec<usize> {
         body_ops
             .iter()
             .enumerate()
-            .filter(|(_, op)| {
-                let mut defs = Vec::new();
-                written_temps(op, &mut defs);
-                defs.contains(&needle)
-            })
+            .filter(|(_, op)| writes_temp(op, needle))
             .map(|(oi, _)| oi)
             .collect()
     };
@@ -1875,9 +1746,7 @@ fn recognise_counted_loop_with(
         .enumerate()
         .rev()
         .find_map(|(oi, op)| {
-            let mut defs = Vec::new();
-            written_temps(op, &mut defs);
-            if !defs.contains(&i) {
+            if !writes_temp(op, i) {
                 return None;
             }
             match op {
@@ -2244,419 +2113,26 @@ fn renumber_blocks(f: &mut IrFunction, keep: &[bool], remap: &[u32]) {
 }
 
 // =====================================================================
-// The Pass trait and its implementations
-// =====================================================================
-
-/// Which cached analyses stay valid after a pass reports a change.
-/// Declared by [`Pass::preserves`]; the application core invalidates
-/// exactly the complement, so a CFG-shape-preserving pass like `gvn`
-/// keeps the dominator tree warm for the next pass in the round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Preserves {
-    /// The dominator tree ([`DomTree`]) stays valid (no block added,
-    /// removed, renumbered, and no terminator target changed).
-    pub dominance: bool,
-    /// Liveness sets ([`Liveness`]) stay valid.
-    pub liveness: bool,
-    /// Def-use chains ([`DefUse`]) stay valid.
-    pub def_use: bool,
-    /// The value graph ([`ValueGraph`]) stays valid.
-    pub value_graph: bool,
-}
-
-impl Preserves {
-    /// Nothing survives (the conservative default).
-    pub const NONE: Preserves = Preserves {
-        dominance: false,
-        liveness: false,
-        def_use: false,
-        value_graph: false,
-    };
-    /// The CFG shape survives — op lists changed, so every op-derived
-    /// analysis is stale, but the dominator tree is intact. Right for
-    /// passes that rewrite ops in place and never touch terminators.
-    pub const CFG: Preserves = Preserves {
-        dominance: true,
-        ..Preserves::NONE
-    };
-    /// Everything survives (a pass that reported a change without
-    /// structurally editing the function — rare, but expressible).
-    pub const ALL: Preserves = Preserves {
-        dominance: true,
-        liveness: true,
-        def_use: true,
-        value_graph: true,
-    };
-}
-
-/// Lazily computed per-function analyses, cached inside [`PassContext`].
-#[derive(Default)]
-struct Analyses {
-    dominance: Option<Rc<DomTree>>,
-    liveness: Option<Rc<Liveness>>,
-    def_use: Option<Rc<DefUse>>,
-    value_graph: Option<Rc<ValueGraph>>,
-}
-
-/// Context a pass runs under: the up-front module snapshot plus a lazy
-/// per-function cache of the dataflow analyses.
-///
-/// Analyses are computed on first request ([`PassContext::dominance`]
-/// and friends), shared as `Rc` handles (so a pass can hold one while
-/// mutating the function), and invalidated by the application core
-/// according to each mutating pass's [`Pass::preserves`] declaration —
-/// a pipeline of shape-preserving passes computes the dominator tree
-/// once, not once per pass.
-pub struct PassContext<'a> {
-    /// Snapshot of every function body at pipeline start, by name.
-    /// Inlining reads callee bodies from here; most passes ignore it.
-    pub functions: &'a HashMap<String, IrFunction>,
-    analyses: Analyses,
-}
-
-impl<'a> PassContext<'a> {
-    /// A context over the given module snapshot, with an empty cache.
-    pub fn new(functions: &'a HashMap<String, IrFunction>) -> PassContext<'a> {
-        PassContext {
-            functions,
-            analyses: Analyses::default(),
-        }
-    }
-
-    /// The dominator tree of `f`, computed on first request.
-    pub fn dominance(&mut self, f: &IrFunction) -> Rc<DomTree> {
-        self.analyses
-            .dominance
-            .get_or_insert_with(|| Rc::new(DomTree::build(f)))
-            .clone()
-    }
-
-    /// The liveness sets of `f`, computed on first request.
-    pub fn liveness(&mut self, f: &IrFunction) -> Rc<Liveness> {
-        self.analyses
-            .liveness
-            .get_or_insert_with(|| Rc::new(Liveness::build(f)))
-            .clone()
-    }
-
-    /// The def-use chains of `f`, computed on first request.
-    pub fn def_use(&mut self, f: &IrFunction) -> Rc<DefUse> {
-        self.analyses
-            .def_use
-            .get_or_insert_with(|| Rc::new(DefUse::build(f)))
-            .clone()
-    }
-
-    /// The value graph of `f` (over its def-use chains), computed on
-    /// first request.
-    pub fn value_graph(&mut self, f: &IrFunction) -> Rc<ValueGraph> {
-        if self.analyses.value_graph.is_none() {
-            let du = self.def_use(f);
-            self.analyses.value_graph = Some(Rc::new(ValueGraph::build(f, &du)));
-        }
-        self.analyses.value_graph.clone().expect("just inserted")
-    }
-
-    /// Drop every cached analysis the given declaration does not keep.
-    pub fn invalidate(&mut self, keep: Preserves) {
-        if !keep.dominance {
-            self.analyses.dominance = None;
-        }
-        if !keep.liveness {
-            self.analyses.liveness = None;
-        }
-        if !keep.def_use {
-            self.analyses.def_use = None;
-        }
-        if !keep.value_graph {
-            self.analyses.value_graph = None;
-        }
-    }
-
-    /// Drop every cached analysis.
-    pub fn invalidate_all(&mut self) {
-        self.invalidate(Preserves::NONE);
-    }
-}
-
-/// One optimisation unit, applicable per function.
-///
-/// Contract: `run` must be semantics-preserving under the reference
-/// interpreter and must keep every loop bounded (flow facts survive) —
-/// the differential test in `tests/pass_framework_differential.rs`
-/// enforces both for every registered pass. A pass that reports a
-/// change must not leave any analysis it declares
-/// [`preserved`](Pass::preserves) stale: the application core only
-/// invalidates the complement.
-pub trait Pass {
-    /// The registry name (stable, used by [`PassManager::from_str`]).
-    fn name(&self) -> &str;
-
-    /// Called by the manager before the first fixpoint round on each
-    /// function; passes with per-function state (budgets, caches) reset
-    /// here. The default does nothing.
-    fn begin_function(&mut self, _f: &IrFunction) {}
-
-    /// Which cached analyses survive this pass reporting a change. The
-    /// conservative default is [`Preserves::NONE`]; shape-preserving
-    /// passes override to keep the dominator tree warm.
-    fn preserves(&self) -> Preserves {
-        Preserves::NONE
-    }
-
-    /// Whether the compile memo may replay this pass instead of running
-    /// it: `run` must be pure in (body, spec, snapshot), so one input
-    /// state always yields one output state and change flag. The
-    /// default is `true`; a pass that carries state across invocations
-    /// on one function (like `inline`'s budget) returns `false`.
-    fn memoisable(&self) -> bool {
-        true
-    }
-
-    /// Transform one function; return `true` if the IR changed. The
-    /// context serves the module snapshot and the lazy analyses.
-    fn run(&mut self, f: &mut IrFunction, cx: &mut PassContext<'_>) -> bool;
-}
-
-/// `const_fold`: constant folding + constant branch resolution.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ConstFoldPass;
-
-impl Pass for ConstFoldPass {
-    fn name(&self) -> &str {
-        "const_fold"
-    }
-    fn run(&mut self, f: &mut IrFunction, _cx: &mut PassContext<'_>) -> bool {
-        const_fold(f)
-    }
-}
-
-/// `copy_prop`: block-local copy propagation.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CopyPropPass;
-
-impl Pass for CopyPropPass {
-    fn name(&self) -> &str {
-        "copy_prop"
-    }
-    fn preserves(&self) -> Preserves {
-        Preserves::CFG
-    }
-    fn run(&mut self, f: &mut IrFunction, _cx: &mut PassContext<'_>) -> bool {
-        copy_propagate(f)
-    }
-}
-
-/// `dce`: dead-code elimination.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DcePass;
-
-impl Pass for DcePass {
-    fn name(&self) -> &str {
-        "dce"
-    }
-    fn preserves(&self) -> Preserves {
-        Preserves::CFG
-    }
-    fn run(&mut self, f: &mut IrFunction, _cx: &mut PassContext<'_>) -> bool {
-        dead_code_elim(f)
-    }
-}
-
-/// `strength_reduce`: power-of-two multiply strength reduction.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StrengthReducePass;
-
-impl Pass for StrengthReducePass {
-    fn name(&self) -> &str {
-        "strength_reduce"
-    }
-    fn preserves(&self) -> Preserves {
-        Preserves::CFG
-    }
-    fn run(&mut self, f: &mut IrFunction, _cx: &mut PassContext<'_>) -> bool {
-        strength_reduce_mul(f, false)
-    }
-}
-
-/// `mul_shift_add`: IR-level shift-add decomposition of small
-/// multipliers (subsumes `strength_reduce`). Trades cycles for energy;
-/// the presets instead use the register-resident codegen variant
-/// ([`crate::codegen::CodegenOpts::mul_shift_add`]), which does not
-/// inflate memory traffic.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MulShiftAddPass;
-
-impl Pass for MulShiftAddPass {
-    fn name(&self) -> &str {
-        "mul_shift_add"
-    }
-    fn preserves(&self) -> Preserves {
-        Preserves::CFG
-    }
-    fn run(&mut self, f: &mut IrFunction, _cx: &mut PassContext<'_>) -> bool {
-        strength_reduce_mul(f, true)
-    }
-}
-
-/// `licm`: loop-invariant code motion into loop preheaders.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LicmPass;
-
-impl Pass for LicmPass {
-    fn name(&self) -> &str {
-        "licm"
-    }
-    fn run(&mut self, f: &mut IrFunction, cx: &mut PassContext<'_>) -> bool {
-        let mut changed = false;
-        // Each hoist edits the CFG; re-pull (possibly warm) analyses
-        // from the context per step and invalidate after every move.
-        for _ in 0..64 {
-            let dom = cx.dominance(f);
-            let du = cx.def_use(f);
-            if !licm_step(f, &dom, &du) {
-                break;
-            }
-            cx.invalidate_all();
-            changed = true;
-        }
-        changed
-    }
-}
-
-/// `gvn`: dominator-scoped global value numbering (subsumes the
-/// block-local `cse` across block boundaries).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GvnPass;
-
-impl Pass for GvnPass {
-    fn name(&self) -> &str {
-        "gvn"
-    }
-    fn preserves(&self) -> Preserves {
-        Preserves::CFG
-    }
-    fn run(&mut self, f: &mut IrFunction, cx: &mut PassContext<'_>) -> bool {
-        let dom = cx.dominance(f);
-        let du = cx.def_use(f);
-        gvn_with(f, &dom, &du)
-    }
-}
-
-/// `load_fwd`: store-to-load forwarding across block boundaries.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LoadFwdPass;
-
-impl Pass for LoadFwdPass {
-    fn name(&self) -> &str {
-        "load_fwd"
-    }
-    fn preserves(&self) -> Preserves {
-        Preserves::CFG
-    }
-    fn run(&mut self, f: &mut IrFunction, _cx: &mut PassContext<'_>) -> bool {
-        load_fwd(f)
-    }
-}
-
-/// `cse`: block-local common-subexpression elimination.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CsePass;
-
-impl Pass for CsePass {
-    fn name(&self) -> &str {
-        "cse"
-    }
-    fn preserves(&self) -> Preserves {
-        Preserves::CFG
-    }
-    fn run(&mut self, f: &mut IrFunction, _cx: &mut PassContext<'_>) -> bool {
-        local_cse(f)
-    }
-}
-
-/// `unroll`: bound-aware full unrolling of constant-trip loops (the
-/// parameter caps the trip count eligible for unrolling).
-#[derive(Debug, Clone, Copy)]
-pub struct UnrollPass {
-    /// Maximum provable trip count that is fully unrolled.
-    pub max_trips: usize,
-}
-
-impl UnrollPass {
-    /// Default trip-count ceiling.
-    pub const DEFAULT_MAX_TRIPS: usize = 8;
-
-    /// An unroll pass with the given trip-count ceiling.
-    pub fn new(max_trips: usize) -> UnrollPass {
-        UnrollPass { max_trips }
-    }
-}
-
-impl Pass for UnrollPass {
-    fn name(&self) -> &str {
-        "unroll"
-    }
-    fn run(&mut self, f: &mut IrFunction, _cx: &mut PassContext<'_>) -> bool {
-        unroll_loops(f, self.max_trips)
-    }
-}
-
-/// `block_layout`: CFG straightening (thread, merge, drop dead blocks,
-/// reverse-postorder renumbering) ahead of codegen.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BlockLayoutPass;
-
-impl Pass for BlockLayoutPass {
-    fn name(&self) -> &str {
-        "block_layout"
-    }
-    fn run(&mut self, f: &mut IrFunction, _cx: &mut PassContext<'_>) -> bool {
-        block_layout(f)
-    }
-}
-
-/// `inline`: callee inlining below a size threshold (the parameter).
-/// The code-growth budget (`MAX_INLINES_PER_FUNCTION`) is shared
-/// across all fixpoint rounds on one function.
-#[derive(Debug, Clone, Copy)]
-pub struct InlinePass {
-    /// Maximum callee size (IR ops) eligible for inlining.
-    pub threshold: usize,
-    budget: usize,
-}
-
-impl InlinePass {
-    /// An inline pass with the given callee-size threshold.
-    pub fn new(threshold: usize) -> InlinePass {
-        InlinePass {
-            threshold,
-            budget: MAX_INLINES_PER_FUNCTION,
-        }
-    }
-}
-
-impl Pass for InlinePass {
-    fn name(&self) -> &str {
-        "inline"
-    }
-    fn begin_function(&mut self, _f: &IrFunction) {
-        self.budget = MAX_INLINES_PER_FUNCTION;
-    }
-    /// The budget left depends on earlier rounds, not on the body alone.
-    fn memoisable(&self) -> bool {
-        false
-    }
-    fn run(&mut self, f: &mut IrFunction, cx: &mut PassContext<'_>) -> bool {
-        inline_with_budget(f, cx.functions, self.threshold, &mut self.budget)
-    }
-}
-
-// =====================================================================
 // Registry
 // =====================================================================
 
-/// Registry entry: how to name, document and construct a pass.
+/// How a registry row runs its pass.
+#[derive(Clone, Copy)]
+enum PassFn {
+    /// A pure rewrite of one function under the row's parameter (the
+    /// spec's, or the default; `0` for passes that take none). One input
+    /// body always yields one output body and change flag, so the
+    /// compile memo may replay it.
+    Pure(fn(&mut IrFunction, usize) -> bool),
+    /// `inline`: reads callee bodies from the module snapshot and spends
+    /// an inline budget that the application core keeps per (function,
+    /// pipeline slot) across fixpoint rounds. The budget left depends on
+    /// earlier rounds, not on the body alone, so it is never replayed.
+    Inline,
+}
+
+/// One row of the pass table: a name, a summary, a default parameter
+/// and the function that runs the pass.
 pub struct PassDescriptor {
     /// Stable pipeline name.
     pub name: &'static str,
@@ -2664,96 +2140,124 @@ pub struct PassDescriptor {
     pub summary: &'static str,
     /// Default parameter, for parameterised passes.
     pub default_param: Option<usize>,
-    factory: fn(Option<usize>) -> Box<dyn Pass>,
+    run: PassFn,
 }
 
-impl PassDescriptor {
-    /// Instantiate the pass with `param` (or its default).
-    pub fn instantiate(&self, param: Option<usize>) -> Box<dyn Pass> {
-        (self.factory)(param.or(self.default_param))
-    }
-}
-
-/// Every registered pass. New passes: implement [`Pass`], add one line
-/// here.
+/// Every registered pass. A new pass is a new row.
 pub static REGISTRY: &[PassDescriptor] = &[
     PassDescriptor {
         name: "inline",
         summary: "inline callees up to a size threshold (param, IR ops)",
         default_param: Some(40),
-        factory: |p| Box::new(InlinePass::new(p.unwrap_or(40))),
+        run: PassFn::Inline,
     },
     PassDescriptor {
         name: "const_fold",
         summary: "fold constants and resolve constant branches",
         default_param: None,
-        factory: |_| Box::new(ConstFoldPass),
+        run: PassFn::Pure(|f, _| const_fold(f)),
     },
     PassDescriptor {
         name: "copy_prop",
         summary: "propagate copies within blocks",
         default_param: None,
-        factory: |_| Box::new(CopyPropPass),
+        run: PassFn::Pure(|f, _| copy_propagate(f)),
     },
     PassDescriptor {
         name: "dce",
         summary: "remove pure operations whose results are never read",
         default_param: None,
-        factory: |_| Box::new(DcePass),
+        run: PassFn::Pure(|f, _| dead_code_elim(f)),
     },
     PassDescriptor {
         name: "strength_reduce",
         summary: "rewrite power-of-two multiplies into shifts",
         default_param: None,
-        factory: |_| Box::new(StrengthReducePass),
+        run: PassFn::Pure(|f, _| strength_reduce_mul(f, false)),
     },
     PassDescriptor {
         name: "mul_shift_add",
         summary: "decompose small multipliers into shift-add chains (energy ↓, cycles ↑)",
         default_param: None,
-        factory: |_| Box::new(MulShiftAddPass),
+        run: PassFn::Pure(|f, _| strength_reduce_mul(f, true)),
     },
     PassDescriptor {
         name: "licm",
         summary: "hoist loop-invariant computations into loop preheaders",
         default_param: None,
-        factory: |_| Box::new(LicmPass),
+        run: PassFn::Pure(|f, _| licm(f)),
     },
     PassDescriptor {
         name: "cse",
         summary: "eliminate block-local common subexpressions",
         default_param: None,
-        factory: |_| Box::new(CsePass),
+        run: PassFn::Pure(|f, _| local_cse(f)),
     },
     PassDescriptor {
         name: "gvn",
         summary: "eliminate redundant expressions across blocks (dominator-scoped value numbering)",
         default_param: None,
-        factory: |_| Box::new(GvnPass),
+        run: PassFn::Pure(|f, _| gvn(f)),
     },
     PassDescriptor {
         name: "load_fwd",
         summary: "forward stored values to later loads of the same cell across blocks",
         default_param: None,
-        factory: |_| Box::new(LoadFwdPass),
+        run: PassFn::Pure(|f, _| load_fwd(f)),
     },
     PassDescriptor {
         name: "unroll",
         summary: "fully unroll constant-trip loops up to a trip ceiling (param)",
-        default_param: Some(UnrollPass::DEFAULT_MAX_TRIPS),
-        factory: |p| Box::new(UnrollPass::new(p.unwrap_or(UnrollPass::DEFAULT_MAX_TRIPS))),
+        default_param: Some(8),
+        run: PassFn::Pure(unroll_loops),
     },
     PassDescriptor {
         name: "block_layout",
         summary: "straighten the CFG: thread, merge and drop blocks, reorder for codegen",
         default_param: None,
-        factory: |_| Box::new(BlockLayoutPass),
+        run: PassFn::Pure(|f, _| block_layout(f)),
     },
 ];
 
 /// Look up a pass descriptor by registry name.
 pub fn lookup_pass(name: &str) -> Option<&'static PassDescriptor> {
     REGISTRY.iter().find(|d| d.name == name)
+}
+
+/// One pipeline slot resolved against the registry: the row and the
+/// parameter it runs with.
+#[derive(Clone, Copy)]
+struct Slot {
+    pass: &'static PassDescriptor,
+    param: usize,
+}
+
+impl Slot {
+    fn resolve(spec: &PassSpec) -> Result<Slot, PipelineError> {
+        let pass =
+            lookup_pass(&spec.name).ok_or_else(|| PipelineError::UnknownPass(spec.name.clone()))?;
+        let param = spec.param.or(pass.default_param).unwrap_or(0);
+        Ok(Slot { pass, param })
+    }
+
+    /// Whether the compile memo may replay this slot instead of running it.
+    fn memoisable(&self) -> bool {
+        matches!(self.pass.run, PassFn::Pure(_))
+    }
+
+    /// Run the pass once on `f`; `budget` is this slot's inline budget
+    /// on the function (read only by `inline`).
+    fn run(
+        &self,
+        f: &mut IrFunction,
+        snapshot: &HashMap<String, IrFunction>,
+        budget: &mut usize,
+    ) -> bool {
+        match self.pass.run {
+            PassFn::Pure(run) => run(f, self.param),
+            PassFn::Inline => inline_with_budget(f, snapshot, self.param, budget),
+        }
+    }
 }
 
 // =====================================================================
@@ -2930,21 +2434,6 @@ impl Pipeline {
     /// Append a pass spec.
     pub fn push(&mut self, spec: PassSpec) {
         self.passes.push(spec);
-    }
-
-    /// Instantiate every pass against the registry.
-    ///
-    /// # Errors
-    /// [`PipelineError::UnknownPass`] for names outside [`REGISTRY`].
-    pub fn instantiate(&self) -> Result<Vec<Box<dyn Pass>>, PipelineError> {
-        self.passes
-            .iter()
-            .map(|spec| {
-                lookup_pass(&spec.name)
-                    .map(|d| d.instantiate(spec.param))
-                    .ok_or_else(|| PipelineError::UnknownPass(spec.name.clone()))
-            })
-            .collect()
     }
 }
 
@@ -3129,7 +2618,7 @@ fn pipeline_stats(pipeline: &Pipeline) -> Vec<PassStats> {
 /// (bounded) and recording per-pass [`PassStats`].
 pub struct PassManager {
     pipeline: Pipeline,
-    passes: Vec<Box<dyn Pass>>,
+    slots: Vec<Slot>,
     stats: Vec<PassStats>,
 }
 
@@ -3152,11 +2641,15 @@ impl PassManager {
     /// # Errors
     /// [`PipelineError`] if a pass does not resolve in the registry.
     pub fn new(pipeline: Pipeline) -> Result<PassManager, PipelineError> {
-        let passes = pipeline.instantiate()?;
+        let slots = pipeline
+            .passes
+            .iter()
+            .map(Slot::resolve)
+            .collect::<Result<_, _>>()?;
         let stats = pipeline_stats(&pipeline);
         Ok(PassManager {
             pipeline,
-            passes,
+            slots,
             stats,
         })
     }
@@ -3219,17 +2712,16 @@ impl PassManager {
 
     /// The one code path that applies passes — [`PassManager::run`] and
     /// the compile memo's compiles (the search's and the final build's)
-    /// both call it: builds one [`PassContext`] for the function, iterates
-    /// the pipeline to (bounded) fixpoint, and after every change
-    /// invalidates exactly the analyses the pass did not declare
-    /// [`preserved`](Pass::preserves).
+    /// both call it: iterates the pipeline over one function to
+    /// (bounded) fixpoint, giving every `inline` slot a fresh budget of
+    /// `MAX_INLINES_PER_FUNCTION` expansions that its invocations on this
+    /// function share.
     ///
-    /// With a `memo` cursor, a [`memoisable`](Pass::memoisable) pass
-    /// whose transition from the current state is recorded is replayed
-    /// instead of run: a replayed change swaps in the recorded output
-    /// state (shared, not copied) and drops every cached analysis. The
-    /// body is copied out of the memo only when a pass must actually run
-    /// ([`Arc::make_mut`]). Replays count in [`PassStats`] exactly as
+    /// With a `memo` cursor, a pure pass whose transition from the
+    /// current state is recorded is replayed instead of run: a replayed
+    /// change swaps in the recorded output state (shared, not copied).
+    /// The body is copied out of the memo only when a pass must actually
+    /// run ([`Arc::make_mut`]). Replays count in [`PassStats`] exactly as
     /// runs do.
     pub(crate) fn run_pipeline(
         &mut self,
@@ -3237,39 +2729,27 @@ impl PassManager {
         functions: &HashMap<String, IrFunction>,
         mut memo: Option<&mut MemoCursor<'_>>,
     ) -> bool {
-        let mut cx = PassContext::new(functions);
+        let mut budgets = vec![MAX_INLINES_PER_FUNCTION; self.slots.len()];
         let mut changed = false;
-        for pass in self.passes.iter_mut() {
-            pass.begin_function(f);
-        }
         for _ in 0..Self::MAX_ROUNDS {
             let mut round_changed = false;
-            let slots = self.passes.iter_mut().zip(self.stats.iter_mut());
-            for (slot, (pass, stat)) in slots.enumerate() {
+            let slots = self.slots.iter().zip(self.stats.iter_mut());
+            for (i, (slot, stat)) in slots.enumerate() {
                 let replayed = match memo.as_deref_mut() {
-                    Some(cursor) if pass.memoisable() => cursor.replay(slot, f),
+                    Some(cursor) if slot.memoisable() => cursor.replay(i, f),
                     _ => None,
                 };
-                let pass_changed = match replayed {
-                    Some(pass_changed) => {
-                        if pass_changed {
-                            cx.invalidate_all();
-                        }
-                        pass_changed
+                let pass_changed = replayed.unwrap_or_else(|| {
+                    let pass_changed = slot.run(Arc::make_mut(f), functions, &mut budgets[i]);
+                    if let Some(cursor) = memo.as_deref_mut() {
+                        cursor.record(i, f, pass_changed, slot.memoisable());
                     }
-                    None => {
-                        let pass_changed = pass.run(Arc::make_mut(f), &mut cx);
-                        if let Some(cursor) = memo.as_deref_mut() {
-                            cursor.record(slot, f, pass_changed, pass.memoisable());
-                        }
-                        pass_changed
-                    }
-                };
+                    pass_changed
+                });
                 stat.invocations += 1;
                 if pass_changed {
                     stat.changes += 1;
                     round_changed = true;
-                    cx.invalidate(pass.preserves());
                 }
             }
             changed |= round_changed;
@@ -3307,7 +2787,8 @@ mod reference {
         }
     }
 
-    pub(super) fn gvn_with(f: &mut IrFunction, dom: &DomTree, du: &DefUse) -> bool {
+    pub(super) fn gvn(f: &mut IrFunction) -> bool {
+        let (dom, du) = (&DomTree::build(f), &DefUse::build(f));
         // 1. The fact universe: every keyed pure op with a single-def
         //    destination, in deterministic site order. Self-reading ops
         //    (`t = t + 1`) are not keyed — their value goes stale the
@@ -3627,15 +3108,8 @@ mod reference {
     /// functions each pass changed (`[gvn, load_fwd]`).
     fn check_module(label: &str, m: &IrModule, changes: &mut [usize; 2]) {
         for f in &m.functions {
-            let dom = DomTree::build(f);
-            let du = DefUse::build(f);
             let name = &f.name;
-            let gvn_changed = agree(
-                &format!("{label}/{name}: gvn"),
-                f,
-                |g| super::gvn_with(g, &dom, &du),
-                |g| gvn_with(g, &dom, &du),
-            );
+            let gvn_changed = agree(&format!("{label}/{name}: gvn"), f, super::gvn, gvn);
             let load_fwd_changed = agree(
                 &format!("{label}/{name}: load_fwd"),
                 f,
@@ -3904,18 +3378,19 @@ mod tests {
             let mut m = ir_of(&src);
             let snapshot = snapshot_functions(&m);
             for f in &mut m.functions {
+                // One fresh invocation of a row, with its default parameter.
+                let run = |d: &PassDescriptor, g: &mut IrFunction| {
+                    let slot = Slot::resolve(&PassSpec::new(d.name)).expect("registered");
+                    slot.run(g, &snapshot, &mut { MAX_INLINES_PER_FUNCTION })
+                };
                 for step in REGISTRY.iter().chain(REGISTRY) {
                     for d in REGISTRY {
                         let mut g = f.clone();
-                        let mut pass = d.instantiate(None);
-                        pass.begin_function(&g);
-                        if !pass.run(&mut g, &mut PassContext::new(&snapshot)) {
+                        if !run(d, &mut g) {
                             assert_eq!(g, *f, "{} edited {} silently", d.name, f.name);
                         }
                     }
-                    let mut pass = step.instantiate(None);
-                    pass.begin_function(f);
-                    pass.run(f, &mut PassContext::new(&snapshot));
+                    run(step, f);
                 }
             }
         }
@@ -3985,6 +3460,34 @@ mod tests {
             .count();
         assert_eq!(calls, 1, "recursive callee must not be inlined");
         assert_eq!(run_ir(&m, "f", &[5]), Some(120));
+    }
+
+    /// Each `inline` slot in a pipeline spends its own 24-expansion
+    /// budget per function, shared across that slot's fixpoint rounds.
+    #[test]
+    fn inline_budgets_are_per_function_and_per_slot() {
+        let calls = (0..30)
+            .map(|k| format!("s = s + leaf(x + {k});"))
+            .collect::<String>();
+        let src = format!(
+            "int leaf(int v) {{ return v + 1; }}
+             int f(int x) {{ int s = 0; {calls} return s; }}"
+        );
+        let calls_left = |pipeline: &str| {
+            let mut m = ir_of(&src);
+            PassManager::from_str(pipeline)
+                .expect("pipeline")
+                .run(&mut m);
+            assert_eq!(run_ir(&m, "f", &[2]), Some(30 * 3 + (0..30).sum::<i32>()));
+            let f = m.function("f").expect("f");
+            f.blocks
+                .iter()
+                .flat_map(|b| &b.ops)
+                .filter(|o| matches!(o, IrOp::Call { .. }))
+                .count()
+        };
+        assert_eq!(calls_left("inline"), 6, "one budget across the rounds");
+        assert_eq!(calls_left("inline,inline"), 0, "one budget per slot");
     }
 
     #[test]

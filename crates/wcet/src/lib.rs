@@ -486,8 +486,12 @@ impl AnalysisCache {
     }
 }
 
-/// The callee-first analysis order over the (recursion-free) call graph.
-fn call_order(program: &Program) -> Vec<&str> {
+/// The callee-first analysis order over the call graph.
+///
+/// # Errors
+/// [`WcetError::Recursion`] naming the caller whose call closes a cycle
+/// (a callee already on the DFS stack).
+fn call_order(program: &Program) -> Result<Vec<&str>, WcetError> {
     let mut order: Vec<&str> = Vec::new();
     let mut done: HashSet<&str> = HashSet::new();
     let mut visiting: Vec<(&str, usize)> = Vec::new();
@@ -505,9 +509,10 @@ fn call_order(program: &Program) -> Vec<&str> {
                 let next = callees[idx].clone();
                 visiting.push((name, idx + 1));
                 if let Some((key, _)) = program.functions.get_key_value(next.as_str()) {
-                    if !done.contains(key.as_str())
-                        && !visiting.iter().any(|(n, _)| *n == key.as_str())
-                    {
+                    if visiting.iter().any(|(n, _)| *n == key.as_str()) {
+                        return Err(WcetError::Recursion(name.to_string()));
+                    }
+                    if !done.contains(key.as_str()) {
                         visiting.push((key.as_str(), 0));
                     }
                 }
@@ -516,7 +521,7 @@ fn call_order(program: &Program) -> Vec<&str> {
             }
         }
     }
-    order
+    Ok(order)
 }
 
 /// The shared program-level analysis driver: validate, reject
@@ -537,12 +542,8 @@ pub fn resolve_bottom_up(
     analyse: impl Fn(&Function, &BTreeMap<String, u64>) -> Result<u64, WcetError>,
 ) -> Result<BTreeMap<String, u64>, WcetError> {
     program.validate().map_err(WcetError::InvalidProgram)?;
-    if program.has_recursion() {
-        let name = program.functions.keys().next().cloned().unwrap_or_default();
-        return Err(WcetError::Recursion(name));
-    }
     let mut bounds: BTreeMap<String, u64> = BTreeMap::new();
-    for name in call_order(program) {
+    for name in call_order(program)? {
         let f = &program.functions[name];
         let w = match cache {
             Some(cache) => {
@@ -848,6 +849,21 @@ mod tests {
             analyze_program(&p, &CycleModel::pg32()),
             Err(WcetError::Recursion(_))
         ));
+    }
+
+    #[test]
+    fn recursion_error_names_a_function_on_the_cycle() {
+        let mut p = Program::new();
+        p.add_function(straight_function("aaa", 1));
+        let mut fact = straight_function("fact", 0);
+        fact.blocks[0].insns.push(Insn::Call {
+            func: "fact".into(),
+        });
+        p.add_function(fact);
+        assert_eq!(
+            analyze_program(&p, &CycleModel::pg32()),
+            Err(WcetError::Recursion("fact".into()))
+        );
     }
 
     #[test]

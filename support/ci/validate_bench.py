@@ -126,10 +126,19 @@ def validate_wcet(data: dict) -> str:
         if k["ipet_cycles"] < k["structural_cycles"]:
             strict += 1
     assert strict >= 1, "IPET must be strictly tighter on at least one kernel"
-    assert data["analyses_per_sec_uncached"] > 0, "throughput record missing"
-    assert data["analyses_per_sec_memoized"] > 0, "memoized throughput record missing"
     ratios = {k["app"]: round(k["tightness_ratio"], 3) for k in kernels}
     return f"tightness {ratios}, {strict}/4 strict"
+
+
+def validate_wcet_memo(data: dict) -> str:
+    """BENCH_wcet_memo.json: WCET analysis throughput, uncached vs memoized."""
+    assert data["bench"] == "wcet_tightness"
+    assert data["analyses_per_sec_uncached"] > 0, "throughput record missing"
+    assert data["analyses_per_sec_memoized"] > 0, "memoized throughput record missing"
+    return (
+        f"{data['analyses_per_sec_uncached']:.0f} analyses/s uncached, "
+        f"{data['analyses_per_sec_memoized']:.0f} memoized"
+    )
 
 
 def validate_sim(data: dict) -> str:
@@ -197,6 +206,7 @@ RULES = {
     "BENCH_sched.json": validate_sched,
     "BENCH_sim.json": validate_sim,
     "BENCH_wcet.json": validate_wcet,
+    "BENCH_wcet_memo.json": validate_wcet_memo,
 }
 
 
