@@ -1,6 +1,6 @@
 //! WCET/WCEC tightness benchmark: structural-vs-IPET bound ratios per
 //! application kernel, plus analysis throughput (analyses/second) with
-//! and without the per-function content-hash memo.
+//! and without the per-function content-keyed memo.
 //!
 //! `analyze_program` runs once per compiled variant — thousands of times
 //! per multi-objective search — so it is the hottest analysis path in
@@ -11,8 +11,9 @@
 //!   ratio `IPET / structural` for both the cycle and the energy bound
 //!   (must sit in `(0, 1]`, with at least one kernel strictly below 1);
 //! * **throughput** — full-program analyses per second, uncached vs
-//!   through a warm [`teamplay_wcet::AnalysisCache`] (the replay path
-//!   the driver's `EvalCache` rides).
+//!   through a warm [`teamplay_wcet::AnalysisCache`], which hashes and
+//!   compares every function it looks up. The driver's `EvalCache` does
+//!   neither: it keys its analyses on the compile memo's code ids.
 //!
 //! The run writes the tightness rows to `BENCH_wcet.json` and the
 //! wall-clock throughput to `BENCH_wcet_memo.json`, both at the repository

@@ -11,26 +11,38 @@
 //! * every pass invocation as a transition
 //!   `(state, pass spec) → (next state, changed)`, so a repeated
 //!   invocation costs one lookup;
-//! * every codegen call as `(final state, CodegenOpts) → Arc<Function>`.
+//! * every codegen call as `(final state, CodegenOpts) → code`, where
+//!   each distinct piece of code gets a dense [`CodeId`] and keeps the
+//!   facts every evaluation reads of it: its callee names, its encoded
+//!   size and whether it validates;
+//! * every function analysis as `(code id, callee bounds) → (WCET,
+//!   WCEC)` ([`CompileMemo::bounds`]).
 //!
 //! No lookup trusts a hash alone. The interner buckets states by their
 //! structural hash and compares for equality within the bucket before it
-//! returns an existing id; transitions and codegen entries are keyed by
-//! ids.
+//! returns an existing id; transitions, codegen entries and analyses are
+//! keyed by ids. This is hash-consing (Filliâtre & Conchon, "Type-safe
+//! modular hash-consing", ML Workshop 2006): equal code ids mean equal
+//! compiled functions by construction, so the analysis table is exact
+//! and an evaluation hashes no compiled code. A state is a whole
+//! function, name included, so two same-body functions under different
+//! names never share a code id.
 //!
 //! Replay rests on the pass contract in the [`crate::passes`] module
 //! docs: every pass but `inline` is pure in (body, spec), and a pass
 //! that reports no change leaves the body untouched. The inline snapshot
 //! (the unoptimised module) and the codegen data layout are fixed for
-//! the lifetime of one memo, which is why each cache owns its own.
+//! the lifetime of one memo, which is why each cache owns its own; so
+//! are the cost models the analysis table's bounds were computed under.
 //!
 //! The counters ([`CompileMemoStats`]) can vary with pool width: two
-//! threads that miss on the same transition at once both run the pass.
+//! threads that miss on the same transition or analysis at once both
+//! run it.
 //! Results never vary, so the counters stay out of every byte-compared
 //! artifact.
 
 use crate::codegen::{generate_function, CodegenError, CodegenOpts};
-use crate::driver::{codegen_opts, CompilerConfig};
+use crate::driver::{code_size_halfwords, codegen_opts, CompilerConfig};
 use crate::passes::{snapshot_functions, PassManager, PassSpec, PassStats};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -105,6 +117,38 @@ type StateId = u32;
 /// An interned [`PassSpec`].
 type SpecId = u32;
 
+/// A codegen entry: one `(final state, CodegenOpts)` pair, dense from 0
+/// in the order the memo first generated them.
+pub(crate) type CodeId = u32;
+
+/// A function's analysed bounds: WCET in cycles and WCEC in
+/// millipicojoules (the energy analysis's integer unit).
+pub(crate) type Bounds = (u64, u64);
+
+/// One codegen entry: the generated function and the facts every
+/// evaluation reads of it, computed once when the code is generated.
+#[derive(Debug)]
+pub(crate) struct Code {
+    pub(crate) id: CodeId,
+    pub(crate) function: Function,
+    /// [`Function::callees`]: the callee names, in program order.
+    pub(crate) callees: Vec<String>,
+    /// [`code_size_halfwords`] of the function.
+    pub(crate) halfwords: usize,
+    /// Whether [`Function::validate`] accepts the function.
+    pub(crate) valid: bool,
+}
+
+/// One compile through the memo: the program, and the code of each of
+/// its functions in the program's (name) order.
+pub(crate) struct Compiled {
+    pub(crate) program: Program,
+    pub(crate) code: Vec<Arc<Code>>,
+    /// The [`PassStats`] of the functions compiled under the default
+    /// configuration.
+    pub(crate) stats: Vec<PassStats>,
+}
+
 /// Work counters of one cache's compile memo
 /// ([`EvalCache::compile_memo_stats`](crate::driver::EvalCache::compile_memo_stats)).
 ///
@@ -127,6 +171,13 @@ pub struct CompileMemoStats {
     pub codegen_hits: usize,
     /// Codegen calls that generated code.
     pub codegen_misses: usize,
+    /// Function analyses answered from the memo's exact
+    /// `(code id, callee bounds)` table.
+    pub analysis_hits: usize,
+    /// Function analyses that ran and were recorded. Every function of
+    /// every evaluated program is one hit or one miss, unless the
+    /// program's analysis fails (errors are not memoised).
+    pub analysis_misses: usize,
 }
 
 /// The memo's tables, behind one lock.
@@ -138,12 +189,14 @@ struct Tables {
     by_hash: FxMap<u64, Vec<StateId>>,
     specs: HashMap<PassSpec, SpecId>,
     transitions: FxMap<(StateId, SpecId), (StateId, bool)>,
-    code: FxMap<(StateId, CodegenOpts), Arc<Function>>,
+    code_ids: FxMap<(StateId, CodegenOpts), CodeId>,
+    /// Every codegen entry, by id.
+    code: Vec<Arc<Code>>,
 }
 
 /// The per-function compile memo of one [`EvalCache`](crate::driver::EvalCache):
-/// interned IR states, a `(state, pass)` transition memo and a codegen
-/// memo over one fixed module.
+/// interned IR states, a `(state, pass)` transition memo, a codegen memo
+/// and an analysis memo over one fixed module and platform.
 pub(crate) struct CompileMemo {
     /// The unoptimised module's bodies: the snapshot `inline` reads.
     snapshot: HashMap<String, IrFunction>,
@@ -153,10 +206,15 @@ pub(crate) struct CompileMemo {
     /// The module's functions as interned states, in module order.
     roots: Vec<StateId>,
     tables: Mutex<Tables>,
+    /// Function bounds by code id and callee bounds (in `callees`
+    /// order); behind its own lock, as analyses and compiles interleave.
+    analyses: Mutex<FxMap<(CodeId, Vec<Bounds>), Bounds>>,
     pass_runs: AtomicUsize,
     pass_replays: AtomicUsize,
     codegen_hits: AtomicUsize,
     codegen_misses: AtomicUsize,
+    analysis_hits: AtomicUsize,
+    analysis_misses: AtomicUsize,
 }
 
 impl CompileMemo {
@@ -171,10 +229,13 @@ impl CompileMemo {
             layout,
             roots: Vec::new(),
             tables: Mutex::new(Tables::default()),
+            analyses: Mutex::new(FxMap::default()),
             pass_runs: AtomicUsize::new(0),
             pass_replays: AtomicUsize::new(0),
             codegen_hits: AtomicUsize::new(0),
             codegen_misses: AtomicUsize::new(0),
+            analysis_hits: AtomicUsize::new(0),
+            analysis_misses: AtomicUsize::new(0),
         };
         memo.roots = ir
             .functions
@@ -194,14 +255,20 @@ impl CompileMemo {
     /// Each function comes out exactly as
     /// [`crate::driver::compile_module`] under its configuration leaves
     /// it: a function's pipeline reads only its own body and the
-    /// unoptimised snapshot. Also returns the [`PassStats`] of the
-    /// functions compiled under `default`, which count replays as
-    /// invocations; with no overrides they are the whole compile's.
+    /// unoptimised snapshot. Also returns each function's code entry and
+    /// the [`PassStats`] of the functions compiled under `default`, which
+    /// count replays as invocations; with no overrides they are the
+    /// whole compile's.
+    ///
+    /// The program is validated from the code entries' cached facts: a
+    /// function's own [`Function::validate`] result, and a check that
+    /// every callee is in the program. Only a program that fails them
+    /// runs [`Program::validate`], for its error.
     pub(crate) fn compile<'c>(
         &self,
         default: &'c CompilerConfig,
         overrides: &'c HashMap<String, CompilerConfig>,
-    ) -> Result<(Program, Vec<PassStats>), CodegenError> {
+    ) -> Result<Compiled, CodegenError> {
         // One manager per distinct configuration, `default` first: a
         // manager's stats align with its own pipeline.
         let manager = |config: &'c CompilerConfig| -> Result<_, CodegenError> {
@@ -232,12 +299,110 @@ impl CompileMemo {
             optimised.push((cursor.state, body, codegen_opts(config)));
         }
         let mut program = self.blank.clone();
+        let mut code = Vec::with_capacity(optimised.len());
         for (state, body, opts) in &optimised {
-            let code = self.codegen(*state, body, *opts)?;
-            program.add_function(Function::clone(&code));
+            let entry = self.codegen(*state, body, *opts)?;
+            program.add_function(entry.function.clone());
+            code.push(entry);
         }
-        program.validate().map_err(CodegenError::InvalidIr)?;
-        Ok((program, managers[0].1.stats().to_vec()))
+        // Into the program's order. A later function replaces an earlier
+        // one of the same name, as in `Program::add_function`.
+        code.sort_by(|a, b| a.function.name.cmp(&b.function.name));
+        code.dedup_by(|later, kept| {
+            let same = later.function.name == kept.function.name;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        let valid = code.iter().all(|c| {
+            c.valid
+                && c.callees
+                    .iter()
+                    .all(|callee| position(&code, callee).is_some())
+        });
+        if !valid {
+            program.validate().map_err(CodegenError::InvalidIr)?;
+        }
+        Ok(Compiled {
+            program,
+            code,
+            stats: managers[0].1.stats().to_vec(),
+        })
+    }
+
+    /// The bounds of every function of a compiled program, `code` in the
+    /// program's order as [`CompileMemo::compile`] returns it, resolved
+    /// callee-first over the cached callee lists. Each function's bounds
+    /// come from the analysis table, keyed on its code id and its
+    /// callees' bounds, or else from `fresh`, which is given the code and
+    /// its callees' bounds in `callees` order and is recorded in the
+    /// table. `None` if the call graph is recursive or `fresh` fails
+    /// for some function: nothing is recorded for that function, and the
+    /// caller's plain analysis reports the error.
+    pub(crate) fn bounds(
+        &self,
+        code: &[Arc<Code>],
+        fresh: impl Fn(&Code, &[Bounds]) -> Option<Bounds>,
+    ) -> Option<Vec<Bounds>> {
+        let mut bounds: Vec<Option<Bounds>> = vec![None; code.len()];
+        let mut on_stack = vec![false; code.len()];
+        // Depth-first: (function, index of its next callee to visit).
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for start in 0..code.len() {
+            if bounds[start].is_some() {
+                continue;
+            }
+            stack.push((start, 0));
+            on_stack[start] = true;
+            while let Some((at, next)) = stack.last_mut() {
+                let at = *at;
+                if let Some(callee) = code[at].callees.get(*next) {
+                    *next += 1;
+                    let callee = position(code, callee)?;
+                    if on_stack[callee] {
+                        return None;
+                    }
+                    if bounds[callee].is_none() {
+                        stack.push((callee, 0));
+                        on_stack[callee] = true;
+                    }
+                    continue;
+                }
+                stack.pop();
+                on_stack[at] = false;
+                let callee_bounds = code[at]
+                    .callees
+                    .iter()
+                    .map(|callee| position(code, callee).and_then(|i| bounds[i]))
+                    .collect::<Option<Vec<Bounds>>>()?;
+                bounds[at] = Some(self.analysis(&code[at], callee_bounds, &fresh)?);
+            }
+        }
+        bounds.into_iter().collect()
+    }
+
+    /// The bounds of `code` under `callee_bounds`: from the table, or
+    /// from `fresh`, recorded on success.
+    fn analysis(
+        &self,
+        code: &Code,
+        callee_bounds: Vec<Bounds>,
+        fresh: impl Fn(&Code, &[Bounds]) -> Option<Bounds>,
+    ) -> Option<Bounds> {
+        let key = (code.id, callee_bounds);
+        if let Some(&found) = self.analyses().get(&key) {
+            self.analysis_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(found);
+        }
+        let found = fresh(code, &key.1)?;
+        self.analysis_misses.fetch_add(1, Ordering::Relaxed);
+        self.analyses().insert(key, found);
+        Some(found)
+    }
+
+    fn analyses(&self) -> std::sync::MutexGuard<'_, FxMap<(CodeId, Vec<Bounds>), Bounds>> {
+        self.analyses.lock().expect("analysis memo lock")
     }
 
     /// The memo's counters.
@@ -248,6 +413,8 @@ impl CompileMemo {
             states: self.tables().states.len(),
             codegen_hits: self.codegen_hits.load(Ordering::Relaxed),
             codegen_misses: self.codegen_misses.load(Ordering::Relaxed),
+            analysis_hits: self.analysis_hits.load(Ordering::Relaxed),
+            analysis_misses: self.analysis_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -293,17 +460,40 @@ impl CompileMemo {
         state: StateId,
         f: &IrFunction,
         opts: CodegenOpts,
-    ) -> Result<Arc<Function>, CodegenError> {
-        if let Some(code) = self.tables().code.get(&(state, opts)).cloned() {
-            self.codegen_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(code);
+    ) -> Result<Arc<Code>, CodegenError> {
+        {
+            let tables = self.tables();
+            if let Some(&id) = tables.code_ids.get(&(state, opts)) {
+                self.codegen_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::clone(&tables.code[id as usize]));
+            }
         }
         self.codegen_misses.fetch_add(1, Ordering::Relaxed);
-        let code = Arc::new(generate_function(f, &self.layout, opts)?);
-        Ok(Arc::clone(
-            self.tables().code.entry((state, opts)).or_insert(code),
-        ))
+        let function = generate_function(f, &self.layout, opts)?;
+        let (callees, halfwords) = (function.callees(), code_size_halfwords(&function));
+        let valid = function.validate().is_ok();
+        let mut tables = self.tables();
+        let Tables { code_ids, code, .. } = &mut *tables;
+        let id = *code_ids.entry((state, opts)).or_insert_with(|| {
+            let id = code.len() as CodeId;
+            code.push(Arc::new(Code {
+                id,
+                function,
+                callees,
+                halfwords,
+                valid,
+            }));
+            id
+        });
+        Ok(Arc::clone(&code[id as usize]))
     }
+}
+
+/// The index of the function named `name` in `code`, which is in name
+/// order.
+fn position(code: &[Arc<Code>], name: &str) -> Option<usize> {
+    code.binary_search_by(|c| c.function.name.as_str().cmp(name))
+        .ok()
 }
 
 /// Where one function's pipeline stands in a [`CompileMemo`]: the state

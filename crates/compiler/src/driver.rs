@@ -29,16 +29,22 @@
 //!    [`crate::passes`] module docs). The multi-version final build
 //!    ([`EvalCache::final_build`]) is one more compile through it, with
 //!    a configuration per function, so after a search it is mostly
-//!    replays. Its counters —
-//!    `pass_runs`/`pass_replays`, `states`,
-//!    `codegen_hits`/`codegen_misses` — come from
+//!    replays.
+//! 3. **The analysis memo** (in-memory, keyed on code identity): distinct
+//!    configurations mostly produce the same compiled functions. The
+//!    compile memo gives each codegen entry a dense code id, so a
+//!    function's WCET and WCEC are keyed exactly on `(code id, callee
+//!    bounds)` and replayed instead of re-solving IPET. The key is built
+//!    from ids the compile already has: an evaluation hashes no
+//!    compiled code, re-validates nothing but the call targets, and
+//!    reads each function's code size from its codegen entry.
+//!
+//!    The counters of tiers 2 and 3 — `pass_runs`/`pass_replays`,
+//!    `states`, `codegen_hits`/`codegen_misses`,
+//!    `analysis_hits`/`analysis_misses` — come from
 //!    [`EvalCache::compile_memo_stats`]; they can vary with pool width,
 //!    so they stay out of [`SearchStats`] and every byte-compared
 //!    artifact.
-//! 3. **[`AnalysisMemo`]** (in-memory, function-content-keyed): distinct
-//!    configurations mostly produce byte-identical compiled functions;
-//!    their WCET/WCEC analyses are replayed from per-function
-//!    content-hash memos instead of re-solving IPET.
 //! 4. **[`DiskStore`]** (persistent,
 //!    content-addressed): an optional bottom tier
 //!    ([`EvalCache::with_store`]) that spills every evaluation —
@@ -60,20 +66,20 @@
 //! bypasses tiers 2 and 3.
 
 use crate::codegen::{generate_program, CodegenError, CodegenOpts};
-use crate::compile_memo::{CompileMemo, CompileMemoStats};
+use crate::compile_memo::{Bounds, Code, CompileMemo, CompileMemoStats, Compiled};
 use crate::fpa::{FpaConfig, MultiObjectiveFpa, ParetoPoint, SearchStats};
 use crate::passes::{PassManager, PassSpec, PassStats, Pipeline};
 use crate::secure::{rung_of_genome, LeakMemo, LeakageAxis, SECURE_GENOME_DIMS};
 use crate::store::{self, DiskStore, STORE_FORMAT_VERSION};
 use minipool::Pool;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use teamplay_energy::{analyze_program_energy_cached, IsaEnergyModel};
+use teamplay_energy::{analyze_program_energy, function_wcec_mpj, IsaEnergyModel};
 use teamplay_isa::{encode::encode_sequence, CycleModel, Function, Program};
 use teamplay_minic::ir::IrModule;
-use teamplay_wcet::{analyze_program_cached, AnalysisCache};
+use teamplay_wcet::{analyze_function, analyze_program, AnalysisCache};
 
 /// One compiler configuration — the genome the multi-objective search
 /// explores: a registry-backed IR pass [`Pipeline`] plus the two codegen
@@ -344,7 +350,7 @@ pub fn compile_module_per_function_on(
 ) -> Result<Program, CodegenError> {
     CompileMemo::new(ir)
         .compile(default, configs)
-        .map(|(program, _)| program)
+        .map(|compiled| compiled.program)
 }
 
 /// Encoded size of a function in 16-bit halfwords (terminators count one
@@ -413,12 +419,14 @@ impl serde::Deserialize for ModuleMetrics {
     }
 }
 
-/// The per-function analysis memos one [`EvalCache`] owns: WCET and
-/// WCEC results keyed by function content hash, shared by every
-/// configuration evaluated against the same module and platform. Across
-/// the thousands of variants a search compiles, most configurations
-/// leave most functions byte-identical — those functions are analysed
-/// once, ever.
+/// A pair of content-keyed analysis memos, one for WCET and one for
+/// WCEC, for [`teamplay_wcet::analyze_program_cached`] and
+/// [`teamplay_energy::analyze_program_energy_cached`].
+///
+/// No [`EvalCache`] uses it: evaluations key their analyses on the
+/// compile memo's code identity (see the module docs). It stays public
+/// only because the perfbench workflow replay names it, and goes with
+/// that replay.
 #[derive(Debug, Default)]
 pub struct AnalysisMemo {
     /// Cycle-bound memo (one per [`CycleModel`]).
@@ -434,7 +442,9 @@ impl AnalysisMemo {
     }
 }
 
-/// Compile and statically analyse a module under a configuration.
+/// Compile and statically analyse a module under a configuration, with
+/// no memo: the plain [`compile_module`], [`analyze_program`] and
+/// [`analyze_program_energy`] every cached evaluation must equal.
 ///
 /// # Errors
 /// Codegen errors are returned as `Err`; analysis errors (unbounded
@@ -446,25 +456,70 @@ pub fn evaluate_module(
     energy_model: &IsaEnergyModel,
 ) -> Result<(Program, ModuleMetrics), String> {
     let program = compile_module(ir, config).map_err(|e| e.to_string())?;
-    analyse_program(program, cycle_model, energy_model, &AnalysisMemo::new())
+    analyse_plain(program, cycle_model, energy_model)
 }
 
-/// The analysis half of [`evaluate_module`], with per-function analysis
-/// memoization: the WCET/WCEC of every function whose compiled form
-/// (content hash + callee bounds) was already analysed under any
-/// earlier configuration is replayed from `memo`. Memoized results are
-/// exact, so this is observationally identical to a fresh analysis —
-/// the [`EvalCache`] routes every evaluation through its own memo.
+/// The analysis half of every [`EvalCache`] evaluation and final build:
+/// the bounds of each function of `compiled` through the compile memo's
+/// exact `(code id, callee bounds)` table ([`CompileMemo::bounds`]),
+/// and its code size from its codegen entry. A function the table has
+/// not seen is analysed with [`analyze_function`] and
+/// [`function_wcec_mpj`], its WCEC converted to picojoules as
+/// [`analyze_program_energy`] does, so the metrics equal
+/// [`evaluate_module`]'s. On recursion or any analysis error it falls
+/// back to the plain analyses, which report the error.
 fn analyse_program(
+    memo: &CompileMemo,
+    compiled: Compiled,
+    cycle_model: &CycleModel,
+    energy_model: &IsaEnergyModel,
+) -> Result<(Program, ModuleMetrics), String> {
+    let fresh = |code: &Code, callee_bounds: &[Bounds]| {
+        let by_callee = |bound: fn(&Bounds) -> u64| -> BTreeMap<String, u64> {
+            code.callees
+                .iter()
+                .cloned()
+                .zip(callee_bounds.iter().map(bound))
+                .collect()
+        };
+        let wcet = analyze_function(&code.function, cycle_model, &by_callee(|b| b.0)).ok()?;
+        let mpj = function_wcec_mpj(
+            &code.function,
+            energy_model,
+            cycle_model,
+            &by_callee(|b| b.1),
+        );
+        Some((wcet, mpj.ok()?))
+    };
+    let Some(bounds) = memo.bounds(&compiled.code, fresh) else {
+        return analyse_plain(compiled.program, cycle_model, energy_model);
+    };
+    let functions = compiled
+        .code
+        .iter()
+        .zip(bounds)
+        .map(|(code, (wcet_cycles, mpj))| {
+            let metrics = VariantMetrics {
+                wcet_cycles,
+                wcec_pj: mpj as f64 / 1000.0,
+                code_halfwords: code.halfwords,
+            };
+            (code.function.name.clone(), metrics)
+        })
+        .collect();
+    Ok((compiled.program, ModuleMetrics::new(functions)))
+}
+
+/// [`analyze_program`] and [`analyze_program_energy`] of `program`,
+/// with each function's code size.
+fn analyse_plain(
     program: Program,
     cycle_model: &CycleModel,
     energy_model: &IsaEnergyModel,
-    memo: &AnalysisMemo,
 ) -> Result<(Program, ModuleMetrics), String> {
-    let wcet =
-        analyze_program_cached(&program, cycle_model, &memo.wcet).map_err(|e| e.to_string())?;
-    let energy = analyze_program_energy_cached(&program, energy_model, cycle_model, &memo.energy)
-        .map_err(|e| e.to_string())?;
+    let wcet = analyze_program(&program, cycle_model).map_err(|e| e.to_string())?;
+    let energy =
+        analyze_program_energy(&program, energy_model, cycle_model).map_err(|e| e.to_string())?;
     let mut functions = Vec::new();
     for (name, f) in &program.functions {
         functions.push((
@@ -490,7 +545,8 @@ fn analyse_program(
 /// probed, whatever the pool width. Failed evaluations are cached as
 /// `None` (infeasible), so repeated failures are free too. Every
 /// evaluation the cache computes compiles through its own compile memo
-/// ([`EvalCache::compile`]) and analyses through its [`AnalysisMemo`].
+/// ([`EvalCache::compile`]) and analyses through the same memo's exact
+/// analysis table, keyed on code identity.
 ///
 /// With [`EvalCache::with_store`] the cache additionally spills to (and
 /// warm-starts from) a persistent [`DiskStore`]: an in-memory miss first
@@ -502,14 +558,10 @@ pub struct EvalCache<'a> {
     pub(crate) cycle_model: &'a CycleModel,
     pub(crate) energy_model: &'a IsaEnergyModel,
     entries: Mutex<HashMap<CompilerConfig, Arc<OnceLock<Option<CachedEval>>>>>,
-    /// Per-function pass transitions and codegen results shared by every
-    /// configuration this cache compiles, built on first compile.
+    /// Per-function pass transitions, codegen results and analyses
+    /// shared by every configuration this cache compiles and evaluates,
+    /// built on first compile.
     compile_memo: OnceLock<CompileMemo>,
-    /// Per-function WCET/WCEC memos shared by every configuration this
-    /// cache evaluates (a second memoization layer *below* the
-    /// config-keyed one: distinct configs mostly recompile identical
-    /// functions).
-    memo: AnalysisMemo,
     /// Optional persistent bottom tier.
     pub(crate) disk: Option<&'a DiskStore>,
     /// FNV chain over (format version, IR, cost models); each probe
@@ -539,7 +591,6 @@ impl<'a> EvalCache<'a> {
             energy_model,
             entries: Mutex::new(HashMap::new()),
             compile_memo: OnceLock::new(),
-            memo: AnalysisMemo::new(),
             disk: None,
             key_prefix: 0,
             hits: AtomicUsize::new(0),
@@ -585,8 +636,9 @@ impl<'a> EvalCache<'a> {
         let value = cell.get_or_init(|| {
             computed = true;
             let compute = || {
-                let (program, _) = self.compile(config).ok()?;
-                analyse_program(program, self.cycle_model, self.energy_model, &self.memo)
+                let memo = self.compile_memo();
+                let compiled = memo.compile(config, &HashMap::new()).ok()?;
+                analyse_program(memo, compiled, self.cycle_model, self.energy_model)
                     .ok()
                     .map(|(program, metrics)| (Arc::new(program), metrics))
             };
@@ -645,12 +697,6 @@ impl<'a> EvalCache<'a> {
         self.disk_misses.load(Ordering::Relaxed)
     }
 
-    /// The per-function analysis memos this cache's evaluations share
-    /// (hit/miss counters tell how many function analyses were replays).
-    pub fn analysis_memo(&self) -> &AnalysisMemo {
-        &self.memo
-    }
-
     /// Compile `config` through this cache's compile memo, bypassing the
     /// configuration tier and the store: the compile every computed
     /// evaluation runs. The program is byte-identical to
@@ -663,13 +709,16 @@ impl<'a> EvalCache<'a> {
         &self,
         config: &CompilerConfig,
     ) -> Result<(Program, Vec<PassStats>), CodegenError> {
-        self.compile_memo().compile(config, &HashMap::new())
+        self.compile_memo()
+            .compile(config, &HashMap::new())
+            .map(|compiled| (compiled.program, compiled.stats))
     }
 
     /// The multi-version final build: compile every function under its
     /// chosen configuration (`chosen` by function name, `default` for
     /// the rest) through this cache's compile memo, and analyse the
-    /// program through its [`AnalysisMemo`], as every evaluation does.
+    /// program through the memo's analysis table, as every evaluation
+    /// does.
     /// Each function is byte-identical to the same function of
     /// [`compile_module`] under its configuration, the compile the
     /// search measured; after a search most of the build is replays.
@@ -683,11 +732,9 @@ impl<'a> EvalCache<'a> {
         chosen: &HashMap<String, CompilerConfig>,
         default: &CompilerConfig,
     ) -> Result<(Program, ModuleMetrics), String> {
-        let (program, _) = self
-            .compile_memo()
-            .compile(default, chosen)
-            .map_err(|e| e.to_string())?;
-        analyse_program(program, self.cycle_model, self.energy_model, &self.memo)
+        let memo = self.compile_memo();
+        let compiled = memo.compile(default, chosen).map_err(|e| e.to_string())?;
+        analyse_program(memo, compiled, self.cycle_model, self.energy_model)
     }
 
     fn compile_memo(&self) -> &CompileMemo {
@@ -695,8 +742,8 @@ impl<'a> EvalCache<'a> {
     }
 
     /// The compile memo's work counters: pass invocations run and
-    /// replayed, interned states, codegen hits and misses (all zero
-    /// before the first compile). They can vary with pool width, so
+    /// replayed, interned states, codegen hits and misses, function
+    /// analyses replayed and run (all zero before the first compile). They can vary with pool width, so
     /// keep them out of byte-compared output.
     pub fn compile_memo_stats(&self) -> CompileMemoStats {
         self.compile_memo
@@ -1415,10 +1462,10 @@ mod tests {
     #[test]
     fn analysis_memo_replays_functions_untouched_by_a_config_change() {
         // Two configurations whose pipelines differ only in a pass that
-        // rewrites one function: the untouched function compiles
-        // byte-identically under both, so its WCET/WCEC analyses are
-        // memo replays (hits on the per-function content-hash caches),
-        // not re-analyses.
+        // rewrites one function: the untouched function compiles to the
+        // same code entry under both, so its WCET/WCEC analysis is a
+        // replay from the memo's `(code id, callee bounds)` table, not a
+        // re-analysis.
         let src = "
             int leaf(int v) { return v + v + 3; }
             int hot(int x) {
@@ -1432,8 +1479,11 @@ mod tests {
         let cache = EvalCache::new(&ir, &cm, &em);
         let base = CompilerConfig::all_off();
         cache.evaluate(&base).expect("base evaluates");
-        let memo = cache.analysis_memo();
-        let (h0, m0) = (memo.wcet.hits(), memo.wcet.misses());
+        let analyses = |c: &EvalCache<'_>| {
+            let stats = c.compile_memo_stats();
+            (stats.analysis_hits, stats.analysis_misses)
+        };
+        let (h0, m0) = analyses(&cache);
         assert_eq!((h0, m0), (0, 2), "leaf and hot analysed once each");
 
         // `unroll(8)` rewrites `hot` (provable 6-trip loop) and leaves
@@ -1443,13 +1493,81 @@ mod tests {
             ..CompilerConfig::all_off()
         };
         let (_, metrics) = cache.evaluate(&unrolled).expect("unrolled evaluates");
-        assert!(memo.wcet.hits() > h0, "leaf's analysis must be a replay");
-        assert_eq!(memo.wcet.misses(), m0 + 1, "only hot is re-analysed");
-        assert!(memo.energy.hits() > 0, "the energy memo shares the keying");
+        let (h1, m1) = analyses(&cache);
+        assert_eq!(h1, h0 + 1, "leaf's analysis must be a replay");
+        assert_eq!(m1, m0 + 1, "only hot is re-analysed");
         // Memoized evaluation is observationally identical to a fresh
         // one.
         let (_, fresh) = evaluate_module(&ir, &unrolled, &cm, &em).expect("fresh");
         assert_eq!(&fresh, &metrics);
+    }
+
+    #[test]
+    fn analysis_memo_never_shares_an_entry_between_two_functions() {
+        // `caller` has no loop, so `unroll` leaves its code alone while
+        // it rewrites `leaf`: the same caller code under two different
+        // callee bounds. `twin_a` and `twin_b` have the same body under
+        // different names. Each must get its own fresh analysis.
+        let src = "
+            int leaf(int v) {
+                int s = 0;
+                for (int i = 0; i < 5; i = i + 1) { s = s + v * i; }
+                return s;
+            }
+            int caller(int x) { return leaf(x) + x * 7; }
+            int twin_a(int x) { return x * 3 + 1; }
+            int twin_b(int x) { return x * 3 + 1; }";
+        let ir = compile_to_ir(src).expect("front-end");
+        let cm = CycleModel::pg32();
+        let em = IsaEnergyModel::pg32_datasheet();
+        let cache = EvalCache::new(&ir, &cm, &em);
+        let base = CompilerConfig::all_off();
+        let unrolled = CompilerConfig {
+            pipeline: "unroll(8)".parse().expect("valid"),
+            ..CompilerConfig::all_off()
+        };
+        let (p0, m0) = cache.evaluate(&base).expect("base evaluates");
+        let stats = cache.compile_memo_stats();
+        assert_eq!(
+            (stats.analysis_hits, stats.analysis_misses),
+            (0, 4),
+            "every function, both twins included, is analysed afresh"
+        );
+        let (p1, m1) = cache.evaluate(&unrolled).expect("unrolled evaluates");
+        assert_eq!(p0.function("caller"), p1.function("caller"));
+        assert_ne!(p0.function("leaf"), p1.function("leaf"));
+        let stats = cache.compile_memo_stats();
+        assert_eq!(
+            (stats.analysis_hits, stats.analysis_misses),
+            (2, 6),
+            "the twins replay; leaf and caller (new callee bounds) do not"
+        );
+        for (config, metrics) in [(&base, &m0), (&unrolled, &m1)] {
+            let (_, fresh) = evaluate_module(&ir, config, &cm, &em).expect("fresh");
+            assert_eq!(&fresh, metrics);
+        }
+        let wcet = |m: &ModuleMetrics, name| m.of(name).expect("analysed").wcet_cycles;
+        assert_ne!(wcet(&m0, "caller"), wcet(&m1, "caller"));
+        assert_eq!(wcet(&m0, "twin_a"), wcet(&m0, "twin_b"));
+    }
+
+    #[test]
+    fn recursion_falls_back_to_the_plain_analysis_error() {
+        let ir =
+            compile_to_ir("int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }")
+                .expect("front-end");
+        let cm = CycleModel::pg32();
+        let em = IsaEnergyModel::pg32_datasheet();
+        let config = CompilerConfig::all_off();
+        let plain = evaluate_module(&ir, &config, &cm, &em).expect_err("recursive");
+        let cache = EvalCache::new(&ir, &cm, &em);
+        let built = cache
+            .final_build(&HashMap::new(), &config)
+            .expect_err("recursive");
+        assert_eq!(built, plain);
+        assert!(cache.evaluate(&config).is_none());
+        let stats = cache.compile_memo_stats();
+        assert_eq!((stats.analysis_hits, stats.analysis_misses), (0, 0));
     }
 
     #[test]

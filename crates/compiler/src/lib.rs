@@ -37,8 +37,8 @@
 //! * [`driver`] — configuration plumbing, per-task variant evaluation
 //!   (memoized through a four-tier cache hierarchy: the config-keyed
 //!   [`driver::EvalCache`], its per-function compile memo of pass
-//!   transitions and codegen results, the per-function
-//!   [`driver::AnalysisMemo`], and an optional persistent
+//!   transitions and codegen results, an exact analysis memo keyed on
+//!   that compile memo's code identity, and an optional persistent
 //!   [`store::DiskStore`] — see the [`driver`] module docs), the one
 //!   Pareto search entry point,
 //!   [`driver::pareto_search`], which runs a [`driver::SearchRequest`]

@@ -106,10 +106,16 @@ fn term_cost_mpj(
     (pj * MILLI).ceil() as u64
 }
 
-/// Worst-case energy of one function given callee results, in
-/// millipicojoules (internal): the shared IPET flow solver over energy
-/// costs.
-fn function_wcec_mpj(
+/// Worst-case energy of one function given its callees' results, all in
+/// millipicojoules (the integer unit the flow solver works in; divide by
+/// 1000 for picojoules, as [`analyze_program_energy`] does): the shared
+/// IPET flow solver over energy costs. The per-function step of the
+/// program drivers, public for the compiler's evaluation memo, which
+/// resolves calls itself.
+///
+/// # Errors
+/// As [`analyze_program_energy`], for this one function.
+pub fn function_wcec_mpj(
     f: &Function,
     energy_model: &IsaEnergyModel,
     cycle_model: &CycleModel,
@@ -137,8 +143,8 @@ fn function_wcec_mpj_structural(
 }
 
 /// Wrap the shared `teamplay-wcet` bottom-up driver (validation,
-/// recursion rejection, callee-first ordering, content-hash cache
-/// routing — one policy for both metrics) and scale the resolved
+/// recursion rejection, callee-first ordering, optional content-keyed
+/// cache — one policy for both metrics) and scale the resolved
 /// millipicojoule bounds back to picojoules.
 fn analyze_energy_with(
     program: &Program,
@@ -169,9 +175,14 @@ pub fn analyze_program_energy(
 }
 
 /// [`analyze_program_energy`] with per-function memoization: unchanged
-/// functions (same content hash, same callee bounds) are answered from
-/// `cache`. Use one cache per (energy-model, cycle-model) pair — the
-/// models are not part of the key.
+/// functions (same content, same callee bounds) are answered from
+/// `cache`, which compares every entry exactly. Use one cache per
+/// (energy-model, cycle-model) pair — the models are not part of the
+/// key.
+///
+/// The compiler's evaluations do not use it: they memoize
+/// [`function_wcec_mpj`] on the compile memo's code identity. It stays
+/// public for the perfbench workflow replay.
 ///
 /// # Errors
 /// See [`analyze_program_energy`].

@@ -26,7 +26,7 @@ pub mod model;
 
 pub use analysis::{
     analyze_program_energy, analyze_program_energy_cached, analyze_program_energy_structural,
-    EnergyReport,
+    function_wcec_mpj, EnergyReport,
 };
 pub use component::{ComponentModel, ComponentSample};
 pub use fitting::{fit_isa_model, FitQuality, FitSample};

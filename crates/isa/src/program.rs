@@ -247,55 +247,6 @@ impl Program {
         }
         Ok(())
     }
-
-    /// Detect whether the static call graph contains a cycle (recursion),
-    /// which the predictable workflow rejects (aiT-style analysis requires
-    /// a recursion-free call tree).
-    pub fn has_recursion(&self) -> bool {
-        // Iterative DFS with colouring over the call graph.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Colour {
-            White,
-            Grey,
-            Black,
-        }
-        let mut colour: BTreeMap<&str, Colour> = self
-            .functions
-            .keys()
-            .map(|k| (k.as_str(), Colour::White))
-            .collect();
-        for start in self.functions.keys() {
-            if colour[start.as_str()] != Colour::White {
-                continue;
-            }
-            let mut stack: Vec<(&str, usize)> = vec![(start.as_str(), 0)];
-            colour.insert(start.as_str(), Colour::Grey);
-            let mut callee_cache: BTreeMap<&str, Vec<String>> = BTreeMap::new();
-            while let Some((name, idx)) = stack.pop() {
-                let callees = callee_cache
-                    .entry(name)
-                    .or_insert_with(|| self.functions[name].callees());
-                if idx < callees.len() {
-                    let next = callees[idx].clone();
-                    stack.push((name, idx + 1));
-                    if let Some(next_ref) = self.functions.get_key_value(next.as_str()) {
-                        let key = next_ref.0.as_str();
-                        match colour[key] {
-                            Colour::Grey => return true,
-                            Colour::White => {
-                                colour.insert(key, Colour::Grey);
-                                stack.push((key, 0));
-                            }
-                            Colour::Black => {}
-                        }
-                    }
-                } else {
-                    colour.insert(name, Colour::Black);
-                }
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -357,34 +308,6 @@ mod tests {
             f.blocks[0].insns.push(Insn::Call { func: name.into() });
         }
         assert_eq!(f.callees(), vec!["a".to_string(), "b".to_string()]);
-    }
-
-    #[test]
-    fn recursion_detection() {
-        let mut p = Program::new();
-        let mut f = Function::stub("f");
-        f.blocks[0].insns.push(Insn::Call { func: "g".into() });
-        let mut g = Function::stub("g");
-        g.blocks[0].insns.push(Insn::Call { func: "f".into() });
-        p.add_function(f);
-        p.add_function(g);
-        assert!(p.has_recursion());
-
-        let mut q = Program::new();
-        let mut a = Function::stub("a");
-        a.blocks[0].insns.push(Insn::Call { func: "b".into() });
-        q.add_function(a);
-        q.add_function(Function::stub("b"));
-        assert!(!q.has_recursion());
-    }
-
-    #[test]
-    fn self_recursion_detected() {
-        let mut p = Program::new();
-        let mut f = Function::stub("f");
-        f.blocks[0].insns.push(Insn::Call { func: "f".into() });
-        p.add_function(f);
-        assert!(p.has_recursion());
     }
 
     #[test]

@@ -23,10 +23,14 @@
 //!    in-tree loop-nest dynamic program in [`flow`] (reducible CFGs; no
 //!    external LP crate, consistent with the vendored-offline rule),
 //!    falling back to [`structural_bound`] on irreducible graphs; and
-//! 4. resolve calls bottom-up over the (recursion-free) call graph,
-//!    memoizing per-function results by content hash in an
-//!    [`AnalysisCache`] so the thousands of variants a Pareto search
-//!    compiles never re-analyse an unchanged function.
+//! 4. resolve calls bottom-up over the (recursion-free) call graph
+//!    ([`resolve_bottom_up`]), handing each function its callees'
+//!    bounds. [`analyze_function`] is that per-function step on its own:
+//!    the compiler's variant search calls it from its own exact memo,
+//!    keyed on the compile memo's code identity, so the thousands of
+//!    variants a Pareto search compiles never re-analyse an unchanged
+//!    function. [`analyze_program_cached`] memoizes by function content
+//!    in an [`AnalysisCache`] instead, for callers without that identity.
 //!
 //! The same flow solver serves the worst-case *energy* analysis in
 //! `teamplay-energy` through [`flow_bound_with`]: per-block picojoule
@@ -420,21 +424,31 @@ fn longest_path_within(
 }
 
 /// A thread-safe memo of per-function analysis results, keyed by the
-/// function's *content hash* (its blocks, bounds and frame, plus the
-/// callee bounds it was analysed against).
+/// function's *content* (its name, blocks, bounds and frame) plus the
+/// callee bounds it was analysed against.
 ///
-/// The compiler's variant search compiles thousands of configurations of
-/// one module; most configurations leave most functions byte-identical,
-/// so their analyses are pure replays. One `AnalysisCache` per
-/// (cost-model, metric) pair — e.g. one for cycles and one for energy
-/// inside the driver's `EvalCache` — turns those replays into hash-map
-/// hits. Results are exact values of a pure function of the key, so
-/// sharing a cache across threads or searches cannot change any result.
+/// Across many configurations of one module, most functions compile
+/// identically, so their analyses are pure replays. One `AnalysisCache`
+/// per (cost-model, metric) pair turns those replays into lookups.
+/// Entries are bucketed by a hash of the key, but a lookup compares the
+/// stored function and callee bounds before it returns a hit: a hash
+/// collision costs an analysis, never a wrong bound. Results are exact
+/// values of a pure function of the key, so sharing a cache across
+/// threads or searches cannot change any result.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
-    entries: Mutex<HashMap<u64, u64>>,
+    entries: Mutex<HashMap<u64, Vec<CacheEntry>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+}
+
+/// One [`AnalysisCache`] result and the exact key it was computed for.
+#[derive(Debug)]
+struct CacheEntry {
+    function: Function,
+    /// Each callee's bound, in [`Function::callees`] order.
+    callee_bounds: Vec<Option<u64>>,
+    bound: u64,
 }
 
 impl AnalysisCache {
@@ -443,36 +457,64 @@ impl AnalysisCache {
         AnalysisCache::default()
     }
 
-    /// The content key of `f` analysed against `callee_bounds`: a hash
-    /// of the function body plus the bound of every callee (in callee
+    /// The bucket of `f` analysed against `callee_bounds` (in callee
     /// order, so a callee's change re-keys its callers too).
-    pub fn key(f: &Function, callee_bounds: &BTreeMap<String, u64>) -> u64 {
+    fn key(f: &Function, callee_bounds: &[Option<u64>]) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         f.hash(&mut h);
-        for callee in f.callees() {
-            callee_bounds.get(&callee).hash(&mut h);
-        }
+        callee_bounds.hash(&mut h);
         h.finish()
     }
 
-    /// Look up `key`, or compute and remember it. Errors are not cached
-    /// (the program-level drivers abort on the first error anyway).
-    pub fn get_or_try_insert(
+    /// The bound of `f` against `callee_bounds` (by callee name), from
+    /// the cache or from `compute`, which is then remembered. Errors are
+    /// not cached (the program-level drivers abort on the first error
+    /// anyway).
+    fn get_or_try_insert(
         &self,
-        key: u64,
+        f: &Function,
+        callee_bounds: &BTreeMap<String, u64>,
         compute: impl FnOnce() -> Result<u64, WcetError>,
     ) -> Result<u64, WcetError> {
-        if let Some(v) = self.entries.lock().expect("analysis cache lock").get(&key) {
+        let bounds: Vec<Option<u64>> = f
+            .callees()
+            .iter()
+            .map(|callee| callee_bounds.get(callee).copied())
+            .collect();
+        self.get_or_try_insert_hashed(Self::key(f, &bounds), f, bounds, compute)
+    }
+
+    /// [`AnalysisCache::get_or_try_insert`] in bucket `hash`.
+    fn get_or_try_insert_hashed(
+        &self,
+        hash: u64,
+        f: &Function,
+        callee_bounds: Vec<Option<u64>>,
+        compute: impl FnOnce() -> Result<u64, WcetError>,
+    ) -> Result<u64, WcetError> {
+        let find = |bucket: &[CacheEntry]| {
+            bucket
+                .iter()
+                .find(|e| e.callee_bounds == callee_bounds && e.function == *f)
+                .map(|e| e.bound)
+        };
+        let entries = || self.entries.lock().expect("analysis cache lock");
+        if let Some(bound) = entries().get(&hash).and_then(|bucket| find(bucket)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(*v);
+            return Ok(bound);
         }
-        let v = compute()?;
+        let bound = compute()?;
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.entries
-            .lock()
-            .expect("analysis cache lock")
-            .insert(key, v);
-        Ok(v)
+        let mut entries = entries();
+        let bucket = entries.entry(hash).or_default();
+        if find(bucket).is_none() {
+            bucket.push(CacheEntry {
+                function: f.clone(),
+                callee_bounds,
+                bound,
+            });
+        }
+        Ok(bound)
     }
 
     /// Lookups answered from the memo.
@@ -527,7 +569,7 @@ fn call_order(program: &Program) -> Result<Vec<&str>, WcetError> {
 /// The shared program-level analysis driver: validate, reject
 /// recursion, then analyse every function in callee-first order with
 /// `analyse` (handing each its already-resolved callee bounds),
-/// optionally memoized through a per-function content-hash `cache`.
+/// optionally memoized through a per-function content-keyed `cache`.
 ///
 /// Returns the raw per-function bounds; both this crate's WCET drivers
 /// and `teamplay-energy`'s WCEC drivers wrap their reports around it,
@@ -546,9 +588,7 @@ pub fn resolve_bottom_up(
     for name in call_order(program)? {
         let f = &program.functions[name];
         let w = match cache {
-            Some(cache) => {
-                cache.get_or_try_insert(AnalysisCache::key(f, &bounds), || analyse(f, &bounds))?
-            }
+            Some(cache) => cache.get_or_try_insert(f, &bounds, || analyse(f, &bounds))?,
             None => analyse(f, &bounds)?,
         };
         bounds.insert(name.to_string(), w);
@@ -570,9 +610,13 @@ pub fn analyze_program(program: &Program, model: &CycleModel) -> Result<WcetRepo
 }
 
 /// [`analyze_program`] with per-function memoization: unchanged
-/// functions (same content hash, same callee bounds) are answered from
+/// functions (same content, same callee bounds) are answered from
 /// `cache` instead of re-analysed. Use one cache per [`CycleModel`] —
 /// the model is not part of the key.
+///
+/// The compiler's evaluations do not use it (see [`analyze_function`]
+/// for what they do). It stays public for the WCET tightness bench and
+/// the perfbench workflow replay.
 ///
 /// # Errors
 /// See [`WcetError`].
@@ -852,6 +896,30 @@ mod tests {
     }
 
     #[test]
+    fn mutual_recursion_is_rejected_and_a_call_chain_is_not() {
+        let model = CycleModel::pg32();
+        let calling = |name: &str, callee: &str| {
+            let mut f = straight_function(name, 1);
+            f.blocks[0].insns.push(Insn::Call {
+                func: callee.into(),
+            });
+            f
+        };
+        let mut p = Program::new();
+        p.add_function(calling("f", "g"));
+        p.add_function(calling("g", "f"));
+        assert!(matches!(
+            analyze_program(&p, &model),
+            Err(WcetError::Recursion(_))
+        ));
+
+        let mut q = Program::new();
+        q.add_function(calling("a", "b"));
+        q.add_function(straight_function("b", 1));
+        assert!(analyze_program(&q, &model).is_ok());
+    }
+
+    #[test]
     fn recursion_error_names_a_function_on_the_cycle() {
         let mut p = Program::new();
         p.add_function(straight_function("aaa", 1));
@@ -1108,6 +1176,28 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (2, 4));
         assert!(c.wcet_cycles("caller") > a.wcet_cycles("caller"));
         assert_eq!(c, analyze_program(&p2, &model).expect("uncached"));
+    }
+
+    #[test]
+    fn analysis_cache_compares_entries_that_share_a_bucket() {
+        // Two different functions, and one function under two callee
+        // bounds, forced into one bucket: each keeps its own bound.
+        let cache = AnalysisCache::new();
+        let (f, g) = (straight_function("f", 3), straight_function("g", 3));
+        let lookup = |f: &Function, callee_bounds: Vec<Option<u64>>, fresh: u64| {
+            cache
+                .get_or_try_insert_hashed(0, f, callee_bounds, || Ok(fresh))
+                .expect("infallible")
+        };
+        assert_eq!(lookup(&f, vec![], 10), 10);
+        assert_eq!(lookup(&g, vec![], 20), 20);
+        assert_eq!(lookup(&f, vec![Some(1)], 30), 30);
+        assert_eq!((cache.hits(), cache.misses()), (0, 3));
+        // Replays return each entry's own bound, not the fresh value.
+        assert_eq!(lookup(&f, vec![], 99), 10);
+        assert_eq!(lookup(&g, vec![], 99), 20);
+        assert_eq!(lookup(&f, vec![Some(1)], 99), 30);
+        assert_eq!((cache.hits(), cache.misses()), (3, 3));
     }
 
     #[test]

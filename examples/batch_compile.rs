@@ -148,12 +148,14 @@ fn main() {
     let memo = cache.compile_memo_stats();
     println!(
         "  compile memo (camera_pill, {} compiles): {} of {} pass invocations replayed, \
-         {} IR states, {} of {} codegen calls hit",
+         {} IR states, {} of {} codegen calls hit, {} of {} function analyses hit",
         cache.misses(),
         memo.pass_replays,
         memo.pass_runs + memo.pass_replays,
         memo.states,
         memo.codegen_hits,
         memo.codegen_hits + memo.codegen_misses,
+        memo.analysis_hits,
+        memo.analysis_hits + memo.analysis_misses,
     );
 }

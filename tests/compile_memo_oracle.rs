@@ -13,7 +13,8 @@
 //!   kernels and on generated kernels, at pool widths 1/2/4.
 //! * **Counters add up** — `pass_runs + pass_replays` is the summed
 //!   `PassStats` invocations of the configurations the cache compiled,
-//!   at any pool width.
+//!   and `analysis_hits + analysis_misses` the number of functions it
+//!   analysed, at any pool width.
 //! * **Stateful passes are not replayed** — `inline`'s per-function
 //!   budget runs out in one fixpoint round and stays spent in the next;
 //!   memoised compiles still match the unmemoised ones.
@@ -190,8 +191,16 @@ fn pass_runs_and_replays_sum_to_the_pass_invocations() {
             configs.len() * ir.functions.len(),
             "width {width}: one codegen call per function per compile"
         );
+        // Every configuration is feasible, so each of its functions was
+        // one analysis lookup: a replay or a fresh analysis.
+        assert!(configs.iter().all(|c| cache.evaluate(c).is_some()));
+        assert_eq!(
+            stats.analysis_hits + stats.analysis_misses,
+            configs.len() * ir.functions.len(),
+            "width {width}: one analysis lookup per function per evaluation"
+        );
         assert!(
-            stats.pass_replays > 0 && stats.codegen_hits > 0,
+            stats.pass_replays > 0 && stats.codegen_hits > 0 && stats.analysis_hits > 0,
             "{stats:?}"
         );
         assert!(stats.states >= ir.functions.len(), "{stats:?}");
