@@ -29,7 +29,8 @@
 use criterion::Criterion;
 use serde::Serialize;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use teamplay_bench::timing::{sample_interleaved, Timer};
 use teamplay_compiler::{generate_program, CodegenOpts, PassManager};
 use teamplay_isa::{CycleModel, Program};
 use teamplay_minic::compile_to_ir;
@@ -110,49 +111,6 @@ fn compiled_kernels() -> Vec<(String, String, Vec<i32>, Program)> {
         (app.to_string(), task.to_string(), args, program)
     })
     .collect()
-}
-
-/// Rounds every measurement takes at least.
-const MIN_ROUNDS: usize = 20;
-/// Wall time the interleaved rounds take at least.
-const MIN_TIME: Duration = Duration::from_secs(20);
-
-/// One measurement: a round to repeat and its shortest wall-clock time
-/// so far — the single-tenant peak.
-struct Timer<'a> {
-    round: Box<dyn FnMut() + 'a>,
-    best: Duration,
-}
-
-impl<'a> Timer<'a> {
-    fn new(round: impl FnMut() + 'a) -> Timer<'a> {
-        Timer {
-            round: Box::new(round),
-            best: Duration::MAX,
-        }
-    }
-
-    fn sample(&mut self) {
-        let start = Instant::now();
-        (self.round)();
-        self.best = self.best.min(start.elapsed());
-    }
-}
-
-/// Round after round, sample every timer in turn, until each has had
-/// [`MIN_ROUNDS`] rounds and [`MIN_TIME`] has passed. Interleaving
-/// spreads every measurement over the whole run, so the quiet windows
-/// of a shared host serve all of them, not only the kernel timed at
-/// that moment.
-fn sample_interleaved(timers: &mut [Timer<'_>]) {
-    let start = Instant::now();
-    let mut rounds = 0;
-    while rounds < MIN_ROUNDS || start.elapsed() < MIN_TIME {
-        for timer in timers.iter_mut() {
-            timer.sample();
-        }
-        rounds += 1;
-    }
 }
 
 /// Simulated cycles of one stream of `reps` back-to-back runs of `call`.

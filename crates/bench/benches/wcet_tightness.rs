@@ -14,6 +14,8 @@
 //!   through a warm [`teamplay_wcet::AnalysisCache`], which hashes and
 //!   compares every function it looks up. The driver's `EvalCache` does
 //!   neither: it keys its analyses on the compile memo's code ids.
+//!   Each figure is the best of at least 20 rounds, the two kinds
+//!   interleaved over at least 20 s (see [`teamplay_bench::timing`]).
 //!
 //! The run writes the tightness rows to `BENCH_wcet.json` and the
 //! wall-clock throughput to `BENCH_wcet_memo.json`, both at the repository
@@ -26,7 +28,8 @@
 
 use criterion::Criterion;
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use teamplay_bench::timing::{sample_interleaved, Timer};
 use teamplay_compiler::{generate_program, CodegenOpts, PassManager};
 use teamplay_energy::{analyze_program_energy, analyze_program_energy_structural, IsaEnergyModel};
 use teamplay_isa::{CycleModel, Program};
@@ -134,49 +137,32 @@ fn main() {
         })
         .collect();
 
-    // Throughput: whole-program analyses over all four kernels, best of
-    // three timed rounds.
-    const ROUNDS: usize = 3;
+    // Throughput: whole-program analyses over all four kernels, the
+    // best of interleaved uncached and memoised rounds.
     const REPS: usize = 50;
-    let time_best = |mut f: Box<dyn FnMut()>| -> Duration {
-        let mut best: Option<Duration> = None;
-        for _ in 0..ROUNDS {
-            let start = Instant::now();
-            f();
-            let took = start.elapsed();
-            if best.is_none_or(|b| took < b) {
-                best = Some(took);
-            }
-        }
-        best.expect("rounds >= 1")
-    };
     let programs: Vec<&Program> = kernels.iter().map(|(_, _, p)| p).collect();
-    let uncached = {
-        let programs = programs.clone();
-        let cm = cm.clone();
-        time_best(Box::new(move || {
+    let cache = AnalysisCache::new();
+    for p in &programs {
+        analyze_program_cached(p, &cm, &cache).expect("warms");
+    }
+    let mut timers = [
+        Timer::new(|| {
             for _ in 0..REPS {
                 for p in &programs {
                     analyze_program(std::hint::black_box(p), &cm).expect("analyses");
                 }
             }
-        }))
-    };
-    let memoized = {
-        let programs = programs.clone();
-        let cm = cm.clone();
-        let cache = AnalysisCache::new();
-        for p in &programs {
-            analyze_program_cached(p, &cm, &cache).expect("warms");
-        }
-        time_best(Box::new(move || {
+        }),
+        Timer::new(|| {
             for _ in 0..REPS {
                 for p in &programs {
                     analyze_program_cached(std::hint::black_box(p), &cm, &cache).expect("replays");
                 }
             }
-        }))
-    };
+        }),
+    ];
+    sample_interleaved(&mut timers);
+    let [uncached, memoized] = timers.map(|t| t.best);
     let analyses = (REPS * programs.len()) as f64;
     let per_sec = |t: Duration| analyses / t.as_secs_f64().max(1e-9);
 

@@ -21,6 +21,7 @@
 
 pub mod ablations;
 pub mod experiments;
+pub mod timing;
 
 /// Render a percentage improvement `(base - new) / base`.
 pub fn improvement_pct(base: f64, new: f64) -> f64 {

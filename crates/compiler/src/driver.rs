@@ -379,7 +379,7 @@ pub struct VariantMetrics {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModuleMetrics {
     // Per-function metrics, sorted by name — every constructor
-    // (`new` and the manual `Deserialize`) funnels through the sort, so
+    // (`new`, and `Deserialize` through it) funnels through the sort, so
     // `of` can binary search.
     functions: Vec<(String, VariantMetrics)>,
 }
@@ -407,15 +407,17 @@ impl ModuleMetrics {
     }
 }
 
+/// [`ModuleMetrics`] as written, before its entries are sorted.
+#[derive(Deserialize)]
+struct RawModuleMetrics {
+    functions: Vec<(String, VariantMetrics)>,
+}
+
 impl serde::Deserialize for ModuleMetrics {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::DeError::custom("ModuleMetrics: expected a map"))?;
-        let functions = Vec::from_value(serde::field(map, "functions")?)?;
+    fn deserialize(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::DeError> {
         // Re-sorting on ingest keeps the binary-search invariant even for
         // hand-written or reordered JSON.
-        Ok(ModuleMetrics::new(functions))
+        RawModuleMetrics::deserialize(r).map(|raw| ModuleMetrics::new(raw.functions))
     }
 }
 

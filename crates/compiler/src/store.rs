@@ -29,14 +29,17 @@
 //!
 //! # Loading: hash check and per-handle memo
 //!
-//! [`DiskStore::load`] re-hashes every blob it reads from disk. A
-//! missing, unparsable or hash-mismatched blob turns the whole load into
-//! a cold miss — never into a wrong program — and a damaged blob is
-//! removed so the recompile's write lands a good copy in its place.
-//! Each handle memoizes the blobs it has decoded, so one handle parses
-//! each distinct function once and clones it into every program that
-//! uses it. The memo is per handle: a new process or workflow run reads
-//! and checks everything from disk again.
+//! Manifests and blobs are decoded straight from their JSON text by the
+//! vendored `serde` reader, which builds no intermediate tree and gives
+//! up past 128 nested containers. A manifest or blob that is not valid
+//! JSON of its type, nests too deep or fails its hash check turns the
+//! whole load into a cold miss — never into a wrong program, and never
+//! into a crash. [`DiskStore::load`] re-hashes every blob it reads from
+//! disk, and a damaged blob is removed so the recompile's write lands a
+//! good copy in its place. Each handle memoizes the blobs it has
+//! decoded, so one handle parses each distinct function once and clones
+//! it into every program that uses it. The memo is per handle: a new
+//! process or workflow run reads and checks everything from disk again.
 //!
 //! # Writing: blobs before the manifest
 //!
@@ -713,6 +716,57 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "leaked {leftovers:?}");
         assert_eq!(store.stats().bytes_written, 0);
+        let _ = fs::remove_dir_all(store.path());
+    }
+
+    #[test]
+    fn nesting_past_the_reader_limit_loads_as_a_miss() {
+        let store = temp_store("deep");
+        let deep = "[".repeat(20_000);
+        // A damaged manifest that is nothing but brackets, and a valid
+        // manifest carrying a deep value in a field it does not know.
+        fs::write(store.entry_path(1), &deep).expect("write deep manifest");
+        let hidden = format!(r#"{{"eval":null,"junk":{deep}0{}}}"#, "]".repeat(20_000));
+        fs::write(store.entry_path(2), hidden).expect("write deep field");
+        store.store(3, &None);
+        // Half the default stack, which recursing once per bracket would
+        // overflow.
+        let loaded = std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(1024 * 1024)
+                .spawn_scoped(scope, || [1, 2, 3].map(|key| store.load(key).is_some()))
+                .expect("spawn loader")
+                .join()
+                .expect("loader finishes")
+        });
+        assert_eq!(loaded, [false, false, true]);
+        let stats = store.stats();
+        assert_eq!((stats.loads, stats.hits, stats.corrupt_misses), (3, 1, 2));
+        let _ = fs::remove_dir_all(store.path());
+    }
+
+    #[test]
+    fn every_file_decodes_and_reserializes_to_its_bytes() {
+        let store = temp_store("bytes");
+        search(&store);
+        let files = |dir: &Path| -> Vec<String> {
+            committed(dir)
+                .map(|e| fs::read_to_string(e.path()).expect("file reads"))
+                .collect()
+        };
+        fn same<T: Serialize + Deserialize>(text: &str) {
+            let value: T = serde_json::from_str(text).expect("file decodes");
+            assert_eq!(serde_json::to_string(&value).expect("serializes"), text);
+        }
+        let (functions, globals) = (
+            files(&store.path().join(FUNCTION_BLOBS)),
+            files(&store.path().join(GLOBALS_BLOBS)),
+        );
+        let entries = files(store.path());
+        assert!(!functions.is_empty() && !globals.is_empty() && !entries.is_empty());
+        functions.iter().for_each(|text| same::<Function>(text));
+        globals.iter().for_each(|text| same::<Globals>(text));
+        entries.iter().for_each(|text| same::<Manifest>(text));
         let _ = fs::remove_dir_all(store.path());
     }
 }

@@ -683,6 +683,24 @@ mod proptests {
             prop_assert_eq!(parsed.loop_bounds, f.loop_bounds.clone());
         }
 
+        /// JSON is how the persistent store keeps compiled functions:
+        /// every instruction form, a name needing escapes and any frame
+        /// size must read back equal.
+        #[test]
+        fn json_round_trip(
+            f in arb_function(),
+            name in "\\PC{0,12}",
+            frame_size in any::<u32>(),
+            pops in proptest::collection::vec(arb_reg(), 0..4),
+        ) {
+            let mut f = f;
+            f.name = format!("{name}\"\\\n\u{1}");
+            f.frame_size = frame_size;
+            f.blocks[0].insns.push(Insn::Pop { regs: pops });
+            let json = serde_json::to_string(&f).expect("function serializes");
+            prop_assert_eq!(serde_json::from_str::<Function>(&json), Ok(f));
+        }
+
         #[test]
         fn parser_never_panics(text in "\\PC{0,400}") {
             let _ = parse_function(&text);

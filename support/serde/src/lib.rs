@@ -2,9 +2,14 @@
 //!
 //! Offline builds cannot fetch the real `serde`, so this crate provides
 //! the slice the toolchain uses: `#[derive(Serialize, Deserialize)]`
-//! (re-exported from the local `serde_derive` proc-macro) backed by a
-//! concrete [`Value`] tree instead of serde's visitor machinery. The
-//! local `serde_json` crate renders and parses [`Value`] as JSON.
+//! (re-exported from the local `serde_derive` proc-macro) without
+//! serde's visitor machinery. The two directions are asymmetric:
+//! * [`Serialize`] renders into a concrete [`Value`] tree, which the
+//!   local `serde_json` prints, so every written byte (and every hash
+//!   taken over written bytes) comes from one printer;
+//! * [`Deserialize`] reads JSON text directly through the pull
+//!   [`de::Reader`], building no tree: a derived struct matches its
+//!   borrowed field keys as they stream past.
 //!
 //! Data-model conventions (mirroring serde's externally-tagged defaults):
 //! * structs → maps of field name → value; newtype structs are
@@ -12,10 +17,21 @@
 //! * enums → `"Variant"` for unit variants, `{"Variant": …}` otherwise;
 //! * maps → sequences of `[key, value]` pairs, so non-string keys
 //!   round-trip without a string-key convention.
+//!
+//! Reading accepts what it writes and a little more, the same everywhere:
+//! a struct skips unknown fields, keeps the first of a repeated key and
+//! rejects a missing one (`Option` fields included); an integer target
+//! accepts an integral float and `f64` accepts integers; a tuple struct
+//! or tuple variant ignores extra elements, where a plain tuple rejects
+//! them.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
+
+pub mod de;
+
+use de::{Number, Reader};
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -38,45 +54,6 @@ pub enum Value {
     Seq(Vec<Value>),
     /// Ordered map with string keys (struct fields, enum tags).
     Map(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Borrow as a map, if this is one.
-    pub fn as_map(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Map(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Borrow as a sequence, if this is one.
-    pub fn as_seq(&self) -> Option<&[Value]> {
-        match self {
-            Value::Seq(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Numeric view as `f64` (integers widen).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::I64(v) => Some(*v as f64),
-            Value::U64(v) => Some(*v as f64),
-            Value::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Numeric view as `i128` for integer targets.
-    pub fn as_int(&self) -> Option<i128> {
-        match self {
-            Value::I64(v) => Some(*v as i128),
-            Value::U64(v) => Some(*v as i128),
-            // Accept integral floats: JSON printers drop the ".0".
-            Value::F64(v) if v.fract() == 0.0 && v.abs() < 2f64.powi(63) => Some(*v as i128),
-            _ => None,
-        }
-    }
 }
 
 /// Total, deterministic ordering over [`Value`] trees.
@@ -156,29 +133,30 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Types that can rebuild themselves from a [`Value`].
+/// Types that can read themselves from JSON text.
 pub trait Deserialize: Sized {
-    /// Parse from the value tree.
+    /// Read one value from `r`, consuming exactly its tokens.
     ///
     /// # Errors
-    /// [`DeError`] describing the first mismatch.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
-}
-
-/// Look up a struct field in a serialised map (derive-macro helper).
-///
-/// # Errors
-/// [`DeError`] when the field is absent.
-pub fn field<'v>(map: &'v [(String, Value)], name: &str) -> Result<&'v Value, DeError> {
-    map.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| DeError(format!("missing field `{name}`")))
+    /// [`DeError`] describing the first mismatch or malformed token.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError>;
 }
 
 // ---------------------------------------------------------------------
 // Primitive impls
 // ---------------------------------------------------------------------
+
+/// An integer target's view of a number: integral floats are accepted,
+/// because JSON printers drop the ".0".
+#[inline]
+fn integer(r: &mut Reader<'_>) -> Result<i128, DeError> {
+    match r.number()? {
+        Number::I64(v) => Ok(i128::from(v)),
+        Number::U64(v) => Ok(i128::from(v)),
+        Number::F64(v) if v.fract() == 0.0 && v.abs() < 2f64.powi(63) => Ok(v as i128),
+        Number::F64(v) => Err(DeError(format!("expected integer, got {v}"))),
+    }
+}
 
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
@@ -192,10 +170,9 @@ macro_rules! int_impls {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = v.as_int().ok_or_else(|| DeError(format!(
-                    "expected integer, got {v:?}"
-                )))?;
+            #[inline]
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let n = integer(r)?;
                 <$t>::try_from(n).map_err(|_| DeError(format!(
                     "integer {n} out of range for {}", stringify!($t)
                 )))
@@ -204,31 +181,7 @@ macro_rules! int_impls {
     )*};
 }
 
-int_impls!(i8, i16, i32, i64, isize, u8, u16, u32, usize);
-
-impl Serialize for u64 {
-    fn to_value(&self) -> Value {
-        if *self > i64::MAX as u64 {
-            Value::U64(*self)
-        } else {
-            Value::I64(*self as i64)
-        }
-    }
-}
-
-impl Deserialize for u64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::U64(n) => Ok(*n),
-            _ => {
-                let n = v
-                    .as_int()
-                    .ok_or_else(|| DeError(format!("expected integer, got {v:?}")))?;
-                u64::try_from(n).map_err(|_| DeError(format!("integer {n} out of range for u64")))
-            }
-        }
-    }
-}
+int_impls!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
@@ -237,11 +190,9 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(DeError(format!("expected bool, got {v:?}"))),
-        }
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.bool()
     }
 }
 
@@ -252,9 +203,13 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64()
-            .ok_or_else(|| DeError(format!("expected number, got {v:?}")))
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(match r.number()? {
+            Number::I64(v) => v as f64,
+            Number::U64(v) => v as f64,
+            Number::F64(v) => v,
+        })
     }
 }
 
@@ -265,8 +220,8 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(f64::from_value(v)? as f32)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(f64::deserialize(r)? as f32)
     }
 }
 
@@ -277,10 +232,12 @@ impl Serialize for char {
 }
 
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().expect("one char")),
-            _ => Err(DeError(format!("expected single-char string, got {v:?}"))),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let s = r.string()?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(DeError(format!("expected single-char string, got {s:?}"))),
         }
     }
 }
@@ -292,11 +249,9 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err(DeError(format!("expected string, got {v:?}"))),
-        }
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.string().map(std::borrow::Cow::into_owned)
     }
 }
 
@@ -310,11 +265,8 @@ impl Deserialize for &'static str {
     /// Static string slices (used in error payloads) deserialise by
     /// leaking the parsed string — a deliberate trade for supporting
     /// `&'static str` fields without serde's borrowed-data machinery.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(Box::leak(s.clone().into_boxed_str())),
-            _ => Err(DeError(format!("expected string, got {v:?}"))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(Box::leak(String::deserialize(r)?.into_boxed_str()))
     }
 }
 
@@ -338,10 +290,11 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if r.peek() == Some(b'n') {
+            r.null().map(|()| None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
@@ -353,12 +306,13 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_seq()
-            .ok_or_else(|| DeError(format!("expected sequence, got {v:?}")))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.begin_seq()?;
+        let mut items = Vec::new();
+        while r.next_element()? {
+            items.push(T::deserialize(r)?);
+        }
+        Ok(items)
     }
 }
 
@@ -369,8 +323,8 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let items = Vec::<T>::from_value(v)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let items = Vec::<T>::deserialize(r)?;
         let got = items.len();
         items
             .try_into()
@@ -385,8 +339,8 @@ impl<T: Serialize> Serialize for Box<T> {
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        T::deserialize(r).map(Box::new)
     }
 }
 
@@ -397,8 +351,8 @@ impl<T: Serialize> Serialize for std::sync::Arc<T> {
 }
 
 impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(std::sync::Arc::new)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        T::deserialize(r).map(std::sync::Arc::new)
     }
 }
 
@@ -410,17 +364,6 @@ fn map_to_value<'a, K: Serialize + 'a, V: Serialize + 'a>(
             .map(|(k, v)| Value::Seq(vec![k.to_value(), v.to_value()]))
             .collect(),
     )
-}
-
-fn map_entries<K: Deserialize, V: Deserialize>(v: &Value) -> Result<Vec<(K, V)>, DeError> {
-    v.as_seq()
-        .ok_or_else(|| DeError(format!("expected map (pair sequence), got {v:?}")))?
-        .iter()
-        .map(|pair| match pair.as_seq() {
-            Some([k, val]) => Ok((K::from_value(k)?, V::from_value(val)?)),
-            _ => Err(DeError(format!("expected [key, value] pair, got {pair:?}"))),
-        })
-        .collect()
 }
 
 impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
@@ -439,8 +382,10 @@ impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
 }
 
 impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(map_entries(v)?.into_iter().collect())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        // A map is its `[key, value]` pairs; a repeated key keeps its
+        // last value.
+        Ok(Vec::<(K, V)>::deserialize(r)?.into_iter().collect())
     }
 }
 
@@ -451,8 +396,8 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(map_entries(v)?.into_iter().collect())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(Vec::<(K, V)>::deserialize(r)?.into_iter().collect())
     }
 }
 
@@ -464,17 +409,15 @@ macro_rules! tuple_impls {
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let s = v.as_seq()
-                    .ok_or_else(|| DeError(format!("expected tuple sequence, got {v:?}")))?;
-                let mut it = s.iter();
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                r.begin_seq()?;
                 let out = ($(
                     {
                         let _ = $n; // positional marker
-                        $t::from_value(it.next().ok_or_else(|| DeError("tuple too short".into()))?)?
+                        r.element::<$t>("tuple too short")?
                     },
                 )+);
-                if it.next().is_some() {
+                if r.next_element()? {
                     return Err(DeError("tuple too long".into()));
                 }
                 Ok(out)
@@ -497,8 +440,38 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(match r.peek() {
+            Some(b'n') => {
+                r.null()?;
+                Value::Null
+            }
+            Some(b't' | b'f') => Value::Bool(r.bool()?),
+            Some(b'"') => Value::Str(r.string()?.into_owned()),
+            Some(b'[') => {
+                r.begin_seq()?;
+                let mut items = Vec::new();
+                while r.next_element()? {
+                    items.push(Value::deserialize(r)?);
+                }
+                Value::Seq(items)
+            }
+            Some(b'{') => {
+                r.begin_map()?;
+                let mut entries = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    entries.push((key.into_owned(), Value::deserialize(r)?));
+                }
+                Value::Map(entries)
+            }
+            Some(b'-' | b'0'..=b'9') => match r.number()? {
+                Number::I64(v) => Value::I64(v),
+                Number::U64(v) => Value::U64(v),
+                Number::F64(v) => Value::F64(v),
+            },
+            None => return Err(r.error("unexpected end of input")),
+            Some(c) => return Err(r.error(&format!("unexpected `{}`", c as char))),
+        })
     }
 }
 
@@ -506,41 +479,89 @@ impl Deserialize for Value {
 mod tests {
     use super::*;
 
+    fn read<T: Deserialize>(json: &str) -> Result<T, DeError> {
+        let mut r = Reader::new(json);
+        let value = T::deserialize(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
+
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(i32::from_value(&42i32.to_value()), Ok(42));
-        assert_eq!(u64::from_value(&u64::MAX.to_value()), Ok(u64::MAX));
-        assert_eq!(f64::from_value(&1.5f64.to_value()), Ok(1.5));
-        assert_eq!(bool::from_value(&true.to_value()), Ok(true));
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()),
-            Ok("hi".to_string())
-        );
+        assert_eq!(read::<i32>("42"), Ok(42));
+        assert_eq!(read::<u64>("18446744073709551615"), Ok(u64::MAX));
+        assert_eq!(read::<f64>("1.5"), Ok(1.5));
+        assert_eq!(read::<bool>("true"), Ok(true));
+        assert_eq!(read::<String>("\"hi\""), Ok("hi".to_string()));
+        assert_eq!(read::<char>("\"x\""), Ok('x'));
+        assert!(read::<char>("\"xy\"").is_err());
+        assert!(read::<u8>("256").is_err());
+        assert!(read::<u32>("-1").is_err());
     }
 
     #[test]
     fn integral_floats_deserialise_as_integers() {
-        assert_eq!(u32::from_value(&Value::F64(7.0)), Ok(7));
-        assert!(u32::from_value(&Value::F64(7.5)).is_err());
+        assert_eq!(read::<u32>("7.0"), Ok(7));
+        assert_eq!(read::<u32>("7e0"), Ok(7));
+        assert!(read::<u32>("7.5").is_err());
     }
 
     #[test]
     fn containers_round_trip() {
-        let v = vec![(String::from("a"), 1u32), (String::from("b"), 2)];
-        let back: Vec<(String, u32)> = Deserialize::from_value(&v.to_value()).expect("round trip");
-        assert_eq!(back, v);
+        let v: Vec<(String, u32)> = read(r#"[["a", 1], ["b", 2]]"#).expect("pairs");
+        assert_eq!(v, vec![(String::from("a"), 1u32), (String::from("b"), 2)]);
 
         let mut m = HashMap::new();
         m.insert(3u32, vec![1i64, 2]);
-        let back: HashMap<u32, Vec<i64>> = Deserialize::from_value(&m.to_value()).expect("map");
-        assert_eq!(back, m);
+        assert_eq!(read::<HashMap<u32, Vec<i64>>>("[[3, [1, 2]]]"), Ok(m));
+        // A repeated map key keeps its last value, as collecting would.
+        let b: BTreeMap<u8, u8> = read("[[1, 2], [1, 3]]").expect("map");
+        assert_eq!(b.into_iter().collect::<Vec<_>>(), vec![(1, 3)]);
+        assert!(read::<BTreeMap<u8, u8>>("[[1]]").is_err());
+        assert!(read::<BTreeMap<u8, u8>>("[[1, 2, 3]]").is_err());
 
-        let arr = [1u8, 2, 3];
-        let back: [u8; 3] = Deserialize::from_value(&arr.to_value()).expect("array");
-        assert_eq!(back, arr);
+        assert_eq!(read::<[u8; 3]>("[1, 2, 3]"), Ok([1, 2, 3]));
+        assert!(read::<[u8; 3]>("[1, 2]").is_err());
+        assert_eq!(read::<Option<i32>>("null"), Ok(None));
+        assert_eq!(read::<Option<i32>>("5"), Ok(Some(5)));
+    }
 
-        let opt: Option<i32> = None;
-        assert_eq!(Option::<i32>::from_value(&opt.to_value()), Ok(None));
+    #[test]
+    fn values_read_every_shape() {
+        let v: Value = read(r#"{"a": [null, true, -3, 18446744073709551615, 0.5, "s"], "b": {}}"#)
+            .expect("value");
+        let expected = Value::Map(vec![
+            (
+                "a".into(),
+                Value::Seq(vec![
+                    Value::Null,
+                    Value::Bool(true),
+                    Value::I64(-3),
+                    Value::U64(u64::MAX),
+                    Value::F64(0.5),
+                    Value::Str("s".into()),
+                ]),
+            ),
+            ("b".into(), Value::Map(vec![])),
+        ]);
+        assert_eq!(v, expected);
+    }
+
+    #[test]
+    fn nesting_stops_at_the_depth_limit() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deepest = nest(de::MAX_DEPTH);
+        let too_deep = nest(de::MAX_DEPTH + 1);
+        assert!(read::<Value>(&deepest).is_ok());
+        assert!(read::<Value>(&too_deep).is_err());
+        let skip = |json: &str| {
+            let mut r = Reader::new(json);
+            r.skip_value().and_then(|()| r.finish())
+        };
+        assert!(skip(&deepest).is_ok());
+        assert!(skip(&too_deep).is_err());
+        // Far past the limit, the reader fails before it recurses far.
+        assert!(skip(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Derive `serde::Serialize` (value-tree flavour).
+/// Derive `serde::Serialize`: code that renders the item as a
+/// `serde::Value` tree.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -18,7 +19,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Shape::NamedStruct(fields) => {
             let pushes: String = fields
                 .iter()
-                .map(|f| {
+                .map(|Field { name: f, .. }| {
                     format!("m.push(({f:?}.to_string(), ::serde::Serialize::to_value(&self.{f})));")
                 })
                 .collect();
@@ -62,16 +63,17 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         VariantShape::Struct(fields) => {
                             let pushes: Vec<String> = fields
                                 .iter()
-                                .map(|f| {
+                                .map(|Field { name: f, .. }| {
                                     format!(
                                         "({f:?}.to_string(), ::serde::Serialize::to_value({f}))"
                                     )
                                 })
                                 .collect();
+                            let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                             format!(
                                 "{name}::{vn} {{ {} }} => ::serde::Value::Map(vec![({vn:?}\
                                  .to_string(), ::serde::Value::Map(vec![{}]))]),",
-                                fields.join(", "),
+                                names.join(", "),
                                 pushes.join(", ")
                             )
                         }
@@ -89,44 +91,24 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .expect("generated Serialize impl parses")
 }
 
-/// Derive `serde::Deserialize` (value-tree flavour).
+/// Derive `serde::Deserialize`: code that reads the item straight off
+/// a `serde::de::Reader`.
+///
+/// A named struct (or struct variant) keeps one `Option` slot per field
+/// and matches each borrowed key against the field names: the first
+/// occurrence of a key fills its slot, repeats and unknown keys are
+/// skipped, and an empty slot at the closing brace is a missing-field
+/// error. An enum reads a unit variant from its name string and any
+/// other variant from the single key of `{"Variant": payload}`.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let name = &item.name;
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!("{f}: ::serde::Deserialize::from_value(::serde::field(m, {f:?})?)?")
-                })
-                .collect();
-            format!(
-                "let m = v.as_map().ok_or_else(|| ::serde::DeError::custom(\
-                 \"expected map for struct {name}\"))?; Ok({name} {{ {} }})",
-                inits.join(", ")
-            )
-        }
-        Shape::TupleStruct(1) => {
-            format!("Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Shape::TupleStruct(n) => {
-            let gets: Vec<String> = (0..*n)
-                .map(|i| {
-                    format!(
-                        "::serde::Deserialize::from_value(s.get({i}).ok_or_else(|| \
-                         ::serde::DeError::custom(\"tuple struct too short\"))?)?"
-                    )
-                })
-                .collect();
-            format!(
-                "let s = v.as_seq().ok_or_else(|| ::serde::DeError::custom(\
-                 \"expected sequence for tuple struct {name}\"))?; Ok({name}({}))",
-                gets.join(", ")
-            )
-        }
-        Shape::UnitStruct => format!("Ok({name})"),
+        Shape::NamedStruct(fields) => format!("Ok({})", read_named(name, fields)),
+        Shape::TupleStruct(1) => format!("Ok({name}(::serde::Deserialize::deserialize(r)?))"),
+        Shape::TupleStruct(n) => format!("Ok({})", read_tuple(name, *n, "tuple struct too short")),
+        Shape::UnitStruct => format!("r.skip_value()?; Ok({name})"),
         Shape::Enum(variants) => {
             let unit_arms: String = variants
                 .iter()
@@ -136,69 +118,97 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             let tagged_arms: String = variants
                 .iter()
                 .filter_map(|v| {
-                    let vn = &v.name;
-                    match &v.shape {
-                        VariantShape::Unit => None,
-                        VariantShape::Tuple(1) => Some(format!(
-                            "{vn:?} => Ok({name}::{vn}(::serde::Deserialize::from_value(payload)?)),"
-                        )),
-                        VariantShape::Tuple(n) => {
-                            let gets: Vec<String> = (0..*n)
-                                .map(|i| {
-                                    format!(
-                                        "::serde::Deserialize::from_value(s.get({i}).ok_or_else(\
-                                         || ::serde::DeError::custom(\"variant tuple too short\"\
-                                         ))?)?"
-                                    )
-                                })
-                                .collect();
-                            Some(format!(
-                                "{vn:?} => {{ let s = payload.as_seq().ok_or_else(|| \
-                                 ::serde::DeError::custom(\"expected sequence payload\"))?; \
-                                 Ok({name}::{vn}({})) }},",
-                                gets.join(", ")
-                            ))
+                    let path = format!("{name}::{}", v.name);
+                    let read = match &v.shape {
+                        VariantShape::Unit => return None,
+                        VariantShape::Tuple(1) => {
+                            format!("{path}(::serde::Deserialize::deserialize(r)?)")
                         }
-                        VariantShape::Struct(fields) => {
-                            let inits: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "{f}: ::serde::Deserialize::from_value(\
-                                         ::serde::field(m, {f:?})?)?"
-                                    )
-                                })
-                                .collect();
-                            Some(format!(
-                                "{vn:?} => {{ let m = payload.as_map().ok_or_else(|| \
-                                 ::serde::DeError::custom(\"expected map payload\"))?; \
-                                 Ok({name}::{vn} {{ {} }}) }},",
-                                inits.join(", ")
-                            ))
-                        }
-                    }
+                        VariantShape::Tuple(n) => read_tuple(&path, *n, "variant tuple too short"),
+                        VariantShape::Struct(fields) => read_named(&path, fields),
+                    };
+                    Some(format!("{:?} => {read},", v.name))
                 })
                 .collect();
+            let unknown = format!(
+                "other => return Err(::serde::DeError::custom(format!(\
+                 \"unknown variant `{{other}}` of {name}\"))),"
+            );
+            // Each arm only when some variant takes that form: an arm
+            // of nothing but `unknown` would diverge.
+            let unit = if unit_arms.is_empty() {
+                String::new()
+            } else {
+                format!("Some(b'\"') => match &*r.string()? {{ {unit_arms} {unknown} }},")
+            };
+            let tagged = if tagged_arms.is_empty() {
+                String::new()
+            } else {
+                format!(
+                    "Some(b'{{') => {{\n\
+                     r.begin_map()?;\n\
+                     let Some(tag) = r.next_key()? else {{\n\
+                         return Err(r.error(\"expected enum {name}, got an empty map\"));\n\
+                     }};\n\
+                     let value = match &*tag {{ {tagged_arms} {unknown} }};\n\
+                     if r.next_key()?.is_some() {{\n\
+                         return Err(r.error(\"expected enum {name}, got a map of several keys\"));\n\
+                     }}\n\
+                     Ok(value)\n\
+                     }},"
+                )
+            };
             format!(
-                "match v {{\n\
-                 ::serde::Value::Str(tag) => match tag.as_str() {{ {unit_arms} other => \
-                 Err(::serde::DeError::custom(format!(\"unknown variant `{{other}}` of {name}\"))) }},\n\
-                 ::serde::Value::Map(m) if m.len() == 1 => {{\n\
-                     let (tag, payload) = &m[0];\n\
-                     match tag.as_str() {{ {tagged_arms} other => \
-                     Err(::serde::DeError::custom(format!(\"unknown variant `{{other}}` of {name}\"))) }}\n\
-                 }},\n\
-                 other => Err(::serde::DeError::custom(format!(\"expected enum {name}, got {{other:?}}\"))),\n\
-                 }}"
+                "match r.peek() {{ {unit} {tagged} _ => Err(r.error(\"expected enum {name}\")), }}"
             )
         }
     };
     format!(
-        "impl ::serde::Deserialize for {name} {{\n fn from_value(v: &::serde::Value) -> \
-         ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\n }}"
+        "impl ::serde::Deserialize for {name} {{\n fn deserialize(r: &mut ::serde::de::Reader<'_>) \
+         -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\n }}"
     )
     .parse()
     .expect("generated Deserialize impl parses")
+}
+
+/// An expression reading a map into the named-field value `path { … }`.
+fn read_named(path: &str, fields: &[Field]) -> String {
+    let slots: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| format!("let mut f{i}: ::std::option::Option<{}> = None;", f.ty))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "{:?} if f{i}.is_none() => f{i} = Some(::serde::Deserialize::deserialize(r)?),",
+                f.name
+            )
+        })
+        .collect();
+    let inits: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| format!("{}: ::serde::de::required(f{i}, {:?})?", f.name, f.name))
+        .collect();
+    format!(
+        "{{ r.begin_map()?; {slots}\n\
+         while let Some(key) = r.next_key()? {{ match &*key {{ {arms} _ => r.skip_value()?, }} }}\n\
+         {path} {{ {} }} }}",
+        inits.join(", ")
+    )
+}
+
+/// An expression reading a sequence into the tuple value `path(…)`;
+/// elements past the `n`th are skipped.
+fn read_tuple(path: &str, n: usize, short: &str) -> String {
+    let gets: Vec<String> = (0..n).map(|_| format!("r.element({short:?})?")).collect();
+    format!(
+        "{{ r.begin_seq()?; let value = {path}({}); r.skip_elements()?; value }}",
+        gets.join(", ")
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -210,8 +220,14 @@ struct Item {
     shape: Shape,
 }
 
+/// A named field and its type, as source text.
+struct Field {
+    name: String,
+    ty: String,
+}
+
 enum Shape {
-    NamedStruct(Vec<String>),
+    NamedStruct(Vec<Field>),
     TupleStruct(usize),
     UnitStruct,
     Enum(Vec<Variant>),
@@ -225,7 +241,7 @@ struct Variant {
 enum VariantShape {
     Unit,
     Tuple(usize),
-    Struct(Vec<String>),
+    Struct(Vec<Field>),
 }
 
 fn parse_item(input: TokenStream) -> Item {
@@ -309,16 +325,22 @@ fn split_top_level(stream: TokenStream) -> Vec<Vec<TokenTree>> {
     out
 }
 
-/// Field names of a named-field body (struct or struct variant).
-fn named_fields(stream: TokenStream) -> Vec<String> {
+/// The fields of a named-field body (struct or struct variant).
+fn named_fields(stream: TokenStream) -> Vec<Field> {
     split_top_level(stream)
         .into_iter()
         .map(|field| {
             let mut i = 0;
             skip_attrs_and_vis(&field, &mut i);
-            match &field[i] {
+            let name = match &field[i] {
                 TokenTree::Ident(id) => id.to_string(),
                 t => panic!("derive: expected field name, found {t}"),
+            };
+            // Skip the name and its `:`; the rest is the type.
+            let ty: TokenStream = field[i + 2..].iter().cloned().collect();
+            Field {
+                name,
+                ty: ty.to_string(),
             }
         })
         .collect()

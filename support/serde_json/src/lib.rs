@@ -1,6 +1,9 @@
-//! Vendored, dependency-free subset of `serde_json` over the local
-//! `serde` value tree: pretty/compact printing and a strict JSON parser.
+//! Vendored, dependency-free subset of `serde_json` for the local
+//! `serde`: compact and pretty printing of the [`Value`] tree that
+//! [`Serialize`] builds, and [`from_str`], which hands the text to the
+//! type's own [`Deserialize`] impl through a `serde::de::Reader`.
 
+use serde::de::Reader;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
@@ -38,23 +41,16 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
-/// Parse a value from JSON text.
+/// Read a value from JSON text; anything but whitespace after it is an
+/// error.
 ///
 /// # Errors
-/// [`Error`] with the position of the first malformed construct, or the
-/// deserialiser's type mismatch.
+/// [`Error`] with the first malformed construct or type mismatch.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing characters at byte {}", p.pos)));
-    }
-    T::from_value(&v).map_err(|e| Error(e.to_string()))
+    let mut r = Reader::new(text);
+    T::deserialize(&mut r)
+        .and_then(|value| r.finish().map(|()| value))
+        .map_err(|e| Error(e.to_string()))
 }
 
 // ---------------------------------------------------------------------
@@ -153,205 +149,6 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-// ---------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.bytes.get(self.pos) {
-            None => Err(Error("unexpected end of input".into())),
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b']') {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(items));
-                        }
-                        _ => {
-                            return Err(Error(format!("expected `,` or `]` at byte {}", self.pos)))
-                        }
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_ws();
-                    let val = self.value()?;
-                    entries.push((key, val));
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(entries));
-                        }
-                        _ => {
-                            return Err(Error(format!("expected `,` or `}}` at byte {}", self.pos)))
-                        }
-                    }
-                }
-            }
-            Some(c) if *c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(Error(format!(
-                "unexpected `{}` at byte {}",
-                *c as char, self.pos
-            ))),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(Error("unterminated string".into())),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error("bad \\u escape".into()))?,
-                                16,
-                            )
-                            .map_err(|_| Error("bad \\u escape".into()))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error("surrogate \\u escape".into()))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(Error(format!("bad escape at byte {}", self.pos))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Bulk-copy the run up to the next quote or escape:
-                    // one UTF-8 validation per run, not per character
-                    // (per-character validation of the remaining input
-                    // is quadratic in the document size).
-                    let start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| Error("invalid UTF-8".into()))?;
-                    out.push_str(run);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(c) = self.bytes.get(self.pos) {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid number".into()))?;
-        if !float {
-            if let Ok(n) = text.parse::<i64>() {
-                return Ok(Value::I64(n));
-            }
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::U64(n));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error(format!("malformed number `{text}`")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,5 +202,190 @@ mod tests {
         let v = Value::F64(0.1 + 0.2);
         let back: Value = from_str(&to_string(&v).expect("print")).expect("parse");
         assert_eq!(back, v);
+    }
+
+    #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Point {
+        x: i32,
+        label: Option<String>,
+        weight: f64,
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Pair(u8, u8);
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Shape {
+        Empty,
+        Dot(Point),
+        Segment(u8, u8),
+        Box { w: u32, h: u32 },
+    }
+
+    #[test]
+    fn struct_fields_read_in_any_order() {
+        let want = Point {
+            x: 3,
+            label: Some("a".into()),
+            weight: 0.5,
+        };
+        for json in [
+            r#"{"x":3,"label":"a","weight":0.5}"#,
+            r#"{"weight":0.5,"x":3,"label":"a"}"#,
+            r#"{"label":"a","weight":0.5,"x":3}"#,
+        ] {
+            assert_eq!(from_str::<Point>(json), Ok(want.clone()), "{json}");
+        }
+    }
+
+    #[test]
+    fn unknown_fields_are_skipped_however_nested() {
+        let json = r#"{"extra":{"deep":[1,{"a":[null,true,"s\"]"]},-2.5e3]},"x":1,
+            "label":null,"more":[[],{}],"weight":2}"#;
+        let want = Point {
+            x: 1,
+            label: None,
+            weight: 2.0,
+        };
+        assert_eq!(from_str::<Point>(json), Ok(want));
+        // A skipped value must still be well-formed JSON.
+        assert!(from_str::<Point>(r#"{"extra":[1,],"x":1,"label":null,"weight":2}"#).is_err());
+    }
+
+    #[test]
+    fn the_first_of_a_repeated_key_wins() {
+        let json = r#"{"x":1,"label":null,"weight":2,"x":"not even a number"}"#;
+        assert_eq!(from_str::<Point>(json).map(|p| p.x), Ok(1));
+    }
+
+    #[test]
+    fn a_missing_field_is_an_error_even_for_an_option() {
+        let err = from_str::<Point>(r#"{"x":1,"weight":2}"#).expect_err("label is missing");
+        assert!(err.to_string().contains("missing field `label`"), "{err}");
+        assert!(from_str::<Point>(r#"{"label":null,"weight":2}"#).is_err());
+    }
+
+    #[test]
+    fn numbers_convert_between_integers_and_floats() {
+        assert_eq!(from_str::<u32>("7.0"), Ok(7));
+        assert_eq!(from_str::<i64>("-2e3"), Ok(-2000));
+        assert!(from_str::<u32>("7.25").is_err());
+        assert_eq!(from_str::<f64>("7"), Ok(7.0));
+        assert_eq!(from_str::<f64>("18446744073709551615"), Ok(u64::MAX as f64));
+        assert_eq!(from_str::<u64>("18446744073709551615"), Ok(u64::MAX));
+        assert!(from_str::<u64>("18446744073709551616").is_err());
+        assert_eq!(from_str::<i64>("-9223372036854775808"), Ok(i64::MIN));
+        assert!(from_str::<i64>("9223372036854775808").is_err());
+        assert_eq!(
+            from_str::<Value>("9223372036854775808"),
+            Ok(Value::U64(1 << 63))
+        );
+        // Float text goes through `str::parse::<f64>`, bit for bit.
+        for text in ["0.1", "1e-320", "-0.0", "2.5E+10", "123456789.123456789"] {
+            let got = from_str::<f64>(text).expect(text);
+            assert_eq!(got.to_bits(), text.parse::<f64>().expect(text).to_bits());
+        }
+    }
+
+    #[test]
+    fn escapes_decode() {
+        assert_eq!(
+            from_str::<String>(r#""q\"b\\s\/n\n\u00e9\u0041""#),
+            Ok("q\"b\\s/n\n\u{e9}A".to_string())
+        );
+        assert_eq!(from_str::<String>(r#""ö""#), Ok("ö".to_string()));
+        assert!(from_str::<String>(r#""\x""#).is_err());
+        assert!(from_str::<String>(r#""\ud800""#).is_err());
+        assert!(from_str::<String>(r#""\u00"#).is_err());
+        assert!(from_str::<String>(r#""open"#).is_err());
+        // Keys with escapes match field names too.
+        let p: Point =
+            from_str(r#"{"\u0078":1,"lab\u0065l":null,"weight":0}"#).expect("escaped keys");
+        assert_eq!(p.x, 1);
+        let control = "\u{1}\t".to_string();
+        assert_eq!(
+            from_str::<String>(&to_string(&control).expect("print")),
+            Ok(control)
+        );
+    }
+
+    #[test]
+    fn empty_containers_and_pretty_input_read() {
+        assert_eq!(from_str::<Vec<u8>>("[]"), Ok(vec![]));
+        assert_eq!(from_str::<Vec<u8>>(" [ ] "), Ok(vec![]));
+        assert_eq!(from_str::<Value>("{}"), Ok(Value::Map(vec![])));
+        let shapes = vec![
+            Shape::Empty,
+            Shape::Dot(Point {
+                x: -1,
+                label: Some("p".into()),
+                weight: 1.5,
+            }),
+            Shape::Segment(1, 2),
+            Shape::Box { w: 3, h: 4 },
+        ];
+        let pretty = to_string_pretty(&shapes).expect("pretty");
+        assert!(pretty.contains("\n  "));
+        assert_eq!(from_str::<Vec<Shape>>(&pretty), Ok(shapes));
+        assert_eq!(
+            from_str::<Shape>("\t{ \"Box\" :\r\n{ \"h\" : 4 , \"w\" : 3 } }\n"),
+            Ok(Shape::Box { w: 3, h: 4 })
+        );
+    }
+
+    #[test]
+    fn enums_accept_only_their_own_variants() {
+        assert_eq!(from_str::<Shape>(r#""Empty""#), Ok(Shape::Empty));
+        for bad in [
+            r#""Circle""#,
+            r#"{"Circle":1}"#,
+            r#""Segment""#,
+            r#"{"Empty":null}"#,
+            r#"{}"#,
+            r#"{"Segment":[1,2],"Empty":null}"#,
+            "3",
+        ] {
+            assert!(from_str::<Shape>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn tuple_length_rules() {
+        // Plain tuples take exactly their arity.
+        assert_eq!(from_str::<(u8, u8)>("[1,2]"), Ok((1, 2)));
+        assert!(from_str::<(u8, u8)>("[1]").is_err());
+        assert!(from_str::<(u8, u8)>("[1,2,3]").is_err());
+        // Tuple structs and tuple variants ignore extra elements.
+        assert_eq!(from_str::<Pair>("[1,2,[3]]"), Ok(Pair(1, 2)));
+        assert!(from_str::<Pair>("[1]").is_err());
+        assert_eq!(
+            from_str::<Shape>(r#"{"Segment":[1,2,"x"]}"#),
+            Ok(Shape::Segment(1, 2))
+        );
+        assert!(from_str::<Shape>(r#"{"Segment":[1]}"#).is_err());
+        assert_eq!(from_str::<[u8; 2]>("[1,2]"), Ok([1, 2]));
+        assert!(from_str::<[u8; 2]>("[1,2,3]").is_err());
+    }
+
+    #[test]
+    fn trailing_characters_are_rejected() {
+        assert_eq!(from_str::<u8>(" 1 \n"), Ok(1));
+        for bad in ["1 2", "[1] x", "{} {}", "\"a\"\"b\"", "null,"] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad}");
+        }
+        assert!(from_str::<Point>(r#"{"x":1,"label":null,"weight":2}}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        let deep = |n: usize| format!("{}0{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&deep(serde::de::MAX_DEPTH - 1)).is_ok());
+        assert!(from_str::<Value>(&deep(serde::de::MAX_DEPTH + 1)).is_err());
+        // Also inside a field that is skipped.
+        let hidden = format!(
+            r#"{{"x":1,"label":null,"weight":2,"junk":{}}}"#,
+            deep(serde::de::MAX_DEPTH)
+        );
+        assert!(from_str::<Point>(&hidden).is_err());
     }
 }
