@@ -388,4 +388,122 @@ mod tests {
         );
         assert!(from_str::<Point>(&hidden).is_err());
     }
+
+    #[derive(serde::Serialize)]
+    struct Meters(u32);
+
+    #[derive(serde::Serialize)]
+    struct Marker;
+
+    #[derive(serde::Serialize)]
+    struct Nothing {}
+
+    /// The exact bytes of both printers. Store file names, store keys
+    /// and committed JSON all hash or compare these bytes, so a change
+    /// here is a format change, never a refactor.
+    #[test]
+    fn printer_bytes_are_pinned() {
+        use std::collections::{BTreeMap, HashMap};
+        fn pin<T: serde::Serialize>(value: &T, compact: &str, pretty: &str) {
+            assert_eq!(to_string(value).expect("print"), compact);
+            assert_eq!(to_string_pretty(value).expect("pretty"), pretty);
+        }
+        let point = |label: Option<&str>| Point {
+            x: -1,
+            label: label.map(String::from),
+            weight: 1.5,
+        };
+        // Every derive shape.
+        pin(
+            &point(Some("a")),
+            r#"{"x":-1,"label":"a","weight":1.5}"#,
+            "{\n  \"x\": -1,\n  \"label\": \"a\",\n  \"weight\": 1.5\n}",
+        );
+        pin(&Meters(7), "7", "7");
+        pin(&Pair(1, 2), "[1,2]", "[\n  1,\n  2\n]");
+        pin(&Marker, "null", "null");
+        pin(&Nothing {}, "{}", "{}");
+        pin(&Shape::Empty, r#""Empty""#, r#""Empty""#);
+        pin(
+            &Shape::Dot(point(None)),
+            r#"{"Dot":{"x":-1,"label":null,"weight":1.5}}"#,
+            "{\n  \"Dot\": {\n    \"x\": -1,\n    \"label\": null,\n    \"weight\": 1.5\n  }\n}",
+        );
+        pin(
+            &Shape::Segment(1, 2),
+            r#"{"Segment":[1,2]}"#,
+            "{\n  \"Segment\": [\n    1,\n    2\n  ]\n}",
+        );
+        pin(
+            &Shape::Box { w: 3, h: 4 },
+            r#"{"Box":{"w":3,"h":4}}"#,
+            "{\n  \"Box\": {\n    \"w\": 3,\n    \"h\": 4\n  }\n}",
+        );
+        // Options, empty containers and nesting.
+        pin(&Some(5u8), "5", "5");
+        pin(&None::<u8>, "null", "null");
+        pin(&Vec::<u8>::new(), "[]", "[]");
+        pin(&vec![Vec::<u8>::new()], "[[]]", "[\n  []\n]");
+        pin(
+            &(Vec::<u8>::new(), Nothing {}, [[1u8]]),
+            "[[],{},[[1]]]",
+            "[\n  [],\n  {},\n  [\n    [\n      1\n    ]\n  ]\n]",
+        );
+        pin(
+            &(1u8, "s", true, 'c'),
+            r#"[1,"s",true,"c"]"#,
+            "[\n  1,\n  \"s\",\n  true,\n  \"c\"\n]",
+        );
+        pin(&Box::new(std::sync::Arc::new(false)), "false", "false");
+        // Integers at the edges of both ranges.
+        pin(&u64::MAX, "18446744073709551615", "18446744073709551615");
+        pin(&i64::MIN, "-9223372036854775808", "-9223372036854775808");
+        pin(
+            &(i64::MAX as u64 + 1),
+            "9223372036854775808",
+            "9223372036854775808",
+        );
+        pin(&-1i8, "-1", "-1");
+        // Floats: shortest round-trip text, an `f32` widened to `f64`,
+        // integral values without ".0", and non-finite values as null.
+        pin(&(0.1 + 0.2), "0.30000000000000004", "0.30000000000000004");
+        pin(&0.1f32, "0.10000000149011612", "0.10000000149011612");
+        pin(&2.0f64, "2", "2");
+        pin(&-0.0f64, "-0", "-0");
+        pin(&1e21f64, "1000000000000000000000", "1000000000000000000000");
+        pin(&1e-7f64, "0.0000001", "0.0000001");
+        pin(
+            &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY],
+            "[null,null,null]",
+            "[\n  null,\n  null,\n  null\n]",
+        );
+        // Strings: the short escapes, other control characters as
+        // lowercase `\u00xx`, everything else (`/`, DEL, non-ASCII) as is.
+        let escaped = concat!(
+            r#""q\"b\\/\n\r\t\u0008\u000c\u001f\u0001"#,
+            "\u{7f}",
+            r#"é😀""#
+        );
+        pin(
+            &"q\"b\\/\n\r\t\u{8}\u{c}\u{1f}\u{1}\u{7f}é😀",
+            escaped,
+            escaped,
+        );
+        // Maps are `[key, value]` pairs; a hash map in key order, here
+        // numeric (9 < 10 < 100), not textual.
+        let hash: HashMap<u32, &str> = [(100, "c"), (9, "a"), (10, "b")].into_iter().collect();
+        pin(
+            &hash,
+            r#"[[9,"a"],[10,"b"],[100,"c"]]"#,
+            "[\n  [\n    9,\n    \"a\"\n  ],\n  [\n    10,\n    \"b\"\n  ],\n  [\n    100,\n    \"c\"\n  ]\n]",
+        );
+        let tree: BTreeMap<String, Vec<u8>> = [("b".into(), vec![]), ("a".into(), vec![1])]
+            .into_iter()
+            .collect();
+        pin(
+            &tree,
+            r#"[["a",[1]],["b",[]]]"#,
+            "[\n  [\n    \"a\",\n    [\n      1\n    ]\n  ],\n  [\n    \"b\",\n    []\n  ]\n]",
+        );
+    }
 }
