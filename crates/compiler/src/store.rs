@@ -101,9 +101,9 @@ pub(crate) fn fnv_offset() -> u128 {
 }
 
 /// Hash a serializable value into a running FNV-1a-128 chain via its
-/// compact JSON rendering. The vendored serde serializes hash maps in
-/// canonical key order and floats in shortest round-trip form, so equal
-/// values hash equally across processes.
+/// compact JSON rendering. The vendored serde writes hash maps in key
+/// order and floats in shortest round-trip form, so equal values hash
+/// equally across processes.
 pub(crate) fn hash_json<T: Serialize>(hash: u128, value: &T) -> u128 {
     let text = serde_json::to_string(value).expect("serializable value");
     fnv1a128(hash, text.as_bytes())

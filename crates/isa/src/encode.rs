@@ -8,11 +8,10 @@
 //! property tests exercise.
 
 use crate::insn::{AluOp, Cond, Insn, Operand, Reg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error produced by [`decode_insn`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeInsnError {
     /// The stream ended in the middle of an instruction.
     Truncated,

@@ -5,23 +5,25 @@
 //! [`Reader::begin_seq`] and iterated with [`Reader::next_key`] /
 //! [`Reader::next_element`], which also consume the closing bracket.
 //! Keys without escapes are borrowed from the input, so a derived struct
-//! matches its field names without allocating. Only a read of a
-//! [`Value`](crate::Value) builds one, and so does
-//! [`Reader::skip_value`], which drops it.
+//! matches its field names without allocating, and
+//! [`Reader::skip_value`] walks a value it does not need through the
+//! same calls, building nothing.
 //!
 //! The grammar is strict JSON with whitespace allowed between any two
 //! tokens, and numbers scanned as a greedy run of `-`, digits, `.`,
 //! `e`, `E` and `+` that must then parse as an `i64`, a `u64` or an
 //! `f64` (in that order, the first two only without a float character).
 //! Containers nest at most [`MAX_DEPTH`] deep: deeper input is an error,
-//! not a stack overflow.
+//! not a stack overflow. A `\u` escape takes exactly four hex digits; a
+//! UTF-16 surrogate pair of two escapes is one character, and a lone
+//! surrogate is an error.
 
 use crate::{DeError, Deserialize};
 use std::borrow::Cow;
 
 /// Deepest container nesting a [`Reader`] accepts (the default
 /// recursion limit of the real `serde_json`). Every open `[` or `{`
-/// counts, whether it is decoded, skipped or read into a `Value`.
+/// counts, whether it is decoded or skipped.
 pub const MAX_DEPTH: usize = 128;
 
 /// A JSON number as written: an integer when the text has no `.`, `e`,
@@ -226,19 +228,42 @@ impl<'a> Reader<'a> {
             Some(b'b') => '\u{8}',
             Some(b'f') => '\u{c}',
             Some(b'u') => {
-                let hex = self
-                    .bytes
-                    .get(self.pos + 1..self.pos + 5)
-                    .ok_or_else(|| DeError("truncated \\u escape".into()))?;
-                let code = std::str::from_utf8(hex)
-                    .ok()
-                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                    .ok_or_else(|| DeError("bad \\u escape".into()))?;
-                self.pos += 4;
-                char::from_u32(code).ok_or_else(|| DeError("surrogate \\u escape".into()))?
+                let code = match self.hex4()? {
+                    high @ 0xd800..=0xdbff => {
+                        if !self.bytes[self.pos + 1..].starts_with(b"\\u") {
+                            return Err(self.error("lone surrogate \\u escape"));
+                        }
+                        self.pos += 2;
+                        match self.hex4()? {
+                            low @ 0xdc00..=0xdfff => {
+                                0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00)
+                            }
+                            _ => return Err(self.error("lone surrogate \\u escape")),
+                        }
+                    }
+                    code => code,
+                };
+                char::from_u32(code).ok_or_else(|| self.error("lone surrogate \\u escape"))?
             }
             _ => return Err(self.error("bad escape")),
         })
+    }
+
+    /// The four hex digits after the `u` at `pos` (left on the last).
+    fn hex4(&mut self) -> Result<u32, DeError> {
+        let hex = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| DeError("truncated \\u escape".into()))?;
+        let mut code = 0;
+        for &b in hex {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| DeError("bad \\u escape".into()))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     #[inline]
@@ -322,14 +347,30 @@ impl<'a> Reader<'a> {
     }
 
     /// Read and discard one value of any shape, checking it as strictly
-    /// as a typed read would. Skipping is rare (unknown fields, repeated
-    /// keys, a tuple struct's extra elements), so it reads a
-    /// [`Value`](crate::Value) and drops it.
+    /// as a typed read would.
     ///
     /// # Errors
     /// [`DeError`] on malformed input or nesting past [`MAX_DEPTH`].
     pub fn skip_value(&mut self) -> Result<(), DeError> {
-        crate::Value::deserialize(self).map(drop)
+        match self.peek() {
+            Some(b'n') => self.null(),
+            Some(b't' | b'f') => self.bool().map(drop),
+            Some(b'"') => self.string().map(drop),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            Some(b'[') => {
+                self.begin_seq()?;
+                self.skip_elements()
+            }
+            Some(b'{') => {
+                self.begin_map()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            None => Err(self.error("unexpected end of input")),
+            Some(c) => Err(self.error(&format!("unexpected `{}`", c as char))),
+        }
     }
 
     /// Skip the remaining elements of the innermost open sequence (the

@@ -3,20 +3,21 @@
 //! Offline builds cannot fetch the real `serde`, so this crate provides
 //! the slice the toolchain uses: `#[derive(Serialize, Deserialize)]`
 //! (re-exported from the local `serde_derive` proc-macro) without
-//! serde's visitor machinery. The two directions are asymmetric:
-//! * [`Serialize`] renders into a concrete [`Value`] tree, which the
-//!   local `serde_json` prints, so every written byte (and every hash
-//!   taken over written bytes) comes from one printer;
-//! * [`Deserialize`] reads JSON text directly through the pull
-//!   [`de::Reader`], building no tree: a derived struct matches its
-//!   borrowed field keys as they stream past.
+//! serde's visitor machinery. Each direction streams JSON text through
+//! one concrete type and builds no tree:
+//! * [`Serialize`] writes through the [`ser::Writer`], so every written
+//!   byte (and every hash taken over written bytes) comes from one
+//!   printer;
+//! * [`Deserialize`] reads through the pull [`de::Reader`]: a derived
+//!   struct matches its borrowed field keys as they stream past.
 //!
 //! Data-model conventions (mirroring serde's externally-tagged defaults):
 //! * structs → maps of field name → value; newtype structs are
 //!   transparent; tuple structs → sequences; unit structs → null;
 //! * enums → `"Variant"` for unit variants, `{"Variant": …}` otherwise;
 //! * maps → sequences of `[key, value]` pairs, so non-string keys
-//!   round-trip without a string-key convention.
+//!   round-trip without a string-key convention. A hash map writes its
+//!   entries in key order, so equal maps write equal bytes.
 //!
 //! Reading accepts what it writes and a little more, the same everywhere:
 //! a struct skips unknown fields, keeps the first of a repeated key and
@@ -30,83 +31,12 @@ use std::fmt;
 use std::hash::Hash;
 
 pub mod de;
+pub mod ser;
 
 use de::{Number, Reader};
+use ser::Writer;
 
 pub use serde_derive::{Deserialize, Serialize};
-
-/// The self-describing value tree every type serialises through.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null`.
-    Null,
-    /// JSON boolean.
-    Bool(bool),
-    /// Signed integer.
-    I64(i64),
-    /// Unsigned integer outside `i64` range (or any non-negative parse).
-    U64(u64),
-    /// Floating-point number.
-    F64(f64),
-    /// String.
-    Str(String),
-    /// Sequence.
-    Seq(Vec<Value>),
-    /// Ordered map with string keys (struct fields, enum tags).
-    Map(Vec<(String, Value)>),
-}
-
-/// Total, deterministic ordering over [`Value`] trees.
-///
-/// Values of the same variant compare by payload (floats via
-/// `total_cmp`, sequences and maps lexicographically); different
-/// variants compare by a fixed rank. The order itself is arbitrary —
-/// what matters is that it is stable across processes, so serialised
-/// hash maps (whose iteration order is seeded per map instance) can be
-/// rendered in one canonical entry order and safely byte-compared or
-/// content-addressed downstream.
-#[must_use]
-pub fn canonical_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
-    fn rank(v: &Value) -> u8 {
-        match v {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::I64(_) => 2,
-            Value::U64(_) => 3,
-            Value::F64(_) => 4,
-            Value::Str(_) => 5,
-            Value::Seq(_) => 6,
-            Value::Map(_) => 7,
-        }
-    }
-    use std::cmp::Ordering;
-    match (a, b) {
-        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
-        (Value::I64(x), Value::I64(y)) => x.cmp(y),
-        (Value::U64(x), Value::U64(y)) => x.cmp(y),
-        (Value::F64(x), Value::F64(y)) => x.total_cmp(y),
-        (Value::Str(x), Value::Str(y)) => x.cmp(y),
-        (Value::Seq(x), Value::Seq(y)) => {
-            for (xi, yi) in x.iter().zip(y) {
-                let c = canonical_cmp(xi, yi);
-                if c != Ordering::Equal {
-                    return c;
-                }
-            }
-            x.len().cmp(&y.len())
-        }
-        (Value::Map(x), Value::Map(y)) => {
-            for ((kx, vx), (ky, vy)) in x.iter().zip(y) {
-                let c = kx.cmp(ky).then_with(|| canonical_cmp(vx, vy));
-                if c != Ordering::Equal {
-                    return c;
-                }
-            }
-            x.len().cmp(&y.len())
-        }
-        _ => rank(a).cmp(&rank(b)),
-    }
-}
 
 /// Deserialisation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,10 +57,10 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types that can render themselves into a [`Value`].
+/// Types that can write themselves as JSON.
 pub trait Serialize {
-    /// Convert to the value tree.
-    fn to_value(&self) -> Value;
+    /// Write one value to `w`.
+    fn serialize(&self, w: &mut Writer);
 }
 
 /// Types that can read themselves from JSON text.
@@ -161,12 +91,9 @@ fn integer(r: &mut Reader<'_>) -> Result<i128, DeError> {
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                if (*self as i128) >= 0 && (*self as i128) > i64::MAX as i128 {
-                    Value::U64(*self as u64)
-                } else {
-                    Value::I64(*self as i64)
-                }
+            #[inline]
+            fn serialize(&self, w: &mut Writer) {
+                w.int(*self as i128);
             }
         }
         impl Deserialize for $t {
@@ -184,8 +111,8 @@ macro_rules! int_impls {
 int_impls!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.bool(*self);
     }
 }
 
@@ -197,8 +124,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.f64(*self);
     }
 }
 
@@ -214,8 +141,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(f64::from(*self))
+    fn serialize(&self, w: &mut Writer) {
+        w.f64(f64::from(*self));
     }
 }
 
@@ -226,8 +153,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -243,8 +170,8 @@ impl Deserialize for char {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
     }
 }
 
@@ -256,23 +183,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for &'static str {
-    /// Static string slices (used in error payloads) deserialise by
-    /// leaking the parsed string — a deliberate trade for supporting
-    /// `&'static str` fields without serde's borrowed-data machinery.
-    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
-        Ok(Box::leak(String::deserialize(r)?.into_boxed_str()))
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w);
     }
 }
 
@@ -281,10 +199,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 // ---------------------------------------------------------------------
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.serialize(w),
+            None => w.null(),
         }
     }
 }
@@ -299,9 +217,18 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
+/// Write `items` as one sequence.
+fn seq<'a, T: Serialize + 'a>(w: &mut Writer, items: impl IntoIterator<Item = &'a T>) {
+    w.begin_seq();
+    for item in items {
+        item.serialize(w);
+    }
+    w.end_seq();
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer) {
+        seq(w, self);
     }
 }
 
@@ -317,8 +244,8 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer) {
+        seq(w, self);
     }
 }
 
@@ -333,8 +260,8 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w);
     }
 }
 
@@ -345,8 +272,8 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl<T: Serialize> Serialize for std::sync::Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w);
     }
 }
 
@@ -356,28 +283,30 @@ impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
     }
 }
 
-fn map_to_value<'a, K: Serialize + 'a, V: Serialize + 'a>(
-    entries: impl Iterator<Item = (&'a K, &'a V)>,
-) -> Value {
-    Value::Seq(
-        entries
-            .map(|(k, v)| Value::Seq(vec![k.to_value(), v.to_value()]))
-            .collect(),
-    )
+/// Write map entries as a sequence of `[key, value]` pairs.
+fn pairs<'a, K: Serialize + 'a, V: Serialize + 'a>(
+    w: &mut Writer,
+    entries: impl IntoIterator<Item = (&'a K, &'a V)>,
+) {
+    w.begin_seq();
+    for (k, v) in entries {
+        w.begin_seq();
+        k.serialize(w);
+        v.serialize(w);
+        w.end_seq();
+    }
+    w.end_seq();
 }
 
-impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
+impl<K: Serialize + Ord, V: Serialize, S> Serialize for HashMap<K, V, S> {
+    fn serialize(&self, w: &mut Writer) {
         // Hash-map iteration order is seeded per map *instance*, so the
         // raw entry order would differ between equal maps (and between
-        // processes). Sorting by [`canonical_cmp`] fixes one canonical
-        // rendering for any map with the same content.
-        let mut entries: Vec<Value> = self
-            .iter()
-            .map(|(k, v)| Value::Seq(vec![k.to_value(), v.to_value()]))
-            .collect();
-        entries.sort_by(canonical_cmp);
-        Value::Seq(entries)
+        // processes). Key order fixes one rendering for any map with the
+        // same content.
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        pairs(w, entries);
     }
 }
 
@@ -390,8 +319,8 @@ impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        map_to_value(self.iter())
+    fn serialize(&self, w: &mut Writer) {
+        pairs(w, self);
     }
 }
 
@@ -404,8 +333,10 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 macro_rules! tuple_impls {
     ($(($($n:tt $t:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$n.to_value()),+])
+            fn serialize(&self, w: &mut Writer) {
+                w.begin_seq();
+                $(self.$n.serialize(w);)+
+                w.end_seq();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -431,48 +362,6 @@ tuple_impls! {
     (0 A, 1 B)
     (0 A, 1 B, 2 C)
     (0 A, 1 B, 2 C, 3 D)
-}
-
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
-        Ok(match r.peek() {
-            Some(b'n') => {
-                r.null()?;
-                Value::Null
-            }
-            Some(b't' | b'f') => Value::Bool(r.bool()?),
-            Some(b'"') => Value::Str(r.string()?.into_owned()),
-            Some(b'[') => {
-                r.begin_seq()?;
-                let mut items = Vec::new();
-                while r.next_element()? {
-                    items.push(Value::deserialize(r)?);
-                }
-                Value::Seq(items)
-            }
-            Some(b'{') => {
-                r.begin_map()?;
-                let mut entries = Vec::new();
-                while let Some(key) = r.next_key()? {
-                    entries.push((key.into_owned(), Value::deserialize(r)?));
-                }
-                Value::Map(entries)
-            }
-            Some(b'-' | b'0'..=b'9') => match r.number()? {
-                Number::I64(v) => Value::I64(v),
-                Number::U64(v) => Value::U64(v),
-                Number::F64(v) => Value::F64(v),
-            },
-            None => return Err(r.error("unexpected end of input")),
-            Some(c) => return Err(r.error(&format!("unexpected `{}`", c as char))),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -528,23 +417,26 @@ mod tests {
 
     #[test]
     fn values_read_every_shape() {
-        let v: Value = read(r#"{"a": [null, true, -3, 18446744073709551615, 0.5, "s"], "b": {}}"#)
-            .expect("value");
-        let expected = Value::Map(vec![
-            (
-                "a".into(),
-                Value::Seq(vec![
-                    Value::Null,
-                    Value::Bool(true),
-                    Value::I64(-3),
-                    Value::U64(u64::MAX),
-                    Value::F64(0.5),
-                    Value::Str("s".into()),
-                ]),
-            ),
-            ("b".into(), Value::Map(vec![])),
-        ]);
-        assert_eq!(v, expected);
+        let json = r#"{"a": [null, true, -3, 18446744073709551615, 0.5, "s"], "b": {}}"#;
+        let mut r = Reader::new(json);
+        r.begin_map().expect("{");
+        assert_eq!(r.next_key().expect("key").as_deref(), Some("a"));
+        r.begin_seq().expect("[");
+        assert_eq!(r.element::<Option<u8>>("null"), Ok(None));
+        assert_eq!(r.element::<bool>("bool"), Ok(true));
+        assert_eq!(r.element::<i64>("i64"), Ok(-3));
+        assert_eq!(r.element::<u64>("u64"), Ok(u64::MAX));
+        assert_eq!(r.element::<f64>("f64"), Ok(0.5));
+        assert_eq!(r.element::<String>("str"), Ok("s".into()));
+        assert_eq!(r.next_element(), Ok(false));
+        assert_eq!(r.next_key().expect("key").as_deref(), Some("b"));
+        r.begin_map().expect("inner {");
+        assert_eq!(r.next_key(), Ok(None));
+        assert_eq!(r.next_key(), Ok(None));
+        r.finish().expect("end");
+        // The same text skips whole.
+        let mut r = Reader::new(json);
+        assert_eq!(r.skip_value().and_then(|()| r.finish()), Ok(()));
     }
 
     #[test]
@@ -552,8 +444,6 @@ mod tests {
         let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
         let deepest = nest(de::MAX_DEPTH);
         let too_deep = nest(de::MAX_DEPTH + 1);
-        assert!(read::<Value>(&deepest).is_ok());
-        assert!(read::<Value>(&too_deep).is_err());
         let skip = |json: &str| {
             let mut r = Reader::new(json);
             r.skip_value().and_then(|()| r.finish())
@@ -578,11 +468,12 @@ mod tests {
         for k in [4u32, 1, 7, 2, 9] {
             b.insert(k, k * 10);
         }
-        assert_eq!(a.to_value(), b.to_value());
-        let expected: Vec<Value> = [1u32, 2, 4, 7, 9]
-            .iter()
-            .map(|k| Value::Seq(vec![k.to_value(), (k * 10).to_value()]))
-            .collect();
-        assert_eq!(a.to_value(), Value::Seq(expected));
+        let json = |map: &HashMap<u32, u32>| {
+            let mut w = Writer::compact();
+            map.serialize(&mut w);
+            w.into_string()
+        };
+        assert_eq!(json(&a), json(&b));
+        assert_eq!(json(&a), "[[1,10],[2,20],[4,40],[7,70],[9,90]]");
     }
 }

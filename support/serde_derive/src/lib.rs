@@ -10,73 +10,35 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Derive `serde::Serialize`: code that renders the item as a
-/// `serde::Value` tree.
+/// Derive `serde::Serialize`: code that writes the item straight to a
+/// `serde::ser::Writer`.
+///
+/// A named struct (or struct variant) is a map of its fields in
+/// declaration order, a newtype struct its field's value, a tuple
+/// struct a sequence and a unit struct `null`. An enum writes a unit
+/// variant as its name string and any other variant as
+/// `{"Variant": payload}`, the payload written as the matching struct
+/// would be.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
+    let name = &item.name;
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
-            let pushes: String = fields
-                .iter()
-                .map(|Field { name: f, .. }| {
-                    format!("m.push(({f:?}.to_string(), ::serde::Serialize::to_value(&self.{f})));")
-                })
-                .collect();
-            format!("let mut m = ::std::vec::Vec::new(); {pushes} ::serde::Value::Map(m)")
+        Shape::Struct(body) => {
+            let (pattern, write) = write_body(body);
+            format!("let {name}{pattern} = self; {write}")
         }
-        Shape::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-        }
-        Shape::UnitStruct => "::serde::Value::Null".to_string(),
         Shape::Enum(variants) => {
-            let name = &item.name;
             let arms: String = variants
                 .iter()
-                .map(|v| {
-                    let vn = &v.name;
-                    match &v.shape {
-                        VariantShape::Unit => {
-                            format!("{name}::{vn} => ::serde::Value::Str({vn:?}.to_string()),")
-                        }
-                        VariantShape::Tuple(1) => format!(
-                            "{name}::{vn}(a0) => ::serde::Value::Map(vec![({vn:?}.to_string(), \
-                             ::serde::Serialize::to_value(a0))]),"
-                        ),
-                        VariantShape::Tuple(n) => {
-                            let binds: Vec<String> = (0..*n).map(|i| format!("a{i}")).collect();
-                            let vals: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!(
-                                "{name}::{vn}({}) => ::serde::Value::Map(vec![({vn:?}.to_string(), \
-                                 ::serde::Value::Seq(vec![{}]))]),",
-                                binds.join(", "),
-                                vals.join(", ")
-                            )
-                        }
-                        VariantShape::Struct(fields) => {
-                            let pushes: Vec<String> = fields
-                                .iter()
-                                .map(|Field { name: f, .. }| {
-                                    format!(
-                                        "({f:?}.to_string(), ::serde::Serialize::to_value({f}))"
-                                    )
-                                })
-                                .collect();
-                            let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                            format!(
-                                "{name}::{vn} {{ {} }} => ::serde::Value::Map(vec![({vn:?}\
-                                 .to_string(), ::serde::Value::Map(vec![{}]))]),",
-                                names.join(", "),
-                                pushes.join(", ")
-                            )
-                        }
+                .map(|Variant { name: vn, body }| match body {
+                    Body::Unit => format!("{name}::{vn} => w.str({vn:?}),"),
+                    _ => {
+                        let (pattern, write) = write_body(body);
+                        format!(
+                            "{name}::{vn}{pattern} => {{ w.begin_map(); w.key({vn:?}); {write} \
+                             w.end_map(); }}"
+                        )
                     }
                 })
                 .collect();
@@ -84,11 +46,45 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         }
     };
     format!(
-        "impl ::serde::Serialize for {} {{\n fn to_value(&self) -> ::serde::Value {{ {body} }}\n }}",
-        item.name
+        "impl ::serde::Serialize for {name} {{\n fn serialize(&self, w: &mut ::serde::ser::Writer) \
+         {{ {body} }}\n }}"
     )
     .parse()
     .expect("generated Serialize impl parses")
+}
+
+/// A pattern binding a body's fields to `a0, a1, …` (fresh names: a
+/// field may be called `w`), and the statements writing them.
+fn write_body(body: &Body) -> (String, String) {
+    let write = |i: usize| format!("::serde::Serialize::serialize(a{i}, w);");
+    match body {
+        Body::Unit => (String::new(), "w.null();".to_string()),
+        Body::Tuple(1) => ("(a0)".to_string(), write(0)),
+        Body::Tuple(n) => {
+            let binds: Vec<String> = (0..*n).map(|i| format!("a{i}")).collect();
+            let items: String = (0..*n).map(write).collect();
+            (
+                format!("({})", binds.join(", ")),
+                format!("w.begin_seq(); {items} w.end_seq();"),
+            )
+        }
+        Body::Named(fields) => {
+            let binds: Vec<String> = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| format!("{}: a{i}", f.name))
+                .collect();
+            let entries: String = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| format!("w.key({:?}); {}", f.name, write(i)))
+                .collect();
+            (
+                format!(" {{ {} }}", binds.join(", ")),
+                format!("w.begin_map(); {entries} w.end_map();"),
+            )
+        }
+    }
 }
 
 /// Derive `serde::Deserialize`: code that reads the item straight off
@@ -105,29 +101,19 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let name = &item.name;
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => format!("Ok({})", read_named(name, fields)),
-        Shape::TupleStruct(1) => format!("Ok({name}(::serde::Deserialize::deserialize(r)?))"),
-        Shape::TupleStruct(n) => format!("Ok({})", read_tuple(name, *n, "tuple struct too short")),
-        Shape::UnitStruct => format!("r.skip_value()?; Ok({name})"),
+        Shape::Struct(body) => format!("Ok({})", read_body(name, body)),
         Shape::Enum(variants) => {
-            let unit_arms: String = variants
+            let (unit, tagged): (Vec<&Variant>, Vec<&Variant>) =
+                variants.iter().partition(|v| matches!(v.body, Body::Unit));
+            let unit_arms: String = unit
                 .iter()
-                .filter(|v| matches!(v.shape, VariantShape::Unit))
                 .map(|v| format!("{:?} => Ok({name}::{}),", v.name, v.name))
                 .collect();
-            let tagged_arms: String = variants
+            let tagged_arms: String = tagged
                 .iter()
-                .filter_map(|v| {
-                    let path = format!("{name}::{}", v.name);
-                    let read = match &v.shape {
-                        VariantShape::Unit => return None,
-                        VariantShape::Tuple(1) => {
-                            format!("{path}(::serde::Deserialize::deserialize(r)?)")
-                        }
-                        VariantShape::Tuple(n) => read_tuple(&path, *n, "variant tuple too short"),
-                        VariantShape::Struct(fields) => read_named(&path, fields),
-                    };
-                    Some(format!("{:?} => {read},", v.name))
+                .map(|v| {
+                    let read = read_body(&format!("{name}::{}", v.name), &v.body);
+                    format!("{:?} => {read},", v.name)
                 })
                 .collect();
             let unknown = format!(
@@ -136,12 +122,12 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             );
             // Each arm only when some variant takes that form: an arm
             // of nothing but `unknown` would diverge.
-            let unit = if unit_arms.is_empty() {
+            let unit = if unit.is_empty() {
                 String::new()
             } else {
                 format!("Some(b'\"') => match &*r.string()? {{ {unit_arms} {unknown} }},")
             };
-            let tagged = if tagged_arms.is_empty() {
+            let tagged = if tagged.is_empty() {
                 String::new()
             } else {
                 format!(
@@ -171,44 +157,46 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     .expect("generated Deserialize impl parses")
 }
 
-/// An expression reading a map into the named-field value `path { … }`.
-fn read_named(path: &str, fields: &[Field]) -> String {
-    let slots: String = fields
-        .iter()
-        .enumerate()
-        .map(|(i, f)| format!("let mut f{i}: ::std::option::Option<{}> = None;", f.ty))
-        .collect();
-    let arms: String = fields
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
+/// An expression reading the value `path…` of a struct or variant body.
+/// A unit body skips whatever value is there; a tuple body skips the
+/// elements past its own.
+fn read_body(path: &str, body: &Body) -> String {
+    let read = "::serde::Deserialize::deserialize(r)?";
+    match body {
+        Body::Unit => format!("{{ r.skip_value()?; {path} }}"),
+        Body::Tuple(1) => format!("{path}({read})"),
+        Body::Tuple(n) => {
+            let short = format!("{path} too short");
+            let gets: Vec<String> = (0..*n).map(|_| format!("r.element({short:?})?")).collect();
             format!(
-                "{:?} if f{i}.is_none() => f{i} = Some(::serde::Deserialize::deserialize(r)?),",
-                f.name
+                "{{ r.begin_seq()?; let value = {path}({}); r.skip_elements()?; value }}",
+                gets.join(", ")
             )
-        })
-        .collect();
-    let inits: Vec<String> = fields
-        .iter()
-        .enumerate()
-        .map(|(i, f)| format!("{}: ::serde::de::required(f{i}, {:?})?", f.name, f.name))
-        .collect();
-    format!(
-        "{{ r.begin_map()?; {slots}\n\
-         while let Some(key) = r.next_key()? {{ match &*key {{ {arms} _ => r.skip_value()?, }} }}\n\
-         {path} {{ {} }} }}",
-        inits.join(", ")
-    )
-}
-
-/// An expression reading a sequence into the tuple value `path(…)`;
-/// elements past the `n`th are skipped.
-fn read_tuple(path: &str, n: usize, short: &str) -> String {
-    let gets: Vec<String> = (0..n).map(|_| format!("r.element({short:?})?")).collect();
-    format!(
-        "{{ r.begin_seq()?; let value = {path}({}); r.skip_elements()?; value }}",
-        gets.join(", ")
-    )
+        }
+        Body::Named(fields) => {
+            let slots: String = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| format!("let mut f{i}: ::std::option::Option<{}> = None;", f.ty))
+                .collect();
+            let arms: String = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| format!("{:?} if f{i}.is_none() => f{i} = Some({read}),", f.name))
+                .collect();
+            let inits: Vec<String> = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| format!("{}: ::serde::de::required(f{i}, {:?})?", f.name, f.name))
+                .collect();
+            format!(
+                "{{ r.begin_map()?; {slots}\n\
+                 while let Some(key) = r.next_key()? {{ match &*key {{ {arms} _ => r.skip_value()?, }} }}\n\
+                 {path} {{ {} }} }}",
+                inits.join(", ")
+            )
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -227,21 +215,20 @@ struct Field {
 }
 
 enum Shape {
-    NamedStruct(Vec<Field>),
-    TupleStruct(usize),
-    UnitStruct,
+    Struct(Body),
     Enum(Vec<Variant>),
 }
 
 struct Variant {
     name: String,
-    shape: VariantShape,
+    body: Body,
 }
 
-enum VariantShape {
+/// What follows a struct or variant name.
+enum Body {
     Unit,
     Tuple(usize),
-    Struct(Vec<Field>),
+    Named(Vec<Field>),
 }
 
 fn parse_item(input: TokenStream) -> Item {
@@ -263,13 +250,8 @@ fn parse_item(input: TokenStream) -> Item {
     }
     let shape = match kind.as_str() {
         "struct" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Shape::NamedStruct(named_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Shape::TupleStruct(split_top_level(g.stream()).len())
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::UnitStruct,
+            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::Struct(Body::Unit),
+            Some(t @ TokenTree::Group(_)) => Shape::Struct(parse_body(Some(t))),
             other => panic!("derive: unsupported struct body: {other:?}"),
         },
         "enum" => match tokens.get(i) {
@@ -281,6 +263,20 @@ fn parse_item(input: TokenStream) -> Item {
         other => panic!("derive: unsupported item kind `{other}`"),
     };
     Item { name, shape }
+}
+
+/// The body a `{ … }` or `( … )` group opens; anything else (a
+/// variant's `= discriminant`, or nothing) is a unit body.
+fn parse_body(t: Option<&TokenTree>) -> Body {
+    match t {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+            Body::Named(named_fields(g.stream()))
+        }
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
+            Body::Tuple(split_top_level(g.stream()).len())
+        }
+        _ => Body::Unit,
+    }
 }
 
 /// Advance past leading `#[...]` attributes and `pub` / `pub(...)`.
@@ -356,18 +352,10 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
                 TokenTree::Ident(id) => id.to_string(),
                 t => panic!("derive: expected variant name, found {t}"),
             };
-            i += 1;
-            let shape = match var.get(i) {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    VariantShape::Tuple(split_top_level(g.stream()).len())
-                }
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    VariantShape::Struct(named_fields(g.stream()))
-                }
-                // `Variant` or `Variant = discriminant`.
-                _ => VariantShape::Unit,
-            };
-            Variant { name, shape }
+            Variant {
+                name,
+                body: parse_body(var.get(i + 1)),
+            }
         })
         .collect()
 }

@@ -1,10 +1,12 @@
 //! Vendored, dependency-free subset of `serde_json` for the local
-//! `serde`: compact and pretty printing of the [`Value`] tree that
-//! [`Serialize`] builds, and [`from_str`], which hands the text to the
-//! type's own [`Deserialize`] impl through a `serde::de::Reader`.
+//! `serde`: [`to_string`] and [`to_string_pretty`], which run the type's
+//! own [`Serialize`] impl through a compact or pretty
+//! `serde::ser::Writer`, and [`from_str`], which hands the text to its
+//! [`Deserialize`] impl through a `serde::de::Reader`.
 
 use serde::de::Reader;
-use serde::{Deserialize, Serialize, Value};
+use serde::ser::Writer;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Serialisation or parse failure.
@@ -22,23 +24,23 @@ impl std::error::Error for Error {}
 /// Serialise to compact JSON.
 ///
 /// # Errors
-/// Never fails for the value-tree model; the `Result` mirrors the real
-/// `serde_json` signature.
+/// Never fails: every value the writer takes is representable; the
+/// `Result` mirrors the real `serde_json` signature.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    let mut w = Writer::compact();
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Serialise to human-readable JSON (two-space indent).
 ///
 /// # Errors
-/// Never fails for the value-tree model; the `Result` mirrors the real
-/// `serde_json` signature.
+/// Never fails: every value the writer takes is representable; the
+/// `Result` mirrors the real `serde_json` signature.
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    let mut w = Writer::pretty();
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Read a value from JSON text; anything but whitespace after it is an
@@ -53,155 +55,71 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
         .map_err(|e| Error(e.to_string()))
 }
 
-// ---------------------------------------------------------------------
-// Printer
-// ---------------------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::F64(n) => {
-            if n.is_finite() {
-                // `Display` for f64 is the shortest round-trippable form.
-                out.push_str(&n.to_string());
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => write_delimited(
-            out,
-            items.iter(),
-            indent,
-            depth,
-            ('[', ']'),
-            |o, item, ind, d| {
-                write_value(o, item, ind, d);
-            },
-        ),
-        Value::Map(entries) => {
-            write_delimited(
-                out,
-                entries.iter(),
-                indent,
-                depth,
-                ('{', '}'),
-                |o, (k, val), ind, d| {
-                    write_string(o, k);
-                    o.push(':');
-                    if ind.is_some() {
-                        o.push(' ');
-                    }
-                    write_value(o, val, ind, d);
-                },
-            );
-        }
-    }
-}
-
-fn write_delimited<I: ExactSizeIterator>(
-    out: &mut String,
-    items: I,
-    indent: Option<usize>,
-    depth: usize,
-    (open, close): (char, char),
-    mut write_item: impl FnMut(&mut String, I::Item, Option<usize>, usize),
-) {
-    out.push(open);
-    let n = items.len();
-    for (i, item) in items.enumerate() {
-        if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * (depth + 1)));
-        }
-        write_item(out, item, indent, depth + 1);
-        if i + 1 < n {
-            out.push(',');
-        }
-    }
-    if n > 0 {
-        if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * depth));
-        }
-    }
-    out.push(close);
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Whether `text` is one well-formed JSON value, read through
+    /// `Reader::skip_value` as an unknown field would be.
+    fn well_formed(text: &str) -> bool {
+        let mut r = Reader::new(text);
+        r.skip_value().and_then(|()| r.finish()).is_ok()
+    }
+
+    /// Read `json` as a `T` and check it prints back to the same text.
+    fn round_trip<T: Serialize + Deserialize>(json: &str) {
+        let v: T = from_str(json).expect(json);
+        assert_eq!(to_string(&v).expect("print"), json);
+    }
+
     #[test]
     fn scalars_round_trip() {
-        for json in [
-            "null",
-            "true",
-            "false",
-            "0",
-            "-7",
-            "18446744073709551615",
-            "1.5",
-            "\"hi\"",
-        ] {
-            let v: Value = from_str(json).expect(json);
-            assert_eq!(to_string(&v).expect("print"), json);
-        }
+        round_trip::<Option<bool>>("null");
+        round_trip::<bool>("true");
+        round_trip::<bool>("false");
+        round_trip::<i64>("0");
+        round_trip::<i64>("-7");
+        round_trip::<u64>("18446744073709551615");
+        round_trip::<f64>("1.5");
+        round_trip::<String>("\"hi\"");
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Nested {
+        name: String,
+        items: (i64, Option<bool>, bool),
+        empty: Vec<u8>,
     }
 
     #[test]
     fn nested_structures_round_trip() {
-        let v = Value::Map(vec![
-            ("name".into(), Value::Str("x\n\"quoted\"".into())),
-            (
-                "items".into(),
-                Value::Seq(vec![Value::I64(1), Value::Null, Value::Bool(true)]),
-            ),
-            ("empty".into(), Value::Seq(vec![])),
-        ]);
+        let v = Nested {
+            name: "x\n\"quoted\"".into(),
+            items: (1, None, true),
+            empty: vec![],
+        };
         let compact = to_string(&v).expect("print");
-        let back: Value = from_str(&compact).expect("parse");
-        assert_eq!(back, v);
         let pretty = to_string_pretty(&v).expect("pretty");
         assert!(pretty.contains('\n'));
-        let back: Value = from_str(&pretty).expect("parse pretty");
-        assert_eq!(back, v);
+        assert_eq!(from_str::<Nested>(&compact).as_ref(), Ok(&v));
+        assert_eq!(from_str::<Nested>(&pretty), Ok(v));
     }
 
     #[test]
     fn malformed_input_is_rejected() {
-        assert!(from_str::<Value>("{\"a\":}").is_err());
-        assert!(from_str::<Value>("[1,").is_err());
-        assert!(from_str::<Value>("tru").is_err());
-        assert!(from_str::<Value>("1 2").is_err());
+        for bad in ["{\"a\":}", "[1,", "tru", "1 2"] {
+            assert!(!well_formed(bad), "{bad}");
+        }
+        assert!(from_str::<Vec<u8>>("[1,").is_err());
+        assert!(from_str::<bool>("tru").is_err());
+        assert!(from_str::<u8>("1 2").is_err());
     }
 
     #[test]
     fn float_display_round_trips() {
-        let v = Value::F64(0.1 + 0.2);
-        let back: Value = from_str(&to_string(&v).expect("print")).expect("parse");
-        assert_eq!(back, v);
+        let v: f64 = 0.1 + 0.2;
+        let back: f64 = from_str(&to_string(&v).expect("print")).expect("parse");
+        assert_eq!(back.to_bits(), v.to_bits());
     }
 
     #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -276,10 +194,7 @@ mod tests {
         assert!(from_str::<u64>("18446744073709551616").is_err());
         assert_eq!(from_str::<i64>("-9223372036854775808"), Ok(i64::MIN));
         assert!(from_str::<i64>("9223372036854775808").is_err());
-        assert_eq!(
-            from_str::<Value>("9223372036854775808"),
-            Ok(Value::U64(1 << 63))
-        );
+        assert_eq!(from_str::<u64>("9223372036854775808"), Ok(1 << 63));
         // Float text goes through `str::parse::<f64>`, bit for bit.
         for text in ["0.1", "1e-320", "-0.0", "2.5E+10", "123456789.123456789"] {
             let got = from_str::<f64>(text).expect(text);
@@ -296,6 +211,30 @@ mod tests {
         assert_eq!(from_str::<String>(r#""ö""#), Ok("ö".to_string()));
         assert!(from_str::<String>(r#""\x""#).is_err());
         assert!(from_str::<String>(r#""\ud800""#).is_err());
+        // A UTF-16 surrogate pair is one character; a lone half is not.
+        assert_eq!(
+            from_str::<String>(r#""\ud83d\ude00\uD83D\uDE00""#),
+            Ok("\u{1f600}\u{1f600}".to_string())
+        );
+        for bad in [
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\n""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\ude0""#,
+        ] {
+            assert!(from_str::<String>(bad).is_err(), "{bad}");
+        }
+        // Exactly four hex digits: no sign, no space, no shorter run.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u41""#] {
+            assert!(from_str::<String>(bad).is_err(), "{bad}");
+        }
+        assert_eq!(
+            from_str::<String>(r#""\u00E9\u00e9""#),
+            Ok("éé".to_string())
+        );
         assert!(from_str::<String>(r#""\u00"#).is_err());
         assert!(from_str::<String>(r#""open"#).is_err());
         // Keys with escapes match field names too.
@@ -313,7 +252,7 @@ mod tests {
     fn empty_containers_and_pretty_input_read() {
         assert_eq!(from_str::<Vec<u8>>("[]"), Ok(vec![]));
         assert_eq!(from_str::<Vec<u8>>(" [ ] "), Ok(vec![]));
-        assert_eq!(from_str::<Value>("{}"), Ok(Value::Map(vec![])));
+        assert_eq!(from_str::<Nothing>("{}"), Ok(Nothing {}));
         let shapes = vec![
             Shape::Empty,
             Shape::Dot(Point {
@@ -371,7 +310,7 @@ mod tests {
     fn trailing_characters_are_rejected() {
         assert_eq!(from_str::<u8>(" 1 \n"), Ok(1));
         for bad in ["1 2", "[1] x", "{} {}", "\"a\"\"b\"", "null,"] {
-            assert!(from_str::<Value>(bad).is_err(), "{bad}");
+            assert!(!well_formed(bad), "{bad}");
         }
         assert!(from_str::<Point>(r#"{"x":1,"label":null,"weight":2}}"#).is_err());
     }
@@ -379,8 +318,8 @@ mod tests {
     #[test]
     fn nesting_past_the_limit_is_an_error() {
         let deep = |n: usize| format!("{}0{}", "[".repeat(n), "]".repeat(n));
-        assert!(from_str::<Value>(&deep(serde::de::MAX_DEPTH - 1)).is_ok());
-        assert!(from_str::<Value>(&deep(serde::de::MAX_DEPTH + 1)).is_err());
+        assert!(well_formed(&deep(serde::de::MAX_DEPTH - 1)));
+        assert!(!well_formed(&deep(serde::de::MAX_DEPTH + 1)));
         // Also inside a field that is skipped.
         let hidden = format!(
             r#"{{"x":1,"label":null,"weight":2,"junk":{}}}"#,
@@ -395,7 +334,7 @@ mod tests {
     #[derive(serde::Serialize)]
     struct Marker;
 
-    #[derive(serde::Serialize)]
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
     struct Nothing {}
 
     /// The exact bytes of both printers. Store file names, store keys
