@@ -194,10 +194,10 @@ mod tests {
                 .expect("analysable")
                 .wcet_cycles(task)
                 .expect("bounded");
-            let structural = teamplay_wcet::analyze_program_structural(&p, &cm)
-                .expect("analysable")
-                .wcet_cycles(task)
-                .expect("bounded");
+            let energy = teamplay_energy::EnergyLane::new(&em, &cm);
+            let [structural, structural_mpj] =
+                teamplay_wcet::analyze(&p, [&cm, &energy], teamplay_wcet::Preset::Structural)
+                    .expect("analysable")[task];
             assert!(
                 ipet < structural,
                 "{app}/{task}: IPET {ipet} not strictly tighter than structural {structural}"
@@ -206,10 +206,7 @@ mod tests {
                 .expect("analysable")
                 .wcec_pj(task)
                 .expect("bounded");
-            let wcec_structural = teamplay_energy::analyze_program_energy_structural(&p, &em, &cm)
-                .expect("analysable")
-                .wcec_pj(task)
-                .expect("bounded");
+            let wcec_structural = teamplay_energy::mpj_to_pj(structural_mpj);
             assert!(
                 wcec < wcec_structural,
                 "{app}/{task}: WCEC {wcec} not strictly tighter than {wcec_structural}"

@@ -31,12 +31,10 @@ use serde::Serialize;
 use std::time::Duration;
 use teamplay_bench::timing::{sample_interleaved, Timer};
 use teamplay_compiler::{generate_program, CodegenOpts, PassManager};
-use teamplay_energy::{analyze_program_energy, analyze_program_energy_structural, IsaEnergyModel};
+use teamplay_energy::{analyze_program_energy, mpj_to_pj, EnergyLane, IsaEnergyModel};
 use teamplay_isa::{CycleModel, Program};
 use teamplay_minic::compile_to_ir;
-use teamplay_wcet::{
-    analyze_program, analyze_program_cached, analyze_program_structural, AnalysisCache,
-};
+use teamplay_wcet::{analyze, analyze_program, analyze_program_cached, AnalysisCache, Preset};
 
 /// One kernel's bounds under both engines.
 #[derive(Serialize)]
@@ -112,18 +110,14 @@ fn main() {
                 .expect("ipet")
                 .wcet_cycles(task)
                 .expect("bounded");
-            let structural = analyze_program_structural(program, &cm)
-                .expect("structural")
-                .wcet_cycles(task)
-                .expect("bounded");
+            let energy = EnergyLane::new(&em, &cm);
+            let [structural, structural_mpj] =
+                analyze(program, [&cm, &energy], Preset::Structural).expect("structural")[task];
             let ipet_pj = analyze_program_energy(program, &em, &cm)
                 .expect("wcec")
                 .wcec_pj(task)
                 .expect("bounded");
-            let structural_pj = analyze_program_energy_structural(program, &em, &cm)
-                .expect("structural wcec")
-                .wcec_pj(task)
-                .expect("bounded");
+            let structural_pj = mpj_to_pj(structural_mpj);
             KernelTightness {
                 app: app.clone(),
                 task: task.clone(),

@@ -16,7 +16,9 @@
 //!   facts every evaluation reads of it: its callee names, its encoded
 //!   size and whether it validates;
 //! * every function analysis as `(code id, callee bounds) → (WCET,
-//!   WCEC)` ([`CompileMemo::bounds`]).
+//!   WCEC)` ([`CompileMemo::bounds`]): one solve of the function's flow
+//!   structure for both cost lanes, walked callee-first by
+//!   [`teamplay_wcet::callee_first`].
 //!
 //! No lookup trusts a hash alone. The interner buckets states by their
 //! structural hash and compares for equality within the bucket before it
@@ -50,6 +52,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use teamplay_isa::{DataLayout, Function, Program};
 use teamplay_minic::ir::{IrFunction, IrModule};
+use teamplay_wcet::{bound_function, callee_first, CostLane, Preset, WcetError};
 
 /// A fast non-cryptographic hasher (the multiply-rotate scheme of
 /// rustc's `FxHasher`): one rotate, xor and multiply per word.
@@ -122,8 +125,8 @@ type SpecId = u32;
 pub(crate) type CodeId = u32;
 
 /// A function's analysed bounds: WCET in cycles and WCEC in
-/// millipicojoules (the energy analysis's integer unit).
-pub(crate) type Bounds = (u64, u64);
+/// millipicojoules (the energy lane's integer unit).
+pub(crate) type Bounds = [u64; 2];
 
 /// One codegen entry: the generated function and the facts every
 /// evaluation reads of it, computed once when the code is generated.
@@ -317,9 +320,10 @@ impl CompileMemo {
         });
         let valid = code.iter().all(|c| {
             c.valid
-                && c.callees
-                    .iter()
-                    .all(|callee| position(&code, callee).is_some())
+                && c.callees.iter().all(|callee| {
+                    code.binary_search_by(|c| c.function.name.as_str().cmp(callee))
+                        .is_ok()
+                })
         });
         if !valid {
             program.validate().map_err(CodegenError::InvalidIr)?;
@@ -332,73 +336,44 @@ impl CompileMemo {
     }
 
     /// The bounds of every function of a compiled program, `code` in the
-    /// program's order as [`CompileMemo::compile`] returns it, resolved
-    /// callee-first over the cached callee lists. Each function's bounds
-    /// come from the analysis table, keyed on its code id and its
-    /// callees' bounds, or else from `fresh`, which is given the code and
-    /// its callees' bounds in `callees` order and is recorded in the
-    /// table. `None` if the call graph is recursive or `fresh` fails
-    /// for some function: nothing is recorded for that function, and the
-    /// caller's plain analysis reports the error.
+    /// program's order as [`CompileMemo::compile`] returns it, in the
+    /// `lanes` (cycles, then energy), walked callee-first over the cached
+    /// callee lists by [`callee_first`]. Each function's bounds come from
+    /// the analysis table, keyed on its code id and its callees' bounds,
+    /// or else from one [`bound_function`] solve for both lanes, which is
+    /// recorded in the table.
+    ///
+    /// # Errors
+    /// The walk's: recursion, or the first function in callee-first
+    /// order whose analysis fails. Nothing is recorded for a function
+    /// that fails.
     pub(crate) fn bounds(
         &self,
         code: &[Arc<Code>],
-        fresh: impl Fn(&Code, &[Bounds]) -> Option<Bounds>,
-    ) -> Option<Vec<Bounds>> {
-        let mut bounds: Vec<Option<Bounds>> = vec![None; code.len()];
-        let mut on_stack = vec![false; code.len()];
-        // Depth-first: (function, index of its next callee to visit).
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for start in 0..code.len() {
-            if bounds[start].is_some() {
-                continue;
+        lanes: &[&dyn CostLane; 2],
+    ) -> Result<Vec<Bounds>, WcetError> {
+        let calls: Vec<(&str, &[String])> = code
+            .iter()
+            .map(|c| (c.function.name.as_str(), c.callees.as_slice()))
+            .collect();
+        callee_first(&calls, |i, callee_bounds: &[Bounds]| {
+            let code = &code[i];
+            let key = (code.id, callee_bounds.to_vec());
+            if let Some(&found) = self.analyses().get(&key) {
+                self.analysis_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(found);
             }
-            stack.push((start, 0));
-            on_stack[start] = true;
-            while let Some((at, next)) = stack.last_mut() {
-                let at = *at;
-                if let Some(callee) = code[at].callees.get(*next) {
-                    *next += 1;
-                    let callee = position(code, callee)?;
-                    if on_stack[callee] {
-                        return None;
-                    }
-                    if bounds[callee].is_none() {
-                        stack.push((callee, 0));
-                        on_stack[callee] = true;
-                    }
-                    continue;
-                }
-                stack.pop();
-                on_stack[at] = false;
-                let callee_bounds = code[at]
-                    .callees
-                    .iter()
-                    .map(|callee| position(code, callee).and_then(|i| bounds[i]))
-                    .collect::<Option<Vec<Bounds>>>()?;
-                bounds[at] = Some(self.analysis(&code[at], callee_bounds, &fresh)?);
-            }
-        }
-        bounds.into_iter().collect()
-    }
-
-    /// The bounds of `code` under `callee_bounds`: from the table, or
-    /// from `fresh`, recorded on success.
-    fn analysis(
-        &self,
-        code: &Code,
-        callee_bounds: Vec<Bounds>,
-        fresh: impl Fn(&Code, &[Bounds]) -> Option<Bounds>,
-    ) -> Option<Bounds> {
-        let key = (code.id, callee_bounds);
-        if let Some(&found) = self.analyses().get(&key) {
-            self.analysis_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(found);
-        }
-        let found = fresh(code, &key.1)?;
-        self.analysis_misses.fetch_add(1, Ordering::Relaxed);
-        self.analyses().insert(key, found);
-        Some(found)
+            let found = bound_function(
+                &code.function,
+                &code.callees,
+                callee_bounds,
+                lanes,
+                Preset::Ipet,
+            )?;
+            self.analysis_misses.fetch_add(1, Ordering::Relaxed);
+            self.analyses().insert(key, found);
+            Ok(found)
+        })
     }
 
     fn analyses(&self) -> std::sync::MutexGuard<'_, FxMap<(CodeId, Vec<Bounds>), Bounds>> {
@@ -487,13 +462,6 @@ impl CompileMemo {
         });
         Ok(Arc::clone(&code[id as usize]))
     }
-}
-
-/// The index of the function named `name` in `code`, which is in name
-/// order.
-fn position(code: &[Arc<Code>], name: &str) -> Option<usize> {
-    code.binary_search_by(|c| c.function.name.as_str().cmp(name))
-        .ok()
 }
 
 /// Where one function's pipeline stands in a [`CompileMemo`]: the state

@@ -110,11 +110,6 @@ impl DomTree {
             && self.post[b] <= self.post[a]
     }
 
-    /// Does `a` strictly dominate `b`?
-    pub fn strictly_dominates(&self, a: usize, b: usize) -> bool {
-        a != b && self.dominates(a, b)
-    }
-
     /// A reverse postorder of the reachable blocks (the iteration order
     /// of choice for forward dataflow fixpoints).
     pub fn rpo(&self) -> &[usize] {

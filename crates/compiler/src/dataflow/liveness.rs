@@ -93,9 +93,4 @@ impl Liveness {
     pub fn is_live_in(&self, b: usize, t: Temp) -> bool {
         self.live_in[b].contains(t.0 as usize)
     }
-
-    /// Is `t` live on exit from block `b`?
-    pub fn is_live_out(&self, b: usize, t: Temp) -> bool {
-        self.live_out[b].contains(t.0 as usize)
-    }
 }

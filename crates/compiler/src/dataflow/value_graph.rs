@@ -303,22 +303,9 @@ impl ValueGraph {
         }
     }
 
-    /// Resolve an operand: constants directly, temps through the graph.
-    pub fn const_of_operand(&self, o: &Operand) -> Option<i32> {
-        match o {
-            Operand::Const(c) => Some(*c),
-            Operand::Temp(t) => self.const_of_temp(*t),
-        }
-    }
-
     /// Direct operand temps of `t`'s defining op (empty unless `t` is
     /// single-def) — the edges of the def chain, for anchoring checks.
     pub fn operand_temps(&self, t: Temp) -> &[Temp] {
         &self.operand_temps[t.0 as usize]
-    }
-
-    /// Number of distinct nodes (diagnostic).
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
     }
 }

@@ -34,7 +34,8 @@
 //!    configurations mostly produce the same compiled functions. The
 //!    compile memo gives each codegen entry a dense code id, so a
 //!    function's WCET and WCEC are keyed exactly on `(code id, callee
-//!    bounds)` and replayed instead of re-solving IPET. The key is built
+//!    bounds)` and replayed instead of re-solving IPET; a miss solves
+//!    the function's flow structure once for both. The key is built
 //!    from ids the compile already has: an evaluation hashes no
 //!    compiled code, re-validates nothing but the call targets, and
 //!    reads each function's code size from its codegen entry.
@@ -66,20 +67,20 @@
 //! bypasses tiers 2 and 3.
 
 use crate::codegen::{generate_program, CodegenError, CodegenOpts};
-use crate::compile_memo::{Bounds, Code, CompileMemo, CompileMemoStats, Compiled};
+use crate::compile_memo::{Bounds, CompileMemo, CompileMemoStats, Compiled};
 use crate::fpa::{FpaConfig, MultiObjectiveFpa, ParetoPoint, SearchStats};
 use crate::passes::{PassManager, PassSpec, PassStats, Pipeline};
 use crate::secure::{rung_of_genome, LeakMemo, LeakageAxis, SECURE_GENOME_DIMS};
 use crate::store::{self, DiskStore, STORE_FORMAT_VERSION};
 use minipool::Pool;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use teamplay_energy::{analyze_program_energy, function_wcec_mpj, IsaEnergyModel};
+use teamplay_energy::{mpj_to_pj, EnergyLane, IsaEnergyModel};
 use teamplay_isa::{encode::encode_sequence, CycleModel, Function, Program};
 use teamplay_minic::ir::IrModule;
-use teamplay_wcet::{analyze_function, analyze_program, AnalysisCache};
+use teamplay_wcet::{analyze, AnalysisCache, Preset};
 
 /// One compiler configuration — the genome the multi-objective search
 /// explores: a registry-backed IR pass [`Pipeline`] plus the two codegen
@@ -422,13 +423,13 @@ impl serde::Deserialize for ModuleMetrics {
 }
 
 /// A pair of content-keyed analysis memos, one for WCET and one for
-/// WCEC, for [`teamplay_wcet::analyze_program_cached`] and
-/// [`teamplay_energy::analyze_program_energy_cached`].
+/// WCEC, for the one-lane wrappers [`teamplay_wcet::analyze_program_cached`]
+/// and [`teamplay_energy::analyze_program_energy_cached`].
 ///
 /// No [`EvalCache`] uses it: evaluations key their analyses on the
-/// compile memo's code identity (see the module docs). It stays public
-/// only because the perfbench workflow replay names it, and goes with
-/// that replay.
+/// compile memo's code identity and solve both lanes at once (see the
+/// module docs). It is kept, with its fields, only because the
+/// end-to-end benchmark's workflow replay names it.
 #[derive(Debug, Default)]
 pub struct AnalysisMemo {
     /// Cycle-bound memo (one per [`CycleModel`]).
@@ -445,8 +446,8 @@ impl AnalysisMemo {
 }
 
 /// Compile and statically analyse a module under a configuration, with
-/// no memo: the plain [`compile_module`], [`analyze_program`] and
-/// [`analyze_program_energy`] every cached evaluation must equal.
+/// no memo: the plain [`compile_module`] and one [`analyze`] of both
+/// lanes, the result every cached evaluation must equal.
 ///
 /// # Errors
 /// Codegen errors are returned as `Err`; analysis errors (unbounded
@@ -458,82 +459,57 @@ pub fn evaluate_module(
     energy_model: &IsaEnergyModel,
 ) -> Result<(Program, ModuleMetrics), String> {
     let program = compile_module(ir, config).map_err(|e| e.to_string())?;
-    analyse_plain(program, cycle_model, energy_model)
+    let energy = EnergyLane::new(energy_model, cycle_model);
+    let bounds =
+        analyze(&program, [cycle_model, &energy], Preset::Ipet).map_err(|e| e.to_string())?;
+    let functions = program
+        .functions
+        .iter()
+        .zip(bounds.into_values())
+        .map(|((name, f), bounds)| metrics(name, bounds, code_size_halfwords(f)))
+        .collect();
+    Ok((program, ModuleMetrics::new(functions)))
+}
+
+/// One function's metrics from its bounds (cycles, millipicojoules) and
+/// its code size.
+fn metrics(
+    name: &str,
+    [wcet_cycles, mpj]: Bounds,
+    code_halfwords: usize,
+) -> (String, VariantMetrics) {
+    let metrics = VariantMetrics {
+        wcet_cycles,
+        wcec_pj: mpj_to_pj(mpj),
+        code_halfwords,
+    };
+    (name.to_string(), metrics)
 }
 
 /// The analysis half of every [`EvalCache`] evaluation and final build:
 /// the bounds of each function of `compiled` through the compile memo's
 /// exact `(code id, callee bounds)` table ([`CompileMemo::bounds`]),
-/// and its code size from its codegen entry. A function the table has
-/// not seen is analysed with [`analyze_function`] and
-/// [`function_wcec_mpj`], its WCEC converted to picojoules as
-/// [`analyze_program_energy`] does, so the metrics equal
-/// [`evaluate_module`]'s. On recursion or any analysis error it falls
-/// back to the plain analyses, which report the error.
+/// whose misses solve each function once for both lanes, and its code
+/// size from its codegen entry. The metrics and any error equal
+/// [`evaluate_module`]'s: the same engine, walked in the same
+/// callee-first order.
 fn analyse_program(
     memo: &CompileMemo,
     compiled: Compiled,
     cycle_model: &CycleModel,
     energy_model: &IsaEnergyModel,
 ) -> Result<(Program, ModuleMetrics), String> {
-    let fresh = |code: &Code, callee_bounds: &[Bounds]| {
-        let by_callee = |bound: fn(&Bounds) -> u64| -> BTreeMap<String, u64> {
-            code.callees
-                .iter()
-                .cloned()
-                .zip(callee_bounds.iter().map(bound))
-                .collect()
-        };
-        let wcet = analyze_function(&code.function, cycle_model, &by_callee(|b| b.0)).ok()?;
-        let mpj = function_wcec_mpj(
-            &code.function,
-            energy_model,
-            cycle_model,
-            &by_callee(|b| b.1),
-        );
-        Some((wcet, mpj.ok()?))
-    };
-    let Some(bounds) = memo.bounds(&compiled.code, fresh) else {
-        return analyse_plain(compiled.program, cycle_model, energy_model);
-    };
+    let energy = EnergyLane::new(energy_model, cycle_model);
+    let bounds = memo
+        .bounds(&compiled.code, &[cycle_model, &energy])
+        .map_err(|e| e.to_string())?;
     let functions = compiled
         .code
         .iter()
         .zip(bounds)
-        .map(|(code, (wcet_cycles, mpj))| {
-            let metrics = VariantMetrics {
-                wcet_cycles,
-                wcec_pj: mpj as f64 / 1000.0,
-                code_halfwords: code.halfwords,
-            };
-            (code.function.name.clone(), metrics)
-        })
+        .map(|(code, bounds)| metrics(&code.function.name, bounds, code.halfwords))
         .collect();
     Ok((compiled.program, ModuleMetrics::new(functions)))
-}
-
-/// [`analyze_program`] and [`analyze_program_energy`] of `program`,
-/// with each function's code size.
-fn analyse_plain(
-    program: Program,
-    cycle_model: &CycleModel,
-    energy_model: &IsaEnergyModel,
-) -> Result<(Program, ModuleMetrics), String> {
-    let wcet = analyze_program(&program, cycle_model).map_err(|e| e.to_string())?;
-    let energy =
-        analyze_program_energy(&program, energy_model, cycle_model).map_err(|e| e.to_string())?;
-    let mut functions = Vec::new();
-    for (name, f) in &program.functions {
-        functions.push((
-            name.clone(),
-            VariantMetrics {
-                wcet_cycles: wcet.wcet_cycles(name).expect("analysed"),
-                wcec_pj: energy.wcec_pj(name).expect("analysed"),
-                code_halfwords: code_size_halfwords(f),
-            },
-        ));
-    }
-    Ok((program, ModuleMetrics::new(functions)))
 }
 
 /// A memoized, thread-safe view of [`evaluate_module`] for one module and
@@ -1554,22 +1530,39 @@ mod tests {
     }
 
     #[test]
-    fn recursion_falls_back_to_the_plain_analysis_error() {
-        let ir =
-            compile_to_ir("int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }")
-                .expect("front-end");
+    fn analysis_errors_match_the_unmemoised_evaluation() {
+        // Recursion (found by the call-graph walk before any function is
+        // analysed) and an unbounded loop (found by one function's solve,
+        // after its callee was analysed and recorded): the final build
+        // through the memo words each exactly as `evaluate_module` does.
         let cm = CycleModel::pg32();
         let em = IsaEnergyModel::pg32_datasheet();
         let config = CompilerConfig::all_off();
-        let plain = evaluate_module(&ir, &config, &cm, &em).expect_err("recursive");
-        let cache = EvalCache::new(&ir, &cm, &em);
-        let built = cache
-            .final_build(&HashMap::new(), &config)
-            .expect_err("recursive");
-        assert_eq!(built, plain);
-        assert!(cache.evaluate(&config).is_none());
-        let stats = cache.compile_memo_stats();
-        assert_eq!((stats.analysis_hits, stats.analysis_misses), (0, 0));
+        for (src, wording, analysed) in [
+            (
+                "int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }",
+                "recursion involving `fact`",
+                (0, 0),
+            ),
+            (
+                "int one(int x) { return x + 1; }
+                 int spin(int n) { int s = 0; while (n > 0) { n = n - one(s); s = s + 1; } return s; }",
+                "function `spin`: loop at block",
+                (0, 1),
+            ),
+        ] {
+            let ir = compile_to_ir(src).expect("front-end");
+            let plain = evaluate_module(&ir, &config, &cm, &em).expect_err("unanalysable");
+            assert!(plain.starts_with(wording), "{plain}");
+            let cache = EvalCache::new(&ir, &cm, &em);
+            let built = cache
+                .final_build(&HashMap::new(), &config)
+                .expect_err("unanalysable");
+            assert_eq!(built, plain);
+            let stats = cache.compile_memo_stats();
+            assert_eq!((stats.analysis_hits, stats.analysis_misses), analysed);
+            assert!(cache.evaluate(&config).is_none());
+        }
     }
 
     #[test]

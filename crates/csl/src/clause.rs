@@ -107,11 +107,6 @@ impl EnergyValue {
     pub fn as_uj(self) -> f64 {
         self.0 / 1e6
     }
-
-    /// Millijoules.
-    pub fn as_mj(self) -> f64 {
-        self.0 / 1e9
-    }
 }
 
 impl fmt::Display for EnergyValue {

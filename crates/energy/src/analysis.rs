@@ -1,30 +1,40 @@
 //! Static worst-case energy consumption (WCEC) analysis.
 //!
-//! Mirrors the WCET analysis exactly — per-block worst-case picojoule
-//! costs fed to the *same IPET flow solver*
-//! (`teamplay_wcet::flow_bound_with`) — which is how WCC's
+//! WCEC is one more cost lane of the `teamplay-wcet` engine: the
+//! [`EnergyLane`] prices every block's instructions at their worst-case
+//! picojoules plus per-cycle leakage, in integer millipicojoules, and the
+//! engine solves the *same* flow structure with it — which is how WCC's
 //! EnergyAnalyser plug-in shares flow facts with aiT in the paper's
 //! toolchain: one constraint system (Kirchhoff conservation, loop-bound
-//! caps, infeasible-path facts), two objective vectors. Terminator
-//! energy and leakage ride the CFG *edges*, so a fall-through branch is
-//! charged its actual single leakage cycle, and loop bodies are charged
-//! `bound` times rather than `bound + 1` — WCEC tightens exactly as WCET
-//! does. With a conservative model the result remains a safe upper bound
-//! on the energy of any run (the property tests check this against the
-//! simulator's ground truth); the pre-IPET engine survives as
-//! [`analyze_program_energy_structural`] for tightness measurement.
+//! caps, infeasible-path facts), two objective vectors. Pass it to
+//! [`teamplay_wcet::analyze`] beside the cycle model to get both bounds
+//! from one solve per function, under either preset. Terminator energy
+//! and leakage ride the CFG *edges*, so a fall-through branch is charged
+//! its actual single leakage cycle, and loop bodies are charged `bound`
+//! times rather than `bound + 1` — WCEC tightens exactly as WCET does.
+//! With a conservative model the result remains a safe upper bound on
+//! the energy of any run (the property tests check this against the
+//! simulator's ground truth).
+//!
+//! [`analyze_program_energy`] and [`analyze_program_energy_cached`] are
+//! the one-lane IPET wrappers in picojoules, kept with their signatures
+//! for the end-to-end benchmark's workflow replay and the callers that
+//! want an [`EnergyReport`].
 
 use crate::model::IsaEnergyModel;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use teamplay_isa::{CycleModel, EnergyClass, Function, Insn, Program, Terminator};
-use teamplay_wcet::{
-    flow_bound_with, resolve_bottom_up, structural_bound_with, AnalysisCache, WcetError,
-};
+use teamplay_wcet::{analyze, analyze_cached, AnalysisCache, CostLane, Preset, WcetError};
 
 /// Scale factor: picojoules are analysed in integer millipicojoules so
-/// the shared integer flow solver can be reused without rounding drift.
+/// the integer flow engine can be reused without rounding drift.
 const MILLI: f64 = 1000.0;
+
+/// A bound of the [`EnergyLane`] in picojoules.
+pub fn mpj_to_pj(mpj: u64) -> f64 {
+    mpj as f64 / MILLI
+}
 
 /// Per-program WCEC results (picojoules).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -33,6 +43,13 @@ pub struct EnergyReport {
 }
 
 impl EnergyReport {
+    /// A report of per-function [`EnergyLane`] bounds.
+    fn of_mpj(bounds: impl IntoIterator<Item = (String, u64)>) -> EnergyReport {
+        EnergyReport {
+            per_function: bounds.into_iter().map(|(n, e)| (n, mpj_to_pj(e))).collect(),
+        }
+    }
+
     /// Worst-case energy for a function in picojoules.
     pub fn wcec_pj(&self, function: &str) -> Option<f64> {
         self.per_function.get(function).copied()
@@ -54,112 +71,58 @@ impl EnergyReport {
     }
 }
 
-/// Per-block instruction-body energy in millipicojoules (terminators
-/// excluded, callee WCECs and per-cycle leakage folded in).
-fn body_costs_mpj(
-    f: &Function,
-    energy_model: &IsaEnergyModel,
-    cycle_model: &CycleModel,
-    callee_mpj: &BTreeMap<String, u64>,
-) -> Result<Vec<u64>, WcetError> {
-    let mut cost = vec![0u64; f.blocks.len()];
-    for (i, b) in f.blocks.iter().enumerate() {
+/// The worst-case energy lane, in millipicojoules: each instruction's
+/// worst-case switching energy plus the leakage of its cycles, rounded
+/// up once per block body; each terminator traversal likewise, with the
+/// leakage of the cycles that traversal actually takes (a fall-through
+/// leaks for one cycle, not three). Callee bounds are added unrounded.
+#[derive(Debug, Clone, Copy)]
+pub struct EnergyLane<'m> {
+    energy: &'m IsaEnergyModel,
+    cycles: &'m CycleModel,
+}
+
+impl<'m> EnergyLane<'m> {
+    /// The lane of `energy` on a processor timed by `cycles`.
+    pub fn new(energy: &'m IsaEnergyModel, cycles: &'m CycleModel) -> EnergyLane<'m> {
+        EnergyLane { energy, cycles }
+    }
+}
+
+impl CostLane for EnergyLane<'_> {
+    fn body(&self, insns: &[Insn], callee: &dyn Fn(&str) -> u64) -> u64 {
         let mut pj = 0.0f64;
         let mut cycles = 0u64;
-        let mut extra_mpj = 0u64;
-        for insn in &b.insns {
-            let class = EnergyClass::of_insn(insn);
+        let mut callee_mpj = 0u64;
+        for insn in insns {
             let regs_moved = match insn {
                 Insn::Push { regs } | Insn::Pop { regs } => regs.len(),
                 _ => 0,
             };
-            pj += energy_model.worst_case_insn(class, regs_moved);
-            cycles += cycle_model.cycles(insn, false);
+            pj += self
+                .energy
+                .worst_case_insn(EnergyClass::of_insn(insn), regs_moved);
+            cycles += self.cycles.cycles(insn, false);
             if let Insn::Call { func } = insn {
-                let callee = callee_mpj
-                    .get(func)
-                    .ok_or_else(|| WcetError::UnknownCallee {
-                        function: f.name.clone(),
-                        callee: func.clone(),
-                    })?;
-                extra_mpj = extra_mpj.saturating_add(*callee);
+                callee_mpj = callee_mpj.saturating_add(callee(func));
             }
         }
-        pj += energy_model.leakage_per_cycle * cycles as f64;
-        cost[i] = (pj * MILLI).ceil() as u64 + extra_mpj;
+        pj += self.energy.leakage_per_cycle * cycles as f64;
+        ((pj * MILLI).ceil() as u64).saturating_add(callee_mpj)
     }
-    Ok(cost)
-}
 
-/// One terminator traversal in millipicojoules: its switching class
-/// plus the leakage of the cycles that traversal actually takes (the
-/// per-edge `taken` flag is the IPET tightening — a fall-through leaks
-/// for one cycle, not three).
-fn term_cost_mpj(
-    t: &Terminator,
-    taken: bool,
-    energy_model: &IsaEnergyModel,
-    cycle_model: &CycleModel,
-) -> u64 {
-    let pj = energy_model.worst_case_insn(EnergyClass::of_terminator(t), 0)
-        + energy_model.leakage_per_cycle * cycle_model.terminator_cycles(t, taken) as f64;
-    (pj * MILLI).ceil() as u64
-}
-
-/// Worst-case energy of one function given its callees' results, all in
-/// millipicojoules (the integer unit the flow solver works in; divide by
-/// 1000 for picojoules, as [`analyze_program_energy`] does): the shared
-/// IPET flow solver over energy costs. The per-function step of the
-/// program drivers, public for the compiler's evaluation memo, which
-/// resolves calls itself.
-///
-/// # Errors
-/// As [`analyze_program_energy`], for this one function.
-pub fn function_wcec_mpj(
-    f: &Function,
-    energy_model: &IsaEnergyModel,
-    cycle_model: &CycleModel,
-    callee_mpj: &BTreeMap<String, u64>,
-) -> Result<u64, WcetError> {
-    let cost = body_costs_mpj(f, energy_model, cycle_model, callee_mpj)?;
-    flow_bound_with(f, &cost, &|t, taken| {
-        term_cost_mpj(t, taken, energy_model, cycle_model)
-    })
-}
-
-/// [`function_wcec_mpj`] under the pre-IPET structural engine (worst
-/// terminator folded into every block, loops at `(bound + 1) ×` the
-/// worst iteration) — the WCEC tightness baseline.
-fn function_wcec_mpj_structural(
-    f: &Function,
-    energy_model: &IsaEnergyModel,
-    cycle_model: &CycleModel,
-    callee_mpj: &BTreeMap<String, u64>,
-) -> Result<u64, WcetError> {
-    let cost = body_costs_mpj(f, energy_model, cycle_model, callee_mpj)?;
-    structural_bound_with(f, &cost, &|t, taken| {
-        term_cost_mpj(t, taken, energy_model, cycle_model)
-    })
-}
-
-/// Wrap the shared `teamplay-wcet` bottom-up driver (validation,
-/// recursion rejection, callee-first ordering, optional content-keyed
-/// cache — one policy for both metrics) and scale the resolved
-/// millipicojoule bounds back to picojoules.
-fn analyze_energy_with(
-    program: &Program,
-    cache: Option<&AnalysisCache>,
-    analyse: impl Fn(&Function, &BTreeMap<String, u64>) -> Result<u64, WcetError>,
-) -> Result<EnergyReport, WcetError> {
-    let per_function = resolve_bottom_up(program, cache, analyse)?
-        .into_iter()
-        .map(|(n, mpj)| (n, mpj as f64 / MILLI))
-        .collect();
-    Ok(EnergyReport { per_function })
+    fn terminator(&self, t: &Terminator, taken: bool) -> u64 {
+        let pj = self
+            .energy
+            .worst_case_insn(EnergyClass::of_terminator(t), 0)
+            + self.energy.leakage_per_cycle * self.cycles.terminator_cycles(t, taken) as f64;
+        (pj * MILLI).ceil() as u64
+    }
 }
 
 /// Static WCEC analysis of every function in the program (IPET engine),
-/// resolved bottom-up over the (recursion-free) call graph.
+/// resolved callee-first over the (recursion-free) call graph: the
+/// one-lane [`teamplay_wcet::analyze`] in picojoules.
 ///
 /// # Errors
 /// The same classes of error as the WCET analysis (unbounded loops,
@@ -169,20 +132,20 @@ pub fn analyze_program_energy(
     energy_model: &IsaEnergyModel,
     cycle_model: &CycleModel,
 ) -> Result<EnergyReport, WcetError> {
-    analyze_energy_with(program, None, |f, callees| {
-        function_wcec_mpj(f, energy_model, cycle_model, callees)
-    })
+    let lane = EnergyLane::new(energy_model, cycle_model);
+    let bounds = analyze(program, [&lane], Preset::Ipet)?;
+    Ok(EnergyReport::of_mpj(
+        bounds.into_iter().map(|(n, [e])| (n, e)),
+    ))
 }
 
-/// [`analyze_program_energy`] with per-function memoization: unchanged
-/// functions (same content, same callee bounds) are answered from
-/// `cache`, which compares every entry exactly. Use one cache per
-/// (energy-model, cycle-model) pair — the models are not part of the
-/// key.
+/// [`analyze_program_energy`] through a content-keyed [`AnalysisCache`]
+/// ([`teamplay_wcet::analyze_cached`]). Use one cache per (energy-model,
+/// cycle-model) pair — the models are not part of the key.
 ///
-/// The compiler's evaluations do not use it: they memoize
-/// [`function_wcec_mpj`] on the compile memo's code identity. It stays
-/// public for the perfbench workflow replay.
+/// The compiler's evaluations do not use it: they key analyses on the
+/// compile memo's code identity. It is kept, with its signature, for the
+/// end-to-end benchmark's workflow replay.
 ///
 /// # Errors
 /// See [`analyze_program_energy`].
@@ -192,24 +155,8 @@ pub fn analyze_program_energy_cached(
     cycle_model: &CycleModel,
     cache: &AnalysisCache,
 ) -> Result<EnergyReport, WcetError> {
-    analyze_energy_with(program, Some(cache), |f, callees| {
-        function_wcec_mpj(f, energy_model, cycle_model, callees)
-    })
-}
-
-/// Whole-program WCEC under the structural baseline engine — the
-/// tightness denominator next to [`analyze_program_energy`].
-///
-/// # Errors
-/// See [`analyze_program_energy`].
-pub fn analyze_program_energy_structural(
-    program: &Program,
-    energy_model: &IsaEnergyModel,
-    cycle_model: &CycleModel,
-) -> Result<EnergyReport, WcetError> {
-    analyze_energy_with(program, None, |f, callees| {
-        function_wcec_mpj_structural(f, energy_model, cycle_model, callees)
-    })
+    let lane = EnergyLane::new(energy_model, cycle_model);
+    Ok(EnergyReport::of_mpj(analyze_cached(program, &lane, cache)?))
 }
 
 /// Quick sanity statistic: the set of energy classes a function actually

@@ -9,8 +9,8 @@
 //!   close to, but not identical with, the simulator's hidden ground
 //!   truth, so analysis-vs-measurement comparisons stay meaningful.
 //! * [`analysis`] — static worst-case energy consumption (WCEC) analysis
-//!   over PG32 programs, reusing the WCET crate's structural flow solver
-//!   with picojoule block costs.
+//!   over PG32 programs: the [`EnergyLane`] the WCET crate's engine
+//!   solves beside (or instead of) the cycle lane.
 //! * [`fitting`] — ordinary-least-squares model *fitting* from measured
 //!   runs (per-class retirement counters + energy), the reproduction of
 //!   ref \[8\]'s "robust and accurate fine-grain power models with no
@@ -25,8 +25,7 @@ pub mod fitting;
 pub mod model;
 
 pub use analysis::{
-    analyze_program_energy, analyze_program_energy_cached, analyze_program_energy_structural,
-    function_wcec_mpj, EnergyReport,
+    analyze_program_energy, analyze_program_energy_cached, mpj_to_pj, EnergyLane, EnergyReport,
 };
 pub use component::{ComponentModel, ComponentSample};
 pub use fitting::{fit_isa_model, FitQuality, FitSample};

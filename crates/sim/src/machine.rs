@@ -88,11 +88,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Energy in nanojoules.
-    pub fn energy_nj(&self) -> f64 {
-        self.energy_pj / 1e3
-    }
-
     /// Execution time in microseconds at the given clock.
     pub fn time_us(&self, clock_mhz: f64) -> f64 {
         self.cycles as f64 / clock_mhz

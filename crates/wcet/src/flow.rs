@@ -1,4 +1,5 @@
-//! The shared IPET flow solver.
+//! The analysis engine: one flow structure per function, solved for any
+//! number of cost lanes under either [`Preset`].
 //!
 //! Implicit path enumeration (IPET) phrases a worst-case bound as a
 //! maximum-cost flow problem over the CFG: every block and every edge
@@ -10,26 +11,23 @@
 //! loop-nest dynamic program — no LP crate, consistent with the
 //! repository's vendored-offline rule.
 //!
-//! The solver is deliberately cost-agnostic: `FlowProblem::node_cost`
-//! and per-edge costs are plain `u64`s, so the same engine serves the
-//! cycle model (WCET) and `teamplay-energy`'s millipicojoule model
-//! (WCEC). Callers build a problem with [`FlowProblem::from_function`],
-//! handing it a per-block body cost and a terminator-cost closure; the
-//! closure's `taken` flag is what makes IPET tighter than the structural
-//! bound on conditional branches (a fall-through exit no longer pays the
-//! taken-branch worst case).
+//! [`FlowStructure::of`] prepares everything a bound needs but the
+//! costs: reachability, the natural loops in condensation order
+//! (innermost first), the edges with the predicates of their branches,
+//! and each block's register write mask. [`FlowStructure::solve`] then
+//! prices it with `L` [`CostLane`]s and runs the loop-nest DP once for
+//! all of them: the DFS orders and value contexts are shared, and each
+//! lane keeps its own saturating sums and maxima, so a lane's bound does
+//! not depend on the lanes solved beside it.
 //!
 //! ## The loop-nest dynamic program
 //!
-//! Natural loops are condensed innermost-first, exactly as in
-//! [`crate::structural_bound`], but the condensation is count-exact
-//! instead of path-repeating:
+//! Natural loops are condensed innermost-first. Under [`Preset::Ipet`]
+//! the condensation is count-exact:
 //!
 //! * one loop entry admits at most `bound` back-edge traversals, so the
 //!   condensed node costs `bound × best-latch-circuit` — the header is
-//!   charged `bound + 1` times in total (once on the final exit check),
-//!   while the structural engine charges the whole worst iteration path
-//!   `bound + 1` times;
+//!   charged `bound + 1` times in total (once on the final exit check);
 //! * every exit edge `(u → v)` of the loop becomes an edge of the outer
 //!   graph weighted `maxpath(header → u) + cost(u → v)`, so the final
 //!   partial traversal is charged along its own (possibly much cheaper)
@@ -40,7 +38,13 @@
 //! This is the LP optimum: a max-cost flow on a DAG decomposes into
 //! paths, `bound` of which circle through the most expensive latch
 //! circuit while the single exit unit takes the most expensive exit
-//! path.
+//! path. Terminator costs ride the edges, so a fall-through pays the
+//! not-taken cost.
+//!
+//! [`Preset::Structural`] is the pre-IPET baseline on the same
+//! condensation: every block pays its worst terminator, edges are free,
+//! no infeasible-path fact is used, and a loop costs `(bound + 1) ×` its
+//! worst iteration path (the deepest path from its header).
 //!
 //! ## Infeasible-path facts
 //!
@@ -52,66 +56,89 @@
 //! removed), and the maximum over cells is the bound. Because every
 //! concrete execution fixes the register to a value in exactly one
 //! cell, the maximum is still a safe upper bound, and it excludes the
-//! `x < 3 ∧ x ≥ 7`-style path combinations the structural engine (and
+//! `x < 3 ∧ x ≥ 7`-style path combinations the structural preset (and
 //! plain conservation constraints) must admit. Registers written
 //! anywhere in the region — including by calls, which are treated as
 //! clobbering every register — are never correlated.
 //!
 //! Irreducible control flow (a cycle that is not a natural loop) makes
-//! the region DP cyclic; the solver reports
-//! [`FlowError::Irreducible`] and the caller falls back to
-//! [`crate::structural_bound`].
+//! the region DP cyclic, and the solve fails with
+//! [`WcetError::IrreducibleCfg`]. Both presets condense the same loops in
+//! the same order, and a cycle the IPET DP meets is a cycle of the
+//! structural one too, so there is nothing to fall back to.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use teamplay_isa::{Cond, Function, Insn, Operand, Reg, Terminator};
-use teamplay_minic::cfg::{natural_loops, reverse_postorder, CfgView};
+use crate::{CostLane, Preset, WcetError};
+use std::collections::BTreeSet;
+use teamplay_isa::{BlockId, Cond, Function, Insn, Operand, Reg, Terminator};
+use teamplay_minic::cfg::{natural_loops, reverse_postorder, CfgView, NaturalLoop};
 
 /// Hard cap on the number of value contexts enumerated per region; the
 /// cross product of correlated registers is trimmed (dropping facts,
 /// never soundness) to stay below it.
 const MAX_CONTEXTS: usize = 64;
 
-/// Errors the flow solver can report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlowError {
-    /// A loop header carries no bound fact.
-    Unbounded {
-        /// The loop-header block index.
-        header: usize,
-    },
-    /// The CFG is irreducible: a cycle survives natural-loop
-    /// condensation, so the loop-nest DP cannot order it.
-    Irreducible,
-}
+/// A branch predicate: `reg cond imm` must hold for the edge to be taken.
+type Pred = Option<(Reg, i32, Cond)>;
 
-/// An edge of the flow graph: target block, traversal cost, and an
-/// optional predicate (`reg cond imm` must hold for the edge to be
-/// taken) feeding the infeasible-path analysis.
+/// One value context: a candidate value per correlated register.
+type Context = Vec<(Reg, i64)>;
+
+/// Which terminator cost one traversal of a CFG edge pays.
 #[derive(Debug, Clone, Copy)]
-struct FlowEdge {
-    to: usize,
-    cost: u64,
-    pred: Option<(Reg, i32, Cond)>,
+enum Via {
+    Taken,
+    NotTaken,
+    /// A conditional branch whose two arms meet: the dearer of the two.
+    Either,
 }
 
-/// A max-cost flow problem over one function's CFG.
-///
-/// Built by [`FlowProblem::from_function`] and solved by
-/// [`FlowProblem::solve`]. Costs are dimension-free `u64`s — cycles for
-/// the WCET instantiation, millipicojoules for the WCEC one.
-#[derive(Debug)]
-pub struct FlowProblem {
-    /// Per-block cost of the straight-line body (terminator excluded).
-    node_cost: Vec<u64>,
-    /// Outgoing edges per block, terminator costs attached.
-    edges: Vec<Vec<FlowEdge>>,
-    /// Cost of *ending* the function at a block — `Some` only for
-    /// `ret`/`halt` blocks; paths may only terminate there.
-    exit_cost: Vec<Option<u64>>,
-    /// Max body iterations per loop entry, keyed by header block.
-    loop_bounds: BTreeMap<usize, u64>,
+/// A CFG edge before pricing.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    to: usize,
+    via: Via,
+    pred: Pred,
+}
+
+/// An edge of the condensed graph: target block, per-lane traversal
+/// cost, and the predicate feeding the infeasible-path analysis.
+#[derive(Debug, Clone, Copy)]
+struct CostEdge<const L: usize> {
+    to: usize,
+    cost: [u64; L],
+    pred: Pred,
+}
+
+/// Everything one function's bound needs except the costs.
+pub(crate) struct FlowStructure<'f> {
+    f: &'f Function,
+    reachable: Vec<bool>,
+    /// The natural loops, innermost (smallest body) first.
+    loops: Vec<NaturalLoop>,
+    /// Outgoing edges of every reachable block; none for the rest.
+    edges: Vec<Vec<Edge>>,
     /// Bitmask of registers each block may write (calls clobber all).
     writes: Vec<u16>,
+}
+
+/// Adapter giving the generic CFG algorithms a view of a PG32 function.
+struct FnView<'a>(&'a Function);
+
+impl CfgView for FnView<'_> {
+    fn num_blocks(&self) -> usize {
+        self.0.blocks.len()
+    }
+    fn entry(&self) -> usize {
+        0
+    }
+    fn successors(&self, block: usize) -> Vec<usize> {
+        self.0.blocks[block]
+            .terminator
+            .successors()
+            .iter()
+            .map(|b| b.index())
+            .collect()
+    }
 }
 
 /// Registers an instruction may write, as a 16-bit mask; `None` means
@@ -132,154 +159,195 @@ fn write_mask(insn: &Insn) -> Option<u16> {
     })
 }
 
-impl FlowProblem {
-    /// Build the flow problem for `f`.
-    ///
-    /// `node_cost[b]` is the cost of block `b`'s instruction body
-    /// (terminator excluded; callee costs already folded in by the
-    /// caller). `term_cost(t, taken)` prices one traversal of the
-    /// terminator `t` along its taken (`true`) or fall-through
-    /// (`false`) edge — for `Return`/`Halt` the flag is irrelevant.
-    pub fn from_function(
-        f: &Function,
-        node_cost: &[u64],
-        term_cost: &dyn Fn(&Terminator, bool) -> u64,
-    ) -> FlowProblem {
-        let n = f.blocks.len();
-        let mut edges: Vec<Vec<FlowEdge>> = vec![Vec::new(); n];
-        let mut exit_cost: Vec<Option<u64>> = vec![None; n];
-        let mut writes = vec![0u16; n];
-        for (i, b) in f.blocks.iter().enumerate() {
-            for insn in &b.insns {
-                match write_mask(insn) {
-                    Some(m) => writes[i] |= m,
-                    None => writes[i] = u16::MAX,
-                }
-            }
-            // A trailing `cmp reg, #imm` makes the conditional branch's
-            // predicate explicit; whether it is *usable* is decided per
-            // region by the write masks.
-            let guard = match b.insns.last() {
-                Some(Insn::Cmp {
-                    rn,
-                    src: Operand::Imm(imm),
-                }) => Some((*rn, *imm)),
-                _ => None,
-            };
-            match &b.terminator {
-                Terminator::Branch(t) => {
-                    edges[i].push(FlowEdge {
-                        to: t.index(),
-                        cost: term_cost(&b.terminator, true),
-                        pred: None,
-                    });
-                }
-                Terminator::CondBranch {
-                    cond,
-                    taken,
-                    fallthrough,
-                } => {
-                    if taken == fallthrough {
-                        let cost =
-                            term_cost(&b.terminator, true).max(term_cost(&b.terminator, false));
-                        edges[i].push(FlowEdge {
-                            to: taken.index(),
-                            cost,
-                            pred: None,
-                        });
-                    } else {
-                        edges[i].push(FlowEdge {
-                            to: taken.index(),
-                            cost: term_cost(&b.terminator, true),
-                            pred: guard.map(|(r, imm)| (r, imm, *cond)),
-                        });
-                        edges[i].push(FlowEdge {
-                            to: fallthrough.index(),
-                            cost: term_cost(&b.terminator, false),
-                            pred: guard.map(|(r, imm)| (r, imm, cond.negate())),
-                        });
-                    }
-                }
-                Terminator::Return | Terminator::Halt => {
-                    exit_cost[i] = Some(term_cost(&b.terminator, true));
-                }
-            }
-        }
-        FlowProblem {
-            node_cost: node_cost.to_vec(),
-            edges,
-            exit_cost,
-            loop_bounds: f
-                .loop_bounds
-                .iter()
-                .map(|(id, b)| (id.index(), u64::from(*b)))
-                .collect(),
-            writes,
-        }
+/// The edges leaving a block. A trailing `cmp reg, #imm` makes a
+/// conditional branch's predicate explicit; whether it is *usable* is
+/// decided per region by the write masks.
+fn block_edges(insns: &[Insn], terminator: &Terminator) -> Vec<Edge> {
+    let guard = match insns.last() {
+        Some(Insn::Cmp {
+            rn,
+            src: Operand::Imm(imm),
+        }) => Some((*rn, *imm)),
+        _ => None,
+    };
+    let edge = |to: &BlockId, via, pred| Edge {
+        to: to.index(),
+        via,
+        pred,
+    };
+    match terminator {
+        Terminator::Branch(t) => vec![edge(t, Via::Taken, None)],
+        Terminator::CondBranch {
+            taken, fallthrough, ..
+        } if taken == fallthrough => vec![edge(taken, Via::Either, None)],
+        Terminator::CondBranch {
+            cond,
+            taken,
+            fallthrough,
+        } => vec![
+            edge(taken, Via::Taken, guard.map(|(r, imm)| (r, imm, *cond))),
+            edge(
+                fallthrough,
+                Via::NotTaken,
+                guard.map(|(r, imm)| (r, imm, cond.negate())),
+            ),
+        ],
+        Terminator::Return | Terminator::Halt => Vec::new(),
     }
+}
 
-    /// Solve the problem exactly: the IPET maximum over all count
-    /// assignments satisfying conservation, the loop bounds and the
-    /// derivable exclusivity facts.
-    ///
-    /// # Errors
-    /// [`FlowError::Unbounded`] when a loop header has no bound;
-    /// [`FlowError::Irreducible`] when the CFG defeats the loop-nest DP
-    /// (callers fall back to the structural engine).
-    pub fn solve(&self) -> Result<u64, FlowError> {
-        let n = self.node_cost.len();
-        let view = ProblemView(self);
-        let reachable: HashSet<usize> = reverse_postorder(&view).into_iter().collect();
+/// Lane-wise saturating sum.
+fn add<const L: usize>(a: [u64; L], b: [u64; L]) -> [u64; L] {
+    std::array::from_fn(|k| a[k].saturating_add(b[k]))
+}
 
-        // Condensation state, mirroring `structural_bound`: every block
-        // maps to its current super-node (loop headers double as
-        // super-node ids), whose cost/edges/exit/writes evolve as loops
-        // collapse.
-        let mut node_of: Vec<usize> = (0..n).collect();
-        let mut cost = self.node_cost.clone();
-        let mut edges: Vec<Vec<FlowEdge>> = (0..n)
-            .map(|i| {
-                if reachable.contains(&i) {
-                    self.edges[i].clone()
+/// Lane-wise maximum.
+fn max<const L: usize>(a: [u64; L], b: [u64; L]) -> [u64; L] {
+    std::array::from_fn(|k| a[k].max(b[k]))
+}
+
+impl<'f> FlowStructure<'f> {
+    /// Prepare `f`'s flow structure.
+    pub(crate) fn of(f: &'f Function) -> FlowStructure<'f> {
+        let view = FnView(f);
+        let mut reachable = vec![false; f.blocks.len()];
+        for b in reverse_postorder(&view) {
+            reachable[b] = true;
+        }
+        let mut loops = natural_loops(&view);
+        loops.sort_by_key(|l| l.body.len());
+        let edges = f
+            .blocks
+            .iter()
+            .zip(&reachable)
+            .map(|(b, &live)| {
+                if live {
+                    block_edges(&b.insns, &b.terminator)
                 } else {
                     Vec::new()
                 }
             })
             .collect();
-        let mut exit_cost = self.exit_cost.clone();
-        let mut writes = self.writes.clone();
+        let writes = f
+            .blocks
+            .iter()
+            .map(|b| {
+                b.insns.iter().fold(0u16, |m, insn| match write_mask(insn) {
+                    Some(w) => m | w,
+                    None => u16::MAX,
+                })
+            })
+            .collect();
+        FlowStructure {
+            f,
+            reachable,
+            loops,
+            edges,
+            writes,
+        }
+    }
 
-        let mut loops = natural_loops(&view);
-        loops.sort_by_key(|l| l.body.len());
+    /// The function's bound in every lane under `preset`. `callee(k,
+    /// name)` is the bound of the called function `name` in lane `k`.
+    ///
+    /// # Errors
+    /// [`WcetError::UnboundedLoop`] for the first loop in condensation
+    /// order without a bound, [`WcetError::IrreducibleCfg`] when a cycle
+    /// survives condensation.
+    pub(crate) fn solve<const L: usize>(
+        &self,
+        preset: Preset,
+        lanes: &[&dyn CostLane; L],
+        callee: &dyn Fn(usize, &str) -> u64,
+    ) -> Result<[u64; L], WcetError> {
+        let f = self.f;
+        let n = f.blocks.len();
+        let ipet = preset == Preset::Ipet;
+        let term = |t: &Terminator, via: Via| -> [u64; L] {
+            std::array::from_fn(|k| match via {
+                Via::Taken => lanes[k].terminator(t, true),
+                Via::NotTaken => lanes[k].terminator(t, false),
+                Via::Either => lanes[k]
+                    .terminator(t, true)
+                    .max(lanes[k].terminator(t, false)),
+            })
+        };
 
-        for l in &loops {
-            let header = node_of[l.header];
-            let bound = *self
+        // The priced graph, condensed in place. The structural preset
+        // folds the worst terminator into each block and leaves the
+        // edges free.
+        let mut g = Graph {
+            node_of: (0..n).collect(),
+            cost: vec![[0; L]; n],
+            edges: Vec::with_capacity(n),
+            exit: vec![None; n],
+            writes: self.writes.clone(),
+        };
+        for (i, (b, out)) in f.blocks.iter().zip(&self.edges).enumerate() {
+            g.edges.push(
+                out.iter()
+                    .map(|e| CostEdge {
+                        to: e.to,
+                        cost: if ipet {
+                            term(&b.terminator, e.via)
+                        } else {
+                            [0; L]
+                        },
+                        pred: e.pred,
+                    })
+                    .collect(),
+            );
+            if !self.reachable[i] {
+                continue;
+            }
+            let body = std::array::from_fn(|k| lanes[k].body(&b.insns, &|name| callee(k, name)));
+            if !ipet {
+                g.cost[i] = add(body, term(&b.terminator, Via::Either));
+                continue;
+            }
+            g.cost[i] = body;
+            if matches!(b.terminator, Terminator::Return | Terminator::Halt) {
+                g.exit[i] = Some(term(&b.terminator, Via::Taken));
+            }
+        }
+
+        for l in &self.loops {
+            let header = g.node_of[l.header];
+            let bound = *f
                 .loop_bounds
-                .get(&l.header)
-                .ok_or(FlowError::Unbounded { header: l.header })?;
-            let members: BTreeSet<usize> = l.body.iter().map(|b| node_of[*b]).collect();
-
-            let region = Region {
+                .get(&BlockId(l.header as u32))
+                .ok_or_else(|| WcetError::UnboundedLoop {
+                    function: f.name.clone(),
+                    header: l.header as u32,
+                })?;
+            let members: BTreeSet<usize> = l.body.iter().map(|b| g.node_of[*b]).collect();
+            let out = Region {
+                g: &g,
                 members: &members,
                 start: header,
-                node_of: &node_of,
-                cost: &cost,
-                edges: &edges,
-                exit_cost: &exit_cost,
-                writes: &writes,
-            };
-            let out = region.analyse()?;
+                facts: ipet,
+            }
+            .analyse(&f.name)?;
 
-            // Condense into the header's id: `bound` worst latch
+            // Condense into the header's id. IPET: `bound` worst latch
             // circuits, per-exit-edge weighted continuations, and the
             // worst in-loop termination as the node's own exit cost.
-            cost[header] = out.latch.saturating_mul(bound);
-            edges[header] = out.external;
-            exit_cost[header] = out.exit;
-            let mask = members.iter().fold(0u16, |m, s| m | writes[*s]);
-            writes[header] = mask;
-            for node in node_of.iter_mut() {
+            // Structural: `bound + 1` worst iterations, free exits.
+            let bound = u64::from(bound);
+            if ipet {
+                g.cost[header] = out.latch.map(|c| c.saturating_mul(bound));
+                g.edges[header] = out.external;
+            } else {
+                g.cost[header] = out.deepest.map(|c| c.saturating_mul(bound + 1));
+                g.edges[header] = out
+                    .external
+                    .into_iter()
+                    .map(|e| CostEdge { cost: [0; L], ..e })
+                    .collect();
+            }
+            g.exit[header] = out.exit;
+            g.writes[header] = members.iter().fold(0u16, |m, s| m | g.writes[*s]);
+            for node in g.node_of.iter_mut() {
                 if members.contains(node) {
                     *node = header;
                 }
@@ -288,107 +356,98 @@ impl FlowProblem {
 
         // Top level: one DAG pass over the condensed graph.
         let members: BTreeSet<usize> = (0..n)
-            .filter(|b| reachable.contains(b))
-            .map(|b| node_of[b])
+            .filter(|&b| self.reachable[b])
+            .map(|b| g.node_of[b])
             .collect();
-        let region = Region {
+        let out = Region {
+            g: &g,
             members: &members,
-            start: node_of[0],
-            node_of: &node_of,
-            cost: &cost,
-            edges: &edges,
-            exit_cost: &exit_cost,
-            writes: &writes,
-        };
-        let out = region.analyse()?;
-        // A degenerate CFG with no reachable `ret`/`halt` still gets the
-        // conservative longest-path answer (as the structural engine
-        // would give).
+            start: g.node_of[0],
+            facts: ipet,
+        }
+        .analyse(&f.name)?;
+        // A CFG with no reachable `ret`/`halt` (and every structural
+        // bound) takes the longest path to anywhere.
         Ok(out.exit.unwrap_or(out.deepest))
     }
 }
 
-/// `CfgView` adapter so the generic loop discovery runs on the problem.
-struct ProblemView<'a>(&'a FlowProblem);
-
-impl CfgView for ProblemView<'_> {
-    fn num_blocks(&self) -> usize {
-        self.0.node_cost.len()
-    }
-    fn entry(&self) -> usize {
-        0
-    }
-    fn successors(&self, block: usize) -> Vec<usize> {
-        self.0.edges[block].iter().map(|e| e.to).collect()
-    }
+/// The priced graph as it condenses: every block maps to its current
+/// super-node (loop headers double as super-node ids), whose cost,
+/// edges, exit cost and writes evolve as loops collapse.
+struct Graph<const L: usize> {
+    node_of: Vec<usize>,
+    cost: Vec<[u64; L]>,
+    edges: Vec<Vec<CostEdge<L>>>,
+    /// The cost of *ending* the function at a node — `Some` only where
+    /// a `ret`/`halt` is reachable within it (IPET only).
+    exit: Vec<Option<[u64; L]>>,
+    writes: Vec<u16>,
 }
 
 /// One acyclic region of the condensed graph: a loop body (start = the
 /// header) or the whole top level (start = the entry's super-node).
-struct Region<'a> {
+struct Region<'a, const L: usize> {
+    g: &'a Graph<L>,
     members: &'a BTreeSet<usize>,
     start: usize,
-    node_of: &'a [usize],
-    cost: &'a [u64],
-    edges: &'a [Vec<FlowEdge>],
-    exit_cost: &'a [Option<u64>],
-    writes: &'a [u16],
+    /// Whether infeasible-path facts are used (the IPET preset).
+    facts: bool,
 }
 
-/// The three quantities a region DP produces, maximised over contexts.
-struct RegionOut {
+/// What a region DP produces per lane, maximised over contexts.
+struct RegionOut<const L: usize> {
     /// Worst latch circuit: `maxpath(start → t) + cost(t → start)`.
     /// Zero when the region has no back edge (the top level).
-    latch: u64,
+    latch: [u64; L],
     /// Region-leaving edges, reweighted with their internal prefix
     /// path: `maxpath(start → u) + cost(u → v)`.
-    external: Vec<FlowEdge>,
-    /// Worst terminating path (`maxpath(start → m) + exit_cost(m)`), or
+    external: Vec<CostEdge<L>>,
+    /// Worst terminating path (`maxpath(start → m) + exit(m)`), or
     /// `None` when no member can end the function.
-    exit: Option<u64>,
+    exit: Option<[u64; L]>,
     /// Worst path to anywhere in the region, terminating or not.
-    deepest: u64,
+    deepest: [u64; L],
 }
 
-impl Region<'_> {
+impl<const L: usize> Region<'_, L> {
     /// An edge's resolved target super-node.
-    fn target(&self, e: &FlowEdge) -> usize {
-        self.node_of[e.to]
+    fn target(&self, e: &CostEdge<L>) -> usize {
+        self.g.node_of[e.to]
     }
 
     /// The value contexts to enumerate: registers tested by at least
     /// two predicated edges of the region and written by no member,
     /// each with the candidate values that cover every interval cell
-    /// of its immediates. Returns the empty vector when no fact is
-    /// usable (one unconstrained pass is then performed).
-    fn contexts(&self) -> Vec<Vec<(Reg, i64)>> {
-        let region_mask = self.members.iter().fold(0u16, |m, s| m | self.writes[*s]);
-        let mut imms: BTreeMap<Reg, BTreeSet<i64>> = BTreeMap::new();
-        let mut branches: BTreeMap<Reg, usize> = BTreeMap::new();
+    /// of its immediates. One empty context (a single unconstrained
+    /// pass) when no fact is usable or facts are off.
+    fn contexts(&self) -> Vec<Context> {
+        if !self.facts {
+            return vec![Vec::new()];
+        }
+        let region_mask = self.members.iter().fold(0u16, |m, s| m | self.g.writes[*s]);
+        let mut imms: std::collections::BTreeMap<Reg, (BTreeSet<i64>, usize)> = Default::default();
         for &m in self.members {
             let mut seen_here: BTreeSet<Reg> = BTreeSet::new();
-            for e in &self.edges[m] {
+            for e in &self.g.edges[m] {
                 if let Some((r, imm, _)) = e.pred {
                     if region_mask & (1 << r.index()) == 0 {
-                        imms.entry(r).or_default().insert(i64::from(imm));
+                        let (points, branches) = imms.entry(r).or_default();
+                        points.insert(i64::from(imm));
                         if seen_here.insert(r) {
-                            *branches.entry(r).or_default() += 1;
+                            *branches += 1;
                         }
                     }
                 }
             }
         }
+        let mut contexts: Vec<Context> = vec![Vec::new()];
         // A register tested by a single branch cannot produce an
         // exclusivity fact: the max over its half-spaces equals the
         // unconstrained max.
-        imms.retain(|r, _| branches.get(r).copied().unwrap_or(0) >= 2);
-
-        let mut contexts: Vec<Vec<(Reg, i64)>> = vec![Vec::new()];
-        for (r, points) in imms {
-            let mut candidates: BTreeSet<i64> = BTreeSet::new();
-            for p in points {
-                candidates.extend([p - 1, p, p + 1]);
-            }
+        for (r, (points, _)) in imms.into_iter().filter(|(_, (_, b))| *b >= 2) {
+            let candidates: BTreeSet<i64> =
+                points.iter().flat_map(|p| [p - 1, *p, p + 1]).collect();
             if contexts.len().saturating_mul(candidates.len()) > MAX_CONTEXTS {
                 break; // drop remaining facts, keep soundness
             }
@@ -410,7 +469,7 @@ impl Region<'_> {
     }
 
     /// Is the edge feasible under the context's register values?
-    fn feasible(e: &FlowEdge, ctx: &[(Reg, i64)]) -> bool {
+    fn feasible(e: &CostEdge<L>, ctx: &[(Reg, i64)]) -> bool {
         match e.pred {
             None => true,
             Some((r, imm, cond)) => ctx
@@ -421,115 +480,111 @@ impl Region<'_> {
     }
 
     /// Longest path costs from `start` to every member reachable under
-    /// `ctx`, or `Err` if the region (minus edges back to `start`) is
-    /// cyclic. Paths sum node costs (both endpoints included) and
-    /// internal edge costs.
-    fn longest_paths(&self, ctx: &[(Reg, i64)]) -> Result<HashMap<usize, u64>, FlowError> {
+    /// `ctx`, indexed by super-node, or an error if the region (minus
+    /// edges back to `start`) is cyclic. Paths sum node costs (both
+    /// endpoints included) and internal edge costs.
+    fn longest_paths(
+        &self,
+        ctx: &[(Reg, i64)],
+        function: &str,
+    ) -> Result<Vec<Option<[u64; L]>>, WcetError> {
         #[derive(Clone, Copy, PartialEq)]
         enum Colour {
             White,
             Grey,
             Black,
         }
-        let internal = |e: &FlowEdge| {
+        let internal = |e: &CostEdge<L>| {
             let t = self.target(e);
             t != self.start && self.members.contains(&t) && Self::feasible(e, ctx)
         };
         // Iterative DFS for a reverse topological order + cycle check.
-        let mut colour: HashMap<usize, Colour> =
-            self.members.iter().map(|&m| (m, Colour::White)).collect();
+        let mut colour = vec![Colour::White; self.g.cost.len()];
         let mut topo: Vec<usize> = Vec::with_capacity(self.members.len());
-        let mut stack: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        let kids_of = |node: usize| -> Vec<usize> {
-            self.edges[node]
-                .iter()
-                .filter(|e| internal(e))
-                .map(|e| self.target(e))
-                .collect()
-        };
-        colour.insert(self.start, Colour::Grey);
-        stack.push((self.start, kids_of(self.start), 0));
-        while let Some((node, kids, idx)) = stack.last_mut() {
-            if *idx < kids.len() {
-                let k = kids[*idx];
-                *idx += 1;
-                match colour[&k] {
-                    Colour::White => {
-                        colour.insert(k, Colour::Grey);
-                        let kk = kids_of(k);
-                        stack.push((k, kk, 0));
+        let mut stack: Vec<(usize, usize)> = vec![(self.start, 0)];
+        colour[self.start] = Colour::Grey;
+        while let Some((node, idx)) = stack.last_mut() {
+            let node = *node;
+            match self.g.edges[node].get(*idx) {
+                Some(e) => {
+                    *idx += 1;
+                    if !internal(e) {
+                        continue;
                     }
-                    Colour::Grey => return Err(FlowError::Irreducible),
-                    Colour::Black => {}
+                    let k = self.target(e);
+                    match colour[k] {
+                        Colour::White => {
+                            colour[k] = Colour::Grey;
+                            stack.push((k, 0));
+                        }
+                        Colour::Grey => return Err(WcetError::IrreducibleCfg(function.into())),
+                        Colour::Black => {}
+                    }
                 }
-            } else {
-                colour.insert(*node, Colour::Black);
-                topo.push(*node);
-                stack.pop();
+                None => {
+                    colour[node] = Colour::Black;
+                    topo.push(node);
+                    stack.pop();
+                }
             }
         }
         // Relax in topological (parents-first) order.
-        let mut d: HashMap<usize, u64> = HashMap::with_capacity(topo.len());
-        d.insert(self.start, self.cost[self.start]);
+        let mut d: Vec<Option<[u64; L]>> = vec![None; self.g.cost.len()];
+        d[self.start] = Some(self.g.cost[self.start]);
         for &node in topo.iter().rev() {
-            let Some(dn) = d.get(&node).copied() else {
+            let Some(dn) = d[node] else {
                 continue;
             };
-            for e in &self.edges[node] {
-                if !internal(e) {
-                    continue;
-                }
+            for e in self.g.edges[node].iter().filter(|e| internal(e)) {
                 let t = self.target(e);
-                let via = dn.saturating_add(e.cost).saturating_add(self.cost[t]);
-                let entry = d.entry(t).or_insert(0);
-                *entry = (*entry).max(via);
+                let via = add(add(dn, e.cost), self.g.cost[t]);
+                d[t] = Some(d[t].map_or(via, |old| max(old, via)));
             }
         }
         Ok(d)
     }
 
     /// Run the DP across every context and maximise the outputs.
-    fn analyse(&self) -> Result<RegionOut, FlowError> {
-        let mut latch = 0u64;
-        let mut exit: Option<u64> = None;
-        let mut deepest = 0u64;
+    fn analyse(&self, function: &str) -> Result<RegionOut<L>, WcetError> {
+        let mut latch = [0u64; L];
+        let mut exit: Option<[u64; L]> = None;
+        let mut deepest = [0u64; L];
         // External edges keep their full identity — source block,
         // original target *and* predicate (merging two differently
         // predicated exits would let one predicate gate the other's
         // cost); contexts maximise each one's weight.
-        type EdgeKey = (usize, usize, Option<(Reg, i32, Cond)>);
-        let mut external: HashMap<EdgeKey, u64> = HashMap::new();
+        let mut external: Vec<(usize, CostEdge<L>)> = Vec::new();
         for ctx in self.contexts() {
-            let d = self.longest_paths(&ctx)?;
-            for (&m, &dm) in &d {
-                deepest = deepest.max(dm);
-                if let Some(t) = self.exit_cost[m] {
-                    let total = dm.saturating_add(t);
-                    exit = Some(exit.map_or(total, |e| e.max(total)));
+            let d = self.longest_paths(&ctx, function)?;
+            for (m, dm) in d.iter().enumerate() {
+                let Some(dm) = *dm else {
+                    continue;
+                };
+                deepest = max(deepest, dm);
+                if let Some(t) = self.g.exit[m] {
+                    let total = add(dm, t);
+                    exit = Some(exit.map_or(total, |e| max(e, total)));
                 }
-                for e in &self.edges[m] {
-                    if !Self::feasible(e, &ctx) {
-                        continue;
-                    }
+                for e in self.g.edges[m].iter().filter(|e| Self::feasible(e, &ctx)) {
                     let t = self.target(e);
+                    let weight = add(dm, e.cost);
                     if t == self.start {
-                        latch = latch.max(dm.saturating_add(e.cost));
+                        latch = max(latch, weight);
                     } else if !self.members.contains(&t) {
-                        let weight = dm.saturating_add(e.cost);
-                        let slot = external.entry((m, e.to, e.pred)).or_insert(0);
-                        *slot = (*slot).max(weight);
+                        match external
+                            .iter_mut()
+                            .find(|(from, x)| *from == m && x.to == e.to && x.pred == e.pred)
+                        {
+                            Some((_, x)) => x.cost = max(x.cost, weight),
+                            None => external.push((m, CostEdge { cost: weight, ..*e })),
+                        }
                     }
                 }
             }
         }
-        let mut external: Vec<FlowEdge> = external
-            .into_iter()
-            .map(|((_, to, pred), cost)| FlowEdge { to, cost, pred })
-            .collect();
-        external.sort_by_key(|e| (e.to, e.cost));
         Ok(RegionOut {
             latch,
-            external,
+            external: external.into_iter().map(|(_, e)| e).collect(),
             exit,
             deepest,
         })
@@ -539,232 +594,230 @@ impl Region<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teamplay_isa::{AluOp, Block};
 
-    /// Hand-built problems exercise the solver below the ISA layer.
-    fn problem(
-        costs: &[u64],
-        edges: &[(usize, usize, u64)],
-        exits: &[(usize, u64)],
-        bounds: &[(usize, u64)],
-    ) -> FlowProblem {
-        let n = costs.len();
-        let mut e: Vec<Vec<FlowEdge>> = vec![Vec::new(); n];
-        for &(u, v, c) in edges {
-            e[u].push(FlowEdge {
-                to: v,
-                cost: c,
-                pred: None,
-            });
+    /// A lane that prices each `nop` at 1 (every other instruction is
+    /// free) and terminators from a small table, so hand-built CFGs
+    /// exercise the solver below the cycle model.
+    struct Unit {
+        branch: u64,
+        taken: u64,
+        not_taken: u64,
+        ret: u64,
+    }
+
+    impl CostLane for Unit {
+        fn body(&self, insns: &[Insn], _: &dyn Fn(&str) -> u64) -> u64 {
+            insns.iter().filter(|i| **i == Insn::Nop).count() as u64
         }
-        let mut exit_cost: Vec<Option<u64>> = vec![None; n];
-        for &(b, c) in exits {
-            exit_cost[b] = Some(c);
-        }
-        FlowProblem {
-            node_cost: costs.to_vec(),
-            edges: e,
-            exit_cost,
-            loop_bounds: bounds.iter().copied().collect(),
-            writes: vec![0; n],
+        fn terminator(&self, t: &Terminator, taken: bool) -> u64 {
+            match t {
+                Terminator::Branch(_) => self.branch,
+                Terminator::CondBranch { .. } if taken => self.taken,
+                Terminator::CondBranch { .. } => self.not_taken,
+                Terminator::Return | Terminator::Halt => self.ret,
+            }
         }
     }
+
+    fn block(nops: usize, terminator: Terminator) -> Block {
+        Block {
+            insns: vec![Insn::Nop; nops],
+            terminator,
+        }
+    }
+
+    fn br(to: u32) -> Terminator {
+        Terminator::Branch(BlockId(to))
+    }
+
+    fn cond(taken: u32, fallthrough: u32) -> Terminator {
+        Terminator::CondBranch {
+            cond: Cond::Lt,
+            taken: BlockId(taken),
+            fallthrough: BlockId(fallthrough),
+        }
+    }
+
+    fn solve(blocks: Vec<Block>, bounds: &[(u32, u32)], lane: &Unit) -> Result<u64, WcetError> {
+        let f = Function {
+            name: "f".into(),
+            blocks,
+            loop_bounds: bounds.iter().map(|&(h, b)| (BlockId(h), b)).collect(),
+            frame_size: 0,
+        };
+        let [bound] = FlowStructure::of(&f).solve(Preset::Ipet, &[lane], &|_, _| 0)?;
+        Ok(bound)
+    }
+
+    /// Branches and conditional branches cost 3, a fall-through 1, and
+    /// a return 4.
+    const PG: Unit = Unit {
+        branch: 3,
+        taken: 3,
+        not_taken: 1,
+        ret: 4,
+    };
 
     #[test]
     fn straight_line_sums() {
         // 0 → 1 → 2(ret)
-        let p = problem(&[5, 7, 2], &[(0, 1, 3), (1, 2, 3)], &[(2, 4)], &[]);
-        assert_eq!(p.solve(), Ok(5 + 3 + 7 + 3 + 2 + 4));
+        let blocks = vec![
+            block(5, br(1)),
+            block(7, br(2)),
+            block(2, Terminator::Return),
+        ];
+        assert_eq!(solve(blocks, &[], &PG), Ok(5 + 3 + 7 + 3 + 2 + 4));
     }
 
     #[test]
     fn diamond_takes_the_heavier_arm_with_its_edge_cost() {
-        // 0 → {1 (cost 10, edge 3), 2 (cost 20, edge 1)} → 3(ret)
-        let p = problem(
-            &[1, 10, 20, 0],
-            &[(0, 1, 3), (0, 2, 1), (1, 3, 3), (2, 3, 3)],
-            &[(3, 4)],
-            &[],
-        );
+        // 0 → {1 (cost 10, taken edge 3), 2 (cost 20, fall-through 1)} → 3(ret)
+        let blocks = vec![
+            block(1, cond(1, 2)),
+            block(10, br(3)),
+            block(20, br(3)),
+            block(0, Terminator::Return),
+        ];
         // Heavy arm via the cheap fall-through: 1 + 1 + 20 + 3 + 0 + 4.
-        assert_eq!(p.solve(), Ok(29));
+        assert_eq!(solve(blocks, &[], &PG), Ok(29));
+    }
+
+    /// 0 →(3) 1(h) →(3) 2(body) →(3) 1; 1 →(1) 3(ret 4)
+    fn counted_loop(header: usize, body: usize) -> Vec<Block> {
+        vec![
+            block(0, br(1)),
+            block(header, cond(2, 3)),
+            block(body, br(1)),
+            block(0, Terminator::Return),
+        ]
     }
 
     #[test]
     fn loop_charges_body_bound_times_and_header_once_more() {
-        // 0 →(3) 1(h, cost 1) →(3) 2(body, cost 6) →(3) 1; 1 →(1) 3(ret 4)
-        let p = problem(
-            &[0, 1, 6, 0],
-            &[(0, 1, 3), (1, 2, 3), (2, 1, 3), (1, 3, 1)],
-            &[(3, 4)],
-            &[(1, 8)],
-        );
         // Latch circuit: 1 + 3 + 6 + 3 = 13; eight of them, then the
         // final header check leaving via the cheap exit edge.
-        assert_eq!(p.solve(), Ok(3 + 8 * 13 + 1 + 1 + 4));
+        assert_eq!(
+            solve(counted_loop(1, 6), &[(1, 8)], &PG),
+            Ok(3 + 8 * 13 + 1 + 1 + 4)
+        );
     }
 
     #[test]
     fn zero_bound_loop_still_pays_the_final_check() {
-        let p = problem(
-            &[0, 2, 9, 0],
-            &[(0, 1, 3), (1, 2, 3), (2, 1, 3), (1, 3, 1)],
-            &[(3, 4)],
-            &[(1, 0)],
-        );
-        assert_eq!(p.solve(), Ok(3 + 2 + 1 + 4));
+        assert_eq!(solve(counted_loop(2, 9), &[(1, 0)], &PG), Ok(3 + 2 + 1 + 4));
     }
 
     #[test]
     fn missing_bound_is_reported_with_the_header() {
-        let p = problem(&[0, 1, 1], &[(0, 1, 1), (1, 2, 1), (2, 1, 1)], &[], &[]);
-        assert_eq!(p.solve(), Err(FlowError::Unbounded { header: 1 }));
+        let blocks = vec![block(0, br(1)), block(1, br(2)), block(1, br(1))];
+        assert_eq!(
+            solve(blocks, &[], &PG),
+            Err(WcetError::UnboundedLoop {
+                function: "f".into(),
+                header: 1
+            })
+        );
     }
 
     #[test]
     fn irreducible_cycle_is_reported() {
         // 0 → 1 and 0 → 2, 1 ↔ 2: a cycle no header dominates.
-        let p = problem(
-            &[1, 1, 1],
-            &[(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 1, 1)],
-            &[],
-            &[],
-        );
-        assert_eq!(p.solve(), Err(FlowError::Irreducible));
+        let blocks = vec![block(1, cond(1, 2)), block(1, br(2)), block(1, br(1))];
+        for preset in [Preset::Ipet, Preset::Structural] {
+            let f = Function {
+                name: "f".into(),
+                blocks: blocks.clone(),
+                loop_bounds: Default::default(),
+                frame_size: 0,
+            };
+            assert_eq!(
+                FlowStructure::of(&f).solve(preset, &[&PG], &|_, _| 0),
+                Err(WcetError::IrreducibleCfg("f".into()))
+            );
+        }
     }
 
     #[test]
     fn return_inside_a_loop_is_the_condensed_exit() {
-        // Loop 1↔2 (bound 3); body 2 may return directly (cost 4).
-        let p = problem(
-            &[0, 1, 5, 0],
-            &[(0, 1, 0), (1, 2, 0), (2, 1, 0), (1, 3, 0)],
-            &[(2, 4), (3, 1)],
-            &[(1, 3)],
-        );
+        // Loop 1 ↔ 2 (bound 3), free edges; body 2 may leave to a
+        // return that costs 4 in all, the loop exit to one that costs 1.
+        let free = Unit {
+            branch: 0,
+            taken: 0,
+            not_taken: 0,
+            ret: 1,
+        };
+        let blocks = vec![
+            block(0, br(1)),
+            block(1, cond(2, 3)),
+            block(5, cond(1, 4)),
+            block(0, Terminator::Return),
+            block(3, Terminator::Return),
+        ];
         // Worst: 3 latch circuits (6 each), then header → body → ret.
-        assert_eq!(p.solve(), Ok(3 * 6 + 1 + 5 + 4));
+        assert_eq!(solve(blocks, &[(1, 3)], &free), Ok(3 * 6 + 1 + 5 + 4));
     }
+
+    /// Two diamonds in sequence, both testing R5 (written only if
+    /// `rewrite_r5` puts a write in the light arm of the first):
+    ///   b0: if r5 < 3 → heavy 1 (cost 100) else light (0)
+    ///   b3: if r5 > 7 → heavy 2 (cost 100) else light (0)
+    fn two_diamonds(rewrite_r5: bool) -> Vec<Block> {
+        let test = |nops: usize, imm: i32, cond: Cond, taken: u32, fallthrough: u32| {
+            let mut b = block(
+                nops,
+                Terminator::CondBranch {
+                    cond,
+                    taken: BlockId(taken),
+                    fallthrough: BlockId(fallthrough),
+                },
+            );
+            b.insns.push(Insn::Cmp {
+                rn: Reg::R5,
+                src: Operand::Imm(imm),
+            });
+            b
+        };
+        let mut light = block(0, br(3));
+        if rewrite_r5 {
+            light.insns.push(Insn::Alu {
+                op: AluOp::Add,
+                rd: Reg::R5,
+                rn: Reg::R5,
+                src: Operand::Imm(1),
+            });
+        }
+        vec![
+            test(1, 3, Cond::Lt, 1, 2),
+            block(100, br(3)),
+            light,
+            test(1, 7, Cond::Gt, 4, 5),
+            block(100, br(6)),
+            block(0, br(6)),
+            block(1, Terminator::Return),
+        ]
+    }
+
+    const FREE_EDGES: Unit = Unit {
+        branch: 0,
+        taken: 0,
+        not_taken: 0,
+        ret: 2,
+    };
 
     #[test]
     fn exclusive_branches_cannot_both_take_their_long_arm() {
-        // Two diamonds in sequence, both testing R5 (never written):
-        //   b0: if r5 < 3 → heavy 1 (cost 100) else light (0)
-        //   b3: if r5 > 7 → heavy 2 (cost 100) else light (0)
-        let pred = |imm, cond| Some((Reg::R5, imm, cond));
-        let mut e: Vec<Vec<FlowEdge>> = vec![Vec::new(); 7];
-        e[0].push(FlowEdge {
-            to: 1,
-            cost: 0,
-            pred: pred(3, Cond::Lt),
-        });
-        e[0].push(FlowEdge {
-            to: 2,
-            cost: 0,
-            pred: pred(3, Cond::Ge),
-        });
-        e[1].push(FlowEdge {
-            to: 3,
-            cost: 0,
-            pred: None,
-        });
-        e[2].push(FlowEdge {
-            to: 3,
-            cost: 0,
-            pred: None,
-        });
-        e[3].push(FlowEdge {
-            to: 4,
-            cost: 0,
-            pred: pred(7, Cond::Gt),
-        });
-        e[3].push(FlowEdge {
-            to: 5,
-            cost: 0,
-            pred: pred(7, Cond::Le),
-        });
-        e[4].push(FlowEdge {
-            to: 6,
-            cost: 0,
-            pred: None,
-        });
-        e[5].push(FlowEdge {
-            to: 6,
-            cost: 0,
-            pred: None,
-        });
-        let p = FlowProblem {
-            node_cost: vec![1, 100, 0, 1, 100, 0, 1],
-            edges: e,
-            exit_cost: {
-                let mut x = vec![None; 7];
-                x[6] = Some(2);
-                x
-            },
-            loop_bounds: BTreeMap::new(),
-            writes: vec![0; 7],
-        };
         // Structurally both heavy arms stack (205); value-wise r5 can
         // satisfy only one of r5<3 / r5>7.
-        assert_eq!(p.solve(), Ok(105)); // 1 + 100 + 1 + light(0) + 1 + 2
+        assert_eq!(solve(two_diamonds(false), &[], &FREE_EDGES), Ok(105)); // 1 + 100 + 1 + light(0) + 1 + 2
     }
 
     #[test]
     fn written_register_disables_the_exclusivity_fact() {
-        let pred = |imm, cond| Some((Reg::R5, imm, cond));
-        let mut e: Vec<Vec<FlowEdge>> = vec![Vec::new(); 7];
-        e[0].push(FlowEdge {
-            to: 1,
-            cost: 0,
-            pred: pred(3, Cond::Lt),
-        });
-        e[0].push(FlowEdge {
-            to: 2,
-            cost: 0,
-            pred: pred(3, Cond::Ge),
-        });
-        e[1].push(FlowEdge {
-            to: 3,
-            cost: 0,
-            pred: None,
-        });
-        e[2].push(FlowEdge {
-            to: 3,
-            cost: 0,
-            pred: None,
-        });
-        e[3].push(FlowEdge {
-            to: 4,
-            cost: 0,
-            pred: pred(7, Cond::Gt),
-        });
-        e[3].push(FlowEdge {
-            to: 5,
-            cost: 0,
-            pred: pred(7, Cond::Le),
-        });
-        e[4].push(FlowEdge {
-            to: 6,
-            cost: 0,
-            pred: None,
-        });
-        e[5].push(FlowEdge {
-            to: 6,
-            cost: 0,
-            pred: None,
-        });
-        let mut writes = vec![0u16; 7];
-        writes[2] = 1 << Reg::R5.index(); // the light arm rewrites r5
-        let p = FlowProblem {
-            node_cost: vec![1, 100, 0, 1, 100, 0, 1],
-            edges: e,
-            exit_cost: {
-                let mut x = vec![None; 7];
-                x[6] = Some(2);
-                x
-            },
-            loop_bounds: BTreeMap::new(),
-            writes,
-        };
-        assert_eq!(p.solve(), Ok(1 + 100 + 1 + 100 + 1 + 2));
+        assert_eq!(
+            solve(two_diamonds(true), &[], &FREE_EDGES),
+            Ok(1 + 100 + 1 + 100 + 1 + 2)
+        );
     }
 }

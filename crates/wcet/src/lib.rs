@@ -3,15 +3,14 @@
 //! The reproduction's analogue of the aiT tool (paper ref \[6\]) that the
 //! multi-criteria compiler invokes as a plug-in (Fig. 1). Because PG32 is
 //! a *predictable* architecture — every instruction has a statically known
-//! cycle cost — WCET analysis reduces to a flow problem, and since PR 5 it
-//! is solved with a genuine **IPET** (implicit path enumeration)
-//! formulation, the technique the paper inherits from the WCC/aiT
-//! toolchain:
+//! cycle cost — WCET analysis reduces to a flow problem, solved with a
+//! genuine **IPET** (implicit path enumeration) formulation, the
+//! technique the paper inherits from the WCC/aiT toolchain:
 //!
 //! 1. cost every basic block from the shared [`teamplay_isa::CycleModel`]
 //!    (so the analyser and the simulator can never disagree on unit
 //!    costs; only path feasibility is approximated) — conditional-branch
-//!    costs are attached *per edge*, so a fall-through no longer pays the
+//!    costs are attached *per edge*, so a fall-through does not pay the
 //!    taken-branch worst case;
 //! 2. formulate per-edge execution-count flow constraints over the CFG:
 //!    Kirchhoff conservation at every block, loop-bound caps on the
@@ -19,50 +18,63 @@
 //!    the trip counts the compiler's `unroll` pass proves), and
 //!    infeasible-path facts for mutually exclusive branches on the same
 //!    unwritten register;
-//! 3. solve the resulting max-cost flow problem **exactly** with the
-//!    in-tree loop-nest dynamic program in [`flow`] (reducible CFGs; no
-//!    external LP crate, consistent with the vendored-offline rule),
-//!    falling back to [`structural_bound`] on irreducible graphs; and
-//! 4. resolve calls bottom-up over the (recursion-free) call graph
-//!    ([`resolve_bottom_up`]), handing each function its callees'
-//!    bounds. [`analyze_function`] is that per-function step on its own:
-//!    the compiler's variant search calls it from its own exact memo,
-//!    keyed on the compile memo's code identity, so the thousands of
-//!    variants a Pareto search compiles never re-analyse an unchanged
-//!    function. [`analyze_program_cached`] memoizes by function content
-//!    in an [`AnalysisCache`] instead, for callers without that identity.
+//! 3. solve the resulting max-cost flow problem **exactly** with an
+//!    in-tree loop-nest dynamic program (reducible CFGs; no external LP
+//!    crate, consistent with the vendored-offline rule; irreducible
+//!    control flow is an error); and
+//! 4. resolve calls callee-first over the (recursion-free) call graph
+//!    ([`callee_first`]), handing each function its callees' bounds.
 //!
-//! The same flow solver serves the worst-case *energy* analysis in
-//! `teamplay-energy` through [`flow_bound_with`]: per-block picojoule
-//! costs ride the identical constraint system, exactly as WCC shares its
-//! flow facts between its aiT and EnergyAnalyser plug-ins. On every
-//! program the IPET bound is at most the structural bound (kept available
-//! as [`analyze_program_structural`] for tightness measurement —
-//! `BENCH_wcet.json` records the per-kernel ratios) and never below the
+//! One engine does all of it for every non-functional property. A
+//! function's flow structure — reachability, the loop condensation
+//! order, the edges with their branch predicates and the register write
+//! masks — is prepared once and solved for any number of [`CostLane`]s
+//! at a time: cycles from [`CycleModel`] here, millipicojoules from
+//! `teamplay-energy`'s energy lane. That is how WCC's aiT and
+//! EnergyAnalyser plug-ins share one constraint system with two
+//! objective vectors. [`analyze`] is the entry point: a program, its
+//! lanes, and a [`Preset`] — [`Preset::Ipet`], or the pre-IPET
+//! [`Preset::Structural`] baseline kept for tightness measurement
+//! (`BENCH_wcet.json` records the per-kernel ratios). On every program
+//! the IPET bound is at most the structural bound and never below the
 //! simulator's observed cycles; both properties are property-tested.
 //!
+//! [`bound_function`] is the per-function step on its own: the
+//! compiler's variant search calls it from its own exact memo, keyed on
+//! the compile memo's code identity and walked with [`callee_first`],
+//! so the thousands of variants a Pareto search compiles never
+//! re-analyse an unchanged function.
+//!
+//! [`analyze_program`] and [`analyze_program_cached`] (a content-keyed
+//! [`AnalysisCache`]) are one-lane IPET wrappers over the same engine,
+//! kept with their signatures for the end-to-end benchmark's workflow
+//! replay and the many callers that want a [`WcetReport`].
+//!
 //! ```
-//! use teamplay_isa::{Block, CycleModel, Function, Program, Terminator};
-//! use teamplay_wcet::analyze_program;
+//! use teamplay_isa::{CycleModel, Function, Program};
+//! use teamplay_wcet::{analyze, analyze_program, Preset};
 //!
 //! let mut program = Program::new();
 //! program.add_function(Function::stub("main"));
-//! let report = analyze_program(&program, &CycleModel::pg32())?;
+//! let model = CycleModel::pg32();
+//! let report = analyze_program(&program, &model)?;
 //! assert!(report.wcet_cycles("main").is_some());
+//! let [ipet] = analyze(&program, [&model], Preset::Ipet)?["main"];
+//! let [structural] = analyze(&program, [&model], Preset::Structural)?["main"];
+//! assert!(ipet <= structural);
 //! # Ok::<(), teamplay_wcet::WcetError>(())
 //! ```
 
-pub mod flow;
+mod flow;
 
-use flow::{FlowError, FlowProblem};
+use flow::FlowStructure;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use teamplay_isa::{CycleModel, Function, Insn, Program, Terminator};
-use teamplay_minic::cfg::{natural_loops, reverse_postorder, CfgView};
 
 /// Errors the analysis can report.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,286 +153,220 @@ impl WcetReport {
     }
 }
 
-/// Adapter giving the generic CFG algorithms a view of a PG32 function.
-struct FnView<'a>(&'a Function);
+/// How a function's flow structure is solved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Preset {
+    /// The exact IPET bound: edge-priced terminators, count-exact loop
+    /// condensation, infeasible-path facts.
+    Ipet,
+    /// The pre-IPET baseline: every block pays its worst terminator and
+    /// a loop costs `(bound + 1) ×` its worst iteration. The oracles
+    /// check that IPET never exceeds it on compiled code, and the
+    /// benches measure tightness against it.
+    Structural,
+}
 
-impl CfgView for FnView<'_> {
-    fn num_blocks(&self) -> usize {
-        self.0.blocks.len()
+/// One cost dimension of the analysis: how much a block body and a
+/// terminator traversal cost. Bounds are integers in the lane's unit.
+pub trait CostLane {
+    /// The cost of one block's straight-line body; `callee(name)` is
+    /// the called function's bound in this lane.
+    fn body(&self, insns: &[Insn], callee: &dyn Fn(&str) -> u64) -> u64;
+
+    /// One traversal of `t` along its taken (`true`) or fall-through
+    /// (`false`) edge; for `Return`/`Halt` the flag is irrelevant.
+    fn terminator(&self, t: &Terminator, taken: bool) -> u64;
+}
+
+/// The cycle lane (WCET).
+impl CostLane for CycleModel {
+    fn body(&self, insns: &[Insn], callee: &dyn Fn(&str) -> u64) -> u64 {
+        let mut c = 0u64;
+        for insn in insns {
+            c = c.saturating_add(self.cycles(insn, false));
+            if let Insn::Call { func } = insn {
+                c = c.saturating_add(callee(func));
+            }
+        }
+        c
     }
-    fn entry(&self) -> usize {
-        0
-    }
-    fn successors(&self, block: usize) -> Vec<usize> {
-        self.0.blocks[block]
-            .terminator
-            .successors()
-            .iter()
-            .map(|b| b.index())
-            .collect()
+
+    fn terminator(&self, t: &Terminator, taken: bool) -> u64 {
+        self.terminator_cycles(t, taken)
     }
 }
 
-/// Per-block instruction-body costs (terminators excluded, callee WCETs
-/// folded in) for the flow formulation; unreachable blocks cost zero.
-fn body_costs(
+/// The bounds of one function in every lane, given its callees (in
+/// [`Function::callees`] order) and their bounds in the same order: its
+/// flow structure is prepared once and solved for all lanes. A lane's
+/// bound is the same whichever lanes are solved beside it.
+///
+/// # Errors
+/// [`WcetError::UnboundedLoop`] or [`WcetError::IrreducibleCfg`].
+///
+/// # Panics
+/// If `f` calls a function missing from `callees`.
+pub fn bound_function<const L: usize>(
     f: &Function,
-    model: &CycleModel,
-    callee_wcets: &BTreeMap<String, u64>,
-) -> Result<Vec<u64>, WcetError> {
-    let view = FnView(f);
-    let reachable: HashSet<usize> = reverse_postorder(&view).into_iter().collect();
-    let mut cost = vec![0u64; f.blocks.len()];
-    for (i, b) in f.blocks.iter().enumerate() {
-        if !reachable.contains(&i) {
+    callees: &[String],
+    callee_bounds: &[[u64; L]],
+    lanes: &[&dyn CostLane; L],
+    preset: Preset,
+) -> Result<[u64; L], WcetError> {
+    let callee = |k: usize, name: &str| {
+        let i = callees
+            .iter()
+            .position(|c| c == name)
+            .expect("every called function is among the callees");
+        callee_bounds[i][k]
+    };
+    FlowStructure::of(f).solve(preset, lanes, &callee)
+}
+
+/// Visit every function callee-first: `visit(i, callee_bounds)` gets
+/// function `i` of `calls` and the results of its callees, in the order
+/// `calls[i].1` lists them. `calls` is `(name, callee names)` per
+/// function, in name order. Returns the results in `calls` order.
+///
+/// # Errors
+/// [`WcetError::UnknownCallee`] for a callee not in `calls`,
+/// [`WcetError::Recursion`] naming the caller whose call closes a cycle
+/// (checked over the whole call graph before anything is visited), or
+/// the first error of `visit`.
+pub fn callee_first<B: Copy>(
+    calls: &[(&str, &[String])],
+    mut visit: impl FnMut(usize, &[B]) -> Result<B, WcetError>,
+) -> Result<Vec<B>, WcetError> {
+    let callees = calls
+        .iter()
+        .map(|(function, names)| {
+            names
+                .iter()
+                .map(|callee| {
+                    calls
+                        .binary_search_by(|(n, _)| (*n).cmp(callee))
+                        .map_err(|_| WcetError::UnknownCallee {
+                            function: function.to_string(),
+                            callee: callee.clone(),
+                        })
+                })
+                .collect::<Result<Vec<usize>, WcetError>>()
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+
+    // Depth-first from each function in name order, callees in call
+    // order; a function joins the order once all its callees have.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Seen {
+        No,
+        OnStack,
+        Done,
+    }
+    let mut seen = vec![Seen::No; calls.len()];
+    let mut order = Vec::with_capacity(calls.len());
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for start in 0..calls.len() {
+        if seen[start] == Seen::Done {
             continue;
         }
-        let mut c = 0u64;
-        for insn in &b.insns {
-            c += model.cycles(insn, false);
-            if let Insn::Call { func } = insn {
-                let callee = callee_wcets
-                    .get(func)
-                    .ok_or_else(|| WcetError::UnknownCallee {
-                        function: f.name.clone(),
-                        callee: func.clone(),
-                    })?;
-                c += *callee;
+        seen[start] = Seen::OnStack;
+        stack.push((start, 0));
+        while let Some((at, next)) = stack.last_mut() {
+            let at = *at;
+            let Some(&callee) = callees[at].get(*next) else {
+                stack.pop();
+                seen[at] = Seen::Done;
+                order.push(at);
+                continue;
+            };
+            *next += 1;
+            match seen[callee] {
+                Seen::OnStack => return Err(WcetError::Recursion(calls[at].0.to_string())),
+                Seen::No => {
+                    seen[callee] = Seen::OnStack;
+                    stack.push((callee, 0));
+                }
+                Seen::Done => {}
             }
         }
-        cost[i] = c;
     }
-    Ok(cost)
+
+    let mut results: Vec<Option<B>> = vec![None; calls.len()];
+    for at in order {
+        let callee_results: Vec<B> = callees[at]
+            .iter()
+            .map(|&c| results[c].expect("callees are visited first"))
+            .collect();
+        results[at] = Some(visit(at, &callee_results)?);
+    }
+    Ok(results.into_iter().flatten().collect())
 }
 
-/// The shared time/energy flow bound: build the IPET problem for `f`
-/// from per-block body costs (terminators excluded) and a per-edge
-/// terminator-cost closure, solve it exactly, and fall back to the
-/// [`structural_bound`] on irreducible control flow.
-///
-/// This is the single engine behind both the cycle-based WCET analysis
-/// here and the worst-case *energy* analysis in `teamplay-energy`
-/// (which supplies millipicojoule costs) — one flow solver, two
-/// non-functional properties, exactly as WCC shares its flow facts
-/// between its aiT and EnergyAnalyser plug-ins.
-///
-/// # Errors
-/// See [`WcetError`].
-pub fn flow_bound_with(
-    f: &Function,
-    node_cost: &[u64],
-    term_cost: &dyn Fn(&Terminator, bool) -> u64,
-) -> Result<u64, WcetError> {
-    let problem = FlowProblem::from_function(f, node_cost, term_cost);
-    match problem.solve() {
-        Ok(bound) => Ok(bound),
-        Err(FlowError::Unbounded { header }) => Err(WcetError::UnboundedLoop {
-            function: f.name.clone(),
-            header: header as u32,
-        }),
-        Err(FlowError::Irreducible) => structural_bound_with(f, node_cost, term_cost),
-    }
-}
-
-/// [`structural_bound`] over per-block body costs (terminators excluded)
-/// and a per-edge terminator-cost closure: each block pays the larger of
-/// its terminator's taken and not-taken costs, as the structural engine
-/// expects. This is the pre-IPET baseline of both the time and the
-/// energy analysis, and [`flow_bound_with`]'s irreducible fallback.
-///
-/// # Errors
-/// See [`WcetError`].
-pub fn structural_bound_with(
-    f: &Function,
-    node_cost: &[u64],
-    term_cost: &dyn Fn(&Terminator, bool) -> u64,
-) -> Result<u64, WcetError> {
-    let cost: Vec<u64> = node_cost
+/// Validate `program`, then bound every function callee-first with
+/// `bound(function, its callees, their bounds)`.
+fn program_bounds<B: Copy>(
+    program: &Program,
+    mut bound: impl FnMut(&Function, &[String], &[B]) -> Result<B, WcetError>,
+) -> Result<BTreeMap<String, B>, WcetError> {
+    program.validate().map_err(WcetError::InvalidProgram)?;
+    let functions: Vec<(&String, &Function, Vec<String>)> = program
+        .functions
         .iter()
-        .zip(&f.blocks)
-        .map(|(c, b)| {
-            c.saturating_add(term_cost(&b.terminator, true).max(term_cost(&b.terminator, false)))
-        })
+        .map(|(name, f)| (name, f, f.callees()))
         .collect();
-    structural_bound(f, &cost)
+    let calls: Vec<(&str, &[String])> = functions
+        .iter()
+        .map(|(name, _, callees)| (name.as_str(), callees.as_slice()))
+        .collect();
+    let bounds = callee_first(&calls, |i, callee_bounds| {
+        let (_, f, callees) = &functions[i];
+        bound(f, callees, callee_bounds)
+    })?;
+    Ok(functions
+        .into_iter()
+        .map(|(name, ..)| name.clone())
+        .zip(bounds)
+        .collect())
 }
 
-/// Analyse one function given already-known callee WCETs (IPET engine).
-///
-/// Exposed for the compiler's per-variant evaluation loop, which analyses
-/// a single function against a cache of callee results.
+/// Bound every function of `program` in every lane under `preset`,
+/// callee-first: the analysis entry point.
 ///
 /// # Errors
-/// See [`WcetError`].
-pub fn analyze_function(
-    f: &Function,
-    model: &CycleModel,
-    callee_wcets: &BTreeMap<String, u64>,
-) -> Result<u64, WcetError> {
-    let cost = body_costs(f, model, callee_wcets)?;
-    flow_bound_with(f, &cost, &|t, taken| model.terminator_cycles(t, taken))
+/// [`WcetError::InvalidProgram`] if the program does not validate, then
+/// as [`callee_first`] and [`bound_function`]: the first function in
+/// callee-first order that fails names the error.
+pub fn analyze<const L: usize>(
+    program: &Program,
+    lanes: [&dyn CostLane; L],
+    preset: Preset,
+) -> Result<BTreeMap<String, [u64; L]>, WcetError> {
+    program_bounds(program, |f, callees, callee_bounds| {
+        bound_function(f, callees, callee_bounds, &lanes, preset)
+    })
 }
 
-/// [`analyze_function`] under the pre-IPET structural engine: loops are
-/// condensed at `(bound + 1) × worst-iteration-path` and every block
-/// pays its worst-case terminator. Kept as the tightness baseline the
-/// benches and the oracle tests compare the IPET bound against (IPET ≤
-/// structural on every function).
+/// [`analyze`] of one lane under [`Preset::Ipet`], with per-function
+/// memoization: unchanged functions (same content, same callee bounds)
+/// are answered from `cache`. Use one cache per lane and cost model —
+/// neither is part of the key. Behind [`analyze_program_cached`] and
+/// `teamplay-energy`'s cached wrapper.
 ///
 /// # Errors
-/// See [`WcetError`].
-pub fn analyze_function_structural(
-    f: &Function,
-    model: &CycleModel,
-    callee_wcets: &BTreeMap<String, u64>,
-) -> Result<u64, WcetError> {
-    let cost = body_costs(f, model, callee_wcets)?;
-    structural_bound_with(f, &cost, &|t, taken| model.terminator_cycles(t, taken))
-}
-
-/// Compute the structural worst-case bound of `f` for arbitrary per-block
-/// costs: loops are condensed innermost-first at `(bound + 1) ×
-/// iteration-cost` and the condensed DAG's longest path is returned.
-///
-/// Costs must *include* each block's (worst-case) terminator cost; the
-/// engine is path-insensitive and edge-cost-blind, which is exactly what
-/// makes it the conservative baseline for the IPET solver in [`flow`].
-///
-/// # Errors
-/// See [`WcetError`].
-pub fn structural_bound(f: &Function, cost: &[u64]) -> Result<u64, WcetError> {
-    let view = FnView(f);
-    let reachable: HashSet<usize> = reverse_postorder(&view).into_iter().collect();
-
-    // Union-find style node mapping: block -> current super-node.
-    let n = f.blocks.len();
-    let mut node_of: Vec<usize> = (0..n).collect();
-    // Node costs and successor sets (on super-node ids; reuse block ids of
-    // loop headers as super-node ids).
-    let mut node_cost: Vec<u64> = cost.to_vec();
-    let mut succs: Vec<HashSet<usize>> = (0..n)
-        .map(|i| {
-            if reachable.contains(&i) {
-                view.successors(i).into_iter().collect()
-            } else {
-                HashSet::new()
-            }
-        })
-        .collect();
-
-    // Innermost-first: sort loops by body size ascending.
-    let mut loops = natural_loops(&view);
-    loops.sort_by_key(|l| l.body.len());
-
-    for l in &loops {
-        let header_node = node_of[l.header];
-        let bound = *f
-            .loop_bounds
-            .get(&teamplay_isa::BlockId(l.header as u32))
-            .ok_or(WcetError::UnboundedLoop {
-                function: f.name.clone(),
-                header: l.header as u32,
-            })?;
-
-        // Current super-nodes that make up this loop.
-        let members: HashSet<usize> = l.body.iter().map(|b| node_of[*b]).collect();
-
-        // Longest path from the header node within the members, with
-        // edges back to the header removed (acyclic once inner loops are
-        // condensed).
-        let iter_cost = longest_path_within(&members, header_node, &succs, &node_cost)
-            .ok_or_else(|| WcetError::IrreducibleCfg(f.name.clone()))?;
-
-        // Condense: the header node becomes the super-node.
-        let total = iter_cost.saturating_mul(bound as u64 + 1);
-        node_cost[header_node] = total;
-        let mut external: HashSet<usize> = HashSet::new();
-        for &m in &members {
-            for &s in &succs[m] {
-                let sn = node_of[s];
-                if !members.contains(&sn) {
-                    external.insert(sn);
-                }
-            }
-        }
-        succs[header_node] = external;
-        for node in node_of.iter_mut().take(n) {
-            if members.contains(node) {
-                *node = header_node;
-            }
-        }
-    }
-
-    // Longest path over the condensed DAG from the entry node.
-    let entry_node = node_of[0];
-    let all_nodes: HashSet<usize> = (0..n)
-        .filter(|b| reachable.contains(b))
-        .map(|b| node_of[b])
-        .collect();
-    longest_path_within(&all_nodes, entry_node, &succs, &node_cost)
-        .ok_or_else(|| WcetError::IrreducibleCfg(f.name.clone()))
-}
-
-/// Longest node-weighted path from `start` within `members`, following
-/// `succs` but never re-entering `start`. Returns `None` if a cycle is
-/// found (graph not properly condensed / irreducible CFG).
-fn longest_path_within(
-    members: &HashSet<usize>,
-    start: usize,
-    succs: &[HashSet<usize>],
-    node_cost: &[u64],
-) -> Option<u64> {
-    // Iterative DFS computing topological order; cycle detection via
-    // colour marking.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Colour {
-        White,
-        Grey,
-        Black,
-    }
-    let mut colour: HashMap<usize, Colour> = members.iter().map(|&m| (m, Colour::White)).collect();
-    let mut topo: Vec<usize> = Vec::with_capacity(members.len());
-    let mut stack: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-    let next_of = |node: usize| -> Vec<usize> {
-        succs[node]
-            .iter()
-            .copied()
-            .filter(|s| members.contains(s) && *s != start)
-            .collect()
-    };
-    colour.insert(start, Colour::Grey);
-    stack.push((start, next_of(start), 0));
-    while let Some((node, kids, idx)) = stack.last_mut() {
-        if *idx < kids.len() {
-            let k = kids[*idx];
-            *idx += 1;
-            match colour[&k] {
-                Colour::White => {
-                    colour.insert(k, Colour::Grey);
-                    let kk = next_of(k);
-                    stack.push((k, kk, 0));
-                }
-                Colour::Grey => return None, // cycle
-                Colour::Black => {}
-            }
-        } else {
-            colour.insert(*node, Colour::Black);
-            topo.push(*node);
-            stack.pop();
-        }
-    }
-    // topo is reverse topological order (children before parents).
-    let mut best: HashMap<usize, u64> = HashMap::new();
-    for &node in &topo {
-        let kid_best = succs[node]
-            .iter()
-            .filter(|s| members.contains(s) && **s != start)
-            .map(|s| best.get(s).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        best.insert(node, node_cost[node].saturating_add(kid_best));
-    }
-    Some(best.get(&start).copied().unwrap_or(node_cost[start]))
+/// See [`analyze`].
+pub fn analyze_cached(
+    program: &Program,
+    lane: &dyn CostLane,
+    cache: &AnalysisCache,
+) -> Result<BTreeMap<String, u64>, WcetError> {
+    let bounds = program_bounds(program, |f, callees, callee_bounds: &[[u64; 1]]| {
+        cache
+            .get_or_try_insert(f, callee_bounds.as_flattened(), || {
+                bound_function(f, callees, callee_bounds, &[lane], Preset::Ipet).map(|[b]| b)
+            })
+            .map(|b| [b])
+    })?;
+    Ok(bounds.into_iter().map(|(name, [b])| (name, b)).collect())
 }
 
 /// A thread-safe memo of per-function analysis results, keyed by the
@@ -447,7 +393,7 @@ pub struct AnalysisCache {
 struct CacheEntry {
     function: Function,
     /// Each callee's bound, in [`Function::callees`] order.
-    callee_bounds: Vec<Option<u64>>,
+    callee_bounds: Vec<u64>,
     bound: u64,
 }
 
@@ -459,29 +405,25 @@ impl AnalysisCache {
 
     /// The bucket of `f` analysed against `callee_bounds` (in callee
     /// order, so a callee's change re-keys its callers too).
-    fn key(f: &Function, callee_bounds: &[Option<u64>]) -> u64 {
+    fn key(f: &Function, callee_bounds: &[u64]) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         f.hash(&mut h);
         callee_bounds.hash(&mut h);
         h.finish()
     }
 
-    /// The bound of `f` against `callee_bounds` (by callee name), from
+    /// The bound of `f` against `callee_bounds` (in callee order), from
     /// the cache or from `compute`, which is then remembered. Errors are
     /// not cached (the program-level drivers abort on the first error
     /// anyway).
     fn get_or_try_insert(
         &self,
         f: &Function,
-        callee_bounds: &BTreeMap<String, u64>,
+        callee_bounds: &[u64],
         compute: impl FnOnce() -> Result<u64, WcetError>,
     ) -> Result<u64, WcetError> {
-        let bounds: Vec<Option<u64>> = f
-            .callees()
-            .iter()
-            .map(|callee| callee_bounds.get(callee).copied())
-            .collect();
-        self.get_or_try_insert_hashed(Self::key(f, &bounds), f, bounds, compute)
+        let hash = Self::key(f, callee_bounds);
+        self.get_or_try_insert_hashed(hash, f, callee_bounds.to_vec(), compute)
     }
 
     /// [`AnalysisCache::get_or_try_insert`] in bucket `hash`.
@@ -489,7 +431,7 @@ impl AnalysisCache {
         &self,
         hash: u64,
         f: &Function,
-        callee_bounds: Vec<Option<u64>>,
+        callee_bounds: Vec<u64>,
         compute: impl FnOnce() -> Result<u64, WcetError>,
     ) -> Result<u64, WcetError> {
         let find = |bucket: &[CacheEntry]| {
@@ -528,124 +470,36 @@ impl AnalysisCache {
     }
 }
 
-/// The callee-first analysis order over the call graph.
-///
-/// # Errors
-/// [`WcetError::Recursion`] naming the caller whose call closes a cycle
-/// (a callee already on the DFS stack).
-fn call_order(program: &Program) -> Result<Vec<&str>, WcetError> {
-    let mut order: Vec<&str> = Vec::new();
-    let mut done: HashSet<&str> = HashSet::new();
-    let mut visiting: Vec<(&str, usize)> = Vec::new();
-    for start in program.functions.keys() {
-        if done.contains(start.as_str()) {
-            continue;
-        }
-        visiting.push((start.as_str(), 0));
-        let mut callee_cache: HashMap<&str, Vec<String>> = HashMap::new();
-        while let Some((name, idx)) = visiting.pop() {
-            let callees = callee_cache
-                .entry(name)
-                .or_insert_with(|| program.functions[name].callees());
-            if idx < callees.len() {
-                let next = callees[idx].clone();
-                visiting.push((name, idx + 1));
-                if let Some((key, _)) = program.functions.get_key_value(next.as_str()) {
-                    if visiting.iter().any(|(n, _)| *n == key.as_str()) {
-                        return Err(WcetError::Recursion(name.to_string()));
-                    }
-                    if !done.contains(key.as_str()) {
-                        visiting.push((key.as_str(), 0));
-                    }
-                }
-            } else if done.insert(name) {
-                order.push(name);
-            }
-        }
-    }
-    Ok(order)
-}
-
-/// The shared program-level analysis driver: validate, reject
-/// recursion, then analyse every function in callee-first order with
-/// `analyse` (handing each its already-resolved callee bounds),
-/// optionally memoized through a per-function content-keyed `cache`.
-///
-/// Returns the raw per-function bounds; both this crate's WCET drivers
-/// and `teamplay-energy`'s WCEC drivers wrap their reports around it,
-/// so validation, ordering and cache-keying policy live in exactly one
-/// place.
-///
-/// # Errors
-/// See [`WcetError`].
-pub fn resolve_bottom_up(
-    program: &Program,
-    cache: Option<&AnalysisCache>,
-    analyse: impl Fn(&Function, &BTreeMap<String, u64>) -> Result<u64, WcetError>,
-) -> Result<BTreeMap<String, u64>, WcetError> {
-    program.validate().map_err(WcetError::InvalidProgram)?;
-    let mut bounds: BTreeMap<String, u64> = BTreeMap::new();
-    for name in call_order(program)? {
-        let f = &program.functions[name];
-        let w = match cache {
-            Some(cache) => cache.get_or_try_insert(f, &bounds, || analyse(f, &bounds))?,
-            None => analyse(f, &bounds)?,
-        };
-        bounds.insert(name.to_string(), w);
-    }
-    Ok(bounds)
-}
-
 /// Analyse a whole program with the IPET engine: every function gets a
-/// WCET, resolved bottom-up over the call graph.
+/// WCET, resolved callee-first over the call graph. The one-lane
+/// [`analyze`] in report form.
 ///
 /// # Errors
-/// See [`WcetError`].
+/// See [`analyze`].
 pub fn analyze_program(program: &Program, model: &CycleModel) -> Result<WcetReport, WcetError> {
+    let per_function = analyze(program, [model], Preset::Ipet)?;
     Ok(WcetReport {
-        per_function: resolve_bottom_up(program, None, |f, callees| {
-            analyze_function(f, model, callees)
-        })?,
+        per_function: per_function.into_iter().map(|(n, [w])| (n, w)).collect(),
     })
 }
 
-/// [`analyze_program`] with per-function memoization: unchanged
-/// functions (same content, same callee bounds) are answered from
-/// `cache` instead of re-analysed. Use one cache per [`CycleModel`] —
-/// the model is not part of the key.
+/// [`analyze_program`] through a content-keyed [`AnalysisCache`]
+/// ([`analyze_cached`]). Use one cache per [`CycleModel`] — the model is
+/// not part of the key.
 ///
-/// The compiler's evaluations do not use it (see [`analyze_function`]
-/// for what they do). It stays public for the WCET tightness bench and
-/// the perfbench workflow replay.
+/// The compiler's evaluations do not use it: they key analyses on the
+/// compile memo's code identity. It is kept, with its signature, for the
+/// WCET tightness bench and the end-to-end benchmark's workflow replay.
 ///
 /// # Errors
-/// See [`WcetError`].
+/// See [`analyze`].
 pub fn analyze_program_cached(
     program: &Program,
     model: &CycleModel,
     cache: &AnalysisCache,
 ) -> Result<WcetReport, WcetError> {
     Ok(WcetReport {
-        per_function: resolve_bottom_up(program, Some(cache), |f, callees| {
-            analyze_function(f, model, callees)
-        })?,
-    })
-}
-
-/// Whole-program analysis under the structural baseline engine (see
-/// [`analyze_function_structural`]); the tightness denominator in
-/// `BENCH_wcet.json`.
-///
-/// # Errors
-/// See [`WcetError`].
-pub fn analyze_program_structural(
-    program: &Program,
-    model: &CycleModel,
-) -> Result<WcetReport, WcetError> {
-    Ok(WcetReport {
-        per_function: resolve_bottom_up(program, None, |f, callees| {
-            analyze_function_structural(f, model, callees)
-        })?,
+        per_function: analyze_cached(program, model, cache)?,
     })
 }
 
@@ -662,6 +516,11 @@ mod tests {
             rn: Reg::R0,
             src: Operand::Imm(1),
         }
+    }
+
+    /// `f`'s bound under the structural preset.
+    fn structural(p: &Program, model: &CycleModel) -> u64 {
+        analyze(p, [model], Preset::Structural).expect("structural")["f"][0]
     }
 
     fn straight_function(name: &str, n_insns: usize) -> Function {
@@ -767,10 +626,7 @@ mod tests {
             .expect("ipet")
             .wcet_cycles("f")
             .expect("f");
-        let structural = analyze_program_structural(&p, &model)
-            .expect("structural")
-            .wcet_cycles("f")
-            .expect("f");
+        let structural = structural(&p, &model);
         // cmp(1) + not-taken(1) + 10 alu + b(3) + ret(4) = 19.
         assert_eq!(ipet, 19);
         assert_eq!(structural, 21);
@@ -845,10 +701,7 @@ mod tests {
             .expect("ipet")
             .wcet_cycles("f")
             .expect("f");
-        let structural = analyze_program_structural(&p, &model)
-            .expect("structural")
-            .wcet_cycles("f")
-            .expect("f");
+        let structural = structural(&p, &model);
         // Structural: (8+1) × worst iteration (10) + entry 3 + ret 4.
         assert_eq!(structural, 3 + 9 * 10 + 4);
         assert!(ipet < structural, "{ipet} vs {structural}");
@@ -996,10 +849,7 @@ mod tests {
         // the outer final check (1 + 1), entry 3, ret 4.
         assert_eq!(w, 3 + 4 * 60 + 1 + 1 + 4);
         // And that is strictly below the structural 342.
-        let s = analyze_program_structural(&p, &CycleModel::pg32())
-            .expect("structural")
-            .wcet_cycles("f")
-            .expect("f");
+        let s = structural(&p, &CycleModel::pg32());
         assert_eq!(s, 342);
         assert!(w < s);
     }
@@ -1039,8 +889,7 @@ mod tests {
     #[test]
     fn irreducible_cfg_is_rejected_by_both_engines() {
         // 0 branches into a 1 ↔ 2 cycle at both nodes: no header
-        // dominates the other, so there is no natural loop to condense
-        // and the flow solver's structural fallback rejects it too.
+        // dominates the other, so there is no natural loop to condense.
         let f = Function {
             name: "f".into(),
             blocks: vec![
@@ -1137,10 +986,7 @@ mod tests {
             .expect("ipet")
             .wcet_cycles("f")
             .expect("f");
-        let structural = analyze_program_structural(&p, &model)
-            .expect("structural")
-            .wcet_cycles("f")
-            .expect("f");
+        let structural = structural(&p, &model);
         // One heavy arm (50) plus one light arm; structurally both stack.
         assert!(structural >= ipet + 50, "{ipet} vs {structural}");
         // cmp(1)+taken(3)+50+b(3) + cmp(1)+nt(1)+b(3) + ret(4) = 66.
@@ -1184,19 +1030,19 @@ mod tests {
         // bounds, forced into one bucket: each keeps its own bound.
         let cache = AnalysisCache::new();
         let (f, g) = (straight_function("f", 3), straight_function("g", 3));
-        let lookup = |f: &Function, callee_bounds: Vec<Option<u64>>, fresh: u64| {
+        let lookup = |f: &Function, callee_bounds: Vec<u64>, fresh: u64| {
             cache
                 .get_or_try_insert_hashed(0, f, callee_bounds, || Ok(fresh))
                 .expect("infallible")
         };
         assert_eq!(lookup(&f, vec![], 10), 10);
         assert_eq!(lookup(&g, vec![], 20), 20);
-        assert_eq!(lookup(&f, vec![Some(1)], 30), 30);
+        assert_eq!(lookup(&f, vec![1], 30), 30);
         assert_eq!((cache.hits(), cache.misses()), (0, 3));
         // Replays return each entry's own bound, not the fresh value.
         assert_eq!(lookup(&f, vec![], 99), 10);
         assert_eq!(lookup(&g, vec![], 99), 20);
-        assert_eq!(lookup(&f, vec![Some(1)], 99), 30);
+        assert_eq!(lookup(&f, vec![1], 99), 30);
         assert_eq!((cache.hits(), cache.misses()), (3, 3));
     }
 
@@ -1215,10 +1061,7 @@ mod tests {
                 .expect("ipet")
                 .wcet_cycles("f")
                 .expect("f");
-            let s = analyze_program_structural(&p, &model)
-                .expect("structural")
-                .wcet_cycles("f")
-                .expect("f");
+            let s = structural(&p, &model);
             assert!(ipet <= s, "{ipet} > {s}");
         }
     }

@@ -30,10 +30,24 @@
 //! engine must charge the worst full iteration once more than IPET.
 
 use teamplay_compiler::{generate_program, CodegenOpts, PassManager, Pipeline, REGISTRY};
+use teamplay_energy::{mpj_to_pj, EnergyLane};
 use teamplay_isa::CycleModel;
 use teamplay_minic::compile_to_ir;
 use teamplay_sim::{DecodedProgram, Machine, NullDevice, RecordingDevice};
-use teamplay_wcet::{analyze_program, analyze_program_structural};
+use teamplay_wcet::{analyze, analyze_program, Preset};
+
+/// `func`'s structural bounds in cycles and picojoules: both lanes from
+/// one solve of the structural preset.
+fn structural_bounds(program: &teamplay_isa::Program, func: &str) -> Result<(u64, f64), String> {
+    let (cm, em) = (
+        CycleModel::pg32(),
+        teamplay_energy::IsaEnergyModel::pg32_datasheet(),
+    );
+    let energy = EnergyLane::new(&em, &cm);
+    let bounds = analyze(program, [&cm, &energy], Preset::Structural).map_err(|e| e.to_string())?;
+    let [cycles, mpj] = *bounds.get(func).ok_or("function not analysed")?;
+    Ok((cycles, mpj_to_pj(mpj)))
+}
 
 /// Every single-pass registry pipeline plus the level presets and the
 /// tuned application pipelines — the same menu the differential suite
@@ -75,10 +89,8 @@ fn assert_sandwich(label: &str, src: &str, func: &str, args_sets: &[Vec<i32>]) -
             .unwrap_or_else(|e| panic!("{label}/{plabel}: IPET analysis: {e}"))
             .wcet_cycles(func)
             .expect("bounded");
-        let structural = analyze_program_structural(&program, &cm)
-            .unwrap_or_else(|e| panic!("{label}/{plabel}: structural analysis: {e}"))
-            .wcet_cycles(func)
-            .expect("bounded");
+        let (structural, wcec_structural) = structural_bounds(&program, func)
+            .unwrap_or_else(|e| panic!("{label}/{plabel}: structural analysis: {e}"));
         assert!(
             ipet <= structural,
             "{label}/{plabel}: IPET {ipet} exceeds structural {structural}"
@@ -87,11 +99,6 @@ fn assert_sandwich(label: &str, src: &str, func: &str, args_sets: &[Vec<i32>]) -
             .unwrap_or_else(|e| panic!("{label}/{plabel}: WCEC analysis: {e}"))
             .wcec_pj(func)
             .expect("bounded");
-        let wcec_structural =
-            teamplay_energy::analyze_program_energy_structural(&program, &em, &cm)
-                .unwrap_or_else(|e| panic!("{label}/{plabel}: structural WCEC: {e}"))
-                .wcec_pj(func)
-                .expect("bounded");
         assert!(
             wcec <= wcec_structural + 1e-6,
             "{label}/{plabel}: WCEC {wcec} exceeds structural {wcec_structural}"
@@ -129,10 +136,7 @@ fn assert_sandwich(label: &str, src: &str, func: &str, args_sets: &[Vec<i32>]) -
         .expect("ipet")
         .wcet_cycles(func)
         .expect("bounded");
-    let structural = analyze_program_structural(&program, &cm)
-        .expect("structural")
-        .wcet_cycles(func)
-        .expect("bounded");
+    let (structural, _) = structural_bounds(&program, func).expect("structural");
     (ipet, structural)
 }
 
@@ -207,10 +211,7 @@ fn app_kernels_bit_identical_across_engines_and_inside_the_sandwich() {
             .expect("ipet")
             .wcet_cycles(task)
             .expect("bounded");
-        let structural = analyze_program_structural(&program, &cm)
-            .expect("structural")
-            .wcet_cycles(task)
-            .expect("bounded");
+        let (structural, _) = structural_bounds(&program, task).expect("structural");
         assert!(
             ipet <= structural,
             "{app}/{task}: IPET {ipet} exceeds structural {structural}"
