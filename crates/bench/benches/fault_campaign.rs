@@ -21,6 +21,13 @@
 //! `tests/fault_campaign_oracle.rs`), and the rates of a non-empty
 //! campaign sum to 1.
 //!
+//! It also prints each campaign's deterministic work counters: the
+//! simulated cycles its injections executed, the golden-run cycles they
+//! skipped by resuming from checkpoints or after a convergence cut-off,
+//! and the runs cut off. Their sum is what replaying every injection
+//! from cycle 0 to its end would execute. The counters are not written
+//! to the baseline, which holds only outcome rates.
+//!
 //! The run writes `BENCH_fault.json` at the repository root (validated
 //! in CI by `support/ci/validate_bench.py`), then registers a Criterion
 //! timing for one campaign. Run with
@@ -172,6 +179,17 @@ fn main() {
         assert!(
             pool_width_invariant,
             "{app}/{task}: campaign depends on pool width"
+        );
+        let work = result.work;
+        println!(
+            "fault_campaign work {app}/{task}: executed {} cycles, restored {}, cut {} \
+             ({} of {} runs converged); from scratch {}",
+            work.executed_cycles,
+            work.restored_cycles,
+            work.cut_cycles,
+            work.converged_runs,
+            result.stats.total(),
+            work.executed_cycles + work.restored_cycles + work.cut_cycles,
         );
 
         let [masked, sdc, trapped, timing, hang] = result.stats.rates();

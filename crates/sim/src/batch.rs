@@ -4,26 +4,25 @@
 //! predictable workflow's "measure" step) all need the same shape of
 //! experiment: run one kernel over many input vectors and collect every
 //! [`RunResult`]. [`simulate_batch`] fans a batch across a
-//! [`minipool::Pool`] in fixed-size chunks — one [`DecodedEngine`] per
-//! chunk, its data image reset before every run — so each result is a
-//! pure function of `(function, input)` and the batch output is
-//! **bit-identical at any pool width** (the same discipline as the
-//! phase-ordering search's batched generation contract).
+//! [`minipool::Pool`] in fixed-size chunks — each chunk on a
+//! [`DecodedEngine`](crate::DecodedEngine) in the state of a fresh one (engines are recycled
+//! between chunks), its data image reset before every run — so each
+//! result is a pure function of `(function, input)` and the batch
+//! output is **bit-identical at any pool width** (the same discipline as
+//! the phase-ordering search's batched generation contract).
 //!
 //! [`seeded_inputs`] generates the deterministic input vectors: a single
 //! seeded stream, drawn up front, so the batch is reproducible from
 //! `(seed, runs, arg_count, range)` alone.
 
-use crate::decoded::{DecodedEngine, DecodedProgram};
+use crate::decoded::{DecodedProgram, EnginePool};
 use crate::machine::{MachineError, RunResult};
 use crate::ports::NullDevice;
 use minipool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Runs per engine instance: large enough to amortise the engine's
-/// memory-image allocation, small enough to keep a pool busy on modest
-/// batches.
+/// Runs per chunk: small enough to keep a pool busy on modest batches.
 const CHUNK: usize = 16;
 
 /// Deterministic input vectors for a batch: `runs` vectors of
@@ -55,18 +54,20 @@ pub fn simulate_batch(
     // and therefore each run's engine state, are independent of how many
     // workers execute them.
     let chunks: Vec<&[Vec<i32>]> = inputs.chunks(CHUNK).collect();
+    let engines = EnginePool::new(program);
     let per_chunk: Vec<Vec<Result<RunResult, MachineError>>> = pool.par_map(&chunks, |_, chunk| {
-        let mut engine: DecodedEngine<'_> = program.engine();
-        engine.set_max_cycles(watchdog_cycles);
-        chunk
-            .iter()
-            .map(|args| {
-                // Globals mutate during a run; reset so every run sees
-                // the pristine image regardless of chunk position.
-                engine.reset_data();
-                engine.call(func, args, &mut NullDevice::new())
-            })
-            .collect()
+        engines.with(|engine| {
+            engine.set_max_cycles(watchdog_cycles);
+            chunk
+                .iter()
+                .map(|args| {
+                    // Globals mutate during a run; reset so every run sees
+                    // the pristine image regardless of chunk position.
+                    engine.reset_data();
+                    engine.call(func, args, &mut NullDevice::new())
+                })
+                .collect()
+        })
     });
     per_chunk.into_iter().flatten().collect()
 }

@@ -76,6 +76,25 @@
 //! the run is full speed again; without that re-entry a campaign would
 //! spend most of each faulted run in the careful loop.
 //!
+//! # Pausing, snapshots and dirty pages
+//!
+//! The same limit lets a call stop at a run entry and go on later: the
+//! run core takes its call state (pc, call stack, cycles, instructions,
+//! class counts and the energy sum as a whole run holds it there) from a
+//! `RunState` and hands it back when the call reaches its pause cycle,
+//! completes or traps. A paused and resumed call returns what the
+//! uninterrupted call returns, to the last bit. Fault campaigns pause
+//! their golden run to record snapshots of the whole engine, restore one
+//! to start an injection past the fault-free prefix, and pause faulted
+//! runs to compare them with later snapshots.
+//!
+//! Every store marks its 4 KiB page in a per-engine dirty map, one
+//! unconditional byte store. A reset rewrites only the dirty pages, a
+//! snapshot keeps only the words of dirty pages that differ from the
+//! initial image, and a comparison looks only at pages either side may
+//! have changed. A fresh engine relies on its zeroed allocation and
+//! writes only the pages that hold globals.
+//!
 //! # Superinstruction fusion
 //!
 //! Dispatch — the indirect branch per slot — dominates once per-op work
@@ -112,10 +131,13 @@
 //! cycles/sec vs the reference's ~0.18–0.20 G, a 4.5–4.9× speedup,
 //! floored at `speedup ≥ 1` by `support/ci/validate_bench.py`.
 
-use crate::fault::FaultSpec;
-use crate::machine::{zeroed_mem, MachineError, RunResult, MAX_CALL_DEPTH, MEM_WORDS};
+use crate::fault::{FaultKind, FaultSpec};
+use crate::machine::{
+    zeroed_mem, MachineError, RunResult, DEFAULT_MAX_CYCLES, MAX_CALL_DEPTH, MEM_WORDS,
+};
 use crate::ports::PortDevice;
 use crate::truth::GroundTruthEnergy;
+use std::sync::Mutex;
 use teamplay_isa::{
     decode_program, AluOp, Cond, CycleModel, DataLayout, DecodedImage, DecodedOp, EnergyClass,
     Insn, Program, Reg, RegListRef, DATA_BASE, ENERGY_CLASS_COUNT, MEMORY_BYTES, STACK_TOP,
@@ -160,6 +182,16 @@ struct Step {
 
 type Mem = [i32; MEM_WORDS];
 
+/// Words per page of the dirty map: 4 KiB pages.
+const PAGE_WORDS: usize = 1024;
+/// Pages of memory.
+const PAGES: usize = MEM_WORDS / PAGE_WORDS;
+/// One flag per page, set by every store to it: the pages a reset must
+/// restore.
+type Dirty = [bool; PAGES];
+/// The initial content of every page that holds no global.
+static ZERO_PAGE: [i32; PAGE_WORDS] = [0; PAGE_WORDS];
+
 /// Classify an invalid address exactly like the reference's
 /// `check_addr` (alignment is checked first).
 #[cold]
@@ -184,14 +216,42 @@ fn ld(mem: &Mem, addr: u32) -> Result<i32, MachineError> {
     Ok(mem[(addr / 4) as usize & (MEM_WORDS - 1)])
 }
 
-/// Engine-local store; see [`ld`].
+/// Engine-local store; see [`ld`]. It marks the word's page dirty with
+/// one unconditional byte store.
 #[inline(always)]
-fn st(mem: &mut Mem, addr: u32, value: i32) -> Result<(), MachineError> {
+fn st(mem: &mut Mem, dirty: &mut Dirty, addr: u32, value: i32) -> Result<(), MachineError> {
     if !addr.is_multiple_of(4) | (addr >= MEMORY_BYTES) {
         return Err(mem_fault(addr));
     }
-    mem[(addr / 4) as usize & (MEM_WORDS - 1)] = value;
+    let word = (addr / 4) as usize & (MEM_WORDS - 1);
+    dirty[word / PAGE_WORDS] = true;
+    mem[word] = value;
     Ok(())
+}
+
+/// A condition pre-decoded into the set of comparison outcomes it
+/// accepts: bit `o + 1` for `o = a.cmp(&b) as i8`. Testing it is a shift
+/// and a mask, so a conditional op costs no jump on the condition code.
+#[derive(Clone, Copy)]
+struct CondMask(u8);
+
+impl CondMask {
+    fn of(cond: Cond) -> CondMask {
+        // One representative comparison per outcome: less, equal, greater.
+        let accepts = [(0, 1), (0, 0), (1, 0)].map(|(a, b)| cond.holds(a, b));
+        CondMask(
+            accepts
+                .iter()
+                .enumerate()
+                .map(|(bit, &holds)| u8::from(holds) << bit)
+                .sum(),
+        )
+    }
+
+    #[inline(always)]
+    fn holds(self, (a, b): (i32, i32)) -> bool {
+        (self.0 >> (a.cmp(&b) as i8 + 1)) & 1 != 0
+    }
 }
 
 /// What one micro-op of a unit hands to the next: the register it wrote
@@ -230,6 +290,7 @@ impl Fwd {
 struct Core<'a> {
     regs: &'a mut [i32; 16],
     mem: &'a mut Mem,
+    dirty: &'a mut Dirty,
     flags: &'a mut (i32, i32),
     reg_pool: &'a [Reg],
     device: &'a mut dyn PortDevice,
@@ -270,7 +331,7 @@ impl Core<'_> {
 
     #[inline(always)]
     fn store(&mut self, addr: u32, val: i32) -> Result<Fwd, MachineError> {
-        st(self.mem, addr, val)?;
+        st(self.mem, self.dirty, addr, val)?;
         Ok(Fwd {
             reg: NO_REG,
             val,
@@ -392,7 +453,7 @@ struct CmpI {
 /// Conditional select on the latched flags.
 #[derive(Clone, Copy)]
 struct Csel {
-    cond: Cond,
+    cond: CondMask,
     rd: u8,
     rt: u8,
     rf: u8,
@@ -473,7 +534,7 @@ struct Branch {
 #[derive(Clone, Copy)]
 #[repr(C, packed)]
 struct CondBranch {
-    cond: Cond,
+    cond: CondMask,
     taken: u32,
     fallthrough: u32,
 }
@@ -528,8 +589,7 @@ impl Op for CmpI {
 impl Op for Csel {
     #[inline(always)]
     fn step(&self, core: &mut Core<'_>, fwd: Fwd) -> Result<Fwd, MachineError> {
-        let (a, b) = *core.flags;
-        let v = if self.cond.holds(a, b) {
+        let v = if self.cond.holds(*core.flags) {
             core.get(self.rt, fwd)
         } else {
             core.get(self.rf, fwd)
@@ -582,7 +642,7 @@ impl Op for Push {
         for r in &core.reg_pool[start..start + len] {
             let top = (core.regs[sp] as u32).wrapping_sub(4);
             core.regs[sp] = top as i32;
-            st(core.mem, top, core.regs[r.index() & 15])?;
+            st(core.mem, core.dirty, top, core.regs[r.index() & 15])?;
         }
         Ok(Fwd::NONE)
     }
@@ -643,8 +703,8 @@ impl Unit for CondBranch {
     const ENDS_RUN: bool = true;
     #[inline(always)]
     fn run(&self, core: &mut Core<'_>, _: Fwd) -> Result<Exit, MachineError> {
-        let (a, b) = *core.flags;
-        Ok(if self.cond.holds(a, b) {
+        let cond = self.cond;
+        Ok(if cond.holds(*core.flags) {
             Exit::Jump {
                 to: self.taken,
                 taken: true,
@@ -831,7 +891,12 @@ fn hot_base(op: DecodedOp) -> HotOp {
         D::MovI { rd, imm } | D::MovI32 { rd, imm } => H::MovI(MovI { rd, imm }),
         D::CmpR { rn, rm } => H::CmpR(CmpR { rn, rm }),
         D::CmpI { rn, imm } => H::CmpI(CmpI { rn, imm }),
-        D::Csel { cond, rd, rt, rf } => H::Csel(Csel { cond, rd, rt, rf }),
+        D::Csel { cond, rd, rt, rf } => H::Csel(Csel {
+            cond: CondMask::of(cond),
+            rd,
+            rt,
+            rf,
+        }),
         D::LdrR { rd, base, roff } => H::LdrR(LdrR { rd, base, roff }),
         D::LdrI { rd, base, imm } => H::LdrI(LdrI { rd, base, imm }),
         D::StrR { rs, base, roff } => H::StrR(StrR { rs, base, roff }),
@@ -848,7 +913,7 @@ fn hot_base(op: DecodedOp) -> HotOp {
             taken,
             fallthrough,
         } => H::CondBranch(CondBranch {
-            cond,
+            cond: CondMask::of(cond),
             taken,
             fallthrough,
         }),
@@ -979,8 +1044,13 @@ pub struct DecodedProgram {
     /// non-integer increments; the per-insn loop then runs throughout).
     exact: Option<ExactTables>,
     layout: DataLayout,
-    /// Initial global images as (word base, words).
-    globals: Vec<(usize, Vec<i32>)>,
+    /// The initial data image, per page: the pages that hold globals
+    /// (`None` for the all-zero rest).
+    initial: Vec<Option<Box<[i32]>>>,
+    /// Bit `r` set if some op reads register `r`, or `r` is `r0`, which
+    /// a call returns: the only registers whose value can ever be
+    /// observed.
+    read_regs: u16,
 }
 
 impl DecodedProgram {
@@ -1058,14 +1128,15 @@ impl DecodedProgram {
         hot.resize(hot.len().next_power_of_two(), HotOp::Halt);
         let exact = build_exact_tables(&image, &steps, &steps_first, energy_model);
         let layout = DataLayout::of_program(program);
-        let globals = program
-            .globals
-            .iter()
-            .map(|(name, words)| {
-                let base = layout.address(name).expect("layout covers globals") / 4;
-                (base as usize, words.clone())
-            })
-            .collect();
+        let mut initial: Vec<Option<Box<[i32]>>> = vec![None; PAGES];
+        for (name, words) in &program.globals {
+            let base = (layout.address(name).expect("layout covers globals") / 4) as usize;
+            for (word, &value) in (base..).zip(words) {
+                initial[word / PAGE_WORDS].get_or_insert_with(|| ZERO_PAGE.into())
+                    [word % PAGE_WORDS] = value;
+            }
+        }
+        let read_regs = read_registers(&image);
         Ok(DecodedProgram {
             image,
             hot,
@@ -1073,8 +1144,14 @@ impl DecodedProgram {
             steps_first,
             exact,
             layout,
-            globals,
+            initial,
+            read_regs,
         })
+    }
+
+    /// The initial content of page `page`.
+    fn initial_page(&self, page: usize) -> &[i32] {
+        self.initial[page].as_deref().unwrap_or(&ZERO_PAGE)
     }
 
     /// The decoded instruction image.
@@ -1094,14 +1171,92 @@ impl DecodedProgram {
     }
 }
 
+/// A call in progress, stopped at a run entry: everything the rest of
+/// the call reads besides registers, flags, memory and the device.
+/// [`DecodedEngine::start`] makes one at a function's entry and
+/// [`DecodedEngine::resume`] carries it forward.
+#[derive(Clone)]
+pub(crate) struct RunState {
+    pc: u32,
+    stack: Vec<u32>,
+    cycles: u64,
+    insns: u64,
+    /// The energy sum as a from-scratch run holds it here (an exact
+    /// integer under the exact tables).
+    energy_pj: f64,
+    counts: [u64; ENERGY_CLASS_COUNT],
+}
+
+impl RunState {
+    /// Cycles charged so far (after a trap: up to the trapping run).
+    pub(crate) fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
+    /// Instructions retired so far.
+    pub(crate) fn insns(&self) -> u64 {
+        self.insns
+    }
+
+    /// Equal to the last bit of the energy sum.
+    fn same(&self, other: &RunState) -> bool {
+        self.pc == other.pc
+            && self.stack == other.stack
+            && self.cycles == other.cycles
+            && self.insns == other.insns
+            && self.energy_pj.to_bits() == other.energy_pj.to_bits()
+            && self.counts == other.counts
+    }
+}
+
+/// An engine's whole state at a run entry of a call, as
+/// [`DecodedEngine::snapshot`] takes it: the [`RunState`], registers,
+/// flags and, per page that differs from the initial image, the span of
+/// words that differ.
+pub(crate) struct Snapshot {
+    state: RunState,
+    regs: [i32; 16],
+    flags: (i32, i32),
+    spans: Vec<Span>,
+}
+
+/// Words `offset..offset + words.len()` of page `page`.
+struct Span {
+    page: usize,
+    offset: usize,
+    words: Box<[i32]>,
+}
+
+impl Snapshot {
+    /// Where the call stood.
+    pub(crate) fn state(&self) -> &RunState {
+        &self.state
+    }
+
+    /// The condition flags.
+    pub(crate) fn flags(&self) -> (i32, i32) {
+        self.flags
+    }
+}
+
 /// Mutable machine state over a shared [`DecodedProgram`].
 ///
 /// Mirrors [`crate::machine::Machine`]'s contract exactly: globals
 /// persist across [`DecodedEngine::call`]s, [`DecodedEngine::reset_data`]
 /// restores the initial image, state is unspecified after a trap.
+///
+/// Every store marks its 4 KiB page in a dirty map, so a reset rewrites
+/// only the pages written since the last one rather than the whole
+/// 1 MiB. The same map lets a fault campaign snapshot the engine at a
+/// run entry of its golden run, restore that snapshot and resume the
+/// call from there, and compare a faulted run's state against a
+/// snapshot.
 pub struct DecodedEngine<'p> {
     program: &'p DecodedProgram,
     mem: Box<[i32; MEM_WORDS]>,
+    /// Pages written since the last reset: every page that may differ
+    /// from the initial image.
+    dirty: Dirty,
     regs: [i32; 16],
     flags: (i32, i32),
     max_cycles: u64,
@@ -1114,19 +1269,25 @@ pub struct DecodedEngine<'p> {
 
 impl<'p> DecodedEngine<'p> {
     /// A fresh engine with the initial data image and the reference
-    /// 50 M cycle budget.
+    /// 50 M cycle budget. Memory starts as a zeroed allocation with the
+    /// globals' pages written over it.
     pub fn new(program: &'p DecodedProgram) -> DecodedEngine<'p> {
-        let mut engine = DecodedEngine {
+        let mut mem = zeroed_mem();
+        for (page, words) in program.initial.iter().enumerate() {
+            if let Some(words) = words {
+                mem[page * PAGE_WORDS..][..PAGE_WORDS].copy_from_slice(words);
+            }
+        }
+        DecodedEngine {
             program,
-            mem: zeroed_mem(),
+            mem,
+            dirty: [false; PAGES],
             regs: [0; 16],
             flags: (0, 0),
-            max_cycles: 50_000_000,
+            max_cycles: DEFAULT_MAX_CYCLES,
             hits_t: vec![0; program.hot.len()],
             hits_nt: vec![0; program.hot.len()],
-        };
-        engine.reset_data();
-        engine
+        }
     }
 
     /// Change the cycle budget per call.
@@ -1134,12 +1295,34 @@ impl<'p> DecodedEngine<'p> {
         self.max_cycles = max_cycles;
     }
 
-    /// Restore the initial global-data image and clear the rest of memory.
+    /// Restore the initial global-data image and clear the rest of
+    /// memory: every page written since the last reset gets its initial
+    /// content back, and no other page is touched.
     pub fn reset_data(&mut self) {
-        self.mem.fill(0);
-        for (base, words) in &self.program.globals {
-            self.mem[*base..*base + words.len()].copy_from_slice(words);
+        for (page, dirty) in self.dirty.iter_mut().enumerate() {
+            if std::mem::take(dirty) {
+                self.mem[page * PAGE_WORDS..][..PAGE_WORDS]
+                    .copy_from_slice(self.program.initial_page(page));
+            }
         }
+    }
+
+    /// Back to the state of a fresh engine: initial data image, cleared
+    /// flags, default budget.
+    fn renew(&mut self) {
+        self.reset_data();
+        self.flags = (0, 0);
+        self.max_cycles = DEFAULT_MAX_CYCLES;
+    }
+
+    /// The condition flags, which carry from one call to the next.
+    pub(crate) fn flags(&self) -> (i32, i32) {
+        self.flags
+    }
+
+    /// Overwrite the condition flags.
+    pub(crate) fn set_flags(&mut self, flags: (i32, i32)) {
+        self.flags = flags;
     }
 
     /// Read a global word back after a run (for assertions in tests).
@@ -1154,6 +1337,73 @@ impl<'p> DecodedEngine<'p> {
         let lo = (DATA_BASE / 4) as usize;
         let hi = (self.program.layout.data_end() / 4) as usize;
         self.mem[lo..hi].to_vec()
+    }
+
+    /// The engine's state with a call stopped at `at`.
+    pub(crate) fn snapshot(&self, at: &RunState) -> Snapshot {
+        let spans = (0..PAGES)
+            .filter(|&page| self.dirty[page])
+            .filter_map(|page| {
+                let words = &self.mem[page * PAGE_WORDS..][..PAGE_WORDS];
+                let span = differing_span(words, self.program.initial_page(page))?;
+                Some(Span {
+                    page,
+                    offset: span.start,
+                    words: words[span].into(),
+                })
+            })
+            .collect();
+        Snapshot {
+            state: at.clone(),
+            regs: self.regs,
+            flags: self.flags,
+            spans,
+        }
+    }
+
+    /// Put back a snapshot's registers and memory, and return its call
+    /// state to [`DecodedEngine::resume`]. The flags are left as they
+    /// are: whether a resumed call may take the snapshot's flags depends
+    /// on what the call before it left, which only the caller knows.
+    pub(crate) fn restore(&mut self, snapshot: &Snapshot) -> RunState {
+        self.reset_data();
+        for span in &snapshot.spans {
+            self.mem[span.page * PAGE_WORDS + span.offset..][..span.words.len()]
+                .copy_from_slice(&span.words);
+            self.dirty[span.page] = true;
+        }
+        self.regs = snapshot.regs;
+        snapshot.state.clone()
+    }
+
+    /// Whether the engine, with a call stopped at `at`, is in the state
+    /// `snapshot` holds, as far as the rest of the call can tell: call
+    /// state, flags, every register the program reads or returns, and
+    /// every page either side may have changed.
+    pub(crate) fn matches(&self, at: &RunState, snapshot: &Snapshot) -> bool {
+        let read = self.program.read_regs;
+        let regs_match = (0..16).all(|r| read >> r & 1 == 0 || self.regs[r] == snapshot.regs[r]);
+        if !regs_match || !at.same(&snapshot.state) || self.flags != snapshot.flags {
+            return false;
+        }
+        let mut spans = snapshot.spans.iter().peekable();
+        (0..PAGES).all(|page| {
+            let span = spans.next_if(|s| s.page == page);
+            if !self.dirty[page] && span.is_none() {
+                return true;
+            }
+            let words = &self.mem[page * PAGE_WORDS..][..PAGE_WORDS];
+            let initial = self.program.initial_page(page);
+            match span {
+                None => words == initial,
+                Some(s) => {
+                    let end = s.offset + s.words.len();
+                    words[..s.offset] == initial[..s.offset]
+                        && words[s.offset..end] == *s.words
+                        && words[end..] == initial[end..]
+                }
+            }
+        })
     }
 
     /// Call `func` with up to 6 scalar arguments in `r0..r5`.
@@ -1189,6 +1439,7 @@ impl<'p> DecodedEngine<'p> {
         self.run(func, args, device, Some(fault))
     }
 
+    /// A whole call, from its entry with nothing to stop at.
     fn run(
         &mut self,
         func: &str,
@@ -1196,6 +1447,19 @@ impl<'p> DecodedEngine<'p> {
         device: &mut dyn PortDevice,
         fault: Option<&FaultSpec>,
     ) -> Result<RunResult, MachineError> {
+        let mut at = self.start(func, args)?;
+        Ok(self
+            .resume(&mut at, device, fault, u64::MAX)?
+            .expect("no run entry reaches cycle u64::MAX"))
+    }
+
+    /// Begin a call of `func`: the registers take `args` and the stack
+    /// pointer, and the returned state stands at the function's entry
+    /// with nothing charged.
+    ///
+    /// # Errors
+    /// [`MachineError::TooManyArgs`] or [`MachineError::UnknownFunction`].
+    pub(crate) fn start(&mut self, func: &str, args: &[i32]) -> Result<RunState, MachineError> {
         if args.len() > 6 {
             return Err(MachineError::TooManyArgs);
         }
@@ -1204,35 +1468,72 @@ impl<'p> DecodedEngine<'p> {
             .image
             .entry_of(func)
             .ok_or_else(|| MachineError::UnknownFunction(func.into()))?;
-
-        let program = self.program;
-        let steps: &[Step] = &program.steps;
-        let max_cycles = self.max_cycles;
         self.regs = [0; 16];
         self.regs[..args.len()].copy_from_slice(args);
         self.regs[Reg::SP.index() & 15] = STACK_TOP as i32;
+        Ok(RunState {
+            pc: entry,
+            stack: Vec::new(),
+            cycles: 0,
+            insns: 0,
+            energy_pj: 0.0,
+            counts: [0; ENERGY_CLASS_COUNT],
+        })
+    }
+
+    /// Carry the call standing at `at` forward, injecting `fault` if
+    /// given, until it completes (`Ok(Some(result))`), traps, or pauses
+    /// (`Ok(None)`, with `at` at the pause). It pauses, once no fault is
+    /// pending, at the first run entry (the one it starts at included)
+    /// whose run reaches cycle `pause_at`: the run's last instruction
+    /// boundary is at or past it, or, when the exact tables cannot be
+    /// used, its first. So a run entry at exactly `pause_at` is where a
+    /// call that gets there pauses. The result is the one an
+    /// uninterrupted call would return, however often it paused. After a
+    /// trap only `at`'s cycles are meaningful: the cycles charged up to
+    /// the run that trapped.
+    ///
+    /// # Errors
+    /// Any [`MachineError`] trap.
+    pub(crate) fn resume(
+        &mut self,
+        at: &mut RunState,
+        device: &mut dyn PortDevice,
+        fault: Option<&FaultSpec>,
+        pause_at: u64,
+    ) -> Result<Option<RunResult>, MachineError> {
+        let program = self.program;
+        let steps: &[Step] = &program.steps;
+        let max_cycles = self.max_cycles;
         let mut core = Core {
             regs: &mut self.regs,
             mem: &mut self.mem,
+            dirty: &mut self.dirty,
             flags: &mut self.flags,
             reg_pool: &program.image.reg_pool,
             device,
         };
 
-        let mut cycles: u64 = 0;
-        let mut insns: u64 = 0;
-        let mut energy = 0.0f64;
+        let mut cycles = at.cycles;
+        let mut insns = at.insns;
+        let mut energy = at.energy_pj;
         // 16-wide (classes only fill the first ENERGY_CLASS_COUNT slots)
         // so the masked index needs no bounds check.
         let mut counts = [0u64; 16];
+        counts[..ENERGY_CLASS_COUNT].copy_from_slice(&at.counts);
 
-        let mut stack: Vec<u32> = Vec::new();
-        let mut pc = entry as usize;
+        let mut stack = std::mem::take(&mut at.stack);
+        let mut pc = at.pc as usize;
 
-        // The careful loop's first fetch reads the no-predecessor cost
-        // table; every later fetch reads the static-predecessor one. An
-        // unconditional pointer move keeps the swap branch-free.
-        let mut tab = &program.steps_first[..];
+        // The careful loop's first fetch of a call reads the
+        // no-predecessor cost table; every later fetch reads the
+        // static-predecessor one. An unconditional pointer move keeps the
+        // swap branch-free.
+        let mut tab = if insns == 0 {
+            &program.steps_first[..]
+        } else {
+            steps
+        };
 
         // SEU injection state, as in the reference: the fault fires once,
         // at the first instruction boundary at or past its target cycle,
@@ -1241,21 +1542,33 @@ impl<'p> DecodedEngine<'p> {
         let mut fault_pending = fault;
         let mut skip_armed = false;
         // The fast path stops before any run whose last in-run boundary
-        // reaches `stop`: past the budget (the run traps) or at the
-        // fault's target (the run injects). Unfaulted, that is the
-        // budget alone.
-        let mut stop = max_cycles
-            .saturating_add(1)
-            .min(fault.map_or(u64::MAX, |f| f.at_cycle));
-        // Whether a faulted run may return to the fast path after its
-        // fault fired.
-        let resume = fault.is_some()
-            && program
-                .exact
-                .as_ref()
-                .is_some_and(|ex| max_cycles <= ex.max_budget);
+        // reaches `stop`: past the budget (the run traps), at the pause
+        // point, or at the fault's target (the run injects). Unfaulted
+        // and unpaused, that is the budget alone.
+        let limit = max_cycles.saturating_add(1).min(pause_at);
+        let mut stop = limit.min(fault.map_or(u64::MAX, |f| f.at_cycle));
+        // Whether run entries may take the fast path.
+        let fast = program
+            .exact
+            .as_ref()
+            .is_some_and(|ex| max_cycles <= ex.max_budget);
 
-        'engine: loop {
+        // `Ok(true)`: the call completed; `Ok(false)`: it paused.
+        let outcome: Result<bool, MachineError> = 'engine: loop {
+            // Every pass stands at a run entry with no skip armed. Once
+            // the fault has fired, pause here if the run starting here
+            // reaches the pause cycle: its last boundary (from `pre`) on
+            // the fast path, its first in the careful loop.
+            if fault_pending.is_none() {
+                let reach = match &program.exact {
+                    Some(ex) if fast => cycles + ex.pre[pc],
+                    _ => cycles,
+                };
+                if reach >= pause_at {
+                    break 'engine Ok(false);
+                }
+            }
+
             // ---- Exact-integer fast path ----
             //
             // Accounting is charged one whole run at a time, in integer
@@ -1337,15 +1650,8 @@ impl<'p> DecodedEngine<'p> {
                     macro_rules! finish_fast {
                         () => {{
                             fold_hits!();
-                            let mut class_counts = [0u64; ENERGY_CLASS_COUNT];
-                            class_counts.copy_from_slice(&counts[..ENERGY_CLASS_COUNT]);
-                            return Ok(RunResult {
-                                return_value: core.regs[0],
-                                cycles,
-                                insns,
-                                energy_pj: energy_u as f64,
-                                class_counts,
-                            });
+                            energy = energy_u as f64;
+                            break 'engine Ok(true);
                         }};
                     }
                     // After a control transfer: stay on the fast path unless
@@ -1366,12 +1672,13 @@ impl<'p> DecodedEngine<'p> {
                     macro_rules! unit {
                         ($u:ident) => {{
                             let last = pc + width_of($u) - 1;
-                            match $u.run(&mut core, Fwd::NONE)? {
-                                Exit::Next(_) => pc = last,
-                                Exit::Jump { to, taken } => {
+                            match $u.run(&mut core, Fwd::NONE) {
+                                Ok(Exit::Next(_)) => pc = last,
+                                Ok(Exit::Jump { to, taken }) => {
                                     charge_run!(last, taken);
                                     jump!(to);
                                 }
+                                Err(e) => break 'engine Err(e),
                             }
                         }};
                     }
@@ -1383,7 +1690,7 @@ impl<'p> DecodedEngine<'p> {
                                 HotOp::Call(target) => {
                                     charge_run!(pc, true);
                                     if stack.len() >= MAX_CALL_DEPTH {
-                                        return Err(MachineError::CallDepth);
+                                        break 'engine Err(MachineError::CallDepth);
                                     }
                                     stack.push(pc as u32 + 1);
                                     jump!(*target);
@@ -1409,12 +1716,14 @@ impl<'p> DecodedEngine<'p> {
                     }
 
                     // Doomed: the budget trips, or the fault fires, inside
-                    // the run starting at `pc`. After the fold every
-                    // accumulator equals the reference's value at this run
-                    // boundary, so continue per-insn.
+                    // the run starting at `pc`, or the run reaches the
+                    // pause cycle. After the fold every accumulator equals
+                    // the reference's value at this run boundary, so pause
+                    // here or continue per-insn.
                     fold_hits!();
                     energy = energy_u as f64;
                     tab = steps;
+                    continue 'engine;
                 }
             }
 
@@ -1435,11 +1744,12 @@ impl<'p> DecodedEngine<'p> {
                     energy += if taken { $c.inc_pj } else { $c.inc_nt_pj };
                 }};
             }
-            // Run entries (right after a control op) hand back to the fast
-            // path once the fault has fired and no skip is pending.
+            // Run entries (right after a control op) go back to the top,
+            // which pauses or takes the fast path, unless a skip is
+            // pending.
             macro_rules! run_entry {
                 () => {{
-                    if resume && fault_pending.is_none() && !skip_armed {
+                    if !skip_armed {
                         continue 'engine;
                     }
                     continue;
@@ -1447,13 +1757,16 @@ impl<'p> DecodedEngine<'p> {
             }
             loop {
                 if cycles > max_cycles {
-                    return Err(MachineError::CycleLimit);
+                    break 'engine Err(MachineError::CycleLimit);
                 }
                 if let Some(f) = fault_pending {
                     if cycles >= f.at_cycle {
                         skip_armed = f.kind.strike(core.regs, core.mem);
+                        if let FaultKind::MemoryBitFlip { word, .. } = f.kind {
+                            core.dirty[word as usize % MEM_WORDS / PAGE_WORDS] = true;
+                        }
                         fault_pending = None;
-                        stop = max_cycles.saturating_add(1);
+                        stop = limit;
                     }
                 }
                 let step = &tab[pc];
@@ -1475,7 +1788,7 @@ impl<'p> DecodedEngine<'p> {
                     DecodedOp::Call { target } => {
                         charge!(c, true);
                         if stack.len() >= MAX_CALL_DEPTH {
-                            return Err(MachineError::CallDepth);
+                            break 'engine Err(MachineError::CallDepth);
                         }
                         stack.push(pc as u32 + 1);
                         pc = target as usize;
@@ -1488,35 +1801,84 @@ impl<'p> DecodedEngine<'p> {
                                 pc = ret as usize;
                                 run_entry!();
                             }
-                            None => break 'engine,
+                            None => break 'engine Ok(true),
                         }
                     }
                     DecodedOp::Halt => {
                         charge!(c, true);
-                        break 'engine;
+                        break 'engine Ok(true);
                     }
-                    op => match run_base(&hot_base(op), &mut core)? {
-                        Exit::Next(_) => charge!(c, true),
-                        Exit::Jump { to, taken } => {
+                    op => match run_base(&hot_base(op), &mut core) {
+                        Ok(Exit::Next(_)) => charge!(c, true),
+                        Ok(Exit::Jump { to, taken }) => {
                             charge!(c, taken);
                             pc = to as usize;
                             run_entry!();
                         }
+                        Err(e) => break 'engine Err(e),
                     },
                 }
                 pc += 1;
             }
-        }
+        };
 
-        let mut class_counts = [0u64; ENERGY_CLASS_COUNT];
-        class_counts.copy_from_slice(&counts[..ENERGY_CLASS_COUNT]);
-        Ok(RunResult {
-            return_value: core.regs[0],
-            cycles,
-            insns,
-            energy_pj: energy,
-            class_counts,
-        })
+        at.pc = pc as u32;
+        at.stack = stack;
+        at.cycles = cycles;
+        at.insns = insns;
+        at.energy_pj = energy;
+        at.counts.copy_from_slice(&counts[..ENERGY_CLASS_COUNT]);
+        match outcome? {
+            true => Ok(Some(RunResult {
+                return_value: self.regs[0],
+                cycles,
+                insns,
+                energy_pj: energy,
+                class_counts: at.counts,
+            })),
+            false => Ok(None),
+        }
+    }
+}
+
+/// Engines over one program, recycled across the chunks of a batch or
+/// a campaign: the 1 MiB memory of an engine is allocated once per
+/// worker, not once per chunk.
+pub(crate) struct EnginePool<'p> {
+    program: &'p DecodedProgram,
+    free: Mutex<Vec<DecodedEngine<'p>>>,
+}
+
+impl<'p> EnginePool<'p> {
+    pub(crate) fn new(program: &'p DecodedProgram) -> EnginePool<'p> {
+        EnginePool {
+            program,
+            free: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The program the engines run.
+    pub(crate) fn program(&self) -> &'p DecodedProgram {
+        self.program
+    }
+
+    /// Run `f` on an engine in the state of a fresh one; a new engine is
+    /// made only when every recycled one is in use.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut DecodedEngine<'p>) -> R) -> R {
+        let recycled = self.free.lock().expect("engine users never panic").pop();
+        let mut engine = match recycled {
+            Some(mut engine) => {
+                engine.renew();
+                engine
+            }
+            None => self.program.engine(),
+        };
+        let out = f(&mut engine);
+        self.free
+            .lock()
+            .expect("engine users never panic")
+            .push(engine);
+        out
     }
 }
 
@@ -1534,6 +1896,75 @@ const MAX_EXACT_INC: f64 = (1u64 << 40) as f64;
 /// `v` as an exact nonnegative integer, or `None` if it isn't one.
 fn exact_int(v: f64) -> Option<u64> {
     ((0.0..=MAX_EXACT_INC).contains(&v) && v.fract() == 0.0).then_some(v as u64)
+}
+
+/// The words from the first at which `a` and `b` differ to the last,
+/// found a 64-byte block at a time.
+fn differing_span(a: &[i32], b: &[i32]) -> Option<std::ops::Range<usize>> {
+    const BLOCK: usize = 16;
+    let blocks = || a.chunks(BLOCK).zip(b.chunks(BLOCK));
+    let ne = |(x, y): (&[i32], &[i32])| x != y;
+    let lo = BLOCK * blocks().position(ne)?;
+    let hi = BLOCK * blocks().rposition(ne)?;
+    let end = (hi + BLOCK).min(a.len());
+    let first = a[lo..].iter().zip(&b[lo..]).position(|(x, y)| x != y)?;
+    let last = a[hi..end]
+        .iter()
+        .zip(&b[hi..end])
+        .rposition(|(x, y)| x != y)?;
+    Some(lo + first..hi + last + 1)
+}
+
+/// The registers some op of `image` reads, and `r0`, as a bit set.
+fn read_registers(image: &DecodedImage) -> u16 {
+    let mut read = 1u16;
+    let mut mark = |r: u8| read |= 1 << (r & 15);
+    for op in &image.ops {
+        match *op {
+            DecodedOp::AluRR { rn, rm, .. } | DecodedOp::CmpR { rn, rm } => {
+                mark(rn);
+                mark(rm);
+            }
+            DecodedOp::AluRI { rn, .. } | DecodedOp::CmpI { rn, .. } => mark(rn),
+            DecodedOp::MovR { rm, .. } => mark(rm),
+            DecodedOp::Csel { rt, rf, .. } => {
+                mark(rt);
+                mark(rf);
+            }
+            DecodedOp::LdrR { base, roff, .. } => {
+                mark(base);
+                mark(roff);
+            }
+            DecodedOp::LdrI { base, .. } => mark(base),
+            DecodedOp::StrR { rs, base, roff } => {
+                mark(rs);
+                mark(base);
+                mark(roff);
+            }
+            DecodedOp::StrI { rs, base, .. } => {
+                mark(rs);
+                mark(base);
+            }
+            DecodedOp::Push { list } => {
+                mark(Reg::SP.index() as u8);
+                for r in image.reg_list(list) {
+                    mark(r.index() as u8);
+                }
+            }
+            DecodedOp::Pop { .. } => mark(Reg::SP.index() as u8),
+            DecodedOp::Out { rs, .. } => mark(rs),
+            DecodedOp::MovI { .. }
+            | DecodedOp::MovI32 { .. }
+            | DecodedOp::In { .. }
+            | DecodedOp::Nop
+            | DecodedOp::Call { .. }
+            | DecodedOp::Branch { .. }
+            | DecodedOp::CondBranch { .. }
+            | DecodedOp::Ret
+            | DecodedOp::Halt => {}
+        }
+    }
+    read
 }
 
 /// Control ops that an armed skip passes over: they end a run and have
@@ -1964,6 +2395,184 @@ mod tests {
             .expect("run");
         assert_eq!(want, got);
         assert_eq!(want.energy_pj.to_bits(), got.energy_pj.to_bits());
+    }
+
+    #[test]
+    fn condition_masks_agree_with_the_condition_codes() {
+        let values = [i32::MIN, -7, -1, 0, 1, 7, i32::MAX];
+        for cond in Cond::ALL {
+            let mask = CondMask::of(cond);
+            for a in values {
+                for b in values {
+                    assert_eq!(mask.holds((a, b)), cond.holds(a, b), "{cond:?} {a} {b}");
+                }
+            }
+        }
+    }
+
+    /// `far` stores to two far pages, a global and the stack; `trap`
+    /// stores to a third far page, then loads past the end of memory.
+    fn stray_store_program() -> Program {
+        let text = format!(
+            "far:\n.L0:\n    push {{r4, r5}}\n    mov32 r1, #{far}\n    mov r2, #7\n    \
+             str r2, [r1, #0]\n    str r2, [r1, #8188]\n    mov32 r3, #{g}\n    \
+             str r2, [r3, #4]\n    pop {{r4, r5}}\n    ret\n\
+             trap:\n.L0:\n    mov32 r1, #{far2}\n    mov r2, #9\n    str r2, [r1, #0]\n    \
+             mov32 r1, #{end}\n    ldr r0, [r1, #0]\n    ret\n",
+            far = 0x8_0000,
+            far2 = 0xC_0000,
+            g = DATA_BASE,
+            end = MEMORY_BYTES,
+        );
+        let mut p = teamplay_isa::asm::parse_program(&text).expect("listing parses");
+        p.globals.insert("g".into(), vec![5, 6, 7]);
+        p
+    }
+
+    /// Index of the first word where two memories differ.
+    fn first_difference(a: &Mem, b: &Mem) -> Option<usize> {
+        a.iter().zip(b.iter()).position(|(x, y)| x != y)
+    }
+
+    #[test]
+    fn reset_after_stray_stores_restores_all_of_memory() {
+        let p = stray_store_program();
+        let decoded = DecodedProgram::new(&p).expect("decodes");
+        let fresh = decoded.engine();
+        let mut engine = decoded.engine();
+        let mut dev = NullDevice::new();
+        engine.call("far", &[], &mut dev).expect("far runs");
+        assert_eq!(engine.mem[0x8_0000 / 4], 7);
+        assert_eq!(engine.read_global("g", 1), Some(7));
+        assert_eq!(
+            engine.call("trap", &[], &mut dev),
+            Err(MachineError::OutOfRange(MEMORY_BYTES))
+        );
+        assert_eq!(engine.mem[0xC_0000 / 4], 9);
+        // A memory upset outside every page the program writes.
+        let flip = FaultSpec {
+            at_cycle: 0,
+            kind: FaultKind::MemoryBitFlip {
+                word: 0x2_8000 + MEM_WORDS as u32,
+                bit: 4,
+            },
+        };
+        engine
+            .call_faulted("far", &[], &mut dev, &flip)
+            .expect("far runs");
+        assert_eq!(engine.mem[0x2_8000], 16);
+        engine.reset_data();
+        assert_eq!(first_difference(&engine.mem, &fresh.mem), None);
+        assert_eq!(engine.read_global("g", 1), Some(6));
+        // Batches reset the same way: every run sees the initial image.
+        let inputs = vec![Vec::new(); 40];
+        let runs = crate::simulate_batch(&minipool::Pool::new(2), &decoded, "far", &inputs, 1_000);
+        assert!(runs
+            .iter()
+            .all(|r| r.as_ref().is_ok_and(|r| r.return_value == 0)));
+    }
+
+    #[test]
+    fn pausing_and_restoring_a_call_changes_nothing() {
+        let p = fib_program();
+        for (cm, em) in [
+            (CycleModel::pg32(), GroundTruthEnergy::pg32()),
+            (CycleModel::leon3(), GroundTruthEnergy::leon3()),
+        ] {
+            let decoded = DecodedProgram::with_models(&p, &cm, &em).expect("decodes");
+            let want = decoded
+                .engine()
+                .call("fib", &[11], &mut NullDevice::new())
+                .expect("run");
+            for step in [1, 9, 200] {
+                let mut engine = decoded.engine();
+                let mut at = engine.start("fib", &[11]).expect("starts");
+                let mut snapshots = vec![engine.snapshot(&at)];
+                let mut target = 0;
+                let got = loop {
+                    target += step;
+                    let paused = engine
+                        .resume(&mut at, &mut NullDevice::new(), None, target)
+                        .expect("runs");
+                    match paused {
+                        Some(result) => break result,
+                        None => {
+                            let last = snapshots.last().expect("taken");
+                            let moved = at.cycles() != last.state().cycles();
+                            assert_eq!(engine.matches(&at, last), !moved);
+                            snapshots.push(engine.snapshot(&at));
+                        }
+                    }
+                };
+                assert_eq!(want, got, "pausing every {step} cycles");
+                assert_eq!(want.energy_pj.to_bits(), got.energy_pj.to_bits());
+                // A call that reaches a run entry at exactly the pause
+                // cycle pauses there.
+                for snapshot in snapshots.iter().skip(1).step_by(5) {
+                    let mut engine = decoded.engine();
+                    let mut at = engine.start("fib", &[11]).expect("starts");
+                    let cycles = snapshot.state().cycles();
+                    let paused = engine
+                        .resume(&mut at, &mut NullDevice::new(), None, cycles)
+                        .expect("runs");
+                    assert!(paused.is_none());
+                    assert!(engine.matches(&at, snapshot), "pausing at {cycles}");
+                }
+                // Every snapshot, restored on a used engine, finishes the
+                // call the same way.
+                let mut other = decoded.engine();
+                for snapshot in snapshots.iter().step_by(7) {
+                    other
+                        .call("fib", &[3], &mut NullDevice::new())
+                        .expect("run");
+                    let mut at = other.restore(snapshot);
+                    other.set_flags(snapshot.flags());
+                    assert!(other.matches(&at, snapshot));
+                    let got = other
+                        .resume(&mut at, &mut NullDevice::new(), None, u64::MAX)
+                        .expect("runs")
+                        .expect("completes");
+                    assert_eq!(want, got);
+                    assert_eq!(want.energy_pj.to_bits(), got.energy_pj.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_snapshot_match_sees_every_difference() {
+        let p = stray_store_program();
+        let decoded = DecodedProgram::new(&p).expect("decodes");
+        let mut engine = decoded.engine();
+        engine
+            .call("far", &[], &mut NullDevice::new())
+            .expect("runs");
+        let mut at = engine.start("far", &[]).expect("starts");
+        let snapshot = engine.snapshot(&at);
+        assert!(engine.matches(&at, &snapshot));
+        // A word of a page neither side wrote since the initial image.
+        engine.mem[0x2_0000] ^= 1;
+        engine.dirty[0x2_0000 / PAGE_WORDS] = true;
+        assert!(!engine.matches(&at, &snapshot));
+        engine.mem[0x2_0000] ^= 1;
+        assert!(engine.matches(&at, &snapshot));
+        // A word inside, and one outside, the snapshot's span of a page.
+        for word in [0x8_0000 / 4, 0x8_0000 / 4 + 500, DATA_BASE as usize / 4] {
+            engine.mem[word] ^= 1;
+            assert!(!engine.matches(&at, &snapshot), "word {word:#x}");
+            engine.mem[word] ^= 1;
+        }
+        // `r9` is never read, `r2` is.
+        engine.regs[9] ^= 1;
+        assert!(engine.matches(&at, &snapshot));
+        engine.regs[2] ^= 1;
+        assert!(!engine.matches(&at, &snapshot));
+        engine.regs[2] ^= 1;
+        engine.flags.0 ^= 1;
+        assert!(!engine.matches(&at, &snapshot));
+        engine.flags.0 ^= 1;
+        at.insns += 1;
+        assert!(!engine.matches(&at, &snapshot));
     }
 
     // ---- Table-driven fusion tests: every row of the fusion table, as

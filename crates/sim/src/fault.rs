@@ -24,33 +24,54 @@
 //!
 //! The fault-free reference run executes on the [`Machine`], which
 //! defines the observables every injection is classified against; the
-//! same run on the pre-decoded engine must match it bit for bit. The
-//! injections themselves, and the zero-fault control row, run on the
-//! pre-decoded engine, so a [`FaultOutcome::Masked`] verdict still
-//! certifies agreement with *both* engines: the faulted decoded run
-//! reproduced the reference machine's observables exactly.
+//! same run on the pre-decoded engine must match it bit for bit, data
+//! image and port outputs included. The injections themselves, and the
+//! zero-fault control row, run on the pre-decoded engine, so a
+//! [`FaultOutcome::Masked`] verdict still certifies agreement with
+//! *both* engines: the faulted decoded run reproduced the reference
+//! machine's observables exactly.
+//!
+//! A campaign runs only the part of each injection that can differ from
+//! that golden run. The golden decoded run records 64 snapshots at run
+//! entries spread evenly over its cycles (registers, flags, call stack,
+//! accounting, the device, and the words of every page it wrote), and
+//! an injection resumes from the last one before its target cycle
+//! instead of replaying the fault-free prefix. After the upset the run
+//! stops at each later checkpoint's run entry: if its state equals the
+//! golden one there (registers the program never reads aside), the rest
+//! of the run is the golden run's, so it is cut off and classified
+//! masked. Memory is
+//! reset page by page, only where a run wrote. The condition flags carry
+//! from one run of a chunk to the next, so a checkpoint is only taken
+//! where the golden prefix cannot have read flags it did not write
+//! itself, unless the run starts from the golden run's own flags.
 //! `tests/fault_campaign_oracle.rs` holds the two engines equal under
-//! faults and every campaign equal to a per-fault `Machine`
-//! classification.
+//! faults and every campaign, checkpoint boundaries included, equal to
+//! a per-fault `Machine` classification of whole runs.
 //!
 //! Every run executes under a **mandatory watchdog budget** (no
 //! unbounded execution: a fault that creates an endless loop must trap
 //! [`MachineError::CycleLimit`] deterministically, which the classifier
 //! reports as [`FaultOutcome::Hang`]).
 
-use crate::decoded::{DecodedEngine, DecodedProgram};
+use crate::decoded::{DecodedEngine, DecodedProgram, EnginePool, RunState, Snapshot};
 use crate::machine::{Machine, MachineError, RunResult, MEM_WORDS};
 use crate::ports::RecordingDevice;
 use minipool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use teamplay_isa::{DataLayout, Program, DATA_BASE, STACK_TOP};
+use teamplay_isa::{DataLayout, DecodedImage, DecodedOp, Program, DATA_BASE, STACK_TOP};
 
 /// Runs per machine instance in a campaign — the same fixed chunk size
 /// as the batch fleet, so chunk boundaries (and therefore per-run
 /// machine state) never depend on pool width.
 const CHUNK: usize = 16;
+
+/// Checkpoints the golden run records, beside the one at its entry:
+/// one at the first run entry at or past each multiple of its cycles
+/// over this count.
+const CHECKPOINTS: u64 = 64;
 
 /// Stack words (below [`STACK_TOP`]) that memory faults may target: the
 /// region live frames occupy on PG32's full-descending stack.
@@ -281,6 +302,36 @@ impl CampaignStats {
     }
 }
 
+/// Deterministic counts of the simulation work a campaign's injections
+/// did and avoided. For a run resumed at cycle `r` that ends at cycle
+/// `e` (completion, trap, or cut-off), `e - r` cycles are executed and
+/// `r` restored; a cut-off run also avoids the golden run's cycles
+/// after `e`. A trap in the middle of a fused run counts up to that
+/// run's entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct CampaignWork {
+    /// Simulated cycles the injected runs executed.
+    pub executed_cycles: u64,
+    /// Golden-run cycles the injected runs skipped by resuming from a
+    /// checkpoint.
+    pub restored_cycles: u64,
+    /// Golden-run cycles the converged runs did not execute after their
+    /// cut-off.
+    pub cut_cycles: u64,
+    /// Injected runs cut off at a checkpoint where their whole state
+    /// equalled the golden run's.
+    pub converged_runs: usize,
+}
+
+impl CampaignWork {
+    fn add(&mut self, other: &CampaignWork) {
+        self.executed_cycles += other.executed_cycles;
+        self.restored_cycles += other.restored_cycles;
+        self.cut_cycles += other.cut_cycles;
+        self.converged_runs += other.converged_runs;
+    }
+}
+
 /// The full, deterministic result of one campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignResult {
@@ -296,6 +347,8 @@ pub struct CampaignResult {
     /// Whether the zero-fault control run reproduced the reference
     /// bit-identically (it must — anything else is a harness bug).
     pub control_masked: bool,
+    /// The simulation work the injections did and avoided.
+    pub work: CampaignWork,
 }
 
 /// Run a seeded campaign: sample a [`FaultPlan`] from the fault-free
@@ -314,23 +367,31 @@ pub fn run_campaign(
     config: &CampaignConfig,
     make_device: impl Fn() -> RecordingDevice + Sync,
 ) -> CampaignResult {
-    let golden = golden_run(program, func, args, config, &make_device);
+    let decoded = DecodedProgram::new(program).expect("validated kernel lowers");
+    let engines = EnginePool::new(&decoded);
+    let golden = golden_run(program, &engines, func, args, config, &make_device);
     let plan = FaultPlan::sample(
         config.seed,
         config.injections,
         golden.observables.result.cycles,
-        golden.decoded.layout(),
+        decoded.layout(),
     );
-    inject(pool, &golden, func, args, &plan, config, make_device)
+    inject(pool, &engines, &golden, &plan, config)
 }
 
 /// Run an explicit [`FaultPlan`] and classify every injection.
 ///
 /// Execution follows the batch-fleet determinism discipline: the plan is
-/// split into fixed-size chunks, each chunk gets a fresh
-/// [`DecodedEngine`] whose data image is reset before every run, and
-/// outcomes are returned in plan order — so the serialized
-/// [`CampaignResult`] is byte-identical at any pool width.
+/// split into fixed-size chunks, each chunk runs on a [`DecodedEngine`]
+/// in the state of a fresh one (engines are recycled between chunks),
+/// and outcomes are returned in plan order — so the serialized
+/// [`CampaignResult`] is byte-identical at any pool width. Within a
+/// chunk the condition flags carry from run to run, as they do on one
+/// [`Machine`], and each injection is classified exactly as the whole
+/// faulted run would be: it resumes from the last golden checkpoint
+/// before its target cycle (memory restored over the pages the previous
+/// run wrote), and stops early, masked, where its state rejoins the
+/// golden run's at a later checkpoint.
 ///
 /// # Panics
 /// Same conditions as [`run_campaign`].
@@ -343,64 +404,158 @@ pub fn run_campaign_with_plan(
     config: &CampaignConfig,
     make_device: impl Fn() -> RecordingDevice + Sync,
 ) -> CampaignResult {
-    let golden = golden_run(program, func, args, config, &make_device);
-    inject(pool, &golden, func, args, plan, config, make_device)
+    let decoded = DecodedProgram::new(program).expect("validated kernel lowers");
+    let engines = EnginePool::new(&decoded);
+    let golden = golden_run(program, &engines, func, args, config, &make_device);
+    inject(pool, &engines, &golden, plan, config)
 }
 
-/// The fault-free reference observables and the decoded program every
-/// injection of the campaign runs on.
+/// How the golden run had used the condition flags by a checkpoint.
+/// Until its first use a run branches on nothing, so the golden prefix
+/// is the same from any starting flags; a resumed run must still start
+/// from the flags a whole run would hold there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FlagUse {
+    /// Not yet: the run still holds the flags it started with, which it
+    /// keeps on restore.
+    Untouched,
+    /// Written before any read: the checkpoint's flags, from any start.
+    Written,
+    /// Read before any write: the prefix is the golden one only for a
+    /// run that starts from the golden run's flags.
+    ReadFirst,
+}
+
+/// A golden-run snapshot an injection can resume from.
+struct Checkpoint {
+    snapshot: Snapshot,
+    device: RecordingDevice,
+    flags: FlagUse,
+}
+
+impl Checkpoint {
+    fn cycles(&self) -> u64 {
+        self.snapshot.state().cycles()
+    }
+}
+
+/// The fault-free reference observables, the bound past which a run is
+/// a timing violation, whether the zero-fault control row reproduced
+/// the reference, and the golden decoded run's checkpoints (the first
+/// at the call's entry).
 struct Golden {
     observables: Observables,
-    decoded: DecodedProgram,
+    timing_bound: u64,
+    control_masked: bool,
+    checkpoints: Vec<Checkpoint>,
+    /// The flags the golden run started and ended with.
+    initial_flags: (i32, i32),
+    final_flags: (i32, i32),
 }
 
-/// The campaign core: the zero-fault control row and every injection of
-/// `plan`, classified against the golden observables.
+impl Golden {
+    /// Classify `fault` on `engine`, as the whole faulted call from
+    /// the engine's current flags would be classified, adding the
+    /// run's cycles to `work`.
+    fn replay(
+        &self,
+        engine: &mut DecodedEngine<'_>,
+        fault: &FaultSpec,
+        work: &mut CampaignWork,
+    ) -> FaultOutcome {
+        let carried = engine.flags();
+        let usable =
+            |c: &Checkpoint| c.flags != FlagUse::ReadFirst || carried == self.initial_flags;
+        let from = self
+            .checkpoints
+            .iter()
+            .rposition(|c| c.cycles() < fault.at_cycle && usable(c))
+            .unwrap_or(0);
+        let checkpoint = &self.checkpoints[from];
+        let mut at = engine.restore(&checkpoint.snapshot);
+        if checkpoint.flags != FlagUse::Untouched {
+            engine.set_flags(checkpoint.snapshot.flags());
+        }
+        let mut device = checkpoint.device.clone();
+        work.restored_cycles += checkpoint.cycles();
+
+        // Checkpoints past the target follow the upset. The run pauses
+        // where it reaches the next one to compare: at its run entry if
+        // the run is on the golden timing, else at an entry whose run
+        // passes it, so it can never match. A run that rejoins the golden
+        // run stays joined, so after each failed comparison the next one
+        // is twice as far on: a late match is found at most twice as late,
+        // and a run that never rejoins pauses a few times, not at every
+        // checkpoint.
+        let mut next = self
+            .checkpoints
+            .partition_point(|c| c.cycles() <= fault.at_cycle);
+        let mut gap = 1;
+        let mut pending = Some(fault);
+        let run = loop {
+            let pause_at = self
+                .checkpoints
+                .get(next)
+                .map_or(u64::MAX, Checkpoint::cycles);
+            match engine.resume(&mut at, &mut device, pending.take(), pause_at) {
+                Ok(None) => {
+                    let c = &self.checkpoints[next];
+                    if c.cycles() != at.cycles() {
+                        next += 1;
+                        continue;
+                    }
+                    if c.device == device && engine.matches(&at, &c.snapshot) {
+                        work.executed_cycles += at.cycles() - checkpoint.cycles();
+                        work.cut_cycles += self.observables.result.cycles - at.cycles();
+                        work.converged_runs += 1;
+                        engine.set_flags(self.final_flags);
+                        return FaultOutcome::Masked;
+                    }
+                    next += gap;
+                    gap *= 2;
+                }
+                Ok(Some(result)) => break Ok(result),
+                Err(e) => break Err(e),
+            }
+        };
+        work.executed_cycles += at.cycles() - checkpoint.cycles();
+        classify(
+            &self.observables,
+            self.timing_bound,
+            run,
+            engine.data_image(),
+            &device,
+        )
+    }
+}
+
+/// The campaign core: every injection of `plan`, classified against the
+/// golden observables.
 fn inject(
     pool: &Pool,
+    engines: &EnginePool<'_>,
     golden: &Golden,
-    func: &str,
-    args: &[i32],
     plan: &FaultPlan,
     config: &CampaignConfig,
-    make_device: impl Fn() -> RecordingDevice + Sync,
 ) -> CampaignResult {
-    let reference = &golden.observables;
-    let timing_bound = config
-        .ipet_bound_cycles
-        .unwrap_or(reference.result.cycles)
-        .max(reference.result.cycles);
-    let engine = || {
-        let mut engine = golden.decoded.engine();
-        engine.set_max_cycles(config.watchdog_cycles);
-        engine
-    };
-    let classify_run = |engine: &mut DecodedEngine<'_>, fault: &FaultSpec| {
-        // A trapped run leaves engine state unspecified; the reset
-        // restores the pristine image either way.
-        engine.reset_data();
-        let mut device = make_device();
-        let run = engine.call_faulted(func, args, &mut device, fault);
-        classify(reference, timing_bound, run, engine.data_image(), &device)
-    };
-
-    // Zero-fault control row: the injection path with a fault that can
-    // never fire must reproduce the reference bit for bit.
-    let never = FaultSpec {
-        at_cycle: u64::MAX,
-        kind: FaultKind::SkipInstruction,
-    };
-    let control = classify_run(&mut engine(), &never);
-
     let chunks: Vec<&[FaultSpec]> = plan.faults.chunks(CHUNK).collect();
-    let per_chunk: Vec<Vec<FaultOutcome>> = pool.par_map(&chunks, |_, chunk| {
-        let mut engine = engine();
-        chunk
-            .iter()
-            .map(|fault| classify_run(&mut engine, fault))
-            .collect()
+    let per_chunk: Vec<(Vec<FaultOutcome>, CampaignWork)> = pool.par_map(&chunks, |_, chunk| {
+        engines.with(|engine| {
+            engine.set_max_cycles(config.watchdog_cycles);
+            let mut work = CampaignWork::default();
+            let outcomes = chunk
+                .iter()
+                .map(|fault| golden.replay(engine, fault, &mut work))
+                .collect();
+            (outcomes, work)
+        })
     });
-    let outcomes: Vec<FaultOutcome> = per_chunk.into_iter().flatten().collect();
+    let mut outcomes = Vec::with_capacity(plan.faults.len());
+    let mut work = CampaignWork::default();
+    for (chunk_outcomes, chunk_work) in per_chunk {
+        outcomes.extend(chunk_outcomes);
+        work.add(&chunk_work);
+    }
 
     let mut stats = CampaignStats::default();
     for outcome in &outcomes {
@@ -411,16 +566,19 @@ fn inject(
         plan: plan.clone(),
         outcomes,
         stats,
-        reference_cycles: reference.result.cycles,
-        control_masked: control == FaultOutcome::Masked,
+        reference_cycles: golden.observables.result.cycles,
+        control_masked: golden.control_masked,
+        work,
     }
 }
 
 /// Run the fault-free reference on the [`Machine`] under the campaign
 /// watchdog, capture its observables, and cross-check the run against
-/// the pre-decoded engine the injections will use.
+/// the pre-decoded engine the injections will use, recording that run's
+/// checkpoints on one of `engines`; then run the zero-fault control row.
 fn golden_run(
     program: &Program,
+    engines: &EnginePool<'_>,
     func: &str,
     args: &[i32],
     config: &CampaignConfig,
@@ -432,7 +590,6 @@ fn golden_run(
     );
     let mut machine = Machine::new(program.clone()).expect("kernel loads");
     machine.set_max_cycles(config.watchdog_cycles);
-    machine.reset_data();
     let mut device = make_device();
     let result = machine
         .call(func, args, &mut device)
@@ -443,21 +600,153 @@ fn golden_run(
         config.watchdog_cycles,
         result.cycles
     );
+    let observables = Observables::capture(result.clone(), machine.data_image(), &device);
+    drop(machine);
+    let timing_bound = config
+        .ipet_bound_cycles
+        .unwrap_or(result.cycles)
+        .max(result.cycles);
 
-    let decoded = DecodedProgram::new(program).expect("validated kernel lowers");
-    let mut engine = decoded.engine();
-    engine.set_max_cycles(config.watchdog_cycles);
-    let mut decoded_device = make_device();
-    let decoded_run = engine
-        .call(func, args, &mut decoded_device)
-        .expect("decoded reference runs");
-    assert_eq!(result, decoded_run, "engines diverge on {func}");
-    assert_eq!(result.energy_pj.to_bits(), decoded_run.energy_pj.to_bits());
+    let first_use = first_flag_use(engines.program().image(), func, result.insns);
+    let flag_use = |insns: u64| match first_use {
+        Some((before, read)) if insns > before => {
+            if read {
+                FlagUse::ReadFirst
+            } else {
+                FlagUse::Written
+            }
+        }
+        _ => FlagUse::Untouched,
+    };
+    let checkpoint =
+        |engine: &DecodedEngine<'_>, at: &RunState, device: &RecordingDevice| Checkpoint {
+            snapshot: engine.snapshot(at),
+            device: device.clone(),
+            flags: flag_use(at.insns()),
+        };
+    let (checkpoints, initial_flags, final_flags) = engines.with(|engine| {
+        engine.set_max_cycles(config.watchdog_cycles);
+        let initial_flags = engine.flags();
+        let mut device = make_device();
+        let mut at = engine.start(func, args).expect("decoded reference starts");
+        let mut checkpoints = vec![checkpoint(engine, &at, &device)];
+        let spacing = result.cycles.div_ceil(CHECKPOINTS).max(1);
+        let mut target = spacing;
+        let decoded_run = loop {
+            if let Some(run) = engine
+                .resume(&mut at, &mut device, None, target)
+                .expect("decoded reference runs")
+            {
+                break run;
+            }
+            // Paused at the entry of the run that reaches `target`, which
+            // may also reach the targets after it.
+            if at.cycles() > checkpoints[checkpoints.len() - 1].cycles() {
+                checkpoints.push(checkpoint(engine, &at, &device));
+            }
+            target += spacing;
+        };
+        assert_eq!(result, decoded_run, "engines diverge on {func}");
+        // A run cut off at a checkpoint is masked only if the rest of the
+        // decoded golden run reproduces every observable.
+        assert_eq!(
+            observables,
+            Observables::capture(decoded_run, engine.data_image(), &device),
+            "engines diverge on {func}"
+        );
+        (checkpoints, initial_flags, engine.flags())
+    });
+
+    // Zero-fault control row: the whole injection path, from the call's
+    // entry with a fault that can never fire, must reproduce the
+    // reference bit for bit.
+    let never = FaultSpec {
+        at_cycle: u64::MAX,
+        kind: FaultKind::SkipInstruction,
+    };
+    let control = engines.with(|engine| {
+        engine.set_max_cycles(config.watchdog_cycles);
+        let mut device = make_device();
+        let run = engine.call_faulted(func, args, &mut device, &never);
+        classify(
+            &observables,
+            timing_bound,
+            run,
+            engine.data_image(),
+            &device,
+        )
+    });
 
     Golden {
-        observables: Observables::capture(result, machine.data_image(), &device),
-        decoded,
+        observables,
+        timing_bound,
+        control_masked: control == FaultOutcome::Masked,
+        checkpoints,
+        initial_flags,
+        final_flags,
     }
+}
+
+/// [`golden_run`] on engines of its own.
+fn golden_of(
+    program: &Program,
+    func: &str,
+    args: &[i32],
+    config: &CampaignConfig,
+    make_device: &(impl Fn() -> RecordingDevice + Sync),
+) -> Golden {
+    let decoded = DecodedProgram::new(program).expect("validated kernel lowers");
+    golden_run(
+        program,
+        &EnginePool::new(&decoded),
+        func,
+        args,
+        config,
+        make_device,
+    )
+}
+
+/// The golden run's first use of the condition flags: the instructions
+/// it retires before that use, and whether the use reads them. Until
+/// then the run branches on nothing, so its path is the static chain of
+/// jumps, calls and returns from the entry. `None` if it ends, or
+/// retires `max_insns` instructions, first.
+fn first_flag_use(image: &DecodedImage, func: &str, max_insns: u64) -> Option<(u64, bool)> {
+    let mut pc = image.entry_of(func)? as usize;
+    let mut stack = Vec::new();
+    for retired in 0..max_insns {
+        pc = match image.ops[pc] {
+            DecodedOp::CmpR { .. } | DecodedOp::CmpI { .. } => return Some((retired, false)),
+            DecodedOp::Csel { .. } | DecodedOp::CondBranch { .. } => return Some((retired, true)),
+            DecodedOp::Branch { target } => target as usize,
+            DecodedOp::Call { target } => {
+                stack.push(pc + 1);
+                target as usize
+            }
+            DecodedOp::Ret => stack.pop()?,
+            DecodedOp::Halt => return None,
+            _ => pc + 1,
+        };
+    }
+    None
+}
+
+/// The cycles of the checkpoints a campaign over `func` resumes from,
+/// the call's entry first — exposed so tests can aim faults at their
+/// boundaries.
+#[doc(hidden)]
+pub fn checkpoint_cycles(
+    program: &Program,
+    func: &str,
+    args: &[i32],
+    config: &CampaignConfig,
+    make_device: impl Fn() -> RecordingDevice + Sync,
+) -> Vec<u64> {
+    golden_of(program, func, args, config, &make_device)
+        .checkpoints
+        .iter()
+        .map(Checkpoint::cycles)
+        .collect()
 }
 
 fn classify(
@@ -612,7 +901,7 @@ mod tests {
         );
         let decoded = result.outcomes.into_iter().next().expect("one outcome");
 
-        let golden = golden_run(program, func, args, cfg, &RecordingDevice::new);
+        let golden = golden_of(program, func, args, cfg, &RecordingDevice::new);
         let mut machine = Machine::new(program.clone()).expect("load");
         machine.set_max_cycles(cfg.watchdog_cycles);
         let mut device = RecordingDevice::new();
@@ -909,6 +1198,140 @@ mod tests {
         assert!(narrow.control_masked);
         let rates_sum: f64 = narrow.stats.rates().iter().sum();
         assert!((rates_sum - 1.0).abs() < 1e-12);
+    }
+
+    /// The campaign's classification of `plan`, recomputed from whole
+    /// faulted runs on one reference `Machine` per chunk, the flags
+    /// carrying from run to run within it.
+    fn machine_campaign(
+        program: &Program,
+        func: &str,
+        args: &[i32],
+        plan: &FaultPlan,
+        cfg: &CampaignConfig,
+    ) -> Vec<FaultOutcome> {
+        let golden = golden_of(program, func, args, cfg, &RecordingDevice::new);
+        let reference = golden.observables.result.cycles;
+        let bound = cfg.ipet_bound_cycles.unwrap_or(reference).max(reference);
+        plan.faults
+            .chunks(CHUNK)
+            .flat_map(|chunk| {
+                let mut machine = Machine::new(program.clone()).expect("load");
+                machine.set_max_cycles(cfg.watchdog_cycles);
+                chunk
+                    .iter()
+                    .map(|fault| {
+                        machine.reset_data();
+                        let mut device = RecordingDevice::new();
+                        let run = machine.call_faulted(func, args, &mut device, fault);
+                        classify(
+                            &golden.observables,
+                            bound,
+                            run,
+                            machine.data_image(),
+                            &device,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    /// pick(n): branches on the flags it was called with before any
+    /// compare, then sums 0..n; the result says which way it went. Its
+    /// last compare leaves flags that take the other way.
+    fn pick_program() -> Program {
+        teamplay_isa::asm::parse_program(
+            "pick:\n\
+             .L0:\n    beq .L1  ; else .L2\n\
+             .L1:\n    mov r3, #1000\n    b .L3\n\
+             .L2:\n    mov r3, #2000\n    b .L3\n\
+             .L3:\n    mov r1, #0\n    mov r2, #0\n    b .L4\n\
+             .L4:\n    cmp r2, r0\n    blt .L5  ; else .L6\n\
+             .L5:\n    add r1, r1, r2\n    add r2, r2, #1\n    b .L4\n\
+             .L6:\n    add r0, r1, r3\n    cmp r0, #99\n    ret\n",
+        )
+        .expect("listing parses")
+    }
+
+    #[test]
+    fn a_run_that_reads_carried_flags_first_resumes_only_from_the_golden_flags() {
+        let p = pick_program();
+        let cfg = config(100_000, 0);
+        let golden = golden_of(&p, "pick", &[60], &cfg, &RecordingDevice::new);
+        assert!(golden.checkpoints.len() > 32);
+        assert!(golden.checkpoints[1..]
+            .iter()
+            .all(|c| c.flags == FlagUse::ReadFirst));
+        // Flips of a register `pick` never reads, across the run: the
+        // first run of each chunk starts from the golden run's flags and
+        // is masked; every later one starts from the flags the run
+        // before it left, branches the other way and corrupts its result.
+        let plan = FaultPlan {
+            faults: (0..2 * CHUNK as u64)
+                .map(|k| FaultSpec {
+                    at_cycle: 20 + 9 * k,
+                    kind: FaultKind::RegisterBitFlip { reg: 9, bit: 2 },
+                })
+                .collect(),
+        };
+        let result = run_campaign_with_plan(
+            &Pool::new(2),
+            &p,
+            "pick",
+            &[60],
+            &plan,
+            &cfg,
+            RecordingDevice::new,
+        );
+        assert_eq!(
+            result.outcomes,
+            machine_campaign(&p, "pick", &[60], &plan, &cfg)
+        );
+        assert_eq!(result.stats.masked, 2);
+        assert_eq!(result.stats.sdc, 2 * CHUNK - 2);
+        assert_eq!(result.work.converged_runs, 2);
+        assert!(result.work.restored_cycles > 0);
+    }
+
+    #[test]
+    fn flips_of_an_unread_register_converge_at_the_next_checkpoint() {
+        let p = sum_program();
+        let cfg = config(100_000, 0);
+        let golden = golden_of(&p, "sum", &[200], &cfg, &RecordingDevice::new);
+        assert!(golden.checkpoints[1..]
+            .iter()
+            .all(|c| c.flags == FlagUse::Written));
+        let cycles = golden.observables.result.cycles;
+        let plan = FaultPlan {
+            faults: (0..40)
+                .map(|k| FaultSpec {
+                    at_cycle: cycles * k / 50,
+                    kind: FaultKind::RegisterBitFlip {
+                        reg: 7,
+                        bit: k as u8,
+                    },
+                })
+                .collect(),
+        };
+        let result = run_campaign_with_plan(
+            &Pool::new(1),
+            &p,
+            "sum",
+            &[200],
+            &plan,
+            &cfg,
+            RecordingDevice::new,
+        );
+        assert_eq!(result.stats.masked, 40);
+        assert_eq!(result.work.converged_runs, 40);
+        // Each run executes about two checkpoint intervals at most.
+        let spacing = cycles.div_ceil(CHECKPOINTS);
+        assert!(result.work.executed_cycles < 40 * 3 * spacing);
+        assert_eq!(
+            result.work.executed_cycles + result.work.restored_cycles + result.work.cut_cycles,
+            40 * cycles
+        );
     }
 
     /// Deterministic regression slot: any counterexample a campaign

@@ -40,9 +40,11 @@
 //!   across the pool on the decoded engine and classifies each run as
 //!   masked / silent data corruption / trapped / timing violation /
 //!   hang against the observables of a fault-free reference run on the
-//!   [`Machine`]. With no fault attached either engine's path is
-//!   bit-identical to its plain `call`, and a masked verdict certifies
-//!   agreement with both engines.
+//!   [`Machine`]. Each injection resumes from a checkpoint of the golden
+//!   decoded run and is cut off, masked, where its state rejoins that
+//!   run, with the verdict of the whole run. With no fault attached
+//!   either engine's path is bit-identical to its plain `call`, and a
+//!   masked verdict certifies agreement with both engines.
 //!
 //! The reference stays authoritative (new ISA semantics land there
 //! first); the decoded engine is a performance artefact whose only
@@ -87,8 +89,8 @@ pub use battery::Battery;
 pub use complex::{ComplexPlatform, CoreDesc, CoreKind, OperatingPoint, TaskExecution, WorkItem};
 pub use decoded::{DecodedEngine, DecodedProgram};
 pub use fault::{
-    run_campaign, run_campaign_with_plan, CampaignConfig, CampaignResult, CampaignStats, FaultKind,
-    FaultOutcome, FaultPlan, FaultSpec,
+    run_campaign, run_campaign_with_plan, CampaignConfig, CampaignResult, CampaignStats,
+    CampaignWork, FaultKind, FaultOutcome, FaultPlan, FaultSpec,
 };
 pub use machine::{LoadError, Machine, MachineError, RunResult};
 pub use ports::{NullDevice, PortDevice, RecordingDevice};

@@ -32,7 +32,7 @@ impl PortDevice for NullDevice {
 /// A device with per-port input queues that records all outputs, mirroring
 /// `teamplay_minic`'s `RecordingPorts` so differential tests can drive
 /// interpreter and machine identically.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordingDevice {
     inputs: HashMap<u8, Vec<i32>>,
     cursor: HashMap<u8, usize>,

@@ -19,8 +19,13 @@
 //!   a kernel's first few hundred, skips across the end of the run, and
 //!   faults at cycle 0, on the app kernels and on generated kernels.
 //! * **Campaign ≡ per-fault reference classification** — each
-//!   campaign outcome equals the classification of the same fault on a
-//!   `Machine`, at every pool width.
+//!   campaign outcome equals the classification of the same whole
+//!   faulted run on a `Machine`, at every pool width. Campaigns resume
+//!   each injection from a golden-run checkpoint and cut a run off where
+//!   it rejoins the golden run, so one case aims faults at every
+//!   checkpoint's cycle, one before and one after it, and at cycle 0,
+//!   and adds a chunk whose skipped first compare makes a run branch on
+//!   the flags the run before it left.
 //!
 //! A last case checks the empty-plan identity: a campaign over
 //! [`FaultPlan::empty`] performs no injections and still certifies the
@@ -36,8 +41,9 @@ mod kernels;
 use minipool::Pool;
 use proptest::prelude::*;
 use teamplay_compiler::{generate_program, CodegenOpts, PassManager, Pipeline};
-use teamplay_isa::{CycleModel, Program};
+use teamplay_isa::{CycleModel, Insn, Program, Terminator, STACK_TOP};
 use teamplay_minic::compile_to_ir;
+use teamplay_sim::fault::checkpoint_cycles;
 use teamplay_sim::{
     run_campaign, run_campaign_with_plan, CampaignConfig, CampaignResult, DecodedEngine,
     DecodedProgram, FaultKind, FaultOutcome, FaultPlan, FaultSpec, Machine, MachineError,
@@ -228,6 +234,116 @@ fn campaigns_are_reproducible_from_the_seed_alone() {
     );
 }
 
+/// The cycle at which `func`'s first compare executes. Until then a run
+/// branches on nothing, so this follows the one path of jumps, calls
+/// and returns from the entry.
+fn first_cmp_cycle(program: &Program, func: &str) -> u64 {
+    let cm = CycleModel::pg32();
+    let mut cycles = 0;
+    // (function, block, next instruction) frames; the last is running.
+    let mut frames = vec![(func.to_string(), 0usize, 0usize)];
+    loop {
+        let (name, block, at) = frames.last_mut().expect("a frame runs");
+        let b = &program.functions[name.as_str()].blocks[*block];
+        let Some(insn) = b.insns.get(*at) else {
+            cycles += cm.terminator_cycles(&b.terminator, true);
+            match &b.terminator {
+                Terminator::Branch(target) => (*block, *at) = (target.0 as usize, 0),
+                Terminator::Return => {
+                    frames.pop();
+                    assert!(!frames.is_empty(), "{func} compares nothing");
+                }
+                other => panic!("{func} reaches {other:?} before a compare"),
+            }
+            continue;
+        };
+        *at += 1;
+        match insn {
+            Insn::Cmp { .. } => return cycles,
+            Insn::Csel { .. } => panic!("{func} selects before a compare"),
+            Insn::Call { func: callee } => {
+                cycles += cm.cycles(insn, false);
+                frames.push((callee.clone(), 0, 0));
+            }
+            _ => cycles += cm.cycles(insn, false),
+        }
+    }
+}
+
+#[test]
+fn checkpoint_boundaries_classify_as_whole_runs() {
+    for (app, task, args, program, ipet) in kernels() {
+        let cfg = config(ipet);
+        let checkpoints = checkpoint_cycles(&program, &task, &args, &cfg, RecordingDevice::new);
+        assert!(checkpoints.len() > 40, "{app}/{task}: {checkpoints:?}");
+        assert_eq!(checkpoints[0], 0);
+        // A skip, a register flip and a flip of a live stack word at each
+        // checkpoint's cycle, one before and one after, and at cycle 0.
+        let mut faults: Vec<FaultSpec> = checkpoints
+            .iter()
+            .flat_map(|&c| [c.saturating_sub(1), c, c + 1])
+            .enumerate()
+            .map(|(i, at)| FaultSpec {
+                at_cycle: at,
+                kind: match i % 3 {
+                    0 => FaultKind::SkipInstruction,
+                    1 => FaultKind::RegisterBitFlip {
+                        reg: (at % 16) as u8,
+                        bit: (at % 32) as u8,
+                    },
+                    _ => FaultKind::MemoryBitFlip {
+                        word: STACK_TOP / 4 - 1 - (at % 32) as u32,
+                        bit: (at % 32) as u8,
+                    },
+                },
+            })
+            .collect();
+        // A chunk of its own whose odd runs skip the first compare and so
+        // branch on the flags the run before them left: where a fault
+        // stopped it mid-run, or where it ended.
+        let never = FaultSpec {
+            at_cycle: u64::MAX,
+            kind: FaultKind::SkipInstruction,
+        };
+        faults.resize(faults.len().next_multiple_of(CHUNK), never);
+        let skip_first_cmp = FaultSpec {
+            at_cycle: first_cmp_cycle(&program, &task),
+            kind: FaultKind::SkipInstruction,
+        };
+        let end = checkpoints[checkpoints.len() - 1];
+        for k in 0..CHUNK as u64 / 2 {
+            let before = FaultSpec {
+                at_cycle: end * (k + 1) / 9,
+                kind: FaultKind::RegisterBitFlip {
+                    reg: [13, k as u8][k as usize % 2],
+                    bit: [30, 31][k as usize % 2],
+                },
+            };
+            faults.extend([if k == 0 { never } else { before }, skip_first_cmp]);
+        }
+        let plan = FaultPlan { faults };
+        let mut want = None;
+        for width in [1usize, 2, 4] {
+            let result = run_campaign_with_plan(
+                &Pool::new(width),
+                &program,
+                &task,
+                &args,
+                &plan,
+                &cfg,
+                RecordingDevice::new,
+            );
+            assert!(result.control_masked, "{app}/{task}");
+            let want =
+                want.get_or_insert_with(|| machine_outcomes(&program, &task, &args, &cfg, &result));
+            assert_eq!(
+                &result.outcomes, want,
+                "{app}/{task}: campaign differs from the reference at width {width}"
+            );
+        }
+    }
+}
+
 /// Everything one faulted run shows: the result (energy as bits) or the
 /// trap, the data image and the port outputs.
 #[derive(Debug, PartialEq)]
@@ -269,8 +385,9 @@ fn on_engine(e: &mut DecodedEngine<'_>, func: &str, args: &[i32], fault: &FaultS
     Observed::of(run, e.data_image(), device)
 }
 
-/// Campaign chunk size: each chunk of the plan runs on one fresh engine,
-/// and the condition flags carry from run to run within it.
+/// Campaign chunk size: each chunk of the plan runs on one engine in the
+/// state of a fresh one, and the condition flags carry from run to run
+/// within it.
 const CHUNK: usize = 16;
 
 /// The campaign's classification, recomputed on the reference
