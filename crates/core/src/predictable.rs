@@ -63,7 +63,9 @@ pub struct MeasureConfig {
     pub runs: usize,
     /// Inclusive lower bound of the argument range.
     pub input_lo: i32,
-    /// Exclusive upper bound of the argument range.
+    /// Exclusive upper bound of the argument range. A workflow whose
+    /// range is empty fails with [`WorkflowError::Compile`] before any
+    /// search runs.
     pub input_hi: i32,
 }
 
@@ -419,6 +421,14 @@ impl PredictableWorkflow {
         source: &str,
     ) -> Result<PredictableOutcome, WorkflowError> {
         let cfg = &self.config;
+        if let Some(mc) = cfg.measure {
+            if mc.input_lo >= mc.input_hi {
+                return Err(WorkflowError::Compile(format!(
+                    "measure: empty input range {}..{}",
+                    mc.input_lo, mc.input_hi
+                )));
+            }
+        }
 
         // 1. Front-end + CSL extraction.
         let ast = parse_and_check(source)?;
@@ -989,6 +999,22 @@ mod tests {
             .expect("workflow succeeds");
         assert!(silent.measurements.is_empty());
         assert_eq!(outcome.certificate, silent.certificate);
+    }
+
+    #[test]
+    fn an_empty_measure_range_is_a_compile_error() {
+        let mut cfg = WorkflowConfig::pg32();
+        cfg.measure = Some(MeasureConfig {
+            input_lo: 5,
+            input_hi: 5,
+            ..MeasureConfig::standard()
+        });
+        match PredictableWorkflow::new(cfg).run(teamplay_apps::camera_pill::SOURCE) {
+            Err(WorkflowError::Compile(msg)) => {
+                assert_eq!(msg, "measure: empty input range 5..5")
+            }
+            other => panic!("expected compile error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! predictable workflow's "measure" step) all need the same shape of
 //! experiment: run one kernel over many input vectors and collect every
 //! [`RunResult`]. [`simulate_batch`] fans a batch across a
-//! [`minipool::Pool`] in fixed-size chunks — each chunk on a
-//! [`DecodedEngine`](crate::DecodedEngine) in the state of a fresh one (engines are recycled
-//! between chunks), its data image reset before every run — so each
-//! result is a pure function of `(function, input)` and the batch
-//! output is **bit-identical at any pool width** (the same discipline as
-//! the phase-ordering search's batched generation contract).
+//! [`minipool::Pool`] in fixed-size chunks, each on a recycled
+//! [`DecodedEngine`](crate::DecodedEngine). A call starts from zeroed
+//! registers and cleared flags, and the data image is reset before every
+//! run, so each result is a pure function of `(function, input)`,
+//! wherever the input falls in a chunk, and the batch output is
+//! **bit-identical at any pool width** (the same discipline as the
+//! phase-ordering search's batched generation contract).
 //!
 //! [`seeded_inputs`] generates the deterministic input vectors: a single
 //! seeded stream, drawn up front, so the batch is reproducible from
@@ -23,11 +24,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Runs per chunk: small enough to keep a pool busy on modest batches.
+/// Results never depend on it.
 const CHUNK: usize = 16;
 
 /// Deterministic input vectors for a batch: `runs` vectors of
 /// `arg_count` values drawn uniformly from `lo..hi`, all from one stream
 /// seeded with `seed`.
+///
+/// # Panics
+/// If the range is empty (`lo >= hi`).
 pub fn seeded_inputs(seed: u64, runs: usize, arg_count: usize, lo: i32, hi: i32) -> Vec<Vec<i32>> {
     assert!(lo < hi, "empty input range");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -50,9 +55,6 @@ pub fn simulate_batch(
     inputs: &[Vec<i32>],
     watchdog_cycles: u64,
 ) -> Vec<Result<RunResult, MachineError>> {
-    // Fixed-size chunks (never pool-width-derived): the chunk boundaries,
-    // and therefore each run's engine state, are independent of how many
-    // workers execute them.
     let chunks: Vec<&[Vec<i32>]> = inputs.chunks(CHUNK).collect();
     let engines = EnginePool::new(program);
     let per_chunk: Vec<Vec<Result<RunResult, MachineError>>> = pool.par_map(&chunks, |_, chunk| {
@@ -62,7 +64,7 @@ pub fn simulate_batch(
                 .iter()
                 .map(|args| {
                     // Globals mutate during a run; reset so every run sees
-                    // the pristine image regardless of chunk position.
+                    // the pristine image.
                     engine.reset_data();
                     engine.call(func, args, &mut NullDevice::new())
                 })
@@ -168,6 +170,40 @@ mod tests {
             assert_eq!(&want, got, "{args:?}");
             let n = args[0].max(0);
             assert_eq!(got.as_ref().expect("runs").return_value, n * (n - 1) / 2);
+        }
+    }
+
+    /// flip(n): branches on the flags before any compare, which the
+    /// cleared flags take to `n + 1`; its last compare leaves flags that
+    /// would take the other way, to `n + 2`, unless `n` is -1.
+    fn flip_program() -> Program {
+        teamplay_isa::asm::parse_program(
+            "flip:\n\
+             .L0:\n    beq .L1  ; else .L2\n\
+             .L1:\n    mov r1, #1\n    b .L3\n\
+             .L2:\n    mov r1, #2\n    b .L3\n\
+             .L3:\n    add r0, r0, r1\n    cmp r0, #0\n    ret\n",
+        )
+        .expect("listing parses")
+    }
+
+    #[test]
+    fn a_kernel_reading_flags_first_gets_the_same_result_at_every_position() {
+        let decoded = DecodedProgram::new(&flip_program()).expect("decodes");
+        let fresh = |args: &[i32]| {
+            decoded
+                .engine()
+                .call("flip", args, &mut NullDevice::new())
+                .expect("runs")
+        };
+        let same = vec![vec![5]; 40];
+        let batch = simulate_batch(&Pool::new(2), &decoded, "flip", &same, DEFAULT_MAX_CYCLES);
+        assert_eq!(fresh(&[5]).return_value, 6);
+        assert!(batch.iter().all(|r| r.as_ref() == Ok(&fresh(&[5]))));
+        let mixed = seeded_inputs(3, 40, 1, -3, 3);
+        let batch = simulate_batch(&Pool::new(2), &decoded, "flip", &mixed, DEFAULT_MAX_CYCLES);
+        for (args, got) in mixed.iter().zip(batch) {
+            assert_eq!(got, Ok(fresh(args)), "{args:?}");
         }
     }
 

@@ -1193,11 +1193,6 @@ impl RunState {
         self.cycles
     }
 
-    /// Instructions retired so far.
-    pub(crate) fn insns(&self) -> u64 {
-        self.insns
-    }
-
     /// Equal to the last bit of the energy sum.
     fn same(&self, other: &RunState) -> bool {
         self.pc == other.pc
@@ -1232,18 +1227,15 @@ impl Snapshot {
     pub(crate) fn state(&self) -> &RunState {
         &self.state
     }
-
-    /// The condition flags.
-    pub(crate) fn flags(&self) -> (i32, i32) {
-        self.flags
-    }
 }
 
 /// Mutable machine state over a shared [`DecodedProgram`].
 ///
-/// Mirrors [`crate::machine::Machine`]'s contract exactly: globals
-/// persist across [`DecodedEngine::call`]s, [`DecodedEngine::reset_data`]
-/// restores the initial image, state is unspecified after a trap.
+/// Mirrors [`crate::machine::Machine`]'s contract exactly: each
+/// [`DecodedEngine::call`] starts from zeroed registers and cleared
+/// flags, only memory persists from one call to the next,
+/// [`DecodedEngine::reset_data`] restores the initial image, and state
+/// is unspecified after a trap.
 ///
 /// Every store marks its 4 KiB page in a dirty map, so a reset rewrites
 /// only the pages written since the last one rather than the whole
@@ -1307,22 +1299,11 @@ impl<'p> DecodedEngine<'p> {
         }
     }
 
-    /// Back to the state of a fresh engine: initial data image, cleared
-    /// flags, default budget.
+    /// Back to the state of a fresh engine: initial data image, default
+    /// budget.
     fn renew(&mut self) {
         self.reset_data();
-        self.flags = (0, 0);
         self.max_cycles = DEFAULT_MAX_CYCLES;
-    }
-
-    /// The condition flags, which carry from one call to the next.
-    pub(crate) fn flags(&self) -> (i32, i32) {
-        self.flags
-    }
-
-    /// Overwrite the condition flags.
-    pub(crate) fn set_flags(&mut self, flags: (i32, i32)) {
-        self.flags = flags;
     }
 
     /// Read a global word back after a run (for assertions in tests).
@@ -1361,10 +1342,9 @@ impl<'p> DecodedEngine<'p> {
         }
     }
 
-    /// Put back a snapshot's registers and memory, and return its call
-    /// state to [`DecodedEngine::resume`]. The flags are left as they
-    /// are: whether a resumed call may take the snapshot's flags depends
-    /// on what the call before it left, which only the caller knows.
+    /// Put back a snapshot's registers, flags and memory, and return its
+    /// call state to [`DecodedEngine::resume`]: the call then goes on as
+    /// it would have from the snapshot, whatever ran on the engine before.
     pub(crate) fn restore(&mut self, snapshot: &Snapshot) -> RunState {
         self.reset_data();
         for span in &snapshot.spans {
@@ -1373,6 +1353,7 @@ impl<'p> DecodedEngine<'p> {
             self.dirty[span.page] = true;
         }
         self.regs = snapshot.regs;
+        self.flags = snapshot.flags;
         snapshot.state.clone()
     }
 
@@ -1454,8 +1435,8 @@ impl<'p> DecodedEngine<'p> {
     }
 
     /// Begin a call of `func`: the registers take `args` and the stack
-    /// pointer, and the returned state stands at the function's entry
-    /// with nothing charged.
+    /// pointer, the rest of them and the flags are cleared, and the
+    /// returned state stands at the function's entry with nothing charged.
     ///
     /// # Errors
     /// [`MachineError::TooManyArgs`] or [`MachineError::UnknownFunction`].
@@ -1471,6 +1452,7 @@ impl<'p> DecodedEngine<'p> {
         self.regs = [0; 16];
         self.regs[..args.len()].copy_from_slice(args);
         self.regs[Reg::SP.index() & 15] = STACK_TOP as i32;
+        self.flags = (0, 0);
         Ok(RunState {
             pc: entry,
             stack: Vec::new(),
@@ -1855,11 +1837,6 @@ impl<'p> EnginePool<'p> {
             program,
             free: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The program the engines run.
-    pub(crate) fn program(&self) -> &'p DecodedProgram {
-        self.program
     }
 
     /// Run `f` on an engine in the state of a fresh one; a new engine is
@@ -2526,7 +2503,6 @@ mod tests {
                         .call("fib", &[3], &mut NullDevice::new())
                         .expect("run");
                     let mut at = other.restore(snapshot);
-                    other.set_flags(snapshot.flags());
                     assert!(other.matches(&at, snapshot));
                     let got = other
                         .resume(&mut at, &mut NullDevice::new(), None, u64::MAX)

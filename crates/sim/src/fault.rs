@@ -17,34 +17,30 @@
 //! * [`FaultOutcome`] — the classification of one injected run against
 //!   the fault-free reference observables.
 //! * [`run_campaign`] — fans thousands of injections across a
-//!   [`minipool::Pool`] under the same fixed-chunk, input-ordered,
-//!   pool-width-bit-identical contract as
+//!   [`minipool::Pool`] under the same input-ordered, pool-width
+//!   bit-identical contract as
 //!   [`simulate_batch`](crate::batch::simulate_batch), and aggregates
 //!   masked/SDC/trap/timing/hang rates.
 //!
-//! The fault-free reference run executes on the [`Machine`], which
-//! defines the observables every injection is classified against; the
-//! same run on the pre-decoded engine must match it bit for bit, data
-//! image and port outputs included. The injections themselves, and the
-//! zero-fault control row, run on the pre-decoded engine, so a
-//! [`FaultOutcome::Masked`] verdict still certifies agreement with
-//! *both* engines: the faulted decoded run reproduced the reference
-//! machine's observables exactly.
+//! Every run executes on the pre-decoded engine: the fault-free golden
+//! run, which defines the observables every injection is classified
+//! against, the zero-fault control row and the injections. Debug builds
+//! also run the golden run on the reference [`Machine`] and assert that
+//! it observes the same, data image and port outputs included.
 //!
-//! A campaign runs only the part of each injection that can differ from
-//! that golden run. The golden decoded run records 64 snapshots at run
-//! entries spread evenly over its cycles (registers, flags, call stack,
+//! A call starts from zeroed registers and cleared flags, and a campaign
+//! restores memory before every injection, so each injection is an
+//! independent experiment: a pure function of the program, the call and
+//! the fault. A campaign runs only the part of it that can differ from
+//! the golden run. The golden run records 64 snapshots at run entries
+//! spread evenly over its cycles (registers, flags, call stack,
 //! accounting, the device, and the words of every page it wrote), and
 //! an injection resumes from the last one before its target cycle
 //! instead of replaying the fault-free prefix. After the upset the run
 //! stops at each later checkpoint's run entry: if its state equals the
 //! golden one there (registers the program never reads aside), the rest
 //! of the run is the golden run's, so it is cut off and classified
-//! masked. Memory is
-//! reset page by page, only where a run wrote. The condition flags carry
-//! from one run of a chunk to the next, so a checkpoint is only taken
-//! where the golden prefix cannot have read flags it did not write
-//! itself, unless the run starts from the golden run's own flags.
+//! masked. Memory is reset page by page, only where a run wrote.
 //! `tests/fault_campaign_oracle.rs` holds the two engines equal under
 //! faults and every campaign, checkpoint boundaries included, equal to
 //! a per-fault `Machine` classification of whole runs.
@@ -61,11 +57,10 @@ use minipool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use teamplay_isa::{DataLayout, DecodedImage, DecodedOp, Program, DATA_BASE, STACK_TOP};
+use teamplay_isa::{DataLayout, Program, DATA_BASE, STACK_TOP};
 
-/// Runs per machine instance in a campaign — the same fixed chunk size
-/// as the batch fleet, so chunk boundaries (and therefore per-run
-/// machine state) never depend on pool width.
+/// Injections handed to a worker at a time. Every injection starts from
+/// a restored checkpoint, so this sets only the granularity of the work.
 const CHUNK: usize = 16;
 
 /// Checkpoints the golden run records, beside the one at its entry:
@@ -357,8 +352,9 @@ pub struct CampaignResult {
 ///
 /// # Panics
 /// If the kernel fails to load, the fault-free reference run traps, the
-/// watchdog does not exceed the reference run, or the pre-decoded
-/// engine disagrees with the reference (all harness bugs, not outcomes).
+/// watchdog does not exceed the reference run, or, in debug builds, the
+/// reference [`Machine`] disagrees with the pre-decoded engine (all
+/// harness bugs, not outcomes).
 pub fn run_campaign(
     pool: &Pool,
     program: &Program,
@@ -381,17 +377,13 @@ pub fn run_campaign(
 
 /// Run an explicit [`FaultPlan`] and classify every injection.
 ///
-/// Execution follows the batch-fleet determinism discipline: the plan is
-/// split into fixed-size chunks, each chunk runs on a [`DecodedEngine`]
-/// in the state of a fresh one (engines are recycled between chunks),
-/// and outcomes are returned in plan order — so the serialized
-/// [`CampaignResult`] is byte-identical at any pool width. Within a
-/// chunk the condition flags carry from run to run, as they do on one
-/// [`Machine`], and each injection is classified exactly as the whole
-/// faulted run would be: it resumes from the last golden checkpoint
-/// before its target cycle (memory restored over the pages the previous
-/// run wrote), and stops early, masked, where its state rejoins the
-/// golden run's at a later checkpoint.
+/// Each injection is classified exactly as the whole faulted call would
+/// be on a [`DecodedEngine`] with freshly reset data: it resumes from the
+/// last golden checkpoint before its target cycle (memory restored over
+/// the pages the previous run wrote), and stops early, masked, where its
+/// state rejoins the golden run's at a later checkpoint. Outcomes come
+/// back in plan order, so the serialized [`CampaignResult`] is
+/// byte-identical at any pool width.
 ///
 /// # Panics
 /// Same conditions as [`run_campaign`].
@@ -410,27 +402,10 @@ pub fn run_campaign_with_plan(
     inject(pool, &engines, &golden, plan, config)
 }
 
-/// How the golden run had used the condition flags by a checkpoint.
-/// Until its first use a run branches on nothing, so the golden prefix
-/// is the same from any starting flags; a resumed run must still start
-/// from the flags a whole run would hold there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlagUse {
-    /// Not yet: the run still holds the flags it started with, which it
-    /// keeps on restore.
-    Untouched,
-    /// Written before any read: the checkpoint's flags, from any start.
-    Written,
-    /// Read before any write: the prefix is the golden one only for a
-    /// run that starts from the golden run's flags.
-    ReadFirst,
-}
-
 /// A golden-run snapshot an injection can resume from.
 struct Checkpoint {
     snapshot: Snapshot,
     device: RecordingDevice,
-    flags: FlagUse,
 }
 
 impl Checkpoint {
@@ -448,34 +423,23 @@ struct Golden {
     timing_bound: u64,
     control_masked: bool,
     checkpoints: Vec<Checkpoint>,
-    /// The flags the golden run started and ended with.
-    initial_flags: (i32, i32),
-    final_flags: (i32, i32),
 }
 
 impl Golden {
-    /// Classify `fault` on `engine`, as the whole faulted call from
-    /// the engine's current flags would be classified, adding the
-    /// run's cycles to `work`.
+    /// Classify `fault` on `engine`, as the whole faulted call would be
+    /// classified, adding the run's cycles to `work`.
     fn replay(
         &self,
         engine: &mut DecodedEngine<'_>,
         fault: &FaultSpec,
         work: &mut CampaignWork,
     ) -> FaultOutcome {
-        let carried = engine.flags();
-        let usable =
-            |c: &Checkpoint| c.flags != FlagUse::ReadFirst || carried == self.initial_flags;
         let from = self
             .checkpoints
-            .iter()
-            .rposition(|c| c.cycles() < fault.at_cycle && usable(c))
-            .unwrap_or(0);
+            .partition_point(|c| c.cycles() < fault.at_cycle)
+            .saturating_sub(1);
         let checkpoint = &self.checkpoints[from];
         let mut at = engine.restore(&checkpoint.snapshot);
-        if checkpoint.flags != FlagUse::Untouched {
-            engine.set_flags(checkpoint.snapshot.flags());
-        }
         let mut device = checkpoint.device.clone();
         work.restored_cycles += checkpoint.cycles();
 
@@ -508,7 +472,6 @@ impl Golden {
                         work.executed_cycles += at.cycles() - checkpoint.cycles();
                         work.cut_cycles += self.observables.result.cycles - at.cycles();
                         work.converged_runs += 1;
-                        engine.set_flags(self.final_flags);
                         return FaultOutcome::Masked;
                     }
                     next += gap;
@@ -572,10 +535,11 @@ fn inject(
     }
 }
 
-/// Run the fault-free reference on the [`Machine`] under the campaign
-/// watchdog, capture its observables, and cross-check the run against
-/// the pre-decoded engine the injections will use, recording that run's
-/// checkpoints on one of `engines`; then run the zero-fault control row.
+/// Run the fault-free reference on one of `engines` under the campaign
+/// watchdog: first whole, as the zero-fault control row, then paused at
+/// run entries to record the checkpoints, its observables the ones every
+/// injection is classified against. Debug builds also run it on the
+/// reference [`Machine`] and assert that both engines observe the same.
 fn golden_run(
     program: &Program,
     engines: &EnginePool<'_>,
@@ -588,54 +552,42 @@ fn golden_run(
         config.watchdog_cycles > 0,
         "campaigns require an explicit watchdog budget"
     );
-    let mut machine = Machine::new(program.clone()).expect("kernel loads");
-    machine.set_max_cycles(config.watchdog_cycles);
-    let mut device = make_device();
-    let result = machine
-        .call(func, args, &mut device)
-        .expect("fault-free reference runs");
-    assert!(
-        result.cycles < config.watchdog_cycles,
-        "watchdog ({}) must exceed the fault-free run ({})",
-        config.watchdog_cycles,
-        result.cycles
-    );
-    let observables = Observables::capture(result.clone(), machine.data_image(), &device);
-    drop(machine);
-    let timing_bound = config
-        .ipet_bound_cycles
-        .unwrap_or(result.cycles)
-        .max(result.cycles);
-
-    let first_use = first_flag_use(engines.program().image(), func, result.insns);
-    let flag_use = |insns: u64| match first_use {
-        Some((before, read)) if insns > before => {
-            if read {
-                FlagUse::ReadFirst
-            } else {
-                FlagUse::Written
-            }
-        }
-        _ => FlagUse::Untouched,
-    };
     let checkpoint =
         |engine: &DecodedEngine<'_>, at: &RunState, device: &RecordingDevice| Checkpoint {
             snapshot: engine.snapshot(at),
             device: device.clone(),
-            flags: flag_use(at.insns()),
         };
-    let (checkpoints, initial_flags, final_flags) = engines.with(|engine| {
+    let golden = engines.with(|engine| {
         engine.set_max_cycles(config.watchdog_cycles);
-        let initial_flags = engine.flags();
+        // Zero-fault control row: the whole injection path, from the
+        // call's entry with a fault that can never fire, must reproduce
+        // the golden run bit for bit.
+        let never = FaultSpec {
+            at_cycle: u64::MAX,
+            kind: FaultKind::SkipInstruction,
+        };
+        let mut control_device = make_device();
+        let control = engine.call_faulted(func, args, &mut control_device, &never);
+        let control_image = engine.data_image();
+        let cycles = control.as_ref().expect("fault-free reference runs").cycles;
+        assert!(
+            cycles < config.watchdog_cycles,
+            "watchdog ({}) must exceed the fault-free run ({cycles})",
+            config.watchdog_cycles,
+        );
+
+        engine.reset_data();
         let mut device = make_device();
-        let mut at = engine.start(func, args).expect("decoded reference starts");
+        let mut at = engine
+            .start(func, args)
+            .expect("fault-free reference starts");
         let mut checkpoints = vec![checkpoint(engine, &at, &device)];
-        let spacing = result.cycles.div_ceil(CHECKPOINTS).max(1);
+        let spacing = cycles.div_ceil(CHECKPOINTS).max(1);
         let mut target = spacing;
-        let decoded_run = loop {
+        let run = loop {
             if let Some(run) = engine
                 .resume(&mut at, &mut device, None, target)
-                .expect("decoded reference runs")
+                .expect("fault-free reference runs")
             {
                 break run;
             }
@@ -646,45 +598,40 @@ fn golden_run(
             }
             target += spacing;
         };
-        assert_eq!(result, decoded_run, "engines diverge on {func}");
-        // A run cut off at a checkpoint is masked only if the rest of the
-        // decoded golden run reproduces every observable.
-        assert_eq!(
-            observables,
-            Observables::capture(decoded_run, engine.data_image(), &device),
-            "engines diverge on {func}"
-        );
-        (checkpoints, initial_flags, engine.flags())
-    });
-
-    // Zero-fault control row: the whole injection path, from the call's
-    // entry with a fault that can never fire, must reproduce the
-    // reference bit for bit.
-    let never = FaultSpec {
-        at_cycle: u64::MAX,
-        kind: FaultKind::SkipInstruction,
-    };
-    let control = engines.with(|engine| {
-        engine.set_max_cycles(config.watchdog_cycles);
-        let mut device = make_device();
-        let run = engine.call_faulted(func, args, &mut device, &never);
-        classify(
+        let timing_bound = config
+            .ipet_bound_cycles
+            .unwrap_or(run.cycles)
+            .max(run.cycles);
+        let observables = Observables::capture(run, engine.data_image(), &device);
+        let control = classify(
             &observables,
             timing_bound,
-            run,
-            engine.data_image(),
-            &device,
-        )
+            control,
+            control_image,
+            &control_device,
+        );
+        Golden {
+            observables,
+            timing_bound,
+            control_masked: control == FaultOutcome::Masked,
+            checkpoints,
+        }
     });
 
-    Golden {
-        observables,
-        timing_bound,
-        control_masked: control == FaultOutcome::Masked,
-        checkpoints,
-        initial_flags,
-        final_flags,
+    if cfg!(debug_assertions) {
+        let mut machine = Machine::new(program.clone()).expect("kernel loads");
+        machine.set_max_cycles(config.watchdog_cycles);
+        let mut device = make_device();
+        let run = machine
+            .call(func, args, &mut device)
+            .expect("fault-free reference runs");
+        assert_eq!(
+            Observables::capture(run, machine.data_image(), &device),
+            golden.observables,
+            "engines diverge on {func}"
+        );
     }
+    golden
 }
 
 /// [`golden_run`] on engines of its own.
@@ -704,31 +651,6 @@ fn golden_of(
         config,
         make_device,
     )
-}
-
-/// The golden run's first use of the condition flags: the instructions
-/// it retires before that use, and whether the use reads them. Until
-/// then the run branches on nothing, so its path is the static chain of
-/// jumps, calls and returns from the entry. `None` if it ends, or
-/// retires `max_insns` instructions, first.
-fn first_flag_use(image: &DecodedImage, func: &str, max_insns: u64) -> Option<(u64, bool)> {
-    let mut pc = image.entry_of(func)? as usize;
-    let mut stack = Vec::new();
-    for retired in 0..max_insns {
-        pc = match image.ops[pc] {
-            DecodedOp::CmpR { .. } | DecodedOp::CmpI { .. } => return Some((retired, false)),
-            DecodedOp::Csel { .. } | DecodedOp::CondBranch { .. } => return Some((retired, true)),
-            DecodedOp::Branch { target } => target as usize,
-            DecodedOp::Call { target } => {
-                stack.push(pc + 1);
-                target as usize
-            }
-            DecodedOp::Ret => stack.pop()?,
-            DecodedOp::Halt => return None,
-            _ => pc + 1,
-        };
-    }
-    None
 }
 
 /// The cycles of the checkpoints a campaign over `func` resumes from,
@@ -1201,8 +1123,8 @@ mod tests {
     }
 
     /// The campaign's classification of `plan`, recomputed from whole
-    /// faulted runs on one reference `Machine` per chunk, the flags
-    /// carrying from run to run within it.
+    /// faulted runs on one reference `Machine`, its data reset before
+    /// each.
     fn machine_campaign(
         program: &Program,
         func: &str,
@@ -1211,35 +1133,28 @@ mod tests {
         cfg: &CampaignConfig,
     ) -> Vec<FaultOutcome> {
         let golden = golden_of(program, func, args, cfg, &RecordingDevice::new);
-        let reference = golden.observables.result.cycles;
-        let bound = cfg.ipet_bound_cycles.unwrap_or(reference).max(reference);
+        let mut machine = Machine::new(program.clone()).expect("load");
+        machine.set_max_cycles(cfg.watchdog_cycles);
         plan.faults
-            .chunks(CHUNK)
-            .flat_map(|chunk| {
-                let mut machine = Machine::new(program.clone()).expect("load");
-                machine.set_max_cycles(cfg.watchdog_cycles);
-                chunk
-                    .iter()
-                    .map(|fault| {
-                        machine.reset_data();
-                        let mut device = RecordingDevice::new();
-                        let run = machine.call_faulted(func, args, &mut device, fault);
-                        classify(
-                            &golden.observables,
-                            bound,
-                            run,
-                            machine.data_image(),
-                            &device,
-                        )
-                    })
-                    .collect::<Vec<_>>()
+            .iter()
+            .map(|fault| {
+                machine.reset_data();
+                let mut device = RecordingDevice::new();
+                let run = machine.call_faulted(func, args, &mut device, fault);
+                classify(
+                    &golden.observables,
+                    golden.timing_bound,
+                    run,
+                    machine.data_image(),
+                    &device,
+                )
             })
             .collect()
     }
 
-    /// pick(n): branches on the flags it was called with before any
-    /// compare, then sums 0..n; the result says which way it went. Its
-    /// last compare leaves flags that take the other way.
+    /// pick(n): branches on the flags before any compare, which the
+    /// cleared flags take to `.L1`, then sums 0..n; the result says which
+    /// way it went. Its last compare leaves flags that take the other way.
     fn pick_program() -> Program {
         teamplay_isa::asm::parse_program(
             "pick:\n\
@@ -1255,20 +1170,34 @@ mod tests {
     }
 
     #[test]
-    fn a_run_that_reads_carried_flags_first_resumes_only_from_the_golden_flags() {
+    fn back_to_back_calls_start_from_cleared_flags() {
+        let p = pick_program();
+        let mut machine = Machine::new(p.clone()).expect("load");
+        let decoded = DecodedProgram::new(&p).expect("lowers");
+        let mut engine = decoded.engine();
+        for _ in 0..2 {
+            let want = machine
+                .call("pick", &[60], &mut NullDevice::new())
+                .expect("run");
+            assert_eq!(want.return_value, 1000 + 59 * 60 / 2);
+            let got = engine
+                .call("pick", &[60], &mut NullDevice::new())
+                .expect("run");
+            assert_eq!(want, got);
+        }
+    }
+
+    #[test]
+    fn flips_of_a_register_pick_never_reads_are_masked() {
         let p = pick_program();
         let cfg = config(100_000, 0);
         let golden = golden_of(&p, "pick", &[60], &cfg, &RecordingDevice::new);
         assert!(golden.checkpoints.len() > 32);
-        assert!(golden.checkpoints[1..]
-            .iter()
-            .all(|c| c.flags == FlagUse::ReadFirst));
-        // Flips of a register `pick` never reads, across the run: the
-        // first run of each chunk starts from the golden run's flags and
-        // is masked; every later one starts from the flags the run
-        // before it left, branches the other way and corrupts its result.
+        // Flips of a register `pick` never reads, across the run: every
+        // run starts from cleared flags, takes the golden run's branch,
+        // and rejoins the golden run at the next checkpoint.
         let plan = FaultPlan {
-            faults: (0..2 * CHUNK as u64)
+            faults: (0..32)
                 .map(|k| FaultSpec {
                     at_cycle: 20 + 9 * k,
                     kind: FaultKind::RegisterBitFlip { reg: 9, bit: 2 },
@@ -1288,9 +1217,8 @@ mod tests {
             result.outcomes,
             machine_campaign(&p, "pick", &[60], &plan, &cfg)
         );
-        assert_eq!(result.stats.masked, 2);
-        assert_eq!(result.stats.sdc, 2 * CHUNK - 2);
-        assert_eq!(result.work.converged_runs, 2);
+        assert_eq!(result.stats.masked, 32);
+        assert_eq!(result.work.converged_runs, 32);
         assert!(result.work.restored_cycles > 0);
     }
 
@@ -1299,9 +1227,6 @@ mod tests {
         let p = sum_program();
         let cfg = config(100_000, 0);
         let golden = golden_of(&p, "sum", &[200], &cfg, &RecordingDevice::new);
-        assert!(golden.checkpoints[1..]
-            .iter()
-            .all(|c| c.flags == FlagUse::Written));
         let cycles = golden.observables.result.cycles;
         let plan = FaultPlan {
             faults: (0..40)

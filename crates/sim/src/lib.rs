@@ -39,12 +39,18 @@
 //!   engine. [`fault::run_campaign`] fans seeded [`fault::FaultPlan`]s
 //!   across the pool on the decoded engine and classifies each run as
 //!   masked / silent data corruption / trapped / timing violation /
-//!   hang against the observables of a fault-free reference run on the
-//!   [`Machine`]. Each injection resumes from a checkpoint of the golden
-//!   decoded run and is cut off, masked, where its state rejoins that
+//!   hang against the observables of the fault-free golden run, also on
+//!   the decoded engine (debug builds assert that the [`Machine`]
+//!   observes the same). Each injection resumes from a checkpoint of the
+//!   golden run and is cut off, masked, where its state rejoins that
 //!   run, with the verdict of the whole run. With no fault attached
-//!   either engine's path is bit-identical to its plain `call`, and a
-//!   masked verdict certifies agreement with both engines.
+//!   either engine's path is bit-identical to its plain `call`.
+//!
+//! On both engines a call starts from zeroed registers and cleared
+//! flags; only memory persists from one call to the next. With the data
+//! reset, a call is a pure function of `(program, function, args,
+//! fault)`, which is what lets a batch or a campaign run its inputs in
+//! any order, on any engine of a pool.
 //!
 //! The reference stays authoritative (new ISA semantics land there
 //! first); the decoded engine is a performance artefact whose only
@@ -54,8 +60,7 @@
 //! point, fans deterministic seeded input vectors ([`seeded_inputs`])
 //! across a `minipool` pool under an explicit per-run cycle watchdog
 //! (callers pass the static bound they hold), with results in input
-//! order, bit-identical at any pool width — and fault campaigns reuse
-//! exactly that fixed-chunk determinism discipline.
+//! order, bit-identical at any pool width, as are fault campaigns.
 //!
 //! Both engines charge a *hidden ground-truth energy model* ([`truth`]).
 //! Static analyses never see this model directly; they see either the

@@ -106,6 +106,7 @@ pub const DEFAULT_MAX_CYCLES: u64 = 50_000_000;
 ///
 /// Globals persist across [`Machine::call`]s (like a device running task
 /// after task); use [`Machine::reset_data`] to restore the initial image.
+/// Registers and flags do not: every call starts with them cleared.
 ///
 /// All name resolution happens at load time: the program is decomposed
 /// into an index-addressed function table, and every `call` instruction's
@@ -234,6 +235,11 @@ impl Machine {
 
     /// Call `func` with up to 6 scalar arguments in `r0..r5`.
     ///
+    /// A call starts from zeroed registers (but for the arguments and the
+    /// stack pointer) and cleared flags; only memory persists from the
+    /// calls before it, so with the data reset a call is a pure function
+    /// of `(func, args)`.
+    ///
     /// # Errors
     /// Any [`MachineError`] trap; the machine state is unspecified after a
     /// trap (call [`Machine::reset_data`] before reusing it).
@@ -298,6 +304,7 @@ impl Machine {
             regs[i] = *a;
         }
         regs[Reg::SP.index()] = STACK_TOP as i32;
+        *flags = (0, 0);
 
         let mut cycles: u64 = 0;
         let mut insns: u64 = 0;

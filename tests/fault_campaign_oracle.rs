@@ -20,12 +20,13 @@
 //!   faults at cycle 0, on the app kernels and on generated kernels.
 //! * **Campaign ≡ per-fault reference classification** — each
 //!   campaign outcome equals the classification of the same whole
-//!   faulted run on a `Machine`, at every pool width. Campaigns resume
-//!   each injection from a golden-run checkpoint and cut a run off where
-//!   it rejoins the golden run, so one case aims faults at every
-//!   checkpoint's cycle, one before and one after it, and at cycle 0,
-//!   and adds a chunk whose skipped first compare makes a run branch on
-//!   the flags the run before it left.
+//!   faulted run on one `Machine`, its data reset before each, at every
+//!   pool width. Campaigns resume each injection from a golden-run
+//!   checkpoint and cut a run off where it rejoins the golden run, so
+//!   one case aims faults at every checkpoint's cycle, one before and
+//!   one after it, and at cycle 0, and adds runs whose skipped first
+//!   compare makes them branch on the cleared flags right after a run
+//!   that left other flags.
 //!
 //! A last case checks the empty-plan identity: a campaign over
 //! [`FaultPlan::empty`] performs no injections and still certifies the
@@ -102,8 +103,8 @@ fn kernels() -> Vec<(String, String, Vec<i32>, Program, u64)> {
 fn config(ipet: u64) -> CampaignConfig {
     CampaignConfig {
         seed: 0xFA17_0C1E,
-        // 67 injections: not a multiple of the campaign's chunk size, so
-        // the last chunk is ragged and boundary bookkeeping is exercised.
+        // 67 injections: a prime count, so no even split of the plan
+        // among workers leaves its end unexercised.
         injections: 67,
         watchdog_cycles: ipet * 2,
         ipet_bound_cycles: Some(ipet),
@@ -298,20 +299,19 @@ fn checkpoint_boundaries_classify_as_whole_runs() {
                 },
             })
             .collect();
-        // A chunk of its own whose odd runs skip the first compare and so
-        // branch on the flags the run before them left: where a fault
-        // stopped it mid-run, or where it ended.
+        // Runs that skip the first compare and so branch on the cleared
+        // flags, each right after a run that a fault stopped mid-run or
+        // that ended, leaving other flags.
         let never = FaultSpec {
             at_cycle: u64::MAX,
             kind: FaultKind::SkipInstruction,
         };
-        faults.resize(faults.len().next_multiple_of(CHUNK), never);
         let skip_first_cmp = FaultSpec {
             at_cycle: first_cmp_cycle(&program, &task),
             kind: FaultKind::SkipInstruction,
         };
         let end = checkpoints[checkpoints.len() - 1];
-        for k in 0..CHUNK as u64 / 2 {
+        for k in 0..8u64 {
             let before = FaultSpec {
                 at_cycle: end * (k + 1) / 9,
                 kind: FaultKind::RegisterBitFlip {
@@ -385,14 +385,9 @@ fn on_engine(e: &mut DecodedEngine<'_>, func: &str, args: &[i32], fault: &FaultS
     Observed::of(run, e.data_image(), device)
 }
 
-/// Campaign chunk size: each chunk of the plan runs on one engine in the
-/// state of a fresh one, and the condition flags carry from run to run
-/// within it.
-const CHUNK: usize = 16;
-
 /// The campaign's classification, recomputed on the reference
 /// [`Machine`]: the fault-free reference observables, then every fault
-/// of `result.plan` on a fresh machine per chunk.
+/// of `result.plan`, all on one machine.
 fn machine_outcomes(
     program: &Program,
     func: &str,
@@ -400,45 +395,36 @@ fn machine_outcomes(
     cfg: &CampaignConfig,
     result: &CampaignResult,
 ) -> Vec<FaultOutcome> {
-    let machine = || {
-        let mut m = Machine::new(program.clone()).expect("kernel loads");
-        m.set_max_cycles(cfg.watchdog_cycles);
-        m
-    };
+    let mut m = Machine::new(program.clone()).expect("kernel loads");
+    m.set_max_cycles(cfg.watchdog_cycles);
     let never = FaultSpec {
         at_cycle: u64::MAX,
         kind: FaultKind::SkipInstruction,
     };
-    let reference = on_machine(&mut machine(), func, args, &never);
+    let reference = on_machine(&mut m, func, args, &never);
     let ref_cycles = reference.run.as_ref().expect("reference runs").cycles;
     assert_eq!(ref_cycles, result.reference_cycles);
     let bound = cfg.ipet_bound_cycles.unwrap_or(ref_cycles).max(ref_cycles);
     result
         .plan
         .faults
-        .chunks(CHUNK)
-        .flat_map(|chunk| {
-            let mut m = machine();
-            chunk
-                .iter()
-                .map(|fault| {
-                    let observed = on_machine(&mut m, func, args, fault);
-                    match &observed.run {
-                        Err(MachineError::CycleLimit) => FaultOutcome::Hang,
-                        Err(e) => FaultOutcome::Trapped(e.clone()),
-                        _ if observed == reference => FaultOutcome::Masked,
-                        Ok(r) if r.cycles > bound => FaultOutcome::TimingViolation,
-                        Ok(_) => FaultOutcome::SilentDataCorruption,
-                    }
-                })
-                .collect::<Vec<_>>()
+        .iter()
+        .map(|fault| {
+            let observed = on_machine(&mut m, func, args, fault);
+            match &observed.run {
+                Err(MachineError::CycleLimit) => FaultOutcome::Hang,
+                Err(e) => FaultOutcome::Trapped(e.clone()),
+                _ if observed == reference => FaultOutcome::Masked,
+                Ok(r) if r.cycles > bound => FaultOutcome::TimingViolation,
+                Ok(_) => FaultOutcome::SilentDataCorruption,
+            }
         })
         .collect()
 }
 
 /// Run every fault on both engines and assert they observe the same.
-/// Each engine is reused across the faults, as a campaign chunk reuses
-/// it; returns how many faults ran.
+/// Each engine is reused across the faults, with its data reset before
+/// each; returns how many faults ran.
 fn assert_engines_agree(
     program: &Program,
     func: &str,
