@@ -1,6 +1,5 @@
 //! WCET/WCEC tightness benchmark: structural-vs-IPET bound ratios per
-//! application kernel, plus analysis throughput (analyses/second) with
-//! and without the per-function content-keyed memo.
+//! application kernel, plus analysis throughput (analyses/second).
 //!
 //! `analyze_program` runs once per compiled variant — thousands of times
 //! per multi-objective search — so it is the hottest analysis path in
@@ -10,12 +9,11 @@
 //! * **tightness** — for each app kernel under its tuned pipeline, the
 //!   ratio `IPET / structural` for both the cycle and the energy bound
 //!   (must sit in `(0, 1]`, with at least one kernel strictly below 1);
-//! * **throughput** — full-program analyses per second, uncached vs
-//!   through a warm [`teamplay_wcet::AnalysisCache`], which hashes and
-//!   compares every function it looks up. The driver's `EvalCache` does
-//!   neither: it keys its analyses on the compile memo's code ids.
-//!   Each figure is the best of at least 20 rounds, the two kinds
-//!   interleaved over at least 20 s (see [`teamplay_bench::timing`]).
+//! * **throughput** — full-program analyses per second, each one fresh:
+//!   the one analysis memo is the driver's, keyed on the compile memo's
+//!   code ids, and it needs a compile to key on. The figure is the best
+//!   of at least 20 rounds over at least 20 s (see
+//!   [`teamplay_bench::timing`]).
 //!
 //! The run writes the tightness rows to `BENCH_wcet.json` and the
 //! wall-clock throughput to `BENCH_wcet_memo.json`, both at the repository
@@ -34,7 +32,7 @@ use teamplay_compiler::{generate_program, CodegenOpts, PassManager};
 use teamplay_energy::{analyze_program_energy, mpj_to_pj, EnergyLane, IsaEnergyModel};
 use teamplay_isa::{CycleModel, Program};
 use teamplay_minic::compile_to_ir;
-use teamplay_wcet::{analyze, analyze_program, analyze_program_cached, AnalysisCache, Preset};
+use teamplay_wcet::{analyze, analyze_program, Preset};
 
 /// One kernel's bounds under both engines.
 #[derive(Serialize)]
@@ -64,9 +62,6 @@ struct Throughput {
     bench: String,
     /// Whole-program IPET analyses per second, fresh every time.
     analyses_per_sec_uncached: f64,
-    /// Same analyses through a warm per-function memo.
-    analyses_per_sec_memoized: f64,
-    memo_speedup: f64,
 }
 
 /// The four kernels under their tuned pipelines, compiled once.
@@ -132,31 +127,18 @@ fn main() {
         .collect();
 
     // Throughput: whole-program analyses over all four kernels, the
-    // best of interleaved uncached and memoised rounds.
+    // best of the sampled rounds.
     const REPS: usize = 50;
     let programs: Vec<&Program> = kernels.iter().map(|(_, _, p)| p).collect();
-    let cache = AnalysisCache::new();
-    for p in &programs {
-        analyze_program_cached(p, &cm, &cache).expect("warms");
-    }
-    let mut timers = [
-        Timer::new(|| {
-            for _ in 0..REPS {
-                for p in &programs {
-                    analyze_program(std::hint::black_box(p), &cm).expect("analyses");
-                }
+    let mut timers = [Timer::new(|| {
+        for _ in 0..REPS {
+            for p in &programs {
+                analyze_program(std::hint::black_box(p), &cm).expect("analyses");
             }
-        }),
-        Timer::new(|| {
-            for _ in 0..REPS {
-                for p in &programs {
-                    analyze_program_cached(std::hint::black_box(p), &cm, &cache).expect("replays");
-                }
-            }
-        }),
-    ];
+        }
+    })];
     sample_interleaved(&mut timers);
-    let [uncached, memoized] = timers.map(|t| t.best);
+    let [uncached] = timers.map(|t| t.best);
     let analyses = (REPS * programs.len()) as f64;
     let per_sec = |t: Duration| analyses / t.as_secs_f64().max(1e-9);
 
@@ -168,19 +150,15 @@ fn main() {
     let throughput = Throughput {
         bench: "wcet_tightness".into(),
         analyses_per_sec_uncached: per_sec(uncached),
-        analyses_per_sec_memoized: per_sec(memoized),
-        memo_speedup: memoized.as_secs_f64().max(1e-9).recip() * uncached.as_secs_f64(),
     };
     println!(
-        "wcet_tightness: ratios {:?}; {:.0} analyses/s uncached, {:.0} memoized ({:.1}x)",
+        "wcet_tightness: ratios {:?}; {:.0} analyses/s",
         baseline
             .kernels
             .iter()
             .map(|k| format!("{}:{:.3}", k.app, k.tightness_ratio))
             .collect::<Vec<_>>(),
         throughput.analyses_per_sec_uncached,
-        throughput.analyses_per_sec_memoized,
-        throughput.memo_speedup,
     );
 
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");

@@ -38,7 +38,8 @@
 //!    the function's flow structure once for both. The key is built
 //!    from ids the compile already has: an evaluation hashes no
 //!    compiled code, re-validates nothing but the call targets, and
-//!    reads each function's code size from its codegen entry.
+//!    reads each function's code size from its codegen entry. It is the
+//!    workspace's only analysis memo; [`AnalysisMemo`] memoises nothing.
 //!
 //!    The counters of tiers 2 and 3 — `pass_runs`/`pass_replays`,
 //!    `states`, `codegen_hits`/`codegen_misses`,
@@ -422,24 +423,23 @@ impl serde::Deserialize for ModuleMetrics {
     }
 }
 
-/// A pair of content-keyed analysis memos, one for WCET and one for
-/// WCEC, for the one-lane wrappers [`teamplay_wcet::analyze_program_cached`]
-/// and [`teamplay_energy::analyze_program_energy_cached`].
-///
-/// No [`EvalCache`] uses it: evaluations key their analyses on the
-/// compile memo's code identity and solve both lanes at once (see the
-/// module docs). It is kept, with its fields, only because the
+/// Two inert [`AnalysisCache`] counters, for the one-lane wrappers
+/// [`teamplay_wcet::analyze_program_cached`] and
+/// [`teamplay_energy::analyze_program_energy_cached`]. It memoises
+/// nothing: the one analysis memo is the compile memo's `(code id,
+/// callee bounds)` table (see the module docs), and no [`EvalCache`]
+/// uses this type. It is kept, with its fields, only because the
 /// end-to-end benchmark's workflow replay names it.
 #[derive(Debug, Default)]
 pub struct AnalysisMemo {
-    /// Cycle-bound memo (one per [`CycleModel`]).
+    /// Counts the functions the cycle wrapper analyses.
     pub wcet: AnalysisCache,
-    /// Energy-bound memo (one per model pair).
+    /// Counts the functions the energy wrapper analyses.
     pub energy: AnalysisCache,
 }
 
 impl AnalysisMemo {
-    /// Fresh, empty memos.
+    /// Both counters at zero.
     pub fn new() -> AnalysisMemo {
         AnalysisMemo::default()
     }
@@ -1435,6 +1435,28 @@ mod tests {
         assert!(cache.evaluate(&CompilerConfig::balanced()).is_none());
         assert!(cache.evaluate(&CompilerConfig::balanced()).is_none());
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn loops_whose_induction_value_wraps_are_unbounded() {
+        // `i` passes `i32::MAX` before the exit compare fails, wraps
+        // negative and keeps the loop running: counting in unbounded
+        // integers would bound it by 1 and 48 body runs.
+        for src in [
+            "int f() { int n = 0; for (int i = 2147483000; i < 2147483500; i = i + 1000) { n = n + 1; } return n; }",
+            "int f() { int n = 0; for (int i = 2147483600; i <= 2147483647; i = i + 1) { n = n + 1; } return n; }",
+        ] {
+            let ir = compile_to_ir(src).expect("front-end");
+            assert!(ir.functions[0].loop_bounds.is_empty(), "{src}");
+            for config in [CompilerConfig::all_off(), CompilerConfig::balanced()] {
+                let program = compile_module(&ir, &config).expect("codegen");
+                let analysis = teamplay_wcet::analyze_program(&program, &CycleModel::pg32());
+                assert!(
+                    matches!(analysis, Err(teamplay_wcet::WcetError::UnboundedLoop { .. })),
+                    "{src}: {analysis:?}"
+                );
+            }
+        }
     }
 
     #[test]

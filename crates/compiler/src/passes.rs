@@ -44,8 +44,9 @@
 //! * **by name** — `PassManager::from_str("const_fold,copy_prop,dce")`
 //!   resolves each element against the static [`REGISTRY`]
 //!   (parameterised passes use `name(arg)`, e.g. `"inline(40)"`);
-//! * **by optimisation level** — [`PassManager::o0`]…[`PassManager::o3`]
-//!   presets à la binaryen's `OptimizationOptions`;
+//! * **by optimisation level** — `PassManager::new(Pipeline::o2())`,
+//!   with the [`Pipeline::o0`]…[`Pipeline::o3`] presets à la binaryen's
+//!   `OptimizationOptions`;
 //! * **by the search** — the FPA driver decodes genomes into pipelines
 //!   ([`crate::driver::CompilerConfig::from_genome`]), so every point of
 //!   the multi-objective search space is a registry-backed pipeline;
@@ -2664,26 +2665,6 @@ impl PassManager {
         PassManager::new(s.parse()?)
     }
 
-    /// O0: no IR optimisation.
-    pub fn o0() -> PassManager {
-        PassManager::new(Pipeline::o0()).expect("preset pipeline is valid")
-    }
-
-    /// O1: the cleanup trio.
-    pub fn o1() -> PassManager {
-        PassManager::new(Pipeline::o1()).expect("preset pipeline is valid")
-    }
-
-    /// O2: moderate inlining + strength reduction + cleanup.
-    pub fn o2() -> PassManager {
-        PassManager::new(Pipeline::o2()).expect("preset pipeline is valid")
-    }
-
-    /// O3: aggressive inlining + strength reduction + cleanup.
-    pub fn o3() -> PassManager {
-        PassManager::new(Pipeline::o3()).expect("preset pipeline is valid")
-    }
-
     /// The managed pipeline.
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
@@ -4263,10 +4244,14 @@ mod tests {
 
     #[test]
     fn optimisation_levels_are_ordered_pipelines() {
-        assert!(PassManager::o0().pipeline().passes.is_empty());
-        assert_eq!(PassManager::o1().pipeline(), &Pipeline::o1());
-        assert!(PassManager::o2().pipeline().contains("inline"));
-        assert_eq!(PassManager::o3().pipeline().param_of("inline"), Some(80));
+        let level = |p: Pipeline| PassManager::new(p).expect("preset pipeline is valid");
+        assert!(level(Pipeline::o0()).pipeline().passes.is_empty());
+        assert_eq!(level(Pipeline::o1()).pipeline(), &Pipeline::o1());
+        assert!(level(Pipeline::o2()).pipeline().contains("inline"));
+        assert_eq!(
+            level(Pipeline::o3()).pipeline().param_of("inline"),
+            Some(80)
+        );
         // Higher levels strictly extend the optimisation surface.
         let counts: Vec<usize> = [Pipeline::o0(), Pipeline::o1(), Pipeline::o2()]
             .iter()

@@ -16,16 +16,18 @@
 //! the energy of any run (the property tests check this against the
 //! simulator's ground truth).
 //!
-//! [`analyze_program_energy`] and [`analyze_program_energy_cached`] are
-//! the one-lane IPET wrappers in picojoules, kept with their signatures
-//! for the end-to-end benchmark's workflow replay and the callers that
-//! want an [`EnergyReport`].
+//! [`analyze_program_energy`] is the one-lane IPET wrapper in picojoules
+//! for the callers that want an [`EnergyReport`]. Nothing here caches a
+//! result: the one analysis memo is the compiler's, keyed on code
+//! identity. [`analyze_program_energy_cached`] is the same call counted
+//! in an inert [`AnalysisCache`], kept with its signature for the
+//! end-to-end benchmark's workflow replay.
 
 use crate::model::IsaEnergyModel;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use teamplay_isa::{CycleModel, EnergyClass, Function, Insn, Program, Terminator};
-use teamplay_wcet::{analyze, analyze_cached, AnalysisCache, CostLane, Preset, WcetError};
+use teamplay_wcet::{analyze, AnalysisCache, CostLane, Preset, WcetError};
 
 /// Scale factor: picojoules are analysed in integer millipicojoules so
 /// the integer flow engine can be reused without rounding drift.
@@ -139,13 +141,9 @@ pub fn analyze_program_energy(
     ))
 }
 
-/// [`analyze_program_energy`] through a content-keyed [`AnalysisCache`]
-/// ([`teamplay_wcet::analyze_cached`]). Use one cache per (energy-model,
-/// cycle-model) pair — the models are not part of the key.
-///
-/// The compiler's evaluations do not use it: they key analyses on the
-/// compile memo's code identity. It is kept, with its signature, for the
-/// end-to-end benchmark's workflow replay.
+/// [`analyze_program_energy`], counting the functions it analyses in
+/// `cache` ([`AnalysisCache`] memoises nothing). Kept, with its
+/// signature, for the end-to-end benchmark's workflow replay.
 ///
 /// # Errors
 /// See [`analyze_program_energy`].
@@ -155,8 +153,9 @@ pub fn analyze_program_energy_cached(
     cycle_model: &CycleModel,
     cache: &AnalysisCache,
 ) -> Result<EnergyReport, WcetError> {
-    let lane = EnergyLane::new(energy_model, cycle_model);
-    Ok(EnergyReport::of_mpj(analyze_cached(program, &lane, cache)?))
+    let report = analyze_program_energy(program, energy_model, cycle_model)?;
+    cache.record(report.per_function.len());
+    Ok(report)
 }
 
 /// Quick sanity statistic: the set of energy classes a function actually

@@ -199,29 +199,6 @@ pub fn natural_loops<G: CfgView>(g: &G) -> Vec<NaturalLoop> {
     loops
 }
 
-/// The loop-nesting forest: for each loop, the index of the innermost
-/// enclosing loop in `loops` (or `None` for top-level loops).
-pub fn loop_parents(loops: &[NaturalLoop]) -> Vec<Option<usize>> {
-    let mut parents = vec![None; loops.len()];
-    for (i, inner) in loops.iter().enumerate() {
-        let mut best: Option<usize> = None;
-        for (j, outer) in loops.iter().enumerate() {
-            if i == j || !outer.body.contains(&inner.header) || outer.header == inner.header {
-                continue;
-            }
-            if inner.body.is_subset(&outer.body) {
-                best = match best {
-                    None => Some(j),
-                    Some(k) if loops[j].body.len() < loops[k].body.len() => Some(j),
-                    keep => keep,
-                };
-            }
-        }
-        parents[i] = best;
-    }
-    parents
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,12 +277,12 @@ mod tests {
     fn finds_nested_loops_and_parents() {
         let loops = natural_loops(&nested_loops());
         assert_eq!(loops.len(), 2);
-        let parents = loop_parents(&loops);
-        // Inner loop (header 2) is inside outer loop (header 1).
+        // Inner loop (header 2) is inside outer loop (header 1), and
+        // the outer loop is inside nothing.
         let outer = loops.iter().position(|l| l.header == 1).expect("outer");
         let inner = loops.iter().position(|l| l.header == 2).expect("inner");
-        assert_eq!(parents[inner], Some(outer));
-        assert_eq!(parents[outer], None);
+        assert!(loops[outer].body.contains(&loops[inner].header));
+        assert!(!loops[inner].body.contains(&loops[outer].header));
         assert!(loops[outer].body.is_superset(&loops[inner].body));
     }
 

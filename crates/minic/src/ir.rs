@@ -284,8 +284,8 @@ pub struct IrParam {
 /// Its [`Hash`] is structural over the *body*: every field except the
 /// name, with `loop_bounds` walked in block order so the hash does not
 /// depend on map iteration order. It agrees with `==` (equal functions
-/// have equal bodies) and with [`IrFunction::same_body`], so it keys
-/// both exact and name-independent lookups.
+/// have equal bodies), and two functions that differ only in their
+/// names hash alike, so it keys both exact and name-independent lookups.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IrFunction {
     /// Function name.
@@ -413,29 +413,6 @@ impl IrFunction {
             }
         }
         Ok(())
-    }
-}
-
-impl IrFunction {
-    /// Whether two functions are equal in everything but their names.
-    pub fn same_body(&self, other: &IrFunction) -> bool {
-        let IrFunction {
-            name: _,
-            params,
-            returns_value,
-            blocks,
-            temp_count,
-            local_arrays,
-            loop_bounds,
-            annotations,
-        } = self;
-        *params == other.params
-            && *returns_value == other.returns_value
-            && *temp_count == other.temp_count
-            && *local_arrays == other.local_arrays
-            && *annotations == other.annotations
-            && *loop_bounds == other.loop_bounds
-            && *blocks == other.blocks
     }
 }
 

@@ -165,7 +165,8 @@ fn as_limit(cond: &Expr, var: &str) -> Option<(BinOp, i64)> {
     }
 }
 
-/// Iteration count of a canonical counted loop, computed exactly.
+/// Iteration count of a canonical counted loop, computed exactly, or
+/// `None` if the induction variable would wrap.
 fn trip_count(init: i64, limit: i64, step: i64, op: BinOp) -> Option<u32> {
     let count: i64 = match (op, step > 0) {
         (BinOp::Lt, true) => (limit - init + step - 1).max(0) / step,
@@ -192,6 +193,14 @@ fn trip_count(init: i64, limit: i64, step: i64, op: BinOp) -> Option<u32> {
         }
         _ => return None,
     };
+    // The count above assumes unbounded integers. An `int` induction
+    // value wraps past `i32::MAX`/`i32::MIN`, so the loop's exit compare
+    // would see a different value: the count holds only if the last
+    // value, `init + count·step`, is still an i32.
+    let last = init + count * step;
+    if last < i64::from(i32::MIN) || last > i64::from(i32::MAX) {
+        return None;
+    }
     u32::try_from(count).ok()
 }
 
@@ -358,6 +367,46 @@ mod tests {
             infer_for_bound(Some(&init), Some(&cond), Some(&step), &body),
             Some(5)
         );
+    }
+
+    #[test]
+    fn rejects_counts_whose_induction_value_wraps() {
+        let decl = |v: i32| Stmt::Decl {
+            name: "i".into(),
+            array_len: None,
+            init: Some(Expr::Lit(v)),
+        };
+        let cmp = |op: BinOp, c: i32| Expr::Bin {
+            op,
+            lhs: Box::new(Expr::Var("i".into())),
+            rhs: Box::new(Expr::Lit(c)),
+        };
+        let body = Stmt::Block(vec![]);
+        let bound = |init: i32, cond: Expr, step: i32| {
+            infer_for_bound(
+                Some(&decl(init)),
+                Some(&cond),
+                Some(&step_plus("i", step)),
+                &body,
+            )
+        };
+        // One step of 1000 from 2147483000 leaves i32 below the limit.
+        assert_eq!(
+            bound(2_147_483_000, cmp(BinOp::Lt, 2_147_483_500), 1000),
+            None
+        );
+        // `i <= i32::MAX` holds for every i32: the loop never exits.
+        assert_eq!(bound(i32::MAX - 47, cmp(BinOp::Le, i32::MAX), 1), None);
+        assert_eq!(
+            bound(i32::MIN + 400, cmp(BinOp::Gt, i32::MIN + 100), -1000),
+            None
+        );
+        // The same loops one step short of the edge keep their counts.
+        assert_eq!(
+            bound(2_147_482_000, cmp(BinOp::Lt, 2_147_482_500), 1000),
+            Some(1)
+        );
+        assert_eq!(bound(i32::MAX - 47, cmp(BinOp::Lt, i32::MAX), 1), Some(47));
     }
 
     #[test]

@@ -45,10 +45,11 @@
 //! so the thousands of variants a Pareto search compiles never
 //! re-analyse an unchanged function.
 //!
-//! [`analyze_program`] and [`analyze_program_cached`] (a content-keyed
-//! [`AnalysisCache`]) are one-lane IPET wrappers over the same engine,
-//! kept with their signatures for the end-to-end benchmark's workflow
-//! replay and the many callers that want a [`WcetReport`].
+//! That memo is the only one: nothing in this crate caches a result.
+//! [`analyze_program`] is the one-lane IPET wrapper for the many callers
+//! that want a [`WcetReport`]; [`analyze_program_cached`] is the same
+//! call counted in an inert [`AnalysisCache`], kept with its signature
+//! for the end-to-end benchmark's workflow replay.
 //!
 //! ```
 //! use teamplay_isa::{CycleModel, Function, Program};
@@ -69,11 +70,9 @@ mod flow;
 
 use flow::FlowStructure;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use teamplay_isa::{CycleModel, Function, Insn, Program, Terminator};
 
 /// Errors the analysis can report.
@@ -302,33 +301,6 @@ pub fn callee_first<B: Copy>(
     Ok(results.into_iter().flatten().collect())
 }
 
-/// Validate `program`, then bound every function callee-first with
-/// `bound(function, its callees, their bounds)`.
-fn program_bounds<B: Copy>(
-    program: &Program,
-    mut bound: impl FnMut(&Function, &[String], &[B]) -> Result<B, WcetError>,
-) -> Result<BTreeMap<String, B>, WcetError> {
-    program.validate().map_err(WcetError::InvalidProgram)?;
-    let functions: Vec<(&String, &Function, Vec<String>)> = program
-        .functions
-        .iter()
-        .map(|(name, f)| (name, f, f.callees()))
-        .collect();
-    let calls: Vec<(&str, &[String])> = functions
-        .iter()
-        .map(|(name, _, callees)| (name.as_str(), callees.as_slice()))
-        .collect();
-    let bounds = callee_first(&calls, |i, callee_bounds| {
-        let (_, f, callees) = &functions[i];
-        bound(f, callees, callee_bounds)
-    })?;
-    Ok(functions
-        .into_iter()
-        .map(|(name, ..)| name.clone())
-        .zip(bounds)
-        .collect())
-}
-
 /// Bound every function of `program` in every lane under `preset`,
 /// callee-first: the analysis entry point.
 ///
@@ -341,130 +313,56 @@ pub fn analyze<const L: usize>(
     lanes: [&dyn CostLane; L],
     preset: Preset,
 ) -> Result<BTreeMap<String, [u64; L]>, WcetError> {
-    program_bounds(program, |f, callees, callee_bounds| {
+    program.validate().map_err(WcetError::InvalidProgram)?;
+    let functions: Vec<(&String, &Function, Vec<String>)> = program
+        .functions
+        .iter()
+        .map(|(name, f)| (name, f, f.callees()))
+        .collect();
+    let calls: Vec<(&str, &[String])> = functions
+        .iter()
+        .map(|(name, _, callees)| (name.as_str(), callees.as_slice()))
+        .collect();
+    let bounds = callee_first(&calls, |i, callee_bounds| {
+        let (_, f, callees) = &functions[i];
         bound_function(f, callees, callee_bounds, &lanes, preset)
-    })
-}
-
-/// [`analyze`] of one lane under [`Preset::Ipet`], with per-function
-/// memoization: unchanged functions (same content, same callee bounds)
-/// are answered from `cache`. Use one cache per lane and cost model —
-/// neither is part of the key. Behind [`analyze_program_cached`] and
-/// `teamplay-energy`'s cached wrapper.
-///
-/// # Errors
-/// See [`analyze`].
-pub fn analyze_cached(
-    program: &Program,
-    lane: &dyn CostLane,
-    cache: &AnalysisCache,
-) -> Result<BTreeMap<String, u64>, WcetError> {
-    let bounds = program_bounds(program, |f, callees, callee_bounds: &[[u64; 1]]| {
-        cache
-            .get_or_try_insert(f, callee_bounds.as_flattened(), || {
-                bound_function(f, callees, callee_bounds, &[lane], Preset::Ipet).map(|[b]| b)
-            })
-            .map(|b| [b])
     })?;
-    Ok(bounds.into_iter().map(|(name, [b])| (name, b)).collect())
+    Ok(functions
+        .into_iter()
+        .map(|(name, ..)| name.clone())
+        .zip(bounds)
+        .collect())
 }
 
-/// A thread-safe memo of per-function analysis results, keyed by the
-/// function's *content* (its name, blocks, bounds and frame) plus the
-/// callee bounds it was analysed against.
-///
-/// Across many configurations of one module, most functions compile
-/// identically, so their analyses are pure replays. One `AnalysisCache`
-/// per (cost-model, metric) pair turns those replays into lookups.
-/// Entries are bucketed by a hash of the key, but a lookup compares the
-/// stored function and callee bounds before it returns a hit: a hash
-/// collision costs an analysis, never a wrong bound. Results are exact
-/// values of a pure function of the key, so sharing a cache across
-/// threads or searches cannot change any result.
+/// A counter of the functions analysed through
+/// [`analyze_program_cached`] or `teamplay-energy`'s
+/// `analyze_program_energy_cached`. It memoises nothing: the one
+/// analysis memo is the compiler's, keyed on the compile memo's code
+/// identity. The type is kept, with [`AnalysisCache::hits`] and
+/// [`AnalysisCache::misses`], because the end-to-end benchmark's
+/// workflow replay names it.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
-    entries: Mutex<HashMap<u64, Vec<CacheEntry>>>,
-    hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
-/// One [`AnalysisCache`] result and the exact key it was computed for.
-#[derive(Debug)]
-struct CacheEntry {
-    function: Function,
-    /// Each callee's bound, in [`Function::callees`] order.
-    callee_bounds: Vec<u64>,
-    bound: u64,
-}
-
 impl AnalysisCache {
-    /// An empty cache. Use one per cost model and metric.
+    /// A counter at zero.
     pub fn new() -> AnalysisCache {
         AnalysisCache::default()
     }
 
-    /// The bucket of `f` analysed against `callee_bounds` (in callee
-    /// order, so a callee's change re-keys its callers too).
-    fn key(f: &Function, callee_bounds: &[u64]) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        f.hash(&mut h);
-        callee_bounds.hash(&mut h);
-        h.finish()
+    /// Record that `functions` more functions were analysed.
+    pub fn record(&self, functions: usize) {
+        self.misses.fetch_add(functions, Ordering::Relaxed);
     }
 
-    /// The bound of `f` against `callee_bounds` (in callee order), from
-    /// the cache or from `compute`, which is then remembered. Errors are
-    /// not cached (the program-level drivers abort on the first error
-    /// anyway).
-    fn get_or_try_insert(
-        &self,
-        f: &Function,
-        callee_bounds: &[u64],
-        compute: impl FnOnce() -> Result<u64, WcetError>,
-    ) -> Result<u64, WcetError> {
-        let hash = Self::key(f, callee_bounds);
-        self.get_or_try_insert_hashed(hash, f, callee_bounds.to_vec(), compute)
-    }
-
-    /// [`AnalysisCache::get_or_try_insert`] in bucket `hash`.
-    fn get_or_try_insert_hashed(
-        &self,
-        hash: u64,
-        f: &Function,
-        callee_bounds: Vec<u64>,
-        compute: impl FnOnce() -> Result<u64, WcetError>,
-    ) -> Result<u64, WcetError> {
-        let find = |bucket: &[CacheEntry]| {
-            bucket
-                .iter()
-                .find(|e| e.callee_bounds == callee_bounds && e.function == *f)
-                .map(|e| e.bound)
-        };
-        let entries = || self.entries.lock().expect("analysis cache lock");
-        if let Some(bound) = entries().get(&hash).and_then(|bucket| find(bucket)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(bound);
-        }
-        let bound = compute()?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = entries();
-        let bucket = entries.entry(hash).or_default();
-        if find(bucket).is_none() {
-            bucket.push(CacheEntry {
-                function: f.clone(),
-                callee_bounds,
-                bound,
-            });
-        }
-        Ok(bound)
-    }
-
-    /// Lookups answered from the memo.
+    /// Lookups answered from a memo: always 0.
     pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
+        0
     }
 
-    /// Lookups that ran the analysis.
+    /// Functions analysed through this counter.
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
@@ -483,13 +381,8 @@ pub fn analyze_program(program: &Program, model: &CycleModel) -> Result<WcetRepo
     })
 }
 
-/// [`analyze_program`] through a content-keyed [`AnalysisCache`]
-/// ([`analyze_cached`]). Use one cache per [`CycleModel`] — the model is
-/// not part of the key.
-///
-/// The compiler's evaluations do not use it: they key analyses on the
-/// compile memo's code identity. It is kept, with its signature, for the
-/// WCET tightness bench and the end-to-end benchmark's workflow replay.
+/// [`analyze_program`], counting the functions it analyses in `cache`
+/// (see [`AnalysisCache`]: nothing is memoised).
 ///
 /// # Errors
 /// See [`analyze`].
@@ -498,9 +391,9 @@ pub fn analyze_program_cached(
     model: &CycleModel,
     cache: &AnalysisCache,
 ) -> Result<WcetReport, WcetError> {
-    Ok(WcetReport {
-        per_function: analyze_cached(program, model, cache)?,
-    })
+    let report = analyze_program(program, model)?;
+    cache.record(report.per_function.len());
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -991,59 +884,6 @@ mod tests {
         assert!(structural >= ipet + 50, "{ipet} vs {structural}");
         // cmp(1)+taken(3)+50+b(3) + cmp(1)+nt(1)+b(3) + ret(4) = 66.
         assert_eq!(ipet, 66);
-    }
-
-    #[test]
-    fn analysis_cache_replays_unchanged_functions() {
-        let mut p = Program::new();
-        p.add_function(straight_function("leaf", 7));
-        let mut caller = straight_function("caller", 1);
-        caller.blocks[0].insns.push(Insn::Call {
-            func: "leaf".into(),
-        });
-        p.add_function(caller);
-        let model = CycleModel::pg32();
-        let cache = AnalysisCache::new();
-        let a = analyze_program_cached(&p, &model, &cache).expect("first");
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        let b = analyze_program_cached(&p, &model, &cache).expect("second");
-        assert_eq!(a, b);
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
-        // Cached and uncached agree.
-        assert_eq!(a, analyze_program(&p, &model).expect("uncached"));
-
-        // Changing the *leaf* re-keys the caller too (its callee bound
-        // is part of the key).
-        let mut p2 = p.clone();
-        p2.functions.get_mut("leaf").expect("leaf").blocks[0]
-            .insns
-            .push(alu());
-        let c = analyze_program_cached(&p2, &model, &cache).expect("third");
-        assert_eq!((cache.hits(), cache.misses()), (2, 4));
-        assert!(c.wcet_cycles("caller") > a.wcet_cycles("caller"));
-        assert_eq!(c, analyze_program(&p2, &model).expect("uncached"));
-    }
-
-    #[test]
-    fn analysis_cache_compares_entries_that_share_a_bucket() {
-        // Two different functions, and one function under two callee
-        // bounds, forced into one bucket: each keeps its own bound.
-        let cache = AnalysisCache::new();
-        let (f, g) = (straight_function("f", 3), straight_function("g", 3));
-        let lookup = |f: &Function, callee_bounds: Vec<u64>, fresh: u64| {
-            cache
-                .get_or_try_insert_hashed(0, f, callee_bounds, || Ok(fresh))
-                .expect("infallible")
-        };
-        assert_eq!(lookup(&f, vec![], 10), 10);
-        assert_eq!(lookup(&g, vec![], 20), 20);
-        assert_eq!(lookup(&f, vec![1], 30), 30);
-        assert_eq!((cache.hits(), cache.misses()), (0, 3));
-        // Replays return each entry's own bound, not the fresh value.
-        assert_eq!(lookup(&f, vec![], 99), 10);
-        assert_eq!(lookup(&g, vec![], 99), 20);
-        assert_eq!(lookup(&f, vec![1], 99), 30);
-        assert_eq!((cache.hits(), cache.misses()), (3, 3));
     }
 
     #[test]

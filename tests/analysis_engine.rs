@@ -15,6 +15,11 @@
 //!   irreducible CFG, the structural preset does too: both condense the
 //!   same loops in the same order, so the IPET engine has nothing to
 //!   fall back to.
+//! * **Inert counted wrappers** — on the app kernels,
+//!   `analyze_program_cached` and `analyze_program_energy_cached` equal
+//!   `analyze_program` and `analyze_program_energy`, and their
+//!   `AnalysisCache` counts every function as a miss and nothing as a
+//!   hit: it memoises nothing.
 
 #[path = "common/cfgs.rs"]
 mod cfgs;
@@ -23,13 +28,15 @@ mod kernels;
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use teamplay_compiler::{generate_program, CodegenOpts, PassManager, Pipeline};
-use teamplay_energy::{EnergyLane, IsaEnergyModel};
+use teamplay_compiler::{generate_program, AnalysisMemo, CodegenOpts, PassManager, Pipeline};
+use teamplay_energy::{
+    analyze_program_energy, analyze_program_energy_cached, EnergyLane, IsaEnergyModel,
+};
 use teamplay_isa::{
     Block, BlockId, Cond, CycleModel, Function, Insn, Operand, Program, Reg, Terminator,
 };
 use teamplay_minic::compile_to_ir;
-use teamplay_wcet::{analyze, Preset, WcetError};
+use teamplay_wcet::{analyze, analyze_program, analyze_program_cached, Preset, WcetError};
 
 type Bounds<const L: usize> = Result<BTreeMap<String, [u64; L]>, WcetError>;
 
@@ -78,19 +85,56 @@ fn compiled(src: &str, pipeline: Pipeline) -> Program {
     generate_program(&module, CodegenOpts::default()).expect("codegen succeeds")
 }
 
-#[test]
-fn lanes_are_independent_on_the_app_kernels() {
+/// The four app kernels under their tuned pipelines.
+fn app_kernels() -> Vec<(&'static str, Program)> {
     let cat = teamplay_apps::catalog();
-    for (app, src) in [
+    [
         ("camera_pill", teamplay_apps::camera_pill::SOURCE),
         ("spacewire", teamplay_apps::spacewire::SOURCE),
         ("uav", teamplay_apps::uav::DETECT_KERNEL_SOURCE),
         ("parking", teamplay_apps::parking::CONV_KERNEL_SOURCE),
-    ] {
-        let program = compiled(src, cat.get(app).expect("registered").clone());
+    ]
+    .into_iter()
+    .map(|(app, src)| {
+        (
+            app,
+            compiled(src, cat.get(app).expect("registered").clone()),
+        )
+    })
+    .collect()
+}
+
+#[test]
+fn lanes_are_independent_on_the_app_kernels() {
+    for (app, program) in app_kernels() {
         assert!(analyze(&program, [&CycleModel::pg32()], Preset::Ipet).is_ok());
         if let Some(divergence) = lane_divergence(&program) {
             panic!("{app}: {divergence}");
+        }
+    }
+}
+
+#[test]
+fn counted_wrappers_equal_the_plain_analyses_on_the_app_kernels() {
+    let cm = CycleModel::pg32();
+    let em = IsaEnergyModel::pg32_datasheet();
+    let memo = AnalysisMemo::new();
+    let mut functions = 0;
+    // Twice over: a second pass must analyse everything again.
+    for (app, program) in app_kernels().iter().chain(&app_kernels()) {
+        assert_eq!(
+            analyze_program_cached(program, &cm, &memo.wcet),
+            analyze_program(program, &cm),
+            "{app}"
+        );
+        assert_eq!(
+            analyze_program_energy_cached(program, &em, &cm, &memo.energy),
+            analyze_program_energy(program, &em, &cm),
+            "{app}"
+        );
+        functions += program.functions.len();
+        for cache in [&memo.wcet, &memo.energy] {
+            assert_eq!((cache.hits(), cache.misses()), (0, functions), "{app}");
         }
     }
 }

@@ -287,13 +287,15 @@ fn optimisation_levels_do_not_regress_wcet() {
         &cm,
     )
     .expect("analysable");
-    for (label, mut pm) in [
-        ("o1", PassManager::o1()),
-        ("o2", PassManager::o2()),
-        ("o3", PassManager::o3()),
+    for (label, pipeline) in [
+        ("o1", Pipeline::o1()),
+        ("o2", Pipeline::o2()),
+        ("o3", Pipeline::o3()),
     ] {
         let mut optimised = reference.clone();
-        pm.run(&mut optimised);
+        PassManager::new(pipeline)
+            .expect("preset pipeline is valid")
+            .run(&mut optimised);
         let wcet = analyze_program(
             &generate_program(&optimised, CodegenOpts::default()).expect("codegen"),
             &cm,
