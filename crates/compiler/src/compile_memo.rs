@@ -104,7 +104,7 @@ impl Hasher for FxHasher {
     }
 }
 
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// The structural hash of a function body (its name left out), with
 /// [`FxHasher`].

@@ -50,8 +50,9 @@
 //! 4. **[`DiskStore`]** (persistent,
 //!    content-addressed): an optional bottom tier
 //!    ([`EvalCache::with_store`]) that spills every evaluation —
-//!    including *infeasible* ones — to a directory keyed by a versioned
-//!    hash of the IR, both cost models, and the configuration. A fresh
+//!    including *infeasible* ones — to checksummed records in
+//!    append-only segment files, keyed by a versioned hash of the IR,
+//!    both cost models, and the configuration. A fresh
 //!    process (or a [`compile_many`](crate::service::compile_many)
 //!    batch) warm-starts from it and skips compilation entirely; stale
 //!    poisoning is impossible because any input change moves the key.

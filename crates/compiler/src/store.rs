@@ -1,67 +1,91 @@
 //! Persistent content-addressed evaluation store.
 //!
 //! The bottom tier of the driver's cache hierarchy (see [`crate::driver`]):
-//! a directory of JSON files keyed by a 128-bit FNV-1a hash over the
-//! *serialized content* of everything an evaluation depends on — the IR
-//! module, both cost models, the [`CompilerConfig`](crate::CompilerConfig),
-//! and [`STORE_FORMAT_VERSION`]. Because the key commits to the inputs
-//! rather than to names or paths, a store can never serve a stale result:
-//! any change to the module, the cost models, or the on-disk format lands
-//! on a different key and reads as a cold miss. Infeasible configurations
-//! are persisted too (as explicit `null` evaluations), so a warm process
-//! does not re-discover known-bad genomes.
+//! a directory of append-only segment files whose records are keyed by a
+//! 128-bit FNV-1a hash over the *serialized content* of everything an
+//! evaluation depends on — the IR module, both cost models, the
+//! [`CompilerConfig`](crate::CompilerConfig), and [`STORE_FORMAT_VERSION`].
+//! Because the key commits to the inputs rather than to names or paths, a
+//! store can never serve a stale result: any change to the module, the
+//! cost models, or the on-disk format lands on a different key and reads
+//! as a cold miss. Infeasible configurations are persisted too (as
+//! explicit `null` evaluations), so a warm process does not re-discover
+//! known-bad genomes. The design is Bitcask's (Sheehy & Smith, Basho
+//! 2010) over a segmented log as in LFS (Rosenblum & Ousterhout, SOSP
+//! 1991).
 //!
-//! # Layout: manifests over shared blobs
+//! # Layout: checksummed records in append-only segments
 //!
 //! ```text
-//! <root>/{key:032x}.json              one entry: an evaluation manifest or a leakage score
-//! <root>/functions/{hash:032x}.json   one compiled Function, compact JSON
-//! <root>/globals/{hash:032x}.json     one globals table, compact JSON
+//! <root>/{time:016x}-{pid:08x}-{n}.seg   one segment: records back to back
+//! record = checksum u64 | kind u8 | key u128 | length u32 | payload   (little-endian)
 //! ```
 //!
+//! A record is an evaluation manifest, a leakage score, a compiled
+//! function blob or a globals blob; its payload is that entry's compact
+//! JSON and its checksum a 64-bit hash of everything after the checksum.
 //! Distinct configurations mostly compile byte-identical functions (a
-//! camera-pill + SpaceWire store references 315 distinct functions
-//! 10,030 times), so an evaluation manifest holds only the
-//! [`ModuleMetrics`], the globals blob's hash and
-//! the `(function name, blob hash)` list; the program text lives in
-//! blobs named by the FNV-1a-128 of their own bytes and shared by every
-//! manifest that uses them.
+//! camera-pill + SpaceWire store references 315 distinct functions 10,030
+//! times), so an evaluation manifest holds only the [`ModuleMetrics`], the
+//! globals blob's hash and the `(function name, blob hash)` list; the
+//! program text lives in blobs keyed by the FNV-1a-128 of their own
+//! payload and shared by every manifest that uses them.
 //!
-//! # Loading: hash check and per-handle memo
+//! # Reading: an index of headers, a checksum per load
 //!
-//! Manifests and blobs are decoded straight from their JSON text by the
-//! vendored `serde` reader, which builds no intermediate tree and gives
-//! up past 128 nested containers. A manifest or blob that is not valid
-//! JSON of its type, nests too deep or fails its hash check turns the
-//! whole load into a cold miss — never into a wrong program, and never
-//! into a crash. [`DiskStore::load`] re-hashes every blob it reads from
-//! disk, and a damaged blob is removed so the recompile's write lands a
-//! good copy in its place. Each handle memoizes the blobs it has
-//! decoded, so one handle parses each distinct function once and clones
-//! it into every program that uses it. The memo is per handle: a new
-//! process or workflow run reads and checks everything from disk again.
+//! [`DiskStore::open`] reads the header of every record into an in-memory
+//! index from `(kind, key)` to each copy's segment, offset and length; it
+//! keeps no payload. A segment's scan stops at a record cut short (the
+//! torn tail a crash leaves). A load reads one record with a positioned
+//! read, checks its checksum and decodes the payload with the vendored
+//! `serde` reader, which builds no intermediate tree and gives up past 128
+//! nested containers. A copy that fails its checksum or does not decode —
+//! for a manifest, also one naming a blob the handle cannot load — is
+//! dropped from the handle's index and the next copy is tried, so a
+//! damaged record never shadows a good copy appended later. With no copy
+//! left the load is a cold miss: never a wrong program, never a crash.
+//! Each handle memoizes the blobs it has decoded, so one handle parses
+//! each distinct function once and clones it into every program that uses
+//! it.
 //!
-//! # Writing: blobs before the manifest
+//! # Writing: one segment per handle, blobs before the manifest
 //!
-//! All disk traffic is best-effort: failed writes are counted and
-//! dropped. Every file lands atomically (temp file + rename, the temp
-//! file removed on any failure). [`DiskStore::store`] writes each blob
-//! that is not already present *before* the manifest and skips the
-//! manifest when a blob write failed, so a committed manifest only names
-//! blobs that were on disk when it landed. Each handle also remembers
-//! the blobs it has written, by value, so storing a function again skips
-//! re-serializing it. The store is safe to share between concurrent
-//! handles and processes: the worst outcome of a race is a redundant
-//! compile.
+//! A handle creates its segment on its first write (a warm run that only
+//! reads creates none) under a name nothing else uses, and holds an
+//! exclusive lock on it while it lives. Each record lands with one
+//! `write_all`, so a handle opened afterwards sees every whole record.
+//! [`DiskStore::store`] appends each blob its index lacks *before* the
+//! manifest and skips the manifest when a blob append failed, so a
+//! manifest only names blobs that were in the log when it landed. Each
+//! handle also remembers the blobs it has written, by value, so storing a
+//! function again skips re-serializing it. All disk traffic is
+//! best-effort: a failed append is counted and cut back off the segment,
+//! and a segment that cannot be cut back is abandoned for a new one.
+//! Handles and processes never share a segment; the worst outcome of a
+//! race is a redundant compile and a duplicate record.
+//!
+//! # Compaction
+//!
+//! A segment is sealed once no live handle holds its lock. When `open`
+//! finds the sealed segments over their byte budget (256 MiB), or more
+//! than 64 of them (each handle keeps one descriptor per segment), it
+//! copies the first good copy of every record still wanted into a fresh
+//! file, renames that over the oldest sealed segment and deletes the
+//! others. Duplicates, damaged records and blobs no manifest names are
+//! left behind, and so, past half the budget, are the oldest manifests
+//! and scores, with the blobs only they named. A segment that a live
+//! handle holds is never touched.
 
+use crate::compile_memo::{FxHasher, FxMap};
 use crate::driver::{CachedEval, ModuleMetrics};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
-use std::fs;
-use std::hash::Hash;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fs::{self, File, OpenOptions};
+use std::hash::{Hash, Hasher};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{SystemTime, UNIX_EPOCH};
 use teamplay_isa::{Function, Program};
 
 /// Version stamp mixed into every store key. Bump when the serialized
@@ -75,8 +99,10 @@ use teamplay_isa::{Function, Program};
 /// the genome grew `gvn`/`load_fwd` genes, so cached metrics for equal
 /// keys would no longer match what the compiler now produces;
 /// 4 — evaluation entries became manifests over content-addressed
-/// function and globals blobs.
-pub const STORE_FORMAT_VERSION: u32 = 4;
+/// function and globals blobs; 5 — entries and blobs moved from a file
+/// each into checksummed records of append-only segments (payloads
+/// unchanged; directories of earlier versions are not read).
+pub const STORE_FORMAT_VERSION: u32 = 5;
 
 /// FNV-1a 128-bit offset basis.
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -121,12 +147,26 @@ struct Manifest {
 }
 
 /// A feasible evaluation: its metrics plus the blobs its program is
-/// assembled from. Hashes are 32-digit lowercase hex, as in blob names.
+/// assembled from. Hashes are 32-digit lowercase hex.
 #[derive(Serialize, Deserialize)]
 struct ManifestEval {
     metrics: ModuleMetrics,
     globals: String,
     functions: Vec<(String, String)>,
+}
+
+impl ManifestEval {
+    /// The blobs this evaluation names (hashes that are not hex name none).
+    fn blobs(&self) -> impl Iterator<Item = Slot> + '_ {
+        let globals = std::iter::once((Kind::Globals, &self.globals));
+        let functions = self
+            .functions
+            .iter()
+            .map(|(_, hash)| (Kind::Function, hash));
+        globals
+            .chain(functions)
+            .filter_map(|(kind, hash)| Some((kind, u128::from_str_radix(hash, 16).ok()?)))
+    }
 }
 
 /// On-disk entry: one memoized leakage score of the secure search.
@@ -137,17 +177,340 @@ struct StoredScore {
     score: Option<f64>,
 }
 
-/// Extension of committed files (temp files of in-flight writes end in
-/// their sequence number instead).
-const ENTRY_EXT: &str = "json";
-/// Blob subdirectory of compiled functions.
-const FUNCTION_BLOBS: &str = "functions";
-/// Blob subdirectory of globals tables.
-const GLOBALS_BLOBS: &str = "globals";
+/// Sealed-segment bytes past which `open` compacts; a compaction keeps
+/// at most half as many.
+const SEGMENT_BUDGET: u64 = 256 << 20;
+/// Sealed segments past which `open` compacts whatever their size.
+const SEALED_SEGMENTS_MAX: usize = 64;
+/// Extension of segment files.
+const SEGMENT_EXT: &str = "seg";
+/// Extension of a compaction's output until it is renamed into place.
+const COMPACTING_EXT: &str = "tmp";
 
-/// Monotonic suffix keeping concurrent in-process writers' temp files
-/// distinct (the process id distinguishes concurrent processes).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+/// What a record holds; its discriminant is the kind byte on disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Kind {
+    Manifest = 1,
+    Score = 2,
+    Function = 3,
+    Globals = 4,
+}
+
+/// A record's identity: its kind and its key (a blob's content hash).
+type Slot = (Kind, u128);
+
+/// Bytes of a record header: checksum, kind, key and payload length.
+const HEADER: usize = 8 + 1 + 16 + 4;
+
+/// `payload` framed as a record of `slot`; `None` when it is too long
+/// for the length field.
+fn record((kind, key): Slot, payload: &[u8]) -> Option<Vec<u8>> {
+    let len = u32::try_from(payload.len()).ok()?;
+    let mut bytes = Vec::with_capacity(HEADER + payload.len());
+    bytes.extend_from_slice(&[0; 8]);
+    bytes.push(kind as u8);
+    bytes.extend_from_slice(&key.to_le_bytes());
+    bytes.extend_from_slice(&len.to_le_bytes());
+    bytes.extend_from_slice(payload);
+    let sum = checksum(&bytes[8..]);
+    bytes[..8].copy_from_slice(&sum.to_le_bytes());
+    Some(bytes)
+}
+
+/// The slot and payload length a header names; `None` when its kind
+/// byte names no kind.
+fn header(head: &[u8; HEADER]) -> Option<(Slot, u32)> {
+    let kinds = [Kind::Manifest, Kind::Score, Kind::Function, Kind::Globals];
+    let kind = kinds.into_iter().find(|&kind| kind as u8 == head[8])?;
+    let key = u128::from_le_bytes(head[9..25].try_into().expect("sixteen bytes"));
+    let len = u32::from_le_bytes(head[25..].try_into().expect("four bytes"));
+    Some(((kind, key), len))
+}
+
+/// A record's checksum: the crate's word-at-a-time [`FxHasher`] over
+/// everything after the checksum field. Each step is a bijection of the
+/// 64-bit state, so damage confined to one aligned eight-byte word is
+/// always caught, and wider damage slips through with odds near 2^-64.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write(bytes);
+    hasher.finish()
+}
+
+/// Whether `record` is a whole record whose checksum holds.
+fn intact(record: &[u8]) -> bool {
+    record.len() >= HEADER && checksum(&record[8..]).to_le_bytes() == record[..8]
+}
+
+/// Where one copy of a record lies: an index into its log's segment
+/// files, its offset and its length, header included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Loc {
+    segment: usize,
+    offset: u64,
+    len: u64,
+}
+
+/// Segment files and the index of the records in them.
+#[derive(Debug, Default)]
+struct Log {
+    files: Vec<File>,
+    /// Every known copy of each record, in scan and append order.
+    index: HashMap<Slot, Vec<Loc>>,
+    /// This handle's own segment (an index into `files`) and the end of
+    /// its last whole record.
+    writer: Option<(usize, u64)>,
+    /// Records found cut short at a segment's end.
+    torn: u64,
+}
+
+impl Log {
+    /// The log of every segment under `root`.
+    fn scan(root: &Path) -> Log {
+        let mut log = Log::default();
+        for path in segment_paths(root) {
+            // A compaction may have deleted it since the listing.
+            if let Ok(file) = File::open(&path) {
+                log.add(file);
+            }
+        }
+        log
+    }
+
+    /// Index the records of `file` up to the first one cut short; keep
+    /// the file when it holds any.
+    fn add(&mut self, file: File) {
+        let segment = self.files.len();
+        let end = file.metadata().map_or(0, |m| m.len());
+        let mut reader = BufReader::with_capacity(1 << 16, &file);
+        let mut offset = 0;
+        while offset < end {
+            let mut head = [0; HEADER];
+            let whole = reader
+                .read_exact(&mut head)
+                .ok()
+                .and_then(|()| header(&head))
+                .filter(|&(_, len)| HEADER as u64 + u64::from(len) <= end - offset);
+            let Some((slot, len)) = whole else {
+                self.torn += 1;
+                break;
+            };
+            if reader.seek_relative(i64::from(len)).is_err() {
+                break;
+            }
+            let len = HEADER as u64 + u64::from(len);
+            let copy = Loc {
+                segment,
+                offset,
+                len,
+            };
+            self.index.entry(slot).or_default().push(copy);
+            offset += len;
+        }
+        if offset > 0 {
+            self.files.push(file);
+        }
+    }
+
+    /// The copy at `loc` when it reads whole and its checksum holds.
+    fn read(&self, loc: &Loc) -> Option<Vec<u8>> {
+        let mut file = &self.files[loc.segment];
+        let mut record = vec![0; usize::try_from(loc.len).ok()?];
+        file.seek(SeekFrom::Start(loc.offset)).ok()?;
+        file.read_exact(&mut record).ok()?;
+        intact(&record).then_some(record)
+    }
+
+    /// The first copy of `slot` that reads whole and passes its checksum.
+    fn first_good(&self, slot: &Slot) -> Option<Vec<u8>> {
+        self.index.get(slot)?.iter().find_map(|loc| self.read(loc))
+    }
+
+    /// Append `record` under `slot` to this handle's segment, created
+    /// under `root` on first use, through `write`. A failed write is cut
+    /// back off the segment; a segment that cannot be cut back is
+    /// abandoned, so the next append starts a new one.
+    fn append(
+        &mut self,
+        root: &Path,
+        slot: Slot,
+        record: &[u8],
+        write: impl FnOnce(&File, &[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let (segment, end) = match self.writer {
+            Some(writer) => writer,
+            None => {
+                self.files.push(new_segment(root)?);
+                (self.files.len() - 1, 0)
+            }
+        };
+        let file = &self.files[segment];
+        if let Err(e) = write(file, record) {
+            self.writer = file.set_len(end).is_ok().then_some((segment, end));
+            return Err(e);
+        }
+        let len = record.len() as u64;
+        self.writer = Some((segment, end + len));
+        let copy = Loc {
+            segment,
+            offset: end,
+            len,
+        };
+        self.index.entry(slot).or_default().push(copy);
+        Ok(())
+    }
+}
+
+/// The segment files under `root`, oldest name first.
+fn segment_paths(root: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(root)
+        .into_iter()
+        .flatten()
+        .filter_map(|entry| Some(entry.ok()?.path()))
+        .filter(|path| path.extension().and_then(|x| x.to_str()) == Some(SEGMENT_EXT))
+        .collect();
+    paths.sort();
+    paths
+}
+
+/// Create a file under `root` with extension `ext` and a name nothing
+/// else uses (creation time, process id and a collision count), open to
+/// read and append.
+fn fresh_file(root: &Path, ext: &str) -> io::Result<(PathBuf, File)> {
+    let time = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |t| u64::try_from(t.as_nanos()).unwrap_or(u64::MAX));
+    let mut attempt = 0u32;
+    loop {
+        let name = format!("{time:016x}-{:08x}-{attempt}.{ext}", std::process::id());
+        let path = root.join(name);
+        match OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create_new(true)
+            .open(&path)
+        {
+            Ok(file) => return Ok((path, file)),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => attempt += 1,
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// A new segment, locked for the handle's lifetime. A compaction
+/// skips empty segments, so it never takes one between its creation and
+/// this lock.
+fn new_segment(root: &Path) -> io::Result<File> {
+    let (_, file) = fresh_file(root, SEGMENT_EXT)?;
+    file.lock()?;
+    Ok(file)
+}
+
+/// Compact the sealed segments under `root` when they hold more than
+/// `budget` bytes or number more than `SEALED_SEGMENTS_MAX` (see the
+/// module docs). Returns whether it compacted.
+fn compact(root: &Path, budget: u64) -> io::Result<bool> {
+    // Every sealed segment stays locked until the compaction ends, so no
+    // other compaction takes it; a segment a live handle holds fails
+    // `try_lock` and is left alone.
+    let mut sealed = Vec::new();
+    for path in segment_paths(root) {
+        let Ok(file) = File::open(&path) else {
+            continue;
+        };
+        let len = file.metadata()?.len();
+        if len > 0 && file.try_lock().is_ok() {
+            sealed.push((path, file, len));
+        }
+    }
+    let bytes: u64 = sealed.iter().map(|&(_, _, len)| len).sum();
+    if bytes <= budget && sealed.len() <= SEALED_SEGMENTS_MAX {
+        return Ok(false);
+    }
+    let mut log = Log::default();
+    let mut paths = Vec::new();
+    for (path, file, _) in sealed {
+        log.add(file);
+        paths.push(path);
+    }
+
+    // Entries newest first, each with the blobs it names that are not
+    // kept yet, while they fit in half the budget.
+    let mut order: Vec<(Loc, Slot)> = log
+        .index
+        .iter()
+        .map(|(slot, copies)| (copies[0], *slot))
+        .collect();
+    order.sort_by_key(|(loc, _)| (loc.segment, loc.offset));
+    let mut kept = HashSet::new();
+    let mut room = budget / 2;
+    for (loc, slot) in order.iter().rev() {
+        let named: Vec<Slot> = match slot.0 {
+            Kind::Function | Kind::Globals => continue,
+            Kind::Score => Vec::new(),
+            Kind::Manifest => {
+                let manifest = log
+                    .first_good(slot)
+                    .and_then(|record| parse::<Manifest>(&record[HEADER..]));
+                let Some(manifest) = manifest else {
+                    continue;
+                };
+                manifest.eval.iter().flat_map(ManifestEval::blobs).collect()
+            }
+        };
+        let blobs: HashSet<Slot> = named
+            .into_iter()
+            .filter(|blob| log.index.contains_key(blob) && !kept.contains(blob))
+            .collect();
+        let cost = loc.len + blobs.iter().map(|blob| log.index[blob][0].len).sum::<u64>();
+        if cost > room {
+            break;
+        }
+        room -= cost;
+        kept.insert(*slot);
+        kept.extend(blobs);
+    }
+
+    // The output replaces the oldest sealed segment; with nothing kept
+    // there is no output, and every sealed segment goes.
+    let mut stale = &paths[..];
+    if !kept.is_empty() {
+        let (tmp, out) = fresh_file(root, COMPACTING_EXT)?;
+        let landed =
+            write_kept(&log, &order, &kept, &out).and_then(|()| fs::rename(&tmp, &paths[0]));
+        if let Err(e) = landed {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
+        stale = &paths[1..];
+    }
+    for path in stale {
+        let _ = fs::remove_file(path);
+    }
+    // Make the rename and the deletions durable.
+    if let Ok(dir) = File::open(root) {
+        let _ = dir.sync_all();
+    }
+    Ok(true)
+}
+
+/// Write the first good copy of every `kept` record, in log order, to
+/// `out`, and sync it.
+fn write_kept(
+    log: &Log,
+    order: &[(Loc, Slot)],
+    kept: &HashSet<Slot>,
+    out: &File,
+) -> io::Result<()> {
+    let mut writer = BufWriter::new(out);
+    for (_, slot) in order.iter().filter(|(_, slot)| kept.contains(slot)) {
+        if let Some(record) = log.first_good(slot) {
+            writer.write_all(&record)?;
+        }
+    }
+    writer.flush()?;
+    out.sync_all()
+}
 
 /// Traffic counters of one [`DiskStore`] handle (see
 /// [`DiskStore::stats`]). Loads count evaluation and score probes alike.
@@ -158,79 +521,101 @@ pub struct StoreStats {
     /// Probes answered from disk (feasible, infeasible or a score).
     pub hits: u64,
     /// Probes that found an entry but missed because it, or a blob it
-    /// names, was unreadable, corrupt, hash-mismatched or missing.
+    /// names, failed its checksum, did not decode or was missing.
     /// Absent entries are `loads - hits - corrupt_misses`.
     pub corrupt_misses: u64,
-    /// Bytes read from manifests and blobs.
+    /// Record bytes (headers included) read from segments.
     pub bytes_read: u64,
-    /// Bytes committed to manifests and blobs.
+    /// Record bytes (headers included) appended to segments.
     pub bytes_written: u64,
-    /// Blobs read, hash-checked and parsed from disk.
+    /// Blob records read, checked and parsed.
     pub blobs_decoded: u64,
     /// Blob references served from the handle's decoded-blob memo.
     pub blob_memo_hits: u64,
-    /// Manifest or blob writes that failed (and left nothing behind).
+    /// Appends that failed (and were cut back off their segment).
     pub write_failures: u64,
+    /// Records found cut short at a segment's end when the handle
+    /// opened, or failing their checksum when read.
+    pub torn_records: u64,
+    /// Compactions the handle ran when it opened (0 or 1).
+    pub compactions: u64,
 }
 
 /// What a store occupies on disk (a diagnostic directory scan).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreFootprint {
-    /// Committed evaluation and score manifests.
+    /// Evaluation and score entries with a whole record.
     pub entries: usize,
-    /// Committed function and globals blobs.
+    /// Function and globals blobs with a whole record.
     pub blobs: usize,
-    /// Bytes of all committed manifests and blobs.
+    /// Segment files.
+    pub segments: usize,
+    /// Bytes of all segment files.
     pub bytes: u64,
 }
 
-/// One kind of blob: its subdirectory and this handle's memos of it.
+/// One kind of blob: its record kind and this handle's memos of it.
 #[derive(Debug)]
 struct Blobs<T> {
-    dir: &'static str,
+    kind: Kind,
     /// Blobs decoded from disk, by content hash.
     decoded: Mutex<HashMap<u128, Arc<T>>>,
-    /// Blobs committed or found present, by value: storing a repeat
+    /// Blobs appended or found in the index, by value: storing a repeat
     /// skips serializing it, the dominant cost of a write.
-    written: Mutex<HashMap<T, u128>>,
+    written: Mutex<FxMap<T, u128>>,
 }
 
 impl<T> Blobs<T> {
-    fn new(dir: &'static str) -> Blobs<T> {
+    fn new(kind: Kind) -> Blobs<T> {
         Blobs {
-            dir,
+            kind,
             decoded: Mutex::new(HashMap::new()),
-            written: Mutex::new(HashMap::new()),
+            written: Mutex::new(FxMap::default()),
         }
     }
 }
 
-/// A content-addressed directory of evaluation results shared across
+/// A content-addressed log of evaluation results shared across
 /// processes. See the module docs for the layout, keying and corruption
 /// semantics.
 #[derive(Debug)]
 pub struct DiskStore {
     root: PathBuf,
+    log: Mutex<Log>,
     functions: Blobs<Function>,
     globals: Blobs<Globals>,
     stats: Mutex<StoreStats>,
 }
 
 impl DiskStore {
-    /// Open (creating if needed) a store rooted at `path`.
+    /// Open (creating if needed) a store rooted at `path`, compacting
+    /// its sealed segments first when they are over budget.
     ///
     /// # Errors
-    /// Propagates the I/O error when a directory cannot be created.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<DiskStore> {
+    /// Propagates the I/O error when the directory cannot be created.
+    pub fn open(path: impl AsRef<Path>) -> io::Result<DiskStore> {
+        DiskStore::with_budget(path, SEGMENT_BUDGET)
+    }
+
+    /// [`DiskStore::open`] with a compaction budget of `budget` bytes.
+    pub(crate) fn with_budget(path: impl AsRef<Path>, budget: u64) -> io::Result<DiskStore> {
         let root = path.as_ref().to_path_buf();
-        for dir in [FUNCTION_BLOBS, GLOBALS_BLOBS] {
-            fs::create_dir_all(root.join(dir))?;
-        }
+        fs::create_dir_all(&root)?;
+        // Best effort, like every write: a failed compaction removes its
+        // own output and leaves the segments as they were.
+        let compacted = compact(&root, budget).unwrap_or(false);
+        let log = Log::scan(&root);
+        let stats = StoreStats {
+            torn_records: log.torn,
+            compactions: u64::from(compacted),
+            ..StoreStats::default()
+        };
         Ok(DiskStore {
             root,
-            functions: Blobs::new(FUNCTION_BLOBS),
-            globals: Blobs::new(GLOBALS_BLOBS),
-            stats: Mutex::new(StoreStats::default()),
+            log: Mutex::new(log),
+            functions: Blobs::new(Kind::Function),
+            globals: Blobs::new(Kind::Globals),
+            stats: Mutex::new(stats),
         })
     }
 
@@ -239,24 +624,29 @@ impl DiskStore {
         &self.root
     }
 
-    /// Number of committed evaluation and score entries (a diagnostic,
+    /// Number of evaluation and score entries on disk (a diagnostic,
     /// not a fast path; blobs are not entries).
     pub fn entries(&self) -> usize {
-        committed(&self.root).count()
+        self.footprint().entries
     }
 
-    /// Entries, blobs and bytes on disk (a diagnostic directory scan).
+    /// Entries, blobs, segments and bytes on disk (a diagnostic rescan
+    /// of every segment's headers).
     pub fn footprint(&self) -> StoreFootprint {
-        let size = |e: &fs::DirEntry| e.metadata().map_or(0, |m| m.len());
         let mut footprint = StoreFootprint::default();
-        for e in committed(&self.root) {
-            footprint.entries += 1;
-            footprint.bytes += size(&e);
+        let mut log = Log::default();
+        for path in segment_paths(&self.root) {
+            let Ok(file) = File::open(&path) else {
+                continue;
+            };
+            footprint.segments += 1;
+            footprint.bytes += file.metadata().map_or(0, |m| m.len());
+            log.add(file);
         }
-        for dir in [FUNCTION_BLOBS, GLOBALS_BLOBS] {
-            for e in committed(&self.root.join(dir)) {
-                footprint.blobs += 1;
-                footprint.bytes += size(&e);
+        for (kind, _) in log.index.keys() {
+            match kind {
+                Kind::Manifest | Kind::Score => footprint.entries += 1,
+                Kind::Function | Kind::Globals => footprint.blobs += 1,
             }
         }
         footprint
@@ -271,32 +661,24 @@ impl DiskStore {
         update(&mut self.stats.lock().expect("store stats lock"));
     }
 
-    fn entry_path(&self, key: u128) -> PathBuf {
-        self.root.join(format!("{key:032x}.{ENTRY_EXT}"))
-    }
-
-    fn blob_path(&self, dir: &str, hash: u128) -> PathBuf {
-        self.root.join(dir).join(format!("{hash:032x}.{ENTRY_EXT}"))
-    }
-
-    /// Load the entry for `key`. Outer `None` means absent (or
-    /// unreadable/corrupt, or naming a missing or damaged blob — all
-    /// behave as a cold miss); inner `None` is a *recorded* infeasible
-    /// configuration.
+    /// Load the entry for `key`. Outer `None` means absent (or damaged,
+    /// or naming a missing or damaged blob — all behave as a cold miss);
+    /// inner `None` is a *recorded* infeasible configuration.
     pub fn load(&self, key: u128) -> Option<Option<CachedEval>> {
         self.bump(|s| s.loads += 1);
-        let bytes = self.read(&self.entry_path(key))?;
-        let loaded = parse::<Manifest>(&bytes).and_then(|manifest| match manifest.eval {
-            None => Some(None),
-            Some(eval) => self.assemble(eval).map(Some),
-        });
+        let loaded = self.read((Kind::Manifest, key), |payload| {
+            parse::<Manifest>(payload).and_then(|manifest| match manifest.eval {
+                None => Some(None),
+                Some(eval) => self.assemble(eval).map(Some),
+            })
+        })?;
         self.tally(loaded.is_some());
         loaded
     }
 
     /// Persist the entry for `key` (best effort: write failures are
     /// counted and dropped, leaving the slot cold). Blobs land before
-    /// the manifest, and a failed blob write skips the manifest.
+    /// the manifest, and a failed blob append skips the manifest.
     pub fn store(&self, key: u128, eval: &Option<CachedEval>) {
         let eval = match eval {
             None => None,
@@ -319,28 +701,27 @@ impl DiskStore {
             }
         };
         if let Ok(text) = serde_json::to_string(&Manifest { eval }) {
-            self.commit(&self.entry_path(key), &text);
+            self.append((Kind::Manifest, key), text.as_bytes());
         }
     }
 
     /// Load the leakage-score entry for `key`. Outer `None` means
-    /// absent/corrupt (a cold miss); inner `None` is a *recorded*
+    /// absent/damaged (a cold miss); inner `None` is a *recorded*
     /// measurement failure.
     pub fn load_score(&self, key: u128) -> Option<Option<f64>> {
         self.bump(|s| s.loads += 1);
-        let bytes = self.read(&self.entry_path(key))?;
-        let loaded = parse::<StoredScore>(&bytes).map(|stored| stored.score);
+        let loaded = self.read((Kind::Score, key), |payload| {
+            parse::<StoredScore>(payload).map(|stored| stored.score)
+        })?;
         self.tally(loaded.is_some());
         loaded
     }
 
-    /// Persist a leakage score under `key` (best effort, atomic — same
-    /// semantics as [`DiskStore::store`]). Score keys must chain in a
-    /// discriminator distinct from evaluation keys so the two entry
-    /// kinds can never collide on one slot.
+    /// Persist a leakage score under `key` (best effort — same
+    /// semantics as [`DiskStore::store`]).
     pub fn store_score(&self, key: u128, score: &Option<f64>) {
         if let Ok(text) = serde_json::to_string(&StoredScore { score: *score }) {
-            self.commit(&self.entry_path(key), &text);
+            self.append((Kind::Score, key), text.as_bytes());
         }
     }
 
@@ -356,10 +737,35 @@ impl DiskStore {
         });
     }
 
-    fn read(&self, path: &Path) -> Option<Vec<u8>> {
-        let bytes = fs::read(path).ok()?;
-        self.bump(|s| s.bytes_read += bytes.len() as u64);
-        Some(bytes)
+    /// The first copy of `slot` that reads whole, passes its checksum
+    /// and `decode`s. A copy that fails is dropped from the index. Outer
+    /// `None`: no copy; inner `None`: every copy failed.
+    fn read<T>(&self, slot: Slot, decode: impl Fn(&[u8]) -> Option<T>) -> Option<Option<T>> {
+        loop {
+            let (loc, record) = {
+                let log = self.log.lock().expect("store log lock");
+                let loc = *log.index.get(&slot)?.first()?;
+                (loc, log.read(&loc))
+            };
+            match record {
+                Some(record) => {
+                    self.bump(|s| s.bytes_read += loc.len);
+                    if let Some(value) = decode(&record[HEADER..]) {
+                        return Some(Some(value));
+                    }
+                }
+                None => self.bump(|s| s.torn_records += 1),
+            }
+            let mut log = self.log.lock().expect("store log lock");
+            let Some(copies) = log.index.get_mut(&slot) else {
+                return Some(None);
+            };
+            copies.retain(|copy| *copy != loc);
+            if copies.is_empty() {
+                log.index.remove(&slot);
+                return Some(None);
+            }
+        }
     }
 
     /// Rebuild a manifest's program from its blobs; `None` when any blob
@@ -378,29 +784,15 @@ impl DiskStore {
     }
 
     /// The blob named `hash`, from the handle's memo or else read from
-    /// disk, checked against its name and parsed.
+    /// its segment, checked and parsed.
     fn blob<T: Deserialize>(&self, blobs: &Blobs<T>, hash: &str) -> Option<Arc<T>> {
         let hash = u128::from_str_radix(hash, 16).ok()?;
         if let Some(found) = blobs.decoded.lock().expect("blob memo lock").get(&hash) {
             self.bump(|s| s.blob_memo_hits += 1);
             return Some(Arc::clone(found));
         }
-        let path = self.blob_path(blobs.dir, hash);
-        let bytes = self.read(&path)?;
-        let decoded = if fnv1a128(fnv_offset(), &bytes) == hash {
-            parse::<T>(&bytes)
-        } else {
-            None
-        };
-        let Some(value) = decoded else {
-            // `store` skips blobs that exist, so a damaged one would keep
-            // every manifest naming it cold for good: drop it and let the
-            // recompile's write replace it.
-            let _ = fs::remove_file(&path);
-            return None;
-        };
+        let value = Arc::new(self.read((blobs.kind, hash), parse::<T>)??);
         self.bump(|s| s.blobs_decoded += 1);
-        let value = Arc::new(value);
         blobs
             .decoded
             .lock()
@@ -409,27 +801,31 @@ impl DiskStore {
         Some(value)
     }
 
-    /// Commit `value`'s compact JSON as a blob unless one of that content
-    /// already exists. Returns the blob's hash name, or `None` when the
-    /// write failed.
+    /// Append `value`'s compact JSON as a blob unless the index holds
+    /// one of that content. Returns the blob's hash name, or `None` when
+    /// the append failed.
     fn put_blob<T: Serialize + Hash + Eq + Clone>(
         &self,
         blobs: &Blobs<T>,
         value: &T,
     ) -> Option<String> {
+        let held = |hash: u128| {
+            let log = self.log.lock().expect("store log lock");
+            log.index.contains_key(&(blobs.kind, hash))
+        };
         let known = blobs
             .written
             .lock()
             .expect("blob memo lock")
             .get(value)
             .copied();
-        if let Some(hash) = known.filter(|&hash| self.blob_path(blobs.dir, hash).exists()) {
+        // A blob written before leaves the index when a load finds it damaged.
+        if let Some(hash) = known.filter(|&hash| held(hash)) {
             return Some(format!("{hash:032x}"));
         }
         let text = serde_json::to_string(value).ok()?;
         let hash = fnv1a128(fnv_offset(), text.as_bytes());
-        let path = self.blob_path(blobs.dir, hash);
-        if !path.exists() && !self.commit(&path, &text) {
+        if !held(hash) && !self.append((blobs.kind, hash), text.as_bytes()) {
             return None;
         }
         blobs
@@ -440,29 +836,28 @@ impl DiskStore {
         Some(format!("{hash:032x}"))
     }
 
-    /// Land `text` at `path` atomically via a uniquely named temp file
-    /// beside it, so concurrent readers never observe a half-written
-    /// file. Returns whether it landed.
-    fn commit(&self, path: &Path, text: &str) -> bool {
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        self.commit_via(&tmp, path, text)
+    /// Append a record to this handle's segment. Returns whether it
+    /// landed.
+    fn append(&self, slot: Slot, payload: &[u8]) -> bool {
+        self.append_via(slot, payload, |mut file, bytes| file.write_all(bytes))
     }
 
-    /// [`DiskStore::commit`] through a given temp path. On any failure —
-    /// a failed or partial write (a full disk) as much as a failed
-    /// rename — the temp file is removed and the failure counted.
-    fn commit_via(&self, tmp: &Path, path: &Path, text: &str) -> bool {
-        let landed = fs::write(tmp, text).is_ok() && fs::rename(tmp, path).is_ok();
-        if landed {
-            self.bump(|s| s.bytes_written += text.len() as u64);
-        } else {
-            let _ = fs::remove_file(tmp);
-            self.bump(|s| s.write_failures += 1);
-        }
+    /// [`DiskStore::append`] through a given write of the framed record.
+    fn append_via(
+        &self,
+        slot: Slot,
+        payload: &[u8],
+        write: impl FnOnce(&File, &[u8]) -> io::Result<()>,
+    ) -> bool {
+        let framed = record(slot, payload);
+        let landed = framed.as_ref().is_some_and(|bytes| {
+            let mut log = self.log.lock().expect("store log lock");
+            log.append(&self.root, slot, bytes, write).is_ok()
+        });
+        self.bump(|s| match &framed {
+            Some(bytes) if landed => s.bytes_written += bytes.len() as u64,
+            _ => s.write_failures += 1,
+        });
         landed
     }
 }
@@ -472,20 +867,10 @@ fn parse<T: Deserialize>(bytes: &[u8]) -> Option<T> {
     serde_json::from_str(std::str::from_utf8(bytes).ok()?).ok()
 }
 
-/// The committed files (not temp files or subdirectories) in `dir`.
-fn committed(dir: &Path) -> impl Iterator<Item = fs::DirEntry> {
-    fs::read_dir(dir)
-        .into_iter()
-        .flatten()
-        .filter_map(Result::ok)
-        .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some(ENTRY_EXT))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{pareto_search, EvalCache, FpaConfig, ParetoFront, SearchRequest};
-    use std::collections::HashSet;
     use teamplay_energy::IsaEnergyModel;
     use teamplay_isa::CycleModel;
     use teamplay_minic::compile_to_ir;
@@ -511,9 +896,9 @@ mod tests {
         DiskStore::open(&dir).expect("create store dir")
     }
 
-    /// One single-thread search of `TASK` over `store`.
-    fn search(store: &DiskStore) -> ParetoFront {
-        let ir = compile_to_ir(TASK).expect("front-end");
+    /// One single-thread search of `source`'s `filter` over `store`.
+    fn search_source(store: &DiskStore, source: &str) -> ParetoFront {
+        let ir = compile_to_ir(source).expect("front-end");
         let (cm, em) = (CycleModel::pg32(), IsaEnergyModel::pg32_datasheet());
         pareto_search(
             &minipool::Pool::new(1),
@@ -522,23 +907,85 @@ mod tests {
         )
     }
 
+    /// One single-thread search of `TASK` over `store`.
+    fn search(store: &DiskStore) -> ParetoFront {
+        search_source(store, TASK)
+    }
+
     fn front_bytes(front: &ParetoFront) -> String {
         serde_json::to_string(&front.variants).expect("front serializes")
     }
 
-    /// Every committed manifest with its key, in key order.
-    fn manifests(store: &DiskStore) -> Vec<(u128, Manifest)> {
-        let mut all: Vec<(u128, Manifest)> = committed(store.path())
-            .map(|e| {
-                let path = e.path();
-                let stem = path.file_stem().and_then(|s| s.to_str()).expect("stem");
-                let key = u128::from_str_radix(stem, 16).expect("hex key");
-                let text = fs::read_to_string(&path).expect("manifest reads");
-                (key, serde_json::from_str(&text).expect("manifest parses"))
-            })
-            .collect();
-        all.sort_by_key(|(key, _)| *key);
+    /// One record on disk, found by walking its segment.
+    struct Rec {
+        path: PathBuf,
+        offset: u64,
+        slot: Slot,
+        payload: Vec<u8>,
+        /// Whether its checksum holds.
+        intact: bool,
+    }
+
+    /// Every whole record under `dir`, in segment-name and offset order.
+    fn records(dir: &Path) -> Vec<Rec> {
+        let mut all = Vec::new();
+        for path in segment_paths(dir) {
+            let bytes = fs::read(&path).expect("segment reads");
+            let mut at = 0;
+            while let Some(head) = bytes.get(at..at + HEADER) {
+                let (slot, len) = header(head.try_into().expect("a header")).expect("a kind");
+                let end = at + HEADER + len as usize;
+                all.push(Rec {
+                    path: path.clone(),
+                    offset: at as u64,
+                    slot,
+                    payload: bytes[at + HEADER..end].to_vec(),
+                    intact: intact(&bytes[at..end]),
+                });
+                at = end;
+            }
+            assert_eq!(at, bytes.len(), "{path:?} ends in a torn record");
+        }
         all
+    }
+
+    /// Every intact manifest record with its key, in log order.
+    fn manifests(dir: &Path) -> Vec<(u128, Manifest)> {
+        records(dir)
+            .into_iter()
+            .filter(|rec| rec.intact && rec.slot.0 == Kind::Manifest)
+            .map(|rec| (rec.slot.1, parse(&rec.payload).expect("manifest parses")))
+            .collect()
+    }
+
+    /// Overwrite the bytes at `offset` of `path`.
+    fn patch(path: &Path, offset: u64, bytes: &[u8]) {
+        let mut file = OpenOptions::new()
+            .write(true)
+            .open(path)
+            .expect("segment opens");
+        file.seek(SeekFrom::Start(offset)).expect("seek");
+        file.write_all(bytes).expect("patch");
+    }
+
+    /// Replace `rec` in place by a same-sized record of `slot` whose
+    /// checksum holds.
+    fn rewrite(rec: &Rec, slot: Slot, payload: &[u8]) {
+        assert_eq!(payload.len(), rec.payload.len(), "same size");
+        patch(
+            &rec.path,
+            rec.offset,
+            &record(slot, payload).expect("frames"),
+        );
+    }
+
+    /// Files under `dir` that are not segments.
+    fn strays(dir: &Path) -> Vec<PathBuf> {
+        let all = fs::read_dir(dir)
+            .expect("store dir")
+            .map(|e| e.expect("entry").path());
+        all.filter(|path| path.extension().and_then(|x| x.to_str()) != Some(SEGMENT_EXT))
+            .collect()
     }
 
     #[test]
@@ -550,10 +997,24 @@ mod tests {
     }
 
     #[test]
+    fn every_single_byte_change_fails_the_checksum() {
+        let framed = record((Kind::Score, 0x1234), br#"{"score":0.5}"#).expect("frames");
+        assert!(intact(&framed));
+        for at in 0..framed.len() {
+            for bit in 0..8 {
+                let mut damaged = framed.clone();
+                damaged[at] ^= 1 << bit;
+                assert!(!intact(&damaged), "flip of bit {bit} of byte {at} passed");
+            }
+        }
+        assert!(!intact(&framed[..framed.len() - 1]));
+    }
+
+    #[test]
     fn missing_and_corrupt_entries_are_misses() {
         let store = temp_store("corrupt");
         assert!(store.load(42).is_none());
-        fs::write(store.entry_path(42), "{not json").expect("write corrupt entry");
+        assert!(store.append((Kind::Manifest, 42), b"{not json"));
         assert!(store.load(42).is_none());
         let stats = store.stats();
         assert_eq!((stats.loads, stats.hits, stats.corrupt_misses), (2, 0, 1));
@@ -587,39 +1048,59 @@ mod tests {
         let dir = temp_store("damaged").path().to_path_buf();
         let cold = front_bytes(&search(&DiskStore::open(&dir).expect("store opens")));
         let unknown = "f".repeat(32);
-        type Damage = fn(manifest: &Path, blob: &Path, hash: &str);
-        let damages: [(&str, Damage); 4] = [
-            ("truncated blob", |_, blob, _| {
-                let text = fs::read_to_string(blob).expect("blob reads");
-                fs::write(blob, &text[..text.len() / 2]).expect("truncate");
+        // Each damage applies to every intact copy of its target: the
+        // manifest of a feasible entry, or the first function blob it
+        // names.
+        type Damage = fn(rec: &Rec, hash: &str);
+        let damages: [(&str, Kind, Damage); 4] = [
+            ("blob cut in half", Kind::Function, |rec, _| {
+                let half = rec.payload.len() / 2;
+                patch(
+                    &rec.path,
+                    rec.offset + (HEADER + half) as u64,
+                    &vec![0; half],
+                );
             }),
-            ("deleted blob", |_, blob, _| {
-                fs::remove_file(blob).expect("delete");
+            ("blob filed under another hash", Kind::Function, |rec, _| {
+                let (kind, hash) = rec.slot;
+                rewrite(rec, (kind, hash ^ 1), &rec.payload);
             }),
-            ("blob no longer matching its hash", |_, blob, _| {
-                // Still valid JSON, so only the hash check can catch it.
-                let text = fs::read_to_string(blob).expect("blob reads");
-                let at = text.find(|c: char| c.is_ascii_digit()).expect("a digit");
-                let digit = if &text[at..=at] == "1" { "2" } else { "1" };
-                fs::write(blob, format!("{}{digit}{}", &text[..at], &text[at + 1..]))
-                    .expect("rewrite");
+            ("blob edited in place", Kind::Function, |rec, _| {
+                // Still valid JSON, so only the checksum can catch it.
+                let at = rec
+                    .payload
+                    .iter()
+                    .position(u8::is_ascii_digit)
+                    .expect("a digit");
+                let digit = if rec.payload[at] == b'1' { b'2' } else { b'1' };
+                patch(&rec.path, rec.offset + (HEADER + at) as u64, &[digit]);
             }),
-            ("manifest naming an unknown hash", |manifest, _, hash| {
-                let text = fs::read_to_string(manifest).expect("manifest reads");
-                fs::write(manifest, text.replace(hash, &"f".repeat(32))).expect("rewrite");
-            }),
+            (
+                "manifest naming an unknown hash",
+                Kind::Manifest,
+                |rec, hash| {
+                    let text = std::str::from_utf8(&rec.payload).expect("utf-8");
+                    let renamed = text.replace(hash, &"f".repeat(32));
+                    rewrite(rec, rec.slot, renamed.as_bytes());
+                },
+            ),
         ];
-        for (what, damage) in damages {
+        for (what, target, damage) in damages {
             let store = DiskStore::open(&dir).expect("store opens");
-            let (key, eval) = manifests(&store)
+            let (key, eval) = manifests(&dir)
                 .into_iter()
                 .find_map(|(key, m)| m.eval.map(|eval| (key, eval)))
                 .expect("a feasible entry");
             let (_, hash) = &eval.functions[0];
             assert_ne!(hash, &unknown);
             let original = serde_json::to_string(&store.load(key)).expect("serializes");
-            let blob = dir.join(FUNCTION_BLOBS).join(format!("{hash}.{ENTRY_EXT}"));
-            damage(&store.entry_path(key), &blob, hash);
+            let slot = match target {
+                Kind::Function => (target, u128::from_str_radix(hash, 16).expect("hex")),
+                _ => (target, key),
+            };
+            for rec in records(&dir).iter().filter(|r| r.intact && r.slot == slot) {
+                damage(rec, hash);
+            }
 
             let fresh = DiskStore::open(&dir).expect("store opens");
             assert!(fresh.load(key).is_none(), "{what} must load as a miss");
@@ -631,12 +1112,16 @@ mod tests {
             let repaired = search(&repair);
             assert!(repaired.stats.disk_misses > 0, "{what}: nothing recompiled");
             assert_eq!(front_bytes(&repaired), cold, "{what}: repaired front");
+            // The damaged copy shadows the rewritten one neither for the
+            // handle that rewrote it nor for one opened afterwards.
             let reloaded = DiskStore::open(&dir).expect("store opens").load(key);
-            assert_eq!(
-                serde_json::to_string(&reloaded).expect("serializes"),
-                original,
-                "{what}: rewritten entry"
-            );
+            for entry in [repair.load(key), reloaded] {
+                assert_eq!(
+                    serde_json::to_string(&entry).expect("serializes"),
+                    original,
+                    "{what}: rewritten entry"
+                );
+            }
             // ... after which a fresh handle is served entirely from disk.
             let warm = search(&DiskStore::open(&dir).expect("store opens"));
             assert_eq!(warm.stats.disk_misses, 0, "{what}: warm rerun compiled");
@@ -654,24 +1139,27 @@ mod tests {
         let written = store.stats();
         assert_eq!(written.write_failures, 0);
         // Single-threaded, each manifest and each distinct blob is
-        // committed exactly once.
+        // appended exactly once, to one segment.
         assert_eq!(written.bytes_written, footprint.bytes);
         assert_eq!(footprint.entries, cold.stats.cache_misses);
+        assert_eq!(footprint.segments, 1);
 
         let warm_store = DiskStore::open(store.path()).expect("store reopens");
         let warm = search(&warm_store);
         assert_eq!(warm.stats.disk_misses, 0);
         assert_eq!(front_bytes(&warm), front_bytes(&cold));
+        assert_eq!(
+            warm_store.footprint().segments,
+            1,
+            "a warm run writes nothing"
+        );
 
         let mut references = 0;
         let mut distinct = HashSet::new();
-        for (_, manifest) in manifests(&store) {
+        for (_, manifest) in manifests(store.path()) {
             let Some(eval) = manifest.eval else { continue };
             references += 1 + eval.functions.len();
-            distinct.insert((GLOBALS_BLOBS, eval.globals));
-            for (_, hash) in eval.functions {
-                distinct.insert((FUNCTION_BLOBS, hash));
-            }
+            distinct.extend(eval.blobs());
         }
         assert!(references > distinct.len(), "configurations share blobs");
         assert_eq!(distinct.len(), footprint.blobs);
@@ -687,36 +1175,167 @@ mod tests {
         // Every manifest and every distinct blob is read exactly once.
         assert_eq!(stats.bytes_read, footprint.bytes);
         assert_eq!((stats.bytes_written, stats.write_failures), (0, 0));
+        assert_eq!((stats.torn_records, stats.compactions), (0, 0));
         let _ = fs::remove_dir_all(store.path());
     }
 
     #[test]
     fn failed_writes_leave_no_temp_file() {
         let store = temp_store("failed-writes");
-        let dest = store.entry_path(1);
-        // A rename onto a non-empty directory fails after the write.
-        fs::create_dir_all(dest.join("occupied")).expect("occupy the slot");
         store.store_score(1, &Some(1.0));
-        assert_eq!(store.stats().write_failures, 1);
-        // A write that fails part-way (a full disk) must not leak the
-        // temp file either.
+        // A write that fails part-way (a full disk) is cut back off the
+        // segment, which takes the next record as if nothing happened.
+        let torn = |mut file: &File, bytes: &[u8]| {
+            file.write_all(&bytes[..bytes.len() / 2])?;
+            Err(io::Error::other("disk full"))
+        };
+        assert!(!store.append_via((Kind::Score, 2), br#"{"score":2.0}"#, torn));
+        store.store_score(3, &Some(3.0));
+        let mut failures = 1;
+        // A segment that takes no byte and cannot be cut back is
+        // abandoned for a new one.
         #[cfg(unix)]
         if Path::new("/dev/full").exists() {
-            let tmp = store.path().join("full.tmp.0.0");
-            std::os::unix::fs::symlink("/dev/full", &tmp).expect("symlink");
-            assert!(!store.commit_via(&tmp, &store.entry_path(2), "{}"));
-            assert!(fs::symlink_metadata(&tmp).is_err(), "temp file leaked");
-            assert!(!store.entry_path(2).exists());
-            assert_eq!(store.stats().write_failures, 2);
+            let full = store.path().join(format!("full.{SEGMENT_EXT}"));
+            std::os::unix::fs::symlink("/dev/full", &full).expect("symlink");
+            let file = OpenOptions::new().read(true).append(true).open(&full);
+            let mut log = store.log.lock().expect("store log lock");
+            log.files.push(file.expect("/dev/full opens"));
+            log.writer = Some((log.files.len() - 1, 0));
+            drop(log);
+            store.store_score(4, &Some(4.0));
+            store.store_score(5, &Some(5.0));
+            fs::remove_file(&full).expect("unlink");
+            failures += 1;
         }
-        let leftovers: Vec<_> = fs::read_dir(store.path())
-            .expect("store dir")
-            .filter_map(Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-            .collect();
-        assert!(leftovers.is_empty(), "leaked {leftovers:?}");
-        assert_eq!(store.stats().bytes_written, 0);
+        let stats = store.stats();
+        assert_eq!(stats.write_failures, failures);
+        assert!(
+            strays(store.path()).is_empty(),
+            "left {:?}",
+            strays(store.path())
+        );
+
+        let reopened = DiskStore::open(store.path()).expect("store reopens");
+        assert_eq!(reopened.load_score(1), Some(Some(1.0)));
+        assert_eq!(reopened.load_score(2), None);
+        assert_eq!(reopened.load_score(3), Some(Some(3.0)));
+        if failures == 2 {
+            assert_eq!(reopened.load_score(4), None);
+            assert_eq!(reopened.load_score(5), Some(Some(5.0)));
+        }
+        assert_eq!(reopened.stats().torn_records, 0);
+        assert_eq!(stats.bytes_written, reopened.footprint().bytes);
         let _ = fs::remove_dir_all(store.path());
+    }
+
+    #[test]
+    fn cutting_the_last_record_anywhere_loses_only_that_record() {
+        let store = temp_store("crash");
+        search(&store);
+        let dir = store.path().to_path_buf();
+        drop(store);
+        let all = records(&dir);
+        let last = all.last().expect("a record");
+        assert_eq!(last.slot.0, Kind::Manifest, "a fill ends with a manifest");
+        let earlier: Vec<u128> = all[..all.len() - 1]
+            .iter()
+            .filter(|rec| rec.slot.0 == Kind::Manifest)
+            .map(|rec| rec.slot.1)
+            .collect();
+        assert!(!earlier.is_empty() && !earlier.contains(&last.slot.1));
+        let bytes = fs::read(&last.path).expect("segment reads");
+        let start = last.offset as usize;
+        for cut in start..bytes.len() {
+            fs::write(&last.path, &bytes[..cut]).expect("cut the segment");
+            let store = DiskStore::open(&dir).expect("store opens");
+            assert!(store.load(last.slot.1).is_none(), "cut at {cut}");
+            for &key in &earlier {
+                assert!(store.load(key).is_some(), "cut at {cut} lost {key:x}");
+            }
+            let stats = store.stats();
+            assert_eq!(stats.torn_records, u64::from(cut > start), "cut at {cut}");
+            assert_eq!(stats.corrupt_misses, 0, "cut at {cut}");
+        }
+        // A handle opened over the torn tail appends to a segment of its
+        // own, so its records are not lost behind the tear.
+        DiskStore::open(&dir)
+            .expect("store opens")
+            .store_score(1, &Some(0.5));
+        let store = DiskStore::open(&dir).expect("store opens");
+        assert_eq!(store.load_score(1), Some(Some(0.5)));
+        assert_eq!(store.stats().torn_records, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_keeps_repeated_fills_under_the_budget() {
+        // Fill `n` changes the coefficient table and `scale`'s factor:
+        // new keys and blobs, but some of `filter`'s code blobs are shared
+        // with every other fill.
+        let source = |n: usize| {
+            TASK.replace("{3, 1, 4", &format!("{{{n}, 1, 4"))
+                .replace("v * 10", &format!("v * {}", 10 + n))
+        };
+        let probe = temp_store("budget-probe");
+        search_source(&probe, &source(0));
+        let budget = 3 * probe.footprint().bytes;
+        let _ = fs::remove_dir_all(probe.path());
+
+        let dir = temp_store("budget").path().to_path_buf();
+        let (mut fronts, mut compactions) = (Vec::new(), 0);
+        for n in 0..6 {
+            let store = DiskStore::with_budget(&dir, budget).expect("store opens");
+            compactions += store.stats().compactions;
+            let footprint = store.footprint();
+            assert!(footprint.bytes <= budget, "before fill {n}: {footprint:?}");
+            fronts.push(front_bytes(&search_source(&store, &source(n))));
+        }
+        assert!(compactions > 0, "six fills never compacted");
+        assert!(strays(&dir).is_empty(), "left {:?}", strays(&dir));
+        assert!(records(&dir).iter().all(|rec| rec.intact));
+
+        // The newest fill survives compaction whole ...
+        let store = DiskStore::with_budget(&dir, budget).expect("store opens");
+        assert!(store.footprint().bytes <= budget);
+        let warm = search_source(&store, &source(5));
+        assert_eq!(warm.stats.disk_misses, 0, "warm rerun after compaction");
+        assert_eq!(warm.stats.disk_hits, warm.stats.cache_misses);
+        assert_eq!(front_bytes(&warm), fronts[5]);
+        // ... while the oldest was evicted.
+        let old = search_source(&store, &source(0));
+        assert!(old.stats.disk_misses > 0, "the oldest fill was kept");
+        assert_eq!(front_bytes(&old), fronts[0]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_leaves_the_segments_of_live_handles_alone() {
+        let dir = temp_store("live").path().to_path_buf();
+        let live = DiskStore::with_budget(&dir, 1).expect("store opens");
+        live.store_score(1, &Some(1.0));
+        let sealed = DiskStore::with_budget(&dir, 1).expect("store opens");
+        sealed.store_score(2, &Some(2.0));
+        drop(sealed);
+        let live_segment = records(&dir)
+            .into_iter()
+            .find(|rec| rec.slot == (Kind::Score, 1))
+            .expect("the live handle's record")
+            .path;
+        // Over a one-byte budget every sealed record is evicted, and the
+        // live handle's segment is left as it is.
+        let compacting = DiskStore::with_budget(&dir, 1).expect("store opens");
+        assert_eq!(compacting.stats().compactions, 1);
+        assert_eq!(compacting.load_score(2), None);
+        assert!(live_segment.exists());
+        assert_eq!(compacting.footprint().segments, 1, "only the live segment");
+        live.store_score(3, &Some(3.0));
+        drop(live);
+        let reopened = DiskStore::open(&dir).expect("store opens");
+        assert_eq!(reopened.load_score(1), Some(Some(1.0)));
+        assert_eq!(reopened.load_score(3), Some(Some(3.0)));
+        assert!(strays(&dir).is_empty(), "left {:?}", strays(&dir));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -725,9 +1344,9 @@ mod tests {
         let deep = "[".repeat(20_000);
         // A damaged manifest that is nothing but brackets, and a valid
         // manifest carrying a deep value in a field it does not know.
-        fs::write(store.entry_path(1), &deep).expect("write deep manifest");
+        assert!(store.append((Kind::Manifest, 1), deep.as_bytes()));
         let hidden = format!(r#"{{"eval":null,"junk":{deep}0{}}}"#, "]".repeat(20_000));
-        fs::write(store.entry_path(2), hidden).expect("write deep field");
+        assert!(store.append((Kind::Manifest, 2), hidden.as_bytes()));
         store.store(3, &None);
         // Half the default stack, which recursing once per bracket would
         // overflow.
@@ -749,24 +1368,35 @@ mod tests {
     fn every_file_decodes_and_reserializes_to_its_bytes() {
         let store = temp_store("bytes");
         search(&store);
-        let files = |dir: &Path| -> Vec<String> {
-            committed(dir)
-                .map(|e| fs::read_to_string(e.path()).expect("file reads"))
-                .collect()
-        };
-        fn same<T: Serialize + Deserialize>(text: &str) {
-            let value: T = serde_json::from_str(text).expect("file decodes");
+        fn same<T: Serialize + Deserialize>(payload: &[u8]) {
+            let text = std::str::from_utf8(payload).expect("utf-8");
+            let value: T = serde_json::from_str(text).expect("record decodes");
             assert_eq!(serde_json::to_string(&value).expect("serializes"), text);
         }
-        let (functions, globals) = (
-            files(&store.path().join(FUNCTION_BLOBS)),
-            files(&store.path().join(GLOBALS_BLOBS)),
+        let mut kinds = HashSet::new();
+        for rec in records(store.path()) {
+            assert!(rec.intact, "checksum of {:?} at {}", rec.path, rec.offset);
+            let (kind, key) = rec.slot;
+            match kind {
+                Kind::Function => same::<Function>(&rec.payload),
+                Kind::Globals => same::<Globals>(&rec.payload),
+                Kind::Manifest => same::<Manifest>(&rec.payload),
+                Kind::Score => same::<StoredScore>(&rec.payload),
+            }
+            if matches!(kind, Kind::Function | Kind::Globals) {
+                let hash = fnv1a128(fnv_offset(), &rec.payload);
+                assert_eq!(hash, key, "blob does not hash to its name");
+            }
+            kinds.insert(kind);
+        }
+        assert!([Kind::Function, Kind::Globals, Kind::Manifest]
+            .iter()
+            .all(|kind| kinds.contains(kind)));
+        assert!(
+            strays(store.path()).is_empty(),
+            "left {:?}",
+            strays(store.path())
         );
-        let entries = files(store.path());
-        assert!(!functions.is_empty() && !globals.is_empty() && !entries.is_empty());
-        functions.iter().for_each(|text| same::<Function>(text));
-        globals.iter().for_each(|text| same::<Globals>(text));
-        entries.iter().for_each(|text| same::<Manifest>(text));
         let _ = fs::remove_dir_all(store.path());
     }
 }

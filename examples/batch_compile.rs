@@ -11,7 +11,7 @@
 //!
 //! After the cold batch it prints the store's on-disk footprint: the
 //! evaluation entries, the function and globals blobs they share, and
-//! the bytes both occupy. Last, it runs one camera-pill search on a
+//! the segment files and bytes that hold them. Last, it runs one camera-pill search on a
 //! fresh in-memory cache and prints that cache's compile-memo counters:
 //! how many pass invocations ran and how many were replayed, how many
 //! IR states were interned, and how many codegen calls hit the memo.
@@ -95,9 +95,10 @@ fn main() {
         dir.display(),
     );
     println!(
-        "  store: {} entries over {} shared blobs, {:.1} KiB on disk",
+        "  store: {} entries over {} shared blobs, {} segments, {:.1} KiB on disk",
         footprint.entries,
         footprint.blobs,
+        footprint.segments,
         footprint.bytes as f64 / 1024.0,
     );
     println!(

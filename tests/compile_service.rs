@@ -23,8 +23,9 @@
 //!   too: a warm process is told "known bad" from disk without ever
 //!   invoking codegen.
 //! * **Concurrent writers** — two handles racing the same search on one
-//!   directory leave a store a fresh handle warm-starts from entirely,
-//!   with no temp file left and every blob hashing to its name.
+//!   directory leave a store a fresh handle warm-starts from entirely:
+//!   every file a segment of whole records whose checksums hold, no temp
+//!   file left, and every blob hashing to its name.
 
 #[path = "common/kernels.rs"]
 mod kernels;
@@ -144,23 +145,6 @@ fn warm_start_serves_every_config_from_disk_and_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every file under `dir`, recursively.
-fn files_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(dir)
-        .expect("dir reads")
-        .map(|e| e.expect("entry"))
-    {
-        let path = entry.path();
-        if path.is_dir() {
-            files.extend(files_under(&path));
-        } else {
-            files.push(path);
-        }
-    }
-    files
-}
-
 /// FNV-1a-128 over `bytes`: the store's blob naming hash, restated here
 /// as an independent check.
 fn fnv1a128(bytes: &[u8]) -> u128 {
@@ -169,6 +153,17 @@ fn fnv1a128(bytes: &[u8]) -> u128 {
         .fold(0x6c62272e07bb014262b821756295c58d, |hash, &b| {
             (hash ^ u128::from(b)).wrapping_mul(0x0000000001000000000000000000013B)
         })
+}
+
+/// The store's record checksum, restated here as an independent check:
+/// rotate-xor-multiply over little-endian eight-byte words, the last one
+/// zero-padded.
+fn checksum(bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(0, |hash: u64, chunk| {
+        let mut word = [0; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        (hash.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
 #[test]
@@ -204,20 +199,36 @@ fn two_writers_racing_on_one_store_leave_it_consistent() {
     assert_eq!(warm.stats.disk_hits, warm.stats.cache_misses);
     assert_eq!(front_bytes(&warm), fronts[0], "warm front diverged");
 
+    // Every file is a segment of whole records: checksum u64, kind u8
+    // (3 and 4 are function and globals blobs), key u128, payload length
+    // u32, payload, all little-endian.
     let mut blobs = 0;
-    for path in files_under(&dir) {
+    for entry in std::fs::read_dir(&dir).expect("store dir reads") {
+        let path = entry.expect("entry").path();
         let name = path.file_name().expect("name").to_string_lossy();
-        assert!(!name.contains(".tmp."), "temp file left behind: {name}");
-        if path.parent() == Some(dir.as_path()) {
-            continue; // a manifest
-        }
-        let bytes = std::fs::read(&path).expect("blob reads");
-        assert_eq!(
-            format!("{:032x}.json", fnv1a128(&bytes)),
-            name,
-            "blob does not hash to its name"
+        assert!(
+            name.ends_with(".seg"),
+            "temp or stray file left behind: {name}"
         );
-        blobs += 1;
+        let bytes = std::fs::read(&path).expect("segment reads");
+        let mut at = 0;
+        while at < bytes.len() {
+            let field = |from: usize, to: usize| bytes.get(at + from..at + to).expect("whole");
+            let len = u32::from_le_bytes(field(25, 29).try_into().expect("4 bytes")) as usize;
+            let record = field(0, 29 + len);
+            let sum = u64::from_le_bytes(record[..8].try_into().expect("8 bytes"));
+            assert_eq!(sum, checksum(&record[8..]), "checksum in {name} at {at}");
+            if matches!(record[8], 3 | 4) {
+                let key = u128::from_le_bytes(record[9..25].try_into().expect("16 bytes"));
+                assert_eq!(
+                    fnv1a128(&record[29..]),
+                    key,
+                    "blob does not hash to its name"
+                );
+                blobs += 1;
+            }
+            at += record.len();
+        }
     }
     assert!(blobs > 0);
 
