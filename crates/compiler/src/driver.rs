@@ -58,22 +58,27 @@
 //!    poisoning is impossible because any input change moves the key.
 //!    Each entry is a small manifest (metrics plus blob hashes) over
 //!    function and globals blobs shared by every configuration that
-//!    compiled them byte-identically, and each store handle memoizes the
-//!    blobs it has decoded: like tier 3 one level down, a warm run parses
-//!    each distinct function once, however many configurations use it.
+//!    compiled them byte-identically. A disk hit reads only the
+//!    manifest: the search's objectives need only the metrics, and the
+//!    program is assembled from its blobs when something asks for it,
+//!    which in a search is the archive rebuild of the front variants. A
+//!    warm run thus parses only the blobs its fronts name, each once per
+//!    store handle.
 //!
 //! Tier-1 counters surface as `cache_hits`/`cache_misses` and tier-4
 //! counters as `disk_hits`/`disk_misses` in [`SearchStats`]:
 //! `disk_hits + disk_misses == cache_misses` when a store is attached,
-//! and `disk_misses` is the number of actual compiles. A disk hit
-//! bypasses tiers 2 and 3.
+//! and `disk_misses` is the number of evaluations compiled and analysed.
+//! A disk hit bypasses tiers 2 and 3, unless its program has a damaged
+//! blob: that program is compiled again through tier 2, and the probe
+//! still counts as a disk hit.
 
 use crate::codegen::{generate_program, CodegenError, CodegenOpts};
 use crate::compile_memo::{Bounds, CompileMemo, CompileMemoStats, Compiled};
 use crate::fpa::{FpaConfig, MultiObjectiveFpa, ParetoPoint, SearchStats};
 use crate::passes::{PassManager, PassSpec, PassStats, Pipeline};
 use crate::secure::{rung_of_genome, LeakMemo, LeakageAxis, SECURE_GENOME_DIMS};
-use crate::store::{self, DiskStore, STORE_FORMAT_VERSION};
+use crate::store::{self, DiskStore, ProgramBlobs, STORE_FORMAT_VERSION};
 use minipool::Pool;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -530,13 +535,19 @@ fn analyse_program(
 /// With [`EvalCache::with_store`] the cache additionally spills to (and
 /// warm-starts from) a persistent [`DiskStore`]: an in-memory miss first
 /// probes the store under a content-addressed key before compiling, and
-/// every computed result — feasible or not — is written back. The
-/// module docs describe the full cache hierarchy.
+/// every computed result — feasible or not — is written back. A feasible
+/// entry holds its metrics and its program behind a `OnceLock`: a
+/// computed evaluation fills the program at once, a disk hit reads only
+/// the manifest and assembles the program from the store's blobs the
+/// first time it is asked for. A blob that fails its checksum then is
+/// rebuilt through the compile memo and the entry written back; the
+/// failure shows in the store's `corrupt_misses`, while the probe stays
+/// a disk hit. The module docs describe the full cache hierarchy.
 pub struct EvalCache<'a> {
     pub(crate) ir: &'a IrModule,
     pub(crate) cycle_model: &'a CycleModel,
     pub(crate) energy_model: &'a IsaEnergyModel,
-    entries: Mutex<HashMap<CompilerConfig, Arc<OnceLock<Option<CachedEval>>>>>,
+    entries: Mutex<HashMap<CompilerConfig, Slot>>,
     /// Per-function pass transitions, codegen results and analyses
     /// shared by every configuration this cache compiles and evaluates,
     /// built on first compile.
@@ -556,6 +567,35 @@ pub struct EvalCache<'a> {
 /// One memoized evaluation: the compiled program (shared, never
 /// deep-cloned) and its module metrics.
 pub type CachedEval = (Arc<Program>, ModuleMetrics);
+
+/// One configuration-tier slot, filled by the first probe of its
+/// configuration: `None` inside records an infeasible one.
+type Slot = Arc<OnceLock<Option<Evaluation>>>;
+
+/// One feasible configuration-tier entry: the metrics, and the program
+/// behind a `OnceLock`. A computed evaluation fills the program at once;
+/// a disk hit fills it from the store's blobs on first use
+/// ([`EvalCache::program`]).
+pub(crate) struct Evaluation {
+    pub(crate) metrics: ModuleMetrics,
+    program: OnceLock<Option<Arc<Program>>>,
+    /// A disk hit's store key and the blobs of its program (boxed: a
+    /// computed entry carries only the pointer).
+    stored: Option<Box<(u128, ProgramBlobs)>>,
+}
+
+/// The slot of a feasible entry [`EvalCache::probe`] returned, read as
+/// the [`Evaluation`] it holds.
+pub(crate) struct Probed(Slot);
+
+impl std::ops::Deref for Probed {
+    type Target = Evaluation;
+
+    fn deref(&self) -> &Evaluation {
+        let eval = self.0.get().and_then(Option::as_ref);
+        eval.expect("probed slots hold a feasible entry")
+    }
+}
 
 impl<'a> EvalCache<'a> {
     /// An empty cache over one module and platform pair.
@@ -603,6 +643,17 @@ impl<'a> EvalCache<'a> {
     /// [`evaluate_module`] through the cache. `None` means the
     /// configuration is infeasible (codegen or analysis failed).
     pub fn evaluate(&self, config: &CompilerConfig) -> Option<CachedEval> {
+        let eval = self.probe(config)?;
+        let program = self.program(config, &eval)?;
+        Some((program, eval.metrics.clone()))
+    }
+
+    /// The entry for `config`, evaluated on first probe: from the store
+    /// when it holds the configuration (the program is then assembled
+    /// only when [`EvalCache::program`] asks for it), else compiled,
+    /// analysed and written back. `None` means infeasible. Each probe
+    /// counts as one hit or one miss.
+    pub(crate) fn probe(&self, config: &CompilerConfig) -> Option<Probed> {
         let cell = {
             let mut entries = self.entries.lock().expect("eval cache lock");
             entries
@@ -612,30 +663,40 @@ impl<'a> EvalCache<'a> {
         };
         let mut computed = false;
         let mut from_disk = false;
-        let value = cell.get_or_init(|| {
-            computed = true;
-            let compute = || {
-                let memo = self.compile_memo();
-                let compiled = memo.compile(config, &HashMap::new()).ok()?;
-                analyse_program(memo, compiled, self.cycle_model, self.energy_model)
-                    .ok()
-                    .map(|(program, metrics)| (Arc::new(program), metrics))
-            };
-            match self.disk {
-                Some(disk) => {
-                    let key = store::hash_json(self.key_prefix, config);
-                    if let Some(found) = disk.load(key) {
-                        from_disk = true;
-                        found
-                    } else {
+        let feasible = cell
+            .get_or_init(|| {
+                computed = true;
+                let compute = || {
+                    let memo = self.compile_memo();
+                    let compiled = memo.compile(config, &HashMap::new()).ok()?;
+                    analyse_program(memo, compiled, self.cycle_model, self.energy_model)
+                        .ok()
+                        .map(|(program, metrics)| (Arc::new(program), metrics))
+                };
+                let fresh = match self.disk {
+                    Some(disk) => {
+                        let key = store::hash_json(self.key_prefix, config);
+                        if let Some(found) = disk.read_entry(key) {
+                            from_disk = true;
+                            return found.map(|(metrics, blobs)| Evaluation {
+                                metrics,
+                                program: OnceLock::new(),
+                                stored: Some(Box::new((key, blobs))),
+                            });
+                        }
                         let fresh = compute();
                         disk.store(key, &fresh);
                         fresh
                     }
-                }
-                None => compute(),
-            }
-        });
+                    None => compute(),
+                };
+                fresh.map(|(program, metrics)| Evaluation {
+                    metrics,
+                    program: OnceLock::from(Some(program)),
+                    stored: None,
+                })
+            })
+            .is_some();
         if computed {
             self.misses.fetch_add(1, Ordering::Relaxed);
             if self.disk.is_some() {
@@ -648,7 +709,32 @@ impl<'a> EvalCache<'a> {
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        value.clone()
+        feasible.then_some(Probed(cell))
+    }
+
+    /// The program of `eval`, the entry [`EvalCache::probe`] returned for
+    /// `config`. A disk hit assembles it from the store's blobs on the
+    /// first call. When a blob fails its checksum the program is rebuilt
+    /// through the compile memo instead — the same bytes, since the store
+    /// key commits to the IR, the models and the configuration — and the
+    /// entry is written back. No hit or miss counter moves.
+    pub(crate) fn program(
+        &self,
+        config: &CompilerConfig,
+        eval: &Evaluation,
+    ) -> Option<Arc<Program>> {
+        let assemble = || {
+            let (key, blobs) = eval.stored.as_deref()?;
+            let disk = self.disk?;
+            if let Some(program) = disk.assemble(blobs) {
+                return Some(Arc::new(program));
+            }
+            let compiled = self.compile_memo().compile(config, &HashMap::new()).ok()?;
+            let program = Arc::new(compiled.program);
+            disk.store(*key, &Some((Arc::clone(&program), eval.metrics.clone())));
+            Some(program)
+        };
+        eval.program.get_or_init(assemble).clone()
     }
 
     /// Lookups answered without compiling (including waits on another
@@ -835,31 +921,29 @@ pub fn pareto_search(
     };
     // A plain genome has no rung gene, so it always decodes to rung 0.
     let decode = |genome: &[f64]| (CompilerConfig::from_genome(genome), rung_of_genome(genome));
-    let evaluate = |config: CompilerConfig, rung: u32| -> Option<TaskVariant> {
-        let rung_cache = match rung {
-            0 => cache,
-            _ => &leak?.hardened,
-        };
-        let (program, metrics) = rung_cache.evaluate(&config)?;
-        let metrics = *metrics.of(task)?;
+    let rung_cache = |rung: u32| match rung {
+        0 => Some(cache),
+        _ => leak.map(|leak| &leak.hardened),
+    };
+    // A variant's entry, task metrics and security coordinates. Only a
+    // leakage score the memo and the store lack needs the program.
+    let measure = |config: &CompilerConfig, rung: u32| {
+        let rung_cache = rung_cache(rung)?;
+        let eval = rung_cache.probe(config)?;
+        let metrics = *eval.metrics.of(task)?;
         let security = match leak {
             Some(leak) => Some(VariantSecurity {
                 rung,
-                leakage: leak.score(rung, &config, &program)?,
+                leakage: leak.score(rung, config, || rung_cache.program(config, &eval))?,
             }),
             None => None,
         };
-        Some(TaskVariant {
-            config,
-            metrics,
-            program,
-            security,
-        })
+        Some((eval, metrics, security))
     };
     let fpa = MultiObjectiveFpa::new(request.fpa);
     let outcome = fpa.run_on_seeded(pool, dims, request.seed, request.seeds, |genome| {
         let (config, rung) = decode(genome);
-        evaluate(config, rung).map(|v| objectives(&v))
+        measure(&config, rung).map(|(_, metrics, security)| objectives(&metrics, security))
     });
 
     let mut variants: Vec<TaskVariant> = Vec::new();
@@ -877,17 +961,26 @@ pub fn pareto_search(
         }
         // Every archived point was evaluated during the search, so this
         // is a cache hit and a memo replay: no recompile, no re-simulation.
-        let Some(variant) = evaluate(config, rung) else {
+        // A disk hit's program is assembled here, for front variants only.
+        let Some((eval, metrics, security)) = measure(&config, rung) else {
+            continue;
+        };
+        let Some(program) = rung_cache(rung).and_then(|c| c.program(&config, &eval)) else {
             continue;
         };
         // The objective vector carries the cycle bound *exactly* (u64 →
         // f64 is lossless far beyond any realistic bound), so a 1-cycle
         // IPET improvement can never hide behind an epsilon.
-        debug_assert!(objectives(&variant)
+        debug_assert!(objectives(&metrics, security)
             .iter()
             .zip(&archived)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
-        variants.push(variant);
+        variants.push(TaskVariant {
+            config,
+            metrics,
+            program,
+            security,
+        });
     }
     variants.sort_by_key(|v| (v.metrics.wcet_cycles, rung_of(v)));
 
@@ -900,10 +993,9 @@ pub fn pareto_search(
 }
 
 /// A variant's objective vector, in the order the FPA minimises it.
-fn objectives(v: &TaskVariant) -> Vec<f64> {
-    let m = &v.metrics;
+fn objectives(m: &VariantMetrics, security: Option<VariantSecurity>) -> Vec<f64> {
     let mut o = vec![m.wcet_cycles as f64, m.wcec_pj, m.code_halfwords as f64];
-    o.extend(v.security.map(|s| s.leakage));
+    o.extend(security.map(|s| s.leakage));
     o
 }
 

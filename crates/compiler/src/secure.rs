@@ -189,13 +189,15 @@ impl<'a> LeakMemo<'a> {
         }
     }
 
-    /// The leakage score of `program`, the rung-`rung` compile of
-    /// `config`; `None` when the measurement run traps.
+    /// The leakage score of the rung-`rung` compile of `config`, which
+    /// `program` gives; `None` when the measurement run traps. `program`
+    /// is called only when neither the memo nor the store holds the
+    /// score, so a stored score never assembles a program.
     pub(crate) fn score(
         &self,
         rung: u32,
         config: &CompilerConfig,
-        program: &Program,
+        program: impl FnOnce() -> Option<Arc<Program>>,
     ) -> Option<f64> {
         let cell = {
             let mut entries = self.entries.lock().expect("leak memo lock");
@@ -204,18 +206,19 @@ impl<'a> LeakMemo<'a> {
                 .or_insert_with(|| Arc::new(OnceLock::new()))
                 .clone()
         };
-        *cell.get_or_init(|| match self.disk {
-            Some((disk, keys)) => {
-                let key = store::hash_json(keys[rung as usize], config);
-                if let Some(found) = disk.load_score(key) {
-                    found
-                } else {
-                    let fresh = leak_score(program, self.task, self.rig);
-                    disk.store_score(key, &fresh);
-                    fresh
-                }
+        *cell.get_or_init(|| {
+            let disk = self
+                .disk
+                .map(|(disk, keys)| (disk, store::hash_json(keys[rung as usize], config)));
+            if let Some(found) = disk.and_then(|(disk, key)| disk.load_score(key)) {
+                return found;
             }
-            None => leak_score(program, self.task, self.rig),
+            let program = program()?;
+            let fresh = leak_score(&program, self.task, self.rig);
+            if let Some((disk, key)) = disk {
+                disk.store_score(key, &fresh);
+            }
+            fresh
         })
     }
 }
@@ -226,6 +229,7 @@ mod tests {
     use crate::driver::{pareto_search, ParetoFront, SearchRequest};
     use crate::FpaConfig;
     use minipool::Pool;
+    use std::collections::HashSet;
     use teamplay_energy::IsaEnergyModel;
     use teamplay_isa::CycleModel;
     use teamplay_minic::compile_to_ir;
@@ -414,6 +418,19 @@ mod tests {
         assert_eq!(disk.corrupt_misses, 0, "{disk:?}");
         let bytes = |f: &ParetoFront| serde_json::to_string(&f.variants).expect("serializes");
         assert_eq!(bytes(&cold), bytes(&warm));
+        // Stored scores need no program: the warm handle assembles the
+        // front's programs and no other, and decodes only the blobs they
+        // name (a blob is named by its content), each once.
+        let mut blobs = HashSet::new();
+        for v in &warm.variants {
+            let program = &v.program;
+            blobs.insert(serde_json::to_string(&program.globals).expect("serializes"));
+            for function in program.functions.values() {
+                blobs.insert(serde_json::to_string(function).expect("serializes"));
+            }
+        }
+        assert_eq!(disk.programs_assembled as usize, warm.variants.len());
+        assert_eq!(disk.blobs_decoded as usize, blobs.len(), "{disk:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

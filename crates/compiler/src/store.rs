@@ -31,22 +31,29 @@
 //! program text lives in blobs keyed by the FNV-1a-128 of their own
 //! payload and shared by every manifest that uses them.
 //!
-//! # Reading: an index of headers, a checksum per load
+//! # Reading: an index of headers, a manifest per probe, blobs on demand
 //!
 //! [`DiskStore::open`] reads the header of every record into an in-memory
 //! index from `(kind, key)` to each copy's segment, offset and length; it
 //! keeps no payload. A segment's scan stops at a record cut short (the
-//! torn tail a crash leaves). A load reads one record with a positioned
-//! read, checks its checksum and decodes the payload with the vendored
-//! `serde` reader, which builds no intermediate tree and gives up past 128
-//! nested containers. A copy that fails its checksum or does not decode —
-//! for a manifest, also one naming a blob the handle cannot load — is
-//! dropped from the handle's index and the next copy is tried, so a
-//! damaged record never shadows a good copy appended later. With no copy
-//! left the load is a cold miss: never a wrong program, never a crash.
+//! torn tail a crash leaves). Reading an entry is one positioned read of
+//! its manifest, a checksum and a decode with the vendored `serde`
+//! reader, which builds no intermediate tree and gives up past 128
+//! nested containers; each blob the manifest names must be in the index,
+//! a lookup rather than a read. That gives the metrics, which is all a
+//! search's objectives need. Assembling the program reads the blobs, and
+//! happens only when something asks for it: a warm search assembles the
+//! programs of its front variants and no other. [`DiskStore::load`] does
+//! both steps in turn.
+//!
+//! A copy that fails its checksum or does not decode — for a manifest,
+//! also one naming a blob the index lacks — is dropped from the handle's
+//! index and the next copy is tried, so a damaged record never shadows a
+//! good copy appended later. With no copy left the read is a cold miss:
+//! never a wrong program, never a crash. A program whose blob has no good
+//! copy left fails to assemble, and its entry counts as a corrupt miss.
 //! Each handle memoizes the blobs it has decoded, so one handle parses
-//! each distinct function once and clones it into every program that uses
-//! it.
+//! each distinct function once, however many programs it assembles.
 //!
 //! # Writing: one segment per handle, blobs before the manifest
 //!
@@ -153,6 +160,15 @@ struct ManifestEval {
     metrics: ModuleMetrics,
     globals: String,
     functions: Vec<(String, String)>,
+}
+
+/// The blobs a feasible entry's program is assembled from
+/// ([`DiskStore::assemble`]), each in the handle's index when its
+/// manifest was read.
+#[derive(Debug)]
+pub(crate) struct ProgramBlobs {
+    globals: u128,
+    functions: Vec<(String, u128)>,
 }
 
 impl ManifestEval {
@@ -516,22 +532,33 @@ fn write_kept(
 /// [`DiskStore::stats`]). Loads count evaluation and score probes alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Entry probes ([`DiskStore::load`] and [`DiskStore::load_score`]).
+    /// Entry probes: manifests and scores looked up.
     pub loads: u64,
-    /// Probes answered from disk (feasible, infeasible or a score).
+    /// Probes answered from disk (feasible, infeasible or a score). A
+    /// feasible entry whose program later fails to assemble moves from
+    /// here to `corrupt_misses`.
     pub hits: u64,
-    /// Probes that found an entry but missed because it, or a blob it
-    /// names, failed its checksum, did not decode or was missing.
-    /// Absent entries are `loads - hits - corrupt_misses`.
+    /// Probes that found an entry but missed because it failed its
+    /// checksum, did not decode or named a blob missing from the index,
+    /// and entries whose program failed to assemble because a blob
+    /// failed its checksum or did not decode. Absent entries are
+    /// `loads - hits - corrupt_misses`.
     pub corrupt_misses: u64,
-    /// Record bytes (headers included) read from segments.
+    /// Record bytes (headers included) read from segments: manifests,
+    /// scores and the blobs of assembled programs.
     pub bytes_read: u64,
     /// Record bytes (headers included) appended to segments.
     pub bytes_written: u64,
-    /// Blob records read, checked and parsed.
+    /// Blob records read, checked and parsed (only when a program is
+    /// assembled).
     pub blobs_decoded: u64,
-    /// Blob references served from the handle's decoded-blob memo.
+    /// Blob references of assembled programs served from the handle's
+    /// decoded-blob memo.
     pub blob_memo_hits: u64,
+    /// Programs assembled from their blobs. A warm search assembles only
+    /// the programs of its front variants: the metrics of every other
+    /// entry come from its manifest alone.
+    pub programs_assembled: u64,
     /// Appends that failed (and were cut back off their segment).
     pub write_failures: u64,
     /// Records found cut short at a segment's end when the handle
@@ -661,15 +688,33 @@ impl DiskStore {
         update(&mut self.stats.lock().expect("store stats lock"));
     }
 
-    /// Load the entry for `key`. Outer `None` means absent (or damaged,
-    /// or naming a missing or damaged blob — all behave as a cold miss);
-    /// inner `None` is a *recorded* infeasible configuration.
+    /// Load the entry for `key` with its program: read and check the
+    /// manifest, then assemble the program from its blobs (the two steps
+    /// an [`EvalCache`](crate::EvalCache) disk hit takes apart). Outer
+    /// `None` means absent (or damaged, or naming a missing or damaged
+    /// blob — all behave as a cold miss); inner `None` is a *recorded*
+    /// infeasible configuration.
     pub fn load(&self, key: u128) -> Option<Option<CachedEval>> {
+        match self.read_entry(key)? {
+            None => Some(None),
+            Some((metrics, blobs)) => {
+                let program = self.assemble(&blobs)?;
+                Some(Some((Arc::new(program), metrics)))
+            }
+        }
+    }
+
+    /// Read, check and parse the manifest for `key`: the metrics and the
+    /// blobs of the program, without reading a blob (each need only be
+    /// in the index). Outer `None` means absent or damaged (a manifest
+    /// naming an unknown blob included); inner `None` is a *recorded*
+    /// infeasible configuration.
+    pub(crate) fn read_entry(&self, key: u128) -> Option<Option<(ModuleMetrics, ProgramBlobs)>> {
         self.bump(|s| s.loads += 1);
         let loaded = self.read((Kind::Manifest, key), |payload| {
             parse::<Manifest>(payload).and_then(|manifest| match manifest.eval {
                 None => Some(None),
-                Some(eval) => self.assemble(eval).map(Some),
+                Some(eval) => self.indexed(eval).map(Some),
             })
         })?;
         self.tally(loaded.is_some());
@@ -768,25 +813,54 @@ impl DiskStore {
         }
     }
 
-    /// Rebuild a manifest's program from its blobs; `None` when any blob
-    /// is missing or damaged.
-    fn assemble(&self, eval: ManifestEval) -> Option<CachedEval> {
-        let globals = self.blob(&self.globals, &eval.globals)?;
-        let mut program = Program {
-            functions: BTreeMap::new(),
-            globals: Globals::clone(&globals),
-        };
-        for (name, hash) in eval.functions {
-            let function = self.blob(&self.functions, &hash)?;
-            program.functions.insert(name, Function::clone(&function));
-        }
-        Some((Arc::new(program), eval.metrics))
+    /// `eval`'s metrics and blobs; `None` when a blob name is not hex or
+    /// names no blob in the index.
+    fn indexed(&self, eval: ManifestEval) -> Option<(ModuleMetrics, ProgramBlobs)> {
+        let hex = |hash: &str| u128::from_str_radix(hash, 16).ok();
+        let globals = hex(&eval.globals)?;
+        let functions = eval
+            .functions
+            .into_iter()
+            .map(|(name, hash)| Some((name, hex(&hash)?)))
+            .collect::<Option<Vec<_>>>()?;
+        let log = self.log.lock().expect("store log lock");
+        let held = |kind, hash| log.index.contains_key(&(kind, hash));
+        let all_held =
+            held(Kind::Globals, globals) && functions.iter().all(|(_, h)| held(Kind::Function, *h));
+        all_held.then_some((eval.metrics, ProgramBlobs { globals, functions }))
+    }
+
+    /// Assemble the program of an entry [`DiskStore::read_entry`]
+    /// returned from its blobs; `None` when a blob is missing or damaged,
+    /// which turns the entry's hit into a corrupt miss.
+    pub(crate) fn assemble(&self, blobs: &ProgramBlobs) -> Option<Program> {
+        let program = (|| {
+            let globals = self.blob(&self.globals, blobs.globals)?;
+            let mut program = Program {
+                functions: BTreeMap::new(),
+                globals: Globals::clone(&globals),
+            };
+            for (name, hash) in &blobs.functions {
+                let function = self.blob(&self.functions, *hash)?;
+                program
+                    .functions
+                    .insert(name.clone(), Function::clone(&function));
+            }
+            Some(program)
+        })();
+        self.bump(|s| match program {
+            Some(_) => s.programs_assembled += 1,
+            None => {
+                s.hits = s.hits.saturating_sub(1);
+                s.corrupt_misses += 1;
+            }
+        });
+        program
     }
 
     /// The blob named `hash`, from the handle's memo or else read from
     /// its segment, checked and parsed.
-    fn blob<T: Deserialize>(&self, blobs: &Blobs<T>, hash: &str) -> Option<Arc<T>> {
-        let hash = u128::from_str_radix(hash, 16).ok()?;
+    fn blob<T: Deserialize>(&self, blobs: &Blobs<T>, hash: u128) -> Option<Arc<T>> {
         if let Some(found) = blobs.decoded.lock().expect("blob memo lock").get(&hash) {
             self.bump(|s| s.blob_memo_hits += 1);
             return Some(Arc::clone(found));
@@ -870,7 +944,7 @@ fn parse<T: Deserialize>(bytes: &[u8]) -> Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pareto_search, EvalCache, FpaConfig, ParetoFront, SearchRequest};
+    use crate::{pareto_search, CompilerConfig, EvalCache, FpaConfig, ParetoFront, SearchRequest};
     use teamplay_energy::IsaEnergyModel;
     use teamplay_isa::CycleModel;
     use teamplay_minic::compile_to_ir;
@@ -979,6 +1053,52 @@ mod tests {
         );
     }
 
+    /// Bump the first digit of `rec`'s payload in place: still valid
+    /// JSON, so only the checksum can catch it.
+    fn edit_digit(rec: &Rec) {
+        let at = rec
+            .payload
+            .iter()
+            .position(u8::is_ascii_digit)
+            .expect("a digit");
+        let digit = if rec.payload[at] == b'1' { b'2' } else { b'1' };
+        patch(&rec.path, rec.offset + (HEADER + at) as u64, &[digit]);
+    }
+
+    /// The store key of `TASK` under `config` on the pg32 models.
+    fn key_of(config: &CompilerConfig) -> u128 {
+        let ir = compile_to_ir(TASK).expect("front-end");
+        let (cm, em) = (CycleModel::pg32(), IsaEnergyModel::pg32_datasheet());
+        let prefix = hash_json(fnv_offset(), &(STORE_FORMAT_VERSION, &ir, &cm, &em));
+        hash_json(prefix, config)
+    }
+
+    /// The manifests of `front`'s variants, in front order.
+    fn front_manifests(dir: &Path, front: &ParetoFront) -> Vec<ManifestEval> {
+        let mut stored: HashMap<u128, ManifestEval> = manifests(dir)
+            .into_iter()
+            .filter_map(|(key, m)| Some((key, m.eval?)))
+            .collect();
+        let entries = front
+            .variants
+            .iter()
+            .map(|v| stored.remove(&key_of(&v.config)));
+        entries
+            .collect::<Option<_>>()
+            .expect("every front variant is stored")
+    }
+
+    /// A new store directory tagged `tag` holding a copy of every
+    /// segment under `from`.
+    fn copy_store(from: &Path, tag: &str) -> PathBuf {
+        let dir = temp_store(tag).path().to_path_buf();
+        for path in segment_paths(from) {
+            let name = path.file_name().expect("a file name");
+            fs::copy(&path, dir.join(name)).expect("segment copies");
+        }
+        dir
+    }
+
     /// Files under `dir` that are not segments.
     fn strays(dir: &Path) -> Vec<PathBuf> {
         let all = fs::read_dir(dir)
@@ -1045,15 +1165,46 @@ mod tests {
 
     #[test]
     fn damaged_blobs_load_as_misses_and_are_rewritten() {
-        let dir = temp_store("damaged").path().to_path_buf();
-        let cold = front_bytes(&search(&DiskStore::open(&dir).expect("store opens")));
+        let cold_dir = temp_store("damaged").path().to_path_buf();
+        let cold = search(&DiskStore::open(&cold_dir).expect("store opens"));
+        let cold_bytes = front_bytes(&cold);
         let unknown = "f".repeat(32);
-        // Each damage applies to every intact copy of its target: the
-        // manifest of a feasible entry, or the first function blob it
-        // names.
-        type Damage = fn(rec: &Rec, hash: &str);
-        let damages: [(&str, Kind, Damage); 4] = [
-            ("blob cut in half", Kind::Function, |rec, _| {
+        let (key, eval) = manifests(&cold_dir)
+            .into_iter()
+            .find_map(|(key, m)| m.eval.map(|eval| (key, eval)))
+            .expect("a feasible entry");
+        let (_, hash) = &eval.functions[0];
+        assert_ne!(hash, &unknown);
+        let entry = DiskStore::open(&cold_dir)
+            .expect("store opens")
+            .load(key)
+            .expect("stored");
+        let original = serde_json::to_string(&Some(&entry)).expect("serializes");
+        let loads_as_original = |loaded: Option<Option<CachedEval>>, what: &str| {
+            let text = serde_json::to_string(&loaded).expect("serializes");
+            assert_eq!(text, original, "{what}: rewritten entry");
+        };
+        // A copy of the cold store with every intact copy of `slot`
+        // damaged.
+        let damaged_copy = |tag: &str, slot: Slot, damage: &dyn Fn(&Rec)| {
+            let dir = copy_store(&cold_dir, tag);
+            for rec in records(&dir).iter().filter(|r| r.intact && r.slot == slot) {
+                damage(rec);
+            }
+            dir
+        };
+        let rename = |rec: &Rec| {
+            let text = std::str::from_utf8(&rec.payload).expect("utf-8");
+            rewrite(rec, rec.slot, text.replace(hash, &unknown).as_bytes());
+        };
+
+        // Eager loads: each damage, to the manifest of a feasible entry
+        // or to the first function blob it names, loads as a miss, and
+        // storing the entry again repairs it.
+        let blob = (Kind::Function, u128::from_str_radix(hash, 16).expect("hex"));
+        type Damage<'a> = (&'a str, Slot, &'a dyn Fn(&Rec));
+        let damages: [Damage; 4] = [
+            ("blob cut in half", blob, &|rec| {
                 let half = rec.payload.len() / 2;
                 patch(
                     &rec.path,
@@ -1061,83 +1212,113 @@ mod tests {
                     &vec![0; half],
                 );
             }),
-            ("blob filed under another hash", Kind::Function, |rec, _| {
+            ("blob filed under another hash", blob, &|rec| {
                 let (kind, hash) = rec.slot;
                 rewrite(rec, (kind, hash ^ 1), &rec.payload);
             }),
-            ("blob edited in place", Kind::Function, |rec, _| {
-                // Still valid JSON, so only the checksum can catch it.
-                let at = rec
-                    .payload
-                    .iter()
-                    .position(u8::is_ascii_digit)
-                    .expect("a digit");
-                let digit = if rec.payload[at] == b'1' { b'2' } else { b'1' };
-                patch(&rec.path, rec.offset + (HEADER + at) as u64, &[digit]);
-            }),
+            ("blob edited in place", blob, &edit_digit),
             (
                 "manifest naming an unknown hash",
-                Kind::Manifest,
-                |rec, hash| {
-                    let text = std::str::from_utf8(&rec.payload).expect("utf-8");
-                    let renamed = text.replace(hash, &"f".repeat(32));
-                    rewrite(rec, rec.slot, renamed.as_bytes());
-                },
+                (Kind::Manifest, key),
+                &rename,
             ),
         ];
-        for (what, target, damage) in damages {
-            let store = DiskStore::open(&dir).expect("store opens");
-            let (key, eval) = manifests(&dir)
-                .into_iter()
-                .find_map(|(key, m)| m.eval.map(|eval| (key, eval)))
-                .expect("a feasible entry");
-            let (_, hash) = &eval.functions[0];
-            assert_ne!(hash, &unknown);
-            let original = serde_json::to_string(&store.load(key)).expect("serializes");
-            let slot = match target {
-                Kind::Function => (target, u128::from_str_radix(hash, 16).expect("hex")),
-                _ => (target, key),
-            };
-            for rec in records(&dir).iter().filter(|r| r.intact && r.slot == slot) {
-                damage(rec, hash);
-            }
-
+        for (i, (what, slot, damage)) in damages.into_iter().enumerate() {
+            let dir = damaged_copy(&format!("damaged-{i}"), slot, damage);
             let fresh = DiskStore::open(&dir).expect("store opens");
             assert!(fresh.load(key).is_none(), "{what} must load as a miss");
             assert_eq!(fresh.stats().corrupt_misses, 1, "{what}");
-
-            // An EvalCache over the damaged store recompiles what it
-            // cannot load and rewrites the entry ...
-            let repair = DiskStore::open(&dir).expect("store opens");
-            let repaired = search(&repair);
-            assert!(repaired.stats.disk_misses > 0, "{what}: nothing recompiled");
-            assert_eq!(front_bytes(&repaired), cold, "{what}: repaired front");
             // The damaged copy shadows the rewritten one neither for the
             // handle that rewrote it nor for one opened afterwards.
-            let reloaded = DiskStore::open(&dir).expect("store opens").load(key);
-            for entry in [repair.load(key), reloaded] {
-                assert_eq!(
-                    serde_json::to_string(&entry).expect("serializes"),
-                    original,
-                    "{what}: rewritten entry"
-                );
-            }
-            // ... after which a fresh handle is served entirely from disk.
-            let warm = search(&DiskStore::open(&dir).expect("store opens"));
-            assert_eq!(warm.stats.disk_misses, 0, "{what}: warm rerun compiled");
-            assert_eq!(warm.stats.disk_hits, warm.stats.cache_misses);
-            assert_eq!(front_bytes(&warm), cold, "{what}: warm front");
+            fresh.store(key, &entry);
+            loads_as_original(fresh.load(key), what);
+            loads_as_original(DiskStore::open(&dir).expect("store opens").load(key), what);
+            let _ = fs::remove_dir_all(&dir);
         }
+
+        // An EvalCache reads every manifest but assembles only the
+        // programs of front variants.
+        let front = front_manifests(&cold_dir, &cold);
+        let front_blobs: HashSet<Slot> = front.iter().flat_map(ManifestEval::blobs).collect();
+        let (_, front_hash) = &front[0].functions[0];
+        let front_blob = (
+            Kind::Function,
+            u128::from_str_radix(front_hash, 16).expect("hex"),
+        );
+
+        // A checksum-damaged blob a front variant names: its program is
+        // rebuilt by compiling, the front stays byte-identical, and the
+        // blob is appended again ...
+        let dir = damaged_copy("front-blob", front_blob, &edit_digit);
+        let store = DiskStore::open(&dir).expect("store opens");
+        let warm = search(&store);
+        assert_eq!(
+            front_bytes(&warm),
+            cold_bytes,
+            "front over a damaged front blob"
+        );
+        assert_eq!(warm.stats.disk_misses, 0, "metrics come from the manifests");
+        assert_eq!(warm.stats.disk_hits, warm.stats.cache_misses);
+        let stats = store.stats();
+        assert_eq!((stats.corrupt_misses, stats.torn_records), (1, 1));
+        assert_eq!(stats.programs_assembled as usize, warm.variants.len() - 1);
+        let copies = records(&dir);
+        let copies: Vec<&Rec> = copies.iter().filter(|r| r.slot == front_blob).collect();
+        assert_eq!(copies.len(), 2, "the blob is appended again");
+        assert!(!copies[0].intact && copies[1].intact);
+        // ... after which a fresh handle assembles every front program.
+        let store = DiskStore::open(&dir).expect("store opens");
+        assert_eq!(front_bytes(&search(&store)), cold_bytes);
+        assert_eq!(store.stats().corrupt_misses, 0);
+        assert_eq!(
+            store.stats().programs_assembled as usize,
+            warm.variants.len()
+        );
         let _ = fs::remove_dir_all(&dir);
+
+        // A damaged blob no front variant names is never read.
+        let unnamed = records(&cold_dir)
+            .into_iter()
+            .map(|rec| rec.slot)
+            .find(|slot| slot.0 == Kind::Function && !front_blobs.contains(slot))
+            .expect("a blob no front variant names");
+        let dir = damaged_copy("unnamed-blob", unnamed, &edit_digit);
+        let store = DiskStore::open(&dir).expect("store opens");
+        assert_eq!(front_bytes(&search(&store)), cold_bytes);
+        let stats = store.stats();
+        assert_eq!((stats.corrupt_misses, stats.torn_records), (0, 0));
+        assert_eq!(stats.blobs_decoded as usize, front_blobs.len());
+        assert_eq!(stats.bytes_written, 0, "nothing is rewritten");
+        let _ = fs::remove_dir_all(&dir);
+
+        // A manifest naming an unknown hash is a miss when it is probed:
+        // its configuration is compiled again and its entry rewritten.
+        let dir = damaged_copy("unknown-hash", (Kind::Manifest, key), &rename);
+        let store = DiskStore::open(&dir).expect("store opens");
+        let warm = search(&store);
+        assert_eq!(front_bytes(&warm), cold_bytes, "front over a renamed blob");
+        assert_eq!(warm.stats.disk_misses, 1, "the damaged entry compiles");
+        assert_eq!(warm.stats.disk_hits + 1, warm.stats.cache_misses);
+        assert_eq!(store.stats().corrupt_misses, 1);
+        loads_as_original(
+            DiskStore::open(&dir).expect("store opens").load(key),
+            "renamed",
+        );
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&cold_dir);
     }
 
     #[test]
-    fn warm_rerun_decodes_each_distinct_blob_once() {
+    fn warm_rerun_decodes_only_the_blobs_its_front_names() {
         let store = temp_store("counters");
         let cold = search(&store);
         let footprint = store.footprint();
         let written = store.stats();
         assert_eq!(written.write_failures, 0);
+        assert_eq!(
+            written.programs_assembled, 0,
+            "a cold run assembles nothing"
+        );
         // Single-threaded, each manifest and each distinct blob is
         // appended exactly once, to one segment.
         assert_eq!(written.bytes_written, footprint.bytes);
@@ -1154,26 +1335,38 @@ mod tests {
             "a warm run writes nothing"
         );
 
+        // The blobs the front's entries name, and the record bytes of
+        // every manifest and of those blobs.
+        let front = front_manifests(store.path(), &warm);
+        assert_eq!(front.len(), warm.variants.len());
         let mut references = 0;
-        let mut distinct = HashSet::new();
-        for (_, manifest) in manifests(store.path()) {
-            let Some(eval) = manifest.eval else { continue };
+        let mut named = HashSet::new();
+        for eval in &front {
             references += 1 + eval.functions.len();
-            distinct.extend(eval.blobs());
+            named.extend(eval.blobs());
         }
-        assert!(references > distinct.len(), "configurations share blobs");
-        assert_eq!(distinct.len(), footprint.blobs);
+        assert!(references > named.len(), "front variants share blobs");
+        assert!(named.len() < footprint.blobs, "the front names every blob");
+        let all = records(store.path());
+        let bytes = |keep: &dyn Fn(&Slot) -> bool| -> u64 {
+            let kept = all.iter().filter(|rec| keep(&rec.slot));
+            kept.map(|rec| (HEADER + rec.payload.len()) as u64).sum()
+        };
+        let manifest_bytes = bytes(&|slot| slot.0 == Kind::Manifest);
+        let blob_bytes = bytes(&|slot| named.contains(slot));
 
         let stats = warm_store.stats();
+        // Each manifest is read once; each program of the front is
+        // assembled once, from each distinct blob it names read once.
         assert_eq!(stats.loads as usize, footprint.entries);
         assert_eq!((stats.hits, stats.corrupt_misses), (stats.loads, 0));
-        assert_eq!(stats.blobs_decoded as usize, distinct.len());
+        assert_eq!(stats.programs_assembled as usize, warm.variants.len());
+        assert_eq!(stats.blobs_decoded as usize, named.len());
         assert_eq!(
             (stats.blobs_decoded + stats.blob_memo_hits) as usize,
             references
         );
-        // Every manifest and every distinct blob is read exactly once.
-        assert_eq!(stats.bytes_read, footprint.bytes);
+        assert_eq!(stats.bytes_read, manifest_bytes + blob_bytes);
         assert_eq!((stats.bytes_written, stats.write_failures), (0, 0));
         assert_eq!((stats.torn_records, stats.compactions), (0, 0));
         let _ = fs::remove_dir_all(store.path());

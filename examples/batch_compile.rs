@@ -7,7 +7,9 @@
 //! 1. **cold** — the store starts empty; every distinct configuration
 //!    of every unique job is compiled and spilled to disk;
 //! 2. **warm** — a second batch (fresh caches, as a new process would
-//!    build) answers every evaluation from disk without compiling.
+//!    build) answers every evaluation from disk without compiling. It
+//!    reads every manifest it probes but assembles only the programs of
+//!    front variants; the warm line prints both counts.
 //!
 //! After the cold batch it prints the store's on-disk footprint: the
 //! evaluation entries, the function and globals blobs they share, and
@@ -101,12 +103,16 @@ fn main() {
         footprint.segments,
         footprint.bytes as f64 / 1024.0,
     );
+    let warm_reads = store.stats();
     println!(
-        "  warm: {:>8.1?}  ({} disk hits, {} compiles, {:.1}x)",
+        "  warm: {:>8.1?}  ({} disk hits, {} compiles, {:.1}x; \
+         {} manifests read / {} programs assembled)",
         warm_time,
         warm.search.disk_hits,
         warm.search.disk_misses,
         cold_time.as_secs_f64() / warm_time.as_secs_f64().max(1e-9),
+        warm_reads.loads,
+        warm_reads.programs_assembled,
     );
     for (c, w) in cold_results.iter().zip(&warm_results) {
         let (task, front) = &c.fronts[0];

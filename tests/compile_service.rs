@@ -10,6 +10,9 @@
 //!   byte-identical serialized front. Fresh [`DiskStore`] +
 //!   [`EvalCache`] instances are exactly what a new process would build,
 //!   so this is the cross-process contract minus the fork.
+//! * **Programs on demand** — a warm search reads the manifest of every
+//!   configuration it probes but assembles only its front variants'
+//!   programs from blobs, with the same store counters at widths 1/2/4.
 //! * **Final-build faithfulness** — every function of
 //!   `compile_module_per_function_on` (the final build's compile on a
 //!   fresh compile memo) is byte-identical to the same function of
@@ -141,6 +144,38 @@ fn warm_start_serves_every_config_from_disk_and_is_byte_identical() {
             cold.stats.cache_misses
         ),
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_runs_assemble_only_front_programs_at_widths_1_2_4() {
+    let dir = temp_dir("assembled");
+    let ir = compile_to_ir(teamplay_apps::camera_pill::SOURCE).expect("front-end");
+    let cold_store = DiskStore::open(&dir).expect("store opens");
+    let cold = store_search(&minipool::Pool::new(1), &ir, "compress", &cold_store);
+    assert_eq!(cold_store.stats().programs_assembled, 0);
+
+    let mut first = None;
+    for width in [1, 2, 4] {
+        let store = DiskStore::open(&dir).expect("store reopens");
+        let warm = store_search(&minipool::Pool::new(width), &ir, "compress", &store);
+        assert_eq!(
+            front_bytes(&warm),
+            front_bytes(&cold),
+            "{width}-thread warm front"
+        );
+        // Every distinct configuration reads its manifest; only the
+        // front's programs are assembled from blobs.
+        let stats = store.stats();
+        assert_eq!(stats.loads as usize, warm.stats.cache_misses);
+        assert_eq!((stats.hits, stats.corrupt_misses), (stats.loads, 0));
+        assert_eq!(stats.programs_assembled as usize, warm.variants.len());
+        match &first {
+            None => first = Some(stats),
+            Some(first) => assert_eq!(first, &stats, "{width}-thread store counters"),
+        }
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
