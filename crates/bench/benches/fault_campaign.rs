@@ -37,9 +37,8 @@ use criterion::Criterion;
 use minipool::Pool;
 use serde::Serialize;
 use std::time::Duration;
-use teamplay_compiler::{generate_program, CodegenOpts, PassManager};
-use teamplay_isa::{CycleModel, Program};
-use teamplay_minic::compile_to_ir;
+use teamplay_bench::kernels::compiled_kernels;
+use teamplay_isa::CycleModel;
 use teamplay_sim::{run_campaign, CampaignConfig, RecordingDevice};
 use teamplay_wcet::analyze_program;
 
@@ -78,48 +77,6 @@ struct Baseline {
     seed: u64,
     injections_per_kernel: usize,
     kernels: Vec<KernelVulnerability>,
-}
-
-/// The four kernels under their tuned pipelines, compiled once, with the
-/// argument vector the campaigns replay.
-fn compiled_kernels() -> Vec<(String, String, Vec<i32>, Program)> {
-    let cat = teamplay_apps::catalog();
-    [
-        (
-            "camera_pill",
-            teamplay_apps::camera_pill::SOURCE,
-            "compress",
-            vec![],
-        ),
-        (
-            "spacewire",
-            teamplay_apps::spacewire::SOURCE,
-            "crc_frame",
-            vec![],
-        ),
-        (
-            "uav",
-            teamplay_apps::uav::DETECT_KERNEL_SOURCE,
-            "predetect",
-            vec![40],
-        ),
-        (
-            "parking",
-            teamplay_apps::parking::CONV_KERNEL_SOURCE,
-            "conv_layer",
-            vec![],
-        ),
-    ]
-    .into_iter()
-    .map(|(app, src, task, args)| {
-        let mut module = compile_to_ir(src).expect("kernel compiles");
-        let mut pm =
-            PassManager::new(cat.get(app).expect("registered").clone()).expect("pipeline resolves");
-        pm.run(&mut module);
-        let program = generate_program(&module, CodegenOpts::default()).expect("codegen succeeds");
-        (app.to_string(), task.to_string(), args, program)
-    })
-    .collect()
 }
 
 const SEED: u64 = 0x5EED_FA17;

@@ -30,10 +30,9 @@ use criterion::Criterion;
 use serde::Serialize;
 use std::rc::Rc;
 use std::time::Duration;
+use teamplay_bench::kernels::compiled_kernels;
 use teamplay_bench::timing::{sample_interleaved, Timer};
-use teamplay_compiler::{generate_program, CodegenOpts, PassManager};
-use teamplay_isa::{CycleModel, Program};
-use teamplay_minic::compile_to_ir;
+use teamplay_isa::CycleModel;
 use teamplay_sim::{seeded_inputs, simulate_batch, DecodedProgram, Machine, NullDevice};
 use teamplay_wcet::analyze_program;
 
@@ -69,48 +68,6 @@ struct Baseline {
     kernels: Vec<KernelThroughput>,
     /// Worst single-thread speedup across the kernels (the gate).
     min_single_thread_speedup: f64,
-}
-
-/// The four kernels under their tuned pipelines, compiled once, with the
-/// argument vector used for the timed single-thread runs.
-fn compiled_kernels() -> Vec<(String, String, Vec<i32>, Program)> {
-    let cat = teamplay_apps::catalog();
-    [
-        (
-            "camera_pill",
-            teamplay_apps::camera_pill::SOURCE,
-            "compress",
-            vec![],
-        ),
-        (
-            "spacewire",
-            teamplay_apps::spacewire::SOURCE,
-            "crc_frame",
-            vec![],
-        ),
-        (
-            "uav",
-            teamplay_apps::uav::DETECT_KERNEL_SOURCE,
-            "predetect",
-            vec![40],
-        ),
-        (
-            "parking",
-            teamplay_apps::parking::CONV_KERNEL_SOURCE,
-            "conv_layer",
-            vec![],
-        ),
-    ]
-    .into_iter()
-    .map(|(app, src, task, args)| {
-        let mut module = compile_to_ir(src).expect("kernel compiles");
-        let mut pm =
-            PassManager::new(cat.get(app).expect("registered").clone()).expect("pipeline resolves");
-        pm.run(&mut module);
-        let program = generate_program(&module, CodegenOpts::default()).expect("codegen succeeds");
-        (app.to_string(), task.to_string(), args, program)
-    })
-    .collect()
 }
 
 /// Simulated cycles of one stream of `reps` back-to-back runs of `call`.

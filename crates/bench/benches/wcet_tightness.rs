@@ -27,11 +27,10 @@
 use criterion::Criterion;
 use serde::Serialize;
 use std::time::Duration;
+use teamplay_bench::kernels::compiled_kernels;
 use teamplay_bench::timing::{sample_interleaved, Timer};
-use teamplay_compiler::{generate_program, CodegenOpts, PassManager};
 use teamplay_energy::{analyze_program_energy, mpj_to_pj, EnergyLane, IsaEnergyModel};
 use teamplay_isa::{CycleModel, Program};
-use teamplay_minic::compile_to_ir;
 use teamplay_wcet::{analyze, analyze_program, Preset};
 
 /// One kernel's bounds under both engines.
@@ -64,35 +63,6 @@ struct Throughput {
     analyses_per_sec_uncached: f64,
 }
 
-/// The four kernels under their tuned pipelines, compiled once.
-fn compiled_kernels() -> Vec<(String, String, Program)> {
-    let cat = teamplay_apps::catalog();
-    [
-        (
-            "camera_pill",
-            teamplay_apps::camera_pill::SOURCE,
-            "compress",
-        ),
-        ("spacewire", teamplay_apps::spacewire::SOURCE, "crc_frame"),
-        ("uav", teamplay_apps::uav::DETECT_KERNEL_SOURCE, "predetect"),
-        (
-            "parking",
-            teamplay_apps::parking::CONV_KERNEL_SOURCE,
-            "conv_layer",
-        ),
-    ]
-    .into_iter()
-    .map(|(app, src, task)| {
-        let mut module = compile_to_ir(src).expect("kernel compiles");
-        let mut pm =
-            PassManager::new(cat.get(app).expect("registered").clone()).expect("pipeline resolves");
-        pm.run(&mut module);
-        let program = generate_program(&module, CodegenOpts::default()).expect("codegen succeeds");
-        (app.to_string(), task.to_string(), program)
-    })
-    .collect()
-}
-
 fn main() {
     let cm = CycleModel::pg32();
     let em = IsaEnergyModel::pg32_datasheet();
@@ -100,7 +70,7 @@ fn main() {
 
     let tightness: Vec<KernelTightness> = kernels
         .iter()
-        .map(|(app, task, program)| {
+        .map(|(app, task, _, program)| {
             let ipet = analyze_program(program, &cm)
                 .expect("ipet")
                 .wcet_cycles(task)
@@ -129,7 +99,7 @@ fn main() {
     // Throughput: whole-program analyses over all four kernels, the
     // best of the sampled rounds.
     const REPS: usize = 50;
-    let programs: Vec<&Program> = kernels.iter().map(|(_, _, p)| p).collect();
+    let programs: Vec<&Program> = kernels.iter().map(|(_, _, _, p)| p).collect();
     let mut timers = [Timer::new(|| {
         for _ in 0..REPS {
             for p in &programs {

@@ -21,6 +21,7 @@
 
 pub mod ablations;
 pub mod experiments;
+pub mod kernels;
 pub mod timing;
 
 /// Render a percentage improvement `(base - new) / base`.

@@ -31,11 +31,13 @@
 //! names never share a code id.
 //!
 //! Replay rests on the pass contract in the [`crate::passes`] module
-//! docs: every pass but `inline` is pure in (body, spec), and a pass
-//! that reports no change leaves the body untouched. The inline snapshot
-//! (the unoptimised module) and the codegen data layout are fixed for
-//! the lifetime of one memo, which is why each cache owns its own; so
-//! are the cost models the analysis table's bounds were computed under.
+//! docs: every pass is pure in (body, spec, callee snapshot), and a pass
+//! that reports no change leaves the body untouched. The callee snapshot
+//! `inline` reads (the unoptimised module) and the codegen data layout
+//! are fixed for the lifetime of one memo, which is why each cache owns
+//! its own; so are the cost models the analysis table's bounds were
+//! computed under. Every pass invocation can therefore replay, `inline`
+//! included.
 //!
 //! The counters ([`CompileMemoStats`]) can vary with pool width: two
 //! threads that miss on the same transition or analysis at once both
@@ -162,9 +164,8 @@ pub(crate) struct Compiled {
 /// these counts out of byte-compared output.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileMemoStats {
-    /// Pass invocations that ran: transition misses, plus every
-    /// invocation of `inline`, which the memo never replays (its budget
-    /// depends on earlier rounds, not on the body alone).
+    /// Pass invocations that ran: transition misses, each then
+    /// recorded.
     pub pass_runs: usize,
     /// Pass invocations replayed from a recorded transition.
     pub pass_replays: usize,
@@ -494,15 +495,9 @@ impl MemoCursor<'_> {
     }
 
     /// Report that the pass in `slot` ran from the current state, left
-    /// `f` and reported `changed`; move the cursor to `f`'s state, and
-    /// record the transition if the pass is `memoisable` (pure).
-    pub(crate) fn record(
-        &mut self,
-        slot: usize,
-        f: &Arc<IrFunction>,
-        changed: bool,
-        memoisable: bool,
-    ) {
+    /// `f` and reported `changed`; record the transition and move the
+    /// cursor to `f`'s state.
+    pub(crate) fn record(&mut self, slot: usize, f: &Arc<IrFunction>, changed: bool) {
         let memo = self.memo;
         memo.pass_runs.fetch_add(1, Ordering::Relaxed);
         let next = if changed {
@@ -515,11 +510,9 @@ impl MemoCursor<'_> {
             );
             self.state
         };
-        if memoisable {
-            memo.tables()
-                .transitions
-                .insert((self.state, self.specs[slot]), (next, changed));
-        }
+        memo.tables()
+            .transitions
+            .insert((self.state, self.specs[slot]), (next, changed));
         self.state = next;
     }
 }

@@ -50,15 +50,16 @@ pub struct FpaConfig {
     pub population: usize,
     /// Iterations (generations).
     pub iterations: usize,
-    /// Probability of global (vs local) pollination per move.
-    pub switch_prob: f64,
     /// Maximum archive size (crowding-distance pruned).
     pub archive_cap: usize,
-    /// Lévy exponent λ (1 < λ ≤ 3; ref \[5\] uses 1.5).
-    pub levy_lambda: f64,
-    /// Global step scale.
-    pub step_scale: f64,
 }
+
+/// Probability of global (vs local) pollination per move.
+const SWITCH_PROB: f64 = 0.8;
+/// Lévy exponent λ (1 < λ ≤ 3; ref \[5\] uses 1.5).
+const LEVY_LAMBDA: f64 = 1.5;
+/// Global step scale.
+const STEP_SCALE: f64 = 0.12;
 
 impl FpaConfig {
     /// The setting used by the compiler searches: small but effective.
@@ -66,10 +67,7 @@ impl FpaConfig {
         FpaConfig {
             population: 16,
             iterations: 12,
-            switch_prob: 0.8,
             archive_cap: 24,
-            levy_lambda: 1.5,
-            step_scale: 0.12,
         }
     }
 
@@ -235,9 +233,7 @@ impl MultiObjectiveFpa {
             // does not depend on evaluation results.
             let moves: Vec<(Vec<f64>, bool)> = (0..population.len())
                 .map(|i| {
-                    let candidate: Vec<f64> = if rng.gen_bool(cfg.switch_prob)
-                        && !archive.is_empty()
-                    {
+                    let candidate: Vec<f64> = if rng.gen_bool(SWITCH_PROB) && !archive.is_empty() {
                         // Global pollination: Lévy flight toward an
                         // archive leader.
                         let leader = &archive[rng.gen_range(0..archive.len())].genome;
@@ -245,8 +241,8 @@ impl MultiObjectiveFpa {
                             .iter()
                             .zip(leader)
                             .map(|(x, g)| {
-                                let l = levy(&mut rng, cfg.levy_lambda);
-                                (x + cfg.step_scale * l * (g - x)).clamp(0.0, 1.0)
+                                let l = levy(&mut rng, LEVY_LAMBDA);
+                                (x + STEP_SCALE * l * (g - x)).clamp(0.0, 1.0)
                             })
                             .collect()
                     } else {

@@ -29,11 +29,11 @@
 //! next state and change flag. Replay is exact only because every pass
 //! keeps two promises:
 //!
-//! * **purity** — a pass is a function of (body, parameter) alone: no
-//!   hidden state carried between invocations. The one pass that does
-//!   carry state is `inline`, whose budget the manager keeps per
-//!   (function, pipeline slot) across fixpoint rounds and which reads
-//!   the module snapshot; its row says so, and it always runs;
+//! * **purity** — a pass is a function of (body, parameter, callee
+//!   snapshot) alone: no hidden state carried between invocations. The
+//!   snapshot (the module's unoptimised bodies, read only by `inline`)
+//!   is fixed for a memo's lifetime, so every pass invocation can
+//!   replay;
 //! * **honest change flags** — a pass that returns `false` leaves the
 //!   body exactly as it found it, operand order included. Debug builds
 //!   assert this against the interned input state on every pass the
@@ -108,9 +108,12 @@
 //!
 //! # Writing a new pass
 //!
-//! Write the pass as a function `fn(&mut IrFunction, …) -> bool` that
-//! reports whether it changed the body (and leaves the body untouched
-//! when it did not), then add a row to [`REGISTRY`]; the pass
+//! Write the pass as a function of the body (and, if it takes one, its
+//! parameter) that reports whether it changed the body (and leaves the
+//! body untouched when it did not), then add a row to [`REGISTRY`],
+//! whose `run` adapts it to the one row signature
+//! `fn(&mut IrFunction, usize, &HashMap<String, IrFunction>) -> bool`
+//! (body, parameter, callee snapshot); the pass
 //! immediately becomes available to [`PassManager::from_str`], the
 //! optimisation levels and (if added to the genome's pass menu,
 //! [`crate::driver::CompilerConfig::SEARCH_PASSES`]) the Pareto search —
@@ -139,6 +142,7 @@ use teamplay_minic::interp::eval_binop;
 use teamplay_minic::ir::{
     CallArg, IrBlockId, IrFunction, IrModule, IrOp, IrTerm, MemBase, Operand, Temp,
 };
+use teamplay_minic::loops::trip_count;
 
 // =====================================================================
 // Pass implementations (free functions — the reusable cores)
@@ -450,9 +454,10 @@ pub fn strength_reduce_mul(f: &mut IrFunction, shift_add: bool) -> bool {
     changed
 }
 
-/// Inlining budget per (function, `inline` pipeline slot): bounds code
+/// Expansions one `inline` run may make. With at most
+/// [`PassManager::MAX_ROUNDS`] runs per pipeline slot, this bounds code
 /// growth per function.
-const MAX_INLINES_PER_FUNCTION: usize = 24;
+const MAX_INLINES_PER_RUN: usize = 24;
 
 /// Clone every function body by name — the callee snapshot inlining
 /// reads from.
@@ -496,21 +501,15 @@ fn op_count(f: &IrFunction) -> usize {
 /// Inline eligible call sites of one caller, reading callee bodies from
 /// `snapshot`. A call site is eligible when the callee (a) is not (even
 /// mutually) recursive, (b) has at most `threshold` IR operations, and
-/// (c) is not the caller itself. Every expansion spends one unit of
-/// `budget`, which the pass manager shares across the fixpoint rounds of
-/// one pipeline slot on one function to bound code growth. Loop bounds of
-/// the callee transfer to the caller (block ids remapped), keeping the
-/// result analysable.
+/// (c) is not the caller itself. One run makes at most
+/// [`MAX_INLINES_PER_RUN`] expansions; the next fixpoint round runs
+/// again with a fresh budget. Loop bounds of the callee transfer to the
+/// caller (block ids remapped), keeping the result analysable.
 ///
 /// Returns `true` if anything changed.
-fn inline_with_budget(
-    f: &mut IrFunction,
-    snapshot: &HashMap<String, IrFunction>,
-    threshold: usize,
-    budget: &mut usize,
-) -> bool {
+fn inline(f: &mut IrFunction, snapshot: &HashMap<String, IrFunction>, threshold: usize) -> bool {
     let mut changed = false;
-    while *budget > 0 {
+    for _ in 0..MAX_INLINES_PER_RUN {
         // Find the first eligible call site.
         let mut site: Option<(usize, usize, String)> = None;
         'outer: for (bi, b) in f.blocks.iter().enumerate() {
@@ -531,7 +530,6 @@ fn inline_with_budget(
         };
         let callee = snapshot[&callee_name].clone();
         inline_site(f, bi, oi, &callee);
-        *budget -= 1;
         changed = true;
     }
     changed
@@ -1553,27 +1551,6 @@ impl Availability for CellFacts {
     }
 }
 
-/// Exact body-execution count of a canonical counted loop, or `None`
-/// when the shape cannot be bounded exactly (mirrors
-/// `teamplay_minic::loops::trip_count`, on IR-level facts).
-fn exact_trips(init: i64, limit: i64, step: i64, cmp: BinOp) -> Option<i64> {
-    let count = match (cmp, step > 0) {
-        (BinOp::Lt, true) => (limit - init + step - 1).max(0) / step,
-        (BinOp::Le, true) => (limit - init + step).max(0) / step,
-        (BinOp::Gt, false) => (init - limit + (-step) - 1).max(0) / (-step),
-        (BinOp::Ge, false) => (init - limit + (-step)).max(0) / (-step),
-        _ => return None,
-    };
-    // The unrolled copies replay the original wrapping arithmetic, but
-    // the *count* above is only exact if the induction value never wraps
-    // on its monotone path from init to the final compare.
-    let last = init + count * step;
-    if last < i64::from(i32::MIN) || last > i64::from(i32::MAX) {
-        return None;
-    }
-    Some(count)
-}
-
 /// A recognised canonical counted loop with a provable exact trip
 /// count: shared between [`unroll_loops`] (which replays the body
 /// `trips` times) and [`value_graph_loop_bounds`] (which surfaces `trips`
@@ -1594,7 +1571,7 @@ struct CountedLoop {
     /// The loop's exit block.
     exit: IrBlockId,
     /// Exact body-execution count, provable from IR constants.
-    trips: i64,
+    trips: u32,
 }
 
 /// How a counted-loop recogniser resolves an operand to a compile-time
@@ -1756,7 +1733,12 @@ fn recognise_counted_loop_with(
             }
         });
     let Some(Some(init)) = init else { return None };
-    let trips = exact_trips(init, i64::from(limit), step, cmp)?;
+    // `i != limit` loops are left to the front end's inference: neither
+    // unrolled nor bounded on an IR-level proof.
+    if cmp == BinOp::Ne {
+        return None;
+    }
+    let trips = trip_count(init, i64::from(limit), step, cmp)?;
     Some(CountedLoop {
         header: h,
         body: bb,
@@ -1853,8 +1835,7 @@ pub fn value_graph_loop_bounds(f: &IrFunction) -> Vec<(IrBlockId, u32)> {
         .iter()
         .filter_map(|l| {
             let c = recognise_counted_loop_with(f, l, &resolve)?;
-            let trips = u32::try_from(c.trips).ok()?;
-            Some((IrBlockId(c.header as u32), trips))
+            Some((IrBlockId(c.header as u32), c.trips))
         })
         .collect()
 }
@@ -2117,21 +2098,6 @@ fn renumber_blocks(f: &mut IrFunction, keep: &[bool], remap: &[u32]) {
 // Registry
 // =====================================================================
 
-/// How a registry row runs its pass.
-#[derive(Clone, Copy)]
-enum PassFn {
-    /// A pure rewrite of one function under the row's parameter (the
-    /// spec's, or the default; `0` for passes that take none). One input
-    /// body always yields one output body and change flag, so the
-    /// compile memo may replay it.
-    Pure(fn(&mut IrFunction, usize) -> bool),
-    /// `inline`: reads callee bodies from the module snapshot and spends
-    /// an inline budget that the application core keeps per (function,
-    /// pipeline slot) across fixpoint rounds. The budget left depends on
-    /// earlier rounds, not on the body alone, so it is never replayed.
-    Inline,
-}
-
 /// One row of the pass table: a name, a summary, a default parameter
 /// and the function that runs the pass.
 pub struct PassDescriptor {
@@ -2141,7 +2107,11 @@ pub struct PassDescriptor {
     pub summary: &'static str,
     /// Default parameter, for parameterised passes.
     pub default_param: Option<usize>,
-    run: PassFn,
+    /// Runs the pass once on a body under a parameter (the spec's, or
+    /// the default; `0` for passes that take none), reading callees from
+    /// the module's unoptimised bodies. Pure: one input yields one
+    /// output body and change flag, so the compile memo may replay it.
+    run: fn(&mut IrFunction, usize, &HashMap<String, IrFunction>) -> bool,
 }
 
 /// Every registered pass. A new pass is a new row.
@@ -2150,73 +2120,73 @@ pub static REGISTRY: &[PassDescriptor] = &[
         name: "inline",
         summary: "inline callees up to a size threshold (param, IR ops)",
         default_param: Some(40),
-        run: PassFn::Inline,
+        run: |f, threshold, snapshot| inline(f, snapshot, threshold),
     },
     PassDescriptor {
         name: "const_fold",
         summary: "fold constants and resolve constant branches",
         default_param: None,
-        run: PassFn::Pure(|f, _| const_fold(f)),
+        run: |f, _, _| const_fold(f),
     },
     PassDescriptor {
         name: "copy_prop",
         summary: "propagate copies within blocks",
         default_param: None,
-        run: PassFn::Pure(|f, _| copy_propagate(f)),
+        run: |f, _, _| copy_propagate(f),
     },
     PassDescriptor {
         name: "dce",
         summary: "remove pure operations whose results are never read",
         default_param: None,
-        run: PassFn::Pure(|f, _| dead_code_elim(f)),
+        run: |f, _, _| dead_code_elim(f),
     },
     PassDescriptor {
         name: "strength_reduce",
         summary: "rewrite power-of-two multiplies into shifts",
         default_param: None,
-        run: PassFn::Pure(|f, _| strength_reduce_mul(f, false)),
+        run: |f, _, _| strength_reduce_mul(f, false),
     },
     PassDescriptor {
         name: "mul_shift_add",
         summary: "decompose small multipliers into shift-add chains (energy ↓, cycles ↑)",
         default_param: None,
-        run: PassFn::Pure(|f, _| strength_reduce_mul(f, true)),
+        run: |f, _, _| strength_reduce_mul(f, true),
     },
     PassDescriptor {
         name: "licm",
         summary: "hoist loop-invariant computations into loop preheaders",
         default_param: None,
-        run: PassFn::Pure(|f, _| licm(f)),
+        run: |f, _, _| licm(f),
     },
     PassDescriptor {
         name: "cse",
         summary: "eliminate block-local common subexpressions",
         default_param: None,
-        run: PassFn::Pure(|f, _| local_cse(f)),
+        run: |f, _, _| local_cse(f),
     },
     PassDescriptor {
         name: "gvn",
         summary: "eliminate redundant expressions across blocks (dominator-scoped value numbering)",
         default_param: None,
-        run: PassFn::Pure(|f, _| gvn(f)),
+        run: |f, _, _| gvn(f),
     },
     PassDescriptor {
         name: "load_fwd",
         summary: "forward stored values to later loads of the same cell across blocks",
         default_param: None,
-        run: PassFn::Pure(|f, _| load_fwd(f)),
+        run: |f, _, _| load_fwd(f),
     },
     PassDescriptor {
         name: "unroll",
         summary: "fully unroll constant-trip loops up to a trip ceiling (param)",
         default_param: Some(8),
-        run: PassFn::Pure(unroll_loops),
+        run: |f, max_trips, _| unroll_loops(f, max_trips),
     },
     PassDescriptor {
         name: "block_layout",
         summary: "straighten the CFG: thread, merge and drop blocks, reorder for codegen",
         default_param: None,
-        run: PassFn::Pure(|f, _| block_layout(f)),
+        run: |f, _, _| block_layout(f),
     },
 ];
 
@@ -2241,23 +2211,9 @@ impl Slot {
         Ok(Slot { pass, param })
     }
 
-    /// Whether the compile memo may replay this slot instead of running it.
-    fn memoisable(&self) -> bool {
-        matches!(self.pass.run, PassFn::Pure(_))
-    }
-
-    /// Run the pass once on `f`; `budget` is this slot's inline budget
-    /// on the function (read only by `inline`).
-    fn run(
-        &self,
-        f: &mut IrFunction,
-        snapshot: &HashMap<String, IrFunction>,
-        budget: &mut usize,
-    ) -> bool {
-        match self.pass.run {
-            PassFn::Pure(run) => run(f, self.param),
-            PassFn::Inline => inline_with_budget(f, snapshot, self.param, budget),
-        }
+    /// Run the pass once on `f`.
+    fn run(&self, f: &mut IrFunction, snapshot: &HashMap<String, IrFunction>) -> bool {
+        (self.pass.run)(f, self.param, snapshot)
     }
 }
 
@@ -2694,12 +2650,10 @@ impl PassManager {
     /// The one code path that applies passes — [`PassManager::run`] and
     /// the compile memo's compiles (the search's and the final build's)
     /// both call it: iterates the pipeline over one function to
-    /// (bounded) fixpoint, giving every `inline` slot a fresh budget of
-    /// `MAX_INLINES_PER_FUNCTION` expansions that its invocations on this
-    /// function share.
+    /// (bounded) fixpoint.
     ///
-    /// With a `memo` cursor, a pure pass whose transition from the
-    /// current state is recorded is replayed instead of run: a replayed
+    /// With a `memo` cursor, a pass whose transition from the current
+    /// state is recorded is replayed instead of run: a replayed
     /// change swaps in the recorded output state (shared, not copied).
     /// The body is copied out of the memo only when a pass must actually
     /// run ([`Arc::make_mut`]). Replays count in [`PassStats`] exactly as
@@ -2710,20 +2664,16 @@ impl PassManager {
         functions: &HashMap<String, IrFunction>,
         mut memo: Option<&mut MemoCursor<'_>>,
     ) -> bool {
-        let mut budgets = vec![MAX_INLINES_PER_FUNCTION; self.slots.len()];
         let mut changed = false;
         for _ in 0..Self::MAX_ROUNDS {
             let mut round_changed = false;
             let slots = self.slots.iter().zip(self.stats.iter_mut());
             for (i, (slot, stat)) in slots.enumerate() {
-                let replayed = match memo.as_deref_mut() {
-                    Some(cursor) if slot.memoisable() => cursor.replay(i, f),
-                    _ => None,
-                };
+                let replayed = memo.as_deref_mut().and_then(|cursor| cursor.replay(i, f));
                 let pass_changed = replayed.unwrap_or_else(|| {
-                    let pass_changed = slot.run(Arc::make_mut(f), functions, &mut budgets[i]);
+                    let pass_changed = slot.run(Arc::make_mut(f), functions);
                     if let Some(cursor) = memo.as_deref_mut() {
-                        cursor.record(i, f, pass_changed, slot.memoisable());
+                        cursor.record(i, f, pass_changed);
                     }
                     pass_changed
                 });
@@ -3362,7 +3312,7 @@ mod tests {
                 // One fresh invocation of a row, with its default parameter.
                 let run = |d: &PassDescriptor, g: &mut IrFunction| {
                     let slot = Slot::resolve(&PassSpec::new(d.name)).expect("registered");
-                    slot.run(g, &snapshot, &mut { MAX_INLINES_PER_FUNCTION })
+                    slot.run(g, &snapshot)
                 };
                 for step in REGISTRY.iter().chain(REGISTRY) {
                     for d in REGISTRY {
@@ -3443,10 +3393,11 @@ mod tests {
         assert_eq!(run_ir(&m, "f", &[5]), Some(120));
     }
 
-    /// Each `inline` slot in a pipeline spends its own 24-expansion
-    /// budget per function, shared across that slot's fixpoint rounds.
+    /// One `inline` run makes at most 24 expansions; each fixpoint round
+    /// runs it again with a fresh budget, so the manager inlines all 30
+    /// calls whether the pipeline has one `inline` slot or two.
     #[test]
-    fn inline_budgets_are_per_function_and_per_slot() {
+    fn inline_budget_is_per_run() {
         let calls = (0..30)
             .map(|k| format!("s = s + leaf(x + {k});"))
             .collect::<String>();
@@ -3454,21 +3405,27 @@ mod tests {
             "int leaf(int v) {{ return v + 1; }}
              int f(int x) {{ int s = 0; {calls} return s; }}"
         );
-        let calls_left = |pipeline: &str| {
-            let mut m = ir_of(&src);
-            PassManager::from_str(pipeline)
-                .expect("pipeline")
-                .run(&mut m);
-            assert_eq!(run_ir(&m, "f", &[2]), Some(30 * 3 + (0..30).sum::<i32>()));
-            let f = m.function("f").expect("f");
+        let count_calls = |f: &IrFunction| {
             f.blocks
                 .iter()
                 .flat_map(|b| &b.ops)
                 .filter(|o| matches!(o, IrOp::Call { .. }))
                 .count()
         };
-        assert_eq!(calls_left("inline"), 6, "one budget across the rounds");
-        assert_eq!(calls_left("inline,inline"), 0, "one budget per slot");
+        let m = ir_of(&src);
+        let mut once = m.function("f").expect("f").clone();
+        assert!(inline(&mut once, &snapshot_functions(&m), 40));
+        assert_eq!(count_calls(&once), 6, "one run spends its 24 expansions");
+        let calls_left = |pipeline: &str| {
+            let mut m = ir_of(&src);
+            PassManager::from_str(pipeline)
+                .expect("pipeline")
+                .run(&mut m);
+            assert_eq!(run_ir(&m, "f", &[2]), Some(30 * 3 + (0..30).sum::<i32>()));
+            count_calls(m.function("f").expect("f"))
+        };
+        assert_eq!(calls_left("inline"), 0, "a fresh budget every round");
+        assert_eq!(calls_left("inline,inline"), 0, "a fresh budget every run");
     }
 
     #[test]

@@ -166,8 +166,10 @@ fn as_limit(cond: &Expr, var: &str) -> Option<(BinOp, i64)> {
 }
 
 /// Iteration count of a canonical counted loop, computed exactly, or
-/// `None` if the induction variable would wrap.
-fn trip_count(init: i64, limit: i64, step: i64, op: BinOp) -> Option<u32> {
+/// `None` if the induction variable would wrap or the count does not
+/// fit a `u32`. The optimiser's counted-loop recogniser shares it, so
+/// source-level inference and IR-level proofs count alike.
+pub fn trip_count(init: i64, limit: i64, step: i64, op: BinOp) -> Option<u32> {
     let count: i64 = match (op, step > 0) {
         (BinOp::Lt, true) => (limit - init + step - 1).max(0) / step,
         (BinOp::Le, true) => (limit - init + step).max(0) / step,

@@ -15,9 +15,11 @@
 //!   `PassStats` invocations of the configurations the cache compiled,
 //!   and `analysis_hits + analysis_misses` the number of functions it
 //!   analysed, at any pool width.
-//! * **Stateful passes are not replayed** — `inline`'s per-function
-//!   budget runs out in one fixpoint round and stays spent in the next;
-//!   memoised compiles still match the unmemoised ones.
+//! * **Every pass replays, `inline` included** — one `inline` run
+//!   spends its whole budget and the next fixpoint round's run, with a
+//!   fresh budget, finishes the job; memoised compiles, cold and warm and
+//!   run concurrently at pool widths 1/2/4, match the unmemoised ones,
+//!   and a warm compile replays every `inline` invocation.
 //! * **The final build is the compile the search measured** —
 //!   [`EvalCache::final_build`] under per-function configurations, on a
 //!   warm cache (after a search at pool widths 1/2/4) and on a cold one,
@@ -207,47 +209,55 @@ fn pass_runs_and_replays_sum_to_the_pass_invocations() {
     }
 }
 
-#[test]
-fn inline_budget_exhausted_across_rounds_is_not_replayed() {
-    // `f` makes more inlinable calls than one function's inline budget
-    // allows: the first round spends the budget, and the next round's
-    // `inline` finds it spent with calls left. `inline,dce` records that
-    // second-round `inline` as "no change"; `inline,dce,inline` then
-    // reaches the same state in its first round with a second `inline`
-    // whose budget is fresh, so replaying the recorded transition would
-    // leave six calls that the unmemoised compile inlines.
+/// A module whose `f` makes 30 inlinable calls, more than one `inline`
+/// run may expand (24).
+fn thirty_calls() -> IrModule {
     let calls = "s = inc(s); ".repeat(30);
     let src = format!(
         "int inc(int v) {{ return v + 1; }}
          int f(int x) {{ int s = x; {calls}return s; }}"
     );
-    let ir = compile_to_ir(&src).expect("front-end");
+    compile_to_ir(&src).expect("front-end")
+}
+
+fn config_of(pipeline: &str) -> CompilerConfig {
+    CompilerConfig {
+        pipeline: pipeline.parse::<Pipeline>().expect("pipeline resolves"),
+        ..CompilerConfig::balanced()
+    }
+}
+
+#[test]
+fn inline_runs_with_a_fresh_budget_each_round_and_replays() {
+    // The first `inline` run spends its budget with six calls left; the
+    // next run, in the next round or the next slot, has a fresh budget
+    // and inlines them. Both runs are pure, so the memo records and
+    // replays them like any other pass.
+    let ir = thirty_calls();
     let (cm, em) = (CycleModel::pg32(), IsaEnergyModel::pg32_datasheet());
-    let cache = EvalCache::new(&ir, &cm, &em);
-    let pipelines = [
-        ("inline,const_fold,copy_prop,dce", 6),
-        ("const_fold,inline(60),dce", 6),
-        ("inline,dce", 6),
-        ("inline,dce,inline", 0),
-        ("inline,block_layout", 6),
-    ];
-    for (pipeline, expected_calls) in pipelines {
-        let config = CompilerConfig {
-            pipeline: pipeline.parse::<Pipeline>().expect("pipeline resolves"),
-            ..CompilerConfig::balanced()
-        };
-        // The budget really runs out: the first `inline` changes `f`
-        // once, in round one, and runs again in round two.
+    let configs: Vec<CompilerConfig> = [
+        "inline,const_fold,copy_prop,dce",
+        "const_fold,inline(60),dce",
+        "inline,dce",
+        "inline,dce,inline",
+        "inline,block_layout",
+        "inline",
+    ]
+    .into_iter()
+    .map(config_of)
+    .collect();
+    for config in &configs {
+        let pipeline = &config.pipeline;
         let mut module = ir.clone();
-        let mut pm = PassManager::new(config.pipeline.clone()).expect("pipeline resolves");
+        let mut pm = PassManager::new(pipeline.clone()).expect("pipeline resolves");
         pm.run(&mut module);
-        let inline = pm
+        let inline_changes: usize = pm
             .stats()
             .iter()
-            .find(|s| s.name == "inline")
-            .expect("inline runs");
-        assert_eq!(inline.changes, 1, "{pipeline}: {inline:?}");
-        assert!(inline.invocations >= 2, "{pipeline}: {inline:?}");
+            .filter(|s| s.name == "inline")
+            .map(|s| s.changes)
+            .sum();
+        assert_eq!(inline_changes, 2, "{pipeline}: 24 expansions, then 6");
         let calls_left = module
             .function("f")
             .expect("f")
@@ -256,19 +266,48 @@ fn inline_budget_exhausted_across_rounds_is_not_replayed() {
             .flat_map(|b| &b.ops)
             .filter(|op| matches!(op, IrOp::Call { .. }))
             .count();
-        assert_eq!(
-            calls_left, expected_calls,
-            "{pipeline}: 30 calls, budget of 24"
-        );
-        // Cold and warm memoised compiles both match.
+        assert_eq!(calls_left, 0, "{pipeline}: every call inlined");
+    }
+    // Cold and warm memoised compiles both match, with every pipeline
+    // compiling concurrently through one memo.
+    for width in [1usize, 2, 4] {
+        let pool = minipool::Pool::new(width);
+        let cache = EvalCache::new(&ir, &cm, &em);
         for pass in ["cold", "warm"] {
-            if let Some(divergence) = compile_divergence(&ir, &cache, &config) {
-                panic!("{pass}: {divergence}");
+            let divergences = pool.par_map(&configs, |_, config| {
+                compile_divergence(&ir, &cache, config)
+            });
+            if let Some(divergence) = divergences.into_iter().flatten().next() {
+                panic!("width {width}, {pass}: {divergence}");
             }
         }
+        let stats = cache.compile_memo_stats();
+        assert!(stats.pass_replays > 0, "width {width}: {stats:?}");
     }
-    let stats = cache.compile_memo_stats();
-    assert!(stats.pass_replays > 0, "{stats:?}");
+}
+
+#[test]
+fn a_warm_inline_only_compile_replays_every_invocation() {
+    let ir = thirty_calls();
+    let (cm, em) = (CycleModel::pg32(), IsaEnergyModel::pg32_datasheet());
+    let cache = EvalCache::new(&ir, &cm, &em);
+    let config = config_of("inline");
+    let (cold_program, cold) = cache.compile(&config).expect("compiles");
+    let invocations: usize = cold.iter().map(|s| s.invocations).sum();
+    // `inc` calls nothing (one round); `f` changes in two rounds and
+    // settles in a third.
+    assert_eq!(invocations, 4, "{cold:?}");
+    let before = cache.compile_memo_stats();
+    assert_eq!((before.pass_runs, before.pass_replays), (invocations, 0));
+    let (warm_program, warm) = cache.compile(&config).expect("compiles");
+    assert_eq!(warm, cold);
+    assert_eq!(
+        serde_json::to_string(&warm_program).expect("serializes"),
+        serde_json::to_string(&cold_program).expect("serializes")
+    );
+    let after = cache.compile_memo_stats();
+    assert_eq!(after.pass_runs, before.pass_runs, "{after:?}");
+    assert_eq!(after.pass_replays, invocations, "{after:?}");
 }
 
 /// A call chain four deep: inlining decisions differ by caller, so
