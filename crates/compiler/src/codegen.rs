@@ -20,6 +20,7 @@
 use crate::dataflow::{for_each_read, for_each_term_read, for_each_write};
 use crate::passes::PipelineError;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 use teamplay_isa::{
     AluOp, Block, BlockId, Cond, DataLayout, Function, Insn, Operand as IsaOperand, Program, Reg,
@@ -103,11 +104,11 @@ enum Home {
     Pinned(Reg),
 }
 
-struct Ctx {
+struct Ctx<'a> {
     homes: Vec<Home>,
     array_offsets: Vec<u32>, // byte offset from SP per local array
     pinned: Vec<Reg>,
-    layout: DataLayout,
+    layout: &'a DataLayout,
     mul_shift_add: bool,
 }
 
@@ -127,7 +128,7 @@ fn emit_const(insns: &mut Vec<Insn>, dst: Reg, v: i32) {
     }
 }
 
-impl Ctx {
+impl Ctx<'_> {
     /// Load an IR operand into `dst`. `disp` is the extra byte offset to
     /// apply to SP-relative slots (non-zero only while a call's staging
     /// area is reserved below the frame).
@@ -427,6 +428,115 @@ fn max_call_args(f: &IrFunction) -> usize {
         .unwrap_or(0)
 }
 
+/// What code generation reads of an IR function state alone, whatever
+/// the options: computed once by [`prepare`] and read by [`emit`]. The
+/// compile memo keeps one per interned state, so a state generated under
+/// several options validates, coalesces and proves its loop bounds once.
+#[derive(Debug)]
+pub(crate) struct Prepared {
+    /// [`PIN_POOL`] minus the argument registers a call with more than 4
+    /// arguments pops into.
+    pool: Vec<Reg>,
+    /// The storage class (its lowest member temp) of each temp.
+    class_of: Vec<usize>,
+    /// The class representatives, most-used first (summed member usage,
+    /// lowest representative tie-break).
+    ranked: Vec<usize>,
+    /// How many classes are used at all: a prefix of `ranked`.
+    used: usize,
+    /// Whether some multiply has an operand `mul_shift_add` decomposes.
+    decomposable_mul: bool,
+    /// Annotation/inference bounds, intersected with the trip counts the
+    /// value-graph prover derives from IR constants, including limits,
+    /// inits and steps that flow through dominating def chains of temps:
+    /// a provable count tightens an over-wide annotation (`bound(64)` on
+    /// an 8-trip loop) and bounds counted loops that carry no annotation
+    /// at all, so the IPET analysis downstream sees the sharpest
+    /// available flow facts.
+    loop_bounds: BTreeMap<BlockId, u32>,
+}
+
+impl Prepared {
+    /// The options [`emit`] reads under `opts`: no more pinned registers
+    /// than the pool holds or classes are used, and shift-add
+    /// decomposition only when some multiply has a decomposable
+    /// operand. Emitting under them gives the same code as under `opts`.
+    pub(crate) fn effective(&self, opts: CodegenOpts) -> CodegenOpts {
+        CodegenOpts {
+            pinned_regs: opts.pinned_regs.min(self.pool.len()).min(self.used),
+            mul_shift_add: opts.mul_shift_add && self.decomposable_mul,
+        }
+    }
+}
+
+impl CodegenOpts {
+    /// The options code generation of `f` actually reads (see
+    /// [`generate_function`]): `generate_function(f, layout, self)` and
+    /// `generate_function(f, layout, self.effective_for(f))` return the
+    /// same result. A function codegen rejects fails under every option
+    /// alike and keeps `self`.
+    pub fn effective_for(self, f: &IrFunction) -> CodegenOpts {
+        prepare(f).map_or(self, |prepared| prepared.effective(self))
+    }
+}
+
+/// Everything code generation reads of `f` alone: validation, the
+/// pinning pool, the storage classes and their usage ranking, and the
+/// loop bounds.
+///
+/// # Errors
+/// [`CodegenError::InvalidIr`] or [`CodegenError::TooManyParams`].
+pub(crate) fn prepare(f: &IrFunction) -> Result<Prepared, CodegenError> {
+    f.validate().map_err(CodegenError::InvalidIr)?;
+    if f.params.len() > 6 {
+        return Err(CodegenError::TooManyParams(f.name.clone()));
+    }
+    // Calls with more than 4 arguments pop into r4/r5, so those registers
+    // cannot hold pinned temps in this function.
+    let pool: Vec<Reg> = PIN_POOL
+        .iter()
+        .copied()
+        .filter(|r| r.index() >= max_call_args(f))
+        .collect();
+
+    // Coalesce copy-related temps into storage classes and rank the
+    // classes by summed member usage.
+    let class_of = coalesce_classes(f);
+    let counts = usage_counts(f);
+    let n = f.temp_count as usize;
+    let mut class_usage = vec![0u64; n];
+    for t in 0..n {
+        class_usage[class_of[t]] += counts[t];
+    }
+    let mut ranked: Vec<usize> = (0..n).filter(|&t| class_of[t] == t).collect();
+    ranked.sort_by_key(|&r| (std::cmp::Reverse(class_usage[r]), r));
+    let used = ranked.iter().take_while(|&&r| class_usage[r] > 0).count();
+
+    let decomposable_mul = f.blocks.iter().flat_map(|b| &b.ops).any(|op| {
+        matches!(op, IrOp::Bin { op: BinOp::Mul, a, b, .. } if decomposition(*a, *b).is_some())
+    });
+
+    let mut loop_bounds: BTreeMap<BlockId, u32> = f
+        .loop_bounds
+        .iter()
+        .map(|(b, n)| (BlockId(b.0), *n))
+        .collect();
+    for (header, trips) in crate::passes::value_graph_loop_bounds(f) {
+        loop_bounds
+            .entry(BlockId(header.0))
+            .and_modify(|b| *b = (*b).min(trips))
+            .or_insert(trips);
+    }
+    Ok(Prepared {
+        pool,
+        class_of,
+        ranked,
+        used,
+        decomposable_mul,
+        loop_bounds,
+    })
+}
+
 /// Generate PG32 code for one IR function.
 ///
 /// `pinned_regs` (0, 2 or 4) is the register-pinning level; `layout` must
@@ -439,45 +549,33 @@ pub fn generate_function(
     layout: &DataLayout,
     opts: impl Into<CodegenOpts>,
 ) -> Result<Function, CodegenError> {
-    let opts: CodegenOpts = opts.into();
-    let pinned_regs = opts.pinned_regs;
-    f.validate().map_err(CodegenError::InvalidIr)?;
-    if f.params.len() > 6 {
-        return Err(CodegenError::TooManyParams(f.name.clone()));
-    }
-    // Calls with more than 4 arguments pop into r4/r5, so those registers
-    // cannot hold pinned temps in this function.
-    let pool: Vec<Reg> = PIN_POOL
-        .iter()
-        .copied()
-        .filter(|r| r.index() >= max_call_args(f))
-        .collect();
-    let pinned_regs = pinned_regs.min(pool.len());
+    emit(f, &prepare(f)?, layout, opts.into())
+}
 
-    // Coalesce copy-related temps into storage classes, then pin the
-    // most-used classes (summed member usage, lowest-member tie-break)
-    // and give every remaining class one stack slot. Copies between
-    // temps of one class vanish at emission.
-    let class_of = coalesce_classes(f);
-    let counts = usage_counts(f);
+/// Generate PG32 code for `f`, which `prepared` was prepared from.
+///
+/// # Errors
+/// [`CodegenError::FrameTooLarge`].
+pub(crate) fn emit(
+    f: &IrFunction,
+    prepared: &Prepared,
+    layout: &DataLayout,
+    opts: CodegenOpts,
+) -> Result<Function, CodegenError> {
+    let Prepared {
+        pool,
+        class_of,
+        ranked,
+        ..
+    } = prepared;
+    // Pin the most-used classes and give every remaining class one
+    // stack slot. Copies between temps of one class vanish at emission.
     let n = f.temp_count as usize;
-    let mut class_usage = vec![0u64; n];
-    for t in 0..n {
-        class_usage[class_of[t]] += counts[t];
-    }
-    let mut roots: Vec<usize> = (0..n).filter(|&t| class_of[t] == t).collect();
-    roots.sort_by_key(|&r| (std::cmp::Reverse(class_usage[r]), r));
     let mut root_home = vec![None; n];
-    let mut pinned = Vec::new();
-    for (rank, &r) in roots.iter().enumerate() {
-        if rank >= pinned_regs || class_usage[r] == 0 {
-            break;
-        }
-        let reg = pool[rank];
+    let pinning = &ranked[..prepared.effective(opts).pinned_regs];
+    for (&r, &reg) in pinning.iter().zip(pool) {
         root_home[r] = Some(Home::Pinned(reg));
-        pinned.push(reg);
     }
-    pinned.sort_by_key(|r| r.index());
 
     // Slot assignment for the remaining classes, in representative order.
     let mut next_slot = 0u32;
@@ -503,8 +601,9 @@ pub fn generate_function(
     let ctx = Ctx {
         homes,
         array_offsets,
-        pinned: pinned.clone(),
-        layout: layout.clone(),
+        // The pool is in register order, so this is the push order.
+        pinned: pool[..pinning.len()].to_vec(),
+        layout,
         mul_shift_add: opts.mul_shift_add,
     };
 
@@ -575,29 +674,10 @@ pub fn generate_function(
         blocks.push(Block { insns, terminator });
     }
 
-    // Annotation/inference bounds, intersected with the trip counts the
-    // value-graph prover derives from IR constants, including limits,
-    // inits and steps that flow through dominating def chains of temps:
-    // a provable count tightens an over-wide annotation (`bound(64)` on
-    // an 8-trip loop) and bounds counted loops that carry no annotation
-    // at all, so the IPET analysis downstream sees the sharpest
-    // available flow facts.
-    let mut loop_bounds: std::collections::BTreeMap<BlockId, u32> = f
-        .loop_bounds
-        .iter()
-        .map(|(b, n)| (BlockId(b.0), *n))
-        .collect();
-    for (header, trips) in crate::passes::value_graph_loop_bounds(f) {
-        loop_bounds
-            .entry(BlockId(header.0))
-            .and_modify(|b| *b = (*b).min(trips))
-            .or_insert(trips);
-    }
-
     Ok(Function {
         name: f.name.clone(),
         blocks,
-        loop_bounds,
+        loop_bounds: prepared.loop_bounds.clone(),
         frame_size,
     })
 }
@@ -607,18 +687,23 @@ fn decomposable_multiplier(c: i32) -> bool {
     (2..=255).contains(&c) && c.count_ones() <= 3
 }
 
-fn emit_op(ctx: &Ctx, insns: &mut Vec<Insn>, op: &IrOp) {
+/// The multiplicand and constant multiplier of a multiply `a * b` that
+/// `mul_shift_add` decomposes, if it is one.
+fn decomposition(a: Operand, b: Operand) -> Option<(Operand, i32)> {
+    match (a, b) {
+        (x, Operand::Const(c)) if decomposable_multiplier(c) => Some((x, c)),
+        (Operand::Const(c), x) if decomposable_multiplier(c) => Some((x, c)),
+        _ => None,
+    }
+}
+
+fn emit_op(ctx: &Ctx<'_>, insns: &mut Vec<Insn>, op: &IrOp) {
     match op {
         IrOp::Bin { op, dst, a, b } => {
             // Energy-saving multiply decomposition: the whole chain stays
             // in registers, so the only cost is the extra ALU cycles.
             if ctx.mul_shift_add && *op == BinOp::Mul {
-                let (x, c) = match (a, b) {
-                    (x, Operand::Const(c)) if decomposable_multiplier(*c) => (Some(*x), *c),
-                    (Operand::Const(c), x) if decomposable_multiplier(*c) => (Some(*x), *c),
-                    _ => (None, 0),
-                };
-                if let Some(x) = x {
+                if let Some((x, c)) = decomposition(*a, *b) {
                     ctx.load_operand(insns, x, Reg::R1);
                     let mut first = true;
                     for bit in 0..8 {

@@ -11,24 +11,40 @@
 //! * every pass invocation as a transition
 //!   `(state, pass spec) → (next state, changed)`, so a repeated
 //!   invocation costs one lookup;
-//! * every codegen call as `(final state, CodegenOpts) → code`, where
-//!   each distinct piece of code gets a dense [`CodeId`] and keeps the
+//! * what codegen reads of a state alone (validation, storage classes
+//!   and their usage ranking, proven loop bounds: [`Prepared`]), once per
+//!   state, the first time the state is generated;
+//! * every codegen call as `(final state, effective options) → code`.
+//!   The effective options ([`Prepared::effective`]) drop what codegen
+//!   of that state would not read: pinning beyond the registers it can
+//!   pin, shift-add decomposition when no multiply decomposes. So two
+//!   configurations that differ only there share one entry;
+//! * every distinct compiled function, interned by content: a dense
+//!   [`CodeId`] names one distinct body, name included, and keeps the
 //!   facts every evaluation reads of it: its callee names, its encoded
-//!   size and whether it validates;
+//!   size and whether it validates. Two codegen entries with equal
+//!   output share one code id;
 //! * every function analysis as `(code id, callee bounds) → (WCET,
 //!   WCEC)` ([`CompileMemo::bounds`]): one solve of the function's flow
 //!   structure for both cost lanes, walked callee-first by
 //!   [`teamplay_wcet::callee_first`].
 //!
-//! No lookup trusts a hash alone. The interner buckets states by their
-//! structural hash and compares for equality within the bucket before it
-//! returns an existing id; transitions, codegen entries and analyses are
-//! keyed by ids. This is hash-consing (Filliâtre & Conchon, "Type-safe
-//! modular hash-consing", ML Workshop 2006): equal code ids mean equal
-//! compiled functions by construction, so the analysis table is exact
-//! and an evaluation hashes no compiled code. A state is a whole
-//! function, name included, so two same-body functions under different
-//! names never share a code id.
+//! No lookup trusts a hash alone. The interners bucket states and code
+//! by their structural hash and compare for equality within the bucket
+//! before they return an existing id; transitions, codegen entries and
+//! analyses are keyed by ids. This is hash-consing (Filliâtre &
+//! Conchon, "Type-safe modular hash-consing", ML Workshop 2006): equal
+//! code ids mean equal compiled functions and distinct ids distinct
+//! ones, by construction, so the analysis table is exact and shared by
+//! duplicates, and an evaluation hashes no compiled code (a codegen miss
+//! hashes its output once, to intern it). A state is a whole function,
+//! name included, and so is compiled code, so two same-body functions
+//! under different names never share a code id.
+//!
+//! A compile returns code entries, not a program: an evaluation's
+//! objectives need only its metrics, so its [`Program`] is assembled
+//! from the entries ([`CompileMemo::assemble`]) only when something asks
+//! for it.
 //!
 //! Replay rests on the pass contract in the [`crate::passes`] module
 //! docs: every pass is pure in (body, spec, callee snapshot), and a pass
@@ -45,13 +61,13 @@
 //! Results never vary, so the counters stay out of every byte-compared
 //! artifact.
 
-use crate::codegen::{generate_function, CodegenError, CodegenOpts};
+use crate::codegen::{emit, prepare, CodegenError, CodegenOpts, Prepared};
 use crate::driver::{code_size_halfwords, codegen_opts, CompilerConfig};
 use crate::passes::{snapshot_functions, PassManager, PassSpec, PassStats};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use teamplay_isa::{DataLayout, Function, Program};
 use teamplay_minic::ir::{IrFunction, IrModule};
 use teamplay_wcet::{bound_function, callee_first, CostLane, Preset, WcetError};
@@ -108,11 +124,11 @@ impl Hasher for FxHasher {
 
 pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// The structural hash of a function body (its name left out), with
-/// [`FxHasher`].
-pub(crate) fn content_hash(f: &IrFunction) -> u64 {
+/// The structural hash of `t` with [`FxHasher`]; an [`IrFunction`]'s
+/// leaves its name out.
+pub(crate) fn content_hash<T: Hash + ?Sized>(t: &T) -> u64 {
     let mut hasher = FxHasher::default();
-    f.hash(&mut hasher);
+    t.hash(&mut hasher);
     hasher.finish()
 }
 
@@ -122,16 +138,16 @@ type StateId = u32;
 /// An interned [`PassSpec`].
 type SpecId = u32;
 
-/// A codegen entry: one `(final state, CodegenOpts)` pair, dense from 0
-/// in the order the memo first generated them.
+/// One distinct compiled function, dense from 0 in the order the memo
+/// first generated them.
 pub(crate) type CodeId = u32;
 
 /// A function's analysed bounds: WCET in cycles and WCEC in
 /// millipicojoules (the energy lane's integer unit).
 pub(crate) type Bounds = [u64; 2];
 
-/// One codegen entry: the generated function and the facts every
-/// evaluation reads of it, computed once when the code is generated.
+/// One distinct compiled function and the facts every evaluation reads
+/// of it, computed once when the function is first generated.
 #[derive(Debug)]
 pub(crate) struct Code {
     pub(crate) id: CodeId,
@@ -144,10 +160,9 @@ pub(crate) struct Code {
     pub(crate) valid: bool,
 }
 
-/// One compile through the memo: the program, and the code of each of
-/// its functions in the program's (name) order.
+/// One compile through the memo: the code of each function of its
+/// program, in the program's (name) order.
 pub(crate) struct Compiled {
-    pub(crate) program: Program,
     pub(crate) code: Vec<Arc<Code>>,
     /// The [`PassStats`] of the functions compiled under the default
     /// configuration.
@@ -173,8 +188,17 @@ pub struct CompileMemoStats {
     pub states: usize,
     /// Codegen calls answered from the memo.
     pub codegen_hits: usize,
-    /// Codegen calls that generated code.
+    /// Codegen calls that generated code: distinct `(state, effective
+    /// options)` pairs at pool width 1.
     pub codegen_misses: usize,
+    /// Distinct compiled functions interned, name included.
+    pub codes: usize,
+    /// Programs assembled from code entries: one per evaluation whose
+    /// program was asked for, per [`EvalCache::compile`], per final build,
+    /// and per compile that fails validation (to word its error).
+    ///
+    /// [`EvalCache::compile`]: crate::driver::EvalCache::compile
+    pub programs_built: usize,
     /// Function analyses answered from the memo's exact
     /// `(code id, callee bounds)` table.
     pub analysis_hits: usize,
@@ -184,18 +208,29 @@ pub struct CompileMemoStats {
     pub analysis_misses: usize,
 }
 
+/// An interned IR function state.
+struct State {
+    body: Arc<IrFunction>,
+    /// What codegen reads of the body alone, prepared when codegen first
+    /// asks.
+    prepared: OnceLock<Result<Prepared, CodegenError>>,
+}
+
 /// The memo's tables, behind one lock.
 #[derive(Default)]
 struct Tables {
     /// Every interned state, by id.
-    states: Vec<Arc<IrFunction>>,
+    states: Vec<Arc<State>>,
     /// State ids by structural hash: the equality-checked buckets.
     by_hash: FxMap<u64, Vec<StateId>>,
     specs: HashMap<PassSpec, SpecId>,
     transitions: FxMap<(StateId, SpecId), (StateId, bool)>,
+    /// Codegen entries, keyed on the effective options.
     code_ids: FxMap<(StateId, CodegenOpts), CodeId>,
-    /// Every codegen entry, by id.
+    /// Every distinct compiled function, by id.
     code: Vec<Arc<Code>>,
+    /// Code ids by structural hash: the equality-checked buckets.
+    code_by_hash: FxMap<u64, Vec<CodeId>>,
 }
 
 /// The per-function compile memo of one [`EvalCache`](crate::driver::EvalCache):
@@ -219,6 +254,7 @@ pub(crate) struct CompileMemo {
     codegen_misses: AtomicUsize,
     analysis_hits: AtomicUsize,
     analysis_misses: AtomicUsize,
+    programs_built: AtomicUsize,
 }
 
 impl CompileMemo {
@@ -240,6 +276,7 @@ impl CompileMemo {
             codegen_misses: AtomicUsize::new(0),
             analysis_hits: AtomicUsize::new(0),
             analysis_misses: AtomicUsize::new(0),
+            programs_built: AtomicUsize::new(0),
         };
         memo.roots = ir
             .functions
@@ -259,15 +296,16 @@ impl CompileMemo {
     /// Each function comes out exactly as
     /// [`crate::driver::compile_module`] under its configuration leaves
     /// it: a function's pipeline reads only its own body and the
-    /// unoptimised snapshot. Also returns each function's code entry and
-    /// the [`PassStats`] of the functions compiled under `default`, which
+    /// unoptimised snapshot. Returns each function's code entry, from
+    /// which [`CompileMemo::assemble`] builds the program, and the
+    /// [`PassStats`] of the functions compiled under `default`, which
     /// count replays as invocations; with no overrides they are the
     /// whole compile's.
     ///
     /// The program is validated from the code entries' cached facts: a
     /// function's own [`Function::validate`] result, and a check that
-    /// every callee is in the program. Only a program that fails them
-    /// runs [`Program::validate`], for its error.
+    /// every callee is in the program. Only a program that fails them is
+    /// assembled, to run [`Program::validate`] for its error.
     pub(crate) fn compile<'c>(
         &self,
         default: &'c CompilerConfig,
@@ -282,9 +320,9 @@ impl CompileMemo {
         let mut managers = vec![manager(default)?];
         // Every pipeline first, then codegen, as `compile_module` orders
         // them: a codegen failure leaves the same pass work behind.
-        let mut optimised: Vec<(StateId, Arc<IrFunction>, CodegenOpts)> = Vec::new();
+        let mut optimised: Vec<(StateId, CodegenOpts)> = Vec::new();
         for &root in &self.roots {
-            let mut body = self.state(root);
+            let mut body = Arc::clone(&self.state(root).body);
             let config = overrides.get(&body.name).unwrap_or(default);
             let k = match managers.iter().position(|(c, ..)| *c == config) {
                 Some(k) => k,
@@ -300,14 +338,11 @@ impl CompileMemo {
                 state: root,
             };
             pm.run_pipeline(&mut body, &self.snapshot, Some(&mut cursor));
-            optimised.push((cursor.state, body, codegen_opts(config)));
+            optimised.push((cursor.state, codegen_opts(config)));
         }
-        let mut program = self.blank.clone();
         let mut code = Vec::with_capacity(optimised.len());
-        for (state, body, opts) in &optimised {
-            let entry = self.codegen(*state, body, *opts)?;
-            program.add_function(entry.function.clone());
-            code.push(entry);
+        for &(state, opts) in &optimised {
+            code.push(self.codegen(state, opts)?);
         }
         // Into the program's order. A later function replaces an earlier
         // one of the same name, as in `Program::add_function`.
@@ -327,13 +362,27 @@ impl CompileMemo {
                 })
         });
         if !valid {
-            program.validate().map_err(CodegenError::InvalidIr)?;
+            self.assemble(&code)
+                .validate()
+                .map_err(CodegenError::InvalidIr)?;
         }
         Ok(Compiled {
-            program,
             code,
             stats: managers[0].1.stats().to_vec(),
         })
+    }
+
+    /// The program of a compile's `code` (in program order, as
+    /// [`CompileMemo::compile`] returns it): the module's globals and a
+    /// copy of each function.
+    pub(crate) fn assemble(&self, code: &[Arc<Code>]) -> Program {
+        self.programs_built.fetch_add(1, Ordering::Relaxed);
+        let mut program = self.blank.clone();
+        program.functions = code
+            .iter()
+            .map(|c| (c.function.name.clone(), c.function.clone()))
+            .collect();
+        program
     }
 
     /// The bounds of every function of a compiled program, `code` in the
@@ -383,12 +432,15 @@ impl CompileMemo {
 
     /// The memo's counters.
     pub(crate) fn stats(&self) -> CompileMemoStats {
+        let tables = self.tables();
         CompileMemoStats {
             pass_runs: self.pass_runs.load(Ordering::Relaxed),
             pass_replays: self.pass_replays.load(Ordering::Relaxed),
-            states: self.tables().states.len(),
+            states: tables.states.len(),
             codegen_hits: self.codegen_hits.load(Ordering::Relaxed),
             codegen_misses: self.codegen_misses.load(Ordering::Relaxed),
+            codes: tables.code.len(),
+            programs_built: self.programs_built.load(Ordering::Relaxed),
             analysis_hits: self.analysis_hits.load(Ordering::Relaxed),
             analysis_misses: self.analysis_misses.load(Ordering::Relaxed),
         }
@@ -409,7 +461,7 @@ impl CompileMemo {
             .collect()
     }
 
-    fn state(&self, id: StateId) -> Arc<IrFunction> {
+    fn state(&self, id: StateId) -> Arc<State> {
         Arc::clone(&self.tables().states[id as usize])
     }
 
@@ -421,47 +473,65 @@ impl CompileMemo {
             states, by_hash, ..
         } = &mut *tables;
         let bucket = by_hash.entry(hash).or_default();
-        if let Some(&id) = bucket.iter().find(|&&id| *states[id as usize] == **f) {
+        if let Some(&id) = bucket.iter().find(|&&id| *states[id as usize].body == **f) {
             return id;
         }
         let id = states.len() as StateId;
-        states.push(Arc::clone(f));
+        states.push(Arc::new(State {
+            body: Arc::clone(f),
+            prepared: OnceLock::new(),
+        }));
         bucket.push(id);
         id
     }
 
-    /// The code of state `state` (whose body is `f`) under `opts`.
-    fn codegen(
-        &self,
-        state: StateId,
-        f: &IrFunction,
-        opts: CodegenOpts,
-    ) -> Result<Arc<Code>, CodegenError> {
+    /// The code of state `state` under `opts`, keyed on the options
+    /// codegen of the state reads.
+    fn codegen(&self, state: StateId, opts: CodegenOpts) -> Result<Arc<Code>, CodegenError> {
+        let state_entry = self.state(state);
+        let prepared = state_entry
+            .prepared
+            .get_or_init(|| prepare(&state_entry.body));
+        let prepared = prepared.as_ref().map_err(Clone::clone)?;
+        let key = (state, prepared.effective(opts));
         {
             let tables = self.tables();
-            if let Some(&id) = tables.code_ids.get(&(state, opts)) {
+            if let Some(&id) = tables.code_ids.get(&key) {
                 self.codegen_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(&tables.code[id as usize]));
             }
         }
         self.codegen_misses.fetch_add(1, Ordering::Relaxed);
-        let function = generate_function(f, &self.layout, opts)?;
-        let (callees, halfwords) = (function.callees(), code_size_halfwords(&function));
-        let valid = function.validate().is_ok();
+        let code = self.intern_code(emit(&state_entry.body, prepared, &self.layout, key.1)?);
+        self.tables().code_ids.insert(key, code.id);
+        Ok(code)
+    }
+
+    /// The code entry of `function`, interning it with its facts if it is
+    /// new.
+    fn intern_code(&self, function: Function) -> Arc<Code> {
+        let hash = content_hash(&function);
         let mut tables = self.tables();
-        let Tables { code_ids, code, .. } = &mut *tables;
-        let id = *code_ids.entry((state, opts)).or_insert_with(|| {
-            let id = code.len() as CodeId;
-            code.push(Arc::new(Code {
-                id,
-                function,
-                callees,
-                halfwords,
-                valid,
-            }));
-            id
+        let Tables {
+            code, code_by_hash, ..
+        } = &mut *tables;
+        let bucket = code_by_hash.entry(hash).or_default();
+        if let Some(&id) = bucket
+            .iter()
+            .find(|&&id| code[id as usize].function == function)
+        {
+            return Arc::clone(&code[id as usize]);
+        }
+        let entry = Arc::new(Code {
+            id: code.len() as CodeId,
+            callees: function.callees(),
+            halfwords: code_size_halfwords(&function),
+            valid: function.validate().is_ok(),
+            function,
         });
-        Ok(Arc::clone(&code[id as usize]))
+        bucket.push(entry.id);
+        code.push(Arc::clone(&entry));
+        entry
     }
 }
 
@@ -485,7 +555,7 @@ impl MemoCursor<'_> {
             let tables = self.memo.tables();
             let &(next, changed) = tables.transitions.get(&(self.state, self.specs[slot]))?;
             if changed {
-                *f = Arc::clone(&tables.states[next as usize]);
+                *f = Arc::clone(&tables.states[next as usize].body);
             }
             (next, changed)
         };
@@ -505,7 +575,7 @@ impl MemoCursor<'_> {
         } else {
             debug_assert_eq!(
                 **f,
-                *memo.state(self.state),
+                *memo.state(self.state).body,
                 "a pass that reported no change edited the body"
             );
             self.state
@@ -554,6 +624,53 @@ mod tests {
         assert_eq!(content_hash(&a), content_hash(&b));
         b.loop_bounds.insert(IrBlockId(3), 99);
         assert_ne!(content_hash(&a), content_hash(&b));
+    }
+
+    #[test]
+    fn codegen_entries_with_equal_output_share_one_code_and_analysis() {
+        // `bound(64)` on a loop the value graph proves runs 8 times: the
+        // two states differ only in the annotation, which codegen
+        // tightens to 8, so they generate equal code.
+        let src = |annotation: &str| {
+            format!(
+                "int f(int x) {{ int s = 0; {annotation}
+                 for (int i = 0; i < 8; i = i + 1) {{ s = s + x; }} return s; }}"
+            )
+        };
+        let wide = compile_to_ir(&src("/*@ loop bound(64) @*/")).expect("front-end");
+        let tight = compile_to_ir(&src("")).expect("front-end");
+        assert_ne!(wide.functions[0], tight.functions[0]);
+        let memo = CompileMemo::new(&wide);
+        let tight_state = memo.intern(&Arc::new(tight.functions[0].clone()));
+        assert_ne!(tight_state, memo.roots[0]);
+
+        // No multiply: `mul_shift_add` is not an effective option, so
+        // both settings are one codegen entry.
+        let plain = CodegenOpts::from(2);
+        let shift_add = CodegenOpts {
+            mul_shift_add: true,
+            ..plain
+        };
+        let a = memo.codegen(memo.roots[0], plain).expect("codegen");
+        let b = memo.codegen(memo.roots[0], shift_add).expect("codegen");
+        let c = memo.codegen(tight_state, plain).expect("codegen");
+        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &c));
+        let stats = memo.stats();
+        assert_eq!(
+            (stats.codegen_hits, stats.codegen_misses, stats.codes),
+            (1, 2, 1)
+        );
+
+        let (cm, em) = (
+            teamplay_isa::CycleModel::pg32(),
+            teamplay_energy::IsaEnergyModel::pg32_datasheet(),
+        );
+        let energy = teamplay_energy::EnergyLane::new(&em, &cm);
+        let first = memo.bounds(&[a], &[&cm, &energy]).expect("bounded");
+        let second = memo.bounds(&[c], &[&cm, &energy]).expect("bounded");
+        assert_eq!(first, second);
+        let stats = memo.stats();
+        assert_eq!((stats.analysis_hits, stats.analysis_misses), (1, 1));
     }
 
     #[test]

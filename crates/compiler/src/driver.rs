@@ -24,26 +24,36 @@
 //!    every IR function state its compiles pass through and records
 //!    every pass invocation as a `(state, pass spec) → (next state,
 //!    changed)` transition and every codegen call as `(final state,
-//!    codegen knobs) → code`, so a repeated invocation is one lookup
-//!    ([`EvalCache::compile`]; the contract replay rests on is in the
-//!    [`crate::passes`] module docs). The multi-version final build
-//!    ([`EvalCache::final_build`]) is one more compile through it, with
-//!    a configuration per function, so after a search it is mostly
+//!    effective codegen knobs) → code`, so a repeated invocation is one
+//!    lookup ([`EvalCache::compile`]; the contract replay rests on is in
+//!    the [`crate::passes`] module docs). The effective knobs are the
+//!    ones codegen of that state reads (no pinning beyond what it can
+//!    pin, no shift-add without a decomposable multiply), and what
+//!    codegen reads of a state alone is computed once per state. The
+//!    code itself is interned by content, so equal compiled functions
+//!    are one code entry whatever produced them. A compile yields code
+//!    entries, not a program: a computed evaluation assembles its
+//!    program from them only when it is asked for, which in a search is
+//!    the archive rebuild of the front variants. The multi-version final
+//!    build ([`EvalCache::final_build`]) is one more compile through it,
+//!    with a configuration per function, so after a search it is mostly
 //!    replays.
 //! 3. **The analysis memo** (in-memory, keyed on code identity): distinct
 //!    configurations mostly produce the same compiled functions. The
-//!    compile memo gives each codegen entry a dense code id, so a
-//!    function's WCET and WCEC are keyed exactly on `(code id, callee
-//!    bounds)` and replayed instead of re-solving IPET; a miss solves
-//!    the function's flow structure once for both. The key is built
-//!    from ids the compile already has: an evaluation hashes no
-//!    compiled code, re-validates nothing but the call targets, and
-//!    reads each function's code size from its codegen entry. It is the
+//!    compile memo gives each distinct compiled function a dense code
+//!    id, so a function's WCET and WCEC are keyed exactly on `(code id,
+//!    callee bounds)` and replayed instead of re-solving IPET; a miss
+//!    solves the function's flow structure once for both. The key is
+//!    built from ids the compile already has: an evaluation hashes no
+//!    compiled code (only a codegen miss hashes its output, to intern
+//!    it), re-validates nothing but the call targets, and
+//!    reads each function's code size from its code entry. It is the
 //!    workspace's only analysis memo; [`AnalysisMemo`] memoises nothing.
 //!
 //!    The counters of tiers 2 and 3 — `pass_runs`/`pass_replays`,
-//!    `states`, `codegen_hits`/`codegen_misses`,
-//!    `analysis_hits`/`analysis_misses` — come from
+//!    `states`, `codegen_hits`/`codegen_misses`, `codes` (distinct
+//!    compiled functions), `programs_built` (programs assembled from
+//!    code entries), `analysis_hits`/`analysis_misses` — come from
 //!    [`EvalCache::compile_memo_stats`]; they can vary with pool width,
 //!    so they stay out of [`SearchStats`] and every byte-compared
 //!    artifact.
@@ -74,7 +84,7 @@
 //! still counts as a disk hit.
 
 use crate::codegen::{generate_program, CodegenError, CodegenOpts};
-use crate::compile_memo::{Bounds, CompileMemo, CompileMemoStats, Compiled};
+use crate::compile_memo::{Bounds, Code, CompileMemo, CompileMemoStats};
 use crate::fpa::{FpaConfig, MultiObjectiveFpa, ParetoPoint, SearchStats};
 use crate::passes::{PassManager, PassSpec, PassStats, Pipeline};
 use crate::secure::{rung_of_genome, LeakMemo, LeakageAxis, SECURE_GENOME_DIMS};
@@ -356,9 +366,9 @@ pub fn compile_module_per_function_on(
     configs: &HashMap<String, CompilerConfig>,
     default: &CompilerConfig,
 ) -> Result<Program, CodegenError> {
-    CompileMemo::new(ir)
-        .compile(default, configs)
-        .map(|compiled| compiled.program)
+    let memo = CompileMemo::new(ir);
+    let compiled = memo.compile(default, configs)?;
+    Ok(memo.assemble(&compiled.code))
 }
 
 /// Encoded size of a function in 16-bit halfwords (terminators count one
@@ -493,29 +503,28 @@ fn metrics(
 }
 
 /// The analysis half of every [`EvalCache`] evaluation and final build:
-/// the bounds of each function of `compiled` through the compile memo's
-/// exact `(code id, callee bounds)` table ([`CompileMemo::bounds`]),
-/// whose misses solve each function once for both lanes, and its code
-/// size from its codegen entry. The metrics and any error equal
-/// [`evaluate_module`]'s: the same engine, walked in the same
-/// callee-first order.
-fn analyse_program(
+/// the bounds of each function of a compile's `code` through the compile
+/// memo's exact `(code id, callee bounds)` table
+/// ([`CompileMemo::bounds`]), whose misses solve each function once for
+/// both lanes, and its code size from its code entry. The metrics and
+/// any error equal [`evaluate_module`]'s: the same engine, walked in the
+/// same callee-first order.
+fn analyse(
     memo: &CompileMemo,
-    compiled: Compiled,
+    code: &[Arc<Code>],
     cycle_model: &CycleModel,
     energy_model: &IsaEnergyModel,
-) -> Result<(Program, ModuleMetrics), String> {
+) -> Result<ModuleMetrics, String> {
     let energy = EnergyLane::new(energy_model, cycle_model);
     let bounds = memo
-        .bounds(&compiled.code, &[cycle_model, &energy])
+        .bounds(code, &[cycle_model, &energy])
         .map_err(|e| e.to_string())?;
-    let functions = compiled
-        .code
+    let functions = code
         .iter()
         .zip(bounds)
         .map(|(code, bounds)| metrics(&code.function.name, bounds, code.halfwords))
         .collect();
-    Ok((compiled.program, ModuleMetrics::new(functions)))
+    Ok(ModuleMetrics::new(functions))
 }
 
 /// A memoized, thread-safe view of [`evaluate_module`] for one module and
@@ -536,13 +545,14 @@ fn analyse_program(
 /// warm-starts from) a persistent [`DiskStore`]: an in-memory miss first
 /// probes the store under a content-addressed key before compiling, and
 /// every computed result — feasible or not — is written back. A feasible
-/// entry holds its metrics and its program behind a `OnceLock`: a
-/// computed evaluation fills the program at once, a disk hit reads only
-/// the manifest and assembles the program from the store's blobs the
-/// first time it is asked for. A blob that fails its checksum then is
-/// rebuilt through the compile memo and the entry written back; the
-/// failure shows in the store's `corrupt_misses`, while the probe stays
-/// a disk hit. The module docs describe the full cache hierarchy.
+/// entry holds its metrics, and its program behind a `OnceLock`, built
+/// the first time it is asked for: a computed evaluation assembles it
+/// from its code entries, a disk hit reads only the manifest and
+/// assembles the program from the store's blobs. A blob that fails its
+/// checksum then is rebuilt through the compile memo and the entry
+/// written back; the failure shows in the store's `corrupt_misses`,
+/// while the probe stays a disk hit. The module docs describe the full
+/// cache hierarchy.
 pub struct EvalCache<'a> {
     pub(crate) ir: &'a IrModule,
     pub(crate) cycle_model: &'a CycleModel,
@@ -573,15 +583,20 @@ pub type CachedEval = (Arc<Program>, ModuleMetrics);
 type Slot = Arc<OnceLock<Option<Evaluation>>>;
 
 /// One feasible configuration-tier entry: the metrics, and the program
-/// behind a `OnceLock`. A computed evaluation fills the program at once;
-/// a disk hit fills it from the store's blobs on first use
+/// behind a `OnceLock`, assembled from its source on first use
 /// ([`EvalCache::program`]).
 pub(crate) struct Evaluation {
     pub(crate) metrics: ModuleMetrics,
     program: OnceLock<Option<Arc<Program>>>,
-    /// A disk hit's store key and the blobs of its program (boxed: a
-    /// computed entry carries only the pointer).
-    stored: Option<Box<(u128, ProgramBlobs)>>,
+    source: Source,
+}
+
+/// What an [`Evaluation`]'s program is assembled from.
+enum Source {
+    /// A computed evaluation's code entries, in program order.
+    Code(Vec<Arc<Code>>),
+    /// A disk hit's store key and the blobs of its program.
+    Stored(Box<(u128, ProgramBlobs)>),
 }
 
 /// The slot of a feasible entry [`EvalCache::probe`] returned, read as
@@ -666,35 +681,26 @@ impl<'a> EvalCache<'a> {
         let feasible = cell
             .get_or_init(|| {
                 computed = true;
-                let compute = || {
-                    let memo = self.compile_memo();
-                    let compiled = memo.compile(config, &HashMap::new()).ok()?;
-                    analyse_program(memo, compiled, self.cycle_model, self.energy_model)
-                        .ok()
-                        .map(|(program, metrics)| (Arc::new(program), metrics))
+                let Some(disk) = self.disk else {
+                    return self.compute(config);
                 };
-                let fresh = match self.disk {
-                    Some(disk) => {
-                        let key = store::hash_json(self.key_prefix, config);
-                        if let Some(found) = disk.read_entry(key) {
-                            from_disk = true;
-                            return found.map(|(metrics, blobs)| Evaluation {
-                                metrics,
-                                program: OnceLock::new(),
-                                stored: Some(Box::new((key, blobs))),
-                            });
-                        }
-                        let fresh = compute();
-                        disk.store(key, &fresh);
-                        fresh
-                    }
-                    None => compute(),
-                };
-                fresh.map(|(program, metrics)| Evaluation {
-                    metrics,
-                    program: OnceLock::from(Some(program)),
-                    stored: None,
-                })
+                let key = store::hash_json(self.key_prefix, config);
+                if let Some(found) = disk.read_entry(key) {
+                    from_disk = true;
+                    return found.map(|(metrics, blobs)| Evaluation {
+                        metrics,
+                        program: OnceLock::new(),
+                        source: Source::Stored(Box::new((key, blobs))),
+                    });
+                }
+                // The store writes the program's bytes, so it is
+                // assembled now.
+                let fresh = self.compute(config);
+                let written = fresh
+                    .as_ref()
+                    .and_then(|eval| Some((self.program(config, eval)?, eval.metrics.clone())));
+                disk.store(key, &written);
+                fresh
             })
             .is_some();
         if computed {
@@ -712,27 +718,44 @@ impl<'a> EvalCache<'a> {
         feasible.then_some(Probed(cell))
     }
 
+    /// The evaluation of `config` through the compile memo: compiled,
+    /// then analysed through the memo's analysis table. `None` means
+    /// infeasible.
+    fn compute(&self, config: &CompilerConfig) -> Option<Evaluation> {
+        let memo = self.compile_memo();
+        let compiled = memo.compile(config, &HashMap::new()).ok()?;
+        let metrics = analyse(memo, &compiled.code, self.cycle_model, self.energy_model).ok()?;
+        Some(Evaluation {
+            metrics,
+            program: OnceLock::new(),
+            source: Source::Code(compiled.code),
+        })
+    }
+
     /// The program of `eval`, the entry [`EvalCache::probe`] returned for
-    /// `config`. A disk hit assembles it from the store's blobs on the
-    /// first call. When a blob fails its checksum the program is rebuilt
-    /// through the compile memo instead — the same bytes, since the store
-    /// key commits to the IR, the models and the configuration — and the
-    /// entry is written back. No hit or miss counter moves.
+    /// `config`, assembled on the first call: a computed evaluation's
+    /// from its code entries, a disk hit's from the store's blobs. When a
+    /// blob fails its checksum the program is rebuilt through the compile
+    /// memo instead — the same bytes, since the store key commits to the
+    /// IR, the models and the configuration — and the entry is written
+    /// back. No hit or miss counter moves.
     pub(crate) fn program(
         &self,
         config: &CompilerConfig,
         eval: &Evaluation,
     ) -> Option<Arc<Program>> {
-        let assemble = || {
-            let (key, blobs) = eval.stored.as_deref()?;
-            let disk = self.disk?;
-            if let Some(program) = disk.assemble(blobs) {
-                return Some(Arc::new(program));
+        let assemble = || match &eval.source {
+            Source::Code(code) => Some(Arc::new(self.compile_memo().assemble(code))),
+            Source::Stored(stored) => {
+                let (key, blobs) = &**stored;
+                let disk = self.disk?;
+                if let Some(program) = disk.assemble(blobs) {
+                    return Some(Arc::new(program));
+                }
+                let program = Arc::new(self.compile(config).ok()?.0);
+                disk.store(*key, &Some((Arc::clone(&program), eval.metrics.clone())));
+                Some(program)
             }
-            let compiled = self.compile_memo().compile(config, &HashMap::new()).ok()?;
-            let program = Arc::new(compiled.program);
-            disk.store(*key, &Some((Arc::clone(&program), eval.metrics.clone())));
-            Some(program)
         };
         eval.program.get_or_init(assemble).clone()
     }
@@ -774,9 +797,9 @@ impl<'a> EvalCache<'a> {
         &self,
         config: &CompilerConfig,
     ) -> Result<(Program, Vec<PassStats>), CodegenError> {
-        self.compile_memo()
-            .compile(config, &HashMap::new())
-            .map(|compiled| (compiled.program, compiled.stats))
+        let memo = self.compile_memo();
+        let compiled = memo.compile(config, &HashMap::new())?;
+        Ok((memo.assemble(&compiled.code), compiled.stats))
     }
 
     /// The multi-version final build: compile every function under its
@@ -799,7 +822,8 @@ impl<'a> EvalCache<'a> {
     ) -> Result<(Program, ModuleMetrics), String> {
         let memo = self.compile_memo();
         let compiled = memo.compile(default, chosen).map_err(|e| e.to_string())?;
-        analyse_program(memo, compiled, self.cycle_model, self.energy_model)
+        let metrics = analyse(memo, &compiled.code, self.cycle_model, self.energy_model)?;
+        Ok((memo.assemble(&compiled.code), metrics))
     }
 
     fn compile_memo(&self) -> &CompileMemo {
@@ -1642,6 +1666,42 @@ mod tests {
         let wcet = |m: &ModuleMetrics, name| m.of(name).expect("analysed").wcet_cycles;
         assert_ne!(wcet(&m0, "caller"), wcet(&m1, "caller"));
         assert_eq!(wcet(&m0, "twin_a"), wcet(&m0, "twin_b"));
+    }
+
+    #[test]
+    fn shift_add_without_a_multiply_shares_codegen_code_and_analyses() {
+        // Nothing here multiplies, so `mul_shift_add` is not an
+        // effective codegen option: both configurations hit one codegen
+        // entry, one code id and one analysis row per function. Only an
+        // evaluation's program is assembled, once, when asked for.
+        let src = "
+            int leaf(int v) { return v + 3; }
+            int f(int x) {
+                int s = 0;
+                for (int i = 0; i < 4; i = i + 1) { s = s + leaf(x + i); }
+                return s;
+            }";
+        let ir = compile_to_ir(src).expect("front-end");
+        let cm = CycleModel::pg32();
+        let em = IsaEnergyModel::pg32_datasheet();
+        let cache = EvalCache::new(&ir, &cm, &em);
+        let plain = CompilerConfig::balanced();
+        let shift_add = CompilerConfig {
+            mul_shift_add: true,
+            ..plain.clone()
+        };
+        let (p0, m0) = cache.evaluate(&plain).expect("plain evaluates");
+        let (p1, m1) = cache.evaluate(&shift_add).expect("shift-add evaluates");
+        assert_eq!((p0, m0), (p1, m1));
+        let stats = cache.compile_memo_stats();
+        assert_eq!(
+            (stats.codegen_hits, stats.codegen_misses, stats.codes),
+            (2, 2, 2)
+        );
+        assert_eq!((stats.analysis_hits, stats.analysis_misses), (2, 2));
+        assert_eq!(stats.programs_built, 2);
+        cache.evaluate(&shift_add).expect("cached");
+        assert_eq!(cache.compile_memo_stats().programs_built, 2);
     }
 
     #[test]

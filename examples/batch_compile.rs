@@ -16,8 +16,10 @@
 //! the segment files and bytes that hold them. Last, it runs one camera-pill search on a
 //! fresh in-memory cache and prints that cache's compile-memo counters:
 //! how many pass invocations ran and how many were replayed, how many
-//! IR states were interned, and how many codegen calls hit the memo.
-//! These counts can vary with the pool width.
+//! IR states were interned, how many codegen calls hit the memo, how
+//! many distinct functions they generated, how many function analyses
+//! hit, and how many programs were assembled (the front variants').
+//! The hit and miss counts can vary with the pool width.
 //!
 //! CI runs this example as the disk-cache exerciser: it asserts the
 //! warm batch performed zero compiles, produced byte-identical fronts,
@@ -155,14 +157,17 @@ fn main() {
     let memo = cache.compile_memo_stats();
     println!(
         "  compile memo (camera_pill, {} compiles): {} of {} pass invocations replayed, \
-         {} IR states, {} of {} codegen calls hit, {} of {} function analyses hit",
+         {} IR states, {} of {} codegen calls hit, {} distinct functions, \
+         {} of {} function analyses hit, {} programs built",
         cache.misses(),
         memo.pass_replays,
         memo.pass_runs + memo.pass_replays,
         memo.states,
         memo.codegen_hits,
         memo.codegen_hits + memo.codegen_misses,
+        memo.codes,
         memo.analysis_hits,
         memo.analysis_hits + memo.analysis_misses,
+        memo.programs_built,
     );
 }

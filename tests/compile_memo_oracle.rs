@@ -20,6 +20,19 @@
 //!   fresh budget, finishes the job; memoised compiles, cold and warm and
 //!   run concurrently at pool widths 1/2/4, match the unmemoised ones,
 //!   and a warm compile replays every `inline` invocation.
+//! * **Codegen reads only its effective options** — after several
+//!   pipelines, every function of the app kernels and of generated
+//!   kernels compiles under each of the six [`CodegenOpts`] exactly as
+//!   under the options [`CodegenOpts::effective_for`] narrows them to,
+//!   which the codegen memo keys on.
+//! * **The counters count distinct work** — a width-1 search and final
+//!   build over each app kernel make one codegen miss per distinct
+//!   `(IR state, effective options)`, intern one code entry per distinct
+//!   compiled function, run one analysis per distinct `(function, callee
+//!   bounds)` and assemble one program per front variant plus the final
+//!   build. At widths 2 and 4 the fronts are byte-identical, code and
+//!   program counts are the same, and codegen and analysis misses are
+//!   no fewer (two threads may miss on one key at once).
 //! * **The final build is the compile the search measured** —
 //!   [`EvalCache::final_build`] under per-function configurations, on a
 //!   warm cache (after a search at pool widths 1/2/4) and on a cold one,
@@ -32,17 +45,18 @@
 mod kernels;
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 use teamplay_compiler::driver::code_size_halfwords;
 use teamplay_compiler::{
-    compile_module, evaluate_module, CompilerConfig, EvalCache, FpaConfig, ModuleMetrics,
-    MultiObjectiveFpa, PassManager, PassStats, Pipeline, VariantMetrics,
+    compile_module, evaluate_module, generate_function, pareto_search, CodegenOpts, CompilerConfig,
+    EvalCache, FpaConfig, ModuleMetrics, MultiObjectiveFpa, PassManager, PassStats, Pipeline,
+    SearchRequest, VariantMetrics,
 };
 use teamplay_energy::{analyze_program_energy, IsaEnergyModel};
-use teamplay_isa::CycleModel;
+use teamplay_isa::{CycleModel, DataLayout, Function, Program};
 use teamplay_minic::compile_to_ir;
-use teamplay_minic::ir::{IrModule, IrOp};
+use teamplay_minic::ir::{IrFunction, IrModule, IrOp};
 use teamplay_wcet::analyze_program;
 
 fn app_kernels() -> Vec<(&'static str, &'static str, &'static str)> {
@@ -206,6 +220,200 @@ fn pass_runs_and_replays_sum_to_the_pass_invocations() {
             "{stats:?}"
         );
         assert!(stats.states >= ir.functions.len(), "{stats:?}");
+    }
+}
+
+/// The six codegen option sets a configuration can select.
+fn all_codegen_opts() -> Vec<CodegenOpts> {
+    [0, 2, 4]
+        .into_iter()
+        .flat_map(|pinned_regs| {
+            [false, true].map(|mul_shift_add| CodegenOpts {
+                pinned_regs,
+                mul_shift_add,
+            })
+        })
+        .collect()
+}
+
+/// The codegen data layout of `ir`'s globals.
+fn layout_of(ir: &IrModule) -> DataLayout {
+    let mut globals = Program::new();
+    globals.globals.extend(ir.globals.iter().cloned());
+    DataLayout::of_program(&globals)
+}
+
+/// Every function of `ir` after several pipelines, checked under each
+/// of the six [`CodegenOpts`] against its effective options. Returns the
+/// first function whose code differs, and how many `(function, opts)`
+/// pairs had narrower effective options.
+fn effective_opts_divergence(ir: &IrModule) -> (Option<String>, usize) {
+    let layout = layout_of(ir);
+    let pipelines = [
+        Pipeline::o0(),
+        Pipeline::o1(),
+        Pipeline::o2(),
+        Pipeline::o3(),
+        CompilerConfig::energy_saver().pipeline,
+        "inline(60),unroll(8),licm,gvn,mul_shift_add,strength_reduce,copy_prop,dce"
+            .parse()
+            .expect("pipeline resolves"),
+    ];
+    let mut narrowed = 0;
+    for pipeline in pipelines {
+        let mut module = ir.clone();
+        PassManager::new(pipeline.clone())
+            .expect("pipeline resolves")
+            .run(&mut module);
+        for f in &module.functions {
+            for opts in all_codegen_opts() {
+                let effective = opts.effective_for(f);
+                narrowed += usize::from(effective != opts);
+                let code = |opts| generate_function(f, &layout, opts);
+                if code(opts) != code(effective) {
+                    let divergence = format!(
+                        "`{}` after `{pipeline}`: {opts:?} and {effective:?} differ",
+                        f.name
+                    );
+                    return (Some(divergence), narrowed);
+                }
+            }
+        }
+    }
+    (None, narrowed)
+}
+
+#[test]
+fn codegen_under_the_effective_options_is_exact_on_the_app_kernels() {
+    let mut narrowed = 0;
+    for (app, src, _) in app_kernels() {
+        let ir = compile_to_ir(src).expect("front-end");
+        let (divergence, n) = effective_opts_divergence(&ir);
+        if let Some(divergence) = divergence {
+            panic!("{app}: {divergence}");
+        }
+        narrowed += n;
+    }
+    assert!(narrowed > 0, "some options must be narrowed");
+}
+
+/// What a cache's compile-memo counters must show after `configs` were
+/// compiled and analysed whole and `final_build` built once, at pool
+/// width 1: distinct `(IR state, effective options)` codegen keys,
+/// distinct compiled functions, and distinct `(function, callee bounds)`
+/// analyses. Every configuration must be feasible.
+fn distinct_work(
+    ir: &IrModule,
+    configs: &[CompilerConfig],
+    final_build: (&Program, &ModuleMetrics, &HashMap<String, CompilerConfig>),
+    default: &CompilerConfig,
+) -> (usize, usize, usize) {
+    let (cm, em) = cache_models();
+    let layout = layout_of(ir);
+    let mut keys: HashSet<(IrFunction, CodegenOpts)> = HashSet::new();
+    let mut codes: HashSet<Function> = HashSet::new();
+    let mut analyses: HashSet<(Function, Vec<(u64, u64)>)> = HashSet::new();
+    let mut analysed = |program: &Program, metrics: &ModuleMetrics| {
+        for f in program.functions.values() {
+            let bounds = f
+                .callees()
+                .iter()
+                .map(|callee| {
+                    let m = metrics.of(callee).expect("callee analysed");
+                    (m.wcet_cycles, m.wcec_pj.to_bits())
+                })
+                .collect();
+            analyses.insert((f.clone(), bounds));
+        }
+    };
+    let (built, built_metrics, chosen) = final_build;
+    analysed(built, built_metrics);
+    let mut optimised = |config: &CompilerConfig, names: Option<&HashSet<&str>>| {
+        let mut module = ir.clone();
+        PassManager::new(config.pipeline.clone())
+            .expect("pipeline resolves")
+            .run(&mut module);
+        let opts = CodegenOpts {
+            pinned_regs: config.pinned_regs,
+            mul_shift_add: config.mul_shift_add,
+        };
+        for f in &module.functions {
+            if names.is_some_and(|names| !names.contains(f.name.as_str())) {
+                continue;
+            }
+            let effective = opts.effective_for(f);
+            codes.insert(generate_function(f, &layout, effective).expect("codegen"));
+            keys.insert((f.clone(), effective));
+        }
+    };
+    for config in configs {
+        optimised(config, None);
+        let (program, metrics) = evaluate_module(ir, config, &cm, &em).expect("feasible");
+        analysed(&program, &metrics);
+    }
+    // The final build compiles each function under its own configuration.
+    for f in &ir.functions {
+        let config = chosen.get(&f.name).unwrap_or(default);
+        optimised(config, Some(&HashSet::from([f.name.as_str()])));
+    }
+    (keys.len(), codes.len(), analyses.len())
+}
+
+#[test]
+fn memo_counters_count_distinct_codegen_code_analyses_and_programs() {
+    let (cm, em) = cache_models();
+    let default = CompilerConfig::balanced();
+    for (app, src, task) in app_kernels() {
+        let ir = compile_to_ir(src).expect("front-end");
+        // The configurations a seeded tiny search evaluates.
+        let configs = warm(&EvalCache::new(&ir, &cm, &em), task, 1);
+        let mut reference = None;
+        for width in [1usize, 2, 4] {
+            let cache = EvalCache::new(&ir, &cm, &em);
+            let request = SearchRequest::new(task, FpaConfig::tiny(), 0x5EED);
+            let front = pareto_search(&minipool::Pool::new(width), &cache, &request);
+            assert_eq!(cache.misses(), configs.len(), "{app}: the same search");
+            let chosen = HashMap::from([(task.to_string(), front.variants[0].config.clone())]);
+            let (program, metrics) = cache.final_build(&chosen, &default).expect("builds");
+            let stats = cache.compile_memo_stats();
+            let bytes =
+                serde_json::to_string(&(&front.variants, &program, &metrics)).expect("serializes");
+            let (keys, codes, analyses) = match &reference {
+                Some((reference_bytes, counts)) => {
+                    assert!(
+                        bytes == *reference_bytes,
+                        "{app}: width {width} front differs"
+                    );
+                    *counts
+                }
+                None => {
+                    let counts =
+                        distinct_work(&ir, &configs, (&program, &metrics, &chosen), &default);
+                    reference = Some((bytes, counts));
+                    counts
+                }
+            };
+            assert_eq!(stats.codes, codes, "{app}, width {width}: {stats:?}");
+            assert_eq!(
+                stats.programs_built,
+                front.variants.len() + 1,
+                "{app}, width {width}: front variants and the final build"
+            );
+            if width == 1 {
+                assert_eq!(stats.codegen_misses, keys, "{app}: {stats:?}");
+                assert_eq!(stats.analysis_misses, analyses, "{app}: {stats:?}");
+            } else {
+                assert!(
+                    stats.codegen_misses >= keys,
+                    "{app}, width {width}: {stats:?}"
+                );
+                assert!(
+                    stats.analysis_misses >= analyses,
+                    "{app}, width {width}: {stats:?}"
+                );
+            }
+            assert!(keys >= codes, "{app}: {stats:?}");
+        }
     }
 }
 
@@ -461,5 +669,11 @@ proptest! {
     fn memoised_evaluations_match_unmemoised_on_generated_kernels(src in kernels::arb_kernel()) {
         let ir = compile_to_ir(&src).expect("generated kernels are valid Mini-C");
         prop_assert_eq!(memo_divergence(&ir, "f"), None);
+    }
+
+    #[test]
+    fn codegen_under_the_effective_options_is_exact_on_generated_kernels(src in kernels::arb_kernel()) {
+        let ir = compile_to_ir(&src).expect("generated kernels are valid Mini-C");
+        prop_assert_eq!(effective_opts_divergence(&ir).0, None);
     }
 }
