@@ -44,7 +44,8 @@
 //! A compile returns code entries, not a program: an evaluation's
 //! objectives need only its metrics, so its [`Program`] is assembled
 //! from the entries ([`CompileMemo::assemble`]) only when something asks
-//! for it.
+//! for it. A store writes an evaluation from the entries too, so which
+//! function bodies are the same is decided here alone.
 //!
 //! Replay rests on the pass contract in the [`crate::passes`] module
 //! docs: every pass is pure in (body, spec, callee snapshot), and a pass
@@ -64,6 +65,7 @@
 use crate::codegen::{emit, prepare, CodegenError, CodegenOpts, Prepared};
 use crate::driver::{code_size_halfwords, codegen_opts, CompilerConfig};
 use crate::passes::{snapshot_functions, PassManager, PassSpec, PassStats};
+use crate::store::{Blob, Globals};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -147,11 +149,14 @@ pub(crate) type CodeId = u32;
 pub(crate) type Bounds = [u64; 2];
 
 /// One distinct compiled function and the facts every evaluation reads
-/// of it, computed once when the function is first generated.
+/// of it, computed once when the function is first generated, and its
+/// store blob's name once a [`DiskStore`](crate::DiskStore) has written it.
 #[derive(Debug)]
 pub(crate) struct Code {
     pub(crate) id: CodeId,
     pub(crate) function: Function,
+    /// The FNV-1a-128 name of the function's store blob, once written.
+    pub(crate) blob: OnceLock<u128>,
     /// [`Function::callees`]: the callee names, in program order.
     pub(crate) callees: Vec<String>,
     /// [`code_size_halfwords`] of the function.
@@ -241,6 +246,8 @@ pub(crate) struct CompileMemo {
     snapshot: HashMap<String, IrFunction>,
     /// The module's globals with no functions: every compile's start.
     blank: Program,
+    /// The name of the globals' store blob, once written.
+    globals_blob: OnceLock<u128>,
     layout: DataLayout,
     /// The module's functions as interned states, in module order.
     roots: Vec<StateId>,
@@ -266,6 +273,7 @@ impl CompileMemo {
         let mut memo = CompileMemo {
             snapshot: snapshot_functions(ir),
             blank,
+            globals_blob: OnceLock::new(),
             layout,
             roots: Vec::new(),
             tables: Mutex::new(Tables::default()),
@@ -383,6 +391,11 @@ impl CompileMemo {
             .map(|c| (c.function.name.clone(), c.function.clone()))
             .collect();
         program
+    }
+
+    /// The module's globals, with the cell naming their store blob.
+    pub(crate) fn globals(&self) -> Blob<'_, Globals> {
+        (&self.globals_blob, &self.blank.globals)
     }
 
     /// The bounds of every function of a compiled program, `code` in the
@@ -528,6 +541,7 @@ impl CompileMemo {
             halfwords: code_size_halfwords(&function),
             valid: function.validate().is_ok(),
             function,
+            blob: OnceLock::new(),
         });
         bucket.push(entry.id);
         code.push(Arc::clone(&entry));

@@ -34,10 +34,10 @@
 //!    are one code entry whatever produced them. A compile yields code
 //!    entries, not a program: a computed evaluation assembles its
 //!    program from them only when it is asked for, which in a search is
-//!    the archive rebuild of the front variants. The multi-version final
-//!    build ([`EvalCache::final_build`]) is one more compile through it,
-//!    with a configuration per function, so after a search it is mostly
-//!    replays.
+//!    the archive rebuild of the front variants, store or no store. The
+//!    multi-version final build ([`EvalCache::final_build`]) is one more
+//!    compile through it, with a configuration per function, so after a
+//!    search it is mostly replays.
 //! 3. **The analysis memo** (in-memory, keyed on code identity): distinct
 //!    configurations mostly produce the same compiled functions. The
 //!    compile memo gives each distinct compiled function a dense code
@@ -68,7 +68,9 @@
 //!    poisoning is impossible because any input change moves the key.
 //!    Each entry is a small manifest (metrics plus blob hashes) over
 //!    function and globals blobs shared by every configuration that
-//!    compiled them byte-identically. A disk hit reads only the
+//!    compiled them byte-identically. An evaluation is written from its
+//!    tier-2 code entries, which keep their blob's name: each distinct
+//!    function is serialized once per cache. A disk hit reads only the
 //!    manifest: the search's objectives need only the metrics, and the
 //!    program is assembled from its blobs when something asks for it,
 //!    which in a search is the archive rebuild of the front variants. A
@@ -544,13 +546,14 @@ fn analyse(
 /// With [`EvalCache::with_store`] the cache additionally spills to (and
 /// warm-starts from) a persistent [`DiskStore`]: an in-memory miss first
 /// probes the store under a content-addressed key before compiling, and
-/// every computed result — feasible or not — is written back. A feasible
+/// every computed result — feasible or not — is written back from its
+/// code entries, without assembling its program. A feasible
 /// entry holds its metrics, and its program behind a `OnceLock`, built
 /// the first time it is asked for: a computed evaluation assembles it
 /// from its code entries, a disk hit reads only the manifest and
 /// assembles the program from the store's blobs. A blob that fails its
-/// checksum then is rebuilt through the compile memo and the entry
-/// written back; the failure shows in the store's `corrupt_misses`,
+/// checksum then is rebuilt: the evaluation is computed and written
+/// back as on a miss; the failure shows in the store's `corrupt_misses`,
 /// while the probe stays a disk hit. The module docs describe the full
 /// cache hierarchy.
 pub struct EvalCache<'a> {
@@ -682,7 +685,7 @@ impl<'a> EvalCache<'a> {
             .get_or_init(|| {
                 computed = true;
                 let Some(disk) = self.disk else {
-                    return self.compute(config);
+                    return self.compute(config, None);
                 };
                 let key = store::hash_json(self.key_prefix, config);
                 if let Some(found) = disk.read_entry(key) {
@@ -693,14 +696,7 @@ impl<'a> EvalCache<'a> {
                         source: Source::Stored(Box::new((key, blobs))),
                     });
                 }
-                // The store writes the program's bytes, so it is
-                // assembled now.
-                let fresh = self.compute(config);
-                let written = fresh
-                    .as_ref()
-                    .and_then(|eval| Some((self.program(config, eval)?, eval.metrics.clone())));
-                disk.store(key, &written);
-                fresh
+                self.compute(config, Some(key))
             })
             .is_some();
         if computed {
@@ -719,26 +715,38 @@ impl<'a> EvalCache<'a> {
     }
 
     /// The evaluation of `config` through the compile memo: compiled,
-    /// then analysed through the memo's analysis table. `None` means
-    /// infeasible.
-    fn compute(&self, config: &CompilerConfig) -> Option<Evaluation> {
+    /// then analysed through the memo's analysis table and, given a
+    /// `key`, written to the store from its code entries, feasible or
+    /// not. `None` means infeasible.
+    fn compute(&self, config: &CompilerConfig, key: Option<u128>) -> Option<Evaluation> {
         let memo = self.compile_memo();
-        let compiled = memo.compile(config, &HashMap::new()).ok()?;
-        let metrics = analyse(memo, &compiled.code, self.cycle_model, self.energy_model).ok()?;
-        Some(Evaluation {
+        let computed = memo.compile(config, &HashMap::new()).ok().and_then(|c| {
+            let metrics = analyse(memo, &c.code, self.cycle_model, self.energy_model);
+            Some((metrics.ok()?, c.code))
+        });
+        if let (Some(disk), Some(key)) = (self.disk, key) {
+            let entry = computed.as_ref().map(|(metrics, code)| {
+                let functions = code
+                    .iter()
+                    .map(|c| (c.function.name.as_str(), (&c.blob, &c.function)));
+                (metrics, memo.globals(), functions.collect())
+            });
+            disk.write(key, entry);
+        }
+        computed.map(|(metrics, code)| Evaluation {
             metrics,
             program: OnceLock::new(),
-            source: Source::Code(compiled.code),
+            source: Source::Code(code),
         })
     }
 
     /// The program of `eval`, the entry [`EvalCache::probe`] returned for
     /// `config`, assembled on the first call: a computed evaluation's
     /// from its code entries, a disk hit's from the store's blobs. When a
-    /// blob fails its checksum the program is rebuilt through the compile
-    /// memo instead — the same bytes, since the store key commits to the
-    /// IR, the models and the configuration — and the entry is written
-    /// back. No hit or miss counter moves.
+    /// blob fails its checksum the evaluation is computed and written
+    /// back as on a miss — the same bytes, since the store key commits to
+    /// the IR, the models and the configuration. No hit or miss counter
+    /// moves.
     pub(crate) fn program(
         &self,
         config: &CompilerConfig,
@@ -752,9 +760,7 @@ impl<'a> EvalCache<'a> {
                 if let Some(program) = disk.assemble(blobs) {
                     return Some(Arc::new(program));
                 }
-                let program = Arc::new(self.compile(config).ok()?.0);
-                disk.store(*key, &Some((Arc::clone(&program), eval.metrics.clone())));
-                Some(program)
+                self.program(config, &self.compute(config, Some(*key))?)
             }
         };
         eval.program.get_or_init(assemble).clone()

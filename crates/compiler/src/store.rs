@@ -61,11 +61,13 @@
 //! reads creates none) under a name nothing else uses, and holds an
 //! exclusive lock on it while it lives. Each record lands with one
 //! `write_all`, so a handle opened afterwards sees every whole record.
-//! [`DiskStore::store`] appends each blob its index lacks *before* the
-//! manifest and skips the manifest when a blob append failed, so a
-//! manifest only names blobs that were in the log when it landed. Each
-//! handle also remembers the blobs it has written, by value, so storing a
-//! function again skips re-serializing it. All disk traffic is
+//! A write appends each blob its index lacks *before* the manifest and
+//! skips the manifest when a blob append failed, so a manifest only
+//! names blobs that were in the log when it landed. Each blob comes with
+//! a cell for its name: an [`EvalCache`](crate::EvalCache) passes its
+//! compile memo's, so it serializes each distinct function once (again
+//! only if the index drops the blob as damaged), and
+//! [`DiskStore::store`] passes fresh ones. All disk traffic is
 //! best-effort: a failed append is counted and cut back off the segment,
 //! and a segment that cannot be cut back is abandoned for a new one.
 //! Handles and processes never share a segment; the worst outcome of a
@@ -83,15 +85,15 @@
 //! and scores, with the blobs only they named. A segment that a live
 //! handle holds is never touched.
 
-use crate::compile_memo::{FxHasher, FxMap};
+use crate::compile_memo::FxHasher;
 use crate::driver::{CachedEval, ModuleMetrics};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 use teamplay_isa::{Function, Program};
 
@@ -143,7 +145,7 @@ pub(crate) fn hash_json<T: Serialize>(hash: u128, value: &T) -> u128 {
 }
 
 /// A program's initialised globals, stored as one blob.
-type Globals = BTreeMap<String, Vec<i32>>;
+pub(crate) type Globals = BTreeMap<String, Vec<i32>>;
 
 /// On-disk evaluation manifest. `eval: None` records an infeasible
 /// configuration (codegen or analysis failed) — serving it from disk
@@ -581,26 +583,19 @@ pub struct StoreFootprint {
     pub bytes: u64,
 }
 
-/// One kind of blob: its record kind and this handle's memos of it.
-#[derive(Debug)]
-struct Blobs<T> {
-    kind: Kind,
-    /// Blobs decoded from disk, by content hash.
-    decoded: Mutex<HashMap<u128, Arc<T>>>,
-    /// Blobs appended or found in the index, by value: storing a repeat
-    /// skips serializing it, the dominant cost of a write.
-    written: Mutex<FxMap<T, u128>>,
-}
+/// Blobs of one kind decoded from disk, by content hash.
+type Decoded<T> = Mutex<HashMap<u128, Arc<T>>>;
 
-impl<T> Blobs<T> {
-    fn new(kind: Kind) -> Blobs<T> {
-        Blobs {
-            kind,
-            decoded: Mutex::new(HashMap::new()),
-            written: Mutex::new(FxMap::default()),
-        }
-    }
-}
+/// A blob to write: the cell holding its name once known, and its value.
+pub(crate) type Blob<'e, T> = (&'e OnceLock<u128>, &'e T);
+
+/// A feasible evaluation to write: its metrics, its globals and its
+/// functions by name, in program order.
+pub(crate) type Entry<'e> = (
+    &'e ModuleMetrics,
+    Blob<'e, Globals>,
+    Vec<(&'e str, Blob<'e, Function>)>,
+);
 
 /// A content-addressed log of evaluation results shared across
 /// processes. See the module docs for the layout, keying and corruption
@@ -609,8 +604,8 @@ impl<T> Blobs<T> {
 pub struct DiskStore {
     root: PathBuf,
     log: Mutex<Log>,
-    functions: Blobs<Function>,
-    globals: Blobs<Globals>,
+    functions: Decoded<Function>,
+    globals: Decoded<Globals>,
     stats: Mutex<StoreStats>,
 }
 
@@ -640,8 +635,8 @@ impl DiskStore {
         Ok(DiskStore {
             root,
             log: Mutex::new(log),
-            functions: Blobs::new(Kind::Function),
-            globals: Blobs::new(Kind::Globals),
+            functions: Mutex::default(),
+            globals: Mutex::default(),
             stats: Mutex::new(stats),
         })
     }
@@ -723,20 +718,38 @@ impl DiskStore {
 
     /// Persist the entry for `key` (best effort: write failures are
     /// counted and dropped, leaving the slot cold). Blobs land before
-    /// the manifest, and a failed blob append skips the manifest.
+    /// the manifest, and a failed blob append skips the manifest. Every
+    /// blob is serialized to find its name, and appended unless the
+    /// index holds it: the records an [`EvalCache`](crate::EvalCache)
+    /// writes for the same evaluation.
     pub fn store(&self, key: u128, eval: &Option<CachedEval>) {
+        let Some((program, metrics)) = eval else {
+            return self.write(key, None);
+        };
+        let cells: Vec<_> = (0..=program.functions.len())
+            .map(|_| OnceLock::new())
+            .collect();
+        let functions = program.functions.iter().zip(&cells[1..]);
+        let functions = functions.map(|((name, f), cell)| (name.as_str(), (cell, f)));
+        let globals = (&cells[0], &program.globals);
+        self.write(key, Some((metrics, globals, functions.collect())));
+    }
+
+    /// Write `eval`, or an infeasible entry when it is `None`, under
+    /// `key`, as [`DiskStore::store`] does.
+    pub(crate) fn write(&self, key: u128, eval: Option<Entry<'_>>) {
         let eval = match eval {
             None => None,
-            Some((program, metrics)) => {
-                let Some(globals) = self.put_blob(&self.globals, &program.globals) else {
+            Some((metrics, globals, blobs)) => {
+                let Some(globals) = self.put_blob(Kind::Globals, globals) else {
                     return;
                 };
-                let mut functions = Vec::with_capacity(program.functions.len());
-                for (name, function) in &program.functions {
-                    let Some(hash) = self.put_blob(&self.functions, function) else {
+                let mut functions = Vec::with_capacity(blobs.len());
+                for (name, function) in blobs {
+                    let Some(hash) = self.put_blob(Kind::Function, function) else {
                         return;
                     };
-                    functions.push((name.clone(), hash));
+                    functions.push((name.to_string(), hash));
                 }
                 Some(ManifestEval {
                     metrics: metrics.clone(),
@@ -835,13 +848,13 @@ impl DiskStore {
     /// which turns the entry's hit into a corrupt miss.
     pub(crate) fn assemble(&self, blobs: &ProgramBlobs) -> Option<Program> {
         let program = (|| {
-            let globals = self.blob(&self.globals, blobs.globals)?;
+            let globals = self.blob(Kind::Globals, &self.globals, blobs.globals)?;
             let mut program = Program {
                 functions: BTreeMap::new(),
                 globals: Globals::clone(&globals),
             };
             for (name, hash) in &blobs.functions {
-                let function = self.blob(&self.functions, *hash)?;
+                let function = self.blob(Kind::Function, &self.functions, *hash)?;
                 program
                     .functions
                     .insert(name.clone(), Function::clone(&function));
@@ -860,53 +873,39 @@ impl DiskStore {
 
     /// The blob named `hash`, from the handle's memo or else read from
     /// its segment, checked and parsed.
-    fn blob<T: Deserialize>(&self, blobs: &Blobs<T>, hash: u128) -> Option<Arc<T>> {
-        if let Some(found) = blobs.decoded.lock().expect("blob memo lock").get(&hash) {
+    fn blob<T: Deserialize>(&self, kind: Kind, decoded: &Decoded<T>, hash: u128) -> Option<Arc<T>> {
+        if let Some(found) = decoded.lock().expect("blob memo lock").get(&hash) {
             self.bump(|s| s.blob_memo_hits += 1);
             return Some(Arc::clone(found));
         }
-        let value = Arc::new(self.read((blobs.kind, hash), parse::<T>)??);
+        let value = Arc::new(self.read((kind, hash), parse::<T>)??);
         self.bump(|s| s.blobs_decoded += 1);
-        blobs
-            .decoded
+        decoded
             .lock()
             .expect("blob memo lock")
             .insert(hash, Arc::clone(&value));
         Some(value)
     }
 
-    /// Append `value`'s compact JSON as a blob unless the index holds
-    /// one of that content. Returns the blob's hash name, or `None` when
-    /// the append failed.
-    fn put_blob<T: Serialize + Hash + Eq + Clone>(
-        &self,
-        blobs: &Blobs<T>,
-        value: &T,
-    ) -> Option<String> {
+    /// Append `value`'s compact JSON as a blob of `kind` unless the
+    /// index holds one of that content, and fill `name` with its hash;
+    /// a filled `name` whose blob the index holds skips serializing.
+    /// Returns the blob's hash name, or `None` when the append failed.
+    fn put_blob<T: Serialize>(&self, kind: Kind, (name, value): Blob<'_, T>) -> Option<String> {
         let held = |hash: u128| {
             let log = self.log.lock().expect("store log lock");
-            log.index.contains_key(&(blobs.kind, hash))
+            log.index.contains_key(&(kind, hash))
         };
-        let known = blobs
-            .written
-            .lock()
-            .expect("blob memo lock")
-            .get(value)
-            .copied();
         // A blob written before leaves the index when a load finds it damaged.
-        if let Some(hash) = known.filter(|&hash| held(hash)) {
+        if let Some(&hash) = name.get().filter(|&&hash| held(hash)) {
             return Some(format!("{hash:032x}"));
         }
         let text = serde_json::to_string(value).ok()?;
         let hash = fnv1a128(fnv_offset(), text.as_bytes());
-        if !held(hash) && !self.append((blobs.kind, hash), text.as_bytes()) {
+        if !held(hash) && !self.append((kind, hash), text.as_bytes()) {
             return None;
         }
-        blobs
-            .written
-            .lock()
-            .expect("blob memo lock")
-            .insert(value.clone(), hash);
+        let _ = name.set(hash);
         Some(format!("{hash:032x}"))
     }
 
@@ -1370,6 +1369,47 @@ mod tests {
         assert_eq!((stats.bytes_written, stats.write_failures), (0, 0));
         assert_eq!((stats.torn_records, stats.compactions), (0, 0));
         let _ = fs::remove_dir_all(store.path());
+    }
+
+    #[test]
+    fn eval_cache_and_store_write_the_same_records() {
+        let filled = temp_store("writers-cache");
+        search(&filled);
+        // Copy every entry through the public writer.
+        let copy = temp_store("writers-copy");
+        let stored = manifests(filled.path());
+        for (key, _) in &stored {
+            copy.store(*key, &filled.load(*key).expect("stored"));
+        }
+        let records_of = |dir: &Path| -> (usize, HashSet<(Slot, Vec<u8>)>) {
+            let all = records(dir);
+            let count = all.len();
+            (
+                count,
+                all.into_iter().map(|rec| (rec.slot, rec.payload)).collect(),
+            )
+        };
+        let (count, filled_records) = records_of(filled.path());
+        assert_eq!(
+            count,
+            filled_records.len(),
+            "one search writes no duplicate"
+        );
+        assert_eq!((count, filled_records), records_of(copy.path()));
+
+        // Storing an evaluation again appends its manifest alone.
+        let (key, _) = stored
+            .iter()
+            .find(|(_, manifest)| manifest.eval.is_some())
+            .expect("a feasible entry");
+        let before = copy.stats().bytes_written;
+        copy.store(*key, &filled.load(*key).expect("stored"));
+        let last = records(copy.path()).pop().expect("a record");
+        assert_eq!(last.slot, (Kind::Manifest, *key));
+        let grown = copy.stats().bytes_written - before;
+        assert_eq!(grown, (HEADER + last.payload.len()) as u64);
+        let _ = fs::remove_dir_all(filled.path());
+        let _ = fs::remove_dir_all(copy.path());
     }
 
     #[test]

@@ -13,13 +13,16 @@
 //!
 //! After the cold batch it prints the store's on-disk footprint: the
 //! evaluation entries, the function and globals blobs they share, and
-//! the segment files and bytes that hold them. Last, it runs one camera-pill search on a
-//! fresh in-memory cache and prints that cache's compile-memo counters:
-//! how many pass invocations ran and how many were replayed, how many
-//! IR states were interned, how many codegen calls hit the memo, how
-//! many distinct functions they generated, how many function analyses
-//! hit, and how many programs were assembled (the front variants').
-//! The hit and miss counts can vary with the pool width.
+//! the segment files and bytes that hold them. Last, it runs one
+//! camera-pill search on a fresh cache, then the same search on a fresh
+//! cache over an empty store, and prints each cache's compile-memo
+//! counters: how many pass invocations ran and how many were replayed,
+//! how many IR states were interned, how many codegen calls hit the
+//! memo, how many distinct functions they generated, how many function
+//! analyses hit, and how many programs were assembled (the front
+//! variants'; a store writes results back without assembling any, so
+//! both lines show the same count). The hit and miss counts can vary
+//! with the pool width.
 //!
 //! CI runs this example as the disk-cache exerciser: it asserts the
 //! warm batch performed zero compiles, produced byte-identical fronts,
@@ -149,25 +152,33 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Below the configuration tier: what the compile memo saved in one
-    // cold search (no store, so every distinct configuration compiles).
+    // cold search, without a store and then with an empty one (every
+    // distinct configuration compiles either way, and writing the
+    // results back builds no program).
     let ir = compile_to_ir(teamplay_apps::camera_pill::SOURCE).expect("front-end");
-    let cache = EvalCache::new(&ir, &cm, &em);
     let request = SearchRequest::new("compress", FpaConfig::tiny(), 0xBA7C4);
-    pareto_search(pool, &cache, &request);
-    let memo = cache.compile_memo_stats();
-    println!(
-        "  compile memo (camera_pill, {} compiles): {} of {} pass invocations replayed, \
-         {} IR states, {} of {} codegen calls hit, {} distinct functions, \
-         {} of {} function analyses hit, {} programs built",
-        cache.misses(),
-        memo.pass_replays,
-        memo.pass_runs + memo.pass_replays,
-        memo.states,
-        memo.codegen_hits,
-        memo.codegen_hits + memo.codegen_misses,
-        memo.codes,
-        memo.analysis_hits,
-        memo.analysis_hits + memo.analysis_misses,
-        memo.programs_built,
-    );
+    let store = DiskStore::open(&dir).expect("store opens");
+    for (label, cache) in [
+        ("no store", EvalCache::new(&ir, &cm, &em)),
+        ("empty store", EvalCache::with_store(&ir, &cm, &em, &store)),
+    ] {
+        pareto_search(pool, &cache, &request);
+        let memo = cache.compile_memo_stats();
+        println!(
+            "  compile memo (camera_pill, {label}, {} compiles): {} of {} pass invocations \
+             replayed, {} IR states, {} of {} codegen calls hit, {} distinct functions, \
+             {} of {} function analyses hit, {} programs built",
+            cache.misses(),
+            memo.pass_replays,
+            memo.pass_runs + memo.pass_replays,
+            memo.states,
+            memo.codegen_hits,
+            memo.codegen_hits + memo.codegen_misses,
+            memo.codes,
+            memo.analysis_hits,
+            memo.analysis_hits + memo.analysis_misses,
+            memo.programs_built,
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

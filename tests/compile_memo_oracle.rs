@@ -32,7 +32,9 @@
 //!   bounds)` and assemble one program per front variant plus the final
 //!   build. At widths 2 and 4 the fronts are byte-identical, code and
 //!   program counts are the same, and codegen and analysis misses are
-//!   no fewer (two threads may miss on one key at once).
+//!   no fewer (two threads may miss on one key at once). The same holds
+//!   with a fresh store attached: writing an evaluation back assembles
+//!   no program.
 //! * **The final build is the compile the search measured** —
 //!   [`EvalCache::final_build`] under per-function configurations, on a
 //!   warm cache (after a search at pool widths 1/2/4) and on a cold one,
@@ -50,8 +52,8 @@ use std::sync::Mutex;
 use teamplay_compiler::driver::code_size_halfwords;
 use teamplay_compiler::{
     compile_module, evaluate_module, generate_function, pareto_search, CodegenOpts, CompilerConfig,
-    EvalCache, FpaConfig, ModuleMetrics, MultiObjectiveFpa, PassManager, PassStats, Pipeline,
-    SearchRequest, VariantMetrics,
+    DiskStore, EvalCache, FpaConfig, ModuleMetrics, MultiObjectiveFpa, PassManager, PassStats,
+    Pipeline, SearchRequest, VariantMetrics,
 };
 use teamplay_energy::{analyze_program_energy, IsaEnergyModel};
 use teamplay_isa::{CycleModel, DataLayout, Function, Program};
@@ -368,11 +370,29 @@ fn memo_counters_count_distinct_codegen_code_analyses_and_programs() {
         // The configurations a seeded tiny search evaluates.
         let configs = warm(&EvalCache::new(&ir, &cm, &em), task, 1);
         let mut reference = None;
-        for width in [1usize, 2, 4] {
-            let cache = EvalCache::new(&ir, &cm, &em);
+        for (width, stored) in [1usize, 2, 4]
+            .into_iter()
+            .flat_map(|w| [(w, false), (w, true)])
+        {
+            // A fresh store: every configuration compiles and is written
+            // back from its code entries, so the counts are the same.
+            let dir = std::env::temp_dir().join(format!(
+                "teamplay-memo-counters-{}-{app}-{width}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = stored.then(|| DiskStore::open(&dir).expect("store opens"));
+            let cache = match &store {
+                Some(store) => EvalCache::with_store(&ir, &cm, &em, store),
+                None => EvalCache::new(&ir, &cm, &em),
+            };
             let request = SearchRequest::new(task, FpaConfig::tiny(), 0x5EED);
             let front = pareto_search(&minipool::Pool::new(width), &cache, &request);
+            let _ = std::fs::remove_dir_all(&dir);
+            let app = format!("{app} (store: {stored})");
             assert_eq!(cache.misses(), configs.len(), "{app}: the same search");
+            let written = if stored { configs.len() } else { 0 };
+            assert_eq!(cache.disk_misses(), written, "{app}, width {width}");
             let chosen = HashMap::from([(task.to_string(), front.variants[0].config.clone())]);
             let (program, metrics) = cache.final_build(&chosen, &default).expect("builds");
             let stats = cache.compile_memo_stats();
