@@ -13,11 +13,21 @@
 //! compiler stores, is the same as a `Machine` measurement; the unit
 //! tests below hold the serialised reports byte-equal on the app
 //! kernels' hardened secure tasks and on a leaking example.
+//!
+//! A rig run is a pure function of the program, the function and its
+//! argument words: every call starts from zeroed registers and cleared
+//! flags, `reset_data` restores the initial data image before it, and
+//! the `NullDevice` always reads 0. So one assessment simulates each
+//! distinct argument vector once and reuses its cycles and energy for
+//! every later trace that draws it (a task whose only argument is its
+//! secret makes two runs). The memo lives for one assessment; nothing
+//! is cached across calls.
 
 use crate::metrics::LeakageAssessment;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use teamplay_isa::Program;
 use teamplay_sim::{DecodedProgram, LoadError, MachineError, NullDevice, RunResult};
@@ -88,6 +98,9 @@ impl From<MachineError> for AssessError {
 /// identically for both classes (paired sampling isolates the secret's
 /// contribution). The runs execute on the pre-decoded engine, whose
 /// cycles and energy are bit-identical to the reference `Machine`'s.
+/// Each distinct argument vector is simulated once per call, at its
+/// first draw; the samples, and so the report, are those of running
+/// every trace, and a trapping vector fails at its first draw.
 ///
 /// # Errors
 /// See [`AssessError`].
@@ -126,7 +139,8 @@ pub fn assess_leakage(
 }
 
 /// Draw the public inputs, run both secret classes on each draw through
-/// `run` (one fresh-data run per call), and score both channels.
+/// `run` (one fresh-data run per call, made once per distinct argument
+/// vector of this measurement), and score both channels.
 fn measure(
     arg_count: usize,
     spec: SecretSpec,
@@ -136,6 +150,8 @@ fn measure(
     mut run: impl FnMut(&[i32]) -> Result<RunResult, MachineError>,
 ) -> Result<LeakageReport, AssessError> {
     let mut rng = StdRng::seed_from_u64(seed);
+    // Argument words (padded to 6) → (cycles, energy) of their run.
+    let mut runs: HashMap<[i32; 6], (f64, f64)> = HashMap::new();
 
     let mut time = [
         Vec::with_capacity(traces_per_class),
@@ -148,15 +164,22 @@ fn measure(
 
     for _ in 0..traces_per_class {
         // One public draw, replayed for both classes.
-        let publics: Vec<i32> = (0..arg_count)
-            .map(|_| rng.gen_range(public_range.clone()))
-            .collect();
+        let mut publics = [0; 6];
+        for word in &mut publics[..arg_count] {
+            *word = rng.gen_range(public_range.clone());
+        }
         for (class, secret) in [(0usize, spec.class0), (1usize, spec.class1)] {
-            let mut args = publics.clone();
+            let mut args = publics;
             args[spec.arg_index] = secret;
-            let r = run(&args)?;
-            time[class].push(r.cycles as f64);
-            energy[class].push(r.energy_pj);
+            let (cycles, pj) = match runs.entry(args) {
+                Entry::Occupied(hit) => *hit.get(),
+                Entry::Vacant(miss) => {
+                    let r = run(&miss.key()[..arg_count])?;
+                    *miss.insert((r.cycles as f64, r.energy_pj))
+                }
+            };
+            time[class].push(cycles);
+            energy[class].push(pj);
         }
     }
 
@@ -240,8 +263,6 @@ mod tests {
     fn hardening_costs_some_time() {
         // The ladder executes both arms: protection is not free — this is
         // the security/time trade-off of paper Section III-C.
-        use teamplay_sim::{NullDevice, RecordingDevice};
-        let _ = RecordingDevice::new();
         let plain = compile(BRANCHY, false);
         let hard = compile(BRANCHY, true);
         let mut mp = Machine::new(plain).expect("load");
@@ -304,9 +325,10 @@ mod tests {
         assert_eq!(err, AssessError::Load(load));
     }
 
-    /// The measurement of [`assess_leakage`], run on the reference
-    /// `Machine` instead of the decoded engine.
-    fn machine_report(
+    /// The measurement of [`assess_leakage`] with no run memo: every
+    /// trace runs on the reference `Machine`. Returns the report (or the
+    /// first trap) and the argument vector of every run, in run order.
+    fn machine_measure(
         program: &Program,
         func: &str,
         arg_count: usize,
@@ -314,13 +336,64 @@ mod tests {
         traces: usize,
         public_range: std::ops::Range<i32>,
         seed: u64,
-    ) -> LeakageReport {
+    ) -> (Result<LeakageReport, AssessError>, Vec<Vec<i32>>) {
         let mut machine = Machine::new(program.clone()).expect("load");
-        measure(arg_count, spec, traces, public_range, seed, |args| {
-            machine.reset_data();
-            machine.call(func, args, &mut NullDevice::new())
-        })
-        .expect("reference measurement")
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut samples = [[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]];
+        let mut ran = Vec::new();
+        for _ in 0..traces {
+            let publics: Vec<i32> = (0..arg_count)
+                .map(|_| rng.gen_range(public_range.clone()))
+                .collect();
+            for (class, secret) in [(0, spec.class0), (1, spec.class1)] {
+                let mut args = publics.clone();
+                args[spec.arg_index] = secret;
+                ran.push(args.clone());
+                machine.reset_data();
+                match machine.call(func, &args, &mut NullDevice::new()) {
+                    Ok(r) => {
+                        samples[0][class].push(r.cycles as f64);
+                        samples[1][class].push(r.energy_pj);
+                    }
+                    Err(e) => return (Err(e.into()), ran),
+                }
+            }
+        }
+        let [time, energy] = samples;
+        let report = LeakageReport {
+            time: LeakageAssessment::from_samples(&time[0], &time[1]),
+            energy: LeakageAssessment::from_samples(&energy[0], &energy[1]),
+            traces_per_class: traces,
+        };
+        (Ok(report), ran)
+    }
+
+    /// [`assess_leakage`] with its `run` closure wrapped to record the
+    /// argument vector of every run it makes.
+    fn counted_assessment(
+        program: &Program,
+        func: &str,
+        arg_count: usize,
+        spec: SecretSpec,
+        traces: usize,
+        public_range: std::ops::Range<i32>,
+        seed: u64,
+    ) -> (Result<LeakageReport, AssessError>, Vec<Vec<i32>>) {
+        let decoded = DecodedProgram::new(program).expect("decodes");
+        let mut engine = decoded.engine();
+        let mut ran = Vec::new();
+        let report = measure(arg_count, spec, traces, public_range, seed, |args| {
+            ran.push(args.to_vec());
+            engine.reset_data();
+            engine.call(func, args, &mut NullDevice::new())
+        });
+        (report, ran)
+    }
+
+    /// The first occurrence of each argument vector, in order.
+    fn first_occurrences(ran: &[Vec<i32>]) -> Vec<Vec<i32>> {
+        let mut seen = HashSet::new();
+        ran.iter().filter(|a| seen.insert(*a)).cloned().collect()
     }
 
     /// A secure task of an app, ladderised on its secret and compiled
@@ -345,6 +418,8 @@ mod tests {
         };
         let cases = [
             (compile(BRANCHY, false), "check", 2, spec(), 0..1000),
+            // Draws repeat: the memo hits while the public argument varies.
+            (compile(BRANCHY, false), "check", 2, spec(), 0..4),
             (
                 hardened_task(
                     "camera_pill",
@@ -373,12 +448,85 @@ mod tests {
         for (program, func, arity, spec, range) in cases {
             let got =
                 assess_leakage(&program, func, arity, spec, 48, range.clone(), 11).expect("assess");
-            let want = machine_report(&program, func, arity, spec, 48, range, 11);
+            let want = machine_measure(&program, func, arity, spec, 48, range, 11)
+                .0
+                .expect("reference measurement");
             assert_eq!(
                 serde_json::to_string(&got).expect("serialises"),
                 serde_json::to_string(&want).expect("serialises"),
                 "{func}"
             );
         }
+    }
+
+    #[test]
+    fn the_rig_runs_each_distinct_argument_vector_once() {
+        let encrypt = hardened_task(
+            "camera_pill",
+            teamplay_apps::camera_pill::SOURCE,
+            "encrypt",
+            "key",
+        );
+        // The secret is the only argument: two runs, however many traces.
+        // The memo lives for one assessment, so each of these three makes
+        // its two runs again.
+        for traces in [1, 48, 256] {
+            let (report, ran) =
+                counted_assessment(&encrypt, "encrypt", 1, spec(), traces, 0..4096, 11);
+            let want = machine_measure(&encrypt, "encrypt", 1, spec(), traces, 0..4096, 11);
+            assert_eq!(ran, [[spec().class0], [spec().class1]], "{traces} traces");
+            assert_eq!(report, want.0, "{traces} traces");
+        }
+        // Two arguments: one run per distinct (secret, public) vector, at
+        // its first draw.
+        let branchy = compile(BRANCHY, false);
+        for (range, traces) in [(0..4, 48), (0..1000, 48), (0..2, 1)] {
+            let (report, ran) =
+                counted_assessment(&branchy, "check", 2, spec(), traces, range.clone(), 5);
+            let (want, every_run) = machine_measure(&branchy, "check", 2, spec(), traces, range, 5);
+            assert_eq!(ran, first_occurrences(&every_run));
+            assert_eq!(report, want);
+        }
+    }
+
+    #[test]
+    fn a_trapping_run_fails_as_the_unmemoised_loop_does() {
+        // Unknown function: the first run traps.
+        let branchy = compile(BRANCHY, false);
+        let got = assess_leakage(&branchy, "missing", 2, spec(), 8, 0..4, 1);
+        let (want, every_run) = machine_measure(&branchy, "missing", 2, spec(), 8, 0..4, 1);
+        assert_eq!(got, want);
+        assert!(matches!(
+            got,
+            Err(AssessError::Machine(MachineError::UnknownFunction(_)))
+        ));
+        assert_eq!(every_run.len(), 1);
+
+        // A trap that depends on the secret and on the public draw: class 1
+        // indexes far past the data segment, but only once x reaches 3.
+        let peek = compile(
+            "int t[4];
+            int peek(int k, int x) {
+                int r = x;
+                if (x > 2) { r = t[k]; }
+                return r;
+            }",
+            false,
+        );
+        let far = SecretSpec {
+            arg_index: 0,
+            class0: 1,
+            class1: 0x0400_0000,
+        };
+        let (got, ran) = counted_assessment(&peek, "peek", 2, far, 64, 0..4, 9);
+        let (want, every_run) = machine_measure(&peek, "peek", 2, far, 64, 0..4, 9);
+        assert!(matches!(want, Err(AssessError::Machine(_))), "{want:?}");
+        assert_eq!(got, want);
+        assert_eq!(ran, first_occurrences(&every_run));
+        assert!(
+            ran.len() < every_run.len(),
+            "the trap comes after memo hits"
+        );
+        assert_eq!(assess_leakage(&peek, "peek", 2, far, 64, 0..4, 9), want);
     }
 }
